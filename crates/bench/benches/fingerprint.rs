@@ -28,11 +28,11 @@
 //!   8-wide tile sweep versus the quantized tile-wide pruned top-8
 //!   sweep over the same metropolis store (`perf_snapshot` reports the
 //!   10⁵-device ratio as `quant_tile_speedup`);
-//! * `engine_ingest/observe_48k_frames` — the streaming `Engine` end to
-//!   end: extraction, windowing and per-window tiled matching, the
-//!   online deployment's hot path;
+//! * `engine_ingest/observe_48k_frames` — a one-parameter streaming
+//!   `MultiEngine` end to end: extraction, windowing and per-window
+//!   tiled matching, the online deployment's hot path;
 //! * `multi_engine_ingest/{five_engines,fused}` — five independent
-//!   single-parameter engines versus one fused `MultiEngine` over the
+//!   one-parameter engines versus one fused `MultiEngine` over the
 //!   identical stream: the fused path parses each frame and keeps the
 //!   timing history **once** instead of five times.
 
@@ -40,7 +40,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use wifiprint_core::{
-    kernel, Engine, EvalConfig, FusionSpec, MatchConfig, MatchScratch, MultiConfig, MultiEngine,
+    kernel, EvalConfig, FusionSpec, MatchConfig, MatchScratch, MultiConfig, MultiEngine,
     NetworkParameter, ReferenceDb, Signature, SignatureBuilder, SimilarityMeasure,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
@@ -328,18 +328,14 @@ fn bench_quant_tile(c: &mut Criterion) {
     group.finish();
 }
 
-/// The streaming `Engine` end to end: per-frame extraction + windowing
-/// with one tiled match sweep per closed 1 s window, against a
+/// A one-parameter streaming engine end to end: per-frame extraction +
+/// windowing with one tiled match sweep per closed 1 s window, against a
 /// 256-device frozen reference. This is the ingest hot path of an
 /// online deployment (`perf_snapshot` reports it as frames/second).
 fn bench_engine_ingest(c: &mut Criterion) {
     let db = reference_db(256);
-    let cfg = {
-        let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_min_observations(30);
-        cfg.window = Nanos::from_secs(1);
-        cfg
-    };
+    let param = NetworkParameter::InterArrivalTime;
+    let cfg = MultiConfig::default().with_min_observations(30).with_window(Nanos::from_secs(1));
     // 48k frames, 25 µs apart = 1.2 s: one full window closes mid-run.
     let frames: Vec<CapturedFrame> = (0..48_000u64)
         .map(|i| {
@@ -352,9 +348,10 @@ fn bench_engine_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_ingest");
     group.bench_function("observe_48k_frames", |b| {
         b.iter(|| {
-            let mut engine = Engine::builder()
+            let mut engine = MultiEngine::builder()
+                .spec(FusionSpec::single(param))
                 .config(cfg.clone())
-                .reference(db.snapshot())
+                .references(BTreeMap::from([(param, db.snapshot())]))
                 .build()
                 .expect("valid engine configuration");
             let mut decisions = 0usize;
@@ -368,7 +365,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Five independent single-parameter engines versus one fused
+/// Five independent one-parameter engines versus one fused
 /// `MultiEngine`, both fed the identical 48k-frame stream against
 /// 256-device references. The fused path must come in well under the
 /// five-engine fan-out: extraction and history bookkeeping happen once
@@ -410,12 +407,13 @@ fn bench_multi_engine_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("multi_engine_ingest");
     group.bench_function("five_engines", |b| {
         b.iter(|| {
-            let mut engines: Vec<Engine> = NetworkParameter::ALL
+            let mut engines: Vec<MultiEngine> = NetworkParameter::ALL
                 .into_iter()
                 .map(|param| {
-                    Engine::builder()
-                        .config(multi_cfg.eval_config(param))
-                        .reference(refs[&param].snapshot())
+                    MultiEngine::builder()
+                        .spec(FusionSpec::single(param))
+                        .config(multi_cfg.clone())
+                        .references(BTreeMap::from([(param, refs[&param].snapshot())]))
                         .build()
                         .expect("valid engine configuration")
                 })

@@ -26,9 +26,9 @@
 //! serial-vs-parallel window batch — plus the streaming engines'
 //! end-to-end ingest throughput (frames/second through extraction,
 //! windowing and per-window tiled matching against 256-device
-//! references): the single-parameter `Engine` since PR 3 and, since
-//! PR 4, the fused five-parameter `MultiEngine`, whose per-frame cost
-//! must stay **well below five single engines** (one header parse and
+//! references): a one-parameter `MultiEngine` (`engine_ingest_*`) and
+//! the fused five-parameter `MultiEngine`, whose per-frame cost must
+//! stay **well below five one-parameter engines** (one header parse and
 //! one timing history instead of five). Since PR 5 the snapshot also
 //! measures the **sharded** store at metropolis scale: the dense full
 //! sweep versus the summary-pruned top-k sweep at 10⁴ and 10⁵ enrolled
@@ -68,7 +68,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use wifiprint_core::{
-    kernel, Engine, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
+    kernel, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
     MatchScratch, MultiConfig, MultiEngine, NetworkParameter, OverloadPolicy, ReferenceDb,
     Signature, SimilarityMeasure,
 };
@@ -227,15 +227,13 @@ fn main() {
         std::hint::black_box(db.match_batch(&candidates, SimilarityMeasure::Cosine));
     });
 
-    // Engine ingest: the streaming facade end to end — per-frame
-    // extraction + windowing, one tiled match sweep per closed 1 s
-    // window, 64 active devices against the 256-device reference.
-    let engine_cfg = {
-        let mut c = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_min_observations(30);
-        c.window = Nanos::from_secs(1);
-        c
-    };
+    // Engine ingest: the streaming facade end to end over one parameter
+    // — per-frame extraction + windowing, one tiled match sweep per
+    // closed 1 s window, 64 active devices against the 256-device
+    // reference.
+    let engine_param = NetworkParameter::InterArrivalTime;
+    let engine_cfg =
+        MultiConfig::default().with_min_observations(30).with_window(Nanos::from_secs(1));
     let stream_devices = 64u64;
     let engine_frames: Vec<CapturedFrame> = (0..240_000u64)
         .map(|i| {
@@ -249,9 +247,10 @@ fn main() {
         })
         .collect();
     let engine_ingest_ns = measure(5, 1, || {
-        let mut engine = Engine::builder()
+        let mut engine = MultiEngine::builder()
+            .spec(FusionSpec::single(engine_param))
             .config(engine_cfg.clone())
-            .reference(db.snapshot())
+            .references(BTreeMap::from([(engine_param, db.snapshot())]))
             .build()
             .expect("valid engine configuration");
         let mut decisions = 0usize;
@@ -267,7 +266,7 @@ fn main() {
     // five-parameter engine — one header parse and one timing history
     // per frame instead of five, five per-parameter reference sweeps as
     // each window closes. The per-frame cost must stay well below five
-    // single-parameter engines.
+    // one-parameter engines.
     let multi_cfg = MultiConfig::default()
         .with_min_observations(30)
         .with_window(Nanos::from_secs(1));
@@ -300,7 +299,7 @@ fn main() {
         std::hint::black_box(decisions);
     }) / engine_frames.len() as f64;
     let multi_engine_ingest_fps = 1e9 / multi_engine_ingest_ns;
-    // How many single-parameter engines one fused pass costs; five
+    // How many one-parameter engines one fused pass costs; five
     // independent engines would sit at 5.0.
     let multi_vs_single = multi_engine_ingest_ns / engine_ingest_ns;
 

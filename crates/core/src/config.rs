@@ -12,7 +12,6 @@ use crate::similarity::SimilarityMeasure;
 
 /// How the transmission time `ttᵢ` is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TxTimeEstimator {
     /// The paper's estimator: `ttᵢ = sizeᵢ / rateᵢ` from header fields
     /// only (ignores PLCP overhead).
@@ -117,7 +116,7 @@ pub struct EvalConfig {
     /// Detection window length (the paper uses 5 minutes, §I/§V-A).
     pub window: Nanos,
     /// Shard layout **and precision tier** of reference databases built
-    /// from this configuration (the engines' online-trained references;
+    /// from this configuration (the engine's online-trained references;
     /// see [`MatchConfig`] and
     /// [`RowPrecision`](crate::matching::RowPrecision)). Defaults to
     /// dominant-histogram sharding over `f32` rows; pass

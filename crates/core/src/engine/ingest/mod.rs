@@ -1,9 +1,10 @@
 //! The supervised ingest front: back-pressure, overload shedding,
-//! panic isolation and stall watchdogs around either streaming engine.
+//! panic isolation and stall watchdogs around the streaming engine.
 //!
-//! PR 6 hardened the engines against *degraded frames*; this module
-//! hardens them against *degraded flow*. An [`IngestPipeline`] owns an
-//! engine on a supervised worker thread behind a bounded MPMC ring:
+//! [`ResilienceConfig`](super::ResilienceConfig) hardens the engine
+//! against *degraded frames*; this module hardens it against *degraded
+//! flow*. An [`IngestPipeline`] owns a [`MultiEngine`] on a supervised
+//! worker thread behind a bounded MPMC ring:
 //!
 //! * **Back-pressure** — the ring is bounded; an [`OverloadPolicy`]
 //!   decides what a full ring does to a submission: `Block` (lossless,
@@ -20,23 +21,19 @@
 //!   frame under the strict policy) quarantine through the same path.
 //! * **Stall watchdog** — with [`IngestConfig::stall_timeout`] set, a
 //!   ring that stays empty past the deadline drives
-//!   [`Engine::tick`](super::Engine::tick) /
-//!   [`MultiEngine::tick`](super::MultiEngine::tick), so a silent
-//!   source can never stall a window decision. The watchdog trades
-//!   bit-exact replay determinism for liveness; leave it `None` when
-//!   events must be bit-identical to the synchronous run.
+//!   [`MultiEngine::tick`], so a silent source can never stall a window
+//!   decision. The watchdog trades bit-exact replay determinism for
+//!   liveness; leave it `None` when events must be bit-identical to the
+//!   synchronous run.
 //! * **Ordered delivery** — every submission gets a dense sequence
 //!   number, and an [`EventSequencer`] reassembles event batches in
 //!   submission order (sheds and quarantines close their numbers as
 //!   gaps). Under `OverloadPolicy::Block` with no faults and no
 //!   watchdog, the delivered event stream is **bit-identical** to
 //!   calling `observe` synchronously — a property test pins this for
-//!   both engines.
+//!   one-parameter and five-parameter specs.
 //!
-//! The ring is the `sync_channel.rs`/`state.rs` split the roadmap
-//! planned: all queue state and policy lives in [`state`], the blocking
-//! facade in [`sync_channel`], so an async facade can wrap the same
-//! state later without touching core.
+//! All queue state and policy lives in [`state`].
 //!
 //! # Chaos probes
 //!
@@ -52,13 +49,13 @@
 //! # Example
 //!
 //! ```
-//! use wifiprint_core::engine::ingest::{IngestConfig, IngestPipeline, OverloadPolicy};
-//! use wifiprint_core::{Engine, EvalConfig, NetworkParameter};
+//! use wifiprint_core::engine::ingest::{IngestConfig, IngestPipeline};
+//! use wifiprint_core::{FusionSpec, MultiEngine, NetworkParameter};
 //! use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 //! use wifiprint_radiotap::CapturedFrame;
 //!
-//! let engine = Engine::builder()
-//!     .config(EvalConfig::for_parameter(NetworkParameter::InterArrivalTime))
+//! let engine = MultiEngine::builder()
+//!     .spec(FusionSpec::single(NetworkParameter::InterArrivalTime))
 //!     .train_for(Nanos::from_secs(3600))
 //!     .build()
 //!     .expect("valid engine configuration");
@@ -78,7 +75,6 @@
 //! ```
 
 pub mod state;
-pub(crate) mod sync_channel;
 
 pub use state::EventSequencer;
 
@@ -90,13 +86,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wifiprint_ieee80211::Nanos;
 use wifiprint_radiotap::CapturedFrame;
 
 use self::state::{PopOutcome, PushOutcome, RingState, Ticket};
-use self::sync_channel::{channel, SyncReceiver, SyncSender};
 use super::resilience::EngineHealth;
-use super::{Engine, EngineError, Event, MultiEngine, MultiEvent};
+use super::{EngineError, MultiEngine, MultiEvent};
 
 /// What a full ingest ring does to a submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -212,102 +206,6 @@ impl IngestConfig {
     pub fn with_panic_probe(mut self, probe: Option<fn(&CapturedFrame) -> bool>) -> Self {
         self.panic_probe = probe;
         self
-    }
-}
-
-/// The engine surface the supervised pipeline drives — implemented by
-/// both [`Engine`] (single parameter) and [`MultiEngine`] (fused five
-/// parameters).
-pub trait StreamEngine: Send + 'static {
-    /// The typed event the engine emits.
-    type Event: fmt::Debug + Send + 'static;
-
-    /// Processes one frame (see `Engine::observe`).
-    ///
-    /// # Errors
-    /// The engine's per-frame failure (late frame under the strict
-    /// policy, finished session, training-transition failure).
-    fn observe(&mut self, frame: &CapturedFrame) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// Advances the engine clock without a frame (see
-    /// `Engine::advance_to`).
-    ///
-    /// # Errors
-    /// `EngineError::Finished` after `finish`, or a training-transition
-    /// failure.
-    fn advance_to(&mut self, t: Nanos) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// Forces a decision on the open window now (see `Engine::tick`).
-    ///
-    /// # Errors
-    /// `EngineError::Finished` after `finish`.
-    fn tick(&mut self) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// Seals the session (see `Engine::finish`).
-    ///
-    /// # Errors
-    /// A training-transition failure.
-    fn finish(&mut self) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// The engine's ingest-health counters.
-    fn health(&self) -> EngineHealth;
-
-    /// Frames delivered to the engine core so far.
-    fn frames_observed(&self) -> u64;
-
-    /// Frames still held by the engine's reorder buffer.
-    fn pending_frames(&self) -> usize;
-}
-
-impl StreamEngine for Engine {
-    type Event = Event;
-
-    fn observe(&mut self, frame: &CapturedFrame) -> Result<Vec<Event>, EngineError> {
-        Engine::observe(self, frame)
-    }
-    fn advance_to(&mut self, t: Nanos) -> Result<Vec<Event>, EngineError> {
-        Engine::advance_to(self, t)
-    }
-    fn tick(&mut self) -> Result<Vec<Event>, EngineError> {
-        Engine::tick(self)
-    }
-    fn finish(&mut self) -> Result<Vec<Event>, EngineError> {
-        Engine::finish(self)
-    }
-    fn health(&self) -> EngineHealth {
-        Engine::health(self)
-    }
-    fn frames_observed(&self) -> u64 {
-        Engine::frames_observed(self)
-    }
-    fn pending_frames(&self) -> usize {
-        Engine::pending_frames(self)
-    }
-}
-
-impl StreamEngine for MultiEngine {
-    type Event = MultiEvent;
-
-    fn observe(&mut self, frame: &CapturedFrame) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::observe(self, frame)
-    }
-    fn advance_to(&mut self, t: Nanos) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::advance_to(self, t)
-    }
-    fn tick(&mut self) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::tick(self)
-    }
-    fn finish(&mut self) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::finish(self)
-    }
-    fn health(&self) -> EngineHealth {
-        MultiEngine::health(self)
-    }
-    fn frames_observed(&self) -> u64 {
-        MultiEngine::frames_observed(self)
-    }
-    fn pending_frames(&self) -> usize {
-        MultiEngine::pending_frames(self)
     }
 }
 
@@ -427,11 +325,11 @@ struct SharedStats {
     panic_observed_adjust: AtomicU64,
 }
 
-/// Everything the producer facades and the worker share.
+/// Everything the producer handles and the worker share.
 #[derive(Debug)]
-struct PipelineShared<T> {
-    sender: SyncSender,
-    sequencer: Mutex<EventSequencer<T>>,
+struct PipelineShared {
+    ring: RingState,
+    sequencer: Mutex<EventSequencer<MultiEvent>>,
     quarantine: Mutex<Quarantine>,
     stats: SharedStats,
 }
@@ -451,18 +349,12 @@ pub enum SubmitOutcome {
 /// A cloneable producer handle onto a running pipeline — the MPMC
 /// "sender" side. Any number of capture threads may submit through
 /// their own handle; see [`IngestPipeline::handle`].
-#[derive(Debug)]
-pub struct IngestHandle<T> {
-    shared: Arc<PipelineShared<T>>,
+#[derive(Debug, Clone)]
+pub struct IngestHandle {
+    shared: Arc<PipelineShared>,
 }
 
-impl<T> Clone for IngestHandle<T> {
-    fn clone(&self) -> Self {
-        IngestHandle { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl<T> IngestHandle<T> {
+impl IngestHandle {
     /// Submits one frame under the pipeline's overload policy.
     ///
     /// # Errors
@@ -474,12 +366,12 @@ impl<T> IngestHandle<T> {
     }
 }
 
-fn submit_shared<T>(
-    shared: &PipelineShared<T>,
+fn submit_shared(
+    shared: &PipelineShared,
     frame: &CapturedFrame,
 ) -> Result<SubmitOutcome, EngineError> {
-    match shared.sender.send(frame) {
-        PushOutcome::Enqueued { .. } => {
+    match shared.ring.push(frame) {
+        PushOutcome::Enqueued => {
             shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
             Ok(SubmitOutcome::Enqueued)
         }
@@ -489,7 +381,7 @@ fn submit_shared<T>(
             shared.sequencer.lock().expect("sequencer lock").close_gap(seq);
             Ok(SubmitOutcome::ShedNewest)
         }
-        PushOutcome::ShedOldest { dropped, .. } => {
+        PushOutcome::ShedOldest { dropped } => {
             shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             shared.sequencer.lock().expect("sequencer lock").close_gap(dropped.seq);
@@ -500,14 +392,14 @@ fn submit_shared<T>(
 }
 
 /// The terminal report of a supervised session: the ordered event
-/// stream, the engine itself (for `into_reference` etc.), the merged
+/// stream, the engine itself (for `into_references` etc.), the merged
 /// health ledger, the pipeline counters, and the retained quarantine.
 #[derive(Debug)]
-pub struct IngestReport<E: StreamEngine> {
+pub struct IngestReport {
     /// Every delivered event, in submission order.
-    pub events: Vec<E::Event>,
+    pub events: Vec<MultiEvent>,
     /// The engine, already `finish()`ed by the worker.
-    pub engine: E,
+    pub engine: MultiEngine,
     /// The merged health ledger: the engine's gate counters with
     /// `frames_seen` replaced by the submission count and the
     /// shed/quarantined/restarted counters filled in.
@@ -521,7 +413,7 @@ pub struct IngestReport<E: StreamEngine> {
     pub delivered: u64,
 }
 
-impl<E: StreamEngine> IngestReport<E> {
+impl IngestReport {
     /// Whether the session satisfies the conservation law exactly:
     /// `seen = delivered + dropped + shed + quarantined` (everything is
     /// drained after `finish`, so `pending = 0`).
@@ -531,16 +423,16 @@ impl<E: StreamEngine> IngestReport<E> {
     }
 }
 
-/// A supervised ingest front around one [`StreamEngine`]: bounded ring,
+/// A supervised ingest front around one [`MultiEngine`]: bounded ring,
 /// overload policy, panic-isolating worker, stall watchdog and ordered
 /// event delivery. See the [module docs](self).
 #[derive(Debug)]
-pub struct IngestPipeline<E: StreamEngine> {
-    shared: Arc<PipelineShared<E::Event>>,
-    worker: Option<JoinHandle<E>>,
+pub struct IngestPipeline {
+    shared: Arc<PipelineShared>,
+    worker: Option<JoinHandle<MultiEngine>>,
 }
 
-impl<E: StreamEngine> IngestPipeline<E> {
+impl IngestPipeline {
     /// Spawns the supervised worker around `engine` and opens the ring
     /// for submissions.
     ///
@@ -548,11 +440,9 @@ impl<E: StreamEngine> IngestPipeline<E> {
     ///
     /// [`EngineError::Supervisor`] when the worker thread cannot be
     /// spawned.
-    pub fn spawn(engine: E, cfg: IngestConfig) -> Result<Self, EngineError> {
-        let ring = Arc::new(RingState::new(cfg.capacity, cfg.overload));
-        let (sender, receiver) = channel(ring);
+    pub fn spawn(engine: MultiEngine, cfg: IngestConfig) -> Result<Self, EngineError> {
         let shared = Arc::new(PipelineShared {
-            sender,
+            ring: RingState::new(cfg.capacity, cfg.overload),
             sequencer: Mutex::new(EventSequencer::new()),
             quarantine: Mutex::new(Quarantine::new(cfg.quarantine_capacity)),
             stats: SharedStats::default(),
@@ -563,9 +453,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
         let probe = cfg.panic_probe;
         let worker = std::thread::Builder::new()
             .name("wifiprint-ingest".to_owned())
-            .spawn(move || {
-                supervise(engine, &worker_shared, &receiver, stall_timeout, sweep_delay, probe)
-            })
+            .spawn(move || supervise(engine, &worker_shared, stall_timeout, sweep_delay, probe))
             .map_err(|e| EngineError::Supervisor { reason: format!("spawn worker: {e}") })?;
         Ok(IngestPipeline { shared, worker: Some(worker) })
     }
@@ -583,7 +471,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     /// A cloneable producer handle, so any number of capture threads
     /// can feed the ring (MPMC).
     #[must_use]
-    pub fn handle(&self) -> IngestHandle<E::Event> {
+    pub fn handle(&self) -> IngestHandle {
         IngestHandle { shared: Arc::clone(&self.shared) }
     }
 
@@ -593,7 +481,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     ///
     /// If the sequencer lock is poisoned — impossible in practice, the
     /// worker wraps every sweep in its panic isolation.
-    pub fn drain_events(&self) -> Vec<E::Event> {
+    pub fn drain_events(&self) -> Vec<MultiEvent> {
         self.shared.sequencer.lock().expect("sequencer lock").drain_ready()
     }
 
@@ -607,15 +495,11 @@ impl<E: StreamEngine> IngestPipeline<E> {
             quarantined: s.quarantined.load(Ordering::Relaxed),
             worker_restarts: s.worker_restarts.load(Ordering::Relaxed),
             watchdog_ticks: s.watchdog_ticks.load(Ordering::Relaxed),
-            ring_pending: self.ring_len() as u64,
+            ring_pending: self.shared.ring.len() as u64,
             latency_ns_sum: s.latency_ns_sum.load(Ordering::Relaxed),
             latency_samples: s.latency_samples.load(Ordering::Relaxed),
             latency_max_ns: s.latency_max_ns.load(Ordering::Relaxed),
         }
-    }
-
-    fn ring_len(&self) -> usize {
-        self.shared.sender.len()
     }
 
     /// The retained quarantined frames so far (clone; the worker keeps
@@ -643,8 +527,8 @@ impl<E: StreamEngine> IngestPipeline<E> {
     ///
     /// If an internal lock is poisoned — impossible in practice, the
     /// worker wraps every sweep in its panic isolation.
-    pub fn finish(mut self) -> Result<IngestReport<E>, EngineError> {
-        self.shared.sender.close();
+    pub fn finish(mut self) -> Result<IngestReport, EngineError> {
+        self.shared.ring.close();
         let worker = self.worker.take().expect("finish consumes the only owner");
         let engine = worker.join().map_err(|_| EngineError::Supervisor {
             reason: "ingest worker died outside its panic isolation".to_owned(),
@@ -666,13 +550,13 @@ impl<E: StreamEngine> IngestPipeline<E> {
     }
 }
 
-impl<E: StreamEngine> Drop for IngestPipeline<E> {
+impl Drop for IngestPipeline {
     fn drop(&mut self) {
         // An abandoned pipeline must not leak its worker: close the
         // ring and wait for the drain. `finish()` takes the handle, so
         // this only runs for pipelines dropped without finishing.
         if let Some(worker) = self.worker.take() {
-            self.shared.sender.close();
+            self.shared.ring.close();
             let _ = worker.join();
         }
     }
@@ -682,29 +566,20 @@ impl<E: StreamEngine> Drop for IngestPipeline<E> {
 /// panic, quarantines the in-flight frame (with the panic message),
 /// counts a restart, and re-enters the worker around the same engine.
 /// Returns the engine once the ring is closed and drained.
-fn supervise<E: StreamEngine>(
-    mut engine: E,
-    shared: &Arc<PipelineShared<E::Event>>,
-    receiver: &SyncReceiver,
+fn supervise(
+    mut engine: MultiEngine,
+    shared: &PipelineShared,
     stall_timeout: Option<Duration>,
     sweep_delay: Duration,
     probe: Option<fn(&CapturedFrame) -> bool>,
-) -> E {
+) -> MultiEngine {
     // The in-flight ticket, plus the engine-core frame count before its
     // observe — readable after an unwind, so the supervisor knows what
     // to quarantine and whether the core counted the doomed frame.
     let inflight: std::cell::Cell<Option<(Ticket, u64)>> = std::cell::Cell::new(None);
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(
-                &mut engine,
-                shared,
-                receiver,
-                &inflight,
-                stall_timeout,
-                sweep_delay,
-                probe,
-            );
+            worker_loop(&mut engine, shared, &inflight, stall_timeout, sweep_delay, probe);
         }));
         match run {
             Ok(()) => return engine,
@@ -730,7 +605,7 @@ fn supervise<E: StreamEngine>(
     }
 }
 
-fn quarantine_frame<T>(shared: &PipelineShared<T>, ticket: Ticket, reason: String) {
+fn quarantine_frame(shared: &PipelineShared, ticket: Ticket, reason: String) {
     shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
     shared
         .quarantine
@@ -753,18 +628,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The worker proper: pops tickets, drives the engine, feeds the
 /// sequencer. Runs until the ring is closed and drained; panics unwind
 /// to [`supervise`].
-#[allow(clippy::too_many_lines)]
-fn worker_loop<E: StreamEngine>(
-    engine: &mut E,
-    shared: &Arc<PipelineShared<E::Event>>,
-    receiver: &SyncReceiver,
+fn worker_loop(
+    engine: &mut MultiEngine,
+    shared: &PipelineShared,
     inflight: &std::cell::Cell<Option<(Ticket, u64)>>,
     stall_timeout: Option<Duration>,
     sweep_delay: Duration,
     probe: Option<fn(&CapturedFrame) -> bool>,
 ) {
     loop {
-        match receiver.recv_timeout(stall_timeout) {
+        match shared.ring.pop_timeout(stall_timeout) {
             PopOutcome::Item(ticket) => {
                 inflight.set(Some((ticket, engine.frames_observed())));
                 if !sweep_delay.is_zero() {
@@ -800,7 +673,7 @@ fn worker_loop<E: StreamEngine>(
                 // deadline — force the open window's decision so the
                 // stream of decisions stays live.
                 shared.stats.watchdog_ticks.fetch_add(1, Ordering::Relaxed);
-                let seq = receiver.alloc_seq();
+                let seq = shared.ring.alloc_seq();
                 match engine.tick() {
                     Ok(events) => shared
                         .sequencer
@@ -811,7 +684,7 @@ fn worker_loop<E: StreamEngine>(
                 }
             }
             PopOutcome::Closed => {
-                let seq = receiver.alloc_seq();
+                let seq = shared.ring.alloc_seq();
                 match engine.finish() {
                     Ok(events) => shared
                         .sequencer
@@ -829,10 +702,11 @@ fn worker_loop<E: StreamEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EvalConfig;
     use crate::engine::resilience::{LateFramePolicy, ResilienceConfig};
+    use crate::engine::MultiConfig;
+    use crate::fusion::FusionSpec;
     use crate::params::NetworkParameter;
-    use wifiprint_ieee80211::{Frame, MacAddr, Rate};
+    use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 
     fn capture(dev: u64, t_us: u64, payload: usize) -> CapturedFrame {
         let sta = MacAddr::from_index(dev + 1);
@@ -845,12 +719,14 @@ mod tests {
         (0..n).map(|i| capture(i % 3, 500 * (i + 1), 200 + (i % 5) as usize * 100)).collect()
     }
 
-    fn engine(resilience: ResilienceConfig) -> Engine {
-        let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_min_observations(3);
-        cfg.window = Nanos::from_millis(100);
-        Engine::builder()
-            .config(cfg)
+    fn engine(resilience: ResilienceConfig) -> MultiEngine {
+        MultiEngine::builder()
+            .spec(FusionSpec::single(NetworkParameter::InterArrivalTime))
+            .config(
+                MultiConfig::default()
+                    .with_min_observations(3)
+                    .with_window(Nanos::from_millis(100)),
+            )
             .train_for(Nanos::from_millis(200))
             .resilience(resilience)
             .build()
@@ -863,15 +739,27 @@ mod tests {
         frame.size == 0
     }
 
+    /// The synchronous baseline: `observe` every frame, then `finish`.
+    fn synchronous(engine: &mut MultiEngine, frames: &[CapturedFrame]) -> Vec<MultiEvent> {
+        let mut events = engine.observe_all(frames).expect("accepted frames");
+        events.extend(engine.finish().expect("finish"));
+        events
+    }
+
+    /// Submits every frame through a supervised pipeline and finishes it.
+    fn supervised(cfg: IngestConfig, frames: &[CapturedFrame]) -> IngestReport {
+        let pipeline =
+            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
+        for f in frames {
+            pipeline.submit(f).expect("open");
+        }
+        pipeline.finish().expect("terminates")
+    }
+
     #[test]
     fn block_pipeline_matches_synchronous_observe() {
         let frames = stream(400);
-        let mut sync = engine(ResilienceConfig::default());
-        let mut want = Vec::new();
-        for f in &frames {
-            want.extend(sync.observe(f).expect("in-order frame"));
-        }
-        want.extend(sync.finish().expect("finish"));
+        let want = synchronous(&mut engine(ResilienceConfig::default()), &frames);
 
         let pipeline =
             IngestPipeline::spawn(engine(ResilienceConfig::default()), IngestConfig::default())
@@ -896,20 +784,10 @@ mod tests {
         }
         let clean: Vec<CapturedFrame> =
             frames.iter().copied().filter(|f| !is_poison(f)).collect();
-        let mut sync = engine(ResilienceConfig::default());
-        let mut want = Vec::new();
-        for f in &clean {
-            want.extend(sync.observe(f).expect("in-order frame"));
-        }
-        want.extend(sync.finish().expect("finish"));
+        let want = synchronous(&mut engine(ResilienceConfig::default()), &clean);
 
         let cfg = IngestConfig::default().with_panic_probe(Some(is_poison));
-        let pipeline =
-            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open");
-        }
-        let report = pipeline.finish().expect("survives the panics");
+        let report = supervised(cfg, &frames);
         // A quarantined frame behaves exactly as if it was never
         // captured: the delivered event stream is the clean stream's.
         assert_eq!(format!("{:?}", report.events), format!("{want:?}"));
@@ -929,13 +807,7 @@ mod tests {
         // pipeline quarantines it, the stream continues.
         let mut frames = stream(50);
         frames[20].t_end = Nanos::from_micros(1); // far behind the watermark
-        let pipeline =
-            IngestPipeline::spawn(engine(ResilienceConfig::default()), IngestConfig::default())
-                .expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open");
-        }
-        let report = pipeline.finish().expect("terminates");
+        let report = supervised(IngestConfig::default(), &frames);
         assert_eq!(report.health.frames_quarantined, 1);
         assert_eq!(report.health.workers_restarted, 0, "a rejection is not a panic");
         assert!(
@@ -1017,11 +889,7 @@ mod tests {
         frames.swap(120, 122);
         frames.swap(150, 153);
         let mut sync = engine(resilience.clone());
-        let mut want = Vec::new();
-        for f in &frames {
-            want.extend(sync.observe(f).expect("reorder absorbs the shuffle"));
-        }
-        want.extend(sync.finish().expect("finish"));
+        let want = synchronous(&mut sync, &frames);
 
         let cfg = IngestConfig::default()
             .with_stall_timeout(Some(Duration::from_millis(5)));
@@ -1076,12 +944,7 @@ mod tests {
         let cfg = IngestConfig::default()
             .with_panic_probe(Some(is_poison))
             .with_quarantine_capacity(4);
-        let pipeline =
-            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open");
-        }
-        let report = pipeline.finish().expect("terminates");
+        let report = supervised(cfg, &frames);
         assert_eq!(report.health.frames_quarantined, 10);
         assert_eq!(report.quarantine.len(), 4, "retention cap");
         assert!(report.is_reconciled(), "evictions must not lose accounting");

@@ -1,12 +1,9 @@
 //! Shared state of the bounded MPMC ingest ring.
 //!
-//! This file is the `state.rs` half of the facade split planned in the
-//! roadmap: all queue state (the ring, the sequence counter, the closed
-//! flag) lives behind one mutex here, and the condition variables are
-//! the only blocking primitive. [`sync_channel`](super::sync_channel)
-//! wraps it in blocking sender/receiver facades; an async facade can
-//! later wrap the *same* state with wakers instead of condvars without
-//! touching the queue logic.
+//! All queue state (the ring, the sequence counter, the closed flag)
+//! lives behind one mutex here, and the condition variables are the only
+//! blocking primitive. Producers and the pipeline's worker call
+//! [`RingState`] directly.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -32,21 +29,18 @@ pub struct Ticket {
 }
 
 /// What [`RingState::push`] did with a submission.
-// The `seq` fields are read by the state tests and kept for the async
-// facade, which will need them to report gaps without a ticket in hand.
-#[allow(dead_code)]
 #[derive(Debug)]
 pub(crate) enum PushOutcome {
-    /// The frame was enqueued under `seq`.
-    Enqueued { seq: u64 },
+    /// The frame was enqueued.
+    Enqueued,
     /// [`OverloadPolicy::ShedNewest`]: the ring was full and the
     /// submitted frame itself was shed; `seq` is its (never-enqueued)
     /// sequence number, which the caller must report to the sequencer
     /// as a gap.
     ShedNewest { seq: u64 },
     /// [`OverloadPolicy::ShedOldest`]: the submitted frame was enqueued
-    /// under `seq` and the oldest queued ticket was shed to make room.
-    ShedOldest { seq: u64, dropped: Ticket },
+    /// and the oldest queued ticket was shed to make room.
+    ShedOldest { dropped: Ticket },
     /// The channel is closed (the pipeline is finishing); nothing was
     /// enqueued.
     Closed,
@@ -127,7 +121,7 @@ impl RingState {
                     ring.next_seq += 1;
                     ring.queue.push_back(Ticket { seq, frame: *frame, enqueued: Instant::now() });
                     self.not_empty.notify_one();
-                    return PushOutcome::ShedOldest { seq, dropped };
+                    return PushOutcome::ShedOldest { dropped };
                 }
             }
         }
@@ -135,7 +129,7 @@ impl RingState {
         ring.next_seq += 1;
         ring.queue.push_back(Ticket { seq, frame: *frame, enqueued: Instant::now() });
         self.not_empty.notify_one();
-        PushOutcome::Enqueued { seq }
+        PushOutcome::Enqueued
     }
 
     /// Pops the oldest ticket, waiting up to `timeout` (forever when
@@ -293,8 +287,8 @@ mod tests {
     #[test]
     fn shed_newest_drops_the_submission_itself() {
         let ring = RingState::new(2, OverloadPolicy::ShedNewest);
-        assert!(matches!(ring.push(&frame(1)), PushOutcome::Enqueued { seq: 0 }));
-        assert!(matches!(ring.push(&frame(2)), PushOutcome::Enqueued { seq: 1 }));
+        assert!(matches!(ring.push(&frame(1)), PushOutcome::Enqueued));
+        assert!(matches!(ring.push(&frame(2)), PushOutcome::Enqueued));
         assert!(matches!(ring.push(&frame(3)), PushOutcome::ShedNewest { seq: 2 }));
         assert_eq!(ring.len(), 2);
         // The queue still holds the two oldest frames.
@@ -310,16 +304,18 @@ mod tests {
         let ring = RingState::new(2, OverloadPolicy::ShedOldest);
         ring.push(&frame(1));
         ring.push(&frame(2));
-        let PushOutcome::ShedOldest { seq, dropped } = ring.push(&frame(3)) else {
+        let PushOutcome::ShedOldest { dropped } = ring.push(&frame(3)) else {
             panic!("expected ShedOldest");
         };
-        assert_eq!(seq, 2);
         assert_eq!(dropped.seq, 0);
         assert_eq!(dropped.frame.t_end, Nanos::from_micros(1));
-        let PopOutcome::Item(t) = ring.pop_timeout(Some(Duration::from_millis(1))) else {
-            panic!("expected an item");
-        };
-        assert_eq!(t.seq, 1, "the second-oldest survives");
+        let seqs: Vec<u64> = (0..2)
+            .map(|_| match ring.pop_timeout(Some(Duration::from_millis(1))) {
+                PopOutcome::Item(t) => t.seq,
+                other => panic!("expected an item, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(seqs, [1, 2], "the second-oldest survives, the newest is queued");
     }
 
     #[test]
@@ -360,8 +356,36 @@ mod tests {
                 PopOutcome::Closed => panic!("ring closed unexpectedly"),
             }
         }
-        assert!(matches!(producer.join().expect("producer"), PushOutcome::Enqueued { seq: 1 }));
+        assert!(matches!(producer.join().expect("producer"), PushOutcome::Enqueued));
         assert_eq!(ring.len(), 1);
+    }
+
+    #[test]
+    fn two_producers_interleave_with_dense_sequence_numbers() {
+        use std::sync::Arc;
+        let ring = Arc::new(RingState::new(64, OverloadPolicy::Block));
+        let a = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                for t in 0..10u64 {
+                    ring.push(&frame(t));
+                }
+            })
+        };
+        for t in 10..20u64 {
+            ring.push(&frame(t));
+        }
+        a.join().expect("producer");
+        let mut seqs = Vec::new();
+        for _ in 0..20 {
+            let PopOutcome::Item(ticket) = ring.pop_timeout(Some(Duration::from_millis(50)))
+            else {
+                panic!("expected 20 tickets");
+            };
+            seqs.push(ticket.seq);
+        }
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..20u64).collect::<Vec<_>>());
     }
 
     #[test]

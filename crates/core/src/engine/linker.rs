@@ -2,9 +2,9 @@
 //! device identity.
 //!
 //! The paper's §VII headline is that passive fingerprints survive MAC
-//! address changes — the engines already hand every stranger's candidate
-//! signatures over in [`Event::NewDevice`] / [`MultiEvent::FusedNewDevice`]
-//! events, and this module is the consumer that closes the loop. A
+//! address changes — the engine already hands every stranger's candidate
+//! signatures over in [`MultiEvent::FusedNewDevice`] events, and this
+//! module is the consumer that closes the loop. A
 //! [`RotationLinker`] maintains a **gallery** of retained identities —
 //! one internal sharded [`ReferenceDb`] per fused parameter, so the hot
 //! path reuses the summary-pruned [`ReferenceDb::match_topk`] sweep —
@@ -74,7 +74,6 @@ use crate::signature::Signature;
 use crate::similarity::SimilarityMeasure;
 
 use super::multi::MultiEvent;
-use super::Event;
 
 /// A linker-assigned device identity: stable across however many MAC
 /// addresses the device rotates through.
@@ -448,8 +447,8 @@ impl RotationLinker {
     /// per-parameter candidate signatures a detection window produced
     /// for it — and returns the linking decision.
     ///
-    /// This is the core entry point; [`RotationLinker::observe_multi`] /
-    /// [`RotationLinker::observe_event`] adapt engine events onto it.
+    /// This is the core entry point; [`RotationLinker::observe_multi`]
+    /// adapts engine events onto it.
     /// Parameters outside the linker's spec are ignored; empty
     /// signatures never enter the gallery.
     pub fn link(
@@ -523,8 +522,8 @@ impl RotationLinker {
     /// own references) passes through as a signature-less sighting so
     /// its MAC binding stays warm. Other events return `None`.
     ///
-    /// `at` is the sighting time on the caller's clock (the engines
-    /// report window indices, not timestamps — multiply by the window
+    /// `at` is the sighting time on the caller's clock (the engine
+    /// reports window indices, not timestamps — multiply by the window
     /// length, or feed the capture clock).
     pub fn observe_multi(&mut self, event: &MultiEvent, at: Nanos) -> Option<LinkEvent> {
         match event {
@@ -532,26 +531,6 @@ impl RotationLinker {
                 Some(self.link(*device, at, signatures))
             }
             MultiEvent::FusedMatch { device, .. } => Some(self.link(*device, at, &[])),
-            _ => None,
-        }
-    }
-
-    /// Adapts a single-parameter engine event stream onto
-    /// [`RotationLinker::link`]; `parameter` names the parameter the
-    /// engine runs (an [`Event`] does not carry it). See
-    /// [`RotationLinker::observe_multi`] for the `at` contract.
-    pub fn observe_event(
-        &mut self,
-        event: &Event,
-        parameter: NetworkParameter,
-        at: Nanos,
-    ) -> Option<LinkEvent> {
-        match event {
-            Event::NewDevice { device, signature, .. } => {
-                let sigs = [(parameter, signature.clone())];
-                Some(self.link(*device, at, &sigs))
-            }
-            Event::Match { device, .. } => Some(self.link(*device, at, &[])),
             _ => None,
         }
     }

@@ -1,11 +1,10 @@
-//! The fused five-parameter streaming engine.
+//! The streaming engine: any [`FusionSpec`] of network parameters on one
+//! frame parse and one window clock.
 //!
-//! The paper's headline accuracy comes from combining the network
-//! parameters, yet a single [`Engine`](super::Engine) runs exactly one.
-//! Running five engines side by side — as the analysis pipeline used to —
-//! re-parses every frame five times, keeps five copies of the timing
-//! history, and five window clocks that can only ever agree. The
-//! [`MultiEngine`] collapses all of that:
+//! The paper evaluates every network parameter on its own, and its
+//! headline accuracy comes from combining them. The [`MultiEngine`] runs
+//! both shapes — a [`FusionSpec::single`] spec is the one-parameter
+//! deployment — with:
 //!
 //! * **one fused extraction** — a single [`FusedExtractor`] pass per
 //!   frame yields all five [`NetworkParameter`] observations from one
@@ -14,61 +13,22 @@
 //!   detection windows seal for every parameter, so per-parameter
 //!   decisions are always aligned;
 //! * **online score fusion** — as each window closes, every candidate is
-//!   swept against each parameter's [`ReferenceDb`] (the same tiled
-//!   `f32` SIMD sweep the single engine uses) and the per-parameter
+//!   swept against each parameter's [`ReferenceDb`] (the tiled `f32`
+//!   SIMD sweep, [`ReferenceDb::match_tile`]) and the per-parameter
 //!   similarity vectors are combined into one weighted-average
-//!   [`FusedOutcome`] per [`fusion`](crate::fusion) spec — the online
-//!   port of what the analysis crate's fusion evaluator did offline at
-//!   end-of-trace.
+//!   [`FusedOutcome`] per [`fusion`](crate::fusion) spec.
 //!
-//! Events mirror the single engine's, fused: [`MultiEvent::FusedMatch`]
-//! / [`MultiEvent::FusedNewDevice`] carry one [`ParameterDecision`] per
-//! parameter the candidate qualified for (its per-parameter similarity
-//! vector) plus the combined score, and fire the moment the window
-//! closes — or when [`MultiEngine::advance_to`] / [`MultiEngine::tick`]
-//! seal it on wall clock, so a quiet channel cannot stall the last
-//! decision.
+//! [`MultiEvent::FusedMatch`] / [`MultiEvent::FusedNewDevice`] carry one
+//! [`ParameterDecision`] per parameter the candidate qualified for (its
+//! per-parameter similarity vector) plus the combined score, and fire the
+//! moment the window closes — or when [`MultiEngine::advance_to`] /
+//! [`MultiEngine::tick`] seal it on wall clock, so a quiet channel cannot
+//! stall the last decision.
 //!
-//! Per-parameter decisions are **bit-for-bit** the five single engines'
-//! decisions (same argmax, scores within
-//! [`F32_SCORE_TOLERANCE`](crate::F32_SCORE_TOLERANCE)); an end-to-end
-//! test pins this on the office and conference scenarios.
-//!
-//! # Example
-//!
-//! ```
-//! use wifiprint_core::engine::{MultiConfig, MultiEngine, MultiEvent};
-//! use wifiprint_core::FusionSpec;
-//! use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
-//! use wifiprint_radiotap::CapturedFrame;
-//!
-//! let mut cfg = MultiConfig::default().with_min_observations(20);
-//! cfg.window = Nanos::from_secs(1);
-//! let mut engine = MultiEngine::builder()
-//!     .spec(FusionSpec::all_equal())
-//!     .config(cfg)
-//!     .train_for(Nanos::from_secs(2))
-//!     .build()
-//!     .expect("valid engine configuration");
-//!
-//! // One station sending every 10 ms: 2 s of training, 3 s of detection.
-//! let sta = MacAddr::from_index(1);
-//! let ap = MacAddr::from_index(2);
-//! let mut events = Vec::new();
-//! for i in 0..500u64 {
-//!     let f = Frame::data_to_ds(sta, ap, ap, 400);
-//!     let cap = CapturedFrame::from_frame(&f, Rate::R54M, Nanos::from_millis(10 * (i + 1)), -50);
-//!     events.extend(engine.observe(&cap).expect("in-order frame"));
-//! }
-//! events.extend(engine.finish().expect("finish once"));
-//!
-//! assert!(matches!(events[0], MultiEvent::Enrolled { device, .. } if device == sta));
-//! let fused_matches = events
-//!     .iter()
-//!     .filter(|e| matches!(e, MultiEvent::FusedMatch { fused: Some(_), .. }))
-//!     .count();
-//! assert!(fused_matches >= 3, "one fused decision per closed detection window");
-//! ```
+//! A fused spec's per-parameter decisions are bit-for-bit the decisions
+//! of one-parameter engines over each of its parameters; an end-to-end
+//! test pins this on the office and conference scenarios. See the
+//! [`engine`](super) module docs for the lifecycle and an example.
 
 use std::collections::BTreeMap;
 
@@ -92,8 +52,7 @@ use super::{EngineError, EnginePhase};
 /// shares one filter, estimator, window length and observation floor
 /// across all parameters (per-parameter bins come from
 /// [`default_bins`]); [`MultiConfig::eval_config`] projects the
-/// equivalent single-parameter configuration, which is exactly what a
-/// side-by-side [`Engine`](super::Engine) would run.
+/// equivalent single-parameter configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiConfig {
     /// Minimum observations per candidate signature, per parameter (the
@@ -165,9 +124,10 @@ impl MultiConfig {
     }
 
     /// The single-parameter [`EvalConfig`] this multi-configuration is
-    /// equivalent to for one parameter — the configuration a
-    /// side-by-side [`Engine`](super::Engine) would need to reproduce
-    /// the [`MultiEngine`]'s per-parameter decisions.
+    /// equivalent to for one parameter — the configuration the batch
+    /// building blocks ([`SignatureBuilder`](crate::SignatureBuilder),
+    /// [`WindowedSignatures`](crate::WindowedSignatures)) need to
+    /// reproduce the [`MultiEngine`]'s per-parameter decisions.
     pub fn eval_config(&self, parameter: NetworkParameter) -> EvalConfig {
         EvalConfig {
             parameter,
@@ -179,14 +139,6 @@ impl MultiConfig {
             window: self.window,
             match_config: self.match_config,
         }
-    }
-
-    /// Checks the configuration can drive an engine (non-zero window).
-    fn validate(&self) -> Result<(), CoreError> {
-        if self.window == Nanos::ZERO {
-            return Err(CoreError::InvalidConfig { reason: "zero-length detection window" });
-        }
-        Ok(())
     }
 }
 
@@ -354,8 +306,13 @@ impl MultiEngineBuilder {
     }
 
     /// Whether candidates outside the common enrolled set are scored
-    /// against the reference matrices (default `true`); see
-    /// [`EngineBuilder::score_unknown`](super::EngineBuilder::score_unknown).
+    /// against the reference matrices (default `true`). Scoring
+    /// strangers answers "who does this newcomer most resemble" — the
+    /// MAC-randomisation tracking question — but costs one reference
+    /// sweep per parameter per stranger per window; consumers that only
+    /// *count* new devices can turn it off, in which case
+    /// [`MultiEvent::FusedNewDevice`] carries empty views and no fused
+    /// score.
     #[must_use]
     pub fn score_unknown(mut self, score: bool) -> Self {
         self.score_unknown = score;
@@ -388,7 +345,6 @@ impl MultiEngineBuilder {
         let spec = self.spec.unwrap_or_else(FusionSpec::all_equal);
         spec.validate()?;
         let cfg = self.config.unwrap_or_default();
-        cfg.validate()?;
         let configs: Vec<EvalConfig> = spec.parameters().map(|p| cfg.eval_config(p)).collect();
         for c in &configs {
             c.validate()?;
@@ -408,7 +364,7 @@ impl MultiEngineBuilder {
                     db.freeze();
                     references.push(db);
                 }
-                MultiPhase::Detecting(DetectState::new(references, &spec, cfg.window))
+                MultiPhase::Detecting(DetectState::new(references, cfg.window))
             }
             (None, Some(duration)) => {
                 if duration == Nanos::ZERO {
@@ -425,13 +381,9 @@ impl MultiEngineBuilder {
         // than error, so `tolerant()` works for any spec width.
         let quorum = self.resilience.fusion_quorum.map_or(spec.len(), |q| q.clamp(1, spec.len()));
         Ok(MultiEngine {
-            quorum,
-            spec,
-            cfg,
-            configs,
+            settings: Settings { spec, cfg, configs, score_unknown: self.score_unknown, quorum },
             extractor,
             phase,
-            score_unknown: self.score_unknown,
             scratches: Vec::new(),
             origin: None,
             front: IngestFront::new(self.resilience),
@@ -459,7 +411,7 @@ struct DetectState {
 }
 
 impl DetectState {
-    fn new(references: Vec<ReferenceDb>, spec: &FusionSpec, window: Nanos) -> Self {
+    fn new(references: Vec<ReferenceDb>, window: Nanos) -> Self {
         let common = match references.first() {
             Some(first) => first
                 .devices()
@@ -467,7 +419,6 @@ impl DetectState {
                 .collect(),
             None => Vec::new(),
         };
-        debug_assert_eq!(references.len(), spec.len());
         DetectState { references, common, clock: WindowClock::new(window), current: BTreeMap::new() }
     }
 }
@@ -477,9 +428,9 @@ impl DetectState {
 fn record_fused(
     devices: &mut BTreeMap<MacAddr, Vec<Signature>>,
     obs: &crate::params::FusedObservation,
-    spec: &FusionSpec,
-    configs: &[EvalConfig],
+    settings: &Settings,
 ) {
+    let Settings { spec, configs, .. } = settings;
     let sigs = devices
         .entry(obs.device)
         .or_insert_with(|| vec![Signature::new(); configs.len()]);
@@ -502,39 +453,45 @@ enum MultiPhase {
     Finished { references: Vec<ReferenceDb> },
 }
 
-/// The fused five-parameter ingest → window → match → fuse facade (see
-/// the [module docs](self)).
+/// What a [`MultiEngine`] was built to run — fixed for its lifetime.
 #[derive(Debug)]
-pub struct MultiEngine {
+struct Settings {
     spec: FusionSpec,
     cfg: MultiConfig,
     /// Per-parameter projections of `cfg` (spec order) — carry the bins
     /// each parameter's signatures record into.
     configs: Vec<EvalConfig>,
+    score_unknown: bool,
+    /// Minimum scored parameter views required for a fused score
+    /// (precomputed from [`ResilienceConfig::fusion_quorum`], clamped to
+    /// `[1, spec.len()]`).
+    quorum: usize,
+}
+
+/// The streaming ingest → window → match → fuse facade (see the
+/// [module docs](self)).
+#[derive(Debug)]
+pub struct MultiEngine {
+    settings: Settings,
     /// The single shared extractor: one parse, one timing history.
     extractor: FusedExtractor,
     phase: MultiPhase,
-    score_unknown: bool,
     /// Warm [`MatchScratch`]es reused across window closes: the
     /// per-parameter fan-out checks one out per worker and returns it,
-    /// keeping the steady state allocation-free like the single engine.
+    /// keeping the steady state allocation-free.
     scratches: Vec<MatchScratch>,
     origin: Option<Nanos>,
     /// The resilience gatekeeper every arrival passes through (dedup →
     /// runt gate → late policy) — also owns the monotonicity floor and
     /// the [`EngineHealth`] counters.
     front: IngestFront,
-    /// Minimum scored parameter views required for a fused score
-    /// (precomputed from [`ResilienceConfig::fusion_quorum`], clamped to
-    /// `[1, spec.len()]`).
-    quorum: usize,
     frames: u64,
     train_frames: u64,
     windows_closed: u64,
 }
 
 impl MultiEngine {
-    /// Starts configuring a fused engine.
+    /// Starts configuring an engine.
     #[must_use]
     pub fn builder() -> MultiEngineBuilder {
         MultiEngineBuilder::default()
@@ -589,13 +546,12 @@ impl MultiEngine {
                     unreachable!("phase checked above");
                 };
                 if let Some(obs) = obs {
-                    record_fused(devices, &obs, &self.spec, &self.configs);
+                    record_fused(devices, &obs, &self.settings);
                 }
                 return Ok(());
             }
             // First frame past the boundary: enroll, freeze, switch to
-            // detection (resetting the shared timing history, like the
-            // single-parameter path's fresh detection extractor), then
+            // detection (resetting the shared timing history), then
             // treat this frame as the first detection frame below.
             self.end_training(events)?;
         }
@@ -606,25 +562,18 @@ impl MultiEngine {
             unreachable!("ingest handled Training, callers handle Finished");
         };
         if let Some(sealed) = state.clock.observe(frame.t_end) {
-            let current = std::mem::take(&mut state.current);
             close_multi_window(
-                &CloseArgs {
-                    spec: &self.spec,
-                    cfg: &self.cfg,
-                    state,
-                    score_unknown: self.score_unknown,
-                    quorum: self.quorum,
-                },
+                &self.settings,
+                state,
                 &mut self.scratches,
                 &mut self.front.health,
                 sealed,
-                current,
                 events,
             );
             self.windows_closed += 1;
         }
         if let Some(obs) = obs {
-            record_fused(&mut state.current, &obs, &self.spec, &self.configs);
+            record_fused(&mut state.current, &obs, &self.settings);
         }
         Ok(())
     }
@@ -655,16 +604,26 @@ impl MultiEngine {
     }
 
     /// Advances the engine's clock to wall-clock time `t` **without a
-    /// frame** — the event-driven close for quiet channels, with the
-    /// same contract as [`Engine::advance_to`](super::Engine::advance_to):
-    /// ends the training phase when `t` passes its boundary, seals and
-    /// scores an open detection window whose end lies at or before `t`,
-    /// is a no-op at or before the newest frame, and advances the
-    /// monotonicity floor.
+    /// frame** — the event-driven close for quiet channels. Windows
+    /// normally seal when a *later frame* arrives; on a silent channel
+    /// that later frame may never come, stalling the open window's
+    /// decision indefinitely. `advance_to(t)` asserts that the capture
+    /// clock has reached `t` (same clock domain as the frame timestamps)
+    /// and emits exactly the events a frame at `t` would have triggered,
+    /// minus the frame: the training phase ends when `t` passes its
+    /// boundary, and an open detection window whose end lies at or
+    /// before `t` seals and scores.
+    ///
+    /// A tick at or before the newest frame's timestamp is a no-op
+    /// (monitor wall clocks may lag the capture path slightly); a tick
+    /// *ahead* of the stream advances the monotonicity floor, so frames
+    /// older than `t` are subsequently rejected as
+    /// [`EngineError::NonMonotonicFrame`].
     ///
     /// # Errors
     ///
-    /// [`EngineError::Finished`] after [`MultiEngine::finish`].
+    /// [`EngineError::Finished`] after [`MultiEngine::finish`], or
+    /// [`EngineError::Core`] from ending the training phase.
     pub fn advance_to(&mut self, t: Nanos) -> Result<Vec<MultiEvent>, EngineError> {
         if matches!(self.phase, MultiPhase::Finished { .. }) {
             return Err(EngineError::Finished);
@@ -691,19 +650,12 @@ impl MultiEngine {
             unreachable!("advance_to handled Training and Finished above");
         };
         if let Some(sealed) = state.clock.advance_to(t) {
-            let current = std::mem::take(&mut state.current);
             close_multi_window(
-                &CloseArgs {
-                    spec: &self.spec,
-                    cfg: &self.cfg,
-                    state,
-                    score_unknown: self.score_unknown,
-                    quorum: self.quorum,
-                },
+                &self.settings,
+                state,
                 &mut self.scratches,
                 &mut self.front.health,
                 sealed,
-                current,
                 &mut events,
             );
             self.windows_closed += 1;
@@ -711,8 +663,12 @@ impl MultiEngine {
         Ok(events)
     }
 
-    /// Forces a decision on the still-open detection window *now* (see
-    /// [`Engine::tick`](super::Engine::tick)).
+    /// Forces a decision on the still-open detection window *now*:
+    /// advances the clock to the window's own end (see
+    /// [`MultiEngine::advance_to`]), sealing and scoring it immediately.
+    /// A no-op while training (the training boundary needs a wall-clock
+    /// timestamp, which a bare tick does not carry) or when no window is
+    /// open.
     ///
     /// # Errors
     ///
@@ -764,19 +720,12 @@ impl MultiEngine {
             unreachable!("finish handled Training and Finished above");
         };
         if let Some(sealed) = state.clock.finish() {
-            let current = std::mem::take(&mut state.current);
             close_multi_window(
-                &CloseArgs {
-                    spec: &self.spec,
-                    cfg: &self.cfg,
-                    state: &state,
-                    score_unknown: self.score_unknown,
-                    quorum: self.quorum,
-                },
+                &self.settings,
+                &mut state,
                 &mut self.scratches,
                 &mut self.front.health,
                 sealed,
-                current,
                 &mut events,
             );
             self.windows_closed += 1;
@@ -798,20 +747,20 @@ impl MultiEngine {
     /// The fusion spec the engine runs.
     #[must_use]
     pub fn spec(&self) -> &FusionSpec {
-        &self.spec
+        &self.settings.spec
     }
 
     /// The shared configuration the engine runs.
     #[must_use]
     pub fn config(&self) -> &MultiConfig {
-        &self.cfg
+        &self.settings.cfg
     }
 
     /// One parameter's (frozen) reference database, once one exists —
     /// `None` while still training or for a parameter outside the spec.
     #[must_use]
     pub fn reference(&self, parameter: NetworkParameter) -> Option<&ReferenceDb> {
-        let idx = self.spec.parameters().position(|p| p == parameter)?;
+        let idx = self.settings.spec.parameters().position(|p| p == parameter)?;
         match &self.phase {
             MultiPhase::Training { .. } => None,
             MultiPhase::Detecting(state) => state.references.get(idx),
@@ -829,7 +778,7 @@ impl MultiEngine {
             MultiPhase::Detecting(state) => state.references,
             MultiPhase::Finished { references } => references,
         };
-        self.spec.parameters().zip(references).collect()
+        self.settings.spec.parameters().zip(references).collect()
     }
 
     /// Frames observed so far (training + detection).
@@ -873,8 +822,8 @@ impl MultiEngine {
 
     /// Training → detection: per parameter, enroll the devices that met
     /// the floor, freeze, emit [`MultiEvent::Enrolled`]s. A parameter
-    /// that enrolled nobody degrades to an empty (frozen) database —
-    /// exactly like the single engine's empty-training degradation.
+    /// that enrolled nobody degrades to an empty (frozen) database: the
+    /// engine keeps running and flags its candidates as new.
     fn end_training(&mut self, events: &mut Vec<MultiEvent>) -> Result<(), EngineError> {
         let MultiPhase::Training { devices, .. } =
             std::mem::replace(&mut self.phase, MultiPhase::Finished { references: Vec::new() })
@@ -883,21 +832,20 @@ impl MultiEngine {
         };
         // `max(1)`: a parameter a device never produced an observation
         // for has an empty signature in the fused per-device vector;
-        // the single-parameter SignatureBuilder never tracked such a
-        // device at all, and the reference database rejects empty rows.
-        let min = self.cfg.min_observations.max(1);
-        let mut references: Vec<ReferenceDb> = (0..self.spec.len())
-            .map(|_| ReferenceDb::with_config(self.cfg.match_config))
-            .collect();
+        // the batch SignatureBuilder never tracks such a device at all,
+        // and the reference database rejects empty rows.
+        let Settings { spec, cfg, .. } = &self.settings;
+        let min = cfg.min_observations.max(1);
+        let mut references: Vec<ReferenceDb> =
+            (0..spec.len()).map(|_| ReferenceDb::with_config(cfg.match_config)).collect();
         for (device, sigs) in devices {
             let mut observations = Vec::new();
-            for ((i, sig), param) in sigs.into_iter().enumerate().zip(self.spec.parameters()) {
+            for ((i, sig), param) in sigs.into_iter().enumerate().zip(spec.parameters()) {
                 if sig.observation_count() >= min {
                     observations.push((param, sig.observation_count()));
-                    if let Err(e) = references[i].insert(device, sig) {
-                        self.phase = MultiPhase::Finished { references: Vec::new() };
-                        return Err(e.into());
-                    }
+                    // A failed insert leaves the engine poisoned: the
+                    // phase is already `Finished`.
+                    references[i].insert(device, sig)?;
                 }
             }
             if !observations.is_empty() {
@@ -907,11 +855,11 @@ impl MultiEngine {
         for db in &mut references {
             db.freeze();
         }
-        // The single-parameter path starts detection with a fresh
-        // extractor (no history across the split); mirror that so
-        // per-parameter decisions stay bit-identical.
+        // Detection starts with a fresh timing history (none across the
+        // split), like the batch flow's separate validation windows, so
+        // decisions stay bit-identical to it.
         self.extractor.reset_history();
-        self.phase = MultiPhase::Detecting(DetectState::new(references, &self.spec, self.cfg.window));
+        self.phase = MultiPhase::Detecting(DetectState::new(references, cfg.window));
         Ok(())
     }
 }
@@ -932,19 +880,9 @@ impl Drop for PooledScratch<'_> {
     }
 }
 
-/// The per-window context [`close_multi_window`] needs from the engine.
-struct CloseArgs<'a> {
-    spec: &'a FusionSpec,
-    cfg: &'a MultiConfig,
-    state: &'a DetectState,
-    score_unknown: bool,
-    /// Minimum scored parameter views for a fused score (see
-    /// [`ResilienceConfig::fusion_quorum`]).
-    quorum: usize,
-}
-
-/// Scores one sealed window: per parameter, sweep the qualifying
-/// candidates against that parameter's reference matrix in
+/// Scores sealed window `window` from the detection state's open
+/// candidate map: per parameter, sweep the qualifying candidates
+/// against that parameter's reference matrix in
 /// [`MATCH_TILE`]-wide tiles, then fuse each candidate's per-parameter
 /// vectors into the combined score, and emit the fused events (ascending
 /// device address) plus the terminator. A candidate with only a quorum
@@ -954,11 +892,11 @@ struct CloseArgs<'a> {
 /// event.
 #[allow(clippy::too_many_lines)] // qualify → fan-out sweep → fuse, one linear pass
 fn close_multi_window(
-    args: &CloseArgs<'_>,
+    settings: &Settings,
+    state: &mut DetectState,
     scratches: &mut Vec<MatchScratch>,
     health: &mut EngineHealth,
     window: usize,
-    candidates: BTreeMap<MacAddr, Vec<Signature>>,
     events: &mut Vec<MultiEvent>,
 ) {
     // One qualifying candidate: per device, which parameters met the
@@ -971,9 +909,12 @@ fn close_multi_window(
         views: Vec<Option<MatchOutcome>>,
     }
 
-    let CloseArgs { spec, cfg, state, score_unknown, quorum } = *args;
+    let Settings { ref spec, ref cfg, score_unknown, quorum, .. } = *settings;
+    let candidates = std::mem::take(&mut state.current);
+    // Shared from here on: the per-parameter sweeps fan out to workers.
+    let state = &*state;
     // `max(1)`: parameters with zero observations stay out, exactly as
-    // they never enter a single-parameter window's candidate map.
+    // they never enter a batch window's candidate map.
     let min = cfg.min_observations.max(1);
     let n_params = spec.len();
 
@@ -994,9 +935,8 @@ fn close_multi_window(
         .collect();
 
     // One tiled sweep per parameter over the candidates that qualified
-    // for it — the same matrix–matrix path the single engine drives,
-    // skipping strangers when their scoring is off. The five sweeps are
-    // independent by construction (each reads its own sharded reference
+    // for it, skipping strangers when their scoring is off. The sweeps
+    // are independent by construction (each reads its own sharded reference
     // database), so with the `parallel` feature they fan out across
     // `batch::map_tiles_with_scratch` — one parameter per work unit, one
     // scratch per worker; on 1-CPU hosts the map degrades to the serial
@@ -1062,9 +1002,11 @@ fn close_multi_window(
         // over the survivors when at least `quorum` parameters scored,
         // naming the missing ones in `degraded`. The views are borrowed
         // here and handed over to the per-parameter decisions below, no
-        // clones.
+        // clones. Strangers get no fused score when their scoring is off.
         let survivors: Vec<&MatchOutcome> = views.iter().flatten().collect();
-        let (fused, degraded) = if state.common.is_empty() || survivors.len() < quorum {
+        let unscored = !in_common && !score_unknown;
+        let (fused, degraded) = if unscored || state.common.is_empty() || survivors.len() < quorum
+        {
             (None, Vec::new())
         } else if survivors.len() == n_params {
             (Some(fuse_outcomes(spec, &survivors, &state.common)), Vec::new())
@@ -1101,14 +1043,11 @@ fn close_multi_window(
                 signatures.push((param, sig));
             }
         }
+        any_degraded |= !degraded.is_empty();
         if in_common {
-            any_degraded |= fused.is_some() && !degraded.is_empty();
             known += 1;
             events.push(MultiEvent::FusedMatch { window, device, scores, fused, degraded });
         } else {
-            let fused = fused.filter(|_| score_unknown);
-            let degraded = if fused.is_some() { degraded } else { Vec::new() };
-            any_degraded |= !degraded.is_empty();
             events.push(MultiEvent::FusedNewDevice {
                 window,
                 device,
@@ -1132,9 +1071,7 @@ fn close_multi_window(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Engine, Event};
     use super::*;
-    use crate::F32_SCORE_TOLERANCE;
     use wifiprint_ieee80211::{Frame, Rate};
 
     fn cfg(window_secs: u64, min_obs: u64) -> MultiConfig {
@@ -1161,6 +1098,29 @@ mod tests {
         }
         frames.sort_by_key(|f| f.t_end);
         frames
+    }
+
+    /// Five-parameter references enrolled from [`training_frames`] by a
+    /// training-only session.
+    fn trained_references() -> BTreeMap<NetworkParameter, ReferenceDb> {
+        let mut trainer = MultiEngine::builder()
+            .config(cfg(10, 5))
+            .train_for(Nanos::from_secs(3600))
+            .build()
+            .unwrap();
+        trainer.observe_all(&training_frames()).unwrap();
+        trainer.finish().unwrap();
+        trainer.into_references()
+    }
+
+    /// A detecting five-parameter engine against [`trained_references`].
+    fn detector(resilience: ResilienceConfig) -> MultiEngine {
+        MultiEngine::builder()
+            .config(cfg(1, 5))
+            .references(trained_references())
+            .resilience(resilience)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -1201,14 +1161,7 @@ mod tests {
     #[test]
     fn references_mode_requires_every_parameter_nonempty() {
         // Build per-parameter databases via a training-only session.
-        let mut trainer = MultiEngine::builder()
-            .config(cfg(10, 5))
-            .train_for(Nanos::from_secs(3600))
-            .build()
-            .unwrap();
-        trainer.observe_all(&training_frames()).unwrap();
-        trainer.finish().unwrap();
-        let mut dbs = trainer.into_references();
+        let mut dbs = trained_references();
         assert_eq!(dbs.len(), NetworkParameter::COUNT);
         assert!(dbs.values().all(|db| db.is_frozen() && !db.is_empty()));
 
@@ -1232,9 +1185,9 @@ mod tests {
 
     #[test]
     fn per_parameter_decisions_match_five_single_engines() {
-        // The fused engine must reproduce each single-parameter engine's
-        // decisions bit for bit: same (window, device) sequence per
-        // parameter, same argmax, same scores.
+        // The fused engine must reproduce each one-parameter engine's
+        // decisions: same (window, device) sequence per parameter, same
+        // argmax, same scores.
         let mcfg = cfg(1, 5);
         let train = Nanos::from_secs(2);
         let mut frames = training_frames();
@@ -1255,8 +1208,9 @@ mod tests {
         multi_events.append(&mut multi.finish().unwrap());
 
         for param in NetworkParameter::ALL {
-            let mut single = Engine::builder()
-                .config(mcfg.eval_config(param))
+            let mut single = MultiEngine::builder()
+                .spec(FusionSpec::single(param))
+                .config(mcfg.clone())
                 .train_for(train)
                 .build()
                 .unwrap();
@@ -1264,7 +1218,7 @@ mod tests {
             single_events.append(&mut single.finish().unwrap());
 
             // Reference databases agree.
-            let sdb = single.reference().expect("trained");
+            let sdb = single.reference(param).expect("trained");
             let mdb = multi.reference(param).expect("trained");
             assert_eq!(
                 sdb.devices().collect::<Vec<_>>(),
@@ -1272,51 +1226,25 @@ mod tests {
                 "{param}: enrolled devices"
             );
 
-            // Per-window decisions agree.
-            let single_decisions: Vec<(usize, MacAddr, MatchOutcome)> = single_events
-                .into_iter()
-                .filter_map(|e| match e {
-                    Event::Match { window, device, view }
-                    | Event::NewDevice { window, device, view, .. } => {
-                        Some((window, device, view))
-                    }
-                    _ => None,
-                })
-                .collect();
-            let multi_decisions: Vec<(usize, MacAddr, MatchOutcome)> = multi_events
-                .iter()
-                .filter_map(|e| match e {
-                    MultiEvent::FusedMatch { window, device, scores, .. }
-                    | MultiEvent::FusedNewDevice { window, device, scores, .. } => scores
-                        .iter()
-                        .find(|d| d.parameter == param)
-                        .map(|d| (*window, *device, d.view.clone())),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(
-                single_decisions.len(),
-                multi_decisions.len(),
-                "{param}: decision count"
-            );
-            for ((sw, sd, sv), (mw, md, mv)) in single_decisions.iter().zip(&multi_decisions) {
-                assert_eq!((sw, sd), (mw, md), "{param}: decision identity");
-                assert_eq!(
-                    sv.best().map(|(d, _)| d),
-                    mv.best().map(|(d, _)| d),
-                    "{param}: argmax for {sd} in window {sw}"
-                );
-                assert_eq!(sv.similarities().len(), mv.similarities().len());
-                for (a, b) in sv.similarities().iter().zip(mv.similarities()) {
-                    assert_eq!(a.0, b.0, "{param}: device order");
-                    assert!(
-                        (a.1 - b.1).abs() < F32_SCORE_TOLERANCE,
-                        "{param}: {} vs {}",
-                        a.1,
-                        b.1
-                    );
-                }
-            }
+            // Per-window decisions agree exactly: both engines sweep the
+            // same candidates against the same references in the same
+            // tiles.
+            let decisions = |events: &[MultiEvent]| -> Vec<(usize, MacAddr, MatchOutcome)> {
+                events
+                    .iter()
+                    .filter_map(|e| match e {
+                        MultiEvent::FusedMatch { window, device, scores, .. }
+                        | MultiEvent::FusedNewDevice { window, device, scores, .. } => scores
+                            .iter()
+                            .find(|d| d.parameter == param)
+                            .map(|d| (*window, *device, d.view.clone())),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            let single_decisions = decisions(&single_events);
+            assert!(!single_decisions.is_empty(), "{param}: no decisions to compare");
+            assert_eq!(single_decisions, decisions(&multi_events), "{param}: decisions");
         }
     }
 
@@ -1401,22 +1329,8 @@ mod tests {
         // the other a tick at the same timestamp. The sealed window's
         // decisions must be identical (the frame itself only opens the
         // next window).
-        let build = || {
-            let mut trainer = MultiEngine::builder()
-                .config(cfg(1, 5))
-                .train_for(Nanos::from_secs(3600))
-                .build()
-                .unwrap();
-            trainer.observe_all(&training_frames()).unwrap();
-            trainer.finish().unwrap();
-            MultiEngine::builder()
-                .config(cfg(1, 5))
-                .references(trainer.into_references())
-                .build()
-                .unwrap()
-        };
-        let mut by_frame = build();
-        let mut by_tick = build();
+        let mut by_frame = detector(ResilienceConfig::default());
+        let mut by_tick = detector(ResilienceConfig::default());
         for i in 0..30u64 {
             let f = frame(1, 10_000_000 + i * 30_000, 300);
             assert!(by_frame.observe(&f).unwrap().is_empty());
@@ -1457,18 +1371,7 @@ mod tests {
 
     #[test]
     fn tick_seals_the_open_window_without_a_timestamp() {
-        let mut trainer = MultiEngine::builder()
-            .config(cfg(1, 5))
-            .train_for(Nanos::from_secs(3600))
-            .build()
-            .unwrap();
-        trainer.observe_all(&training_frames()).unwrap();
-        trainer.finish().unwrap();
-        let mut engine = MultiEngine::builder()
-            .config(cfg(1, 5))
-            .references(trainer.into_references())
-            .build()
-            .unwrap();
+        let mut engine = detector(ResilienceConfig::default());
         assert!(engine.tick().unwrap().is_empty(), "no open window yet");
         for i in 0..30u64 {
             engine.observe(&frame(1, 10_000_000 + i * 30_000, 300)).unwrap();
@@ -1488,18 +1391,7 @@ mod tests {
         // Regression (quiet-channel fix): a stream that ends mid-window
         // still gets its last window scored — the frames are not
         // silently dropped just because no later frame arrived.
-        let mut trainer = MultiEngine::builder()
-            .config(cfg(1, 5))
-            .train_for(Nanos::from_secs(3600))
-            .build()
-            .unwrap();
-        trainer.observe_all(&training_frames()).unwrap();
-        trainer.finish().unwrap();
-        let mut engine = MultiEngine::builder()
-            .config(cfg(1, 5))
-            .references(trainer.into_references())
-            .build()
-            .unwrap();
+        let mut engine = detector(ResilienceConfig::default());
         // 10 frames spanning 0.3 s: the 1 s window never closes on its
         // own.
         for i in 0..10u64 {
@@ -1620,25 +1512,12 @@ mod tests {
 
     #[test]
     fn degraded_window_fuses_over_surviving_parameters_under_quorum() {
-        use crate::engine::ResilienceConfig;
         // A sparse window: exactly 5 frames from device 1. The per-frame
         // parameters (size, rate, transmission time) observe all 5; the
         // history-based ones (inter-arrival, medium access) observe 4 —
         // under the floor — so the window closes with 3 of 5 views.
         let sparse_run = |resilience: ResilienceConfig| {
-            let mut trainer = MultiEngine::builder()
-                .config(cfg(1, 5))
-                .train_for(Nanos::from_secs(3600))
-                .build()
-                .unwrap();
-            trainer.observe_all(&training_frames()).unwrap();
-            trainer.finish().unwrap();
-            let mut engine = MultiEngine::builder()
-                .config(cfg(1, 5))
-                .references(trainer.into_references())
-                .resilience(resilience)
-                .build()
-                .unwrap();
+            let mut engine = detector(resilience);
             for i in 0..5u64 {
                 engine.observe(&frame(1, 10_000_000 + i * 30_000, 300)).unwrap();
             }
@@ -1702,7 +1581,7 @@ mod tests {
 
     #[test]
     fn reorder_policy_restores_shuffled_streams_bit_identically() {
-        use crate::engine::{LateFramePolicy, ResilienceConfig};
+        use crate::engine::LateFramePolicy;
         // Same traffic, one stream locally shuffled within a 4-frame
         // horizon: with `Reorder { max_lateness: 8 }` the emitted events
         // must be bit-identical to the in-order run.
@@ -1745,7 +1624,7 @@ mod tests {
 
     #[test]
     fn deadline_tick_inside_the_reorder_horizon_keeps_buffered_frames() {
-        use crate::engine::{LateFramePolicy, ResilienceConfig};
+        use crate::engine::LateFramePolicy;
         // The fused-engine twin of the single-engine regression test: a
         // watchdog-style deadline tick landing inside the reorder
         // buffer's horizon must flush only frames at or before it — the

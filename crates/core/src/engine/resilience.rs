@@ -1,4 +1,4 @@
-//! Degraded-capture resilience: the ingest front both engines share.
+//! Degraded-capture resilience: the engine's ingest front.
 //!
 //! A passive monitor's view of the medium is imperfect by construction —
 //! ring buffers overflow (loss), USB capture paths batch and reorder,
@@ -20,7 +20,7 @@
 //!   some of them, instead of withholding the fused score.
 //!
 //! Every dropped or rewritten frame is accounted for in [`EngineHealth`]
-//! (readable via `health()` on either engine), so operators can
+//! (readable via [`MultiEngine::health`](super::MultiEngine::health)), so operators can
 //! reconcile engine-side counters against capture-side statistics.
 //!
 //! The **reorder** policy is a watermark re-sequencer: frames are held
@@ -29,7 +29,7 @@
 //! displaced by at most `K` positions from capture order is re-sorted
 //! *exactly* by a buffer of `max_lateness ≥ K` — the engine then emits
 //! bit-identical events to the in-order stream (a property test pins
-//! this for both engines).
+//! this for one-parameter and five-parameter specs).
 
 use std::collections::VecDeque;
 
@@ -68,11 +68,12 @@ pub enum LateFramePolicy {
     },
 }
 
-/// Ingest-hardening knobs shared by [`Engine`](super::Engine) and
-/// [`MultiEngine`](super::MultiEngine); set via the builders'
-/// `resilience()` method. The default is **bit-for-bit** the historical
-/// strict behavior: late frames rejected, nothing deduplicated, nothing
-/// gated, fused scores requiring every parameter.
+/// Ingest-hardening knobs of the [`MultiEngine`](super::MultiEngine);
+/// set via
+/// [`MultiEngineBuilder::resilience`](super::MultiEngineBuilder::resilience).
+/// The default is **bit-for-bit** the historical strict behavior: late
+/// frames rejected, nothing deduplicated, nothing gated, fused scores
+/// requiring every parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Late-frame policy (default [`LateFramePolicy::Reject`]).
@@ -86,7 +87,7 @@ pub struct ResilienceConfig {
     /// truncated/corrupt captures ([`EngineHealth::frames_corrupt`]);
     /// `0` (default) disables the gate.
     pub min_frame_size: usize,
-    /// [`MultiEngine`](super::MultiEngine) only: the minimum number of
+    /// The minimum number of
     /// parameters a candidate must have scored views for to receive a
     /// fused score. `None` (default) requires **all** fused parameters —
     /// the historical behavior. `Some(q)` fuses over the surviving
@@ -150,7 +151,8 @@ impl ResilienceConfig {
     }
 }
 
-/// Ingest-health counters, readable via `health()` on either engine.
+/// Ingest-health counters, readable via
+/// [`MultiEngine::health`](super::MultiEngine::health).
 ///
 /// The counters reconcile with the arrival stream by conservation:
 /// every arrival is either delivered to the engine core
@@ -184,7 +186,7 @@ pub struct EngineHealth {
     /// re-sequenced by the reorder buffer.
     pub frames_reordered: u64,
     /// Windows whose fused decision was degraded (fused over a quorum
-    /// subset of parameters). Always `0` on the single-parameter engine.
+    /// subset of parameters). Always `0` for a one-parameter spec.
     pub windows_degraded: u64,
     /// Frames shed at the supervised ingest ring by an
     /// [`OverloadPolicy`](super::ingest::OverloadPolicy) — they never
@@ -263,7 +265,7 @@ impl IngestFront {
     }
 
     /// The stream's watermark: the newest delivered (or ticked)
-    /// timestamp — the engines' no-op floor for `advance_to`.
+    /// timestamp — the engine's no-op floor for `advance_to`.
     pub(crate) fn last_t(&self) -> Option<Nanos> {
         self.floor
     }
@@ -341,9 +343,9 @@ impl IngestFront {
     }
 
     /// Releases every buffered frame with `t_end <= t` (in timestamp
-    /// order), then raises the watermark to at least `t`. The engines
-    /// call this from `advance_to` *before* advancing their window
-    /// clocks, so buffered frames land in their proper windows.
+    /// order), then raises the watermark to at least `t`. The engine
+    /// calls this from `advance_to` *before* advancing its window
+    /// clock, so buffered frames land in their proper windows.
     pub(crate) fn release_until(&mut self, t: Nanos) -> Vec<CapturedFrame> {
         let mut out = Vec::new();
         while self.pending.front().is_some_and(|f| f.t_end <= t) {

@@ -171,27 +171,42 @@ impl FusedOutcome {
 /// device absent from one parameter's vector contributes 0 for that
 /// parameter — though with `devices` restricted to the common enrolled
 /// set, every device is present in every vector.
+///
+/// Both `devices` and every outcome are in ascending address order, so
+/// each parameter is one merge walk over the two vectors rather than a
+/// binary search per device. Each device's terms are added in spec order,
+/// exactly as summing them per device would.
 pub fn fuse_outcomes<O: std::borrow::Borrow<MatchOutcome>>(
     spec: &FusionSpec,
     outcomes: &[O],
     devices: &[MacAddr],
 ) -> FusedOutcome {
     debug_assert_eq!(spec.parameters.len(), outcomes.len(), "one outcome per fused parameter");
+    debug_assert!(devices.windows(2).all(|w| w[0] < w[1]), "devices in ascending order");
     let weight_sum = spec.weight_sum();
-    let similarities = devices
-        .iter()
-        .map(|&device| {
-            let fused: f64 = spec
-                .parameters
-                .iter()
-                .zip(outcomes)
-                .map(|(&(_, w), outcome)| {
-                    w * outcome.borrow().similarity_to(&device).unwrap_or(0.0) / weight_sum
-                })
-                .sum();
-            (device, fused)
-        })
-        .collect();
+    // The empty sum is the seed `Iterator::sum` folds from, so the
+    // accumulated scores stay bit-identical to a per-device `sum()`.
+    let seed: f64 = std::iter::empty::<f64>().sum();
+    let mut similarities: Vec<(MacAddr, f64)> = devices.iter().map(|&d| (d, seed)).collect();
+    for (&(_, w), outcome) in spec.parameters.iter().zip(outcomes) {
+        let sims = outcome.borrow().similarities();
+        let mut next = 0;
+        for (device, fused) in &mut similarities {
+            // Equality first: when the outcome covers exactly the fused
+            // devices (the common case) the ordering compare never runs.
+            let sim = loop {
+                match sims.get(next) {
+                    Some(&(d, sim)) if d == *device => {
+                        next += 1;
+                        break sim;
+                    }
+                    Some((d, _)) if d < device => next += 1,
+                    _ => break 0.0,
+                }
+            };
+            *fused += w * sim / weight_sum;
+        }
+    }
     FusedOutcome { similarities }
 }
 
@@ -202,6 +217,7 @@ mod tests {
     use crate::matching::ReferenceDb;
     use crate::signature::Signature;
     use crate::similarity::SimilarityMeasure;
+    use proptest::prelude::*;
     use wifiprint_ieee80211::FrameKind;
 
     #[test]
@@ -241,14 +257,10 @@ mod tests {
         assert!(zero.validate().is_err());
     }
 
+    /// A real outcome: one frame-size reference per `(device, size)`,
+    /// matched by a probe sending the first device's size (so it scores
+    /// 1 against that device and 0 against disjoint sizes).
     fn outcome_for(values: &[(u64, f64)]) -> MatchOutcome {
-        // Builds a real MatchOutcome by matching size-signatures tuned to
-        // produce the wanted per-device similarity ranking is overkill;
-        // instead go through a ReferenceDb with one shared candidate and
-        // read similarities directly where exact values matter below.
-        // Here we only need *a* MatchOutcome carrier, so use the matching
-        // path with self-similar signatures and then assert on fused
-        // arithmetic with hand-built vectors via fuse_outcomes.
         let cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize);
         let mut db = ReferenceDb::new();
         for &(idx, center) in values {
@@ -287,6 +299,83 @@ mod tests {
         assert_eq!(fused.top(1)[0].0, devices[0]);
         assert_eq!(fused.above_threshold(0.5).count(), 1);
         assert_eq!(fused.similarity_to(&MacAddr::from_index(9)), None);
+    }
+
+    /// The per-device lookup formula the merge walk replaced: one binary
+    /// search per (device, parameter), summed per device.
+    fn fuse_by_lookup(
+        spec: &FusionSpec,
+        outcomes: &[MatchOutcome],
+        devices: &[MacAddr],
+    ) -> Vec<(MacAddr, f64)> {
+        let weight_sum = spec.weight_sum();
+        devices
+            .iter()
+            .map(|&device| {
+                let fused: f64 = spec
+                    .parameters
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(&(_, w), outcome)| {
+                        w * outcome.similarity_to(&device).unwrap_or(0.0) / weight_sum
+                    })
+                    .sum();
+                (device, fused)
+            })
+            .collect()
+    }
+
+    proptest! {
+        // Per parameter, a reference database over a random subset of
+        // eight devices; the fused set is another random subset, so
+        // devices go missing from some outcomes and the fused set is a
+        // strict subset (or superset) of each outcome's. Dropping
+        // parameters from the spec gives the degraded sub-spec shape.
+        #[test]
+        fn merge_walk_fusion_is_bit_identical_to_per_device_lookup(
+            masks in prop::collection::vec(any::<u8>(), 1..6),
+            weights in prop::collection::vec(0u32..8, 5),
+            fused_mask in any::<u8>(),
+            probe in 0u64..8,
+        ) {
+            let cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize);
+            let signature = |seed: u64| {
+                let mut sig = Signature::new();
+                for i in 0..20 {
+                    sig.record(FrameKind::Data, ((seed * 131 + i * 37) % 1500) as f64, &cfg);
+                }
+                sig
+            };
+            let outcomes: Vec<MatchOutcome> = masks
+                .iter()
+                .enumerate()
+                .map(|(p, &mask)| {
+                    let mut db = ReferenceDb::new();
+                    for d in (0..8u64).filter(|d| mask >> d & 1 == 1) {
+                        db.insert(MacAddr::from_index(d), signature(d + p as u64)).unwrap();
+                    }
+                    db.match_signature(&signature(probe), SimilarityMeasure::Cosine)
+                })
+                .collect();
+            let mut parameters: Vec<(NetworkParameter, f64)> = NetworkParameter::ALL
+                .iter()
+                .zip(&weights)
+                .map(|(&p, &w)| (p, f64::from(w) / 4.0))
+                .take(outcomes.len())
+                .collect();
+            parameters[0].1 += 0.5; // never an all-zero weight vector
+            let spec = FusionSpec { parameters };
+            let devices: Vec<MacAddr> =
+                (0..8u64).filter(|d| fused_mask >> d & 1 == 1).map(MacAddr::from_index).collect();
+
+            let got = fuse_outcomes(&spec, &outcomes, &devices);
+            let want = fuse_by_lookup(&spec, &outcomes, &devices);
+            prop_assert_eq!(got.similarities().len(), want.len());
+            for (&(gd, gs), &(wd, ws)) in got.similarities().iter().zip(&want) {
+                prop_assert_eq!(gd, wd);
+                prop_assert_eq!(gs.to_bits(), ws.to_bits(), "{} vs {} for {}", gs, ws, gd);
+            }
+        }
     }
 
     #[test]

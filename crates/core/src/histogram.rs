@@ -24,7 +24,6 @@ use std::sync::OnceLock;
 /// configuration with defaults chosen to match the figures (e.g. Fig. 2
 /// bins inter-arrival times over 0–2500 µs).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BinSpec {
     /// `count` equal-width bins covering `[min, min + width·count)`, plus
     /// one trailing overflow bin. Values below `min` clamp into bin 0.
@@ -140,21 +139,17 @@ impl fmt::Display for BinSpec {
 /// assert!((freq.iter().sum::<f64>() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     spec: BinSpec,
     counts: Vec<u64>,
     total: u64,
     /// Lazily computed normalised frequencies; reset on every mutation.
-    #[cfg_attr(feature = "serde", serde(skip, default))]
     freqs: OnceLock<Vec<f64>>,
     /// The same frequencies narrowed to `f32` for the SIMD matching rows;
     /// reset on every mutation.
-    #[cfg_attr(feature = "serde", serde(skip, default))]
     freqs32: OnceLock<Vec<f32>>,
     /// The same frequencies quantized to `u8` codes for the integer
     /// matching tier; reset on every mutation.
-    #[cfg_attr(feature = "serde", serde(skip, default))]
     freqs8: OnceLock<QuantizedRow>,
 }
 

@@ -40,27 +40,27 @@
 //!    **identification test** (argmax → identification ratio at a target
 //!    FPR).
 //!
-//! # The streaming engines
+//! # The streaming engine
 //!
-//! The production entry point is the [`engine`] module. The fused
-//! [`MultiEngine`] extracts **all five** parameters from one header
-//! parse per frame ([`FusedExtractor`]), drives them off one shared
-//! window clock ([`WindowClock`]), and combines their per-parameter
-//! similarity vectors into a weighted-average fused score online
-//! ([`fusion`]) — emitting typed [`MultiEvent`]s
+//! The production entry point is the [`engine`] module. The
+//! [`MultiEngine`] extracts the parameters of its [`FusionSpec`] from
+//! one header parse per frame ([`FusedExtractor`]), drives them off one
+//! shared window clock ([`WindowClock`]), and combines their
+//! per-parameter similarity vectors into a weighted-average fused score
+//! online ([`fusion`]) — emitting typed [`MultiEvent`]s
 //! ([`engine::MultiEvent::FusedMatch`],
 //! [`engine::MultiEvent::FusedNewDevice`]) as detection windows close,
 //! on traffic or on wall clock ([`MultiEngine::advance_to`] /
-//! [`MultiEngine::tick`]). The single-parameter [`Engine`] keeps the
-//! same shape for one-parameter deployments. The batch helpers above
-//! remain as the engines' building blocks; failures are typed
-//! ([`CoreError`] / [`engine::EngineError`]) rather than panics.
+//! [`MultiEngine::tick`]). A one-parameter deployment is a
+//! [`FusionSpec::single`] spec. The batch helpers above remain as the
+//! engine's building blocks; failures are typed ([`CoreError`] /
+//! [`engine::EngineError`]) rather than panics.
 //!
 //! # Example
 //!
 //! ```
-//! use wifiprint_core::engine::{Engine, Event};
-//! use wifiprint_core::{EvalConfig, NetworkParameter};
+//! use wifiprint_core::engine::{MultiEngine, MultiEvent};
+//! use wifiprint_core::{FusionSpec, NetworkParameter};
 //! use wifiprint_radiotap::CapturedFrame;
 //! use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 //!
@@ -74,17 +74,18 @@
 //!     })
 //!     .collect();
 //!
-//! // Enroll the station online: a training-only engine session.
-//! let cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime);
-//! let mut engine = Engine::builder()
-//!     .config(cfg)
+//! // Enroll the station online: a training-only engine session over one
+//! // parameter.
+//! let iat = NetworkParameter::InterArrivalTime;
+//! let mut engine = MultiEngine::builder()
+//!     .spec(FusionSpec::single(iat))
 //!     .train_for(Nanos::from_secs(3600))
 //!     .build()
 //!     .expect("valid configuration");
 //! let mut events = engine.observe_all(&frames).expect("frames in capture order");
 //! events.extend(engine.finish().expect("first finish"));
-//! assert!(matches!(events[0], Event::Enrolled { device, .. } if device == sta));
-//! let db = engine.into_reference().expect("trained reference");
+//! assert!(matches!(events[0], MultiEvent::Enrolled { device, .. } if device == sta));
+//! let db = &engine.into_references()[&iat];
 //! assert!(db.get(&sta).is_some() && db.is_frozen());
 //! ```
 
@@ -132,11 +133,11 @@ mod windows;
 pub use config::{default_bins, EvalConfig, FrameFilter, TxTimeEstimator};
 pub use db::{load_db, load_db_with, save_db, DbCodecError};
 pub use engine::{
-    enroll_signatures, Engine, EngineBuilder, EngineError, EngineHealth, EnginePhase, Event,
-    IdentityId, IngestConfig, IngestHandle, IngestPipeline, IngestReport, IngestStats,
-    LateFramePolicy, LinkEvent, LinkerConfig, LinkerStats, MultiConfig, MultiEngine,
-    MultiEngineBuilder, MultiEvent, OverloadPolicy, ParameterDecision, Quarantine, Quarantined,
-    ResilienceConfig, RotationLinker, StreamEngine, SubmitOutcome, MIN_PLAUSIBLE_FRAME_SIZE,
+    enroll_signatures, EngineError, EngineHealth, EnginePhase, IdentityId, IngestConfig,
+    IngestHandle, IngestPipeline, IngestReport, IngestStats, LateFramePolicy, LinkEvent,
+    LinkerConfig, LinkerStats, MultiConfig, MultiEngine, MultiEngineBuilder, MultiEvent,
+    OverloadPolicy, ParameterDecision, Quarantine, Quarantined, ResilienceConfig, RotationLinker,
+    SubmitOutcome, MIN_PLAUSIBLE_FRAME_SIZE,
 };
 pub use error::CoreError;
 pub use fusion::{fuse_outcomes, FusedOutcome, FusionSpec};

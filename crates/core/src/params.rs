@@ -12,7 +12,6 @@ use crate::config::{FrameFilter, TxTimeEstimator};
 /// The global network parameters the paper evaluates as fingerprint
 /// candidates. All are observable passively with a standard wireless card.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NetworkParameter {
     /// The PHY rate each frame was sent at (Mb/s).
     TransmissionRate,

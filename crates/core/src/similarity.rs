@@ -16,7 +16,6 @@ use core::str::FromStr;
 
 /// A similarity measure between two percentage-frequency histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimilarityMeasure {
     /// Cosine similarity (the paper's measure, Definition 2).
     #[default]

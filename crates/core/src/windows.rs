@@ -197,8 +197,8 @@ impl WindowedSignatures {
     /// skipped entirely (no frames at all) are never reported.
     ///
     /// Sealed candidates accumulate for [`WindowedSignatures::finish`];
-    /// streaming consumers (the [`engine`](crate::engine)) retrieve them
-    /// incrementally with [`WindowedSignatures::drain_sealed`] instead.
+    /// streaming consumers retrieve them incrementally with
+    /// [`WindowedSignatures::drain_sealed`] instead.
     pub fn push(&mut self, frame: &CapturedFrame) -> Option<usize> {
         let sealed = self.clock.observe(frame.t_end);
         if let Some(window) = sealed {
@@ -258,9 +258,8 @@ impl WindowedSignatures {
     /// Removes and returns the candidates of every window sealed so far
     /// (in (window, device) order), leaving the still-open window
     /// untouched. Calling this after every [`WindowedSignatures::push`]
-    /// yields exactly one sealed window's candidates at a time, which is
-    /// how the streaming [`engine`](crate::engine) consumes them without
-    /// buffering the whole trace.
+    /// yields exactly one sealed window's candidates at a time, so a
+    /// streaming consumer never buffers the whole trace.
     pub fn drain_sealed(&mut self) -> Vec<CandidateWindow> {
         std::mem::take(&mut self.finished)
     }

@@ -1,14 +1,15 @@
 //! Property tests for the supervised ingest front: under
 //! `OverloadPolicy::Block` with no faults and no watchdog, the pipeline
-//! delivers events *bit-identical* to synchronous `observe` on both
-//! engines; poison frames quarantined by panic isolation behave exactly
-//! as if they had never been captured; and every run reconciles exactly
-//! against the `EngineHealth` conservation law.
+//! delivers events *bit-identical* to synchronous `observe`; poison
+//! frames quarantined by panic isolation behave exactly as if they had
+//! never been captured; and every run reconciles exactly against the
+//! `EngineHealth` conservation law. Every property runs on a
+//! one-parameter and on the five-parameter spec.
 
 use proptest::prelude::*;
 use wifiprint_core::{
-    Engine, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MultiConfig, MultiEngine,
-    NetworkParameter, ResilienceConfig,
+    FusionSpec, IngestConfig, IngestPipeline, MultiConfig, MultiEngine, NetworkParameter,
+    ResilienceConfig,
 };
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -41,24 +42,21 @@ fn arb_ordered_stream() -> impl Strategy<Value = Vec<CapturedFrame>> {
     )
 }
 
-fn build_engine(resilience: ResilienceConfig) -> Engine {
-    let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-        .with_min_observations(3);
-    cfg.window = Nanos::from_millis(300);
-    Engine::builder()
-        .config(cfg)
-        .train_for(Nanos::from_millis(600))
-        .resilience(resilience)
-        .build()
-        .expect("valid engine configuration")
+/// The specs the properties run on: the paper's per-parameter
+/// evaluation (one parameter) and all five parameters fused.
+fn arb_spec() -> impl Strategy<Value = FusionSpec> {
+    prop::sample::select(vec![
+        FusionSpec::single(NetworkParameter::InterArrivalTime),
+        FusionSpec::all_equal(),
+    ])
 }
 
-fn build_multi(resilience: ResilienceConfig) -> MultiEngine {
+fn build_multi(spec: &FusionSpec, resilience: ResilienceConfig) -> MultiEngine {
     let cfg = MultiConfig::default()
         .with_min_observations(3)
         .with_window(Nanos::from_millis(300));
     MultiEngine::builder()
-        .spec(FusionSpec::all_equal())
+        .spec(spec.clone())
         .config(cfg)
         .train_for(Nanos::from_millis(600))
         .resilience(resilience)
@@ -67,18 +65,8 @@ fn build_multi(resilience: ResilienceConfig) -> MultiEngine {
 }
 
 /// The synchronous baseline: observe + finish, events as a Debug string.
-fn sync_events_engine(frames: &[CapturedFrame]) -> String {
-    let mut engine = build_engine(ResilienceConfig::default());
-    let mut events = Vec::new();
-    for f in frames {
-        events.extend(engine.observe(f).expect("in-order frame"));
-    }
-    events.extend(engine.finish().expect("finish"));
-    format!("{events:?}")
-}
-
-fn sync_events_multi(frames: &[CapturedFrame]) -> String {
-    let mut engine = build_multi(ResilienceConfig::default());
+fn sync_events(frames: &[CapturedFrame], spec: &FusionSpec) -> String {
+    let mut engine = build_multi(spec, ResilienceConfig::default());
     let mut events = Vec::new();
     for f in frames {
         events.extend(engine.observe(f).expect("in-order frame"));
@@ -92,48 +80,50 @@ fn is_poison(frame: &CapturedFrame) -> bool {
     frame.size == 0
 }
 
+/// The acceptance-criteria property: with `Block` (lossless
+/// back-pressure), no faults and no watchdog, the supervised pipeline is
+/// observationally indistinguishable from calling `observe`
+/// synchronously — same events, bit for bit, and an exactly reconciled
+/// ledger.
+fn check_block_pipeline_is_bit_identical(
+    frames: &[CapturedFrame],
+    capacity: usize,
+    spec: &FusionSpec,
+) {
+    let want = sync_events(frames, spec);
+    let cfg = IngestConfig::default().with_capacity(capacity);
+    let pipeline =
+        IngestPipeline::spawn(build_multi(spec, ResilienceConfig::default()), cfg).expect("spawn");
+    for f in frames {
+        pipeline.submit(f).expect("open pipeline");
+    }
+    let report = pipeline.finish().expect("terminates");
+    prop_assert_eq!(format!("{:?}", report.events), want);
+    prop_assert_eq!(report.health.frames_seen as usize, frames.len());
+    prop_assert_eq!(report.health.frames_shed, 0);
+    prop_assert_eq!(report.health.frames_quarantined, 0);
+    prop_assert_eq!(report.delivered as usize, frames.len());
+    prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
+}
+
 proptest! {
-    // The acceptance-criteria property: with `Block` (lossless
-    // back-pressure), no faults and no watchdog, the supervised pipeline
-    // is observationally indistinguishable from calling `observe`
-    // synchronously — same events, bit for bit, and an exactly
-    // reconciled ledger.
+    // The single-parameter engine: the paper's per-parameter evaluation.
     #[test]
     fn block_pipeline_is_bit_identical_to_sync_observe_on_the_engine(
         frames in arb_ordered_stream(),
         capacity in 1usize..64,
     ) {
-        let want = sync_events_engine(&frames);
-        let cfg = IngestConfig::default().with_capacity(capacity);
-        let pipeline = IngestPipeline::spawn(build_engine(ResilienceConfig::default()), cfg)
-            .expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open pipeline");
-        }
-        let report = pipeline.finish().expect("terminates");
-        prop_assert_eq!(format!("{:?}", report.events), want);
-        prop_assert_eq!(report.health.frames_seen as usize, frames.len());
-        prop_assert_eq!(report.health.frames_shed, 0);
-        prop_assert_eq!(report.health.frames_quarantined, 0);
-        prop_assert_eq!(report.delivered as usize, frames.len());
-        prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
+        let spec = FusionSpec::single(NetworkParameter::InterArrivalTime);
+        check_block_pipeline_is_bit_identical(&frames, capacity, &spec);
     }
 
+    // The fused five-parameter engine.
     #[test]
     fn block_pipeline_is_bit_identical_to_sync_observe_on_the_multi_engine(
         frames in arb_ordered_stream(),
         capacity in 1usize..64,
     ) {
-        let want = sync_events_multi(&frames);
-        let cfg = IngestConfig::default().with_capacity(capacity);
-        let pipeline = IngestPipeline::spawn(build_multi(ResilienceConfig::default()), cfg)
-            .expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open pipeline");
-        }
-        let report = pipeline.finish().expect("terminates");
-        prop_assert_eq!(format!("{:?}", report.events), want);
-        prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
+        check_block_pipeline_is_bit_identical(&frames, capacity, &FusionSpec::all_equal());
     }
 
     // Panic isolation as a stream property: a pipeline whose worker
@@ -144,6 +134,7 @@ proptest! {
     fn quarantined_poison_frames_are_as_if_never_captured(
         frames in arb_ordered_stream(),
         poison_mask in any::<u64>(),
+        spec in arb_spec(),
     ) {
         let mut frames = frames;
         let mut poisoned = 0u64;
@@ -156,10 +147,10 @@ proptest! {
         }
         let clean: Vec<CapturedFrame> =
             frames.iter().copied().filter(|f| !is_poison(f)).collect();
-        let want = sync_events_engine(&clean);
+        let want = sync_events(&clean, &spec);
 
         let cfg = IngestConfig::default().with_panic_probe(Some(is_poison));
-        let pipeline = IngestPipeline::spawn(build_engine(ResilienceConfig::default()), cfg)
+        let pipeline = IngestPipeline::spawn(build_multi(&spec, ResilienceConfig::default()), cfg)
             .expect("spawn");
         for f in &frames {
             pipeline.submit(f).expect("open pipeline");

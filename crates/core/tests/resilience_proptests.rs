@@ -1,13 +1,14 @@
 //! Property tests for the ingest-hardening layer: the `Reorder` policy
 //! restores any stream shuffled within a bounded horizon to bit-identical
-//! event streams on both engines, and the `Drop`/`Reject` policies never
-//! corrupt window state — the engine behaves exactly as if the late
-//! frames had never been captured.
+//! event streams, and the `Drop`/`Reject` policies never corrupt window
+//! state — the engine behaves exactly as if the late frames had never
+//! been captured. Every property runs on a one-parameter and on the
+//! five-parameter spec.
 
 use proptest::prelude::*;
 use wifiprint_core::{
-    Engine, EngineHealth, EvalConfig, FusionSpec, LateFramePolicy, MultiConfig, MultiEngine,
-    NetworkParameter, ResilienceConfig,
+    EngineHealth, FusionSpec, LateFramePolicy, MultiConfig, MultiEngine, NetworkParameter,
+    ResilienceConfig,
 };
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -60,7 +61,9 @@ fn block_shuffle(frames: &[CapturedFrame], block: usize, seed: u64) -> Vec<Captu
     let mut out = frames.to_vec();
     let mut state = seed | 1;
     let mut next = move || {
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
         (state >> 33) as usize
     };
     for chunk in out.chunks_mut(block) {
@@ -86,15 +89,29 @@ fn prefix_max_subsequence(frames: &[CapturedFrame]) -> Vec<CapturedFrame> {
     kept
 }
 
-/// Runs the single-parameter engine over `frames`; `Err` from `observe`
-/// (a rejected late frame) is skipped, which must leave the engine
-/// undisturbed. Returns the Debug rendering of the full event stream
-/// plus the final health counters.
-fn run_engine(frames: &[CapturedFrame], resilience: ResilienceConfig) -> (String, EngineHealth) {
-    let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-        .with_min_observations(3);
-    cfg.window = Nanos::from_millis(300);
-    let mut engine = Engine::builder()
+/// The specs the properties run on: the paper's per-parameter
+/// evaluation (one parameter) and all five parameters fused.
+fn arb_spec() -> impl Strategy<Value = FusionSpec> {
+    prop::sample::select(vec![
+        FusionSpec::single(NetworkParameter::InterArrivalTime),
+        FusionSpec::all_equal(),
+    ])
+}
+
+/// Runs the engine over `frames`; `Err` from `observe` (a rejected late
+/// frame) is skipped, which must leave the engine undisturbed. Returns
+/// the Debug rendering of the full event stream plus the final health
+/// counters.
+fn run_multi(
+    frames: &[CapturedFrame],
+    spec: &FusionSpec,
+    resilience: ResilienceConfig,
+) -> (String, EngineHealth) {
+    let cfg = MultiConfig::default()
+        .with_min_observations(3)
+        .with_window(Nanos::from_millis(300));
+    let mut engine = MultiEngine::builder()
+        .spec(spec.clone())
         .config(cfg)
         .train_for(Nanos::from_millis(600))
         .resilience(resilience)
@@ -116,68 +133,52 @@ fn run_engine(frames: &[CapturedFrame], resilience: ResilienceConfig) -> (String
     (format!("{events:?}"), health)
 }
 
-/// Same shape for the fused five-parameter engine.
-fn run_multi(frames: &[CapturedFrame], resilience: ResilienceConfig) -> (String, EngineHealth) {
-    let cfg = MultiConfig::default()
-        .with_min_observations(3)
-        .with_window(Nanos::from_millis(300));
-    let mut engine = MultiEngine::builder()
-        .spec(FusionSpec::all_equal())
-        .config(cfg)
-        .train_for(Nanos::from_millis(600))
-        .resilience(resilience)
-        .build()
-        .expect("valid engine configuration");
-    let mut events = Vec::new();
-    let mut rejected = 0u64;
-    for f in frames {
-        match engine.observe(f) {
-            Ok(mut ev) => events.append(&mut ev),
-            Err(_) => rejected += 1,
-        }
-    }
-    events.extend(engine.finish().expect("finish"));
-    let mut health = engine.health();
-    health.frames_late_dropped += rejected;
-    (format!("{events:?}"), health)
+/// The tentpole property: `Reorder { max_lateness ≥ horizon }` makes a
+/// stream shuffled within that horizon yield *bit-identical* events to
+/// the in-order stream — same enrollments, same windows, same
+/// similarity scores.
+fn check_reorder_restores_bounded_shuffle(
+    frames: &[CapturedFrame],
+    block: usize,
+    seed: u64,
+    spec: &FusionSpec,
+) {
+    let shuffled = block_shuffle(frames, block, seed);
+    let resilience = ResilienceConfig::default().with_late_policy(LateFramePolicy::Reorder {
+        max_lateness: 2 * block,
+    });
+    let (ordered, ordered_health) = run_multi(frames, spec, resilience.clone());
+    let (restored, restored_health) = run_multi(&shuffled, spec, resilience);
+    prop_assert_eq!(ordered, restored);
+    prop_assert_eq!(
+        restored_health.frames_late_dropped,
+        0,
+        "a 2x-horizon buffer never drops a block-shuffled frame"
+    );
+    prop_assert_eq!(ordered_health.frames_seen, restored_health.frames_seen);
+    prop_assert_eq!(ordered_health.frames_reordered, 0);
 }
 
 proptest! {
-    // The tentpole property: `Reorder { max_lateness ≥ horizon }` makes
-    // a stream shuffled within that horizon yield *bit-identical* events
-    // to the in-order stream — same enrollments, same windows, same
-    // similarity scores.
+    // The single-parameter engine: the paper's per-parameter evaluation.
     #[test]
     fn reorder_restores_bounded_shuffles_on_the_engine(
         frames in arb_ordered_stream(),
         block in 2usize..=8,
         seed in any::<u64>(),
     ) {
-        let shuffled = block_shuffle(&frames, block, seed);
-        let resilience = ResilienceConfig::default()
-            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 2 * block });
-        let (ordered, ordered_health) = run_engine(&frames, resilience.clone());
-        let (restored, restored_health) = run_engine(&shuffled, resilience);
-        prop_assert_eq!(ordered, restored);
-        prop_assert_eq!(restored_health.frames_late_dropped, 0,
-            "a 2x-horizon buffer never drops a block-shuffled frame");
-        prop_assert_eq!(ordered_health.frames_seen, restored_health.frames_seen);
-        prop_assert_eq!(ordered_health.frames_reordered, 0);
+        let spec = FusionSpec::single(NetworkParameter::InterArrivalTime);
+        check_reorder_restores_bounded_shuffle(&frames, block, seed, &spec);
     }
 
+    // The fused five-parameter engine.
     #[test]
     fn reorder_restores_bounded_shuffles_on_the_multi_engine(
         frames in arb_ordered_stream(),
         block in 2usize..=8,
         seed in any::<u64>(),
     ) {
-        let shuffled = block_shuffle(&frames, block, seed);
-        let resilience = ResilienceConfig::default()
-            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 2 * block });
-        let (ordered, _) = run_multi(&frames, resilience.clone());
-        let (restored, restored_health) = run_multi(&shuffled, resilience);
-        prop_assert_eq!(ordered, restored);
-        prop_assert_eq!(restored_health.frames_late_dropped, 0);
+        check_reorder_restores_bounded_shuffle(&frames, block, seed, &FusionSpec::all_equal());
     }
 
     // `Drop` on a dirty stream behaves exactly like the clean stream
@@ -186,19 +187,15 @@ proptest! {
     #[test]
     fn drop_policy_equals_the_stream_with_late_frames_removed(
         dirty in arb_dirty_stream(),
+        spec in arb_spec(),
     ) {
         let clean = prefix_max_subsequence(&dirty);
-        let (want, _) = run_engine(&clean, ResilienceConfig::default());
+        let (want, _) = run_multi(&clean, &spec, ResilienceConfig::default());
         let drop_cfg = ResilienceConfig::default().with_late_policy(LateFramePolicy::Drop);
-        let (got, health) = run_engine(&dirty, drop_cfg.clone());
+        let (got, health) = run_multi(&dirty, &spec, drop_cfg);
         prop_assert_eq!(want, got);
         prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
         prop_assert_eq!(health.frames_seen as usize, dirty.len());
-
-        let (want_multi, _) = run_multi(&clean, ResilienceConfig::default());
-        let (got_multi, multi_health) = run_multi(&dirty, drop_cfg);
-        prop_assert_eq!(want_multi, got_multi);
-        prop_assert_eq!(multi_health.frames_late_dropped as usize, dirty.len() - clean.len());
     }
 
     // Default `Reject` returns an error for each late frame but leaves
@@ -208,15 +205,12 @@ proptest! {
     #[test]
     fn reject_policy_skips_late_frames_without_corrupting_state(
         dirty in arb_dirty_stream(),
+        spec in arb_spec(),
     ) {
         let clean = prefix_max_subsequence(&dirty);
-        let (want, _) = run_engine(&clean, ResilienceConfig::default());
-        let (got, health) = run_engine(&dirty, ResilienceConfig::default());
+        let (want, _) = run_multi(&clean, &spec, ResilienceConfig::default());
+        let (got, health) = run_multi(&dirty, &spec, ResilienceConfig::default());
         prop_assert_eq!(want, got);
         prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
-
-        let (want_multi, _) = run_multi(&clean, ResilienceConfig::default());
-        let (got_multi, _) = run_multi(&dirty, ResilienceConfig::default());
-        prop_assert_eq!(want_multi, got_multi);
     }
 }

@@ -12,7 +12,6 @@ use crate::timing::{air_time, PhyTx, ACK_LEN, SIFS};
 
 /// How a card computes the duration/ID (NAV) field of its data frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DurationModel {
     /// Standard-conformant: `SIFS + ACK at the highest basic rate ≤ data
     /// rate`, zero for group-addressed frames.

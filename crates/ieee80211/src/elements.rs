@@ -26,7 +26,6 @@ pub mod ids {
 
 /// A single information element.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Element {
     /// Network name. Zero-length means "wildcard" in probe requests /
     /// "hidden" in beacons.

@@ -4,7 +4,6 @@ use core::fmt;
 
 /// The three 802.11 frame classes encoded in bits 2–3 of Frame Control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FrameType {
     /// Management frames (beacons, probes, association, ...).
     Management,
@@ -65,7 +64,6 @@ impl fmt::Display for FrameType {
 /// assert!(!FrameKind::Rts.is_sender_anonymous());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FrameKind {
     // --- Management (type 0) ---
     /// Association request (subtype 0).
@@ -407,7 +405,6 @@ impl fmt::Display for FrameKind {
 /// assert!(fc.retry());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FrameControl {
     kind: FrameKind,
     protocol_version: u8,

@@ -35,7 +35,6 @@ pub const FCS_LEN: usize = 4;
 /// assert_eq!(ack.kind(), FrameKind::Ack);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     fc: FrameControl,
     duration: u16,

@@ -17,7 +17,6 @@ use core::str::FromStr;
 /// # Ok::<(), wifiprint_ieee80211::ParseMacAddrError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MacAddr([u8; 6]);
 
 impl MacAddr {

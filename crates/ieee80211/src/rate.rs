@@ -4,7 +4,6 @@ use core::fmt;
 
 /// The modulation family a rate belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Modulation {
     /// Direct-sequence spread spectrum (1, 2 Mb/s) and CCK (5.5, 11 Mb/s).
     Dsss,
@@ -28,7 +27,6 @@ pub enum Modulation {
 /// assert_eq!(Rate::R6M.modulation(), Modulation::Ofdm);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rate(u8);
 
 impl Rate {

@@ -22,7 +22,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 /// assert_eq!((sifs + slot).as_micros(), 30);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Nanos(u64);
 
 impl Nanos {

@@ -9,7 +9,6 @@ use crate::time::Nanos;
 
 /// Preamble length used by DSSS/CCK transmissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Preamble {
     /// 144-bit preamble + 48-bit PLCP header, all at 1 Mb/s (192 µs).
     #[default]
@@ -23,7 +22,6 @@ pub enum Preamble {
 /// 802.11b and mixed b/g networks use 20 µs slots; g-only networks may use
 /// the optional 9 µs short slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SlotTime {
     /// 20 µs (802.11b, and 802.11g protection mode).
     #[default]
@@ -94,7 +92,6 @@ pub const RTS_LEN: usize = 20;
 
 /// Everything the PHY needs to know to time one transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhyTx {
     /// Data rate of the PSDU.
     pub rate: Rate,

@@ -45,8 +45,7 @@
 //! reports decode quality per file: error counts per layer and how often
 //! the monitor omitted rate/signal/TSFT so decode fell back to defaults.
 //!
-//! Driving a whole capture into the fused five-parameter engine is one
-//! call:
+//! Driving a whole capture into the engine is one call:
 //!
 //! ```
 //! use wifiprint_core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
@@ -128,10 +127,7 @@ mod writer;
 
 pub use format::{LinkType, PcapError, Record, RecordMeta, TsPrecision, MAGIC_MICROS, MAGIC_NANOS};
 pub use reader::{Reader, SliceReader};
-pub use replay::{
-    replay_into_engine, replay_into_multi, ReadSource, RecordSource, Replay, ReplayError,
-    ReplayStats,
-};
+pub use replay::{replay_into_multi, ReadSource, RecordSource, Replay, ReplayError, ReplayStats};
 pub use writer::Writer;
 
 use std::fs::File;

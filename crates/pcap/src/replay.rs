@@ -1,11 +1,11 @@
-//! Zero-copy replay of capture files into the fingerprinting engines.
+//! Zero-copy replay of capture files into the fingerprinting engine.
 //!
 //! This module is the production data path the paper's method implies: raw
 //! DLT-127/119/105 bytes off a capture file (or ring) are decoded straight
-//! into [`CapturedFrame`] observations and fed to an
-//! [`Engine`]/[`MultiEngine`] — with **zero heap allocations per record**
-//! in steady state. Streaming sources reuse one internal buffer across
-//! records ([`Reader::read_record_into`]); in-memory files go further via
+//! into [`CapturedFrame`] observations and fed to a [`MultiEngine`] —
+//! with **zero heap allocations per record** in steady state. Streaming
+//! sources reuse one internal buffer across records
+//! ([`Reader::read_record_into`]); in-memory files go further via
 //! [`Replay::from_slice`], which borrows each record in place and never
 //! copies (or even reads) record bodies at all. Either way the 802.11
 //! header is read through the borrowed
@@ -57,7 +57,7 @@
 
 use std::io::Read;
 
-use wifiprint_core::{Engine, EngineError, Event, MultiEngine, MultiEvent};
+use wifiprint_core::{EngineError, MultiEngine, MultiEvent};
 use wifiprint_ieee80211::{Nanos, WireFrame};
 use wifiprint_radiotap::{CapturedFrame, DecodeError, DefaultedFields};
 
@@ -316,34 +316,17 @@ impl<S: RecordSource> Replay<S> {
     }
 }
 
-/// Replays a whole capture into a single-parameter [`Engine`], returning
-/// the events it emitted and the file's decode statistics.
+/// Replays a whole capture into a [`MultiEngine`], returning the events
+/// it emitted and the file's decode statistics.
 ///
-/// The engine is *not* [`finish`](Engine::finish)ed — the caller decides
-/// whether the file ends the stream or more captures follow.
+/// The engine is *not* [`finish`](MultiEngine::finish)ed — the caller
+/// decides whether the file ends the stream or more captures follow.
 ///
 /// # Errors
 ///
 /// [`ReplayError::Pcap`] for a malformed stream, [`ReplayError::Engine`]
 /// if the engine rejects a frame (e.g. out-of-order timestamps under the
 /// strict late-frame policy).
-pub fn replay_into_engine<S: RecordSource>(
-    replay: &mut Replay<S>,
-    engine: &mut Engine,
-) -> Result<(Vec<Event>, ReplayStats), ReplayError> {
-    let mut events = Vec::new();
-    while let Some(frame) = replay.next_frame()? {
-        events.extend(engine.observe(&frame)?);
-    }
-    Ok((events, replay.stats()))
-}
-
-/// Replays a whole capture into a fused [`MultiEngine`]; otherwise
-/// identical to [`replay_into_engine`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay_into_engine`].
 pub fn replay_into_multi<S: RecordSource>(
     replay: &mut Replay<S>,
     engine: &mut MultiEngine,

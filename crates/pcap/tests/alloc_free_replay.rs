@@ -3,9 +3,13 @@
 //! state. A counting global allocator wraps `System`; after a warm-up
 //! pass grows the record buffer to its high-water mark, decoding the
 //! remaining thousands of records must not allocate at all.
+//!
+//! The count is per thread: the test harness runs the tests in parallel,
+//! and a process-wide counter would charge each test with the other's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use wifiprint_ieee80211::{Frame, MacAddr, Rate};
 use wifiprint_pcap::{LinkType, Reader, Record, Replay, Writer};
@@ -13,21 +17,29 @@ use wifiprint_radiotap::{RxFlags, RxInfo};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised, so counting never allocates (and never re-enters
+    // the allocator).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -39,8 +51,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocations made on the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// An in-memory radiotap capture: `n` frames of mixed kinds and sizes,

@@ -25,11 +25,10 @@
 //!   standard tooling.
 //!
 //! Every scenario also runs straight into the streaming fingerprinting
-//! engines — the fused five-parameter `MultiEngine`
-//! ([`run_multi_engine`], `OfficeScenario::run_multi_engine`,
-//! `ConferenceScenario::run_multi_engine`) or a single-parameter
-//! `Engine` ([`run_engine`]): monitor → engine, the online deployment
-//! shape, with no trace collection in between.
+//! engine, `MultiEngine` ([`run_multi_engine`],
+//! `OfficeScenario::run_multi_engine`,
+//! `ConferenceScenario::run_multi_engine`): monitor → engine, the online
+//! deployment shape, with no trace collection in between.
 //!
 //! Every scenario is fully deterministic in its seed.
 
@@ -75,4 +74,4 @@ pub use rotation::{
     rotate_frames, RotatedSighting, RotationLedger, RotationPolicy, RotationScenario,
     RotationTrail,
 };
-pub use trace::{run_collect, run_engine, run_multi_engine, run_streaming, Trace, TraceReport};
+pub use trace::{run_collect, run_multi_engine, run_streaming, Trace, TraceReport};

@@ -13,7 +13,7 @@ use wifiprint_netsim::{
 };
 use wifiprint_radiotap::CapturedFrame;
 
-use crate::trace::{run_collect, run_engine, run_multi_engine, run_streaming, Trace, TraceReport};
+use crate::trace::{run_collect, run_multi_engine, run_streaming, Trace, TraceReport};
 
 /// Configuration of an office capture.
 #[derive(Debug, Clone)]
@@ -185,22 +185,7 @@ impl OfficeScenario {
     }
 
     /// Runs the scenario, streaming every capture straight into a
-    /// fingerprinting engine (see [`run_engine`]).
-    ///
-    /// # Errors
-    ///
-    /// The first `Engine::observe` error, after the simulation
-    /// completes.
-    pub fn run_engine(
-        &self,
-        engine: &mut wifiprint_core::Engine,
-    ) -> Result<(Vec<wifiprint_core::Event>, TraceReport), wifiprint_core::EngineError> {
-        let (sim, profiles, aps) = self.build();
-        run_engine(sim, self.duration, profiles, aps, engine)
-    }
-
-    /// Runs the scenario, streaming every capture straight into a fused
-    /// five-parameter engine (see [`run_multi_engine`]).
+    /// fingerprinting engine (see [`run_multi_engine`]).
     ///
     /// # Errors
     ///

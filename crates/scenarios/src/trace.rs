@@ -1,11 +1,11 @@
 //! Common trace infrastructure: scenario output types and the sim
-//! runners — including [`run_engine`], which streams a simulation
-//! straight into a fingerprinting [`Engine`] without collecting the
+//! runners — including [`run_multi_engine`], which streams a simulation
+//! straight into a fingerprinting [`MultiEngine`] without collecting the
 //! trace.
 
 use std::collections::BTreeMap;
 
-use wifiprint_core::{Engine, EngineError, Event, MultiEngine, MultiEvent};
+use wifiprint_core::{EngineError, MultiEngine, MultiEvent};
 use wifiprint_ieee80211::{MacAddr, Nanos};
 use wifiprint_netsim::{SimStats, Simulator};
 use wifiprint_radiotap::CapturedFrame;
@@ -74,47 +74,16 @@ pub fn run_collect(
 }
 
 /// Runs a prepared simulator, streaming every capture straight into a
-/// fingerprinting [`Engine`] — the online deployment shape: monitor →
-/// engine, no trace collection. The engine is *not* finished, so a
-/// caller can run several scenarios into one engine before sealing the
-/// final window with [`Engine::finish`].
+/// fingerprinting [`MultiEngine`] — the online deployment shape: monitor
+/// → engine, no trace collection. One header parse per frame feeds every
+/// parameter of the engine's spec, with decisions as windows close. The
+/// engine is *not* finished, so a caller can run several scenarios into
+/// one engine before sealing the final window with
+/// [`MultiEngine::finish`].
 ///
 /// Built on [`run_streaming`]: the sink observes each frame and latches
 /// the first engine error (subsequent frames are dropped, as a live
 /// capture would drop them once its consumer died).
-///
-/// # Errors
-///
-/// The first [`Engine::observe`] error, after the simulation completes.
-pub fn run_engine(
-    sim: Simulator,
-    duration: Nanos,
-    device_profiles: BTreeMap<MacAddr, String>,
-    aps: Vec<MacAddr>,
-    engine: &mut Engine,
-) -> Result<(Vec<Event>, TraceReport), EngineError> {
-    let mut events = Vec::new();
-    let mut failure: Option<EngineError> = None;
-    let report = run_streaming(sim, duration, device_profiles, aps, &mut |f| {
-        if failure.is_none() {
-            match engine.observe(f) {
-                Ok(mut ev) => events.append(&mut ev),
-                Err(e) => failure = Some(e),
-            }
-        }
-    });
-    match failure {
-        Some(e) => Err(e),
-        None => Ok((events, report)),
-    }
-}
-
-/// Runs a prepared simulator, streaming every capture straight into a
-/// fused five-parameter [`MultiEngine`] — one header parse per frame
-/// feeding every network parameter, fused decisions as windows close.
-/// Like [`run_engine`], the engine is *not* finished, so a caller can
-/// run several scenarios into one engine before sealing the final window
-/// with [`MultiEngine::finish`].
 ///
 /// # Errors
 ///

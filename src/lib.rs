@@ -5,12 +5,13 @@
 //! fingerprinting library itself, the 802.11 substrate it is evaluated on,
 //! and the full experiment harness.
 //!
-//! # The fused streaming engine
+//! # The streaming engine
 //!
 //! The production entry point is [`core::MultiEngine`] — a
 //! builder-configured facade over the whole ingest → window → match →
-//! fuse path, extracting **all five** network parameters from a single
-//! header parse per frame and combining their similarity scores online.
+//! fuse path, extracting the network parameters of its
+//! [`core::FusionSpec`] from a single header parse per frame and
+//! combining their similarity scores online.
 //! A passive monitor is online by nature, so the engine is too: feed it
 //! every captured frame once, in capture order, and it emits typed
 //! [`core::MultiEvent`]s as 5-minute detection windows close —
@@ -24,8 +25,8 @@
 //! also close on wall clock ([`core::MultiEngine::advance_to`] /
 //! `tick`), so a quiet channel cannot stall the final decision.
 //! Failures are typed ([`core::EngineError`] wrapping
-//! [`core::CoreError`]); single-parameter deployments keep the leaner
-//! [`core::Engine`].
+//! [`core::CoreError`]); a single-parameter deployment is the same
+//! engine over [`core::FusionSpec::single`].
 //!
 //! ```
 //! use wifiprint::core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
@@ -59,15 +60,15 @@
 //!
 //! Real monitors are not the clean capture the paper assumes: they drop
 //! frames under load, deliver out of order through USB batching, and
-//! pass truncated or duplicated frames. Both engines therefore sit
+//! pass truncated or duplicated frames. The engine therefore sits
 //! behind a configurable ingest front ([`core::ResilienceConfig`],
 //! builder method `resilience()`): a late-frame policy
 //! ([`core::LateFramePolicy`] — strict `Reject` by default, `Drop`, or
 //! `Reorder` which restores any stream shuffled within a bounded
 //! horizon to capture order *bit-identically*), exact-duplicate
 //! suppression, and a runt-size gate. Every dropped frame is accounted
-//! for in [`core::EngineHealth`] (`health()`), and the fused engine
-//! degrades gracefully: with a fusion quorum set, a sparse window is
+//! for in [`core::EngineHealth`] (`health()`), and fusion degrades
+//! gracefully: with a fusion quorum set, a sparse window is
 //! fused over the parameters that survived, with the missing ones named
 //! on the event. The `scenarios::faults::FaultInjector` generates
 //! seeded, reproducible capture degradations (burst loss, reordering,
@@ -79,7 +80,7 @@
 //!
 //! Degraded *flow* — burst overload, a stalled source, a poison frame
 //! that panics mid-sweep — is handled one layer up by the supervised
-//! ingest front ([`core::IngestPipeline`]): either engine runs on a
+//! ingest front ([`core::IngestPipeline`]): the engine runs on a
 //! supervised worker thread behind a bounded MPMC ring. An
 //! [`core::OverloadPolicy`] decides what a full ring does to a
 //! submission (`Block` back-pressure by default, or shed the
@@ -103,7 +104,7 @@
 //! dominant histogram (MAC-prefix hashing as the fallback strategy),
 //! selectable via [`core::MatchConfig`] and threaded through every
 //! configuration layer ([`core::EvalConfig`], [`core::MultiConfig`],
-//! [`analysis::PipelineConfig`]). The dense sweeps the engines run are
+//! [`analysis::PipelineConfig`]). The dense sweeps the engine runs are
 //! bit-for-bit the flat single-matrix sweep — sharding never changes a
 //! decision — while the pruned [`core::ReferenceDb::match_topk`] sweep
 //! uses per-shard summaries (upper envelope of the normalised rows +
@@ -179,8 +180,8 @@
 //! record** in steady state (allocation-counter-tested), with
 //! [`pcap::Replay::from_slice`] going further for in-memory files by
 //! borrowing records in place and never touching frame bodies at all.
-//! [`pcap::replay_into_engine`] / [`pcap::replay_into_multi`] drive a
-//! whole file into an engine in one call and return per-file
+//! [`pcap::replay_into_multi`] drives a whole file into the engine in
+//! one call and returns per-file
 //! [`pcap::ReplayStats`]: decode-error counts per layer, plus how often
 //! the monitor omitted rate/signal/TSFT so decode fell back to defaults
 //! — silently-defaulted fields skew derived air times, and the stats
@@ -239,8 +240,8 @@
 //!
 //! This facade crate re-exports the workspace members:
 //!
-//! * [`core`] — the fused [`core::MultiEngine`] and single-parameter
-//!   [`core::Engine`], signatures, score fusion, the sharded SoA/SIMD
+//! * [`core`] — the streaming [`core::MultiEngine`], signatures, score
+//!   fusion, the sharded SoA/SIMD
 //!   matching store with pruned top-k sweeps, the
 //!   [`core::RotationLinker`] identity tracker, and accuracy metrics
 //!   (the paper's contribution),
@@ -248,11 +249,12 @@
 //! * [`radiotap`] — capture headers and the [`radiotap::CapturedFrame`]
 //!   interchange type,
 //! * [`pcap`] — capture-file I/O and the zero-copy
-//!   [`pcap::Replay`] path from raw capture bytes into either engine,
+//!   [`pcap::Replay`] path from raw capture bytes into the engine,
 //! * [`netsim`] — the discrete-event 802.11 channel simulator,
 //! * [`devices`] — chipset/driver/service profiles,
 //! * [`scenarios`] — the office/conference/Faraday trace generators
-//!   (each able to stream straight into an engine, `run_engine`), the
+//!   (each able to stream straight into the engine,
+//!   `run_multi_engine`), the
 //!   metropolis large-population stress scenario, seeded MAC-rotation
 //!   trail generators with exact ownership ledgers, and the seeded
 //!   fault injector for degraded-capture experiments,

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use wifiprint::analysis::{evaluate_frames, PipelineConfig};
 use wifiprint::core::{
-    load_db, save_db, Engine, EvalConfig, Event, FusionSpec, MatchConfig, MatchOutcome,
+    load_db, save_db, EvalConfig, FusionSpec, MatchConfig, MatchOutcome,
     MatchScratch, MultiConfig, MultiEngine, MultiEvent, NetworkParameter, ReferenceDb,
     ResilienceConfig, ShardStrategy, SignatureBuilder, SimilarityMeasure, WindowedSignatures,
     F32_SCORE_TOLERANCE,
@@ -179,10 +179,26 @@ fn anonymous_control_frames_never_produce_observations() {
     }
 }
 
+/// Every per-candidate decision of a one-parameter engine's event
+/// stream: window, device and the parameter's similarity view.
+fn single_decisions(events: Vec<MultiEvent>) -> Vec<(usize, MacAddr, MatchOutcome)> {
+    events
+        .into_iter()
+        .filter_map(|e| match e {
+            MultiEvent::FusedMatch { window, device, mut scores, .. }
+            | MultiEvent::FusedNewDevice { window, device, mut scores, .. } => {
+                Some((window, device, scores.remove(0).view))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
-    // The acceptance equivalence for the Engine redesign: the streaming
-    // path must reproduce the batch flow's per-window match decisions —
+    // The acceptance equivalence for the streaming engine: a
+    // one-parameter engine must reproduce the batch flow's per-window
+    // match decisions —
     // same (window, device) sequence, same argmax, scores within the
     // documented f32 tolerance — on both of the paper's trace shapes,
     // and the (engine-driven) analysis pipeline must agree on the
@@ -192,9 +208,11 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
         ("conference", ConferenceScenario::small(7, 300, 12).run_collect()),
     ];
     for (name, trace) in traces {
-        let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_min_observations(50);
-        cfg.window = Nanos::from_secs(50);
+        let param = NetworkParameter::InterArrivalTime;
+        let mcfg = MultiConfig::default()
+            .with_min_observations(50)
+            .with_window(Nanos::from_secs(50));
+        let cfg = mcfg.eval_config(param);
         let train = Nanos::from_secs(100);
 
         // Batch flow: split at the training boundary, learn, window the
@@ -214,8 +232,9 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
         assert!(!candidates.is_empty(), "{name}: batch flow must produce candidates");
 
         // Streaming flow: the engine over the identical frame stream.
-        let mut engine = Engine::builder()
-            .config(cfg.clone())
+        let mut engine = MultiEngine::builder()
+            .spec(FusionSpec::single(param))
+            .config(mcfg)
             .train_for(train)
             .build()
             .expect("valid engine configuration");
@@ -223,21 +242,14 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
         events.extend(engine.finish().expect("first finish"));
 
         // The online-enrolled reference matches the batch-learned one.
-        let engine_db = engine.into_reference().expect("trained reference");
+        let engine_db = engine.reference(param).expect("trained reference");
         assert_eq!(
             engine_db.devices().collect::<Vec<_>>(),
             db.devices().collect::<Vec<_>>(),
             "{name}: enrolled devices differ"
         );
 
-        let decisions: Vec<(usize, MacAddr, MatchOutcome)> = events
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Match { window, device, view }
-                | Event::NewDevice { window, device, view, .. } => Some((window, device, view)),
-                _ => None,
-            })
-            .collect();
+        let decisions = single_decisions(events);
         assert_eq!(decisions.len(), candidates.len(), "{name}: decision count");
 
         let mut scratch = MatchScratch::new();
@@ -291,10 +303,9 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
     // The acceptance equivalence for the MultiEngine redesign, on both
     // of the paper's trace shapes:
     //
-    // 1. per parameter, the fused engine's decisions are the five
-    //    single-parameter engines' decisions — same (window, device)
-    //    sequence, same argmax, scores within the documented f32
-    //    tolerance;
+    // 1. per parameter, the fused engine's decisions are exactly the
+    //    decisions of five one-parameter engines — same (window, device)
+    //    sequence, same similarity vectors;
     // 2. the fused (combined) scores equal the offline end-of-trace
     //    combination the analysis crate's fusion evaluator historically
     //    computed: per-parameter similarity vectors weighted-averaged
@@ -320,11 +331,12 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
         let mut events = multi.observe_all(&trace.frames).expect("frames in capture order");
         events.extend(multi.finish().expect("first finish"));
 
-        // 1. Per-parameter equivalence against five single engines.
+        // 1. Per-parameter equivalence against five one-parameter engines.
         let mut total_decisions = 0usize;
         for param in NetworkParameter::ALL {
-            let mut single = Engine::builder()
-                .config(mcfg.eval_config(param))
+            let mut single = MultiEngine::builder()
+                .spec(FusionSpec::single(param))
+                .config(mcfg.clone())
                 .train_for(train)
                 .build()
                 .expect("valid engine configuration");
@@ -333,53 +345,28 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
             single_events.extend(single.finish().expect("first finish"));
 
             assert_eq!(
-                single.reference().expect("trained").devices().collect::<Vec<_>>(),
+                single.reference(param).expect("trained").devices().collect::<Vec<_>>(),
                 multi.reference(param).expect("trained").devices().collect::<Vec<_>>(),
                 "{name}/{param}: enrolled devices differ"
             );
 
-            let singles: Vec<(usize, MacAddr, MatchOutcome)> = single_events
-                .into_iter()
-                .filter_map(|e| match e {
-                    Event::Match { window, device, view }
-                    | Event::NewDevice { window, device, view, .. } => {
-                        Some((window, device, view))
-                    }
-                    _ => None,
-                })
-                .collect();
-            let multis: Vec<(usize, MacAddr, &MatchOutcome)> = events
+            let singles = single_decisions(single_events);
+            let multis: Vec<(usize, MacAddr, MatchOutcome)> = events
                 .iter()
                 .filter_map(|e| match e {
                     MultiEvent::FusedMatch { window, device, scores, .. }
                     | MultiEvent::FusedNewDevice { window, device, scores, .. } => scores
                         .iter()
                         .find(|d| d.parameter == param)
-                        .map(|d| (*window, *device, &d.view)),
+                        .map(|d| (*window, *device, d.view.clone())),
                     _ => None,
                 })
                 .collect();
-            assert_eq!(singles.len(), multis.len(), "{name}/{param}: decision count");
             assert!(!singles.is_empty(), "{name}/{param}: no decisions to compare");
             total_decisions += singles.len();
-            for ((sw, sd, sv), (mw, md, mv)) in singles.iter().zip(&multis) {
-                assert_eq!((sw, sd), (mw, md), "{name}/{param}: decision identity");
-                assert_eq!(
-                    sv.best().map(|(d, _)| d),
-                    mv.best().map(|(d, _)| d),
-                    "{name}/{param}: argmax for {sd} in window {sw}"
-                );
-                assert_eq!(sv.similarities().len(), mv.similarities().len());
-                for (a, b) in sv.similarities().iter().zip(mv.similarities()) {
-                    assert_eq!(a.0, b.0, "{name}/{param}: device order");
-                    assert!(
-                        (a.1 - b.1).abs() < F32_SCORE_TOLERANCE,
-                        "{name}/{param}: {} vs {} for {sd} in window {sw}",
-                        a.1,
-                        b.1
-                    );
-                }
-            }
+            // Bit for bit: the same candidates meet the same references in
+            // the same tiles, whatever else the fused spec runs.
+            assert!(singles == multis, "{name}/{param}: decisions differ");
         }
         assert!(total_decisions > 0, "{name}: equivalence must cover real decisions");
 
