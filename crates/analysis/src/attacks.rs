@@ -8,7 +8,10 @@
 //! driver/chipset-level timing features. This module implements exactly
 //! that attacker and measures which parameters it fools.
 
-use wifiprint_core::{EvalConfig, NetworkParameter, ReferenceDb, SignatureBuilder, SimilarityMeasure};
+use wifiprint_core::{
+    EvalConfig, MatchScratch, NetworkParameter, ReferenceDb, Signature, SignatureBuilder,
+    SimilarityMeasure,
+};
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
 
@@ -136,8 +139,10 @@ pub fn evaluate_mimicry(
         let Some(attack) = build(&forged, attacker) else { continue };
         let mut db = ReferenceDb::new();
         db.insert(victim, reference).expect("victim reference");
-        let sim = |sig| {
-            db.match_signature(sig, SimilarityMeasure::Cosine)
+        let mut scratch = MatchScratch::new();
+        let mut sim = |sig: &Signature| {
+            db.match_tile(std::slice::from_ref(sig), SimilarityMeasure::Cosine, &mut scratch)
+                .candidate(0)
                 .similarity_to(&victim)
                 .unwrap_or(0.0)
         };

@@ -7,7 +7,7 @@
 //! must complete without panics; at the tuned operating point the
 //! periodic and per-association policies must hold their pinned
 //! precision/recall floors, and the gallery sweeps must demonstrably
-//! run through the pruned `match_topk` path.
+//! run through the pruned `match_topk_tile` sweep.
 
 use wifiprint_analysis::linking::{
     default_policy_grid, evaluate_linking, metropolis_linker_config,

@@ -5,7 +5,7 @@
 //!
 //! * `match_one_candidate/{naive,matrix}/N` — the per-call-allocation
 //!   f64 baseline (`match_signature_naive`, the pre-SoA layout) against
-//!   the f32 SIMD matrix sweep (`match_signature_with`) for growing
+//!   the f32 SIMD matrix sweep (`match_tile` of one) for growing
 //!   reference-database sizes up to 256 devices;
 //! * `dot_kernel/{f64_scalar,f32_portable,f32_dispatch}` — the f32-vs-f64
 //!   kernel comparison on one reference-row-sized dot product (the
@@ -14,9 +14,10 @@
 //!   sweeps versus one matrix–matrix tile over the same eight windows;
 //! * `db_insert_stream/{stream,bulk}/N` — incremental appends versus the
 //!   one-shot pack (streaming inserts are no longer quadratic);
-//! * `match_window_batch/{serial,parallel}` — one thread reusing a
-//!   scratch versus the `parallel`-feature batch fan-out over a
-//!   multi-window candidate set;
+//! * `match_window_batch/{serial,parallel}` — `MATCH_TILE`-wide tiles on
+//!   one thread reusing a scratch versus the `parallel`-feature tile
+//!   fan-out (`batch::map_tiles_with_scratch`) over a multi-window
+//!   candidate set;
 //! * `sharded_sweep/{dense_full,pruned_top5}` — the sharded store's
 //!   dense full sweep versus the summary-pruned top-k sweep over a
 //!   metropolis population (the large-population hot path);
@@ -40,8 +41,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use wifiprint_core::{
-    kernel, EvalConfig, FusionSpec, MatchConfig, MatchScratch, MultiConfig, MultiEngine,
-    NetworkParameter, ReferenceDb, Signature, SignatureBuilder, SimilarityMeasure,
+    batch, kernel, EvalConfig, FusionSpec, MatchConfig, MatchScratch, MultiConfig, MultiEngine,
+    NetworkParameter, ReferenceDb, Signature, SignatureBuilder, SimilarityMeasure, MATCH_TILE,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -125,9 +126,12 @@ fn bench_matching_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("matrix", db_size), &db_size, |b, _| {
             let mut scratch = MatchScratch::new();
             b.iter(|| {
-                let view =
-                    db.match_signature_with(&candidate, SimilarityMeasure::Cosine, &mut scratch);
-                black_box(view.best())
+                let tile = db.match_tile(
+                    std::slice::from_ref(&candidate),
+                    SimilarityMeasure::Cosine,
+                    &mut scratch,
+                );
+                black_box(tile.candidate(0).best())
             })
         });
     }
@@ -168,8 +172,9 @@ fn bench_match_tile(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f64;
             for cand in &windows {
-                let view = db.match_signature_with(cand, SimilarityMeasure::Cosine, &mut scratch);
-                acc += view.best().map_or(0.0, |(_, s)| s);
+                let tile =
+                    db.match_tile(std::slice::from_ref(cand), SimilarityMeasure::Cosine, &mut scratch);
+                acc += tile.candidate(0).best().map_or(0.0, |(_, s)| s);
             }
             black_box(acc)
         })
@@ -216,7 +221,7 @@ fn bench_db_insert_stream(c: &mut Criterion) {
 }
 
 /// Serial versus parallel evaluation of a multi-window candidate batch
-/// against a 256-device reference DB.
+/// in `MATCH_TILE`-wide tiles against a 256-device reference DB.
 fn bench_window_batch(c: &mut Criterion) {
     let db = reference_db(256);
     let candidates: Vec<Signature> =
@@ -226,15 +231,25 @@ fn bench_window_batch(c: &mut Criterion) {
         let mut scratch = MatchScratch::new();
         b.iter(|| {
             let mut acc = 0.0f64;
-            for cand in &candidates {
-                let view = db.match_signature_with(cand, SimilarityMeasure::Cosine, &mut scratch);
-                acc += view.best().map_or(0.0, |(_, s)| s);
+            for tile in candidates.chunks(MATCH_TILE) {
+                let view = db.match_tile(tile, SimilarityMeasure::Cosine, &mut scratch);
+                acc += view.views().map(|v| v.best().map_or(0.0, |(_, s)| s)).sum::<f64>();
             }
             black_box(acc)
         })
     });
     group.bench_function("parallel", |b| {
-        b.iter(|| black_box(db.match_batch(&candidates, SimilarityMeasure::Cosine)))
+        b.iter(|| {
+            black_box(batch::map_tiles_with_scratch(
+                &candidates,
+                MATCH_TILE,
+                MatchScratch::new,
+                |scratch, tile| {
+                    let view = db.match_tile(tile, SimilarityMeasure::Cosine, scratch);
+                    view.views().map(|v| v.best()).collect()
+                },
+            ))
+        })
     });
     group.finish();
 }
@@ -255,8 +270,9 @@ fn bench_sharded_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f64;
             for cand in &candidates {
-                let view = db.match_signature_with(cand, SimilarityMeasure::Cosine, &mut scratch);
-                acc += view.best().map_or(0.0, |(_, s)| s);
+                let tile =
+                    db.match_tile(std::slice::from_ref(cand), SimilarityMeasure::Cosine, &mut scratch);
+                acc += tile.candidate(0).best().map_or(0.0, |(_, s)| s);
             }
             black_box(acc)
         })
@@ -266,8 +282,13 @@ fn bench_sharded_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f64;
             for cand in &candidates {
-                let top = db.match_topk(cand, 5, SimilarityMeasure::Cosine, &mut scratch);
-                acc += top.first().map_or(0.0, |&(_, s)| s);
+                let tops = db.match_topk_tile(
+                    std::slice::from_ref(cand),
+                    5,
+                    SimilarityMeasure::Cosine,
+                    &mut scratch,
+                );
+                acc += tops[0].first().map_or(0.0, |&(_, s)| s);
             }
             black_box(acc)
         })

@@ -68,9 +68,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use wifiprint_core::{
-    kernel, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
+    batch, kernel, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
     MatchScratch, MultiConfig, MultiEngine, NetworkParameter, OverloadPolicy, ReferenceDb,
-    Signature, SimilarityMeasure,
+    Signature, SimilarityMeasure, MATCH_TILE,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
 use wifiprint_pcap::{LinkType, Reader, Record, Replay, Writer};
@@ -160,22 +160,28 @@ fn main() {
     let candidates: Vec<Signature> =
         (0..512u64).map(|w| synthetic_signature(w % 97, 200)).collect();
 
-    // Headline: naive f64 baseline vs the f32 SIMD matrix sweep.
+    // Headline: naive f64 baseline vs the f32 SIMD matrix sweep (a
+    // tile of one).
     let naive_ns = measure(15, 20, || {
         std::hint::black_box(db.match_signature_naive(&candidate, SimilarityMeasure::Cosine));
     });
     let mut scratch = MatchScratch::new();
     let matrix_ns = measure(15, 20, || {
-        let view = db.match_signature_with(&candidate, SimilarityMeasure::Cosine, &mut scratch);
-        std::hint::black_box(view.best());
+        let tile = db.match_tile(
+            std::slice::from_ref(&candidate),
+            SimilarityMeasure::Cosine,
+            &mut scratch,
+        );
+        std::hint::black_box(tile.candidate(0).best());
     });
 
     // Tiling: 8 matrix–vector sweeps vs one K=8 matrix–matrix tile
     // (both reported per tile of 8 windows).
     let matvec8_ns = measure(15, 10, || {
         for cand in &windows {
-            let view = db.match_signature_with(cand, SimilarityMeasure::Cosine, &mut scratch);
-            std::hint::black_box(view.best());
+            let tile =
+                db.match_tile(std::slice::from_ref(cand), SimilarityMeasure::Cosine, &mut scratch);
+            std::hint::black_box(tile.candidate(0).best());
         }
     });
     let tile_ns = measure(15, 10, || {
@@ -213,18 +219,27 @@ fn main() {
         std::hint::black_box(fresh.len());
     }) / insert_sigs.len() as f64;
 
+    // The window batch in MATCH_TILE-wide tiles: one thread reusing a
+    // scratch vs the tile fan-out across workers.
     let mut serial_scratch = MatchScratch::new();
     let serial_ns = measure(9, 1, || {
         let mut acc = 0.0f64;
-        for cand in &candidates {
-            let view =
-                db.match_signature_with(cand, SimilarityMeasure::Cosine, &mut serial_scratch);
-            acc += view.best().map_or(0.0, |(_, s)| s);
+        for tile in candidates.chunks(MATCH_TILE) {
+            let view = db.match_tile(tile, SimilarityMeasure::Cosine, &mut serial_scratch);
+            acc += view.views().map(|v| v.best().map_or(0.0, |(_, s)| s)).sum::<f64>();
         }
         std::hint::black_box(acc);
     });
     let parallel_ns = measure(9, 1, || {
-        std::hint::black_box(db.match_batch(&candidates, SimilarityMeasure::Cosine));
+        std::hint::black_box(batch::map_tiles_with_scratch(
+            &candidates,
+            MATCH_TILE,
+            MatchScratch::new,
+            |scratch, tile| {
+                let view = db.match_tile(tile, SimilarityMeasure::Cosine, scratch);
+                view.views().map(|v| v.best()).collect()
+            },
+        ));
     });
 
     // Engine ingest: the streaming facade end to end over one parameter
@@ -368,15 +383,18 @@ fn main() {
         let mut scratch = MatchScratch::new();
         let dense_ns = measure(7, 1, || {
             for cand in &probes {
-                let view =
-                    db.match_signature_with(cand, SimilarityMeasure::Cosine, &mut scratch);
-                std::hint::black_box(view.best());
+                let tile = db.match_tile(
+                    std::slice::from_ref(cand),
+                    SimilarityMeasure::Cosine,
+                    &mut scratch,
+                );
+                std::hint::black_box(tile.candidate(0).best());
             }
         }) / probes.len() as f64;
         let topk_ns = measure(7, 1, || {
             for cand in &probes {
-                std::hint::black_box(db.match_topk(
-                    cand,
+                std::hint::black_box(db.match_topk_tile(
+                    std::slice::from_ref(cand),
                     5,
                     SimilarityMeasure::Cosine,
                     &mut scratch,
@@ -385,7 +403,7 @@ fn main() {
         }) / probes.len() as f64;
         let (mut swept, mut pruned) = (0usize, 0usize);
         for cand in &probes {
-            db.match_topk(cand, 5, SimilarityMeasure::Cosine, &mut scratch);
+            db.match_topk_tile(std::slice::from_ref(cand), 5, SimilarityMeasure::Cosine, &mut scratch);
             let stats = scratch.prune_stats();
             swept += stats.swept_shards;
             pruned += stats.pruned_shards;

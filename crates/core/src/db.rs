@@ -217,6 +217,13 @@ pub fn load_db_with<R: BufRead>(
                 line: ln,
                 message: "hist line before any device line".into(),
             })?;
+            // Histograms and signatures sum their counts: the device's
+            // total (without the kind this line replaces) must fit a u64.
+            let others: u64 =
+                hists.iter().filter(|&(&k, _)| k != kind).map(|(_, h)| h.total()).sum();
+            if counts.iter().try_fold(others, |sum, &c| sum.checked_add(c)).is_none() {
+                return Err(DbCodecError::Parse { line: ln, message: "counts overflow".into() });
+            }
             hists.insert(kind, Histogram::from_counts(bins.clone(), counts));
         } else {
             return Err(DbCodecError::Parse {
@@ -236,14 +243,20 @@ fn parse_bins(line: &str) -> Option<BinSpec> {
         let min: f64 = it.next()?.parse().ok()?;
         let width: f64 = it.next()?.parse().ok()?;
         let count: usize = it.next()?.parse().ok()?;
-        if it.next().is_some() || width <= 0.0 {
+        // The overflow bin makes `count + 1` bins, which must fit.
+        if it.next().is_some()
+            || !min.is_finite()
+            || !width.is_finite()
+            || width <= 0.0
+            || count.checked_add(1).is_none()
+        {
             return None;
         }
         Some(BinSpec::Uniform { min, width, count })
     } else if let Some(spec) = rest.strip_prefix("categorical ") {
         let centers: Result<Vec<f64>, _> = spec.split(',').map(|c| c.trim().parse()).collect();
         let centers = centers.ok()?;
-        if centers.is_empty() {
+        if centers.is_empty() || !centers.iter().all(|c| c.is_finite()) {
             return None;
         }
         Some(BinSpec::Categorical { centers })
@@ -267,6 +280,7 @@ fn parse_kind_label(label: &str) -> Option<FrameKind> {
 mod tests {
     use super::*;
     use crate::config::EvalConfig;
+    use proptest::prelude::*;
 
     fn sample_db() -> (ReferenceDb, NetworkParameter, BinSpec) {
         let param = NetworkParameter::InterArrivalTime;
@@ -328,9 +342,11 @@ mod tests {
         let (sharded, _, _) =
             load_db_with(&buf[..], MatchConfig::default().with_shards(7)).unwrap();
         assert_eq!(flat.len(), sharded.len());
-        let cand = db.iter().next().unwrap().1.clone();
-        let a = flat.match_signature(&cand, crate::SimilarityMeasure::Cosine);
-        let b = sharded.match_signature(&cand, crate::SimilarityMeasure::Cosine);
+        let cand = [db.iter().next().unwrap().1.clone()];
+        let mut scratch = crate::MatchScratch::new();
+        let measure = crate::SimilarityMeasure::Cosine;
+        let a = flat.match_tile(&cand, measure, &mut scratch).candidate(0).to_outcome();
+        let b = sharded.match_tile(&cand, measure, &mut scratch).candidate(0);
         assert_eq!(a.similarities(), b.similarities());
     }
 
@@ -367,11 +383,76 @@ mod tests {
                 "wifiprint-db v1\nparameter frame-size\nbins uniform 0 1 2\nwhat is this",
                 "unrecognised",
             ),
+            (
+                "wifiprint-db v1\nparameter frame-size\nbins uniform 0 1 18446744073709551615\ndevice 02:00:00:00:00:01\nhist data 1",
+                "bad bins",
+            ),
+            ("wifiprint-db v1\nparameter frame-size\nbins uniform 0 NaN 2", "bad bins"),
+            ("wifiprint-db v1\nparameter frame-size\nbins categorical NaN,inf", "bad bins"),
+            (
+                "wifiprint-db v1\nparameter frame-size\nbins uniform 0 1 1\ndevice 02:00:00:00:00:01\nhist data 18446744073709551615,1",
+                "counts overflow",
+            ),
+            (
+                "wifiprint-db v1\nparameter frame-size\nbins uniform 0 1 0\ndevice 02:00:00:00:00:01\nhist data 18446744073709551615\nhist beacon 1",
+                "counts overflow",
+            ),
         ];
         for (input, needle) in cases {
             let err = load_db(input.as_bytes()).unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains(needle), "input {input:?}: got {msg:?}");
+        }
+    }
+
+    proptest! {
+        // Save → load is the identity over arbitrary signatures and both
+        // bin kinds, and every prefix of the saved text loads or fails
+        // with a typed parse error — never a panic.
+        #[test]
+        fn save_load_round_trips_and_truncations_never_panic(
+            uniform in any::<bool>(),
+            min in -50.0f64..50.0,
+            width in 0.5f64..40.0,
+            bins in 1usize..12,
+            devices in prop::collection::vec(
+                prop::collection::vec((0usize..4, -60.0f64..500.0), 1..20), 1..5),
+        ) {
+            let spec = if uniform {
+                BinSpec::Uniform { min, width, count: bins }
+            } else {
+                BinSpec::Categorical {
+                    centers: (0..bins).map(|i| min + width * i as f64).collect(),
+                }
+            };
+            let kinds = [
+                FrameKind::Data,
+                FrameKind::ProbeReq,
+                FrameKind::Beacon,
+                FrameKind::Reserved { type_bits: 3, subtype: 5 },
+            ];
+            let mut signatures = BTreeMap::new();
+            for (d, values) in devices.iter().enumerate() {
+                let mut hists: BTreeMap<FrameKind, Histogram> = BTreeMap::new();
+                for &(k, v) in values {
+                    hists.entry(kinds[k]).or_insert_with(|| Histogram::new(spec.clone())).add(v);
+                }
+                signatures
+                    .insert(MacAddr::from_index(d as u64 + 1), Signature::from_histograms(hists));
+            }
+            let db = ReferenceDb::from_signatures(signatures);
+            let mut buf = Vec::new();
+            save_db(&mut buf, &db, NetworkParameter::FrameSize, &spec).unwrap();
+            let (loaded, param, lbins) = load_db(&buf[..]).unwrap();
+            prop_assert_eq!(param, NetworkParameter::FrameSize);
+            prop_assert_eq!(&lbins, &spec);
+            prop_assert_eq!(loaded.iter().collect::<Vec<_>>(), db.iter().collect::<Vec<_>>());
+            for cut in 0..buf.len() {
+                match load_db(&buf[..cut]) {
+                    Ok(_) | Err(DbCodecError::Parse { .. }) => {}
+                    Err(e) => panic!("cut at byte {cut}: {e}"),
+                }
+            }
         }
     }
 

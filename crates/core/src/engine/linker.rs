@@ -7,7 +7,7 @@
 //! module is the consumer that closes the loop. A
 //! [`RotationLinker`] maintains a **gallery** of retained identities —
 //! one internal sharded [`ReferenceDb`] per fused parameter, so the hot
-//! path reuses the summary-pruned [`ReferenceDb::match_topk`] sweep —
+//! path reuses the summary-pruned [`ReferenceDb::match_topk_tile`] sweep —
 //! and decides, per sighting of an unknown MAC, whether the behaviour
 //! behind it is an identity it already knows:
 //!
@@ -20,7 +20,7 @@
 //!   randomized-looking addresses reach the gallery;
 //! * **pruned gallery sweep** — each qualifying per-parameter candidate
 //!   signature is ranked against that parameter's gallery via
-//!   [`ReferenceDb::match_topk`] and the per-parameter scores are
+//!   [`ReferenceDb::match_topk_tile`] and the per-parameter scores are
 //!   combined under the configured [`FusionSpec`] weights; the fused
 //!   best either links ([`LinkEvent::Linked`], at or above
 //!   [`LinkerConfig::accept_threshold`] with a clear
@@ -582,7 +582,15 @@ impl RotationLinker {
             if db.is_empty() {
                 continue;
             }
-            let tops = db.match_topk(sig, self.cfg.topk, self.cfg.measure, &mut self.scratch);
+            let tops = db
+                .match_topk_tile(
+                    std::slice::from_ref(sig),
+                    self.cfg.topk,
+                    self.cfg.measure,
+                    &mut self.scratch,
+                )
+                .pop()
+                .unwrap_or_default();
             let prune = self.scratch.prune_stats();
             self.stats.shards_swept += prune.swept_shards as u64;
             self.stats.shards_pruned += prune.pruned_shards as u64;
@@ -951,7 +959,7 @@ mod tests {
         assert!(stats.shards_swept > 0, "gallery sweeps ran: {stats:?}");
         assert!(
             stats.shards_pruned > 0,
-            "pruned match_topk must prune on clustered galleries: {stats:?}"
+            "pruned match_topk_tile must prune on clustered galleries: {stats:?}"
         );
         assert!(stats.pruned_fraction() > 0.0);
         assert!(stats.conserves());

@@ -682,9 +682,12 @@ mod tests {
         let mut scratch = MatchScratch::new();
         for (cand, (window, device, view)) in batch.iter().zip(&decisions) {
             assert_eq!((cand.index, cand.device), (*window, *device));
-            let want =
-                db.match_signature_with(&cand.signature, SimilarityMeasure::Cosine, &mut scratch);
-            assert_eq!(view.similarities(), want.similarities());
+            let tile = db.match_tile(
+                std::slice::from_ref(&cand.signature),
+                SimilarityMeasure::Cosine,
+                &mut scratch,
+            );
+            assert_eq!(view.similarities(), tile.candidate(0).similarities());
         }
     }
 

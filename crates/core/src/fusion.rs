@@ -19,7 +19,7 @@
 use wifiprint_ieee80211::MacAddr;
 
 use crate::error::CoreError;
-use crate::matching::{best_of, top_of, MatchOutcome};
+use crate::matching::MatchOutcome;
 use crate::params::NetworkParameter;
 
 /// A weighted set of network parameters to fuse.
@@ -116,49 +116,11 @@ impl FusionSpec {
 /// its per-parameter similarities, over the devices enrolled for *every*
 /// fused parameter.
 ///
-/// The same shape as a per-parameter [`MatchOutcome`] (ascending device
-/// order), so downstream consumers — threshold tests, argmax
-/// identification, top-k ranking — treat fused and single-parameter
-/// scores uniformly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedOutcome {
-    similarities: Vec<(MacAddr, f64)>,
-}
-
-impl FusedOutcome {
-    /// The fused similarity per reference device, ascending address
-    /// order.
-    pub fn similarities(&self) -> &[(MacAddr, f64)] {
-        &self.similarities
-    }
-
-    /// The fused similarity to one reference device.
-    pub fn similarity_to(&self, device: &MacAddr) -> Option<f64> {
-        self.similarities
-            .binary_search_by(|(d, _)| d.cmp(device))
-            .ok()
-            .map(|i| self.similarities[i].1)
-    }
-
-    /// The best-scoring reference (ties break toward the lower address) —
-    /// the identification-test argmax over the fused score.
-    pub fn best(&self) -> Option<(MacAddr, f64)> {
-        best_of(&self.similarities)
-    }
-
-    /// The `k` best-scoring references, descending (ties toward lower
-    /// addresses) — partial selection, like
-    /// [`MatchOutcome::top`](crate::MatchOutcome::top).
-    pub fn top(&self, k: usize) -> Vec<(MacAddr, f64)> {
-        top_of(&self.similarities, k)
-    }
-
-    /// Every reference whose fused similarity reaches `threshold` — the
-    /// similarity-test set.
-    pub fn above_threshold(&self, threshold: f64) -> impl Iterator<Item = (MacAddr, f64)> + '_ {
-        self.similarities.iter().copied().filter(move |&(_, s)| s >= threshold)
-    }
-}
+/// The same type as a per-parameter [`MatchOutcome`] (ascending device
+/// order, the same accessors), so downstream consumers — threshold
+/// tests, argmax identification, top-k ranking — treat fused and
+/// single-parameter scores uniformly.
+pub type FusedOutcome = MatchOutcome;
 
 /// Fuses per-parameter similarity vectors into one [`FusedOutcome`] over
 /// `devices` (the devices enrolled for every fused parameter, ascending
@@ -207,14 +169,14 @@ pub fn fuse_outcomes<O: std::borrow::Borrow<MatchOutcome>>(
             *fused += w * sim / weight_sum;
         }
     }
-    FusedOutcome { similarities }
+    FusedOutcome { sims: similarities }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EvalConfig;
-    use crate::matching::ReferenceDb;
+    use crate::matching::{MatchScratch, ReferenceDb};
     use crate::signature::Signature;
     use crate::similarity::SimilarityMeasure;
     use proptest::prelude::*;
@@ -274,7 +236,10 @@ mod tests {
         for _ in 0..20 {
             probe.record(FrameKind::Data, values[0].1, &cfg);
         }
-        db.match_signature(&probe, SimilarityMeasure::Cosine)
+        let mut scratch = MatchScratch::new();
+        db.match_tile(std::slice::from_ref(&probe), SimilarityMeasure::Cosine, &mut scratch)
+            .candidate(0)
+            .to_outcome()
     }
 
     #[test]
@@ -354,7 +319,10 @@ mod tests {
                     for d in (0..8u64).filter(|d| mask >> d & 1 == 1) {
                         db.insert(MacAddr::from_index(d), signature(d + p as u64)).unwrap();
                     }
-                    db.match_signature(&signature(probe), SimilarityMeasure::Cosine)
+                    let probe = [signature(probe)];
+                    db.match_tile(&probe, SimilarityMeasure::Cosine, &mut MatchScratch::new())
+                        .candidate(0)
+                        .to_outcome()
                 })
                 .collect();
             let mut parameters: Vec<(NetworkParameter, f64)> = NetworkParameter::ALL

@@ -24,11 +24,13 @@
 //!    by a runtime-dispatched SIMD dot kernel ([`kernel`]), scoring tiles
 //!    of candidate windows per pass over the reference rows, with
 //!    reusable [`MatchScratch`] buffers, batched and optionally parallel
-//!    ([`batch`]). At large populations the pruned
-//!    [`ReferenceDb::match_topk`] sweep skips every shard whose
-//!    centroid/norm-bound summary cannot beat the current top-k, and
-//!    [`ReferenceDb::match_topk_tile`] amortises one bound-ordered
-//!    sweep over a whole tile of candidates. The store comes in two
+//!    ([`batch`]). Two sweeps share one shard walk: the dense
+//!    [`ReferenceDb::match_tile`] returns full similarity vectors, and at
+//!    large populations the pruned [`ReferenceDb::match_topk_tile`]
+//!    returns each candidate's top-k, skipping every shard whose
+//!    envelope bound (the elementwise upper envelope of its normalised
+//!    rows times its largest weight) cannot beat that candidate's
+//!    current `k`-th best. The store comes in two
 //!    **precision tiers** ([`RowPrecision`]): the default `f32` rows,
 //!    and a quantized `u8` tier (7-bit codes + per-row scale, exact
 //!    integer dot kernels) that roughly quarters resident bytes per
@@ -145,7 +147,8 @@ pub use histogram::{BinSpec, Histogram, QuantizedRow};
 pub use kernel::{IntKernelKind, KernelKind, MICRO_TILE, QUANT_MAX};
 pub use matching::{
     MatchConfig, MatchOutcome, MatchScratch, MatchView, PruneStats, ReferenceDb, RowPrecision,
-    ShardStrategy, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE, U8_SCORE_TOLERANCE,
+    ShardStrategy, SimilarityVector, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE,
+    U8_SCORE_TOLERANCE,
 };
 pub use metrics::{
     evaluate, CurvePoint, EvalOutcome, IdentOperatingPoint, MatchSet, SimilarityCurve,

@@ -84,20 +84,29 @@
 //! strictly looser for non-negative rows, so the envelope is the summary
 //! of choice.)
 //!
-//! Two sweeps sit on top of that layout:
+//! # Two sweeps
 //!
-//! * the **dense** sweep ([`ReferenceDb::match_tile`],
-//!   [`ReferenceDb::match_signature_with`]) visits every shard and is
-//!   *bit-for-bit* the flat sweep — per device the same per-pair
-//!   arithmetic accumulates in the same (ascending frame kind) order, so
-//!   public argmax/order semantics are unchanged and property-tested
-//!   equal to a flat (`shards == 1`) database;
-//! * the **pruned** sweep ([`ReferenceDb::match_topk`]) processes shards
-//!   in descending bound order and skips every shard whose best possible
-//!   score cannot beat the current `k`-th best — at 10⁵ enrolled devices
-//!   this prunes most of the matrix before the dense SIMD inner loop
-//!   runs. [`MatchScratch::prune_stats`] reports the pruned fraction of
-//!   the last sweep.
+//! Algorithm 1 has two consumers (§IV-B), so the store has two sweeps,
+//! and both run one private shard walk over that layout:
+//!
+//! * the **dense** sweep ([`ReferenceDb::match_tile`]) returns every
+//!   candidate's full similarity vector — what the similarity test
+//!   thresholds. It visits every occupied shard and is *bit-for-bit* the
+//!   flat sweep: per device the same per-pair arithmetic accumulates in
+//!   the same (ascending frame kind) order, property-tested equal to a
+//!   flat (`shards == 1`) database;
+//! * the **pruned** sweep ([`ReferenceDb::match_topk_tile`]) returns each
+//!   candidate's top-`k` — what the identification test ranks. It visits
+//!   shards in descending bound order and skips, per candidate, every
+//!   shard whose best possible score cannot beat that candidate's
+//!   current `k`-th best — at 10⁵ enrolled devices this prunes most of
+//!   the matrix before the SIMD inner loop runs. Its rankings equal the
+//!   dense sweep's exactly.
+//!
+//! [`MatchScratch::prune_stats`] reports the shards the last sweep of
+//! either kind swept and pruned. `match_signature_naive` (tests and the
+//! `bench-baseline` feature) is the all-`f64` oracle both are checked
+//! against.
 //!
 //! # The SIMD dot kernel
 //!
@@ -117,18 +126,21 @@
 //! dotted against all `K` candidate rows while it is hot in L1, turning K
 //! matrix–vector sweeps (K full passes over the matrix) into one
 //! matrix–matrix sweep. [`MATCH_TILE`] is the tile width the batch paths
-//! ([`ReferenceDb::match_batch`], `metrics::match_candidates`, and through
-//! it the analysis pipeline) use.
+//! (the engine's window close, `metrics::match_candidates`, and through
+//! it the analysis pipeline) use. One candidate is a tile of one; the
+//! pruned sweep takes tiles too, sharing one bound-ordered shard pass.
 //!
 //! # Scratch buffers: allocation-free steady state
 //!
-//! [`ReferenceDb::match_signature_with`] and [`ReferenceDb::match_tile`]
-//! write scores into a caller-owned [`MatchScratch`] and return borrowed
-//! views. After the first call warms the scratch's capacity, matching
-//! performs **no heap allocation**: candidate frequency vectors are cached
-//! borrows ([`Histogram::frequencies_f32`](crate::Histogram::frequencies_f32)),
-//! scores accumulate into reused buffers, and the views borrow rather
-//! than copy. Use one scratch per worker thread:
+//! Both sweeps write into a caller-owned [`MatchScratch`]. The dense
+//! sweep returns borrowed views ([`TileView`], [`MatchView`]);
+//! [`MatchView::to_outcome`] copies one out as an owned [`MatchOutcome`]
+//! when it must outlive the scratch's next sweep. After the first call
+//! warms the scratch's capacity, matching performs **no heap
+//! allocation**: candidate rows are packed from cached frequency vectors
+//! ([`Histogram::frequencies_f32`](crate::Histogram::frequencies_f32))
+//! into reused buffers, scores accumulate into reused buffers, and the
+//! views borrow rather than copy. Use one scratch per worker thread:
 //!
 //! ```
 //! use wifiprint_core::{EvalConfig, MatchScratch, NetworkParameter, ReferenceDb, Signature,
@@ -143,8 +155,9 @@
 //!
 //! let mut scratch = MatchScratch::new();
 //! for _window in 0..3 {
-//!     let view = db.match_signature_with(&sig, SimilarityMeasure::Cosine, &mut scratch);
-//!     assert_eq!(view.best().unwrap().0, MacAddr::from_index(1));
+//!     // One window is a tile of one.
+//!     let tile = db.match_tile(std::slice::from_ref(&sig), SimilarityMeasure::Cosine, &mut scratch);
+//!     assert_eq!(tile.candidate(0).best().unwrap().0, MacAddr::from_index(1));
 //! }
 //! // A whole tile of windows in one row pass:
 //! let windows = vec![sig.clone(), sig.clone(), sig.clone()];
@@ -152,8 +165,8 @@
 //! assert_eq!(tile.candidate_count(), 3);
 //! assert_eq!(tile.candidate(2).best().unwrap().0, MacAddr::from_index(1));
 //! // And the pruned top-k sweep (what a 10⁵-device deployment runs):
-//! let top = db.match_topk(&sig, 1, SimilarityMeasure::Cosine, &mut scratch);
-//! assert_eq!(top[0].0, MacAddr::from_index(1));
+//! let tops = db.match_topk_tile(&windows, 1, SimilarityMeasure::Cosine, &mut scratch);
+//! assert_eq!(tops[2][0].0, MacAddr::from_index(1));
 //! ```
 //!
 //! # Incremental growth
@@ -207,8 +220,8 @@ pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 pub const U8_SCORE_TOLERANCE: f64 = 5e-2;
 
 /// Tile width for multi-candidate matching: how many candidate windows
-/// [`ReferenceDb::match_batch`] (and the metrics/analysis paths built on
-/// it) score per pass over the reference rows.
+/// the engine's window close and `metrics::match_candidates` (and the
+/// analysis paths built on it) pass to one [`ReferenceDb::match_tile`].
 ///
 /// Eight rows of ≤ ~500 `f32` bins (≤ 16 KiB) fit in L1 alongside the
 /// reference row being swept, which is the point: each reference row is
@@ -516,6 +529,16 @@ impl KindBlock {
         }
     }
 
+    /// The resident rows of `rows` (this block's packed store) with their
+    /// slot and `f64` weight; zero-weight slots are absent devices.
+    fn live_rows<'a, T>(&'a self, rows: &'a [T]) -> impl Iterator<Item = (usize, &'a [T], f64)> {
+        rows.chunks_exact(self.bins)
+            .zip(&self.weights)
+            .enumerate()
+            .filter(|(_, (_, &weight))| weight != 0.0)
+            .map(|(slot, (row, &weight))| (slot, row, f64::from(weight)))
+    }
+
     /// Bytes held by this block's packed rows and per-row/summary
     /// metadata (capacity excluded — this measures the resident layout).
     fn row_bytes(&self) -> usize {
@@ -566,8 +589,8 @@ struct Placement {
 /// # Example
 ///
 /// ```
-/// use wifiprint_core::{EvalConfig, MatchConfig, NetworkParameter, ReferenceDb, Signature,
-///     SimilarityMeasure};
+/// use wifiprint_core::{EvalConfig, MatchConfig, MatchScratch, NetworkParameter, ReferenceDb,
+///     Signature, SimilarityMeasure};
 /// use wifiprint_ieee80211::{FrameKind, MacAddr};
 ///
 /// let cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize);
@@ -580,9 +603,11 @@ struct Placement {
 /// let dev = MacAddr::from_index(1);
 /// db.insert(dev, sig.clone()).unwrap();
 ///
-/// let outcome = db.match_signature(&sig, SimilarityMeasure::Cosine);
-/// assert_eq!(outcome.best().unwrap().0, dev);
-/// assert!((outcome.best().unwrap().1 - 1.0).abs() < 1e-4);
+/// let mut scratch = MatchScratch::new();
+/// let tile = db.match_tile(std::slice::from_ref(&sig), SimilarityMeasure::Cosine, &mut scratch);
+/// let (best, score) = tile.candidate(0).best().unwrap();
+/// assert_eq!(best, dev);
+/// assert!((score - 1.0).abs() < 1e-4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReferenceDb {
@@ -947,222 +972,51 @@ impl ReferenceDb {
         }
     }
 
-    /// Algorithm 1: matches a candidate signature against every reference.
+    /// Algorithm 1, the **dense** sweep: every reference's score against
+    /// each candidate of a tile — the full similarity vectors the
+    /// similarity test thresholds.
     ///
     /// For each reference `rᵢ` the score is
     /// `simᵢ = Σ_{ftype ∈ Sig(c)} weight^ftype(rᵢ) · sim(hist^ftype(c), hist^ftype(rᵢ))`,
     /// i.e. the per-frame-type histogram similarities weighted by the
     /// **reference's** frame-type distribution. Scores lie in `[0, 1]`.
     ///
-    /// Convenience form that allocates its outcome; the hot paths are
-    /// [`ReferenceDb::match_signature_with`],
-    /// [`ReferenceDb::match_tile`] and — for argmax/top-k consumers at
-    /// scale — the pruned [`ReferenceDb::match_topk`].
-    pub fn match_signature(&self, candidate: &Signature, measure: SimilarityMeasure) -> MatchOutcome {
-        let mut scratch = MatchScratch::new();
-        self.match_signature_with(candidate, measure, &mut scratch);
-        MatchOutcome { sims: std::mem::take(&mut scratch.pairs) }
-    }
-
-    /// Algorithm 1 without per-call allocation: scores accumulate into
-    /// `scratch` (reused across calls) and the returned [`MatchView`]
-    /// borrows from it. Internally this is a [`ReferenceDb::match_tile`]
-    /// with a tile of one.
-    pub fn match_signature_with<'s>(
-        &self,
-        candidate: &Signature,
-        measure: SimilarityMeasure,
-        scratch: &'s mut MatchScratch,
-    ) -> MatchView<'s> {
-        self.match_tile_into(std::slice::from_ref(candidate), measure, scratch);
-        MatchView { sims: &scratch.pairs }
-    }
-
-    /// Scores a tile of `K` candidate signatures in one pass over the
-    /// reference rows (matrix–matrix instead of `K` matrix–vector
-    /// sweeps): each reference row is loaded once and dotted against all
-    /// `K` candidates while hot in cache. This is the **dense** sweep:
-    /// every shard is visited, and the result is bit-for-bit the flat
-    /// (`shards == 1`) layout's.
-    ///
-    /// The returned [`TileView`] exposes one [`MatchView`] per candidate,
-    /// in input order; each is identical (within float rounding of the
-    /// score accumulation order — the per-pair arithmetic is the same) to
-    /// a [`ReferenceDb::match_signature_with`] call for that candidate.
-    /// Callers batching many windows should chunk them by [`MATCH_TILE`].
+    /// The `K` candidates share one pass over the reference rows
+    /// (matrix–matrix instead of `K` matrix–vector sweeps): each row is
+    /// loaded once and dotted against all of them while hot in cache.
+    /// Every occupied shard is visited, and the result is bit-for-bit the
+    /// flat (`shards == 1`) layout's. The returned [`TileView`] borrows
+    /// `scratch` and exposes one [`MatchView`] per candidate, in input
+    /// order. One candidate is a tile of one
+    /// (`std::slice::from_ref(&candidate)`); callers batching many
+    /// windows chunk them by [`MATCH_TILE`].
     pub fn match_tile<'s, C: Borrow<Signature>>(
         &self,
         candidates: &[C],
         measure: SimilarityMeasure,
         scratch: &'s mut MatchScratch,
     ) -> TileView<'s> {
-        self.match_tile_into(candidates, measure, scratch);
-        TileView { pairs: &scratch.pairs, n: self.devices.len(), k: candidates.len() }
-    }
-
-    /// The shared dense sweep: fills `scratch.pairs` with `K × N`
-    /// `(device, score)` pairs, candidate-major, each candidate's segment
-    /// in ascending address order.
-    ///
-    /// Frame kinds are the outer loop (ascending `(kind, bins)`, exactly
-    /// the flat block order) and shards the inner loop, so each device's
-    /// `f64` score accumulates its per-kind contributions in the same
-    /// order regardless of sharding — the sharded dense sweep is
-    /// bit-identical to the flat one.
-    // One pass over every (shard, kind, store) combination: splitting it
-    // would re-derive the packing state each sub-call shares.
-    #[allow(clippy::too_many_lines)]
-    fn match_tile_into<C: Borrow<Signature>>(
-        &self,
-        candidates: &[C],
-        measure: SimilarityMeasure,
-        scratch: &mut MatchScratch,
-    ) {
         let n = self.devices.len();
         let k = candidates.len();
+        self.pack_candidates(candidates, measure, scratch);
+        scratch.active.clear();
+        scratch.active.resize(k, true);
         scratch.scores.clear();
         scratch.scores.resize(k * n, 0.0);
-        let dot = kernel::dot_fn();
-        let precision = self.config.precision;
-        let cosine = measure == SimilarityMeasure::Cosine;
-        for &(kind, bins) in &self.kind_keys {
-            // Pack this kind's tile: the rows of every candidate that
-            // carries this (kind, bins), at the database's precision.
-            // Candidates binned differently (or missing the kind) simply
-            // don't join — incompatible binning carries no information.
-            scratch.tile_rows.clear();
-            scratch.tile_qrows.clear();
-            scratch.tile_inv_norms.clear();
-            scratch.tile_slots.clear();
-            for (ci, cand) in candidates.iter().enumerate() {
-                let Some(hist) = cand.borrow().histogram(kind) else { continue };
-                if hist.total() == 0 {
-                    continue; // an empty candidate histogram matches nothing
-                }
-                if hist.counts().len() != bins {
-                    continue;
-                }
-                if precision == RowPrecision::U8 && cosine {
-                    // Quantized cosine: dot the candidate's own codes
-                    // against the reference codes with the exact integer
-                    // kernel; the per-row scales cancel out of cosine.
-                    let q = hist.frequencies_u8();
-                    scratch.tile_qrows.extend_from_slice(q.values());
-                    scratch.tile_inv_norms.push(f64::from(q.inv_norm()));
-                } else {
-                    let freqs = hist.frequencies_f32();
-                    scratch.tile_rows.extend_from_slice(freqs);
-                    // Only the cosine branch reads the norms; skip the
-                    // self-dot for the other measures.
-                    scratch.tile_inv_norms.push(if cosine {
-                        f64::from(inv_norm(freqs))
-                    } else {
-                        0.0
-                    });
-                }
-                scratch.tile_slots.push(ci);
-            }
-            let tile = scratch.tile_slots.len();
-            if tile == 0 {
-                continue;
-            }
-            // The matrix–matrix sweep over every shard holding this
-            // kind: one linear pass over each shard's packed rows; every
-            // row is dotted against the whole tile while resident in L1.
-            // Zero-weight rows are absent devices.
-            for shard in &self.shards {
-                let Some(block) = shard.block(kind, bins) else { continue };
-                match (&block.store, cosine) {
-                    (RowStore::F32(rows), true) => {
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let weight = f64::from(weight);
-                            let i = shard.rows[slot] as usize;
-                            // Row norms were fixed at pack time and
-                            // candidate norms are invariant across rows,
-                            // so the per-pair kernel is one SIMD dot.
-                            let row_inv = f64::from(block.inv_norms[slot]);
-                            for t in 0..tile {
-                                let cand = &scratch.tile_rows[t * bins..(t + 1) * bins];
-                                let cos = (f64::from(dot(cand, row))
-                                    * scratch.tile_inv_norms[t]
-                                    * row_inv)
-                                    .clamp(0.0, 1.0);
-                                scratch.scores[scratch.tile_slots[t] * n + i] += weight * cos;
-                            }
-                        }
-                    }
-                    (RowStore::U8 { rows, .. }, true) => {
-                        // The register-blocked integer microkernel: each
-                        // quantized reference row is dotted against the
-                        // whole candidate tile in one pass, partial sums
-                        // held in registers, each output written once.
-                        scratch.u8_dots.clear();
-                        scratch.u8_dots.resize(tile, 0);
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let weight = f64::from(weight);
-                            let i = shard.rows[slot] as usize;
-                            let row_inv = f64::from(block.inv_norms[slot]);
-                            kernel::dot_u8_multi(
-                                &scratch.tile_qrows,
-                                row,
-                                &mut scratch.u8_dots[..tile],
-                            );
-                            for t in 0..tile {
-                                let cos = (f64::from(scratch.u8_dots[t])
-                                    * scratch.tile_inv_norms[t]
-                                    * row_inv)
-                                    .clamp(0.0, 1.0);
-                                scratch.scores[scratch.tile_slots[t] * n + i] += weight * cos;
-                            }
-                        }
-                    }
-                    (RowStore::F32(rows), false) => {
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let weight = f64::from(weight);
-                            let i = shard.rows[slot] as usize;
-                            for t in 0..tile {
-                                let cand = &scratch.tile_rows[t * bins..(t + 1) * bins];
-                                scratch.scores[scratch.tile_slots[t] * n + i] +=
-                                    weight * measure.compute_dense_f32(cand, row);
-                            }
-                        }
-                    }
-                    (RowStore::U8 { rows, scales }, false) => {
-                        // Non-cosine measures read frequencies, not
-                        // directions: dequantize each reference row once
-                        // per tile and reuse the dense f32 kernels.
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let weight = f64::from(weight);
-                            let i = shard.rows[slot] as usize;
-                            let scale = scales[slot];
-                            scratch.dequant_row.clear();
-                            scratch.dequant_row.extend(row.iter().map(|&q| f32::from(q) * scale));
-                            for t in 0..tile {
-                                let cand = &scratch.tile_rows[t * bins..(t + 1) * bins];
-                                scratch.scores[scratch.tile_slots[t] * n + i] +=
-                                    weight * measure.compute_dense_f32(cand, &scratch.dequant_row);
-                            }
-                        }
-                    }
+        let mut swept = 0;
+        for shard in self.shards.iter().filter(|s| !s.rows.is_empty()) {
+            self.sweep_shard(shard, measure, scratch);
+            swept += k;
+            // Scatter the shard's slots to their global rows.
+            let slots = shard.rows.len();
+            for (c, shard_scores) in scratch.shard_scores.chunks_exact(slots).enumerate() {
+                let scores = &mut scratch.scores[c * n..(c + 1) * n];
+                for (&r, &s) in shard.rows.iter().zip(shard_scores) {
+                    scores[r as usize] = s;
                 }
             }
         }
+        scratch.prune = PruneStats { swept_shards: swept, pruned_shards: 0 };
         // Emit (device, score) pairs: candidate-major, address order
         // within each candidate (the order every view API documents).
         scratch.pairs.clear();
@@ -1173,62 +1027,30 @@ impl ReferenceDb {
                 .pairs
                 .extend(self.order.iter().map(|&i| (self.devices[i as usize], scores[i as usize])));
         }
+        TileView { pairs: &scratch.pairs, n, k }
     }
 
-    /// The **pruned** sweep: the `k` most similar references to a
-    /// candidate, best first, skipping every shard whose best possible
-    /// score cannot beat the current `k`-th best.
+    /// Algorithm 1, the **pruned** sweep: the `k` most similar references
+    /// to each candidate of a tile, best first — the ranking the
+    /// identification test takes its argmax from.
     ///
     /// Per shard and frame kind the store keeps an upper envelope of the
-    /// normalised rows plus the maximum reference weight; one dot
-    /// against the envelope bounds every resident device's cosine from
-    /// above (frequencies are non-negative), so
-    /// `Σ_kind wmax · min(1, ĉ·envelope)` bounds every resident score.
-    /// Shards are processed in descending bound order and skipped once
-    /// their bound (plus [`F32_SCORE_TOLERANCE`] of rounding slack)
-    /// falls below the current `k`-th best score — the bound is
-    /// admissible, so the result equals the dense sweep's
-    /// [`MatchOutcome::top`] exactly: same devices, same scores, same
-    /// deterministic tie order.
+    /// normalised rows plus the maximum reference weight. For
+    /// [`SimilarityMeasure::Cosine`] one dot against the envelope bounds
+    /// every resident device's cosine from above (frequencies are
+    /// non-negative), so `Σ_kind wmax · min(1, ĉ·envelope)` bounds every
+    /// resident score; the other measures have no admissible bound, so
+    /// every shard stays in play. Shards are visited in descending order
+    /// of their best bound over the tile, and each candidate decides for
+    /// itself: one whose bound for the shard (plus
+    /// [`F32_SCORE_TOLERANCE`] of rounding slack) falls below its current
+    /// `k`-th best skips it, while the shard's rows are loaded once for
+    /// every candidate still active. The bound is admissible, so each
+    /// ranking equals the dense sweep's [`SimilarityVector::top`] exactly:
+    /// same devices, same scores, same deterministic tie order.
     ///
-    /// Pruning applies to [`SimilarityMeasure::Cosine`] on a sharded
-    /// (`shards > 1`) database; other measures and flat databases fall
-    /// back to the dense sweep plus partial selection.
-    /// [`MatchScratch::prune_stats`] reports how many shards the call
-    /// swept versus pruned. This is [`ReferenceDb::match_topk_tile`]
-    /// with a tile of one.
-    pub fn match_topk(
-        &self,
-        candidate: &Signature,
-        k: usize,
-        measure: SimilarityMeasure,
-        scratch: &mut MatchScratch,
-    ) -> Vec<(MacAddr, f64)> {
-        self.match_topk_tile(std::slice::from_ref(candidate), k, measure, scratch)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// The **tile-wide** pruned sweep: one top-`k` ranking per candidate,
-    /// in input order, with the whole tile sharing a single pass over the
-    /// shard order.
-    ///
-    /// Shards are visited in descending order of their *best* bound over
-    /// the tile, and each candidate decides independently per shard: a
-    /// candidate whose own bound for the shard (plus rounding slack)
-    /// cannot beat its current `k`-th best skips it, while the shard's
-    /// rows are loaded once for all candidates still active — so a K-wide
-    /// tile costs one shard pass, not K, and each candidate still prunes
-    /// exactly as aggressively as a solo [`ReferenceDb::match_topk`]
-    /// (which *is* this sweep with a tile of one). Per-candidate results
-    /// equal the dense sweep's [`MatchOutcome::top`]: same devices, same
-    /// scores, same deterministic tie order.
-    ///
-    /// [`MatchScratch::prune_stats`] counts (candidate, shard) decisions,
-    /// aggregated over the tile.
-    // The bound ordering, per-candidate activation and gathered sweep
-    // share packing state that a split would have to re-thread.
-    #[allow(clippy::too_many_lines)]
+    /// [`MatchScratch::prune_stats`] counts the (candidate, shard)
+    /// decisions, aggregated over the tile.
     pub fn match_topk_tile<C: Borrow<Signature>>(
         &self,
         candidates: &[C],
@@ -1237,98 +1059,15 @@ impl ReferenceDb {
         scratch: &mut MatchScratch,
     ) -> Vec<Vec<(MacAddr, f64)>> {
         let kc = candidates.len();
-        scratch.prune_swept = 0;
-        scratch.prune_pruned = 0;
+        scratch.prune = PruneStats::default();
         if k == 0 || self.devices.is_empty() || kc == 0 {
             return vec![Vec::new(); kc];
         }
-        let occupied = self.shards.iter().filter(|s| !s.rows.is_empty()).count();
-        if measure != SimilarityMeasure::Cosine || self.shards.len() <= 1 {
-            // No admissible bound for the other measures, nothing to
-            // prune in a flat layout: dense sweep + partial selection.
-            self.match_tile_into(candidates, measure, scratch);
-            scratch.prune_swept = occupied * kc;
-            let n = self.devices.len();
-            return (0..kc).map(|c| top_of(&scratch.pairs[c * n..(c + 1) * n], k)).collect();
-        }
-        let dot = kernel::dot_fn();
-        let quantized = self.config.precision == RowPrecision::U8;
-
-        // Pack each candidate's rows once per (kind, bins) key. The u8
-        // tier packs the quantized codes (what the integer kernel dots
-        // against the stored rows) and, in parallel at the same offsets,
-        // their f32 widening — the envelope bound is a float dot in both
-        // tiers.
-        scratch.tile_rows.clear();
-        scratch.tile_qrows.clear();
-        scratch.cand_kinds.clear();
-        scratch.cand_ranges.clear();
-        for (ci, cand) in candidates.iter().enumerate() {
-            let start = scratch.cand_kinds.len();
-            for (ki, &(kind, bins)) in self.kind_keys.iter().enumerate() {
-                let Some(hist) = cand.borrow().histogram(kind) else { continue };
-                if hist.total() == 0 {
-                    continue;
-                }
-                if hist.counts().len() != bins {
-                    continue;
-                }
-                let offset = scratch.tile_rows.len();
-                if quantized {
-                    let q = hist.frequencies_u8();
-                    debug_assert_eq!(offset, scratch.tile_qrows.len());
-                    scratch.tile_qrows.extend_from_slice(q.values());
-                    scratch.tile_rows.extend(q.values().iter().map(|&c| f32::from(c)));
-                    scratch.cand_kinds.push((ci, ki, offset, f64::from(q.inv_norm())));
-                } else {
-                    let freqs = hist.frequencies_f32();
-                    scratch.tile_rows.extend_from_slice(freqs);
-                    scratch.cand_kinds.push((ci, ki, offset, f64::from(inv_norm(freqs))));
-                }
-            }
-            scratch.cand_ranges.push((start, scratch.cand_kinds.len()));
-        }
-
-        // One bound per (occupied shard, candidate):
-        // Σ_kind wmax · min(1, ĉ·envelope); shards are then ordered by
-        // their best bound over the tile, which for a tile of one is
-        // exactly the solo sweep's order.
-        scratch.tile_bounds.clear();
-        scratch.tile_bounds.resize(self.shards.len() * kc, 0.0);
-        scratch.shard_bounds.clear();
-        for (si, shard) in self.shards.iter().enumerate() {
-            if shard.rows.is_empty() {
-                continue;
-            }
-            let mut best = f64::NEG_INFINITY;
-            for ci in 0..kc {
-                let (start, end) = scratch.cand_ranges[ci];
-                let mut bound = 0.0f64;
-                for &(_, ki, offset, cand_inv) in &scratch.cand_kinds[start..end] {
-                    let (kind, bins) = self.kind_keys[ki];
-                    let Some(block) = shard.block(kind, bins) else { continue };
-                    if block.wmax == 0.0 {
-                        continue;
-                    }
-                    let cand = &scratch.tile_rows[offset..offset + bins];
-                    let cos_ub =
-                        (f64::from(dot(cand, &block.envelope)) * cand_inv).clamp(0.0, 1.0);
-                    bound += f64::from(block.wmax) * cos_ub;
-                }
-                let bound = bound.min(1.0) + PRUNE_BOUND_SLACK;
-                scratch.tile_bounds[si * kc + ci] = bound;
-                best = best.max(bound);
-            }
-            scratch.shard_bounds.push((si as u32, best));
-        }
-        scratch.shard_bounds.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
-        });
-
+        self.pack_candidates(candidates, measure, scratch);
+        self.bound_shards(kc, measure, scratch);
         let mut tops: Vec<Vec<(MacAddr, f64)>> = vec![Vec::new(); kc];
         for bi in 0..scratch.shard_bounds.len() {
-            let (si, _) = scratch.shard_bounds[bi];
-            let si = si as usize;
+            let si = scratch.shard_bounds[bi].0 as usize;
             let shard = &self.shards[si];
             // Each candidate decides for itself; the shard is scored
             // once for whoever is left. Bounds are admissible, so a
@@ -1336,106 +1075,27 @@ impl ReferenceDb {
             // that candidate's top-k.
             scratch.active.clear();
             for (ci, top) in tops.iter().enumerate() {
-                if top.len() >= k && scratch.tile_bounds[si * kc + ci] < top[k - 1].1 {
-                    scratch.prune_pruned += 1;
-                } else {
-                    scratch.active.push(ci);
-                    scratch.prune_swept += 1;
-                }
+                let pruned = top.len() >= k && scratch.tile_bounds[si * kc + ci] < top[k - 1].1;
+                scratch.active.push(!pruned);
             }
-            if scratch.active.is_empty() {
+            let live = scratch.active.iter().filter(|&&a| a).count();
+            scratch.prune.swept_shards += live;
+            scratch.prune.pruned_shards += kc - live;
+            if live == 0 {
                 continue;
             }
-            let slots = shard.rows.len();
-            scratch.shard_scores.clear();
-            scratch.shard_scores.resize(slots * kc, 0.0);
-            // Group the active candidates' packed kinds by kind so each
-            // block is walked once for the whole tile: frame kinds
-            // ascending, rows inner, candidates innermost — per
-            // (candidate, row) that is the dense sweep's ascending-kind
-            // `f64` accumulation, so surviving scores are bit-identical
-            // to it.
-            scratch.sweep_entries.clear();
-            for &ci in &scratch.active {
-                let (start, end) = scratch.cand_ranges[ci];
-                scratch.sweep_entries.extend_from_slice(&scratch.cand_kinds[start..end]);
-            }
-            scratch.sweep_entries.sort_unstable_by_key(|&(ci, ki, _, _)| (ki, ci));
-            let mut e = 0;
-            while e < scratch.sweep_entries.len() {
-                let ki = scratch.sweep_entries[e].1;
-                let mut end = e + 1;
-                while end < scratch.sweep_entries.len() && scratch.sweep_entries[end].1 == ki {
-                    end += 1;
-                }
-                let (kind, bins) = self.kind_keys[ki];
-                let Some(block) = shard.block(kind, bins) else {
-                    e = end;
-                    continue;
-                };
-                match &block.store {
-                    RowStore::F32(rows) => {
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let row_inv = f64::from(block.inv_norms[slot]);
-                            for &(ci, _, offset, cand_inv) in &scratch.sweep_entries[e..end] {
-                                let cand = &scratch.tile_rows[offset..offset + bins];
-                                let cos =
-                                    (f64::from(dot(cand, row)) * cand_inv * row_inv)
-                                        .clamp(0.0, 1.0);
-                                scratch.shard_scores[ci * slots + slot] +=
-                                    f64::from(weight) * cos;
-                            }
-                        }
-                    }
-                    RowStore::U8 { rows, .. } => {
-                        // Gather the active candidates' code rows
-                        // contiguously and hand each reference row to
-                        // the register-blocked integer microkernel.
-                        let m = end - e;
-                        scratch.gather_qrows.clear();
-                        for &(_, _, offset, _) in &scratch.sweep_entries[e..end] {
-                            scratch
-                                .gather_qrows
-                                .extend_from_slice(&scratch.tile_qrows[offset..offset + bins]);
-                        }
-                        scratch.u8_dots.clear();
-                        scratch.u8_dots.resize(m, 0);
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let row_inv = f64::from(block.inv_norms[slot]);
-                            kernel::dot_u8_multi(
-                                &scratch.gather_qrows,
-                                row,
-                                &mut scratch.u8_dots[..m],
-                            );
-                            for (d, &(ci, _, _, cand_inv)) in
-                                scratch.u8_dots.iter().zip(&scratch.sweep_entries[e..end])
-                            {
-                                let cos =
-                                    (f64::from(*d) * cand_inv * row_inv).clamp(0.0, 1.0);
-                                scratch.shard_scores[ci * slots + slot] +=
-                                    f64::from(weight) * cos;
-                            }
-                        }
-                    }
-                }
-                e = end;
-            }
+            self.sweep_shard(shard, measure, scratch);
             // Merge the shard into each active candidate's running
             // top-k, kept sorted by rank at all times: entries that
             // cannot outrank the current k-th best are dropped with one
             // comparison, survivors are placed by binary insertion (k is
             // small). Candidates with packed kinds absent from this
             // shard merge zeros, exactly like the dense sweep.
-            for &ci in &scratch.active {
-                let tops_c = &mut tops[ci];
+            let slots = shard.rows.len();
+            for (ci, tops_c) in tops.iter_mut().enumerate() {
+                if !scratch.active[ci] {
+                    continue;
+                }
                 let shard_scores = &scratch.shard_scores[ci * slots..(ci + 1) * slots];
                 for (&r, &s) in shard.rows.iter().zip(shard_scores) {
                     let entry = (self.devices[r as usize], s);
@@ -1454,32 +1114,222 @@ impl ReferenceDb {
         tops
     }
 
-    /// Matches a batch of candidate signatures, returning one outcome per
-    /// candidate in order. Candidates are scored in [`MATCH_TILE`]-wide
-    /// tiles ([`ReferenceDb::match_tile`]); with the `parallel` feature
-    /// (default) the tiles are split across threads, one [`MatchScratch`]
-    /// per worker.
-    pub fn match_batch(
+    /// Packs every candidate's rows once per sweep, kind-major: for each
+    /// `(kind, bins)` key ascending, the rows of the candidates carrying
+    /// it, in candidate order, so a fully active kind is one contiguous
+    /// tile. Candidates binned differently (or missing the kind) don't
+    /// join it — incompatible binning carries no information.
+    ///
+    /// Quantized cosine packs the candidate's own codes into `tile_qrows`
+    /// (what the integer kernel dots against the stored codes; the
+    /// per-row scales cancel out of cosine). Everything else packs `f32`
+    /// frequencies into `tile_rows`.
+    fn pack_candidates<C: Borrow<Signature>>(
         &self,
-        candidates: &[Signature],
+        candidates: &[C],
         measure: SimilarityMeasure,
-    ) -> Vec<MatchOutcome> {
-        crate::batch::map_tiles_with_scratch(
-            candidates,
-            MATCH_TILE,
-            MatchScratch::new,
-            |scratch, tile| {
-                let view = self.match_tile(tile, measure, scratch);
-                (0..tile.len()).map(|t| view.candidate(t).to_outcome()).collect()
-            },
-        )
+        scratch: &mut MatchScratch,
+    ) {
+        let cosine = measure == SimilarityMeasure::Cosine;
+        let quantized = cosine && self.config.precision == RowPrecision::U8;
+        let MatchScratch { tile_rows, tile_qrows, packed, kind_spans, .. } = scratch;
+        tile_rows.clear();
+        tile_qrows.clear();
+        packed.clear();
+        kind_spans.clear();
+        for &(kind, bins) in &self.kind_keys {
+            let start = packed.len();
+            for (cand, sig) in candidates.iter().enumerate() {
+                let Some(hist) = sig.borrow().histogram(kind) else { continue };
+                // An empty candidate histogram matches nothing.
+                if hist.total() == 0 || hist.counts().len() != bins {
+                    continue;
+                }
+                let (offset, inv) = if quantized {
+                    let q = hist.frequencies_u8();
+                    let offset = tile_qrows.len();
+                    tile_qrows.extend_from_slice(q.values());
+                    (offset, q.inv_norm())
+                } else {
+                    let freqs = hist.frequencies_f32();
+                    let offset = tile_rows.len();
+                    tile_rows.extend_from_slice(freqs);
+                    // Only cosine reads the norms; skip the self-dot for
+                    // the other measures.
+                    (offset, if cosine { inv_norm(freqs) } else { 0.0 })
+                };
+                packed.push(PackedRow { cand, offset, inv_norm: f64::from(inv) });
+            }
+            kind_spans.push(start..packed.len());
+        }
+    }
+
+    /// Orders the occupied shards for the pruned sweep. Fills
+    /// `tile_bounds[shard * K + candidate]` with an upper bound on any
+    /// resident's score against the candidate — `Σ_kind wmax ·
+    /// min(1, ĉ·envelope)` plus slack for cosine, `+∞` for measures
+    /// without an admissible bound — and `shard_bounds` with the occupied
+    /// shards in descending order of their best bound over the tile
+    /// (which for a tile of one is the candidate's own order).
+    fn bound_shards(&self, kc: usize, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
+        let cosine = measure == SimilarityMeasure::Cosine;
+        let dot = kernel::dot_fn();
+        let MatchScratch { tile_rows, tile_qrows, packed, kind_spans, tile_bounds, shard_bounds, .. } =
+            scratch;
+        if cosine && self.config.precision == RowPrecision::U8 {
+            // The envelope bound is a float dot in both tiers: widen the
+            // packed codes once, at the same offsets.
+            tile_rows.clear();
+            tile_rows.extend(tile_qrows.iter().map(|&c| f32::from(c)));
+        }
+        tile_bounds.clear();
+        tile_bounds.resize(self.shards.len() * kc, if cosine { 0.0 } else { f64::INFINITY });
+        shard_bounds.clear();
+        for (si, shard) in self.shards.iter().enumerate() {
+            if shard.rows.is_empty() {
+                continue;
+            }
+            let bounds = &mut tile_bounds[si * kc..(si + 1) * kc];
+            if cosine {
+                for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
+                    let Some(block) = shard.block(kind, bins) else { continue };
+                    for e in &packed[span.clone()] {
+                        let cand = &tile_rows[e.offset..e.offset + bins];
+                        let cos_ub =
+                            (f64::from(dot(cand, &block.envelope)) * e.inv_norm).clamp(0.0, 1.0);
+                        bounds[e.cand] += f64::from(block.wmax) * cos_ub;
+                    }
+                }
+                for bound in bounds.iter_mut() {
+                    *bound = bound.min(1.0) + PRUNE_BOUND_SLACK;
+                }
+            }
+            let best = bounds.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            shard_bounds.push((si as u32, best));
+        }
+        shard_bounds.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
+        });
+    }
+
+    /// The one shard walk behind both sweeps: scores `shard`'s resident
+    /// rows against every active candidate (`scratch.active`) under any
+    /// measure and precision tier, into `scratch.shard_scores`
+    /// (candidate-major, `candidate * slots + slot`; zero for inactive
+    /// candidates and absent rows).
+    ///
+    /// Frame kinds run ascending, rows inner, candidates innermost, so
+    /// each (candidate, row) `f64` score adds its per-kind terms in the
+    /// flat layout's order: every sweep over every shard layout is
+    /// bit-identical to the flat dense sweep. Zero-weight rows are
+    /// absent devices.
+    fn sweep_shard(&self, shard: &Shard, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
+        let MatchScratch {
+            tile_rows,
+            tile_qrows,
+            packed,
+            kind_spans,
+            active,
+            gathered,
+            gather_qrows,
+            u8_dots,
+            dequant_row,
+            shard_scores,
+            ..
+        } = scratch;
+        let slots = shard.rows.len();
+        shard_scores.clear();
+        shard_scores.resize(active.len() * slots, 0.0);
+        let cosine = measure == SimilarityMeasure::Cosine;
+        let dot = kernel::dot_fn();
+        for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
+            let Some(block) = shard.block(kind, bins) else { continue };
+            // A fully active kind reads its packed tile in place; a
+            // partial one gathers the active candidates' entries.
+            let all = &packed[span.clone()];
+            let contiguous = all.iter().all(|e| active[e.cand]);
+            let entries: &[PackedRow] = if contiguous {
+                all
+            } else {
+                gathered.clear();
+                gathered.extend(all.iter().filter(|e| active[e.cand]));
+                gathered.as_slice()
+            };
+            let Some(first) = entries.first() else { continue };
+            match (&block.store, cosine) {
+                (RowStore::F32(rows), true) => {
+                    for (slot, row, weight) in block.live_rows(rows) {
+                        // Row norms were fixed at pack time and candidate
+                        // norms are invariant across rows, so the
+                        // per-pair kernel is one SIMD dot.
+                        let row_inv = f64::from(block.inv_norms[slot]);
+                        for e in entries {
+                            let cand = &tile_rows[e.offset..e.offset + bins];
+                            let cos = (f64::from(dot(cand, row)) * e.inv_norm * row_inv)
+                                .clamp(0.0, 1.0);
+                            shard_scores[e.cand * slots + slot] += weight * cos;
+                        }
+                    }
+                }
+                (RowStore::U8 { rows, .. }, true) => {
+                    // The register-blocked integer microkernel: each
+                    // quantized reference row is dotted against every
+                    // active candidate's codes in one pass, partial sums
+                    // held in registers.
+                    let m = entries.len();
+                    let codes: &[u8] = if contiguous {
+                        &tile_qrows[first.offset..first.offset + m * bins]
+                    } else {
+                        gather_qrows.clear();
+                        for e in entries {
+                            gather_qrows.extend_from_slice(&tile_qrows[e.offset..e.offset + bins]);
+                        }
+                        gather_qrows.as_slice()
+                    };
+                    u8_dots.clear();
+                    u8_dots.resize(m, 0);
+                    for (slot, row, weight) in block.live_rows(rows) {
+                        let row_inv = f64::from(block.inv_norms[slot]);
+                        kernel::dot_u8_multi(codes, row, u8_dots);
+                        for (&d, e) in u8_dots.iter().zip(entries) {
+                            let cos = (f64::from(d) * e.inv_norm * row_inv).clamp(0.0, 1.0);
+                            shard_scores[e.cand * slots + slot] += weight * cos;
+                        }
+                    }
+                }
+                (RowStore::F32(rows), false) => {
+                    for (slot, row, weight) in block.live_rows(rows) {
+                        for e in entries {
+                            let cand = &tile_rows[e.offset..e.offset + bins];
+                            shard_scores[e.cand * slots + slot] +=
+                                weight * measure.compute_dense_f32(cand, row);
+                        }
+                    }
+                }
+                (RowStore::U8 { rows, scales }, false) => {
+                    // Non-cosine measures read frequencies, not
+                    // directions: dequantize each reference row once and
+                    // reuse the dense f32 kernels.
+                    for (slot, row, weight) in block.live_rows(rows) {
+                        let scale = scales[slot];
+                        dequant_row.clear();
+                        dequant_row.extend(row.iter().map(|&q| f32::from(q) * scale));
+                        for e in entries {
+                            let cand = &tile_rows[e.offset..e.offset + bins];
+                            shard_scores[e.cand * slots + slot] +=
+                                weight * measure.compute_dense_f32(cand, dequant_row);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The pre-SoA matching path: per-call candidate frequency allocation,
     /// per-device frame-kind lookups, and full-`f64` arithmetic
     /// throughout. Kept so benchmarks can quantify what the matrix layout
-    /// buys **and** as the f64 ground truth the f32 engine's parity tests
-    /// compare against (equal output within [`F32_SCORE_TOLERANCE`]).
+    /// buys **and** as the `f64` oracle both sweeps are tested against
+    /// (equal output within [`F32_SCORE_TOLERANCE`]).
     #[cfg(any(test, feature = "bench-baseline"))]
     pub fn match_signature_naive(
         &self,
@@ -1512,8 +1362,22 @@ fn inv_norm(row: &[f32]) -> f32 {
     }
 }
 
-/// How the last pruned sweep spent its shards (see
-/// [`ReferenceDb::match_topk`] and [`MatchScratch::prune_stats`]).
+/// One packed candidate row of a sweep (see
+/// `ReferenceDb::pack_candidates`).
+#[derive(Debug, Clone, Copy)]
+struct PackedRow {
+    /// The candidate's index in the tile.
+    cand: usize,
+    /// Offset of the row in `MatchScratch::tile_rows`, or for quantized
+    /// cosine in `MatchScratch::tile_qrows`.
+    offset: usize,
+    /// `1 / ‖row‖₂` of the packed row (cosine only).
+    inv_norm: f64,
+}
+
+/// How the last sweep spent its shards (see
+/// [`MatchScratch::prune_stats`]), counted per (candidate, occupied
+/// shard) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneStats {
     /// Shards whose rows were actually scored.
@@ -1524,8 +1388,8 @@ pub struct PruneStats {
 }
 
 impl PruneStats {
-    /// Fraction of the occupied shards the sweep skipped (0.0 when the
-    /// database fits in one shard or the sweep fell back to dense).
+    /// Fraction of the (candidate, occupied shard) pairs the sweep
+    /// skipped (0.0 after a dense sweep).
     pub fn pruned_fraction(&self) -> f64 {
         let total = self.swept_shards + self.pruned_shards;
         if total == 0 {
@@ -1536,58 +1400,53 @@ impl PruneStats {
     }
 }
 
-/// Reusable buffers for [`ReferenceDb::match_signature_with`],
-/// [`ReferenceDb::match_tile`] and [`ReferenceDb::match_topk`]: create
-/// one per worker, reuse it for every window. Capacity grows to
-/// `tile × database size` on first use and is retained afterwards, making
-/// the steady state allocation-free.
+/// Reusable buffers for [`ReferenceDb::match_tile`] and
+/// [`ReferenceDb::match_topk_tile`]: create one per worker, reuse it for
+/// every window. Capacity grows to `tile × database size` on first use
+/// and is retained afterwards, making the steady state allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
-    /// Per-(candidate, device) accumulators, candidate-major, indexed
-    /// like `ReferenceDb::devices` (insertion order) within a candidate.
+    /// Dense sweep: per-(candidate, device) scores, candidate-major,
+    /// indexed like `ReferenceDb::devices` (insertion order) within a
+    /// candidate.
     scores: Vec<f64>,
-    /// The `(device, similarity)` pairs the returned views expose:
-    /// candidate-major, address order within each candidate.
+    /// Dense sweep: the `(device, similarity)` pairs the returned views
+    /// expose — candidate-major, address order within each candidate.
     pairs: Vec<(MacAddr, f64)>,
-    /// The current kind's packed candidate rows (`f32`, row-major).
+    /// Every candidate's packed `f32` rows, kind-major: frequencies, or
+    /// for quantized cosine the widened codes the envelope bound dots
+    /// (pruned sweep only).
     tile_rows: Vec<f32>,
-    /// The current kind's packed candidate code rows (`u8` tier only),
-    /// at the same per-candidate offsets as `tile_rows`.
+    /// The packed code rows (quantized cosine only).
     tile_qrows: Vec<u8>,
-    /// Reciprocal L2 norms of the packed candidate rows.
-    tile_inv_norms: Vec<f64>,
-    /// Which candidate each packed tile row belongs to.
-    tile_slots: Vec<usize>,
-    /// Integer microkernel outputs: one `u32` dot per tile row.
+    /// One entry per packed row, kind-major, candidates ascending within
+    /// a kind.
+    packed: Vec<PackedRow>,
+    /// Per `ReferenceDb::kind_keys` entry: its range in `packed`.
+    kind_spans: Vec<std::ops::Range<usize>>,
+    /// Per candidate: whether the shard being swept scores it.
+    active: Vec<bool>,
+    /// One kind's active entries, when only some of its candidates are
+    /// active.
+    gathered: Vec<PackedRow>,
+    /// Their code rows, gathered contiguously for the integer
+    /// microkernel.
+    gather_qrows: Vec<u8>,
+    /// Integer microkernel outputs: one `u32` dot per active candidate.
     u8_dots: Vec<u32>,
     /// One dequantized reference row (`u8` tier, non-cosine measures).
     dequant_row: Vec<f32>,
-    /// Pruned sweep: every candidate's packed kinds as
-    /// `(candidate, kind_key index, offset into tile_rows, 1/‖row‖)`.
-    cand_kinds: Vec<(usize, usize, usize, f64)>,
-    /// Pruned sweep: each candidate's `start..end` range in `cand_kinds`.
-    cand_ranges: Vec<(usize, usize)>,
-    /// Pruned sweep: `(shard, best score bound over the tile)`, sorted
-    /// descending.
-    shard_bounds: Vec<(u32, f64)>,
+    /// Per-(candidate, slot) scores of the shard being swept,
+    /// candidate-major.
+    shard_scores: Vec<f64>,
     /// Pruned sweep: per-(shard, candidate) score upper bounds, indexed
     /// `shard * tile + candidate`.
     tile_bounds: Vec<f64>,
-    /// Pruned sweep: candidates still active for the shard being swept.
-    active: Vec<usize>,
-    /// Pruned sweep: the active candidates' packed kinds for the current
-    /// shard, grouped by kind (ascending).
-    sweep_entries: Vec<(usize, usize, usize, f64)>,
-    /// Pruned sweep: active candidates' code rows gathered contiguously
-    /// for the integer microkernel (`u8` tier only).
-    gather_qrows: Vec<u8>,
-    /// Pruned sweep: per-(candidate, slot) accumulators for the shard
-    /// being swept, candidate-major.
-    shard_scores: Vec<f64>,
-    /// Shards scored by the last pruned sweep.
-    prune_swept: usize,
-    /// Shards skipped by the last pruned sweep.
-    prune_pruned: usize,
+    /// Pruned sweep: `(shard, best score bound over the tile)`, sorted
+    /// descending.
+    shard_bounds: Vec<(u32, f64)>,
+    /// Shard accounting of the last sweep.
+    prune: PruneStats,
 }
 
 impl MatchScratch {
@@ -1596,54 +1455,96 @@ impl MatchScratch {
         MatchScratch::default()
     }
 
-    /// Shard accounting of the most recent [`ReferenceDb::match_topk`] /
-    /// [`ReferenceDb::match_topk_tile`] call through this scratch.
+    /// Shard accounting of the most recent sweep through this scratch:
+    /// the (candidate, shard) decisions of a
+    /// [`ReferenceDb::match_topk_tile`], or — after a dense
+    /// [`ReferenceDb::match_tile`] — every (candidate, occupied shard)
+    /// pair swept and none pruned.
     pub fn prune_stats(&self) -> PruneStats {
-        PruneStats { swept_shards: self.prune_swept, pruned_shards: self.prune_pruned }
+        self.prune
     }
 }
 
-/// A borrowed view of one match's similarity vector (the zero-allocation
-/// counterpart of [`MatchOutcome`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MatchView<'a> {
-    sims: &'a [(MacAddr, f64)],
+/// The similarity vector `<sim₁, …, sim_N>` returned by Algorithm 1: one
+/// `(reference device, similarity)` pair per reference, in ascending
+/// address order, over borrowed ([`MatchView`]) or owned
+/// ([`MatchOutcome`]) storage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimilarityVector<S> {
+    pub(crate) sims: S,
 }
 
-impl MatchView<'_> {
+/// A similarity vector borrowed from a [`MatchScratch`]: one candidate
+/// of a [`TileView`], valid until the scratch's next sweep.
+pub type MatchView<'a> = SimilarityVector<&'a [(MacAddr, f64)]>;
+
+/// An owned similarity vector ([`MatchView::to_outcome`]).
+pub type MatchOutcome = SimilarityVector<Vec<(MacAddr, f64)>>;
+
+impl<S: AsRef<[(MacAddr, f64)]>> SimilarityVector<S> {
     /// All `(reference device, similarity)` pairs, in database order.
     pub fn similarities(&self) -> &[(MacAddr, f64)] {
-        self.sims
+        self.sims.as_ref()
     }
 
     /// The similarity to one specific reference device.
     pub fn similarity_to(&self, device: &MacAddr) -> Option<f64> {
-        similarity_to(self.sims, *device)
+        // The vector is in ascending device order (database order).
+        let sims = self.similarities();
+        sims.binary_search_by(|(d, _)| d.cmp(device)).ok().map(|i| sims[i].1)
     }
 
     /// The similarity test (§IV-B): references whose similarity is at
     /// least `threshold`.
     pub fn above_threshold(&self, threshold: f64) -> impl Iterator<Item = (MacAddr, f64)> + '_ {
-        self.sims.iter().copied().filter(move |&(_, s)| s >= threshold)
+        self.similarities().iter().copied().filter(move |&(_, s)| s >= threshold)
     }
 
     /// The identification test (§IV-B): the single closest reference.
     ///
     /// Ties break toward the lower MAC address for determinism.
     pub fn best(&self) -> Option<(MacAddr, f64)> {
-        best_of(self.sims)
+        best_of(self.similarities())
     }
 
     /// The `k` most similar references, best first, via partial selection
     /// (`O(N + k log k)`) rather than a full sort. Ties order toward the
-    /// lower MAC address; `top(1)` agrees with [`MatchView::best`].
+    /// lower MAC address; `top(1)` agrees with
+    /// [`SimilarityVector::best`].
     pub fn top(&self, k: usize) -> Vec<(MacAddr, f64)> {
-        top_of(self.sims, k)
+        let sims = self.similarities();
+        if k == 0 || sims.is_empty() {
+            return Vec::new();
+        }
+        if k == 1 {
+            // Single scan, no copy of the similarity vector.
+            return best_of(sims).into_iter().collect();
+        }
+        let mut ranked = sims.to_vec();
+        let k = k.min(ranked.len());
+        if k < ranked.len() {
+            // Partial select: everything before index k ranks at least as
+            // high as everything after it, in O(N).
+            ranked.select_nth_unstable_by(k - 1, rank_desc);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(rank_desc);
+        ranked
     }
+}
 
+impl MatchView<'_> {
     /// An owned copy of this view.
     pub fn to_outcome(&self) -> MatchOutcome {
         MatchOutcome { sims: self.sims.to_vec() }
+    }
+}
+
+impl MatchOutcome {
+    /// The no-references outcome (used by the engine when scoring of
+    /// unknown devices is disabled).
+    pub(crate) fn empty() -> MatchOutcome {
+        MatchOutcome { sims: Vec::new() }
     }
 }
 
@@ -1668,9 +1569,8 @@ impl<'a> TileView<'a> {
         self.k
     }
 
-    /// The similarity vector of candidate `index` (input order). Against
-    /// an empty database the view is empty, like
-    /// [`ReferenceDb::match_signature_with`]'s.
+    /// The similarity vector of candidate `index` (input order); empty
+    /// against an empty database.
     ///
     /// # Panics
     ///
@@ -1687,83 +1587,14 @@ impl<'a> TileView<'a> {
     }
 }
 
-/// The similarity vector `<sim₁, …, sim_N>` returned by Algorithm 1.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatchOutcome {
-    sims: Vec<(MacAddr, f64)>,
-}
-
-impl MatchOutcome {
-    /// The no-references outcome (used by the engine when scoring of
-    /// unknown devices is disabled).
-    pub(crate) fn empty() -> MatchOutcome {
-        MatchOutcome { sims: Vec::new() }
-    }
-
-    /// All `(reference device, similarity)` pairs, in database order.
-    pub fn similarities(&self) -> &[(MacAddr, f64)] {
-        &self.sims
-    }
-
-    /// The similarity to one specific reference device.
-    pub fn similarity_to(&self, device: &MacAddr) -> Option<f64> {
-        similarity_to(&self.sims, *device)
-    }
-
-    /// The similarity test (§IV-B): references whose similarity is at
-    /// least `threshold`.
-    pub fn above_threshold(&self, threshold: f64) -> impl Iterator<Item = (MacAddr, f64)> + '_ {
-        self.sims.iter().copied().filter(move |&(_, s)| s >= threshold)
-    }
-
-    /// The identification test (§IV-B): the single closest reference.
-    ///
-    /// Ties break toward the lower MAC address for determinism.
-    pub fn best(&self) -> Option<(MacAddr, f64)> {
-        best_of(&self.sims)
-    }
-
-    /// The `k` most similar references, best first, via partial selection
-    /// (`O(N + k log k)`) rather than a full sort. Ties order toward the
-    /// lower MAC address; `top(1)` agrees with [`MatchOutcome::best`].
-    pub fn top(&self, k: usize) -> Vec<(MacAddr, f64)> {
-        top_of(&self.sims, k)
-    }
-}
-
-fn similarity_to(sims: &[(MacAddr, f64)], device: MacAddr) -> Option<f64> {
-    // The vector is in ascending device order (database order).
-    sims.binary_search_by(|(d, _)| d.cmp(&device)).ok().map(|i| sims[i].1)
-}
-
 /// Descending score; equal scores order toward the lower address, so the
 /// ranking is deterministic and `top(1)` matches `best()`.
-pub(crate) fn rank_desc(a: &(MacAddr, f64), b: &(MacAddr, f64)) -> std::cmp::Ordering {
+fn rank_desc(a: &(MacAddr, f64), b: &(MacAddr, f64)) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
 }
 
 pub(crate) fn best_of(sims: &[(MacAddr, f64)]) -> Option<(MacAddr, f64)> {
     sims.iter().copied().min_by(rank_desc)
-}
-
-pub(crate) fn top_of(sims: &[(MacAddr, f64)], k: usize) -> Vec<(MacAddr, f64)> {
-    if k == 0 || sims.is_empty() {
-        return Vec::new();
-    }
-    if k == 1 {
-        // Single scan, no copy of the similarity vector.
-        return best_of(sims).into_iter().collect();
-    }
-    let mut ranked = sims.to_vec();
-    let k = k.min(ranked.len());
-    if k < ranked.len() {
-        // Partial select: everything before index k ranks at least as
-        // high as everything after it, in O(N).
-        ranked.select_nth_unstable_by(k - 1, rank_desc);
-        ranked.truncate(k);
-    }
-    ranked.sort_unstable_by(rank_desc);
-    ranked
 }
 
 #[cfg(test)]
@@ -1788,6 +1619,25 @@ mod tests {
         sig
     }
 
+    /// The dense sweep's similarity vector for one candidate (a tile of
+    /// one).
+    fn match_one(db: &ReferenceDb, cand: &Signature, m: SimilarityMeasure) -> MatchOutcome {
+        db.match_tile(std::slice::from_ref(cand), m, &mut MatchScratch::new())
+            .candidate(0)
+            .to_outcome()
+    }
+
+    /// The pruned sweep's ranking for one candidate (a tile of one).
+    fn topk_one(
+        db: &ReferenceDb,
+        cand: &Signature,
+        k: usize,
+        m: SimilarityMeasure,
+        scratch: &mut MatchScratch,
+    ) -> Vec<(MacAddr, f64)> {
+        db.match_topk_tile(std::slice::from_ref(cand), k, m, scratch).remove(0)
+    }
+
     /// Every shard configuration parity tests sweep over — both
     /// precision tiers, since the consistency invariants (streamed ≡
     /// bulk, churn ≡ fresh, sharded ≡ flat) hold per tier.
@@ -1808,7 +1658,7 @@ mod tests {
         let sig = sig_with(&[(FrameKind::Data, 500.0, 30), (FrameKind::ProbeReq, 100.0, 10)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), sig.clone()).unwrap();
-        let outcome = db.match_signature(&sig, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &sig, SimilarityMeasure::Cosine);
         let (_, score) = outcome.best().unwrap();
         assert!((score - 1.0).abs() < F32_SCORE_TOLERANCE);
     }
@@ -1819,7 +1669,7 @@ mod tests {
         let b = sig_with(&[(FrameKind::Data, 2000.0, 10)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), a).unwrap();
-        let outcome = db.match_signature(&b, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &b, SimilarityMeasure::Cosine);
         assert_eq!(outcome.best().unwrap().1, 0.0);
     }
 
@@ -1830,7 +1680,7 @@ mod tests {
         let c = sig_with(&[(FrameKind::ProbeReq, 100.0, 10)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), r).unwrap();
-        let outcome = db.match_signature(&c, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &c, SimilarityMeasure::Cosine);
         assert_eq!(outcome.similarities()[0].1, 0.0);
     }
 
@@ -1842,7 +1692,7 @@ mod tests {
         let c = sig_with(&[(FrameKind::ProbeReq, 200.0, 50)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), r).unwrap();
-        let outcome = db.match_signature(&c, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &c, SimilarityMeasure::Cosine);
         // Score = weight_ref(ProbeReq) × 1.0 = 0.1.
         assert!((outcome.similarities()[0].1 - 0.1).abs() < F32_SCORE_TOLERANCE);
     }
@@ -1857,7 +1707,7 @@ mod tests {
         let d_far = MacAddr::from_index(2);
         db.insert(d_near, near).unwrap();
         db.insert(d_far, far).unwrap();
-        let outcome = db.match_signature(&probe, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &probe, SimilarityMeasure::Cosine);
         assert_eq!(outcome.best().unwrap().0, d_near);
         assert!(outcome.similarity_to(&d_far).unwrap() < outcome.similarity_to(&d_near).unwrap());
     }
@@ -1868,7 +1718,7 @@ mod tests {
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), base.clone()).unwrap();
         db.insert(MacAddr::from_index(2), sig_with(&[(FrameKind::Data, 2200.0, 50)])).unwrap();
-        let outcome = db.match_signature(&base, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &base, SimilarityMeasure::Cosine);
         let hits: Vec<_> = outcome.above_threshold(0.9).collect();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, MacAddr::from_index(1));
@@ -1921,7 +1771,7 @@ mod tests {
         assert_eq!(frozen.len(), 1);
 
         // Matching works on both sides of the freeze.
-        assert_eq!(frozen.match_signature(&sig, SimilarityMeasure::Cosine).best().unwrap().0, d1);
+        assert_eq!(match_one(&frozen, &sig, SimilarityMeasure::Cosine).best().unwrap().0, d1);
 
         // Mutating the frozen copy is a typed error, and changes nothing.
         let mut frozen = frozen;
@@ -1943,13 +1793,12 @@ mod tests {
     fn empty_db_matches_nothing() {
         let db = ReferenceDb::new();
         let outcome =
-            db.match_signature(&sig_with(&[(FrameKind::Data, 1.0, 5)]), SimilarityMeasure::Cosine);
+            match_one(&db, &sig_with(&[(FrameKind::Data, 1.0, 5)]), SimilarityMeasure::Cosine);
         assert!(outcome.best().is_none());
         assert!(outcome.similarities().is_empty());
         let mut scratch = MatchScratch::new();
-        assert!(db
-            .match_topk(&sig_with(&[(FrameKind::Data, 1.0, 5)]), 3, SimilarityMeasure::Cosine, &mut scratch)
-            .is_empty());
+        let cand = sig_with(&[(FrameKind::Data, 1.0, 5)]);
+        assert!(topk_one(&db, &cand, 3, SimilarityMeasure::Cosine, &mut scratch).is_empty());
     }
 
     #[test]
@@ -1958,28 +1807,8 @@ mod tests {
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(5), sig.clone()).unwrap();
         db.insert(MacAddr::from_index(3), sig.clone()).unwrap();
-        let outcome = db.match_signature(&sig, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &sig, SimilarityMeasure::Cosine);
         assert_eq!(outcome.best().unwrap().0, MacAddr::from_index(3));
-    }
-
-    #[test]
-    fn scratch_view_equals_owned_outcome() {
-        let mut db = ReferenceDb::new();
-        for i in 1..=5u64 {
-            db.insert(
-                MacAddr::from_index(i),
-                sig_with(&[(FrameKind::Data, 100.0 * i as f64, 30), (FrameKind::Beacon, 50.0, 5)]),
-            ).unwrap();
-        }
-        let cand = sig_with(&[(FrameKind::Data, 250.0, 40)]);
-        let mut scratch = MatchScratch::new();
-        for m in SimilarityMeasure::ALL {
-            let owned = db.match_signature(&cand, m);
-            let view = db.match_signature_with(&cand, m, &mut scratch);
-            assert_eq!(view.similarities(), owned.similarities(), "{m}");
-            assert_eq!(view.best(), owned.best(), "{m}");
-            assert_eq!(view.to_outcome(), owned, "{m}");
-        }
     }
 
     #[test]
@@ -1996,7 +1825,7 @@ mod tests {
         let cand =
             sig_with(&[(FrameKind::Data, 370.0, 55), (FrameKind::ProbeReq, 110.0, 7)]);
         for m in SimilarityMeasure::ALL {
-            let fast = db.match_signature(&cand, m);
+            let fast = match_one(&db, &cand, m);
             let naive = db.match_signature_naive(&cand, m);
             assert_eq!(fast.similarities().len(), naive.similarities().len());
             for (f, n) in fast.similarities().iter().zip(naive.similarities()) {
@@ -2006,21 +1835,6 @@ mod tests {
                 // tolerance of the all-f64 baseline.
                 assert!((f.1 - n.1).abs() < F32_SCORE_TOLERANCE, "{m}: {} vs {}", f.1, n.1);
             }
-        }
-    }
-
-    #[test]
-    fn match_batch_preserves_order_and_scores() {
-        let mut db = ReferenceDb::new();
-        for i in 1..=8u64 {
-            db.insert(MacAddr::from_index(i), sig_with(&[(FrameKind::Data, 90.0 * i as f64, 50)])).unwrap();
-        }
-        let candidates: Vec<Signature> =
-            (1..=20u64).map(|i| sig_with(&[(FrameKind::Data, 90.0 * (i % 8 + 1) as f64, 50)])).collect();
-        let batch = db.match_batch(&candidates, SimilarityMeasure::Cosine);
-        assert_eq!(batch.len(), candidates.len());
-        for (cand, outcome) in candidates.iter().zip(&batch) {
-            assert_eq!(outcome, &db.match_signature(cand, SimilarityMeasure::Cosine));
         }
     }
 
@@ -2044,13 +1858,12 @@ mod tests {
             sig_with(&[(FrameKind::ProbeReq, 10.0, 25)]),
         ];
         let mut scratch = MatchScratch::new();
-        let mut single = MatchScratch::new();
         for m in SimilarityMeasure::ALL {
             let tile = db.match_tile(&candidates, m, &mut scratch);
             assert_eq!(tile.candidate_count(), candidates.len());
             let views: Vec<MatchOutcome> = tile.views().map(|v| v.to_outcome()).collect();
             for (cand, got) in candidates.iter().zip(views) {
-                let want = db.match_signature_with(cand, m, &mut single).to_outcome();
+                let want = match_one(&db, cand, m);
                 assert_eq!(got, want, "{m}");
             }
         }
@@ -2103,8 +1916,8 @@ mod tests {
             );
             let cand = sig_with(&[(FrameKind::Data, 249.0, 33), (FrameKind::ProbeReq, 62.0, 5)]);
             for m in SimilarityMeasure::ALL {
-                let a = streamed.match_signature(&cand, m);
-                let b = bulk.match_signature(&cand, m);
+                let a = match_one(&streamed, &cand, m);
+                let b = match_one(&bulk, &cand, m);
                 assert_eq!(a.similarities(), b.similarities(), "{m} under {config:?}");
             }
             // Replacement detaches and re-attaches (possibly migrating
@@ -2116,8 +1929,8 @@ mod tests {
                 bulk.iter().map(|(d, s)| (d, s.clone())).collect();
             bulk_map.insert(dev, replacement);
             let repacked = ReferenceDb::from_signatures_with(bulk_map, config);
-            let a = streamed.match_signature(&cand, SimilarityMeasure::Cosine);
-            let b = repacked.match_signature(&cand, SimilarityMeasure::Cosine);
+            let a = match_one(&streamed, &cand, SimilarityMeasure::Cosine);
+            let b = match_one(&repacked, &cand, SimilarityMeasure::Cosine);
             assert_eq!(a.similarities(), b.similarities(), "{config:?}");
         }
     }
@@ -2163,10 +1976,10 @@ mod tests {
             );
             let mut scratch = MatchScratch::new();
             for probe in [sig_for(99), sig_for(3), sig_for(13)] {
-                let a = db.match_signature(&probe, SimilarityMeasure::Cosine);
-                let b = fresh.match_signature(&probe, SimilarityMeasure::Cosine);
+                let a = match_one(&db, &probe, SimilarityMeasure::Cosine);
+                let b = match_one(&fresh, &probe, SimilarityMeasure::Cosine);
                 assert_eq!(a.similarities(), b.similarities(), "{config:?}: dense parity");
-                let ta = db.match_topk(&probe, 4, SimilarityMeasure::Cosine, &mut scratch);
+                let ta = topk_one(&db, &probe, 4, SimilarityMeasure::Cosine, &mut scratch);
                 assert_eq!(ta, b.top(4), "{config:?}: pruned parity after churn");
             }
         }
@@ -2195,8 +2008,8 @@ mod tests {
             );
             let sharded = ReferenceDb::from_signatures_with(sigs.iter().cloned().collect(), config);
             for m in SimilarityMeasure::ALL {
-                let a = sharded.match_signature(&cand, m);
-                let b = flat.match_signature(&cand, m);
+                let a = match_one(&sharded, &cand, m);
+                let b = match_one(&flat, &cand, m);
                 // Bit-identical, not merely within tolerance: the sweep
                 // accumulates per device in the same kind order.
                 assert_eq!(a.similarities(), b.similarities(), "{m} under {config:?}");
@@ -2220,9 +2033,9 @@ mod tests {
         let mut scratch = MatchScratch::new();
         for probe_seed in [1u64, 7, 15] {
             let cand = sig_with(&[(FrameKind::Data, 60.0 * (probe_seed % 16) as f64, 45)]);
-            let dense = db.match_signature(&cand, SimilarityMeasure::Cosine);
+            let dense = match_one(&db, &cand, SimilarityMeasure::Cosine);
             for k in [1usize, 3, 10, 40, 100] {
-                let pruned = db.match_topk(&cand, k, SimilarityMeasure::Cosine, &mut scratch);
+                let pruned = topk_one(&db, &cand, k, SimilarityMeasure::Cosine, &mut scratch);
                 assert_eq!(pruned, dense.top(k), "seed {probe_seed}, k {k}");
                 let stats = scratch.prune_stats();
                 assert!(stats.swept_shards + stats.pruned_shards > 0);
@@ -2234,7 +2047,7 @@ mod tests {
             .collect();
         let tiled = db.match_topk_tile(&cands, 3, SimilarityMeasure::Cosine, &mut scratch);
         for (cand, got) in cands.iter().zip(&tiled) {
-            assert_eq!(got, &db.match_signature(cand, SimilarityMeasure::Cosine).top(3));
+            assert_eq!(got, &match_one(&db, cand, SimilarityMeasure::Cosine).top(3));
         }
     }
 
@@ -2250,8 +2063,8 @@ mod tests {
         }
         let cand = sig_with(&[(FrameKind::Data, 310.0, 60)]);
         let mut scratch = MatchScratch::new();
-        let pruned = db.match_topk(&cand, 3, SimilarityMeasure::Cosine, &mut scratch);
-        assert_eq!(pruned, db.match_signature(&cand, SimilarityMeasure::Cosine).top(3));
+        let pruned = topk_one(&db, &cand, 3, SimilarityMeasure::Cosine, &mut scratch);
+        assert_eq!(pruned, match_one(&db, &cand, SimilarityMeasure::Cosine).top(3));
         let stats = scratch.prune_stats();
         assert!(
             stats.pruned_shards > 0,
@@ -2261,7 +2074,40 @@ mod tests {
     }
 
     #[test]
+    fn every_sweep_sets_prune_stats() {
+        // A pruned sweep followed by a dense one through the same scratch:
+        // the dense sweep reports its own accounting, not the last top-k's.
+        let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(16));
+        for i in 0..160u64 {
+            let center = 150.0 * (i % 16) as f64 + 10.0;
+            db.insert(MacAddr::from_index(i + 1), sig_with(&[(FrameKind::Data, center, 60)]))
+                .unwrap();
+        }
+        let occupied = db.shards.iter().filter(|s| !s.rows.is_empty()).count();
+        assert!(occupied > 1);
+        let cands = vec![
+            sig_with(&[(FrameKind::Data, 310.0, 60)]),
+            sig_with(&[(FrameKind::Data, 1210.0, 60)]),
+        ];
+        let mut scratch = MatchScratch::new();
+        db.match_topk_tile(&cands, 3, SimilarityMeasure::Cosine, &mut scratch);
+        let pruned = scratch.prune_stats();
+        assert!(pruned.pruned_shards > 0, "{pruned:?}");
+        assert_eq!(pruned.swept_shards + pruned.pruned_shards, 2 * occupied);
+        db.match_tile(&cands, SimilarityMeasure::Cosine, &mut scratch);
+        assert_eq!(
+            scratch.prune_stats(),
+            PruneStats { swept_shards: 2 * occupied, pruned_shards: 0 }
+        );
+        // A sweep with nothing to rank resets it.
+        db.match_topk_tile(&cands, 0, SimilarityMeasure::Cosine, &mut scratch);
+        assert_eq!(scratch.prune_stats(), PruneStats::default());
+    }
+
+    #[test]
     fn non_cosine_topk_falls_back_to_dense() {
+        // No admissible bound outside cosine: every shard is swept, and
+        // the ranking is the dense sweep's.
         let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(4));
         for i in 1..=10u64 {
             db.insert(MacAddr::from_index(i), sig_with(&[(FrameKind::Data, 55.0 * i as f64, 40)]))
@@ -2270,8 +2116,8 @@ mod tests {
         let cand = sig_with(&[(FrameKind::Data, 165.0, 40)]);
         let mut scratch = MatchScratch::new();
         for m in SimilarityMeasure::ALL {
-            let top = db.match_topk(&cand, 3, m, &mut scratch);
-            assert_eq!(top, db.match_signature(&cand, m).top(3), "{m}");
+            let top = topk_one(&db, &cand, 3, m, &mut scratch);
+            assert_eq!(top, match_one(&db, &cand, m).top(3), "{m}");
             if m != SimilarityMeasure::Cosine {
                 assert_eq!(scratch.prune_stats().pruned_shards, 0, "{m}: no pruning claimed");
             }
@@ -2285,7 +2131,7 @@ mod tests {
             db.insert(MacAddr::from_index(i), sig_with(&[(FrameKind::Data, 55.0 * i as f64, 40)])).unwrap();
         }
         let cand = sig_with(&[(FrameKind::Data, 165.0, 40)]);
-        let outcome = db.match_signature(&cand, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &cand, SimilarityMeasure::Cosine);
         let full: Vec<_> = {
             let mut v = outcome.similarities().to_vec();
             v.sort_by(rank_desc);
@@ -2304,11 +2150,11 @@ mod tests {
         for i in [5u64, 2, 9] {
             tied.insert(MacAddr::from_index(i), sig.clone()).unwrap();
         }
-        let top = tied.match_signature(&sig, SimilarityMeasure::Cosine).top(2);
+        let top = match_one(&tied, &sig, SimilarityMeasure::Cosine).top(2);
         assert_eq!(top[0].0, MacAddr::from_index(2));
         assert_eq!(top[1].0, MacAddr::from_index(5));
         let mut scratch = MatchScratch::new();
-        let pruned = tied.match_topk(&sig, 2, SimilarityMeasure::Cosine, &mut scratch);
+        let pruned = topk_one(&tied, &sig, 2, SimilarityMeasure::Cosine, &mut scratch);
         assert_eq!(pruned, top);
     }
 
@@ -2333,7 +2179,7 @@ mod tests {
         db.insert(d_fine, build(&fine)).unwrap();
         db.insert(d_coarse, build(&coarse)).unwrap();
         for (cand_cfg, expect_dev) in [(&fine, d_fine), (&coarse, d_coarse)] {
-            let outcome = db.match_signature(&build(cand_cfg), SimilarityMeasure::Cosine);
+            let outcome = match_one(&db, &build(cand_cfg), SimilarityMeasure::Cosine);
             assert!((outcome.similarity_to(&expect_dev).unwrap() - 1.0).abs() < F32_SCORE_TOLERANCE);
             let naive = db.match_signature_naive(&build(cand_cfg), SimilarityMeasure::Cosine);
             for (f, n) in outcome.similarities().iter().zip(naive.similarities()) {
@@ -2355,7 +2201,7 @@ mod tests {
         for _ in 0..50 {
             cand.record(FrameKind::Data, 100.0, &coarse);
         }
-        let outcome = db.match_signature(&cand, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &cand, SimilarityMeasure::Cosine);
         assert_eq!(outcome.similarities()[0].1, 0.0);
     }
 
@@ -2367,7 +2213,7 @@ mod tests {
         let sig = sig_with(&[(FrameKind::Data, 500.0, 30), (FrameKind::ProbeReq, 100.0, 10)]);
         let mut db = ReferenceDb::with_config(MatchConfig::quantized());
         db.insert(MacAddr::from_index(1), sig.clone()).unwrap();
-        let (_, score) = db.match_signature(&sig, SimilarityMeasure::Cosine).best().unwrap();
+        let (_, score) = match_one(&db, &sig, SimilarityMeasure::Cosine).best().unwrap();
         assert!((score - 1.0).abs() < F32_SCORE_TOLERANCE, "self-cosine {score}");
     }
 
@@ -2419,8 +2265,8 @@ mod tests {
         );
         let cand = sig_with(&[(FrameKind::Data, 165.0, 40)]);
         for m in SimilarityMeasure::ALL {
-            let a = f32_db.match_signature(&cand, m);
-            let b = u8_db.match_signature(&cand, m);
+            let a = match_one(&f32_db, &cand, m);
+            let b = match_one(&u8_db, &cand, m);
             for (f, q) in a.similarities().iter().zip(b.similarities()) {
                 assert_eq!(f.0, q.0);
                 assert!((f.1 - q.1).abs() < 2e-2, "{m}: {} vs {}", f.1, q.1);
@@ -2450,7 +2296,7 @@ mod tests {
             let tiled = db.match_topk_tile(&cands, 3, SimilarityMeasure::Cosine, &mut scratch);
             let stats = scratch.prune_stats();
             for (cand, got) in cands.iter().zip(&tiled) {
-                let dense = db.match_signature(cand, SimilarityMeasure::Cosine);
+                let dense = match_one(&db, cand, SimilarityMeasure::Cosine);
                 assert_eq!(got, &dense.top(3), "{precision:?}");
             }
             assert!(
@@ -2488,7 +2334,7 @@ mod tests {
                 cand.record(FrameKind::Data, v, &c);
             }
             for m in SimilarityMeasure::ALL {
-                let fast = db.match_signature(&cand, m);
+                let fast = match_one(&db, &cand, m);
                 let baseline = db.match_signature_naive(&cand, m);
                 for (f, n) in fast.similarities().iter().zip(baseline.similarities()) {
                     prop_assert_eq!(f.0, n.0);
@@ -2501,8 +2347,8 @@ mod tests {
         }
 
         // The acceptance property of the sharded refactor: over arbitrary
-        // enrolments, shard strategies/counts and tile widths, the
-        // sharded pruned sweep reports the flat dense sweep's top-k —
+        // enrolments, measures, shard strategies/counts and tile widths,
+        // the sharded pruned sweep reports the flat dense sweep's top-k —
         // same argmax, same order, scores within F32_SCORE_TOLERANCE
         // (they are in fact bit-identical) — and the sharded dense sweep
         // reports the flat dense sweep's full vector exactly.
@@ -2516,6 +2362,7 @@ mod tests {
             mac_prefix in any::<bool>(),
             quantized in any::<bool>(),
             k in 1usize..8,
+            measure in prop::sample::select(SimilarityMeasure::ALL.to_vec()),
         ) {
             let c = cfg();
             let strategy = if mac_prefix {
@@ -2550,16 +2397,20 @@ mod tests {
                 .collect();
             let mut scratch = MatchScratch::new();
             // Dense tile parity: full vectors, exact.
-            let tile = sharded.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
+            let tile = sharded.match_tile(&candidates, measure, &mut scratch);
             let dense: Vec<MatchOutcome> = tile.views().map(|v| v.to_outcome()).collect();
             for (cand, got) in candidates.iter().zip(&dense) {
-                let want = flat.match_signature(cand, SimilarityMeasure::Cosine);
+                let want = match_one(&flat, cand, measure);
                 prop_assert_eq!(got.similarities(), want.similarities());
             }
-            // Pruned top-k parity: argmax and scores.
-            for (cand, want_full) in candidates.iter().zip(&dense) {
+            // Pruned top-k parity: argmax and scores, per candidate and
+            // for the whole tile in one sweep.
+            let tiled = sharded.match_topk_tile(&candidates, k, measure, &mut scratch);
+            prop_assert_eq!(tiled.len(), candidates.len());
+            for ((cand, want_full), got_tiled) in candidates.iter().zip(&dense).zip(&tiled) {
                 let want = want_full.top(k);
-                let got = sharded.match_topk(cand, k, SimilarityMeasure::Cosine, &mut scratch);
+                let got = topk_one(&sharded, cand, k, measure, &mut scratch);
+                prop_assert_eq!(&got, got_tiled);
                 prop_assert_eq!(got.len(), want.len());
                 prop_assert_eq!(
                     got.first().map(|&(d, _)| d),
@@ -2609,8 +2460,8 @@ mod tests {
             for &v in &cand_values {
                 cand.record(FrameKind::Data, v, &c);
             }
-            let a = f32_db.match_signature(&cand, SimilarityMeasure::Cosine);
-            let b = u8_db.match_signature(&cand, SimilarityMeasure::Cosine);
+            let a = match_one(&f32_db, &cand, SimilarityMeasure::Cosine);
+            let b = match_one(&u8_db, &cand, SimilarityMeasure::Cosine);
             for (f, q) in a.similarities().iter().zip(b.similarities()) {
                 prop_assert_eq!(f.0, q.0);
                 prop_assert!(
@@ -2630,7 +2481,7 @@ mod tests {
             // The quantized pruned sweep agrees with the quantized dense
             // sweep (per-tier invariant, integer dots are exact).
             let mut scratch = MatchScratch::new();
-            let top = u8_db.match_topk(&cand, 3, SimilarityMeasure::Cosine, &mut scratch);
+            let top = topk_one(&u8_db, &cand, 3, SimilarityMeasure::Cosine, &mut scratch);
             prop_assert_eq!(top, b.top(3));
         }
     }

@@ -211,10 +211,8 @@ proptest! {
         }
         let mut scratch = MatchScratch::new();
         for m in SimilarityMeasure::ALL {
-            let owned = db.match_signature(&cand, m);
-            let view = db.match_signature_with(&cand, m, &mut scratch);
-            prop_assert_eq!(view.similarities(), owned.similarities(), "{}", m);
-            for &(_, s) in view.similarities() {
+            let tile = db.match_tile(std::slice::from_ref(&cand), m, &mut scratch);
+            for &(_, s) in tile.candidate(0).similarities() {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&s), "{m}: {s}");
             }
         }
@@ -250,8 +248,8 @@ proptest! {
     }
 
     // Tiling equivalence: match_tile over K candidates must reproduce K
-    // independent match_signature_with sweeps exactly (same arithmetic
-    // per pair, only the loop order differs).
+    // independent tiles of one exactly (same arithmetic per pair, only
+    // the loop order differs).
     #[test]
     fn match_tile_equals_k_independent_sweeps(
         per_device in prop::collection::vec(
@@ -288,8 +286,8 @@ proptest! {
             let tiled: Vec<Vec<(MacAddr, f64)>> =
                 tile.views().map(|v| v.similarities().to_vec()).collect();
             for (cand, got) in candidates.iter().zip(tiled) {
-                let want = db.match_signature_with(cand, m, &mut single_scratch);
-                prop_assert_eq!(&got[..], want.similarities(), "{}", m);
+                let want = db.match_tile(std::slice::from_ref(cand), m, &mut single_scratch);
+                prop_assert_eq!(&got[..], want.candidate(0).similarities(), "{}", m);
             }
         }
     }

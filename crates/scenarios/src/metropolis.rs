@@ -4,7 +4,7 @@
 //! The paper's traces top out at a few hundred devices; the ROADMAP's
 //! north star is a monitor fleet covering a metropolitan population —
 //! the regime where `wifiprint_core`'s sharded [`ReferenceDb`] and its
-//! pruned [`ReferenceDb::match_topk`] sweep earn their keep. This
+//! pruned [`ReferenceDb::match_topk_tile`] sweep earn their keep. This
 //! scenario synthesises that population *directly at the signature
 //! level* (running a discrete-event simulation of 50 000 stations for
 //! long enough to enroll them would dominate every benchmark run):
@@ -246,12 +246,13 @@ mod tests {
         let mut self_hits = 0usize;
         for probe_idx in (0..2000).step_by(97) {
             let cand = scenario.candidate(probe_idx, 3);
-            let top = db.match_topk(&cand, 5, SimilarityMeasure::Cosine, &mut scratch);
+            let cand = std::slice::from_ref(&cand);
+            let top = db.match_topk_tile(cand, 5, SimilarityMeasure::Cosine, &mut scratch).remove(0);
             let stats = scratch.prune_stats();
             pruned_total += stats.pruned_shards;
             swept_total += stats.swept_shards;
-            let dense = db.match_signature(&cand, SimilarityMeasure::Cosine);
-            assert_eq!(top, dense.top(5), "probe {probe_idx}: pruned ≠ dense");
+            let dense = db.match_tile(cand, SimilarityMeasure::Cosine, &mut scratch);
+            assert_eq!(top, dense.candidate(0).top(5), "probe {probe_idx}: pruned ≠ dense");
             if top.first().map(|&(d, _)| d) == Some(scenario.device(probe_idx)) {
                 self_hits += 1;
             }
@@ -283,8 +284,9 @@ mod tests {
             let tiled = db.match_topk_tile(&cands, 8, SimilarityMeasure::Cosine, &mut scratch);
             let stats = scratch.prune_stats();
             for (ci, (cand, got)) in cands.iter().zip(&tiled).enumerate() {
-                let dense = db.match_signature(cand, SimilarityMeasure::Cosine);
-                assert_eq!(got, &dense.top(8), "{precision:?}: candidate {ci}");
+                let dense =
+                    db.match_tile(std::slice::from_ref(cand), SimilarityMeasure::Cosine, &mut scratch);
+                assert_eq!(got, &dense.candidate(0).top(8), "{precision:?}: candidate {ci}");
             }
             assert!(
                 stats.pruned_fraction() >= 0.5,
@@ -332,7 +334,9 @@ mod tests {
         let probes: Vec<usize> = (0..1000).step_by(97).collect();
         for &probe_idx in &probes {
             let cand = degraded.candidate(probe_idx, 3);
-            let top = db.match_topk(&cand, 1, SimilarityMeasure::Cosine, &mut scratch);
+            let top = db
+                .match_topk_tile(std::slice::from_ref(&cand), 1, SimilarityMeasure::Cosine, &mut scratch)
+                .remove(0);
             if top.first().map(|&(d, _)| d) == Some(clean.device(probe_idx)) {
                 self_hits += 1;
             }

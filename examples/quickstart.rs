@@ -104,7 +104,8 @@ fn main() {
     let db = metropolis.reference_db(MatchConfig::default().with_shards(64));
     let mut scratch = MatchScratch::new();
     let probe = metropolis.candidate(1234, 3);
-    let top = db.match_topk(&probe, 3, SimilarityMeasure::Cosine, &mut scratch);
+    let tops =
+        db.match_topk_tile(std::slice::from_ref(&probe), 3, SimilarityMeasure::Cosine, &mut scratch);
     let stats = scratch.prune_stats();
     println!(
         "metropolis: matched one probe against {} devices sweeping {}/{} shards ({:.0}% pruned)",
@@ -113,7 +114,7 @@ fn main() {
         stats.swept_shards + stats.pruned_shards,
         100.0 * stats.pruned_fraction()
     );
-    for (device, sim) in top {
+    for &(device, sim) in &tops[0] {
         println!("  closest reference {device}  (cosine {sim:.3})");
     }
 }

@@ -106,7 +106,7 @@
 //! configuration layer ([`core::EvalConfig`], [`core::MultiConfig`],
 //! [`analysis::PipelineConfig`]). The dense sweeps the engine runs are
 //! bit-for-bit the flat single-matrix sweep — sharding never changes a
-//! decision — while the pruned [`core::ReferenceDb::match_topk`] sweep
+//! decision — while the pruned [`core::ReferenceDb::match_topk_tile`] sweep
 //! uses per-shard summaries (upper envelope of the normalised rows +
 //! max weight) to skip every shard whose best possible score cannot
 //! beat the current top-k: at 10⁵ enrolled devices
@@ -126,7 +126,7 @@
 //! through its MAC binding (a universally-administered address *is* an
 //! identity), and otherwise swept against per-parameter identity
 //! galleries — internal sharded [`core::ReferenceDb`]s queried through
-//! the pruned [`core::ReferenceDb::match_topk`] path — fusing the
+//! the pruned [`core::ReferenceDb::match_topk_tile`] sweep — fusing the
 //! per-parameter scores under a [`core::FusionSpec`] and emitting a
 //! typed [`core::LinkEvent`]: `Linked` (with confidence), `NewIdentity`
 //! or `Ambiguous` (abstention under a configurable margin). TTL and

@@ -7,12 +7,19 @@ use wifiprint::analysis::{evaluate_frames, PipelineConfig};
 use wifiprint::core::{
     load_db, save_db, EvalConfig, FusionSpec, MatchConfig, MatchOutcome,
     MatchScratch, MultiConfig, MultiEngine, MultiEvent, NetworkParameter, ReferenceDb,
-    ResilienceConfig, ShardStrategy, SignatureBuilder, SimilarityMeasure, WindowedSignatures,
-    F32_SCORE_TOLERANCE,
+    ResilienceConfig, ShardStrategy, Signature, SignatureBuilder, SimilarityMeasure,
+    WindowedSignatures, F32_SCORE_TOLERANCE,
 };
 use wifiprint::ieee80211::{FrameKind, MacAddr, Nanos};
 use wifiprint::scenarios::export::{read_pcap, write_pcap};
 use wifiprint::scenarios::{ConferenceScenario, FaradayRig, OfficeScenario, FARADAY_DEVICE};
+
+/// The dense sweep's similarity vector for one candidate (a tile of one).
+fn match_one(db: &ReferenceDb, candidate: &Signature, measure: SimilarityMeasure) -> MatchOutcome {
+    db.match_tile(std::slice::from_ref(candidate), measure, &mut MatchScratch::new())
+        .candidate(0)
+        .to_outcome()
+}
 
 #[test]
 fn sim_to_pcap_to_fingerprint_round_trip() {
@@ -72,8 +79,8 @@ fn reference_db_persists_and_matches_identically() {
 
     // Matching any candidate against the loaded DB gives identical scores.
     let candidate = sigs.values().next().unwrap();
-    let a = db.match_signature(candidate, SimilarityMeasure::Cosine);
-    let b = loaded.match_signature(candidate, SimilarityMeasure::Cosine);
+    let a = match_one(&db, candidate, SimilarityMeasure::Cosine);
+    let b = match_one(&loaded, candidate, SimilarityMeasure::Cosine);
     assert_eq!(a.similarities(), b.similarities());
 }
 
@@ -117,12 +124,10 @@ fn same_device_matches_itself_across_reruns() {
     let different = sig(4, 99);
     let mut db = ReferenceDb::new();
     db.insert(FARADAY_DEVICE, reference).expect("enroll");
-    let sim_same = db
-        .match_signature(&same_later, SimilarityMeasure::Cosine)
+    let sim_same = match_one(&db, &same_later, SimilarityMeasure::Cosine)
         .similarity_to(&FARADAY_DEVICE)
         .unwrap();
-    let sim_diff = db
-        .match_signature(&different, SimilarityMeasure::Cosine)
+    let sim_diff = match_one(&db, &different, SimilarityMeasure::Cosine)
         .similarity_to(&FARADAY_DEVICE)
         .unwrap();
     assert!(
@@ -256,7 +261,9 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
         let mut known = 0usize;
         for (cand, (window, device, view)) in candidates.iter().zip(&decisions) {
             assert_eq!((cand.index, cand.device), (*window, *device), "{name}");
-            let want = db.match_signature_with(&cand.signature, cfg.measure, &mut scratch);
+            let want = db
+                .match_tile(std::slice::from_ref(&cand.signature), cfg.measure, &mut scratch)
+                .candidate(0);
             assert_eq!(
                 view.best().map(|(d, _)| d),
                 want.best().map(|(d, _)| d),
@@ -401,7 +408,7 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
             .collect();
         let mut offline: BTreeMap<(usize, MacAddr), BTreeMap<MacAddr, f64>> = BTreeMap::new();
         let n_params = configs.len();
-        let mut per_key: BTreeMap<(usize, MacAddr), Vec<Option<wifiprint::core::Signature>>> =
+        let mut per_key: BTreeMap<(usize, MacAddr), Vec<Option<Signature>>> =
             BTreeMap::new();
         for (i, validator) in validators.into_iter().enumerate() {
             for cand in validator.finish() {
@@ -417,8 +424,7 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
             let mut fused: BTreeMap<MacAddr, f64> =
                 enrolled.iter().map(|&d| (d, 0.0)).collect();
             for (i, sig) in sigs.iter().enumerate() {
-                let outcome =
-                    dbs[i].match_signature(sig.as_ref().expect("checked"), mcfg.measure);
+                let outcome = match_one(&dbs[i], sig.as_ref().expect("checked"), mcfg.measure);
                 for &(dev, sim) in outcome.similarities() {
                     if let Some(acc) = fused.get_mut(&dev) {
                         // Equal weights: each parameter contributes 1/5.
