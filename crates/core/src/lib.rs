@@ -32,9 +32,10 @@
 //!    rows times its largest weight) cannot beat that candidate's
 //!    current `k`-th best. The store comes in two
 //!    **precision tiers** ([`RowPrecision`]): the default `f32` rows,
-//!    and a quantized `u8` tier (7-bit codes + per-row scale, exact
-//!    integer dot kernels) that roughly quarters resident bytes per
-//!    device — see the [`matching`] module docs
+//!    and a quantized `u8` tier (7-bit codes + per-row scale) that
+//!    roughly quarters resident bytes per device and sweeps exact integer
+//!    dots over each candidate window's nonzero bins only — see the
+//!    [`matching`] module docs
 //!    ("Precision tiers") for the memory table and drift bounds
 //!    ([`U8_SCORE_TOLERANCE`]).
 //! 4. Accuracy is measured with the paper's two tests ([`metrics`]): the
@@ -144,7 +145,7 @@ pub use engine::{
 pub use error::CoreError;
 pub use fusion::{fuse_outcomes, FusedOutcome, FusionSpec};
 pub use histogram::{BinSpec, Histogram, QuantizedRow};
-pub use kernel::{IntKernelKind, KernelKind, MICRO_TILE, QUANT_MAX};
+pub use kernel::{IntKernelKind, KernelKind, QUANT_MAX};
 pub use matching::{
     MatchConfig, MatchOutcome, MatchScratch, MatchView, PruneStats, ReferenceDb, RowPrecision,
     ShardStrategy, SimilarityVector, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE,

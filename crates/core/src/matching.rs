@@ -42,12 +42,15 @@
 //! * **`u8`** ([`RowPrecision::U8`]) — each row quantized once at
 //!   insert to 7-bit codes with a per-row scale
 //!   ([`Histogram::frequencies_u8`](crate::Histogram::frequencies_u8));
-//!   cosine is scale-invariant, so the sweep dots raw codes with the
-//!   **exact** integer kernels
-//!   ([`kernel::dot_u8_multi`](crate::kernel::dot_u8_multi)) and folds
-//!   the code norms in at the end. Drift ≤ [`U8_SCORE_TOLERANCE`] vs
-//!   `f32`, pinned by parity proptests here and an AUC-drift gate in the
-//!   analysis crate.
+//!   cosine is scale-invariant, so the sweep dots raw codes in **exact**
+//!   integer arithmetic and folds the code norms in at the end. It walks
+//!   only each candidate's nonzero bins
+//!   ([`kernel::dot_u8_sparse`](crate::kernel::dot_u8_sparse)): a
+//!   detection window's histogram has at most one nonzero bin per
+//!   observation, and zero codes add nothing to an integer sum, so the
+//!   sparse dot is the dense one's `u32` exactly. Drift ≤
+//!   [`U8_SCORE_TOLERANCE`] vs `f32`, pinned by parity proptests here and
+//!   an AUC-drift gate in the analysis crate.
 //!
 //! Resident bytes per device per (kind, bins) block, at the default
 //! 251-bin inter-arrival spec ([`ReferenceDb::row_bytes`] reports the
@@ -60,10 +63,10 @@
 //! | `u8`  | 251 × 1 B      | weight + inv-norm + scale (12 B) | 263          |
 //!
 //! Halving the bytes again (4× vs `f32` on the rows themselves) doubles
-//! the rows per cache line a second time, and the integer microkernel
-//! ([`kernel::MICRO_TILE`](crate::kernel::MICRO_TILE)) dots one
-//! reference row against a whole candidate tile per pass with partial
-//! sums held in registers.
+//! the rows per cache line a second time. The sweep lists each candidate
+//! row's nonzero `(bin, code)` entries once per call, so a reference row
+//! costs each candidate one multiply-add per nonzero bin (a few, for a
+//! short window) rather than one per bin.
 //!
 //! # The sharded store
 //!
@@ -111,9 +114,9 @@
 //! # The SIMD dot kernel
 //!
 //! For the paper's cosine measure the per-pair kernel collapses to a
-//! single dense dot product (row norms are fixed at pack time, the
-//! candidate norm is hoisted out of the device loop). That dot runs
-//! through [`kernel`](crate::kernel): an AVX2+FMA path selected at
+//! single dot product (row norms are fixed at pack time, the candidate
+//! norm is hoisted out of the device loop). In the `f32` tier that dense
+//! dot runs through [`kernel`](crate::kernel): an AVX2+FMA path selected at
 //! runtime on x86, a NEON path on aarch64, and an unrolled portable
 //! fallback — all property-tested equivalent. The dispatch is resolved to
 //! a function pointer once per sweep, not once per pair.
@@ -123,12 +126,13 @@
 //! Detection evaluates whole windows of candidates against the same
 //! database. [`ReferenceDb::match_tile`] scores a tile of `K` candidates
 //! in **one** pass over the reference rows: each row is loaded once and
-//! dotted against all `K` candidate rows while it is hot in L1, turning K
-//! matrix–vector sweeps (K full passes over the matrix) into one
-//! matrix–matrix sweep. [`MATCH_TILE`] is the tile width the batch paths
-//! (the engine's window close, `metrics::match_candidates`, and through
-//! it the analysis pipeline) use. One candidate is a tile of one; the
-//! pruned sweep takes tiles too, sharing one bound-ordered shard pass.
+//! dotted against all `K` candidate rows (in the `u8` cosine tier, their
+//! nonzero bins) while it is hot in L1, turning K matrix–vector sweeps
+//! (K full passes over the matrix) into one matrix–matrix sweep.
+//! [`MATCH_TILE`] is the tile width the batch paths (the engine's window
+//! close, `metrics::match_candidates`, and through it the analysis
+//! pipeline) use. One candidate is a tile of one; the pruned sweep takes
+//! tiles too, sharing one bound-ordered shard pass.
 //!
 //! # Scratch buffers: allocation-free steady state
 //!
@@ -215,8 +219,10 @@ pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 /// the cosine can drift by a few times `1e-2`; realistic traffic
 /// histograms concentrate their mass and stay well under `1e-2` (the
 /// AUC-drift gate in the analysis crate pins the *application* drift two
-/// orders tighter). Integer dots themselves are exact, so unlike the
-/// `f32` tier none of this budget is spent on kernel association order.
+/// orders tighter). Integer dots themselves are exact — the sweep's
+/// sparse walk over a candidate's nonzero bins returns the same `u32` as
+/// a dense dot — so unlike the `f32` tier none of this budget is spent
+/// on kernel association order or on which bins the sweep visits.
 pub const U8_SCORE_TOLERANCE: f64 = 5e-2;
 
 /// Tile width for multi-candidate matching: how many candidate windows
@@ -274,8 +280,9 @@ pub enum RowPrecision {
     #[default]
     F32,
     /// Quantized `u8` rows (7-bit codes with a per-row scale, zero-point
-    /// fixed at 0) swept by the exact integer kernels
-    /// ([`kernel::dot_u8_multi`](crate::kernel::dot_u8_multi)). Quarter
+    /// fixed at 0). The cosine sweep dots each reference row against only
+    /// a candidate's nonzero codes in exact integer arithmetic
+    /// ([`kernel::dot_u8_sparse`](crate::kernel::dot_u8_sparse)). Quarter
     /// the row bytes of `f32`; scores track the `f32` tier within
     /// [`U8_SCORE_TOLERANCE`].
     U8,
@@ -1120,10 +1127,12 @@ impl ReferenceDb {
     /// tile. Candidates binned differently (or missing the kind) don't
     /// join it — incompatible binning carries no information.
     ///
-    /// Quantized cosine packs the candidate's own codes into `tile_qrows`
-    /// (what the integer kernel dots against the stored codes; the
-    /// per-row scales cancel out of cosine). Everything else packs `f32`
-    /// frequencies into `tile_rows`.
+    /// Quantized cosine packs the candidate's own codes (the per-row
+    /// scales cancel out of cosine): widened into `tile_rows` for the
+    /// envelope bound, and as the row's nonzero `(bin, code)` entries into
+    /// `tile_nonzeros` for the integer sweep. A window's histogram has at
+    /// most one nonzero bin per observation, so that list is short.
+    /// Everything else packs `f32` frequencies into `tile_rows`.
     fn pack_candidates<C: Borrow<Signature>>(
         &self,
         candidates: &[C],
@@ -1132,9 +1141,9 @@ impl ReferenceDb {
     ) {
         let cosine = measure == SimilarityMeasure::Cosine;
         let quantized = cosine && self.config.precision == RowPrecision::U8;
-        let MatchScratch { tile_rows, tile_qrows, packed, kind_spans, .. } = scratch;
+        let MatchScratch { tile_rows, tile_nonzeros, packed, kind_spans, .. } = scratch;
         tile_rows.clear();
-        tile_qrows.clear();
+        tile_nonzeros.clear();
         packed.clear();
         kind_spans.clear();
         for &(kind, bins) in &self.kind_keys {
@@ -1145,20 +1154,30 @@ impl ReferenceDb {
                 if hist.total() == 0 || hist.counts().len() != bins {
                     continue;
                 }
-                let (offset, inv) = if quantized {
+                let offset = tile_rows.len();
+                let nonzeros_start = tile_nonzeros.len();
+                let inv = if quantized {
                     let q = hist.frequencies_u8();
-                    let offset = tile_qrows.len();
-                    tile_qrows.extend_from_slice(q.values());
-                    (offset, q.inv_norm())
+                    tile_rows.extend(q.values().iter().map(|&c| f32::from(c)));
+                    tile_nonzeros.extend(kernel::nonzero_codes(q.values()));
+                    q.inv_norm()
                 } else {
                     let freqs = hist.frequencies_f32();
-                    let offset = tile_rows.len();
                     tile_rows.extend_from_slice(freqs);
                     // Only cosine reads the norms; skip the self-dot for
                     // the other measures.
-                    (offset, if cosine { inv_norm(freqs) } else { 0.0 })
+                    if cosine {
+                        inv_norm(freqs)
+                    } else {
+                        0.0
+                    }
                 };
-                packed.push(PackedRow { cand, offset, inv_norm: f64::from(inv) });
+                packed.push(PackedRow {
+                    cand,
+                    offset,
+                    nonzeros: nonzeros_start..tile_nonzeros.len(),
+                    inv_norm: f64::from(inv),
+                });
             }
             kind_spans.push(start..packed.len());
         }
@@ -1174,14 +1193,7 @@ impl ReferenceDb {
     fn bound_shards(&self, kc: usize, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
         let cosine = measure == SimilarityMeasure::Cosine;
         let dot = kernel::dot_fn();
-        let MatchScratch { tile_rows, tile_qrows, packed, kind_spans, tile_bounds, shard_bounds, .. } =
-            scratch;
-        if cosine && self.config.precision == RowPrecision::U8 {
-            // The envelope bound is a float dot in both tiers: widen the
-            // packed codes once, at the same offsets.
-            tile_rows.clear();
-            tile_rows.extend(tile_qrows.iter().map(|&c| f32::from(c)));
-        }
+        let MatchScratch { tile_rows, packed, kind_spans, tile_bounds, shard_bounds, .. } = scratch;
         tile_bounds.clear();
         tile_bounds.resize(self.shards.len() * kc, if cosine { 0.0 } else { f64::INFINITY });
         shard_bounds.clear();
@@ -1226,13 +1238,11 @@ impl ReferenceDb {
     fn sweep_shard(&self, shard: &Shard, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
         let MatchScratch {
             tile_rows,
-            tile_qrows,
+            tile_nonzeros,
             packed,
             kind_spans,
             active,
             gathered,
-            gather_qrows,
-            u8_dots,
             dequant_row,
             shard_scores,
             ..
@@ -1247,15 +1257,16 @@ impl ReferenceDb {
             // A fully active kind reads its packed tile in place; a
             // partial one gathers the active candidates' entries.
             let all = &packed[span.clone()];
-            let contiguous = all.iter().all(|e| active[e.cand]);
-            let entries: &[PackedRow] = if contiguous {
+            let entries: &[PackedRow] = if all.iter().all(|e| active[e.cand]) {
                 all
             } else {
                 gathered.clear();
-                gathered.extend(all.iter().filter(|e| active[e.cand]));
+                gathered.extend(all.iter().filter(|e| active[e.cand]).cloned());
                 gathered.as_slice()
             };
-            let Some(first) = entries.first() else { continue };
+            if entries.is_empty() {
+                continue;
+            }
             match (&block.store, cosine) {
                 (RowStore::F32(rows), true) => {
                     for (slot, row, weight) in block.live_rows(rows) {
@@ -1272,26 +1283,12 @@ impl ReferenceDb {
                     }
                 }
                 (RowStore::U8 { rows, .. }, true) => {
-                    // The register-blocked integer microkernel: each
-                    // quantized reference row is dotted against every
-                    // active candidate's codes in one pass, partial sums
-                    // held in registers.
-                    let m = entries.len();
-                    let codes: &[u8] = if contiguous {
-                        &tile_qrows[first.offset..first.offset + m * bins]
-                    } else {
-                        gather_qrows.clear();
-                        for e in entries {
-                            gather_qrows.extend_from_slice(&tile_qrows[e.offset..e.offset + bins]);
-                        }
-                        gather_qrows.as_slice()
-                    };
-                    u8_dots.clear();
-                    u8_dots.resize(m, 0);
+                    // Exact integer dots over each candidate's nonzero
+                    // bins only: the same `u32` a dense dot returns.
                     for (slot, row, weight) in block.live_rows(rows) {
                         let row_inv = f64::from(block.inv_norms[slot]);
-                        kernel::dot_u8_multi(codes, row, u8_dots);
-                        for (&d, e) in u8_dots.iter().zip(entries) {
+                        for e in entries {
+                            let d = kernel::dot_u8_sparse(&tile_nonzeros[e.nonzeros.clone()], row);
                             let cos = (f64::from(d) * e.inv_norm * row_inv).clamp(0.0, 1.0);
                             shard_scores[e.cand * slots + slot] += weight * cos;
                         }
@@ -1364,13 +1361,15 @@ fn inv_norm(row: &[f32]) -> f32 {
 
 /// One packed candidate row of a sweep (see
 /// `ReferenceDb::pack_candidates`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct PackedRow {
     /// The candidate's index in the tile.
     cand: usize,
-    /// Offset of the row in `MatchScratch::tile_rows`, or for quantized
-    /// cosine in `MatchScratch::tile_qrows`.
+    /// Offset of the row in `MatchScratch::tile_rows`.
     offset: usize,
+    /// The row's range in `MatchScratch::tile_nonzeros` (quantized
+    /// cosine only; empty otherwise).
+    nonzeros: std::ops::Range<usize>,
     /// `1 / ‖row‖₂` of the packed row (cosine only).
     inv_norm: f64,
 }
@@ -1414,11 +1413,11 @@ pub struct MatchScratch {
     /// expose — candidate-major, address order within each candidate.
     pairs: Vec<(MacAddr, f64)>,
     /// Every candidate's packed `f32` rows, kind-major: frequencies, or
-    /// for quantized cosine the widened codes the envelope bound dots
-    /// (pruned sweep only).
+    /// for quantized cosine the widened codes the envelope bound dots.
     tile_rows: Vec<f32>,
-    /// The packed code rows (quantized cosine only).
-    tile_qrows: Vec<u8>,
+    /// Quantized cosine only: every packed row's nonzero `(bin, code)`
+    /// entries, bins ascending (see `PackedRow::nonzeros`).
+    tile_nonzeros: Vec<(u32, u8)>,
     /// One entry per packed row, kind-major, candidates ascending within
     /// a kind.
     packed: Vec<PackedRow>,
@@ -1429,11 +1428,6 @@ pub struct MatchScratch {
     /// One kind's active entries, when only some of its candidates are
     /// active.
     gathered: Vec<PackedRow>,
-    /// Their code rows, gathered contiguously for the integer
-    /// microkernel.
-    gather_qrows: Vec<u8>,
-    /// Integer microkernel outputs: one `u32` dot per active candidate.
-    u8_dots: Vec<u32>,
     /// One dequantized reference row (`u8` tier, non-cosine measures).
     dequant_row: Vec<f32>,
     /// Per-(candidate, slot) scores of the shard being swept,

@@ -4,12 +4,14 @@
 //! the dispatched SIMD dot kernel is pinned to the portable fallback and
 //! an `f64` reference on arbitrary lengths and alignments.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use wifiprint_core::metrics::{identification_points, similarity_curve, MatchSet};
 use wifiprint_core::{
-    kernel, BinSpec, EvalConfig, FrameFilter, FusedExtractor, Histogram, MatchScratch,
-    NetworkParameter, ParameterExtractor, ReferenceDb, Signature, SimilarityMeasure,
-    TxTimeEstimator,
+    kernel, BinSpec, EvalConfig, FrameFilter, FusedExtractor, Histogram, MatchConfig,
+    MatchScratch, NetworkParameter, ParameterExtractor, ReferenceDb, Signature,
+    SimilarityMeasure, TxTimeEstimator, QUANT_MAX,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -288,6 +290,90 @@ proptest! {
             for (cand, got) in candidates.iter().zip(tiled) {
                 let want = db.match_tile(std::slice::from_ref(cand), m, &mut single_scratch);
                 prop_assert_eq!(&got[..], want.candidate(0).similarities(), "{}", m);
+            }
+        }
+    }
+
+    // Sparse exactness: the quantized sweep dots only a candidate's
+    // nonzero codes. An integer sum has no association error, so that
+    // must be the dense integer dot, bit for bit, at every row width.
+    #[test]
+    fn sparse_integer_dot_equals_dense_dot_u8(
+        codes in prop::collection::vec(0u8..=QUANT_MAX, 251),
+        row in prop::collection::vec(0u8..=QUANT_MAX, 251),
+        keep in prop::collection::vec(0u8..4, 251),
+        width in prop::sample::select(vec![1usize, 12, 31, 32, 33, 101, 151, 201, 251]),
+        density in 0u8..3,
+    ) {
+        // Density 0 is an all-zero candidate, 1 a fully dense one (no
+        // zero code), 2 a sparse one keeping about one bin in four.
+        let cand: Vec<u8> = codes[..width]
+            .iter()
+            .zip(&keep)
+            .map(|(&c, &k)| match density {
+                0 => 0,
+                1 => c.max(1),
+                _ if k == 0 => c,
+                _ => 0,
+            })
+            .collect();
+        let row = &row[..width];
+        let nonzeros: Vec<(u32, u8)> = kernel::nonzero_codes(&cand).collect();
+        prop_assert_eq!(nonzeros.len(), cand.iter().filter(|&&c| c != 0).count());
+        prop_assert!(nonzeros.windows(2).all(|w| w[0].0 < w[1].0), "bins ascending");
+        prop_assert!(nonzeros.iter().all(|&(bin, c)| cand[bin as usize] == c));
+        prop_assert_eq!(kernel::dot_u8_sparse(&nonzeros, row), kernel::dot_u8(&cand, row));
+    }
+
+    // The u8 cosine sweep's scores are exact integer dots folded by one
+    // f64 epilogue, so they equal, with `==`, a per-pair oracle built on
+    // the dense `dot_u8`: per reference, ascending frame kind, the stored
+    // f32 weight times the clamped cosine of the two code rows.
+    #[test]
+    fn u8_match_tile_equals_a_per_pair_dot_u8_oracle(
+        per_device in prop::collection::vec(
+            prop::collection::vec(0.0f64..2400.0, 1..60), 1..12),
+        per_candidate in prop::collection::vec(
+            prop::collection::vec(0.0f64..2400.0, 0..60), 1..10),
+        shards in 1usize..5,
+    ) {
+        let cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime);
+        let signature = |values: &[f64]| {
+            let mut sig = Signature::new();
+            for (j, &v) in values.iter().enumerate() {
+                let kind = if j % 3 == 0 { FrameKind::ProbeReq } else { FrameKind::Data };
+                sig.record(kind, v, &cfg);
+            }
+            sig
+        };
+        let references: BTreeMap<MacAddr, Signature> = per_device
+            .iter()
+            .enumerate()
+            .map(|(i, values)| (MacAddr::from_index(i as u64 + 1), signature(values)))
+            .collect();
+        let mut db = ReferenceDb::with_config(MatchConfig::quantized().with_shards(shards));
+        for (&device, sig) in &references {
+            db.insert(device, sig.clone()).unwrap();
+        }
+        let candidates: Vec<Signature> = per_candidate.iter().map(|v| signature(v)).collect();
+        let mut scratch = MatchScratch::new();
+        let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
+        for (ci, cand) in candidates.iter().enumerate() {
+            for &(device, got) in tile.candidate(ci).similarities() {
+                let reference = &references[&device];
+                let mut want = 0.0f64;
+                for (kind, rh) in reference.iter() {
+                    let Some(ch) = cand.histogram(kind) else { continue };
+                    if ch.total() == 0 {
+                        continue;
+                    }
+                    let (cq, rq) = (ch.frequencies_u8(), rh.frequencies_u8());
+                    let dot = f64::from(kernel::dot_u8(cq.values(), rq.values()));
+                    let cos = (dot * f64::from(cq.inv_norm()) * f64::from(rq.inv_norm()))
+                        .clamp(0.0, 1.0);
+                    want += f64::from(reference.weight(kind) as f32) * cos;
+                }
+                prop_assert_eq!(got, want, "candidate {} vs {}", ci, device);
             }
         }
     }

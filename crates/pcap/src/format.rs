@@ -160,10 +160,19 @@ pub enum PcapError {
     Io(std::io::Error),
     /// The file does not start with a known pcap magic number.
     BadMagic(u32),
-    /// A record header declares an implausible capture length.
+    /// A record header declares an implausible capture length (checked
+    /// only for files whose header declares no snapshot length).
     OversizedRecord {
         /// Declared capture length.
         incl_len: u32,
+    },
+    /// A record header declares a capture length above the file's
+    /// nonzero snapshot length, which no record can legitimately exceed.
+    RecordExceedsSnaplen {
+        /// Declared capture length.
+        incl_len: u32,
+        /// The file's snapshot length.
+        snaplen: u32,
     },
     /// The file ended in the middle of a header or record body.
     TruncatedFile,
@@ -176,6 +185,9 @@ impl fmt::Display for PcapError {
             PcapError::BadMagic(m) => write!(f, "not a pcap file (magic {m:#010x})"),
             PcapError::OversizedRecord { incl_len } => {
                 write!(f, "record capture length {incl_len} exceeds sanity bound")
+            }
+            PcapError::RecordExceedsSnaplen { incl_len, snaplen } => {
+                write!(f, "record capture length {incl_len} exceeds the file's snaplen {snaplen}")
             }
             PcapError::TruncatedFile => f.write_str("file truncated mid-record"),
         }
@@ -197,7 +209,8 @@ impl From<std::io::Error> for PcapError {
     }
 }
 
-/// Maximum capture length accepted per record; generous upper bound used to
+/// Maximum capture length accepted per record of a file whose header
+/// declares snaplen 0 (no bound of its own); generous upper bound used to
 /// reject corrupt headers before attempting a huge allocation.
 pub(crate) const MAX_SANE_INCL_LEN: u32 = 256 * 1024 * 1024;
 

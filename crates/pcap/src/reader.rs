@@ -87,8 +87,9 @@ impl<R: Read> Reader<R> {
     /// # Errors
     ///
     /// [`PcapError::TruncatedFile`] if the stream ends inside a record,
-    /// [`PcapError::OversizedRecord`] for implausible capture lengths, or
-    /// an I/O error.
+    /// [`PcapError::RecordExceedsSnaplen`] for a capture length above the
+    /// file's snaplen, [`PcapError::OversizedRecord`] for implausible
+    /// capture lengths when the snaplen is 0, or an I/O error.
     pub fn next_record(&mut self) -> Result<Option<Record>, PcapError> {
         let mut data = Vec::new();
         Ok(self.read_record_into(&mut data)?.map(|meta| Record {
@@ -114,7 +115,8 @@ impl<R: Read> Reader<R> {
     pub fn read_record_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<RecordMeta>, PcapError> {
         let mut header = [0u8; 16];
         if read_exact_or_truncated(&mut self.inner, &mut header, true)?.is_none() { return Ok(None) }
-        let (meta, incl_len) = parse_record_header(&header, self.swapped, self.precision)?;
+        let (meta, incl_len) =
+            parse_record_header(&header, self.swapped, self.precision, self.snaplen)?;
         buf.resize(incl_len as usize, 0);
         read_exact_or_truncated(&mut self.inner, buf, false)?.ok_or(PcapError::TruncatedFile)?;
         Ok(Some(meta))
@@ -171,11 +173,14 @@ impl GlobalHeader {
 }
 
 /// Parses a 16-byte per-record header into its meta fields and capture
-/// length, validating the length against [`MAX_SANE_INCL_LEN`].
+/// length, validating the length against the file's `snaplen` — or, when
+/// the file declares none (0), against [`MAX_SANE_INCL_LEN`] — before any
+/// caller sizes a buffer by it.
 fn parse_record_header(
     header: &[u8; 16],
     swapped: bool,
     precision: TsPrecision,
+    snaplen: u32,
 ) -> Result<(RecordMeta, u32), PcapError> {
     let field = |off: usize| {
         let v = u32::from_le_bytes(header[off..off + 4].try_into().expect("4 bytes"));
@@ -189,6 +194,9 @@ fn parse_record_header(
     let ts_frac = field(4);
     let incl_len = field(8);
     let orig_len = field(12);
+    if snaplen != 0 && incl_len > snaplen {
+        return Err(PcapError::RecordExceedsSnaplen { incl_len, snaplen });
+    }
     if incl_len > MAX_SANE_INCL_LEN {
         return Err(PcapError::OversizedRecord { incl_len });
     }
@@ -287,8 +295,10 @@ impl<'a> SliceReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`PcapError::TruncatedFile`] if the file ends inside a record, or
-    /// [`PcapError::OversizedRecord`] for implausible capture lengths.
+    /// [`PcapError::TruncatedFile`] if the file ends inside a record,
+    /// [`PcapError::RecordExceedsSnaplen`] for a capture length above the
+    /// file's snaplen, or [`PcapError::OversizedRecord`] for implausible
+    /// capture lengths when the snaplen is 0.
     pub fn next_record(&mut self) -> Result<Option<(RecordMeta, &'a [u8])>, PcapError> {
         if self.rest.is_empty() {
             return Ok(None);
@@ -296,8 +306,12 @@ impl<'a> SliceReader<'a> {
         let Some(header) = self.rest.get(..16) else {
             return Err(PcapError::TruncatedFile);
         };
-        let (meta, incl_len) =
-            parse_record_header(header.try_into().expect("16 bytes"), self.swapped, self.precision)?;
+        let (meta, incl_len) = parse_record_header(
+            header.try_into().expect("16 bytes"),
+            self.swapped,
+            self.precision,
+            self.snaplen,
+        )?;
         let end = 16 + incl_len as usize;
         let Some(data) = self.rest.get(16..end) else {
             return Err(PcapError::TruncatedFile);
@@ -410,6 +424,33 @@ mod tests {
         file.extend_from_slice(&(1u32 << 30).to_le_bytes());
         let mut reader = Reader::new(&file[..]).unwrap();
         assert!(matches!(reader.next_record(), Err(PcapError::OversizedRecord { .. })));
+    }
+
+    #[test]
+    fn rejects_record_longer_than_snaplen_in_both_readers() {
+        // A 65 535-snaplen file whose only record claims 200 MiB: the
+        // header check must refuse it before any buffer is sized by it.
+        let claimed: u32 = 200 * 1024 * 1024;
+        let mut file = Vec::new();
+        file.extend_from_slice(&MAGIC_MICROS.to_le_bytes());
+        file.extend_from_slice(&[0u8; 12]);
+        file.extend_from_slice(&65_535u32.to_le_bytes()); // snaplen
+        file.extend_from_slice(&127u32.to_le_bytes());
+        file.extend_from_slice(&[0u8; 8]); // ts_sec, ts_usec
+        file.extend_from_slice(&claimed.to_le_bytes()); // incl_len
+        file.extend_from_slice(&claimed.to_le_bytes()); // orig_len
+        file.extend_from_slice(&[0u8; 64]);
+        let want = |e| {
+            matches!(e, PcapError::RecordExceedsSnaplen { incl_len, snaplen: 65_535 }
+                if incl_len == claimed)
+        };
+        let mut buf = Vec::new();
+        let streaming = Reader::new(&file[..]).unwrap().read_record_into(&mut buf).unwrap_err();
+        assert!(want(streaming));
+        assert_eq!(buf.capacity(), 0, "no buffer sized by the corrupt length");
+        let sliced = SliceReader::new(&file).unwrap().next_record().unwrap_err();
+        assert!(sliced.to_string().contains("snaplen 65535"), "{sliced}");
+        assert!(want(sliced));
     }
 
     #[test]
