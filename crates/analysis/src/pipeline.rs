@@ -10,8 +10,8 @@
 //! detection windows together, and the per-parameter decisions carried
 //! by each [`MultiEvent::FusedMatch`] / [`MultiEvent::FusedNewDevice`]
 //! are accumulated into [`MatchSet`]s and aggregated into the paper's
-//! two accuracy tests at the end. The matching itself — the tiled `f32`
-//! SIMD sweep — happens *incrementally* as each detection window closes,
+//! two accuracy tests at the end. The matching itself — the tiled column
+//! sweep — happens *incrementally* as each detection window closes,
 //! not in an end-of-trace sweep. (The previous design ran five
 //! single-parameter engines side by side, one worker thread each; the
 //! fused parse made that fan-out redundant — extraction and history

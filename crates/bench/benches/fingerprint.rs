@@ -1,11 +1,11 @@
 //! Microbenchmarks of the fingerprinting pipeline: signature
 //! construction, histogram similarity, and Algorithm 1 matching —
-//! including the headline comparisons for the tiled f32 SIMD matching
+//! including the headline comparisons for the tiled f32 column-sweep matching
 //! engine:
 //!
 //! * `match_one_candidate/{naive,matrix}/N` — the per-call-allocation
 //!   f64 baseline (`match_signature_naive`, the pre-SoA layout) against
-//!   the f32 SIMD matrix sweep (`match_tile` of one) for growing
+//!   the f32 column sweep (`match_tile` of one) for growing
 //!   reference-database sizes up to 256 devices;
 //! * `dot_kernel/{f64_scalar,f32_portable,f32_dispatch}` — the f32-vs-f64
 //!   kernel comparison on one reference-row-sized dot product (the

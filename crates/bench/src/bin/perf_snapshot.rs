@@ -20,7 +20,7 @@
 //!
 //! The measurements mirror the headline benches in
 //! `crates/bench/benches/fingerprint.rs`: the naive f64 baseline versus
-//! the f32 SIMD matrix sweep at 256 devices, the K=8 matrix–matrix tile
+//! the f32 column sweep at 256 devices, the K=8 matrix–matrix tile
 //! versus 8 matrix–vector sweeps, the f32-vs-f64 dot kernels (with the
 //! runtime dispatch decision), streaming insert cost, and the
 //! serial-vs-parallel window batch — plus the streaming engines'
@@ -160,7 +160,7 @@ fn main() {
     let candidates: Vec<Signature> =
         (0..512u64).map(|w| synthetic_signature(w % 97, 200)).collect();
 
-    // Headline: naive f64 baseline vs the f32 SIMD matrix sweep (a
+    // Headline: naive f64 baseline vs the f32 column sweep (a
     // tile of one).
     let naive_ns = measure(15, 20, || {
         std::hint::black_box(db.match_signature_naive(&candidate, SimilarityMeasure::Cosine));

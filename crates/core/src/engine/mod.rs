@@ -6,8 +6,8 @@
 //! [`MultiEngine`] is a builder-configured facade over the whole
 //! ingest → window → match → fuse path: push every [`CapturedFrame`]
 //! once, in capture order, and receive typed [`MultiEvent`]s as
-//! detection windows close. Matching runs through the same tiled `f32`
-//! SIMD sweep ([`ReferenceDb::match_tile`]) as the batch paths,
+//! detection windows close. Matching runs through the same tiled column
+//! sweep ([`ReferenceDb::match_tile`]) as the batch paths,
 //! incrementally, one window at a time — no end-of-trace sweep and no
 //! whole-trace buffering.
 //!

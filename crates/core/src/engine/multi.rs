@@ -13,8 +13,8 @@
 //!   detection windows seal for every parameter, so per-parameter
 //!   decisions are always aligned;
 //! * **online score fusion** — as each window closes, every candidate is
-//!   swept against each parameter's [`ReferenceDb`] (the tiled `f32`
-//!   SIMD sweep, [`ReferenceDb::match_tile`]) and the per-parameter
+//!   swept against each parameter's [`ReferenceDb`] (the tiled column
+//!   sweep, [`ReferenceDb::match_tile`]) and the per-parameter
 //!   similarity vectors are combined into one weighted-average
 //!   [`FusedOutcome`] per [`fusion`](crate::fusion) spec.
 //!

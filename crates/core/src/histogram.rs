@@ -5,7 +5,7 @@
 //! re-normalising: recording an observation invalidates the cache, and the
 //! first `frequencies()` call after a mutation rebuilds it once.
 //! [`Histogram::frequencies_f32`] caches the same distribution narrowed to
-//! `f32` — the storage type of the SIMD matching kernel's packed rows
+//! `f32` — the storage type of the matching store's packed `f32` rows
 //! ([`matching`](crate::matching)) — so candidate signatures are converted
 //! once per mutation, not once per match.
 //! [`Histogram::frequencies_u8`] caches the quantized form of the same
@@ -145,7 +145,7 @@ pub struct Histogram {
     total: u64,
     /// Lazily computed normalised frequencies; reset on every mutation.
     freqs: OnceLock<Vec<f64>>,
-    /// The same frequencies narrowed to `f32` for the SIMD matching rows;
+    /// The same frequencies narrowed to `f32` for the packed matching rows;
     /// reset on every mutation.
     freqs32: OnceLock<Vec<f32>>,
     /// The same frequencies quantized to `u8` codes for the integer
@@ -294,7 +294,7 @@ impl Histogram {
     }
 
     /// The percentage-frequency distribution narrowed to `f32` — the row
-    /// format of the SIMD matching kernel. Computed from
+    /// format of the packed `f32` matching tier. Computed from
     /// [`Histogram::frequencies`] once and cached until the next
     /// mutation, so the matching hot path borrows both forms.
     pub fn frequencies_f32(&self) -> &[f32] {

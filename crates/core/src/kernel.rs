@@ -1,14 +1,18 @@
-//! Runtime-dispatched dot-product kernels for the matching sweep.
+//! Runtime-dispatched dense dot-product kernels.
 //!
-//! The matrix–matrix sweep in [`matching`](crate::matching) reduces every
-//! `(candidate, reference)` cosine pair to one dot product: dense over
-//! packed `f32` rows, sparse over a candidate's nonzero codes in the `u8`
-//! tier. This module owns those kernels — and is the **only** place in
-//! the crate where `unsafe` is permitted (the crate is otherwise
+//! The matching sweep in [`matching`](crate::matching) does not call
+//! these: it stores reference rows bin-major and accumulates a
+//! candidate's few nonzero bins column by column, in plain slice loops
+//! that need no dispatch. The dense kernels here serve whole-row dots —
+//! the scalar cosine form of
+//! [`SimilarityMeasure`](crate::SimilarityMeasure), the kernel
+//! microbenchmarks, and the host provenance the benchmarks record
+//! ([`active`], [`active_int`]). This module is the **only** place in the
+//! crate where `unsafe` is permitted (the crate is otherwise
 //! `#![deny(unsafe_code)]`; here it is scoped to the SIMD intrinsics with
 //! per-site safety comments).
 //!
-//! Three implementations exist, selected once per process:
+//! Three `f32` implementations exist, selected once per process:
 //!
 //! * **AVX2 + FMA** (`x86`/`x86_64`): 8-lane `f32` fused multiply-adds,
 //!   four independent vector accumulators (32 floats in flight per
@@ -22,22 +26,18 @@
 //!
 //! All paths compute the same mathematical sum with different association
 //! orders; results agree within a small multiple of `f32` rounding (see
-//! the kernel-equivalence property tests in `tests/proptests.rs`). Scores
-//! derived from these dots are accumulated in `f64` by the caller and are
-//! covered by [`F32_SCORE_TOLERANCE`](crate::matching::F32_SCORE_TOLERANCE).
-//! Both SIMD paths finish their row with a **masked tail** (AVX2
-//! `maskload`, NEON via a zero-padded stack temporary) instead of a
-//! scalar remainder loop, so a 251-bin row is 8 vector iterations, no
-//! scalar epilogue.
+//! the kernel-equivalence property tests in `tests/proptests.rs`). Both
+//! SIMD paths finish their row with a **masked tail** (AVX2 `maskload`,
+//! NEON via a zero-padded stack temporary) instead of a scalar remainder
+//! loop, so a 251-bin row is 8 vector iterations, no scalar epilogue.
 //!
 //! # Integer kernels for the quantized tier
 //!
 //! The [`RowPrecision::U8`](crate::matching::RowPrecision) storage tier
 //! (see [`matching`](crate::matching)) holds rows as `u8` codes in
-//! `0..=`[`QUANT_MAX`]. Its dot products are **exact** integer sums —
-//! every path computes bit-identical `u32` results, so the quantized
-//! sweeps need no cross-kernel tolerance. The dense [`dot_u8`] dispatches
-//! to:
+//! `0..=`[`QUANT_MAX`]. Their dot products are **exact** integer sums —
+//! every path computes bit-identical `u32` results. The dense [`dot_u8`]
+//! dispatches to:
 //!
 //! * **AVX2** (`x86`/`x86_64`): `maddubs` multiplies 32 `u8×i8` pairs and
 //!   adds adjacent products into `i16`; capping codes at [`QUANT_MAX`]` =
@@ -50,13 +50,9 @@
 //!   the validation loop.)
 //! * **Portable**: an 8-way unrolled `u8 → u32` widening loop.
 //!
-//! The quantized *sweep* does not run these dense kernels. A detection
-//! window's candidate histogram has at most one nonzero bin per
-//! observation, so most of its codes are zero: the sweep lists each
-//! candidate's nonzero `(bin, code)` entries once ([`nonzero_codes`]) and
-//! dots every reference row against only those ([`dot_u8_sparse`]). An
-//! integer sum has no association error, so the sparse dot is the same
-//! `u32` as [`dot_u8`] on the full rows.
+//! The quantized sweep's column passes compute the same exact `u32` for
+//! every (candidate, reference) pair; a property test pins its scores to
+//! a per-pair [`dot_u8`] oracle.
 
 // The one sanctioned escape from the crate-wide `deny(unsafe_code)`:
 // SIMD intrinsics are unavoidably unsafe (raw-pointer loads + target
@@ -118,13 +114,6 @@ pub fn active() -> KernelKind {
 #[inline]
 pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     (select().1)(a, b)
-}
-
-/// The selected kernel as a plain function pointer, so hot loops hoist
-/// the dispatch out of the per-row sweep.
-#[inline]
-pub(crate) fn dot_fn() -> DotFn {
-    select().1
 }
 
 fn select() -> &'static (KernelKind, DotFn) {
@@ -196,21 +185,6 @@ pub fn active_int() -> IntKernelKind {
 #[inline]
 pub fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
     (select_int().1)(a, b)
-}
-
-/// The nonzero entries of a code row as `(bin, code)` pairs, bins
-/// ascending — the sparse form [`dot_u8_sparse`] reads.
-pub fn nonzero_codes(codes: &[u8]) -> impl Iterator<Item = (u32, u8)> + '_ {
-    (0u32..).zip(codes).filter(|&(_, &c)| c != 0).map(|(bin, &c)| (bin, c))
-}
-
-/// Exact integer dot of a sparse code row ([`nonzero_codes`]) with a
-/// dense one: `Σ code · row[bin]`. Zero codes contribute nothing to an
-/// integer sum, so this equals [`dot_u8`] over the dense rows, bit for
-/// bit. Panics if a bin lies outside `row`.
-#[inline]
-pub fn dot_u8_sparse(nonzeros: &[(u32, u8)], row: &[u8]) -> u32 {
-    nonzeros.iter().map(|&(bin, code)| u32::from(code) * u32::from(row[bin as usize])).sum()
 }
 
 fn select_int() -> &'static (IntKernelKind, DotU8Fn) {

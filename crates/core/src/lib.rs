@@ -20,9 +20,9 @@
 //! 3. A candidate signature is matched against a [`ReferenceDb`] with the
 //!    weighted **cosine similarity** of Algorithm 1 ([`matching`]) — a
 //!    **sharded** structure-of-arrays `f32` store ([`MatchConfig`]:
-//!    dominant-histogram locality bucketing, MAC-prefix fallback) driven
-//!    by a runtime-dispatched SIMD dot kernel ([`kernel`]), scoring tiles
-//!    of candidate windows per pass over the reference rows, with
+//!    dominant-histogram locality bucketing, MAC-prefix fallback) whose
+//!    bin-major columns are swept one candidate nonzero bin at a time,
+//!    scoring tiles of candidate windows per pass over the shards, with
 //!    reusable [`MatchScratch`] buffers, batched and optionally parallel
 //!    ([`batch`]). Two sweeps share one shard walk: the dense
 //!    [`ReferenceDb::match_tile`] returns full similarity vectors, and at

@@ -1,31 +1,40 @@
 //! The sharded reference database and Algorithm 1 (signature matching).
 //!
-//! # Structure-of-arrays layout, in `f32`
+//! # Structure-of-arrays layout: bin-major columns
 //!
 //! Matching one candidate against `N` references evaluates
 //! `Σ_{ftype} weight^ftype(rᵢ) · sim(P^ftype(c), P^ftype(rᵢ))` for every
 //! reference `rᵢ` — the `O(windows × devices × bins)` hot path of the
 //! whole pipeline. To make that sweep cache-friendly, [`ReferenceDb`]
 //! does **not** score against per-device `BTreeMap`s. Instead it packs,
-//! for each frame kind, every device's frequency vector into contiguous
-//! row-major matrices:
+//! for each frame kind, every device's frequency vector into one
+//! **bin-major** matrix: bin `b` of every resident device is one
+//! contiguous column.
 //!
 //! ```text
-//! KindBlock(Data):   rows  = [ dev₀ bins… | dev₁ bins… | … | devₙ bins… ]  (f32)
+//! KindBlock(Data):   rows  = [ bin₀ of dev₀…devₙ | pad | bin₁ of dev₀…devₙ | pad | … ]
 //!                    weights   = [ w₀, w₁, …, wₙ ]   (f32 reference weights)
 //!                    inv_norms = [ 1/‖r₀‖, …, 1/‖rₙ‖ ]  (f32, 0 ⇒ empty row)
 //! KindBlock(Beacon): rows  = [ … ]
 //! ```
 //!
+//! `rows[bin * cap + slot]` is the value; each column holds `cap ≥ n`
+//! slots, zero past the residents, and `cap` doubles when an insert
+//! finds the columns full, so streaming growth stays amortised `O(row)`
+//! (a bulk build packs `cap` to the resident count). A detection window's
+//! candidate histogram has at most one nonzero bin per observation — a
+//! few of ~170–250 — and the sweep reads only those bins' columns: one
+//! contiguous, vectorisable pass per nonzero bin scores that bin for
+//! every device at once.
+//!
 //! Rows, weights and norms are stored as **`f32`**: histogram frequencies
 //! carry nowhere near 53 bits of information, and halving the row width
-//! doubles the rows per cache line and per SIMD lane. Devices missing a
-//! kind hold weight 0 and an all-zero row; the sweep skips them by the
-//! weight test alone. Per-device *scores* still accumulate in `f64`, so
-//! the only precision loss is the one-off `f64 → f32` quantisation of the
-//! stored rows — bounded by [`F32_SCORE_TOLERANCE`] and enforced against
-//! the `f64` baseline by property tests and an AUC-drift check in the
-//! analysis crate.
+//! doubles the values per cache line. Devices missing a kind hold weight
+//! 0 and an all-zero row, which add exactly `+0` to their scores.
+//! Per-device *scores* accumulate in `f64`, so the only precision loss is
+//! the one-off `f64 → f32` quantisation of the stored rows — bounded by
+//! [`F32_SCORE_TOLERANCE`] and enforced against the `f64` baseline by
+//! property tests and an AUC-drift check in the analysis crate.
 //!
 //! # Precision tiers
 //!
@@ -37,24 +46,22 @@
 //! * **`f64`** — the naive baseline (per-device `BTreeMap`s, full
 //!   doubles). Not a packed layout; kept behind `bench-baseline` as
 //!   ground truth.
-//! * **`f32`** ([`RowPrecision::F32`], the default) — packed rows,
-//!   floating-point SIMD dots, drift ≤ [`F32_SCORE_TOLERANCE`] vs `f64`.
+//! * **`f32`** ([`RowPrecision::F32`], the default) — packed `f32`
+//!   columns; each cosine dot is an ascending-bin `f64` sum of exact
+//!   `f32 × f32` products, so it is the same on every host. Drift ≤
+//!   [`F32_SCORE_TOLERANCE`] vs `f64`.
 //! * **`u8`** ([`RowPrecision::U8`]) — each row quantized once at
 //!   insert to 7-bit codes with a per-row scale
 //!   ([`Histogram::frequencies_u8`](crate::Histogram::frequencies_u8));
 //!   cosine is scale-invariant, so the sweep dots raw codes in **exact**
-//!   integer arithmetic and folds the code norms in at the end. It walks
-//!   only each candidate's nonzero bins
-//!   ([`kernel::dot_u8_sparse`](crate::kernel::dot_u8_sparse)): a
-//!   detection window's histogram has at most one nonzero bin per
-//!   observation, and zero codes add nothing to an integer sum, so the
-//!   sparse dot is the dense one's `u32` exactly. Drift ≤
+//!   `u32` arithmetic and folds the code norms in at the end. Drift ≤
 //!   [`U8_SCORE_TOLERANCE`] vs `f32`, pinned by parity proptests here and
 //!   an AUC-drift gate in the analysis crate.
 //!
 //! Resident bytes per device per (kind, bins) block, at the default
 //! 251-bin inter-arrival spec ([`ReferenceDb::row_bytes`] reports the
-//! exact total; per-block envelope bytes amortise across residents):
+//! exact total over resident slots, not column capacity; per-block
+//! envelope bytes amortise across residents):
 //!
 //! | tier  | row            | per-row metadata               | ≈ bytes/device |
 //! |-------|----------------|--------------------------------|----------------|
@@ -62,11 +69,7 @@
 //! | `f32` | 251 × 4 B      | weight + inv-norm (8 B)        | 1012           |
 //! | `u8`  | 251 × 1 B      | weight + inv-norm + scale (12 B) | 263          |
 //!
-//! Halving the bytes again (4× vs `f32` on the rows themselves) doubles
-//! the rows per cache line a second time. The sweep lists each candidate
-//! row's nonzero `(bin, code)` entries once per call, so a reference row
-//! costs each candidate one multiply-add per nonzero bin (a few, for a
-//! short window) rather than one per bin.
+//! Quartering the row bytes quarters what each column pass streams.
 //!
 //! # The sharded store
 //!
@@ -103,7 +106,7 @@
 //!   shards in descending bound order and skips, per candidate, every
 //!   shard whose best possible score cannot beat that candidate's
 //!   current `k`-th best — at 10⁵ enrolled devices this prunes most of
-//!   the matrix before the SIMD inner loop runs. Its rankings equal the
+//!   the matrix before any column pass runs. Its rankings equal the
 //!   dense sweep's exactly.
 //!
 //! [`MatchScratch::prune_stats`] reports the shards the last sweep of
@@ -111,28 +114,35 @@
 //! `bench-baseline` feature) is the all-`f64` oracle both are checked
 //! against.
 //!
-//! # The SIMD dot kernel
+//! # Column passes
 //!
 //! For the paper's cosine measure the per-pair kernel collapses to a
 //! single dot product (row norms are fixed at pack time, the candidate
-//! norm is hoisted out of the device loop). In the `f32` tier that dense
-//! dot runs through [`kernel`](crate::kernel): an AVX2+FMA path selected at
-//! runtime on x86, a NEON path on aarch64, and an unrolled portable
-//! fallback — all property-tested equivalent. The dispatch is resolved to
-//! a function pointer once per sweep, not once per pair.
+//! norm is hoisted out of the device loop). The sweep lists each
+//! candidate row's nonzero `(bin, value)` entries once per call, then,
+//! per shard and frame kind, accumulates one candidate's dots against
+//! every resident slot at once: `dot[slot] += c · column_bin[slot]` for
+//! each nonzero bin `c`, in exact `u32` for `u8` codes and in `f64` for
+//! `f32` rows. One epilogue per slot then adds `weight · clamp(dot ·
+//! inv_c · inv_r)` to that device's score. The plain slice loops
+//! auto-vectorise; no runtime SIMD dispatch is involved, so scores do not
+//! depend on the host's instruction set. The prune bound is the same sum
+//! against the shard's envelope, `Σ_nz c · envelope[bin]`.
 //!
-//! # Multi-candidate tiling: matrix–matrix, not K × matrix–vector
+//! The other measures read whole rows: the sweep gathers each live slot's
+//! row out of the columns once (dequantizing `u8` codes) and runs the
+//! dense `f32` form of the measure against every candidate.
+//!
+//! # Multi-candidate tiling
 //!
 //! Detection evaluates whole windows of candidates against the same
 //! database. [`ReferenceDb::match_tile`] scores a tile of `K` candidates
-//! in **one** pass over the reference rows: each row is loaded once and
-//! dotted against all `K` candidate rows (in the `u8` cosine tier, their
-//! nonzero bins) while it is hot in L1, turning K matrix–vector sweeps
-//! (K full passes over the matrix) into one matrix–matrix sweep.
-//! [`MATCH_TILE`] is the tile width the batch paths (the engine's window
-//! close, `metrics::match_candidates`, and through it the analysis
-//! pipeline) use. One candidate is a tile of one; the pruned sweep takes
-//! tiles too, sharing one bound-ordered shard pass.
+//! in **one** walk over the shards: each shard's columns are read for all
+//! `K` candidates while they are hot in cache, instead of once per
+//! candidate. [`MATCH_TILE`] is the tile width the batch paths (the
+//! engine's window close, `metrics::match_candidates`, and through it the
+//! analysis pipeline) use. One candidate is a tile of one; the pruned
+//! sweep takes tiles too, sharing one bound-ordered shard pass.
 //!
 //! # Scratch buffers: allocation-free steady state
 //!
@@ -192,7 +202,6 @@ use wifiprint_ieee80211::{FrameKind, MacAddr};
 
 use crate::error::CoreError;
 use crate::histogram::Histogram;
-use crate::kernel;
 use crate::signature::Signature;
 use crate::similarity::SimilarityMeasure;
 
@@ -200,11 +209,13 @@ use crate::similarity::SimilarityMeasure;
 /// rows relative to the same score in full `f64`.
 ///
 /// Scores lie in `[0, 1]`. Rows are `f64` frequencies rounded once to
-/// `f32` (relative error ≤ 2⁻²⁴ per element), dots and norms run in
-/// `f32`, and everything downstream (weighting, accumulation across frame
-/// kinds) is `f64`. For the ≤ ~500-bin rows this crate produces, the
-/// accumulated error stays ≳ an order of magnitude below this bound;
-/// property tests and the analysis crate's AUC-drift check enforce it.
+/// `f32` (relative error ≤ 2⁻²⁴ per element); dots and norms are `f64`
+/// sums of those `f32` values (each product exact), the reciprocal norms
+/// are stored as `f32`, and everything downstream (weighting, accumulation
+/// across frame kinds) is `f64`. For the ≤ ~500-bin rows this crate
+/// produces, the accumulated error stays ≳ an order of magnitude below
+/// this bound; property tests and the analysis crate's AUC-drift check
+/// enforce it.
 pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 
 /// Worst-case drift of a matching score computed over quantized `u8`
@@ -219,19 +230,19 @@ pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 /// the cosine can drift by a few times `1e-2`; realistic traffic
 /// histograms concentrate their mass and stay well under `1e-2` (the
 /// AUC-drift gate in the analysis crate pins the *application* drift two
-/// orders tighter). Integer dots themselves are exact — the sweep's
-/// sparse walk over a candidate's nonzero bins returns the same `u32` as
-/// a dense dot — so unlike the `f32` tier none of this budget is spent
-/// on kernel association order or on which bins the sweep visits.
+/// orders tighter). Integer dots themselves are exact — the column pass
+/// over a candidate's nonzero bins returns the same `u32` as a dense dot
+/// — so none of this budget is spent on summation order or on which bins
+/// the sweep visits.
 pub const U8_SCORE_TOLERANCE: f64 = 5e-2;
 
 /// Tile width for multi-candidate matching: how many candidate windows
 /// the engine's window close and `metrics::match_candidates` (and the
 /// analysis paths built on it) pass to one [`ReferenceDb::match_tile`].
 ///
-/// Eight rows of ≤ ~500 `f32` bins (≤ 16 KiB) fit in L1 alongside the
-/// reference row being swept, which is the point: each reference row is
-/// loaded from memory once per tile instead of once per candidate.
+/// A tile's candidates share one walk over the shards, so each shard's
+/// columns are loaded from memory once per tile instead of once per
+/// candidate.
 pub const MATCH_TILE: usize = 8;
 
 /// Default shard count of a [`MatchConfig`]. Sixteen shards keep the
@@ -245,9 +256,11 @@ pub const DEFAULT_SHARDS: usize = 16;
 const MAX_SHARDS: usize = 1024;
 
 /// Safety slack added to every shard's score upper bound before the
-/// prune test. The bound and the true scores run through the same `f32`
-/// kernels but accumulate differently, so their floating-point error is
-/// not ordered; one [`F32_SCORE_TOLERANCE`] of slack makes the bound
+/// prune test. The bound dots the candidate against the `f32` envelope
+/// (each entry a rounded `row · inv_norm` product), the true scores dot
+/// it against the rows and multiply by the norms afterwards, so their
+/// floating-point error is not ordered; one [`F32_SCORE_TOLERANCE`] of
+/// slack makes the bound
 /// admissible under rounding (a shard is only pruned when its best
 /// possible score is below the current `k`-th best by more than the
 /// documented score tolerance).
@@ -275,15 +288,15 @@ pub enum ShardStrategy {
 /// of a [`ReferenceDb`] (see the [module docs](self#precision-tiers)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RowPrecision {
-    /// `f32` rows swept by the floating-point SIMD kernels. Scores track
-    /// the `f64` baseline within [`F32_SCORE_TOLERANCE`].
+    /// `f32` rows; cosine dots are ascending-bin `f64` sums over a
+    /// candidate's nonzero bins. Scores track the `f64` baseline within
+    /// [`F32_SCORE_TOLERANCE`].
     #[default]
     F32,
     /// Quantized `u8` rows (7-bit codes with a per-row scale, zero-point
-    /// fixed at 0). The cosine sweep dots each reference row against only
-    /// a candidate's nonzero codes in exact integer arithmetic
-    /// ([`kernel::dot_u8_sparse`](crate::kernel::dot_u8_sparse)). Quarter
-    /// the row bytes of `f32`; scores track the `f32` tier within
+    /// fixed at 0). The cosine sweep dots the columns of a candidate's
+    /// nonzero codes in exact integer arithmetic. Quarter the row bytes
+    /// of `f32`; scores track the `f32` tier within
     /// [`U8_SCORE_TOLERANCE`].
     U8,
 }
@@ -371,22 +384,25 @@ impl MatchConfig {
 /// The packed row storage of a [`KindBlock`] — one variant per
 /// [`RowPrecision`], so the `u8` tier genuinely holds one byte per bin
 /// (plus one `f32` scale per row) rather than shadowing an `f32` copy.
+///
+/// Both variants are **bin-major**: `rows[bin * cap + slot]` is the
+/// value of `bin` for the device in `slot`, so one bin of every resident
+/// row is one contiguous column (see [`KindBlock::cap`]).
 #[derive(Debug, Clone)]
 enum RowStore {
-    /// `rows[slot*bins..(slot+1)*bins]` is the device's `f32` frequency
-    /// vector.
+    /// The devices' `f32` frequencies.
     F32(Vec<f32>),
-    /// Quantized rows: `rows[slot*bins..(slot+1)*bins]` are the device's
-    /// 7-bit codes ([`Histogram::frequencies_u8`]) and `scales[slot]`
-    /// dequantizes them (`frequency ≈ code · scale`). The cosine sweep
-    /// never touches the scale — cosine is scale-invariant, so it works
-    /// on the raw codes with `inv_norms` computed over the codes — but
-    /// the non-cosine fallback dequantizes through it.
+    /// Quantized rows: the devices' 7-bit codes
+    /// ([`Histogram::frequencies_u8`]); `scales[slot]` dequantizes a
+    /// slot's codes (`frequency ≈ code · scale`). The cosine sweep never
+    /// touches the scale — cosine is scale-invariant, so it works on the
+    /// raw codes with `inv_norms` computed over the codes — but the
+    /// non-cosine measures dequantize through it.
     U8 { rows: Vec<u8>, scales: Vec<f32> },
 }
 
 /// One frame kind's slice of a shard's reference matrix: every resident
-/// device's frequency vector for that kind, packed row-major at the
+/// device's frequency vector for that kind, packed bin-major at the
 /// database's [`RowPrecision`], plus the reference weights
 /// `weight^ftype(rᵢ)`, reciprocal row norms, and the prune summary
 /// (upper envelope of the normalised rows + max weight).
@@ -397,16 +413,20 @@ struct KindBlock {
     /// with a different spec for the same kind land in a sibling block,
     /// so heterogeneous databases still score every compatible pair.
     bins: usize,
+    /// Slot capacity of every column: column `bin` starts at
+    /// `bin * cap`, and its entries past the resident slots are zero. It
+    /// doubles when an append finds the columns full (amortised `O(row)`
+    /// inserts); a bulk build packs it to the resident count.
+    cap: usize,
     /// `weights[slot]` is the resident device's weight for this kind
-    /// (0 ⇒ skip row).
+    /// (0 ⇒ absent device). Its length is the resident slot count.
     weights: Vec<f32>,
     /// The packed rows at the configured precision.
     store: RowStore,
     /// `inv_norms[slot]` is `1 / ‖row‖₂` of the *stored* row (`f32`
     /// frequencies or `u8` codes — whichever the sweep dots against),
     /// precomputed at pack time so the cosine sweep reduces to one dot
-    /// product and two multiplies per pair (0.0 for absent rows, which
-    /// weight 0 already skips).
+    /// product and two multiplies per pair (0.0 for absent rows).
     inv_norms: Vec<f32>,
     /// Elementwise maximum of the *normalised* resident rows: because
     /// frequencies (and quantized codes) are non-negative,
@@ -420,15 +440,25 @@ struct KindBlock {
 }
 
 impl KindBlock {
-    fn empty(kind: FrameKind, bins: usize, slots: usize, precision: RowPrecision) -> KindBlock {
+    /// A block of `slots` absent devices whose columns hold
+    /// `max(slots, cap)` slots.
+    fn empty(
+        kind: FrameKind,
+        bins: usize,
+        slots: usize,
+        cap: usize,
+        precision: RowPrecision,
+    ) -> KindBlock {
+        let cap = cap.max(slots);
         KindBlock {
             kind,
             bins,
+            cap,
             weights: vec![0.0; slots],
             store: match precision {
-                RowPrecision::F32 => RowStore::F32(vec![0.0; slots * bins]),
+                RowPrecision::F32 => RowStore::F32(vec![0.0; cap * bins]),
                 RowPrecision::U8 => {
-                    RowStore::U8 { rows: vec![0; slots * bins], scales: vec![0.0; slots] }
+                    RowStore::U8 { rows: vec![0; cap * bins], scales: vec![0.0; slots] }
                 }
             },
             inv_norms: vec![0.0; slots],
@@ -437,128 +467,199 @@ impl KindBlock {
         }
     }
 
-    /// Appends one absent-device slot.
+    /// Number of resident slots (absent devices included).
+    fn slots(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// Appends one absent-device slot (its column entries are already
+    /// zero), doubling the capacity when the columns are full.
     fn push_empty_slot(&mut self) {
+        let (bins, slots, old) = (self.bins, self.slots(), self.cap);
+        if slots == old {
+            let cap = (2 * old).max(1);
+            match &mut self.store {
+                RowStore::F32(rows) => relayout_columns(rows, bins, slots, old, cap),
+                RowStore::U8 { rows, .. } => relayout_columns(rows, bins, slots, old, cap),
+            }
+            self.cap = cap;
+        }
         self.weights.push(0.0);
         self.inv_norms.push(0.0);
-        match &mut self.store {
-            RowStore::F32(rows) => rows.resize(rows.len() + self.bins, 0.0),
-            RowStore::U8 { rows, scales } => {
-                rows.resize(rows.len() + self.bins, 0);
-                scales.push(0.0);
-            }
+        if let RowStore::U8 { scales, .. } = &mut self.store {
+            scales.push(0.0);
         }
     }
 
-    /// Removes one slot, shifting the later ones down.
+    /// Removes one slot by moving the last slot into it — one element
+    /// per column, whatever the slot count — zeroes the vacated last
+    /// slot, and repairs the prune summary. No score depends on the slot
+    /// a device sits in.
+    ///
+    /// The envelope can only shrink where the removed row attained it,
+    /// so only those columns (a few, for a sparse row) are re-walked,
+    /// each contiguously; every other entry is still attained by a
+    /// remaining row. A maximum does not round, so the repaired envelope
+    /// is bit for bit the one a bulk build computes.
     fn remove_slot(&mut self, slot: usize) {
-        self.weights.remove(slot);
-        self.inv_norms.remove(slot);
-        match &mut self.store {
+        let cap = self.cap;
+        let removed_inv = self.inv_norms.swap_remove(slot);
+        self.weights.swap_remove(slot);
+        let KindBlock { weights, store, inv_norms, envelope, wmax, .. } = self;
+        match store {
             RowStore::F32(rows) => {
-                rows.drain(slot * self.bins..(slot + 1) * self.bins);
+                swap_remove_column_slot(rows, cap, slot, removed_inv, inv_norms, envelope, |f| f);
             }
             RowStore::U8 { rows, scales } => {
-                rows.drain(slot * self.bins..(slot + 1) * self.bins);
-                scales.remove(slot);
+                swap_remove_column_slot(rows, cap, slot, removed_inv, inv_norms, envelope, f32::from);
+                scales.swap_remove(slot);
             }
         }
+        *wmax = weights.iter().copied().fold(0.0, f32::max);
     }
 
-    /// Writes a device's row into `slot` at the block's precision and
-    /// absorbs it into the prune summary (the envelope only grows here;
-    /// shrinking happens in [`KindBlock::rebuild_summary`] after
-    /// removals).
+    /// Writes a device's row into the freshly appended (all-zero) `slot`
+    /// at the block's precision — only its nonzero bins need a write —
+    /// and absorbs it into the prune summary (the envelope only grows
+    /// here; shrinking happens in [`KindBlock::remove_slot`]).
     fn set_slot(&mut self, slot: usize, hist: &Histogram, weight: f32) {
-        let KindBlock { bins, weights, store, inv_norms, envelope, wmax, .. } = self;
-        let bins = *bins;
+        let KindBlock { bins, cap, weights, store, inv_norms, envelope, wmax, .. } = self;
+        let (bins, cap) = (*bins, *cap);
         weights[slot] = weight;
         *wmax = wmax.max(weight);
         match store {
             RowStore::F32(rows) => {
                 let freqs = hist.frequencies_f32();
                 debug_assert_eq!(freqs.len(), bins);
-                rows[slot * bins..(slot + 1) * bins].copy_from_slice(freqs);
                 let inv = inv_norm(freqs);
                 inv_norms[slot] = inv;
-                for (e, &f) in envelope.iter_mut().zip(freqs) {
-                    *e = e.max(f * inv);
+                for (bin, f) in nonzero_bins(freqs.iter().copied()) {
+                    let bin = bin as usize;
+                    rows[bin * cap + slot] = f;
+                    envelope[bin] = envelope[bin].max(f * inv);
                 }
             }
             RowStore::U8 { rows, scales } => {
                 let q = hist.frequencies_u8();
                 debug_assert_eq!(q.values().len(), bins);
-                rows[slot * bins..(slot + 1) * bins].copy_from_slice(q.values());
                 scales[slot] = q.scale();
                 let inv = q.inv_norm();
                 inv_norms[slot] = inv;
-                for (e, &c) in envelope.iter_mut().zip(q.values()) {
-                    *e = e.max(f32::from(c) * inv);
+                for (bin, &c) in q.values().iter().enumerate().filter(|&(_, &c)| c != 0) {
+                    rows[bin * cap + slot] = c;
+                    envelope[bin] = envelope[bin].max(f32::from(c) * inv);
                 }
             }
         }
     }
 
-    /// Recomputes the envelope and max weight from the resident rows
-    /// (after a removal the incremental summary would be stale-loose).
-    fn rebuild_summary(&mut self) {
-        let KindBlock { bins, weights, store, inv_norms, envelope, wmax, .. } = self;
-        let bins = *bins;
-        envelope.fill(0.0);
-        *wmax = 0.0;
-        match store {
-            RowStore::F32(rows) => {
-                for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                    let weight = weights[slot];
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    *wmax = wmax.max(weight);
-                    let inv = inv_norms[slot];
-                    for (e, &f) in envelope.iter_mut().zip(row) {
-                        *e = e.max(f * inv);
-                    }
-                }
-            }
-            RowStore::U8 { rows, .. } => {
-                for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                    let weight = weights[slot];
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    *wmax = wmax.max(weight);
-                    let inv = inv_norms[slot];
-                    for (e, &c) in envelope.iter_mut().zip(row) {
-                        *e = e.max(f32::from(c) * inv);
-                    }
-                }
-            }
+    /// Column `bin` of `rows` (this block's packed store) over the
+    /// resident slots.
+    fn column<'a, T>(&self, rows: &'a [T], bin: u32) -> &'a [T] {
+        let start = bin as usize * self.cap;
+        &rows[start..start + self.slots()]
+    }
+
+    /// Gathers `slot`'s row out of the columns into `out` as `f32`
+    /// frequencies (`u8` codes are dequantized through the slot's
+    /// scale) — the dense row the non-cosine measures read.
+    fn gather_row(&self, slot: usize, out: &mut Vec<f32>) {
+        let cap = self.cap;
+        out.clear();
+        match &self.store {
+            RowStore::F32(rows) => out.extend((0..self.bins).map(|bin| rows[bin * cap + slot])),
+            RowStore::U8 { rows, scales } => out.extend(
+                (0..self.bins).map(|bin| f32::from(rows[bin * cap + slot]) * scales[slot]),
+            ),
         }
     }
 
-    /// The resident rows of `rows` (this block's packed store) with their
-    /// slot and `f64` weight; zero-weight slots are absent devices.
-    fn live_rows<'a, T>(&'a self, rows: &'a [T]) -> impl Iterator<Item = (usize, &'a [T], f64)> {
-        rows.chunks_exact(self.bins)
-            .zip(&self.weights)
-            .enumerate()
-            .filter(|(_, (_, &weight))| weight != 0.0)
-            .map(|(slot, (row, &weight))| (slot, row, f64::from(weight)))
+    /// Adds one candidate's cosine terms to `scores` (one per slot):
+    /// `weight · clamp(dot · inv_c · inv_r)` for each slot's `dot`.
+    /// Branch-free: an absent slot has weight 0 and adds `+0.0`, which
+    /// leaves a non-negative score's bits as they are.
+    fn add_cosines(&self, scores: &mut [f64], dots: impl Iterator<Item = f64>, inv_c: f64) {
+        for (((s, dot), &weight), &inv_r) in
+            scores.iter_mut().zip(dots).zip(&self.weights).zip(&self.inv_norms)
+        {
+            *s += f64::from(weight) * (dot * inv_c * f64::from(inv_r)).clamp(0.0, 1.0);
+        }
     }
 
-    /// Bytes held by this block's packed rows and per-row/summary
-    /// metadata (capacity excluded — this measures the resident layout).
+    /// Bytes held by this block's resident rows and per-row/summary
+    /// metadata (column capacity excluded — this measures the resident
+    /// layout, so an incrementally grown block reports what a bulk-packed
+    /// one does).
     fn row_bytes(&self) -> usize {
+        let cells = self.slots() * self.bins;
         let store = match &self.store {
-            RowStore::F32(rows) => std::mem::size_of_val(rows.as_slice()),
-            RowStore::U8 { rows, scales } => {
-                std::mem::size_of_val(rows.as_slice()) + std::mem::size_of_val(scales.as_slice())
-            }
+            RowStore::F32(_) => cells * std::mem::size_of::<f32>(),
+            RowStore::U8 { scales, .. } => cells + std::mem::size_of_val(scales.as_slice()),
         };
         store
             + std::mem::size_of_val(self.weights.as_slice())
             + std::mem::size_of_val(self.inv_norms.as_slice())
             + std::mem::size_of_val(self.envelope.as_slice())
+    }
+}
+
+/// Copies the first `slots` entries of every column from capacity `old`
+/// to capacity `cap`, zero-filling the rest.
+fn relayout_columns<T: Copy + Default>(
+    rows: &mut Vec<T>,
+    bins: usize,
+    slots: usize,
+    old: usize,
+    cap: usize,
+) {
+    let mut out = vec![T::default(); bins * cap];
+    for bin in 0..bins {
+        out[bin * cap..bin * cap + slots].copy_from_slice(&rows[bin * old..bin * old + slots]);
+    }
+    *rows = out;
+}
+
+/// `max_slot(widen(col[slot]) · inv_norms[slot])` (0 for an empty
+/// column), over eight independent lanes so the walk vectorises. A
+/// maximum does not round, so the lane split changes no bit.
+fn column_max<T: Copy>(col: &[T], inv_norms: &[f32], widen: impl Fn(T) -> f32) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let (body, tail) = col.as_chunks::<8>();
+    let (inv_body, inv_tail) = inv_norms[..col.len()].as_chunks::<8>();
+    for (c, inv) in body.iter().zip(inv_body) {
+        for lane in 0..8 {
+            // Values are finite and non-negative: `>` is `f32::max` here.
+            let v = widen(c[lane]) * inv[lane];
+            lanes[lane] = if v > lanes[lane] { v } else { lanes[lane] };
+        }
+    }
+    for (&c, &inv) in tail.iter().zip(inv_tail) {
+        lanes[0] = lanes[0].max(widen(c) * inv);
+    }
+    lanes.into_iter().fold(0.0, f32::max)
+}
+
+/// Moves the last slot into `slot` in every column and zeroes it; where
+/// the removed value attained `envelope[bin]`, re-walks the column over
+/// the remaining slots (`inv_norms` is already swap-removed, so its
+/// length is the remaining slot count).
+fn swap_remove_column_slot<T: Copy + Default>(
+    rows: &mut [T],
+    cap: usize,
+    slot: usize,
+    removed_inv: f32,
+    inv_norms: &[f32],
+    envelope: &mut [f32],
+    widen: impl Fn(T) -> f32 + Copy,
+) {
+    let last = inv_norms.len();
+    for (col, e) in rows.chunks_exact_mut(cap).zip(envelope) {
+        let removed = widen(col[slot]) * removed_inv;
+        col[slot] = col[last];
+        col[last] = T::default();
+        if removed != 0.0 && removed == *e {
+            *e = column_max(&col[..last], inv_norms, widen);
+        }
     }
 }
 
@@ -797,7 +898,8 @@ impl ReferenceDb {
                 let row = self.order[pos] as usize;
                 let previous = std::mem::replace(&mut self.signatures[row], signature);
                 self.detach_row(row);
-                self.attach_row(row);
+                let shard = self.shard_key(device, &self.signatures[row]);
+                self.attach_row(row, shard, 0);
                 Some(previous)
             }
             Err(pos) => {
@@ -806,7 +908,8 @@ impl ReferenceDb {
                 self.signatures.push(signature);
                 self.order.insert(pos, row as u32);
                 self.placement.push(Placement::default());
-                self.attach_row(row);
+                let shard = self.shard_key(device, &self.signatures[row]);
+                self.attach_row(row, shard, 0);
                 None
             }
         })
@@ -907,11 +1010,12 @@ impl ReferenceDb {
         self.order.iter().map(|&i| self.devices[i as usize])
     }
 
-    /// Attaches global row `row` to its shard: appends a slot and writes
-    /// the device's per-kind vectors, creating blocks for `(kind, bins)`
-    /// pairs the shard sees for the first time.
-    fn attach_row(&mut self, row: usize) {
-        let shard_idx = self.shard_key(self.devices[row], &self.signatures[row]);
+    /// Attaches global row `row` to shard `shard_idx`: appends a slot and
+    /// writes the device's per-kind vectors, creating blocks for
+    /// `(kind, bins)` pairs the shard sees for the first time with
+    /// columns of at least `cap` slots (a bulk build passes the shard's
+    /// final size, so its columns never grow; an insert passes 0).
+    fn attach_row(&mut self, row: usize, shard_idx: usize, cap: usize) {
         let ReferenceDb { config, signatures, placement, kind_keys, shards, .. } = self;
         let precision = config.precision;
         let shard = &mut shards[shard_idx];
@@ -934,7 +1038,7 @@ impl ReferenceDb {
             {
                 Ok(i) => i,
                 Err(i) => {
-                    shard.blocks.insert(i, KindBlock::empty(kind, bins, slots, precision));
+                    shard.blocks.insert(i, KindBlock::empty(kind, bins, slots, cap, precision));
                     i
                 }
             };
@@ -945,27 +1049,34 @@ impl ReferenceDb {
         }
     }
 
-    /// Detaches global row `row` from its shard: drops its slot, shifts
-    /// the later residents down, and rebuilds the affected prune
-    /// summaries (the envelope may shrink).
+    /// Detaches global row `row` from its shard: drops its slot (the
+    /// shard's last resident moves into it) and repairs the affected
+    /// prune summaries (the envelope may shrink).
     fn detach_row(&mut self, row: usize) {
         let Placement { shard: shard_idx, slot } = self.placement[row];
-        let ReferenceDb { placement, shards, .. } = self;
+        let ReferenceDb { placement, kind_keys, shards, .. } = self;
         let shard = &mut shards[shard_idx as usize];
-        let slot = slot as usize;
-        shard.rows.remove(slot);
-        for &r in &shard.rows[slot..] {
-            placement[r as usize].slot -= 1;
+        shard.rows.swap_remove(slot as usize);
+        if let Some(&moved) = shard.rows.get(slot as usize) {
+            placement[moved as usize].slot = slot;
         }
+        let slot = slot as usize;
         for block in &mut shard.blocks {
             block.remove_slot(slot);
-            block.rebuild_summary();
         }
+        let blocks = shard.blocks.len();
         shard.blocks.retain(|b| b.wmax > 0.0);
+        if shard.blocks.len() < blocks {
+            // A key no shard holds any more leaves `kind_keys`, so the
+            // sweeps stop packing candidate rows nothing can score.
+            kind_keys.retain(|&(kind, bins)| shards.iter().any(|s| s.block(kind, bins).is_some()));
+        }
     }
 
     /// Repacks the index, the shard directory and the per-kind matrices
-    /// from the current signatures (bulk construction).
+    /// from the current signatures (bulk construction). Every block's
+    /// columns are sized to their shard's final slot count up front, so
+    /// they end packed at exact size.
     fn rebuild(&mut self) {
         let n = self.devices.len();
         self.order = (0..n as u32).collect();
@@ -974,8 +1085,14 @@ impl ReferenceDb {
         self.kind_keys.clear();
         let shards = self.shards.len();
         self.shards = vec![Shard::default(); shards];
-        for row in 0..n {
-            self.attach_row(row);
+        let keys: Vec<usize> =
+            (0..n).map(|row| self.shard_key(self.devices[row], &self.signatures[row])).collect();
+        let mut sizes = vec![0; shards];
+        for &key in &keys {
+            sizes[key] += 1;
+        }
+        for (row, &key) in keys.iter().enumerate() {
+            self.attach_row(row, key, sizes[key]);
         }
     }
 
@@ -1094,17 +1211,24 @@ impl ReferenceDb {
             self.sweep_shard(shard, measure, scratch);
             // Merge the shard into each active candidate's running
             // top-k, kept sorted by rank at all times: entries that
-            // cannot outrank the current k-th best are dropped with one
-            // comparison, survivors are placed by binary insertion (k is
-            // small). Candidates with packed kinds absent from this
-            // shard merge zeros, exactly like the dense sweep.
+            // cannot outrank the current k-th best are dropped,
+            // survivors are placed by binary insertion (k is small).
+            // Candidates with packed kinds absent from this shard merge
+            // zeros, exactly like the dense sweep.
             let slots = shard.rows.len();
             for (ci, tops_c) in tops.iter_mut().enumerate() {
                 if !scratch.active[ci] {
                     continue;
                 }
                 let shard_scores = &scratch.shard_scores[ci * slots..(ci + 1) * slots];
+                // A score strictly below the k-th best cannot outrank it,
+                // so most slots cost one comparison; only a tie needs the
+                // address.
+                let mut floor = tops_c.get(k - 1).map_or(f64::NEG_INFINITY, |e| e.1);
                 for (&r, &s) in shard.rows.iter().zip(shard_scores) {
+                    if s < floor {
+                        continue;
+                    }
                     let entry = (self.devices[r as usize], s);
                     if tops_c.len() >= k
                         && rank_desc(&entry, &tops_c[k - 1]) != std::cmp::Ordering::Less
@@ -1115,6 +1239,7 @@ impl ReferenceDb {
                         .partition_point(|e| rank_desc(e, &entry) == std::cmp::Ordering::Less);
                     tops_c.insert(pos, entry);
                     tops_c.truncate(k);
+                    floor = tops_c.get(k - 1).map_or(f64::NEG_INFINITY, |e| e.1);
                 }
             }
         }
@@ -1123,16 +1248,16 @@ impl ReferenceDb {
 
     /// Packs every candidate's rows once per sweep, kind-major: for each
     /// `(kind, bins)` key ascending, the rows of the candidates carrying
-    /// it, in candidate order, so a fully active kind is one contiguous
-    /// tile. Candidates binned differently (or missing the kind) don't
-    /// join it — incompatible binning carries no information.
+    /// it, in candidate order. Candidates binned differently (or missing
+    /// the kind) don't join it — incompatible binning carries no
+    /// information.
     ///
-    /// Quantized cosine packs the candidate's own codes (the per-row
-    /// scales cancel out of cosine): widened into `tile_rows` for the
-    /// envelope bound, and as the row's nonzero `(bin, code)` entries into
-    /// `tile_nonzeros` for the integer sweep. A window's histogram has at
-    /// most one nonzero bin per observation, so that list is short.
-    /// Everything else packs `f32` frequencies into `tile_rows`.
+    /// Cosine, in both tiers, packs each row as its nonzero
+    /// `(bin, value)` entries into `tile_nonzeros`: `f32` frequencies, or
+    /// the candidate's own `u8` codes widened exactly to `f32` (the
+    /// per-row scales cancel out of cosine). A window's histogram has at
+    /// most one nonzero bin per observation, so that list is short. The
+    /// other measures pack dense `f32` frequencies into `tile_rows`.
     fn pack_candidates<C: Borrow<Signature>>(
         &self,
         candidates: &[C],
@@ -1140,7 +1265,7 @@ impl ReferenceDb {
         scratch: &mut MatchScratch,
     ) {
         let cosine = measure == SimilarityMeasure::Cosine;
-        let quantized = cosine && self.config.precision == RowPrecision::U8;
+        let quantized = self.config.precision == RowPrecision::U8;
         let MatchScratch { tile_rows, tile_nonzeros, packed, kind_spans, .. } = scratch;
         tile_rows.clear();
         tile_nonzeros.clear();
@@ -1156,21 +1281,17 @@ impl ReferenceDb {
                 }
                 let offset = tile_rows.len();
                 let nonzeros_start = tile_nonzeros.len();
-                let inv = if quantized {
+                let inv = if !cosine {
+                    tile_rows.extend_from_slice(hist.frequencies_f32());
+                    0.0
+                } else if quantized {
                     let q = hist.frequencies_u8();
-                    tile_rows.extend(q.values().iter().map(|&c| f32::from(c)));
-                    tile_nonzeros.extend(kernel::nonzero_codes(q.values()));
+                    tile_nonzeros.extend(nonzero_bins(q.values().iter().map(|&c| f32::from(c))));
                     q.inv_norm()
                 } else {
                     let freqs = hist.frequencies_f32();
-                    tile_rows.extend_from_slice(freqs);
-                    // Only cosine reads the norms; skip the self-dot for
-                    // the other measures.
-                    if cosine {
-                        inv_norm(freqs)
-                    } else {
-                        0.0
-                    }
+                    tile_nonzeros.extend(nonzero_bins(freqs.iter().copied()));
+                    inv_norm(freqs)
                 };
                 packed.push(PackedRow {
                     cand,
@@ -1189,11 +1310,12 @@ impl ReferenceDb {
     /// min(1, ĉ·envelope)` plus slack for cosine, `+∞` for measures
     /// without an admissible bound — and `shard_bounds` with the occupied
     /// shards in descending order of their best bound over the tile
-    /// (which for a tile of one is the candidate's own order).
+    /// (which for a tile of one is the candidate's own order). The
+    /// envelope dot runs over the candidate's nonzero bins only.
     fn bound_shards(&self, kc: usize, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
         let cosine = measure == SimilarityMeasure::Cosine;
-        let dot = kernel::dot_fn();
-        let MatchScratch { tile_rows, packed, kind_spans, tile_bounds, shard_bounds, .. } = scratch;
+        let MatchScratch { tile_nonzeros, packed, kind_spans, tile_bounds, shard_bounds, .. } =
+            scratch;
         tile_bounds.clear();
         tile_bounds.resize(self.shards.len() * kc, if cosine { 0.0 } else { f64::INFINITY });
         shard_bounds.clear();
@@ -1206,9 +1328,10 @@ impl ReferenceDb {
                 for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
                     let Some(block) = shard.block(kind, bins) else { continue };
                     for e in &packed[span.clone()] {
-                        let cand = &tile_rows[e.offset..e.offset + bins];
-                        let cos_ub =
-                            (f64::from(dot(cand, &block.envelope)) * e.inv_norm).clamp(0.0, 1.0);
+                        let dot = tile_nonzeros[e.nonzeros.clone()].iter().fold(0.0, |acc, &(bin, c)| {
+                            acc + f64::from(c) * f64::from(block.envelope[bin as usize])
+                        });
+                        let cos_ub = (dot * e.inv_norm).clamp(0.0, 1.0);
                         bounds[e.cand] += f64::from(block.wmax) * cos_ub;
                     }
                 }
@@ -1230,11 +1353,19 @@ impl ReferenceDb {
     /// (candidate-major, `candidate * slots + slot`; zero for inactive
     /// candidates and absent rows).
     ///
-    /// Frame kinds run ascending, rows inner, candidates innermost, so
-    /// each (candidate, row) `f64` score adds its per-kind terms in the
-    /// flat layout's order: every sweep over every shard layout is
-    /// bit-identical to the flat dense sweep. Zero-weight rows are
-    /// absent devices.
+    /// Cosine runs as **column passes**: per packed candidate row, the
+    /// dots against every slot accumulate at once, `dot[slot] += c ·
+    /// column_bin[slot]` over the candidate's nonzero bins only — exact
+    /// `u32` sums over `u8` codes, ascending-bin `f64` sums over `f32`
+    /// rows (each `f32 × f32` product is exact in `f64`, and a zero bin
+    /// would add exactly `+0`) — and one epilogue per slot folds in the
+    /// norms and the weight. The other measures gather each live slot's
+    /// row out of the columns and run the dense `f32` kernels.
+    ///
+    /// Frame kinds run ascending, so each (candidate, slot) `f64` score
+    /// adds its per-kind terms in the flat layout's order, and no term
+    /// depends on where its slot sits: every sweep over every shard
+    /// layout is bit-identical to the flat dense sweep.
     fn sweep_shard(&self, shard: &Shard, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
         let MatchScratch {
             tile_rows,
@@ -1242,8 +1373,9 @@ impl ReferenceDb {
             packed,
             kind_spans,
             active,
-            gathered,
-            dequant_row,
+            dots_u32,
+            dots_f64,
+            ref_row,
             shard_scores,
             ..
         } = scratch;
@@ -1251,70 +1383,38 @@ impl ReferenceDb {
         shard_scores.clear();
         shard_scores.resize(active.len() * slots, 0.0);
         let cosine = measure == SimilarityMeasure::Cosine;
-        let dot = kernel::dot_fn();
         for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
             let Some(block) = shard.block(kind, bins) else { continue };
-            // A fully active kind reads its packed tile in place; a
-            // partial one gathers the active candidates' entries.
-            let all = &packed[span.clone()];
-            let entries: &[PackedRow] = if all.iter().all(|e| active[e.cand]) {
-                all
-            } else {
-                gathered.clear();
-                gathered.extend(all.iter().filter(|e| active[e.cand]).cloned());
-                gathered.as_slice()
-            };
-            if entries.is_empty() {
-                continue;
-            }
+            let entries = packed[span.clone()].iter().filter(|e| active[e.cand]);
             match (&block.store, cosine) {
-                (RowStore::F32(rows), true) => {
-                    for (slot, row, weight) in block.live_rows(rows) {
-                        // Row norms were fixed at pack time and candidate
-                        // norms are invariant across rows, so the
-                        // per-pair kernel is one SIMD dot.
-                        let row_inv = f64::from(block.inv_norms[slot]);
-                        for e in entries {
-                            let cand = &tile_rows[e.offset..e.offset + bins];
-                            let cos = (f64::from(dot(cand, row)) * e.inv_norm * row_inv)
-                                .clamp(0.0, 1.0);
-                            shard_scores[e.cand * slots + slot] += weight * cos;
-                        }
-                    }
-                }
                 (RowStore::U8 { rows, .. }, true) => {
-                    // Exact integer dots over each candidate's nonzero
-                    // bins only: the same `u32` a dense dot returns.
-                    for (slot, row, weight) in block.live_rows(rows) {
-                        let row_inv = f64::from(block.inv_norms[slot]);
-                        for e in entries {
-                            let d = kernel::dot_u8_sparse(&tile_nonzeros[e.nonzeros.clone()], row);
-                            let cos = (f64::from(d) * e.inv_norm * row_inv).clamp(0.0, 1.0);
-                            shard_scores[e.cand * slots + slot] += weight * cos;
-                        }
+                    for e in entries {
+                        dots_u32.clear();
+                        dots_u32.resize(slots, 0);
+                        accumulate_u8(dots_u32, &tile_nonzeros[e.nonzeros.clone()], block, rows);
+                        let scores = &mut shard_scores[e.cand * slots..(e.cand + 1) * slots];
+                        block.add_cosines(scores, dots_u32.iter().map(|&d| f64::from(d)), e.inv_norm);
                     }
                 }
-                (RowStore::F32(rows), false) => {
-                    for (slot, row, weight) in block.live_rows(rows) {
-                        for e in entries {
-                            let cand = &tile_rows[e.offset..e.offset + bins];
-                            shard_scores[e.cand * slots + slot] +=
-                                weight * measure.compute_dense_f32(cand, row);
-                        }
+                (RowStore::F32(rows), true) => {
+                    for e in entries {
+                        dots_f64.clear();
+                        dots_f64.resize(slots, 0.0);
+                        accumulate_f32(dots_f64, &tile_nonzeros[e.nonzeros.clone()], block, rows);
+                        let scores = &mut shard_scores[e.cand * slots..(e.cand + 1) * slots];
+                        block.add_cosines(scores, dots_f64.iter().copied(), e.inv_norm);
                     }
                 }
-                (RowStore::U8 { rows, scales }, false) => {
-                    // Non-cosine measures read frequencies, not
-                    // directions: dequantize each reference row once and
-                    // reuse the dense f32 kernels.
-                    for (slot, row, weight) in block.live_rows(rows) {
-                        let scale = scales[slot];
-                        dequant_row.clear();
-                        dequant_row.extend(row.iter().map(|&q| f32::from(q) * scale));
-                        for e in entries {
+                (_, false) => {
+                    for (slot, &weight) in block.weights.iter().enumerate() {
+                        if weight == 0.0 {
+                            continue;
+                        }
+                        block.gather_row(slot, ref_row);
+                        for e in entries.clone() {
                             let cand = &tile_rows[e.offset..e.offset + bins];
                             shard_scores[e.cand * slots + slot] +=
-                                weight * measure.compute_dense_f32(cand, dequant_row);
+                                f64::from(weight) * measure.compute_dense_f32(cand, ref_row);
                         }
                     }
                 }
@@ -1349,14 +1449,83 @@ impl ReferenceDb {
     }
 }
 
-/// `1 / ‖row‖₂` through the dispatched kernel; 0.0 for an all-zero row.
+/// One candidate's `u8` column pass: `dots[slot] += c · column_bin[slot]`
+/// over its nonzero `(bin, code)` entries, four columns per walk over
+/// `dots`. Integer sums are exact, so this is the dense dot's `u32`.
+///
+/// Four code products sum in `u16` before widening into the `u32` dots:
+/// 16-bit multiplies vectorise on the baseline x86-64 ISA, 32-bit ones
+/// do not, and codes ≤ [`QUANT_MAX`](crate::kernel::QUANT_MAX) keep the
+/// sum exact (`4 · 127² < 2¹⁶`).
+fn accumulate_u8(dots: &mut [u32], nonzeros: &[(u32, f32)], block: &KindBlock, rows: &[u8]) {
+    const _: () = assert!(
+        4 * (crate::kernel::QUANT_MAX as u32).pow(2) <= u16::MAX as u32,
+        "four code products must fit u16"
+    );
+    // Codes are integers ≤ QUANT_MAX, so the narrowing casts are exact.
+    let code = |c: f32| c as u16;
+    let mut quads = nonzeros.chunks_exact(4);
+    for q in &mut quads {
+        let (c0, c1, c2, c3) = (code(q[0].1), code(q[1].1), code(q[2].1), code(q[3].1));
+        let (r0, r1) = (block.column(rows, q[0].0), block.column(rows, q[1].0));
+        let (r2, r3) = (block.column(rows, q[2].0), block.column(rows, q[3].0));
+        for ((((d, &x0), &x1), &x2), &x3) in dots.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            let sum = c0 * u16::from(x0) + c1 * u16::from(x1) + c2 * u16::from(x2) + c3 * u16::from(x3);
+            *d += u32::from(sum);
+        }
+    }
+    for &(bin, c) in quads.remainder() {
+        let c = code(c);
+        for (d, &x) in dots.iter_mut().zip(block.column(rows, bin)) {
+            *d += u32::from(c * u16::from(x));
+        }
+    }
+}
+
+/// One candidate's `f32` column pass: `dots[slot] += c · column_bin[slot]`
+/// in `f64` over its nonzero `(bin, value)` entries, four columns per
+/// walk over `dots`. Each slot still adds its products one at a time in
+/// ascending bin order — the additions are left-associated, never
+/// regrouped — so the grouping changes no bit.
+fn accumulate_f32(dots: &mut [f64], nonzeros: &[(u32, f32)], block: &KindBlock, rows: &[f32]) {
+    let mut quads = nonzeros.chunks_exact(4);
+    for q in &mut quads {
+        let (c0, c1) = (f64::from(q[0].1), f64::from(q[1].1));
+        let (c2, c3) = (f64::from(q[2].1), f64::from(q[3].1));
+        let (r0, r1) = (block.column(rows, q[0].0), block.column(rows, q[1].0));
+        let (r2, r3) = (block.column(rows, q[2].0), block.column(rows, q[3].0));
+        for ((((d, &x0), &x1), &x2), &x3) in dots.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *d = *d
+                + c0 * f64::from(x0)
+                + c1 * f64::from(x1)
+                + c2 * f64::from(x2)
+                + c3 * f64::from(x3);
+        }
+    }
+    for &(bin, c) in quads.remainder() {
+        let c = f64::from(c);
+        for (d, &x) in dots.iter_mut().zip(block.column(rows, bin)) {
+            *d += c * f64::from(x);
+        }
+    }
+}
+
+/// `1 / ‖row‖₂` from an ascending-bin `f64` sum of squares (each square
+/// of an `f32` is exact in `f64`, and the order is fixed, so the norm does
+/// not depend on the host's SIMD dispatch); 0.0 for an all-zero row.
 fn inv_norm(row: &[f32]) -> f32 {
-    let norm_sq = f64::from(kernel::dot_f32(row, row));
+    let norm_sq = row.iter().fold(0.0, |acc, &x| acc + f64::from(x) * f64::from(x));
     if norm_sq > 0.0 {
         (1.0 / norm_sq.sqrt()) as f32
     } else {
         0.0
     }
+}
+
+/// The nonzero entries of a row as `(bin, value)` pairs, bins ascending —
+/// the sparse form the cosine column passes and the envelope bound read.
+fn nonzero_bins(values: impl Iterator<Item = f32>) -> impl Iterator<Item = (u32, f32)> {
+    (0u32..).zip(values).filter(|&(_, v)| v != 0.0)
 }
 
 /// One packed candidate row of a sweep (see
@@ -1365,10 +1534,11 @@ fn inv_norm(row: &[f32]) -> f32 {
 struct PackedRow {
     /// The candidate's index in the tile.
     cand: usize,
-    /// Offset of the row in `MatchScratch::tile_rows`.
+    /// Offset of the row in `MatchScratch::tile_rows` (non-cosine
+    /// measures only).
     offset: usize,
-    /// The row's range in `MatchScratch::tile_nonzeros` (quantized
-    /// cosine only; empty otherwise).
+    /// The row's range in `MatchScratch::tile_nonzeros` (cosine only;
+    /// empty otherwise).
     nonzeros: std::ops::Range<usize>,
     /// `1 / ‖row‖₂` of the packed row (cosine only).
     inv_norm: f64,
@@ -1412,12 +1582,12 @@ pub struct MatchScratch {
     /// Dense sweep: the `(device, similarity)` pairs the returned views
     /// expose — candidate-major, address order within each candidate.
     pairs: Vec<(MacAddr, f64)>,
-    /// Every candidate's packed `f32` rows, kind-major: frequencies, or
-    /// for quantized cosine the widened codes the envelope bound dots.
+    /// Non-cosine measures: every candidate's packed dense `f32`
+    /// frequency rows, kind-major.
     tile_rows: Vec<f32>,
-    /// Quantized cosine only: every packed row's nonzero `(bin, code)`
-    /// entries, bins ascending (see `PackedRow::nonzeros`).
-    tile_nonzeros: Vec<(u32, u8)>,
+    /// Cosine: every packed row's nonzero `(bin, value)` entries, bins
+    /// ascending (see `PackedRow::nonzeros`).
+    tile_nonzeros: Vec<(u32, f32)>,
     /// One entry per packed row, kind-major, candidates ascending within
     /// a kind.
     packed: Vec<PackedRow>,
@@ -1425,11 +1595,13 @@ pub struct MatchScratch {
     kind_spans: Vec<std::ops::Range<usize>>,
     /// Per candidate: whether the shard being swept scores it.
     active: Vec<bool>,
-    /// One kind's active entries, when only some of its candidates are
-    /// active.
-    gathered: Vec<PackedRow>,
-    /// One dequantized reference row (`u8` tier, non-cosine measures).
-    dequant_row: Vec<f32>,
+    /// One candidate's per-slot integer dots (`u8` cosine column pass).
+    dots_u32: Vec<u32>,
+    /// One candidate's per-slot dots (`f32` cosine column pass).
+    dots_f64: Vec<f64>,
+    /// One reference row gathered out of its columns (non-cosine
+    /// measures).
+    ref_row: Vec<f32>,
     /// Per-(candidate, slot) scores of the shard being swept,
     /// candidate-major.
     shard_scores: Vec<f64>,
@@ -2303,6 +2475,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn removing_the_last_row_of_a_kind_prunes_its_key() {
+        // `kind_keys` holds every key some shard holds — and no other: a
+        // device that takes the last Beacon row with it takes the key
+        // too, so sweeps stop packing candidate rows nothing can score.
+        for config in strategies() {
+            let mut db = ReferenceDb::with_config(config);
+            db.insert(MacAddr::from_index(1), sig_with(&[(FrameKind::Data, 500.0, 30)])).unwrap();
+            let unique = MacAddr::from_index(2);
+            let with_beacon = sig_with(&[(FrameKind::Data, 300.0, 20), (FrameKind::Beacon, 100.0, 5)]);
+            db.insert(unique, with_beacon.clone()).unwrap();
+            let bins = cfg().bins.bin_count();
+            assert_eq!(db.kind_keys, vec![(FrameKind::Beacon, bins), (FrameKind::Data, bins)]);
+            db.remove(&unique).unwrap();
+            assert_eq!(db.kind_keys, vec![(FrameKind::Data, bins)], "{config:?}");
+            let mut scratch = MatchScratch::new();
+            db.match_tile(std::slice::from_ref(&with_beacon), SimilarityMeasure::Cosine, &mut scratch);
+            assert_eq!(scratch.kind_spans.len(), 1, "{config:?}: only the Data key is packed");
+            // The replace path drops a key the same way.
+            db.insert(unique, with_beacon).unwrap();
+            db.insert(unique, sig_with(&[(FrameKind::Data, 700.0, 10)])).unwrap();
+            assert_eq!(db.kind_keys, vec![(FrameKind::Data, bins)], "{config:?}: replace");
+        }
+    }
+
+    // Every block's prune summary, per shard: slot order differs
+    // between incremental and bulk builds, the summaries must not.
+    fn summaries(db: &ReferenceDb) -> Vec<(usize, FrameKind, Vec<u32>, u32)> {
+        db.shards
+            .iter()
+            .enumerate()
+            .flat_map(|(si, shard)| {
+                shard.blocks.iter().map(move |b| {
+                    let envelope = b.envelope.iter().map(|e| e.to_bits()).collect();
+                    (si, b.kind, envelope, b.wmax.to_bits())
+                })
+            })
+            .collect()
+    }
+
     // f32 ↔ f64 parity: the packed-f32 engine must track the all-f64
     // naive baseline within the documented tolerance for every measure,
     // on arbitrary databases and candidates.
@@ -2477,6 +2689,77 @@ mod tests {
             let mut scratch = MatchScratch::new();
             let top = topk_one(&u8_db, &cand, 3, SimilarityMeasure::Cosine, &mut scratch);
             prop_assert_eq!(top, b.top(3));
+        }
+
+        // The bin-major columns grow by doubling under incremental
+        // inserts and shift down on removes; a bulk build packs them at
+        // exact size. Any insert/replace/remove sequence — crossing
+        // several doublings — must score bit for bit like a bulk build
+        // of the surviving signatures in both sweeps (cosine after every
+        // step, every measure at the end), hold the same keys and prune
+        // summaries, and report the same resident bytes (which count
+        // slots, not capacity).
+        #[test]
+        fn incremental_columns_equal_a_bulk_build(
+            ops in prop::collection::vec(
+                (0u8..4, 0u64..20, prop::collection::vec(0.0f64..2400.0, 1..30)), 16..48),
+            cand_tiles in prop::collection::vec(
+                prop::collection::vec(0.0f64..2400.0, 1..30), 1..4),
+            shards in 1usize..4,
+            quantized in any::<bool>(),
+        ) {
+            let c = cfg();
+            let signature = |values: &[f64]| {
+                let mut sig = Signature::new();
+                for (j, &v) in values.iter().enumerate() {
+                    let kind = match j % 5 {
+                        0 => FrameKind::Beacon,
+                        1 | 3 => FrameKind::ProbeReq,
+                        _ => FrameKind::Data,
+                    };
+                    sig.record(kind, v, &c);
+                }
+                sig
+            };
+            let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
+            let config = MatchConfig::default().with_shards(shards).with_precision(precision);
+            let candidates: Vec<Signature> = cand_tiles.iter().map(|v| signature(v)).collect();
+            let mut db = ReferenceDb::with_config(config);
+            let mut mirror: BTreeMap<MacAddr, Signature> = BTreeMap::new();
+            let (mut a, mut b) = (MatchScratch::new(), MatchScratch::new());
+            for (step, (op, device, values)) in ops.iter().enumerate() {
+                let device = MacAddr::from_index(device + 1);
+                if *op == 3 {
+                    prop_assert_eq!(db.remove(&device).unwrap(), mirror.remove(&device));
+                } else {
+                    let sig = signature(values);
+                    db.insert(device, sig.clone()).unwrap();
+                    mirror.insert(device, sig);
+                }
+                let bulk = ReferenceDb::from_signatures_with(mirror.clone(), config);
+                prop_assert!(
+                    bulk.shards.iter().flat_map(|s| &s.blocks).all(|b| b.cap == b.slots()),
+                    "a bulk build packs at exact size"
+                );
+                prop_assert_eq!(db.row_bytes(), bulk.row_bytes());
+                prop_assert_eq!(&db.kind_keys, &bulk.kind_keys);
+                prop_assert_eq!(summaries(&db), summaries(&bulk));
+                let measures: &[SimilarityMeasure] = if step + 1 == ops.len() {
+                    &SimilarityMeasure::ALL
+                } else {
+                    &[SimilarityMeasure::Cosine]
+                };
+                for &m in measures {
+                    let got = db.match_tile(&candidates, m, &mut a);
+                    let want = bulk.match_tile(&candidates, m, &mut b);
+                    for (g, w) in got.views().zip(want.views()) {
+                        prop_assert_eq!(g.similarities(), w.similarities(), "{}", m);
+                    }
+                    let got = db.match_topk_tile(&candidates, 3, m, &mut a);
+                    let want = bulk.match_topk_tile(&candidates, 3, m, &mut b);
+                    prop_assert_eq!(got, want, "{}", m);
+                }
+            }
         }
     }
 }

@@ -96,10 +96,12 @@ impl SimilarityMeasure {
     /// one-off `f64 → f32` quantisation of the stored rows — bounded by
     /// [`F32_SCORE_TOLERANCE`](crate::matching::F32_SCORE_TOLERANCE).
     ///
-    /// The cosine arm is the scalar form; the matrix sweep never calls it
-    /// (it uses the dispatched [`kernel`](crate::kernel) dot with
-    /// precomputed norms instead), but property tests pin both to each
-    /// other.
+    /// The cosine arm is the dense scalar form through the dispatched
+    /// [`kernel`](crate::kernel) dot; the matching sweep never calls it
+    /// (its cosine is a column pass over the candidate's nonzero bins in
+    /// `f64`, with precomputed norms), but property tests hold both within
+    /// [`F32_SCORE_TOLERANCE`](crate::matching::F32_SCORE_TOLERANCE) of
+    /// the `f64` form.
     #[inline]
     pub(crate) fn compute_dense_f32(self, candidate: &[f32], reference: &[f32]) -> f64 {
         match self {

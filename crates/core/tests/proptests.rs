@@ -11,7 +11,7 @@ use wifiprint_core::metrics::{identification_points, similarity_curve, MatchSet}
 use wifiprint_core::{
     kernel, BinSpec, EvalConfig, FrameFilter, FusedExtractor, Histogram, MatchConfig,
     MatchScratch, NetworkParameter, ParameterExtractor, ReferenceDb, Signature,
-    SimilarityMeasure, TxTimeEstimator, QUANT_MAX,
+    SimilarityMeasure, TxTimeEstimator,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -294,37 +294,6 @@ proptest! {
         }
     }
 
-    // Sparse exactness: the quantized sweep dots only a candidate's
-    // nonzero codes. An integer sum has no association error, so that
-    // must be the dense integer dot, bit for bit, at every row width.
-    #[test]
-    fn sparse_integer_dot_equals_dense_dot_u8(
-        codes in prop::collection::vec(0u8..=QUANT_MAX, 251),
-        row in prop::collection::vec(0u8..=QUANT_MAX, 251),
-        keep in prop::collection::vec(0u8..4, 251),
-        width in prop::sample::select(vec![1usize, 12, 31, 32, 33, 101, 151, 201, 251]),
-        density in 0u8..3,
-    ) {
-        // Density 0 is an all-zero candidate, 1 a fully dense one (no
-        // zero code), 2 a sparse one keeping about one bin in four.
-        let cand: Vec<u8> = codes[..width]
-            .iter()
-            .zip(&keep)
-            .map(|(&c, &k)| match density {
-                0 => 0,
-                1 => c.max(1),
-                _ if k == 0 => c,
-                _ => 0,
-            })
-            .collect();
-        let row = &row[..width];
-        let nonzeros: Vec<(u32, u8)> = kernel::nonzero_codes(&cand).collect();
-        prop_assert_eq!(nonzeros.len(), cand.iter().filter(|&&c| c != 0).count());
-        prop_assert!(nonzeros.windows(2).all(|w| w[0].0 < w[1].0), "bins ascending");
-        prop_assert!(nonzeros.iter().all(|&(bin, c)| cand[bin as usize] == c));
-        prop_assert_eq!(kernel::dot_u8_sparse(&nonzeros, row), kernel::dot_u8(&cand, row));
-    }
-
     // The u8 cosine sweep's scores are exact integer dots folded by one
     // f64 epilogue, so they equal, with `==`, a per-pair oracle built on
     // the dense `dot_u8`: per reference, ascending frame kind, the stored
@@ -374,6 +343,88 @@ proptest! {
                     want += f64::from(reference.weight(kind) as f32) * cos;
                 }
                 prop_assert_eq!(got, want, "candidate {} vs {}", ci, device);
+            }
+        }
+    }
+
+    // The f32 cosine sweep is a column pass of ascending-bin f64 sums
+    // over a candidate's nonzero bins, with norms from fixed-order f64
+    // sums of squares. Every f32 × f32 product is exact in f64 and a zero
+    // bin adds exactly +0, so its scores equal, with `==`, a per-pair
+    // scalar oracle that walks every bin in order — whichever SIMD kernel
+    // the host dispatches to. Sparse, dense and all-zero candidates, at
+    // widths around the 32-lane boundary and the default 251 bins.
+    #[test]
+    fn f32_match_tile_equals_an_ascending_bin_f64_oracle(
+        per_device in prop::collection::vec(prop::collection::vec(0u64..4, 502), 1..12),
+        per_candidate in prop::collection::vec(
+            (prop::collection::vec(0u64..4, 502), 0u8..3), 1..10),
+        width in prop::sample::select(vec![1usize, 31, 32, 33, 251]),
+        shards in 1usize..5,
+    ) {
+        let spec = BinSpec::Uniform { min: 0.0, width: 1.0, count: width - 1 };
+        // Data reads the first half of `raw`, ProbeReq the second.
+        let signature = |raw: &[u64]| {
+            let mut entries = BTreeMap::new();
+            for (kind, counts) in
+                [(FrameKind::Data, &raw[..width]), (FrameKind::ProbeReq, &raw[251..251 + width])]
+            {
+                entries.insert(kind, Histogram::from_counts(spec.clone(), counts.to_vec()));
+            }
+            Signature::from_histograms(entries)
+        };
+        let references: BTreeMap<MacAddr, Signature> = per_device
+            .iter()
+            .enumerate()
+            .map(|(i, raw)| {
+                let mut raw = raw.clone();
+                raw[0] = raw[0].max(1); // never an empty signature
+                (MacAddr::from_index(i as u64 + 1), signature(&raw))
+            })
+            .collect();
+        let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(shards));
+        for (&device, sig) in &references {
+            db.insert(device, sig.clone()).unwrap();
+        }
+        // Density 0 is an all-zero candidate, 1 a fully dense one (no
+        // zero bin), 2 a sparse one keeping about one bin in four.
+        let candidates: Vec<Signature> = per_candidate
+            .iter()
+            .map(|(raw, density)| {
+                let raw: Vec<u64> = raw
+                    .iter()
+                    .map(|&c| match density {
+                        0 => 0,
+                        1 => c.max(1),
+                        _ => u64::from(c == 3),
+                    })
+                    .collect();
+                signature(&raw)
+            })
+            .collect();
+        let inv_norm = |row: &[f32]| {
+            let norm_sq = row.iter().fold(0.0, |acc, &x| acc + f64::from(x) * f64::from(x));
+            if norm_sq > 0.0 { f64::from((1.0 / norm_sq.sqrt()) as f32) } else { 0.0 }
+        };
+        let mut scratch = MatchScratch::new();
+        let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
+        for (ci, cand) in candidates.iter().enumerate() {
+            for &(device, got) in tile.candidate(ci).similarities() {
+                let reference = &references[&device];
+                let mut want = 0.0f64;
+                for (kind, rh) in reference.iter() {
+                    let Some(ch) = cand.histogram(kind) else { continue };
+                    if ch.total() == 0 || rh.total() == 0 {
+                        continue;
+                    }
+                    let (c, r) = (ch.frequencies_f32(), rh.frequencies_f32());
+                    let dot = c.iter().zip(r).fold(0.0, |acc, (&x, &y)| {
+                        acc + f64::from(x) * f64::from(y)
+                    });
+                    let cos = (dot * inv_norm(c) * inv_norm(r)).clamp(0.0, 1.0);
+                    want += f64::from(reference.weight(kind) as f32) * cos;
+                }
+                prop_assert_eq!(got, want, "candidate {} vs {} at width {}", ci, device, width);
             }
         }
     }

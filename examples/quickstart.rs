@@ -99,7 +99,7 @@ fn main() {
     //    (dominant-histogram locality buckets, MatchConfig), so a
     //    metropolis-scale population answers "who is this?" without
     //    sweeping every enrolled row — shards whose summary cannot beat
-    //    the current top-k are pruned before the SIMD sweep runs.
+    //    the current top-k are pruned before any column is swept.
     let metropolis = MetropolisScenario::with_devices(7, 5_000);
     let db = metropolis.reference_db(MatchConfig::default().with_shards(64));
     let mut scratch = MatchScratch::new();

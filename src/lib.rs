@@ -241,7 +241,7 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`core`] — the streaming [`core::MultiEngine`], signatures, score
-//!   fusion, the sharded SoA/SIMD
+//!   fusion, the sharded column-major
 //!   matching store with pruned top-k sweeps, the
 //!   [`core::RotationLinker`] identity tracker, and accuracy metrics
 //!   (the paper's contribution),
