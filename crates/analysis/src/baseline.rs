@@ -10,7 +10,7 @@
 
 use wifiprint_core::{
     evaluate, EvalConfig, EvalOutcome, FrameFilter, NetworkParameter, ReferenceDb,
-    SignatureBuilder, SimilarityMeasure, WindowedSignatures,
+    SignatureBuilder, WindowedSignatures,
 };
 use wifiprint_ieee80211::Nanos;
 use wifiprint_radiotap::CapturedFrame;
@@ -21,7 +21,6 @@ use crate::pipeline::PipelineConfig;
 /// group-addressed frames only.
 pub fn baseline_config(pipeline: &PipelineConfig) -> EvalConfig {
     let mut cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize)
-        .with_measure(pipeline.measure)
         .with_filter(FrameFilter { broadcast_only: true, ..FrameFilter::default() })
         // Broadcast traffic is sparse; Pang et al. fingerprint with far
         // fewer samples than the paper's 50-frame floor.
@@ -34,7 +33,6 @@ pub fn baseline_config(pipeline: &PipelineConfig) -> EvalConfig {
 #[derive(Debug)]
 pub struct BaselineEvaluator {
     train_duration: Nanos,
-    measure: SimilarityMeasure,
     origin: Option<Nanos>,
     trainer: SignatureBuilder,
     validator: WindowedSignatures,
@@ -46,7 +44,6 @@ impl BaselineEvaluator {
         let cfg = baseline_config(pipeline);
         BaselineEvaluator {
             train_duration: pipeline.train_duration,
-            measure: pipeline.measure,
             origin: None,
             trainer: SignatureBuilder::new(&cfg),
             validator: WindowedSignatures::new(&cfg),
@@ -78,7 +75,7 @@ impl BaselineEvaluator {
         let outcome = if db.is_empty() {
             EvalOutcome::from_match_sets(&[], candidates.len())
         } else {
-            evaluate(&db, &candidates, self.measure).expect("non-empty database")
+            evaluate(&db, &candidates).expect("non-empty database")
         };
         (outcome, db)
     }

@@ -4,7 +4,7 @@
 //!
 //! [`evaluate_linking`] drives a [`MetropolisScenario`] population
 //! through a grid of [`RotationPolicy`]s (via
-//! [`RotationScenario`](wifiprint_scenarios::RotationScenario)), feeds
+//! [`RotationScenario`]), feeds
 //! every sighting to a fresh linker, and scores the decisions against
 //! the trail's exact [`RotationLedger`](wifiprint_scenarios::RotationLedger)
 //! ground truth:

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use wifiprint_core::{
     EngineError, EngineHealth, EvalOutcome, FusionSpec, IngestConfig, IngestPipeline, IngestStats,
     MatchConfig, MatchSet, MultiConfig, MultiEngine, MultiEvent, NetworkParameter, ReferenceDb,
-    ResilienceConfig, SimilarityMeasure,
+    ResilienceConfig,
 };
 use wifiprint_ieee80211::Nanos;
 use wifiprint_radiotap::CapturedFrame;
@@ -37,8 +37,6 @@ pub struct PipelineConfig {
     pub window: Nanos,
     /// Minimum observations per signature (50).
     pub min_observations: u64,
-    /// Histogram similarity measure (cosine).
-    pub measure: SimilarityMeasure,
     /// The parameters to evaluate (all five by default).
     pub parameters: Vec<NetworkParameter>,
     /// Shard layout of the per-parameter reference databases the
@@ -66,7 +64,6 @@ impl PipelineConfig {
             train_duration: Nanos::from_secs(3600),
             window: Nanos::from_secs(300),
             min_observations: 50,
-            measure: SimilarityMeasure::Cosine,
             parameters: NetworkParameter::ALL.to_vec(),
             match_config: MatchConfig::default(),
             resilience: ResilienceConfig::default(),
@@ -87,7 +84,6 @@ impl PipelineConfig {
             train_duration: Nanos::from_secs(train_secs),
             window: Nanos::from_secs(window_secs),
             min_observations: min_obs,
-            measure: SimilarityMeasure::Cosine,
             parameters: NetworkParameter::ALL.to_vec(),
             match_config: MatchConfig::default(),
             resilience: ResilienceConfig::default(),
@@ -116,7 +112,6 @@ impl PipelineConfig {
     pub(crate) fn multi_config(&self) -> MultiConfig {
         MultiConfig::default()
             .with_min_observations(self.min_observations)
-            .with_measure(self.measure)
             .with_window(self.window)
             .with_match_config(self.match_config)
     }
@@ -469,7 +464,6 @@ mod tests {
             train_duration: Nanos::from_secs(10),
             window: Nanos::from_secs(5),
             min_observations: 30,
-            measure: SimilarityMeasure::Cosine,
             parameters: vec![
                 NetworkParameter::InterArrivalTime,
                 NetworkParameter::FrameSize,
@@ -496,7 +490,6 @@ mod tests {
             train_duration: Nanos::from_secs(10),
             window: Nanos::from_secs(5),
             min_observations: 10,
-            measure: SimilarityMeasure::Cosine,
             parameters: vec![NetworkParameter::InterArrivalTime],
             match_config: MatchConfig::default(),
             resilience: ResilienceConfig::default(),
@@ -534,7 +527,6 @@ mod tests {
             train_duration: Nanos::from_secs(10),
             window: Nanos::from_secs(5),
             min_observations: 30,
-            measure: SimilarityMeasure::Cosine,
             parameters: vec![NetworkParameter::InterArrivalTime],
             match_config: MatchConfig::default(),
             resilience: ResilienceConfig::default(),

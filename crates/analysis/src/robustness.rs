@@ -326,7 +326,7 @@ pub fn evaluate_robustness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wifiprint_core::{MatchConfig, NetworkParameter, SimilarityMeasure};
+    use wifiprint_core::{MatchConfig, NetworkParameter};
     use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 
     /// Four devices with distinct inter-arrival and size signatures.
@@ -352,7 +352,6 @@ mod tests {
             train_duration: Nanos::from_secs(10),
             window: Nanos::from_secs(5),
             min_observations: 20,
-            measure: SimilarityMeasure::Cosine,
             parameters: vec![NetworkParameter::InterArrivalTime, NetworkParameter::FrameSize],
             match_config: MatchConfig::default(),
             resilience: ResilienceConfig::default(),

@@ -8,7 +8,7 @@
 
 use wifiprint_analysis::robustness::{evaluate_robustness, RobustnessSweep};
 use wifiprint_analysis::PipelineConfig;
-use wifiprint_core::{MatchConfig, NetworkParameter, ResilienceConfig, SimilarityMeasure};
+use wifiprint_core::{MatchConfig, NetworkParameter, ResilienceConfig};
 use wifiprint_ieee80211::Nanos;
 use wifiprint_radiotap::CapturedFrame;
 use wifiprint_scenarios::{ConferenceScenario, FaultPlan, LossModel, OfficeScenario};
@@ -30,7 +30,6 @@ fn cfg() -> PipelineConfig {
         train_duration: Nanos::from_secs(60),
         window: Nanos::from_secs(30),
         min_observations: 20,
-        measure: SimilarityMeasure::Cosine,
         parameters: vec![
             NetworkParameter::InterArrivalTime,
             NetworkParameter::FrameSize,

@@ -10,9 +10,7 @@
 //! paper reports.
 
 use wifiprint_core::metrics::{identification_points, similarity_curve, MatchSet};
-use wifiprint_core::{
-    evaluate, NetworkParameter, ReferenceDb, SimilarityMeasure, F32_SCORE_TOLERANCE,
-};
+use wifiprint_core::{evaluate, NetworkParameter, ReferenceDb, F32_SCORE_TOLERANCE};
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
 
@@ -54,8 +52,7 @@ fn f32_pipeline_metrics_match_f64_baseline() {
     let param = NetworkParameter::InterArrivalTime;
     let eval_cfg = {
         let mut c = wifiprint_core::EvalConfig::for_parameter(param)
-            .with_min_observations(cfg.min_observations)
-            .with_measure(cfg.measure);
+            .with_min_observations(cfg.min_observations);
         c.window = cfg.window;
         c
     };
@@ -75,7 +72,7 @@ fn f32_pipeline_metrics_match_f64_baseline() {
     assert!(candidates.len() >= 10, "trace must produce many windows");
 
     // f32 engine: the production path.
-    let fast = evaluate(&db, &candidates, SimilarityMeasure::Cosine).expect("non-empty db");
+    let fast = evaluate(&db, &candidates).expect("non-empty db");
 
     // f64 baseline: naive per-pair scoring of the same instances.
     let mut baseline_sets: Vec<MatchSet> = Vec::new();
@@ -83,7 +80,7 @@ fn f32_pipeline_metrics_match_f64_baseline() {
         if !db.contains(&cand.device) {
             continue;
         }
-        let outcome = db.match_signature_naive(&cand.signature, SimilarityMeasure::Cosine);
+        let outcome = db.match_signature_naive(&cand.signature);
         let mut true_sim = 0.0;
         let mut wrong = Vec::new();
         for &(device, sim) in outcome.similarities() {
@@ -121,7 +118,7 @@ fn f32_pipeline_metrics_match_f64_baseline() {
     // …and so does every per-instance decision and score. The fast sets
     // come back in candidate order, like the baseline loop above.
     let (fast_sets, _) =
-        wifiprint_core::metrics::match_candidates(&db, &candidates, SimilarityMeasure::Cosine);
+        wifiprint_core::metrics::match_candidates(&db, &candidates);
     for (f, b) in fast_sets.iter().zip(&baseline_sets) {
         assert_eq!(f.true_device, b.true_device);
         assert_eq!(f.best_is_true, b.best_is_true, "best-match identity flipped");

@@ -15,7 +15,7 @@ use wifiprint_analysis::robustness::evaluate_overload;
 use wifiprint_analysis::{evaluate_frames_supervised, PipelineConfig, TraceEvaluation};
 use wifiprint_core::{
     EvalOutcome, FusionSpec, IngestConfig, IngestPipeline, MatchConfig, MultiConfig, MultiEngine,
-    NetworkParameter, OverloadPolicy, ResilienceConfig, SimilarityMeasure,
+    NetworkParameter, OverloadPolicy, ResilienceConfig,
 };
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -26,7 +26,6 @@ fn cfg() -> PipelineConfig {
         train_duration: Nanos::from_secs(60),
         window: Nanos::from_secs(30),
         min_observations: 20,
-        measure: SimilarityMeasure::Cosine,
         parameters: vec![
             NetworkParameter::InterArrivalTime,
             NetworkParameter::FrameSize,

@@ -12,9 +12,7 @@
 //! genuine near-ties.
 
 use wifiprint_core::metrics::{identification_points, match_candidates, similarity_curve};
-use wifiprint_core::{
-    evaluate, MatchConfig, NetworkParameter, ReferenceDb, SimilarityMeasure, U8_SCORE_TOLERANCE,
-};
+use wifiprint_core::{evaluate, MatchConfig, NetworkParameter, ReferenceDb, U8_SCORE_TOLERANCE};
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
 
@@ -54,8 +52,7 @@ fn quantized_pipeline_metrics_match_f32_store() {
     let param = NetworkParameter::InterArrivalTime;
     let eval_cfg = {
         let mut c = wifiprint_core::EvalConfig::for_parameter(param)
-            .with_min_observations(cfg.min_observations)
-            .with_measure(cfg.measure);
+            .with_min_observations(cfg.min_observations);
         c.window = cfg.window;
         c
     };
@@ -78,8 +75,8 @@ fn quantized_pipeline_metrics_match_f32_store() {
     // The quantized store must actually be the smaller one.
     assert!(u8_db.row_bytes() * 2 <= f32_db.row_bytes());
 
-    let fast = evaluate(&f32_db, &candidates, SimilarityMeasure::Cosine).expect("non-empty db");
-    let quant = evaluate(&u8_db, &candidates, SimilarityMeasure::Cosine).expect("non-empty db");
+    let fast = evaluate(&f32_db, &candidates).expect("non-empty db");
+    let quant = evaluate(&u8_db, &candidates).expect("non-empty db");
     assert_eq!(fast.instances, quant.instances);
 
     // Headline metrics agree within the pinned gate…
@@ -91,8 +88,8 @@ fn quantized_pipeline_metrics_match_f32_store() {
         quant.auc()
     );
     // The curves come from the same instance population.
-    let (fast_sets, _) = match_candidates(&f32_db, &candidates, SimilarityMeasure::Cosine);
-    let (quant_sets, _) = match_candidates(&u8_db, &candidates, SimilarityMeasure::Cosine);
+    let (fast_sets, _) = match_candidates(&f32_db, &candidates);
+    let (quant_sets, _) = match_candidates(&u8_db, &candidates);
     assert_eq!(fast_sets.len(), quant_sets.len());
     assert!((similarity_curve(&fast_sets, 512).auc - fast.auc()).abs() < 1e-12);
     assert!(identification_points(&quant_sets, 512).last().is_some());

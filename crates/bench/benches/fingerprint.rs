@@ -1,15 +1,12 @@
 //! Microbenchmarks of the fingerprinting pipeline: signature
-//! construction, histogram similarity, and Algorithm 1 matching —
-//! including the headline comparisons for the tiled f32 column-sweep matching
-//! engine:
+//! construction, the cosine histogram similarity, and Algorithm 1
+//! matching — including the headline comparisons for the tiled f32
+//! column-sweep matching engine:
 //!
 //! * `match_one_candidate/{naive,matrix}/N` — the per-call-allocation
 //!   f64 baseline (`match_signature_naive`, the pre-SoA layout) against
 //!   the f32 column sweep (`match_tile` of one) for growing
 //!   reference-database sizes up to 256 devices;
-//! * `dot_kernel/{f64_scalar,f32_portable,f32_dispatch}` — the f32-vs-f64
-//!   kernel comparison on one reference-row-sized dot product (the
-//!   dispatch name is printed by `perf_snapshot`);
 //! * `match_tile/{matvec_x8,tile_x8}` — eight independent matrix–vector
 //!   sweeps versus one matrix–matrix tile over the same eight windows;
 //! * `db_insert_stream/{stream,bulk}/N` — incremental appends versus the
@@ -21,10 +18,6 @@
 //! * `sharded_sweep/{dense_full,pruned_top5}` — the sharded store's
 //!   dense full sweep versus the summary-pruned top-k sweep over a
 //!   metropolis population (the large-population hot path);
-//! * `quant_kernel/{u8_portable,u8_dispatch,f32_dispatch}` — the
-//!   quantized 7-bit integer dot against the dispatched f32 kernel on
-//!   one reference-row-sized product (the integer dispatch name is
-//!   printed by `perf_snapshot` as `int_kernel`);
 //! * `quant_tile/{f32_dense_tile,u8_pruned_topk}` — the f32 dense
 //!   8-wide tile sweep versus the quantized tile-wide pruned top-8
 //!   sweep over the same metropolis store (`perf_snapshot` reports the
@@ -41,7 +34,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use wifiprint_core::{
-    batch, kernel, EvalConfig, FusionSpec, MatchConfig, MatchScratch, MultiConfig, MultiEngine,
+    batch, EvalConfig, FusionSpec, MatchConfig, MatchScratch, MultiConfig, MultiEngine,
     NetworkParameter, ReferenceDb, Signature, SignatureBuilder, SimilarityMeasure, MATCH_TILE,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
@@ -100,16 +93,15 @@ fn bench_signature_build(c: &mut Criterion) {
     });
 }
 
-fn bench_similarity_measures(c: &mut Criterion) {
+fn bench_similarity(c: &mut Criterion) {
     let a = synthetic_signature(1, 2_000);
     let bvec = a.histogram(FrameKind::Data).unwrap().frequencies().to_vec();
     let avec = bvec.clone();
+    let m = SimilarityMeasure::Cosine;
     let mut group = c.benchmark_group("similarity_250bins");
-    for m in SimilarityMeasure::ALL {
-        group.bench_function(m.to_string(), |b| {
-            b.iter(|| black_box(m.compute(black_box(&avec), black_box(&bvec))))
-        });
-    }
+    group.bench_function(m.to_string(), |b| {
+        b.iter(|| black_box(m.compute(black_box(&avec), black_box(&bvec))))
+    });
     group.finish();
 }
 
@@ -121,7 +113,7 @@ fn bench_matching_scaling(c: &mut Criterion) {
         let db = reference_db(db_size);
         let candidate = synthetic_signature(3, 500);
         group.bench_with_input(BenchmarkId::new("naive", db_size), &db_size, |b, _| {
-            b.iter(|| black_box(db.match_signature_naive(&candidate, SimilarityMeasure::Cosine)))
+            b.iter(|| black_box(db.match_signature_naive(&candidate)))
         });
         group.bench_with_input(BenchmarkId::new("matrix", db_size), &db_size, |b, _| {
             let mut scratch = MatchScratch::new();
@@ -135,28 +127,6 @@ fn bench_matching_scaling(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// One reference-row-sized dot product per kernel: the f64 scalar
-/// baseline (the PR-1 inner loop) against the portable and dispatched
-/// f32 kernels.
-fn bench_dot_kernels(c: &mut Criterion) {
-    const BINS: usize = 251; // the inter-arrival row width
-    let a64: Vec<f64> = (0..BINS).map(|i| ((i * 37) % 101) as f64 / 101.0).collect();
-    let b64: Vec<f64> = (0..BINS).map(|i| ((i * 53) % 89) as f64 / 89.0).collect();
-    let a32: Vec<f32> = a64.iter().map(|&v| v as f32).collect();
-    let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
-    let mut group = c.benchmark_group("dot_kernel");
-    group.bench_function("f64_scalar", |b| {
-        b.iter(|| black_box(kernel::dot_f64(black_box(&a64), black_box(&b64))))
-    });
-    group.bench_function("f32_portable", |b| {
-        b.iter(|| black_box(kernel::dot_f32_portable(black_box(&a32), black_box(&b32))))
-    });
-    group.bench_function("f32_dispatch", |b| {
-        b.iter(|| black_box(kernel::dot_f32(black_box(&a32), black_box(&b32))))
-    });
     group.finish();
 }
 
@@ -282,12 +252,7 @@ fn bench_sharded_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f64;
             for cand in &candidates {
-                let tops = db.match_topk_tile(
-                    std::slice::from_ref(cand),
-                    5,
-                    SimilarityMeasure::Cosine,
-                    &mut scratch,
-                );
+                let tops = db.match_topk_tile(std::slice::from_ref(cand), 5, &mut scratch);
                 acc += tops[0].first().map_or(0.0, |&(_, s)| s);
             }
             black_box(acc)
@@ -296,34 +261,10 @@ fn bench_sharded_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The quantized integer kernel on one reference-row-sized dot: 7-bit
-/// codes through the portable and dispatched u8 kernels, next to the
-/// dispatched f32 kernel the `F32` tier runs.
-fn bench_quant_kernels(c: &mut Criterion) {
-    const BINS: usize = 251;
-    let a64: Vec<f64> = (0..BINS).map(|i| ((i * 37) % 101) as f64 / 101.0).collect();
-    let b64: Vec<f64> = (0..BINS).map(|i| ((i * 53) % 89) as f64 / 89.0).collect();
-    let a32: Vec<f32> = a64.iter().map(|&v| v as f32).collect();
-    let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
-    let qa = wifiprint_core::QuantizedRow::from_frequencies(&a64);
-    let qb = wifiprint_core::QuantizedRow::from_frequencies(&b64);
-    let mut group = c.benchmark_group("quant_kernel");
-    group.bench_function("u8_portable", |b| {
-        b.iter(|| black_box(kernel::dot_u8_portable(black_box(qa.values()), black_box(qb.values()))))
-    });
-    group.bench_function("u8_dispatch", |b| {
-        b.iter(|| black_box(kernel::dot_u8(black_box(qa.values()), black_box(qb.values()))))
-    });
-    group.bench_function("f32_dispatch", |b| {
-        b.iter(|| black_box(kernel::dot_f32(black_box(&a32), black_box(&b32))))
-    });
-    group.finish();
-}
-
 /// The quantized-tier payoff at population scale: eight candidate
 /// windows against a metropolis store, once as the f32 dense tile
-/// (every shard, every row, float kernels) and once as the u8 tile-wide
-/// pruned top-8 sweep (integer kernels, shards skipped per candidate by
+/// (every shard, every row, f32 columns) and once as the u8 tile-wide
+/// pruned top-8 sweep (integer columns, shards skipped per candidate by
 /// envelope bound).
 fn bench_quant_tile(c: &mut Criterion) {
     use wifiprint_core::RowPrecision;
@@ -343,7 +284,7 @@ fn bench_quant_tile(c: &mut Criterion) {
     group.bench_function("u8_pruned_topk", |b| {
         let mut scratch = MatchScratch::new();
         b.iter(|| {
-            black_box(u8_db.match_topk_tile(&probes, 8, SimilarityMeasure::Cosine, &mut scratch))
+            black_box(u8_db.match_topk_tile(&probes, 8, &mut scratch))
         })
     });
     group.finish();
@@ -509,9 +450,8 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_signature_build, bench_similarity_measures, bench_matching_scaling,
-        bench_dot_kernels, bench_match_tile, bench_db_insert_stream, bench_window_batch,
-        bench_sharded_sweep, bench_quant_kernels, bench_quant_tile, bench_engine_ingest,
-        bench_multi_engine_ingest, bench_rotation_linker
+    targets = bench_signature_build, bench_similarity, bench_matching_scaling,
+        bench_match_tile, bench_db_insert_stream, bench_window_batch, bench_sharded_sweep,
+        bench_quant_tile, bench_engine_ingest, bench_multi_engine_ingest, bench_rotation_linker
 }
 criterion_main!(benches);

@@ -21,8 +21,7 @@
 //! The measurements mirror the headline benches in
 //! `crates/bench/benches/fingerprint.rs`: the naive f64 baseline versus
 //! the f32 column sweep at 256 devices, the K=8 matrix–matrix tile
-//! versus 8 matrix–vector sweeps, the f32-vs-f64 dot kernels (with the
-//! runtime dispatch decision), streaming insert cost, and the
+//! versus 8 matrix–vector sweeps, streaming insert cost, and the
 //! serial-vs-parallel window batch — plus the streaming engines'
 //! end-to-end ingest throughput (frames/second through extraction,
 //! windowing and per-window tiled matching against 256-device
@@ -46,9 +45,8 @@
 //! through the pruned gallery sweeps at the headline operating point)
 //! and records the linking precision/recall the accuracy gate pins, so
 //! the trajectory keeps cost and accuracy side by side. Since PR 9 the
-//! snapshot also measures the **quantized `u8` tier**: the 251-bin
-//! integer dot kernel (`quant_dot_ns`, with the dispatched integer
-//! kernel name), the resident bytes per enrolled device on both tiers
+//! snapshot also measures the **quantized `u8` tier**: the resident
+//! bytes per enrolled device on both tiers
 //! (`bytes_per_device_{f32,u8}` — the `u8` store must stay at most
 //! half the `f32` store), and the headline `quant_tile_speedup`: the
 //! f32 dense 8-wide tile sweep versus the quantized tile-wide pruned
@@ -68,7 +66,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use wifiprint_core::{
-    batch, kernel, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
+    batch, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
     MatchScratch, MultiConfig, MultiEngine, NetworkParameter, OverloadPolicy, ReferenceDb,
     Signature, SimilarityMeasure, MATCH_TILE,
 };
@@ -163,7 +161,7 @@ fn main() {
     // Headline: naive f64 baseline vs the f32 column sweep (a
     // tile of one).
     let naive_ns = measure(15, 20, || {
-        std::hint::black_box(db.match_signature_naive(&candidate, SimilarityMeasure::Cosine));
+        std::hint::black_box(db.match_signature_naive(&candidate));
     });
     let mut scratch = MatchScratch::new();
     let matrix_ns = measure(15, 20, || {
@@ -187,26 +185,6 @@ fn main() {
     let tile_ns = measure(15, 10, || {
         let tile = db.match_tile(&windows, SimilarityMeasure::Cosine, &mut scratch);
         std::hint::black_box(tile.candidate(7).best());
-    });
-
-    // Kernel microbench: one 251-bin dot product per variant.
-    let row64: Vec<f64> = (0..251).map(|i| ((i * 37) % 101) as f64 / 101.0).collect();
-    let col64: Vec<f64> = (0..251).map(|i| ((i * 53) % 89) as f64 / 89.0).collect();
-    let row32: Vec<f32> = row64.iter().map(|&v| v as f32).collect();
-    let col32: Vec<f32> = col64.iter().map(|&v| v as f32).collect();
-    let dot_f64_ns = measure(15, 20_000, || {
-        std::hint::black_box(kernel::dot_f64(&row64, &col64));
-    });
-    let dot_f32_ns = measure(15, 20_000, || {
-        std::hint::black_box(kernel::dot_f32(&row32, &col32));
-    });
-    // Quantized kernel microbench: the same 251-bin rows as 7-bit codes
-    // through the dispatched integer dot (maddubs/madd on AVX2, widening
-    // multiplies on NEON).
-    let qrow = wifiprint_core::QuantizedRow::from_frequencies(&row64);
-    let qcol = wifiprint_core::QuantizedRow::from_frequencies(&col64);
-    let quant_dot_ns = measure(15, 20_000, || {
-        std::hint::black_box(kernel::dot_u8(qrow.values(), qcol.values()));
     });
 
     // Streaming inserts: per-device cost of growing to 256 devices.
@@ -396,14 +374,13 @@ fn main() {
                 std::hint::black_box(db.match_topk_tile(
                     std::slice::from_ref(cand),
                     5,
-                    SimilarityMeasure::Cosine,
                     &mut scratch,
                 ));
             }
         }) / probes.len() as f64;
         let (mut swept, mut pruned) = (0usize, 0usize);
         for cand in &probes {
-            db.match_topk_tile(std::slice::from_ref(cand), 5, SimilarityMeasure::Cosine, &mut scratch);
+            db.match_topk_tile(std::slice::from_ref(cand), 5, &mut scratch);
             let stats = scratch.prune_stats();
             swept += stats.swept_shards;
             pruned += stats.pruned_shards;
@@ -412,11 +389,11 @@ fn main() {
         sharded.push((devices, dense_ns, topk_ns, dense_ns / topk_ns, fraction));
 
         // Quantized tier at the 10⁵ operating point: the f32 dense
-        // 8-wide tile sweep (every shard, every row, float kernels)
+        // 8-wide tile sweep (every shard, every row, f32 columns)
         // versus the u8 tile-wide pruned top-8 sweep over the same
         // population — the PR 9 headline. Both numbers are per tile of
         // 8 candidates, so the speedup folds storage (4× smaller rows),
-        // integer kernels and tile-wide pruning into one ratio.
+        // integer column passes and tile-wide pruning into one ratio.
         if devices == 100_000 {
             let u8_db = scenario.reference_db(MatchConfig::quantized().with_shards(64));
             bytes_per_device_f32 = db.row_bytes() as f64 / devices as f64;
@@ -433,11 +410,10 @@ fn main() {
                 std::hint::black_box(u8_db.match_topk_tile(
                     &probes,
                     8,
-                    SimilarityMeasure::Cosine,
                     &mut scratch,
                 ));
             });
-            u8_db.match_topk_tile(&probes, 8, SimilarityMeasure::Cosine, &mut scratch);
+            u8_db.match_topk_tile(&probes, 8, &mut scratch);
             let stats = scratch.prune_stats();
             pruned_fraction_k8 = stats.pruned_fraction();
         }
@@ -561,7 +537,6 @@ fn main() {
 
     let match_speedup = naive_ns / matrix_ns;
     let tile_speedup = matvec8_ns / tile_ns;
-    let kernel_speedup = dot_f64_ns / dot_f32_ns;
     let batch_speedup = serial_ns / parallel_ns;
     let mut json = String::from("{\n");
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -571,12 +546,10 @@ fn main() {
     let host_kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
         .map(|s| s.trim().to_owned())
         .unwrap_or_else(|_| "unknown".to_owned());
-    let _ = writeln!(json, "  \"schema\": \"wifiprint-bench-snapshot-v9\",");
+    let _ = writeln!(json, "  \"schema\": \"wifiprint-bench-snapshot-v10\",");
     let _ = writeln!(json, "  \"cpus\": {cpus},");
     let _ = writeln!(json, "  \"host_os\": \"{}\",", std::env::consts::OS);
     let _ = writeln!(json, "  \"host_kernel\": \"{host_kernel}\",");
-    let _ = writeln!(json, "  \"kernel\": \"{}\",", kernel::active());
-    let _ = writeln!(json, "  \"int_kernel\": \"{}\",", kernel::active_int().as_str());
     let _ = writeln!(json, "  \"reference_devices\": 256,");
     let _ = writeln!(json, "  \"batch_windows\": 512,");
     let _ = writeln!(json, "  \"match_naive_ns\": {naive_ns:.0},");
@@ -586,10 +559,6 @@ fn main() {
     let _ = writeln!(json, "  \"tile_matvec_ns\": {matvec8_ns:.0},");
     let _ = writeln!(json, "  \"tile_ns\": {tile_ns:.0},");
     let _ = writeln!(json, "  \"tile_speedup\": {tile_speedup:.2},");
-    let _ = writeln!(json, "  \"dot_f64_ns\": {dot_f64_ns:.1},");
-    let _ = writeln!(json, "  \"dot_f32_ns\": {dot_f32_ns:.1},");
-    let _ = writeln!(json, "  \"kernel_speedup\": {kernel_speedup:.2},");
-    let _ = writeln!(json, "  \"quant_dot_ns\": {quant_dot_ns:.1},");
     let _ = writeln!(json, "  \"insert_stream_ns_per_device\": {insert_ns:.0},");
     let _ = writeln!(json, "  \"batch_serial_ns\": {serial_ns:.0},");
     let _ = writeln!(json, "  \"batch_parallel_ns\": {parallel_ns:.0},");
@@ -721,7 +690,7 @@ fn main() {
         }
         // Pre-v8 baselines carry no quantized-tier numbers. The tile
         // speedup is a ratio of two same-host measurements, so it gates
-        // the integer kernels + tile-wide pruning without pinning
+        // the integer column passes + tile-wide pruning without pinning
         // absolute nanoseconds.
         if let Some(baseline_speedup) = read_field(&baseline, "quant_tile_speedup") {
             let floor = baseline_speedup * (1.0 - REGRESSION_BUDGET);

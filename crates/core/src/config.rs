@@ -8,7 +8,6 @@ use crate::error::CoreError;
 use crate::histogram::BinSpec;
 use crate::matching::MatchConfig;
 use crate::params::NetworkParameter;
-use crate::similarity::SimilarityMeasure;
 
 /// How the transmission time `ttᵢ` is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -107,8 +106,6 @@ pub struct EvalConfig {
     pub bins: BinSpec,
     /// Minimum observations per signature (the paper uses 50, §V-C).
     pub min_observations: u64,
-    /// Histogram similarity measure (cosine in the paper).
-    pub measure: SimilarityMeasure,
     /// Transmission-time estimator.
     pub estimator: TxTimeEstimator,
     /// Frame filter applied during extraction.
@@ -121,19 +118,18 @@ pub struct EvalConfig {
     /// [`RowPrecision`](crate::matching::RowPrecision)). Defaults to
     /// dominant-histogram sharding over `f32` rows; pass
     /// `MatchConfig::quantized()` here to run an engine on the `u8`
-    /// integer-kernel tier.
+    /// integer tier.
     pub match_config: MatchConfig,
 }
 
 impl EvalConfig {
     /// The paper's configuration for a given parameter: default bins,
-    /// cosine similarity, 50-observation minimum, 5-minute windows.
+    /// 50-observation minimum, 5-minute windows.
     pub fn for_parameter(parameter: NetworkParameter) -> Self {
         EvalConfig {
             parameter,
             bins: default_bins(parameter),
             min_observations: 50,
-            measure: SimilarityMeasure::Cosine,
             estimator: TxTimeEstimator::SizeOverRate,
             filter: FrameFilter::default(),
             window: Nanos::from_secs(300),
@@ -159,13 +155,6 @@ impl EvalConfig {
     #[must_use]
     pub fn with_bins(mut self, bins: BinSpec) -> Self {
         self.bins = bins;
-        self
-    }
-
-    /// Returns a copy with a different similarity measure.
-    #[must_use]
-    pub fn with_measure(mut self, measure: SimilarityMeasure) -> Self {
-        self.measure = measure;
         self
     }
 
@@ -212,7 +201,6 @@ mod tests {
         let cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime);
         assert_eq!(cfg.min_observations, 50);
         assert_eq!(cfg.window, Nanos::from_secs(300));
-        assert_eq!(cfg.measure, SimilarityMeasure::Cosine);
         assert_eq!(cfg.estimator, TxTimeEstimator::SizeOverRate);
     }
 
@@ -279,11 +267,9 @@ mod tests {
     fn builder_style_updates() {
         let cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize)
             .with_min_observations(10)
-            .with_measure(SimilarityMeasure::Bhattacharyya)
             .with_bins(BinSpec::uniform_to(100.0, 10.0))
             .with_filter(FrameFilter { broadcast_only: true, ..FrameFilter::default() });
         assert_eq!(cfg.min_observations, 10);
-        assert_eq!(cfg.measure, SimilarityMeasure::Bhattacharyya);
         assert!(cfg.filter.broadcast_only);
     }
 }

@@ -3,7 +3,7 @@
 //! All queue state (the ring, the sequence counter, the closed flag)
 //! lives behind one mutex here, and the condition variables are the only
 //! blocking primitive. Producers and the pipeline's worker call
-//! [`RingState`] directly.
+//! `RingState` directly.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};

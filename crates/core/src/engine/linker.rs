@@ -71,7 +71,6 @@ use crate::fusion::FusionSpec;
 use crate::matching::{MatchConfig, MatchScratch, ReferenceDb};
 use crate::params::NetworkParameter;
 use crate::signature::Signature;
-use crate::similarity::SimilarityMeasure;
 
 use super::multi::MultiEvent;
 
@@ -129,9 +128,6 @@ pub struct LinkerConfig {
     /// founding observation, which keeps decisions independent of
     /// sighting order.
     pub update_on_link: bool,
-    /// Similarity measure of the gallery sweeps (cosine — the pruned
-    /// sweep's admissible-bound measure).
-    pub measure: SimilarityMeasure,
     /// Shard layout of the per-parameter gallery databases; sharding is
     /// what makes the pruned sweep prune.
     pub match_config: MatchConfig,
@@ -152,7 +148,6 @@ impl Default for LinkerConfig {
             identity_ttl: None,
             gate_universal: true,
             update_on_link: false,
-            measure: SimilarityMeasure::Cosine,
             match_config: MatchConfig::default().with_shards(32),
         }
     }
@@ -583,12 +578,7 @@ impl RotationLinker {
                 continue;
             }
             let tops = db
-                .match_topk_tile(
-                    std::slice::from_ref(sig),
-                    self.cfg.topk,
-                    self.cfg.measure,
-                    &mut self.scratch,
-                )
+                .match_topk_tile(std::slice::from_ref(sig), self.cfg.topk, &mut self.scratch)
                 .pop()
                 .unwrap_or_default();
             let prune = self.scratch.prune_stats();

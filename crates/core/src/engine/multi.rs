@@ -58,7 +58,9 @@ pub struct MultiConfig {
     /// Minimum observations per candidate signature, per parameter (the
     /// paper uses 50, §V-C).
     pub min_observations: u64,
-    /// Histogram similarity measure (cosine in the paper).
+    /// The similarity measure. It has one value,
+    /// [`SimilarityMeasure::Cosine`], so the engine does not read it; the
+    /// field is kept for the benchmark harness.
     pub measure: SimilarityMeasure,
     /// Transmission-time estimator, shared by the fused parse.
     pub estimator: TxTimeEstimator,
@@ -95,13 +97,6 @@ impl MultiConfig {
         self
     }
 
-    /// Returns a copy with a different similarity measure.
-    #[must_use]
-    pub fn with_measure(mut self, measure: SimilarityMeasure) -> Self {
-        self.measure = measure;
-        self
-    }
-
     /// Returns a copy with a different frame filter.
     #[must_use]
     pub fn with_filter(mut self, filter: FrameFilter) -> Self {
@@ -133,7 +128,6 @@ impl MultiConfig {
             parameter,
             bins: default_bins(parameter),
             min_observations: self.min_observations,
-            measure: self.measure,
             estimator: self.estimator,
             filter: self.filter.clone(),
             window: self.window,
@@ -974,7 +968,7 @@ fn close_multi_window(
                             .iter()
                             .map(|&i| qualified[i].sigs[p].as_ref().expect("qualified"))
                             .collect();
-                        let tile = db.match_tile(&sigs, cfg.measure, scratch);
+                        let tile = db.match_tile(&sigs, SimilarityMeasure::Cosine, scratch);
                         outcomes.extend(
                             tile_ids.iter().zip(tile.views()).map(|(&i, v)| (i, v.to_outcome())),
                         );

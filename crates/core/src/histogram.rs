@@ -11,7 +11,7 @@
 //! [`Histogram::frequencies_u8`] caches the quantized form of the same
 //! distribution ([`QuantizedRow`]) for the `u8` storage tier
 //! ([`RowPrecision::U8`](crate::matching::RowPrecision)) — codes in
-//! `0..=`[`QUANT_MAX`](crate::kernel::QUANT_MAX) with a per-row scale,
+//! `0..=`[`QUANT_MAX`] with a per-row scale,
 //! quantized once per mutation so both the reference rows and the
 //! candidate side of the integer sweep borrow it.
 
@@ -153,8 +153,17 @@ pub struct Histogram {
     freqs8: OnceLock<QuantizedRow>,
 }
 
+/// Largest quantized code the `u8` storage tier emits: rows are scaled so
+/// their maximum frequency maps to `QUANT_MAX`.
+///
+/// 127 (7 bits) rather than 255 keeps the `u8` sweep's column pass exact
+/// in its narrow accumulator: it sums four code products in `u16` before
+/// widening, and `4 · 127² = 64 516 < 2¹⁶` (const-asserted next to that
+/// pass in [`matching`](crate::matching)).
+pub const QUANT_MAX: u8 = 127;
+
 /// A frequency row quantized for the `u8` storage tier: codes in
-/// `0..=`[`QUANT_MAX`](crate::kernel::QUANT_MAX) with the per-row scale
+/// `0..=`[`QUANT_MAX`] with the per-row scale
 /// mapping codes back to frequencies.
 ///
 /// The **zero-point is fixed at 0**: frequencies are non-negative, so an
@@ -170,7 +179,7 @@ pub struct QuantizedRow {
 
 impl QuantizedRow {
     /// Quantizes a frequency row: the row maximum maps to
-    /// [`QUANT_MAX`](crate::kernel::QUANT_MAX), everything else rounds to
+    /// [`QUANT_MAX`], everything else rounds to
     /// the nearest code. All-zero rows quantize to all-zero codes with
     /// scale 0.
     pub fn from_frequencies(freqs: &[f64]) -> QuantizedRow {
@@ -178,11 +187,11 @@ impl QuantizedRow {
         if max <= 0.0 {
             return QuantizedRow { values: vec![0; freqs.len()], scale: 0.0, inv_norm: 0.0 };
         }
-        let quant_max = f64::from(crate::kernel::QUANT_MAX);
+        let quant_max = f64::from(QUANT_MAX);
         let step = max / quant_max;
         let values: Vec<u8> = freqs
             .iter()
-            .map(|&f| ((f / step).round() as u8).min(crate::kernel::QUANT_MAX))
+            .map(|&f| ((f / step).round() as u8).min(QUANT_MAX))
             .collect();
         // The reciprocal norm of the *codes*: the cosine path multiplies
         // the exact integer dot by both rows' code norms (the scales
@@ -198,9 +207,8 @@ impl QuantizedRow {
         &self.values
     }
 
-    /// Frequency per code step: `frequency[i] ≈ values[i] · scale`.
-    /// Stored so non-cosine measures can dequantize; the cosine sweep
-    /// never reads it.
+    /// Frequency per code step: `frequency[i] ≈ values[i] · scale`. The
+    /// cosine sweep never reads it: cosine is scale-invariant.
     pub fn scale(&self) -> f32 {
         self.scale
     }

@@ -32,8 +32,8 @@
 //!    rows times its largest weight) cannot beat that candidate's
 //!    current `k`-th best. The store comes in two
 //!    **precision tiers** ([`RowPrecision`]): the default `f32` rows,
-//!    and a quantized `u8` tier (7-bit codes + per-row scale) that
-//!    roughly quarters resident bytes per device and sweeps exact integer
+//!    and a quantized `u8` tier (7-bit codes) that roughly quarters
+//!    resident bytes per device and sweeps exact integer
 //!    dots over each candidate window's nonzero bins only — see the
 //!    [`matching`] module docs
 //!    ("Precision tiers") for the memory table and drift bounds
@@ -92,10 +92,9 @@
 //! assert!(db.get(&sta).is_some() && db.is_frozen());
 //! ```
 
-// `unsafe` is denied crate-wide and re-allowed in exactly one place: the
-// SIMD dot kernels in [`kernel`], where every unsafe block carries a
-// safety comment.
-#![deny(unsafe_code)]
+// The whole crate is safe Rust: the sweeps are plain slice loops that
+// the compiler auto-vectorises, so no module may opt back into `unsafe`.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(clippy::pedantic)]
@@ -144,8 +143,7 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use fusion::{fuse_outcomes, FusedOutcome, FusionSpec};
-pub use histogram::{BinSpec, Histogram, QuantizedRow};
-pub use kernel::{IntKernelKind, KernelKind, QUANT_MAX};
+pub use histogram::{BinSpec, Histogram, QuantizedRow, QUANT_MAX};
 pub use matching::{
     MatchConfig, MatchOutcome, MatchScratch, MatchView, PruneStats, ReferenceDb, RowPrecision,
     ShardStrategy, SimilarityVector, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE,

@@ -51,10 +51,11 @@
 //!   `f32 × f32` products, so it is the same on every host. Drift ≤
 //!   [`F32_SCORE_TOLERANCE`] vs `f64`.
 //! * **`u8`** ([`RowPrecision::U8`]) — each row quantized once at
-//!   insert to 7-bit codes with a per-row scale
+//!   insert to 7-bit codes
 //!   ([`Histogram::frequencies_u8`](crate::Histogram::frequencies_u8));
 //!   cosine is scale-invariant, so the sweep dots raw codes in **exact**
-//!   `u32` arithmetic and folds the code norms in at the end. Drift ≤
+//!   `u32` arithmetic, folds the code norms in at the end, and the store
+//!   keeps no per-row scale. Drift ≤
 //!   [`U8_SCORE_TOLERANCE`] vs `f32`, pinned by parity proptests here and
 //!   an AUC-drift gate in the analysis crate.
 //!
@@ -67,7 +68,7 @@
 //! |-------|----------------|--------------------------------|----------------|
 //! | `f64` | 251 × 8 B      | `BTreeMap` nodes + weights     | > 2008         |
 //! | `f32` | 251 × 4 B      | weight + inv-norm (8 B)        | 1012           |
-//! | `u8`  | 251 × 1 B      | weight + inv-norm + scale (12 B) | 263          |
+//! | `u8`  | 251 × 1 B      | weight + inv-norm (8 B)        | 259            |
 //!
 //! Quartering the row bytes quarters what each column pass streams.
 //!
@@ -82,11 +83,10 @@
 //! enrolments where histogram locality is unwanted
 //! ([`ShardStrategy::MacPrefix`]). Each shard keeps its own `SoA` blocks
 //! plus a **prune summary** per block: the elementwise upper envelope of
-//! its normalised rows and the maximum reference weight. For the cosine
-//! measure (frequencies are non-negative) the envelope yields an
-//! *admissible* upper bound on any resident device's score against a
-//! given candidate — one dot product per (shard, kind) instead of one per
-//! device. (A mean-centroid summary would need a radius term and is
+//! its normalised rows and the maximum reference weight. Frequencies are
+//! non-negative, so the envelope yields an *admissible* upper bound on any
+//! resident device's score against a given candidate — one dot product
+//! per (shard, kind) instead of one per device. (A mean-centroid summary would need a radius term and is
 //! strictly looser for non-negative rows, so the envelope is the summary
 //! of choice.)
 //!
@@ -116,22 +116,17 @@
 //!
 //! # Column passes
 //!
-//! For the paper's cosine measure the per-pair kernel collapses to a
-//! single dot product (row norms are fixed at pack time, the candidate
-//! norm is hoisted out of the device loop). The sweep lists each
-//! candidate row's nonzero `(bin, value)` entries once per call, then,
-//! per shard and frame kind, accumulates one candidate's dots against
-//! every resident slot at once: `dot[slot] += c · column_bin[slot]` for
-//! each nonzero bin `c`, in exact `u32` for `u8` codes and in `f64` for
-//! `f32` rows. One epilogue per slot then adds `weight · clamp(dot ·
-//! inv_c · inv_r)` to that device's score. The plain slice loops
-//! auto-vectorise; no runtime SIMD dispatch is involved, so scores do not
-//! depend on the host's instruction set. The prune bound is the same sum
-//! against the shard's envelope, `Σ_nz c · envelope[bin]`.
-//!
-//! The other measures read whole rows: the sweep gathers each live slot's
-//! row out of the columns once (dequantizing `u8` codes) and runs the
-//! dense `f32` form of the measure against every candidate.
+//! The paper's cosine collapses per pair to a single dot product (row
+//! norms are fixed at pack time, the candidate norm is hoisted out of the
+//! device loop). The sweep lists each candidate row's nonzero
+//! `(bin, value)` entries once per call, then, per shard and frame kind,
+//! accumulates one candidate's dots against every resident slot at once:
+//! `dot[slot] += c · column_bin[slot]` for each nonzero bin `c`, in exact
+//! `u32` for `u8` codes and in `f64` for `f32` rows. One epilogue per slot
+//! then adds `weight · clamp(dot · inv_c · inv_r)` to that device's score.
+//! The plain safe slice loops auto-vectorise for the compile target, so
+//! scores do not depend on the host's instruction set. The prune bound is
+//! the same sum against the shard's envelope, `Σ_nz c · envelope[bin]`.
 //!
 //! # Multi-candidate tiling
 //!
@@ -179,7 +174,7 @@
 //! assert_eq!(tile.candidate_count(), 3);
 //! assert_eq!(tile.candidate(2).best().unwrap().0, MacAddr::from_index(1));
 //! // And the pruned top-k sweep (what a 10⁵-device deployment runs):
-//! let tops = db.match_topk_tile(&windows, 1, SimilarityMeasure::Cosine, &mut scratch);
+//! let tops = db.match_topk_tile(&windows, 1, &mut scratch);
 //! assert_eq!(tops[2][0].0, MacAddr::from_index(1));
 //! ```
 //!
@@ -201,7 +196,7 @@ use std::collections::BTreeMap;
 use wifiprint_ieee80211::{FrameKind, MacAddr};
 
 use crate::error::CoreError;
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, QUANT_MAX};
 use crate::signature::Signature;
 use crate::similarity::SimilarityMeasure;
 
@@ -223,7 +218,7 @@ pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 /// rows.
 ///
 /// Quantization rounds each normalised row to 7-bit codes relative to its
-/// maximum element ([`kernel::QUANT_MAX`](crate::kernel::QUANT_MAX)), so
+/// maximum element ([`QUANT_MAX`]), so
 /// the stored *direction* moves by up to `~0.5/127 · √(occupied bins)`
 /// relative to the row maximum. For the adversarial case property tests
 /// construct — tens of near-equal tiny bins on both sides of the dot —
@@ -293,9 +288,9 @@ pub enum RowPrecision {
     /// [`F32_SCORE_TOLERANCE`].
     #[default]
     F32,
-    /// Quantized `u8` rows (7-bit codes with a per-row scale, zero-point
-    /// fixed at 0). The cosine sweep dots the columns of a candidate's
-    /// nonzero codes in exact integer arithmetic. Quarter the row bytes
+    /// Quantized `u8` rows (7-bit codes, zero-point fixed at 0). The
+    /// cosine sweep dots the columns of a candidate's nonzero codes in
+    /// exact integer arithmetic. Quarter the row bytes
     /// of `f32`; scores track the `f32` tier within
     /// [`U8_SCORE_TOLERANCE`].
     U8,
@@ -347,8 +342,8 @@ impl MatchConfig {
         MatchConfig::default().with_shards(1)
     }
 
-    /// The quantized tier at the default shard layout: `u8` rows behind
-    /// the integer kernels — what a metropolis-scale (≥ 10⁵ devices)
+    /// The quantized tier at the default shard layout: `u8` rows swept
+    /// in exact integer arithmetic — what a metropolis-scale (≥ 10⁵ devices)
     /// deployment runs.
     pub fn quantized() -> Self {
         MatchConfig::default().with_precision(RowPrecision::U8)
@@ -383,7 +378,7 @@ impl MatchConfig {
 
 /// The packed row storage of a [`KindBlock`] — one variant per
 /// [`RowPrecision`], so the `u8` tier genuinely holds one byte per bin
-/// (plus one `f32` scale per row) rather than shadowing an `f32` copy.
+/// rather than shadowing an `f32` copy.
 ///
 /// Both variants are **bin-major**: `rows[bin * cap + slot]` is the
 /// value of `bin` for the device in `slot`, so one bin of every resident
@@ -393,12 +388,10 @@ enum RowStore {
     /// The devices' `f32` frequencies.
     F32(Vec<f32>),
     /// Quantized rows: the devices' 7-bit codes
-    /// ([`Histogram::frequencies_u8`]); `scales[slot]` dequantizes a
-    /// slot's codes (`frequency ≈ code · scale`). The cosine sweep never
-    /// touches the scale — cosine is scale-invariant, so it works on the
-    /// raw codes with `inv_norms` computed over the codes — but the
-    /// non-cosine measures dequantize through it.
-    U8 { rows: Vec<u8>, scales: Vec<f32> },
+    /// ([`Histogram::frequencies_u8`]). Cosine is scale-invariant, so the
+    /// sweep works on the raw codes with `inv_norms` computed over the
+    /// codes, and no per-row scale is kept.
+    U8(Vec<u8>),
 }
 
 /// One frame kind's slice of a shard's reference matrix: every resident
@@ -457,9 +450,7 @@ impl KindBlock {
             weights: vec![0.0; slots],
             store: match precision {
                 RowPrecision::F32 => RowStore::F32(vec![0.0; cap * bins]),
-                RowPrecision::U8 => {
-                    RowStore::U8 { rows: vec![0; cap * bins], scales: vec![0.0; slots] }
-                }
+                RowPrecision::U8 => RowStore::U8(vec![0; cap * bins]),
             },
             inv_norms: vec![0.0; slots],
             envelope: vec![0.0; bins],
@@ -480,15 +471,12 @@ impl KindBlock {
             let cap = (2 * old).max(1);
             match &mut self.store {
                 RowStore::F32(rows) => relayout_columns(rows, bins, slots, old, cap),
-                RowStore::U8 { rows, .. } => relayout_columns(rows, bins, slots, old, cap),
+                RowStore::U8(rows) => relayout_columns(rows, bins, slots, old, cap),
             }
             self.cap = cap;
         }
         self.weights.push(0.0);
         self.inv_norms.push(0.0);
-        if let RowStore::U8 { scales, .. } = &mut self.store {
-            scales.push(0.0);
-        }
     }
 
     /// Removes one slot by moving the last slot into it — one element
@@ -510,9 +498,8 @@ impl KindBlock {
             RowStore::F32(rows) => {
                 swap_remove_column_slot(rows, cap, slot, removed_inv, inv_norms, envelope, |f| f);
             }
-            RowStore::U8 { rows, scales } => {
+            RowStore::U8(rows) => {
                 swap_remove_column_slot(rows, cap, slot, removed_inv, inv_norms, envelope, f32::from);
-                scales.swap_remove(slot);
             }
         }
         *wmax = weights.iter().copied().fold(0.0, f32::max);
@@ -539,10 +526,9 @@ impl KindBlock {
                     envelope[bin] = envelope[bin].max(f * inv);
                 }
             }
-            RowStore::U8 { rows, scales } => {
+            RowStore::U8(rows) => {
                 let q = hist.frequencies_u8();
                 debug_assert_eq!(q.values().len(), bins);
-                scales[slot] = q.scale();
                 let inv = q.inv_norm();
                 inv_norms[slot] = inv;
                 for (bin, &c) in q.values().iter().enumerate().filter(|&(_, &c)| c != 0) {
@@ -558,20 +544,6 @@ impl KindBlock {
     fn column<'a, T>(&self, rows: &'a [T], bin: u32) -> &'a [T] {
         let start = bin as usize * self.cap;
         &rows[start..start + self.slots()]
-    }
-
-    /// Gathers `slot`'s row out of the columns into `out` as `f32`
-    /// frequencies (`u8` codes are dequantized through the slot's
-    /// scale) — the dense row the non-cosine measures read.
-    fn gather_row(&self, slot: usize, out: &mut Vec<f32>) {
-        let cap = self.cap;
-        out.clear();
-        match &self.store {
-            RowStore::F32(rows) => out.extend((0..self.bins).map(|bin| rows[bin * cap + slot])),
-            RowStore::U8 { rows, scales } => out.extend(
-                (0..self.bins).map(|bin| f32::from(rows[bin * cap + slot]) * scales[slot]),
-            ),
-        }
     }
 
     /// Adds one candidate's cosine terms to `scores` (one per slot):
@@ -594,7 +566,7 @@ impl KindBlock {
         let cells = self.slots() * self.bins;
         let store = match &self.store {
             RowStore::F32(_) => cells * std::mem::size_of::<f32>(),
-            RowStore::U8 { scales, .. } => cells + std::mem::size_of_val(scales.as_slice()),
+            RowStore::U8(_) => cells,
         };
         store
             + std::mem::size_of_val(self.weights.as_slice())
@@ -807,7 +779,7 @@ impl ReferenceDb {
 
     /// Bytes resident in the packed reference matrices: the rows at the
     /// configured [`RowPrecision`] plus per-row metadata (weights,
-    /// reciprocal norms, `u8` scales) and the per-block prune summaries.
+    /// reciprocal norms) and the per-block prune summaries.
     /// Retained [`Signature`]s and the index vectors are excluded — this
     /// measures what the sweeps actually touch, the number the
     /// bytes-per-device figures in the [module docs](self#precision-tiers)
@@ -1114,22 +1086,25 @@ impl ReferenceDb {
     /// order. One candidate is a tile of one
     /// (`std::slice::from_ref(&candidate)`); callers batching many
     /// windows chunk them by [`MATCH_TILE`].
+    ///
+    /// `measure` has one value, [`SimilarityMeasure::Cosine`]; the
+    /// argument is kept for the benchmark harness.
     pub fn match_tile<'s, C: Borrow<Signature>>(
         &self,
         candidates: &[C],
-        measure: SimilarityMeasure,
+        _measure: SimilarityMeasure,
         scratch: &'s mut MatchScratch,
     ) -> TileView<'s> {
         let n = self.devices.len();
         let k = candidates.len();
-        self.pack_candidates(candidates, measure, scratch);
+        self.pack_candidates(candidates, scratch);
         scratch.active.clear();
         scratch.active.resize(k, true);
         scratch.scores.clear();
         scratch.scores.resize(k * n, 0.0);
         let mut swept = 0;
         for shard in self.shards.iter().filter(|s| !s.rows.is_empty()) {
-            self.sweep_shard(shard, measure, scratch);
+            self.sweep_shard(shard, scratch);
             swept += k;
             // Scatter the shard's slots to their global rows.
             let slots = shard.rows.len();
@@ -1159,14 +1134,12 @@ impl ReferenceDb {
     /// identification test takes its argmax from.
     ///
     /// Per shard and frame kind the store keeps an upper envelope of the
-    /// normalised rows plus the maximum reference weight. For
-    /// [`SimilarityMeasure::Cosine`] one dot against the envelope bounds
-    /// every resident device's cosine from above (frequencies are
-    /// non-negative), so `Σ_kind wmax · min(1, ĉ·envelope)` bounds every
-    /// resident score; the other measures have no admissible bound, so
-    /// every shard stays in play. Shards are visited in descending order
-    /// of their best bound over the tile, and each candidate decides for
-    /// itself: one whose bound for the shard (plus
+    /// normalised rows plus the maximum reference weight. One dot against
+    /// the envelope bounds every resident device's cosine from above
+    /// (frequencies are non-negative), so `Σ_kind wmax · min(1,
+    /// ĉ·envelope)` bounds every resident score. Shards are visited in
+    /// descending order of their best bound over the tile, and each
+    /// candidate decides for itself: one whose bound for the shard (plus
     /// [`F32_SCORE_TOLERANCE`] of rounding slack) falls below its current
     /// `k`-th best skips it, while the shard's rows are loaded once for
     /// every candidate still active. The bound is admissible, so each
@@ -1179,7 +1152,6 @@ impl ReferenceDb {
         &self,
         candidates: &[C],
         k: usize,
-        measure: SimilarityMeasure,
         scratch: &mut MatchScratch,
     ) -> Vec<Vec<(MacAddr, f64)>> {
         let kc = candidates.len();
@@ -1187,8 +1159,8 @@ impl ReferenceDb {
         if k == 0 || self.devices.is_empty() || kc == 0 {
             return vec![Vec::new(); kc];
         }
-        self.pack_candidates(candidates, measure, scratch);
-        self.bound_shards(kc, measure, scratch);
+        self.pack_candidates(candidates, scratch);
+        self.bound_shards(kc, scratch);
         let mut tops: Vec<Vec<(MacAddr, f64)>> = vec![Vec::new(); kc];
         for bi in 0..scratch.shard_bounds.len() {
             let si = scratch.shard_bounds[bi].0 as usize;
@@ -1208,7 +1180,7 @@ impl ReferenceDb {
             if live == 0 {
                 continue;
             }
-            self.sweep_shard(shard, measure, scratch);
+            self.sweep_shard(shard, scratch);
             // Merge the shard into each active candidate's running
             // top-k, kept sorted by rank at all times: entries that
             // cannot outrank the current k-th best are dropped,
@@ -1252,22 +1224,14 @@ impl ReferenceDb {
     /// the kind) don't join it — incompatible binning carries no
     /// information.
     ///
-    /// Cosine, in both tiers, packs each row as its nonzero
-    /// `(bin, value)` entries into `tile_nonzeros`: `f32` frequencies, or
-    /// the candidate's own `u8` codes widened exactly to `f32` (the
-    /// per-row scales cancel out of cosine). A window's histogram has at
-    /// most one nonzero bin per observation, so that list is short. The
-    /// other measures pack dense `f32` frequencies into `tile_rows`.
-    fn pack_candidates<C: Borrow<Signature>>(
-        &self,
-        candidates: &[C],
-        measure: SimilarityMeasure,
-        scratch: &mut MatchScratch,
-    ) {
-        let cosine = measure == SimilarityMeasure::Cosine;
+    /// In both tiers each row is packed as its nonzero `(bin, value)`
+    /// entries into `tile_nonzeros`: `f32` frequencies, or the candidate's
+    /// own `u8` codes widened exactly to `f32` (the per-row scales cancel
+    /// out of cosine). A window's histogram has at most one nonzero bin
+    /// per observation, so that list is short.
+    fn pack_candidates<C: Borrow<Signature>>(&self, candidates: &[C], scratch: &mut MatchScratch) {
         let quantized = self.config.precision == RowPrecision::U8;
-        let MatchScratch { tile_rows, tile_nonzeros, packed, kind_spans, .. } = scratch;
-        tile_rows.clear();
+        let MatchScratch { tile_nonzeros, packed, kind_spans, .. } = scratch;
         tile_nonzeros.clear();
         packed.clear();
         kind_spans.clear();
@@ -1279,12 +1243,8 @@ impl ReferenceDb {
                 if hist.total() == 0 || hist.counts().len() != bins {
                     continue;
                 }
-                let offset = tile_rows.len();
                 let nonzeros_start = tile_nonzeros.len();
-                let inv = if !cosine {
-                    tile_rows.extend_from_slice(hist.frequencies_f32());
-                    0.0
-                } else if quantized {
+                let inv = if quantized {
                     let q = hist.frequencies_u8();
                     tile_nonzeros.extend(nonzero_bins(q.values().iter().map(|&c| f32::from(c))));
                     q.inv_norm()
@@ -1295,7 +1255,6 @@ impl ReferenceDb {
                 };
                 packed.push(PackedRow {
                     cand,
-                    offset,
                     nonzeros: nonzeros_start..tile_nonzeros.len(),
                     inv_norm: f64::from(inv),
                 });
@@ -1307,37 +1266,33 @@ impl ReferenceDb {
     /// Orders the occupied shards for the pruned sweep. Fills
     /// `tile_bounds[shard * K + candidate]` with an upper bound on any
     /// resident's score against the candidate — `Σ_kind wmax ·
-    /// min(1, ĉ·envelope)` plus slack for cosine, `+∞` for measures
-    /// without an admissible bound — and `shard_bounds` with the occupied
-    /// shards in descending order of their best bound over the tile
+    /// min(1, ĉ·envelope)` plus slack — and `shard_bounds` with the
+    /// occupied shards in descending order of their best bound over the tile
     /// (which for a tile of one is the candidate's own order). The
     /// envelope dot runs over the candidate's nonzero bins only.
-    fn bound_shards(&self, kc: usize, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
-        let cosine = measure == SimilarityMeasure::Cosine;
+    fn bound_shards(&self, kc: usize, scratch: &mut MatchScratch) {
         let MatchScratch { tile_nonzeros, packed, kind_spans, tile_bounds, shard_bounds, .. } =
             scratch;
         tile_bounds.clear();
-        tile_bounds.resize(self.shards.len() * kc, if cosine { 0.0 } else { f64::INFINITY });
+        tile_bounds.resize(self.shards.len() * kc, 0.0);
         shard_bounds.clear();
         for (si, shard) in self.shards.iter().enumerate() {
             if shard.rows.is_empty() {
                 continue;
             }
             let bounds = &mut tile_bounds[si * kc..(si + 1) * kc];
-            if cosine {
-                for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
-                    let Some(block) = shard.block(kind, bins) else { continue };
-                    for e in &packed[span.clone()] {
-                        let dot = tile_nonzeros[e.nonzeros.clone()].iter().fold(0.0, |acc, &(bin, c)| {
-                            acc + f64::from(c) * f64::from(block.envelope[bin as usize])
-                        });
-                        let cos_ub = (dot * e.inv_norm).clamp(0.0, 1.0);
-                        bounds[e.cand] += f64::from(block.wmax) * cos_ub;
-                    }
+            for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
+                let Some(block) = shard.block(kind, bins) else { continue };
+                for e in &packed[span.clone()] {
+                    let dot = tile_nonzeros[e.nonzeros.clone()].iter().fold(0.0, |acc, &(bin, c)| {
+                        acc + f64::from(c) * f64::from(block.envelope[bin as usize])
+                    });
+                    let cos_ub = (dot * e.inv_norm).clamp(0.0, 1.0);
+                    bounds[e.cand] += f64::from(block.wmax) * cos_ub;
                 }
-                for bound in bounds.iter_mut() {
-                    *bound = bound.min(1.0) + PRUNE_BOUND_SLACK;
-                }
+            }
+            for bound in bounds.iter_mut() {
+                *bound = bound.min(1.0) + PRUNE_BOUND_SLACK;
             }
             let best = bounds.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             shard_bounds.push((si as u32, best));
@@ -1348,46 +1303,35 @@ impl ReferenceDb {
     }
 
     /// The one shard walk behind both sweeps: scores `shard`'s resident
-    /// rows against every active candidate (`scratch.active`) under any
-    /// measure and precision tier, into `scratch.shard_scores`
-    /// (candidate-major, `candidate * slots + slot`; zero for inactive
-    /// candidates and absent rows).
+    /// rows against every active candidate (`scratch.active`) in either
+    /// precision tier, into `scratch.shard_scores` (candidate-major,
+    /// `candidate * slots + slot`; zero for inactive candidates and absent
+    /// rows).
     ///
-    /// Cosine runs as **column passes**: per packed candidate row, the
+    /// Both tiers run as **column passes**: per packed candidate row, the
     /// dots against every slot accumulate at once, `dot[slot] += c ·
     /// column_bin[slot]` over the candidate's nonzero bins only — exact
     /// `u32` sums over `u8` codes, ascending-bin `f64` sums over `f32`
     /// rows (each `f32 × f32` product is exact in `f64`, and a zero bin
     /// would add exactly `+0`) — and one epilogue per slot folds in the
-    /// norms and the weight. The other measures gather each live slot's
-    /// row out of the columns and run the dense `f32` kernels.
+    /// norms and the weight.
     ///
     /// Frame kinds run ascending, so each (candidate, slot) `f64` score
     /// adds its per-kind terms in the flat layout's order, and no term
     /// depends on where its slot sits: every sweep over every shard
     /// layout is bit-identical to the flat dense sweep.
-    fn sweep_shard(&self, shard: &Shard, measure: SimilarityMeasure, scratch: &mut MatchScratch) {
+    fn sweep_shard(&self, shard: &Shard, scratch: &mut MatchScratch) {
         let MatchScratch {
-            tile_rows,
-            tile_nonzeros,
-            packed,
-            kind_spans,
-            active,
-            dots_u32,
-            dots_f64,
-            ref_row,
-            shard_scores,
-            ..
+            tile_nonzeros, packed, kind_spans, active, dots_u32, dots_f64, shard_scores, ..
         } = scratch;
         let slots = shard.rows.len();
         shard_scores.clear();
         shard_scores.resize(active.len() * slots, 0.0);
-        let cosine = measure == SimilarityMeasure::Cosine;
         for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
             let Some(block) = shard.block(kind, bins) else { continue };
             let entries = packed[span.clone()].iter().filter(|e| active[e.cand]);
-            match (&block.store, cosine) {
-                (RowStore::U8 { rows, .. }, true) => {
+            match &block.store {
+                RowStore::U8(rows) => {
                     for e in entries {
                         dots_u32.clear();
                         dots_u32.resize(slots, 0);
@@ -1396,26 +1340,13 @@ impl ReferenceDb {
                         block.add_cosines(scores, dots_u32.iter().map(|&d| f64::from(d)), e.inv_norm);
                     }
                 }
-                (RowStore::F32(rows), true) => {
+                RowStore::F32(rows) => {
                     for e in entries {
                         dots_f64.clear();
                         dots_f64.resize(slots, 0.0);
                         accumulate_f32(dots_f64, &tile_nonzeros[e.nonzeros.clone()], block, rows);
                         let scores = &mut shard_scores[e.cand * slots..(e.cand + 1) * slots];
                         block.add_cosines(scores, dots_f64.iter().copied(), e.inv_norm);
-                    }
-                }
-                (_, false) => {
-                    for (slot, &weight) in block.weights.iter().enumerate() {
-                        if weight == 0.0 {
-                            continue;
-                        }
-                        block.gather_row(slot, ref_row);
-                        for e in entries.clone() {
-                            let cand = &tile_rows[e.offset..e.offset + bins];
-                            shard_scores[e.cand * slots + slot] +=
-                                f64::from(weight) * measure.compute_dense_f32(cand, ref_row);
-                        }
                     }
                 }
             }
@@ -1428,11 +1359,7 @@ impl ReferenceDb {
     /// buys **and** as the `f64` oracle both sweeps are tested against
     /// (equal output within [`F32_SCORE_TOLERANCE`]).
     #[cfg(any(test, feature = "bench-baseline"))]
-    pub fn match_signature_naive(
-        &self,
-        candidate: &Signature,
-        measure: SimilarityMeasure,
-    ) -> MatchOutcome {
+    pub fn match_signature_naive(&self, candidate: &Signature) -> MatchOutcome {
         let cand_freqs: Vec<(FrameKind, Vec<f64>)> =
             candidate.iter().map(|(kind, hist)| (kind, hist.frequency_vec())).collect();
         let mut sims = Vec::with_capacity(self.devices.len());
@@ -1440,7 +1367,8 @@ impl ReferenceDb {
             let mut sim = 0.0;
             for (kind, cand_freq) in &cand_freqs {
                 if let Some(hist) = sig.histogram(*kind) {
-                    sim += sig.weight(*kind) * measure.compute(cand_freq, hist.frequencies());
+                    sim += sig.weight(*kind)
+                        * SimilarityMeasure::Cosine.compute(cand_freq, hist.frequencies());
                 }
             }
             sims.push((device, sim));
@@ -1455,11 +1383,11 @@ impl ReferenceDb {
 ///
 /// Four code products sum in `u16` before widening into the `u32` dots:
 /// 16-bit multiplies vectorise on the baseline x86-64 ISA, 32-bit ones
-/// do not, and codes ≤ [`QUANT_MAX`](crate::kernel::QUANT_MAX) keep the
-/// sum exact (`4 · 127² < 2¹⁶`).
+/// do not, and codes ≤ [`QUANT_MAX`] keep the sum exact
+/// (`4 · 127² < 2¹⁶`).
 fn accumulate_u8(dots: &mut [u32], nonzeros: &[(u32, f32)], block: &KindBlock, rows: &[u8]) {
     const _: () = assert!(
-        4 * (crate::kernel::QUANT_MAX as u32).pow(2) <= u16::MAX as u32,
+        4 * (QUANT_MAX as u32).pow(2) <= u16::MAX as u32,
         "four code products must fit u16"
     );
     // Codes are integers ≤ QUANT_MAX, so the narrowing casts are exact.
@@ -1511,8 +1439,8 @@ fn accumulate_f32(dots: &mut [f64], nonzeros: &[(u32, f32)], block: &KindBlock, 
 }
 
 /// `1 / ‖row‖₂` from an ascending-bin `f64` sum of squares (each square
-/// of an `f32` is exact in `f64`, and the order is fixed, so the norm does
-/// not depend on the host's SIMD dispatch); 0.0 for an all-zero row.
+/// of an `f32` is exact in `f64`, and the order is fixed, so the norm is
+/// the same on every host); 0.0 for an all-zero row.
 fn inv_norm(row: &[f32]) -> f32 {
     let norm_sq = row.iter().fold(0.0, |acc, &x| acc + f64::from(x) * f64::from(x));
     if norm_sq > 0.0 {
@@ -1534,13 +1462,9 @@ fn nonzero_bins(values: impl Iterator<Item = f32>) -> impl Iterator<Item = (u32,
 struct PackedRow {
     /// The candidate's index in the tile.
     cand: usize,
-    /// Offset of the row in `MatchScratch::tile_rows` (non-cosine
-    /// measures only).
-    offset: usize,
-    /// The row's range in `MatchScratch::tile_nonzeros` (cosine only;
-    /// empty otherwise).
+    /// The row's range in `MatchScratch::tile_nonzeros`.
     nonzeros: std::ops::Range<usize>,
-    /// `1 / ‖row‖₂` of the packed row (cosine only).
+    /// `1 / ‖row‖₂` of the packed row.
     inv_norm: f64,
 }
 
@@ -1582,11 +1506,8 @@ pub struct MatchScratch {
     /// Dense sweep: the `(device, similarity)` pairs the returned views
     /// expose — candidate-major, address order within each candidate.
     pairs: Vec<(MacAddr, f64)>,
-    /// Non-cosine measures: every candidate's packed dense `f32`
-    /// frequency rows, kind-major.
-    tile_rows: Vec<f32>,
-    /// Cosine: every packed row's nonzero `(bin, value)` entries, bins
-    /// ascending (see `PackedRow::nonzeros`).
+    /// Every packed row's nonzero `(bin, value)` entries, bins ascending
+    /// (see `PackedRow::nonzeros`).
     tile_nonzeros: Vec<(u32, f32)>,
     /// One entry per packed row, kind-major, candidates ascending within
     /// a kind.
@@ -1595,13 +1516,10 @@ pub struct MatchScratch {
     kind_spans: Vec<std::ops::Range<usize>>,
     /// Per candidate: whether the shard being swept scores it.
     active: Vec<bool>,
-    /// One candidate's per-slot integer dots (`u8` cosine column pass).
+    /// One candidate's per-slot integer dots (`u8` column pass).
     dots_u32: Vec<u32>,
-    /// One candidate's per-slot dots (`f32` cosine column pass).
+    /// One candidate's per-slot dots (`f32` column pass).
     dots_f64: Vec<f64>,
-    /// One reference row gathered out of its columns (non-cosine
-    /// measures).
-    ref_row: Vec<f32>,
     /// Per-(candidate, slot) scores of the shard being swept,
     /// candidate-major.
     shard_scores: Vec<f64>,
@@ -1787,8 +1705,9 @@ mod tests {
 
     /// The dense sweep's similarity vector for one candidate (a tile of
     /// one).
-    fn match_one(db: &ReferenceDb, cand: &Signature, m: SimilarityMeasure) -> MatchOutcome {
-        db.match_tile(std::slice::from_ref(cand), m, &mut MatchScratch::new())
+    fn match_one(db: &ReferenceDb, cand: &Signature) -> MatchOutcome {
+        let cosine = SimilarityMeasure::Cosine;
+        db.match_tile(std::slice::from_ref(cand), cosine, &mut MatchScratch::new())
             .candidate(0)
             .to_outcome()
     }
@@ -1798,10 +1717,9 @@ mod tests {
         db: &ReferenceDb,
         cand: &Signature,
         k: usize,
-        m: SimilarityMeasure,
         scratch: &mut MatchScratch,
     ) -> Vec<(MacAddr, f64)> {
-        db.match_topk_tile(std::slice::from_ref(cand), k, m, scratch).remove(0)
+        db.match_topk_tile(std::slice::from_ref(cand), k, scratch).remove(0)
     }
 
     /// Every shard configuration parity tests sweep over — both
@@ -1824,7 +1742,7 @@ mod tests {
         let sig = sig_with(&[(FrameKind::Data, 500.0, 30), (FrameKind::ProbeReq, 100.0, 10)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), sig.clone()).unwrap();
-        let outcome = match_one(&db, &sig, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &sig);
         let (_, score) = outcome.best().unwrap();
         assert!((score - 1.0).abs() < F32_SCORE_TOLERANCE);
     }
@@ -1835,7 +1753,7 @@ mod tests {
         let b = sig_with(&[(FrameKind::Data, 2000.0, 10)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), a).unwrap();
-        let outcome = match_one(&db, &b, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &b);
         assert_eq!(outcome.best().unwrap().1, 0.0);
     }
 
@@ -1846,7 +1764,7 @@ mod tests {
         let c = sig_with(&[(FrameKind::ProbeReq, 100.0, 10)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), r).unwrap();
-        let outcome = match_one(&db, &c, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &c);
         assert_eq!(outcome.similarities()[0].1, 0.0);
     }
 
@@ -1858,7 +1776,7 @@ mod tests {
         let c = sig_with(&[(FrameKind::ProbeReq, 200.0, 50)]);
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), r).unwrap();
-        let outcome = match_one(&db, &c, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &c);
         // Score = weight_ref(ProbeReq) × 1.0 = 0.1.
         assert!((outcome.similarities()[0].1 - 0.1).abs() < F32_SCORE_TOLERANCE);
     }
@@ -1873,7 +1791,7 @@ mod tests {
         let d_far = MacAddr::from_index(2);
         db.insert(d_near, near).unwrap();
         db.insert(d_far, far).unwrap();
-        let outcome = match_one(&db, &probe, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &probe);
         assert_eq!(outcome.best().unwrap().0, d_near);
         assert!(outcome.similarity_to(&d_far).unwrap() < outcome.similarity_to(&d_near).unwrap());
     }
@@ -1884,7 +1802,7 @@ mod tests {
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), base.clone()).unwrap();
         db.insert(MacAddr::from_index(2), sig_with(&[(FrameKind::Data, 2200.0, 50)])).unwrap();
-        let outcome = match_one(&db, &base, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &base);
         let hits: Vec<_> = outcome.above_threshold(0.9).collect();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, MacAddr::from_index(1));
@@ -1937,7 +1855,7 @@ mod tests {
         assert_eq!(frozen.len(), 1);
 
         // Matching works on both sides of the freeze.
-        assert_eq!(match_one(&frozen, &sig, SimilarityMeasure::Cosine).best().unwrap().0, d1);
+        assert_eq!(match_one(&frozen, &sig).best().unwrap().0, d1);
 
         // Mutating the frozen copy is a typed error, and changes nothing.
         let mut frozen = frozen;
@@ -1958,13 +1876,12 @@ mod tests {
     #[test]
     fn empty_db_matches_nothing() {
         let db = ReferenceDb::new();
-        let outcome =
-            match_one(&db, &sig_with(&[(FrameKind::Data, 1.0, 5)]), SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &sig_with(&[(FrameKind::Data, 1.0, 5)]));
         assert!(outcome.best().is_none());
         assert!(outcome.similarities().is_empty());
         let mut scratch = MatchScratch::new();
         let cand = sig_with(&[(FrameKind::Data, 1.0, 5)]);
-        assert!(topk_one(&db, &cand, 3, SimilarityMeasure::Cosine, &mut scratch).is_empty());
+        assert!(topk_one(&db, &cand, 3, &mut scratch).is_empty());
     }
 
     #[test]
@@ -1973,7 +1890,7 @@ mod tests {
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(5), sig.clone()).unwrap();
         db.insert(MacAddr::from_index(3), sig.clone()).unwrap();
-        let outcome = match_one(&db, &sig, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &sig);
         assert_eq!(outcome.best().unwrap().0, MacAddr::from_index(3));
     }
 
@@ -1990,17 +1907,15 @@ mod tests {
         }
         let cand =
             sig_with(&[(FrameKind::Data, 370.0, 55), (FrameKind::ProbeReq, 110.0, 7)]);
-        for m in SimilarityMeasure::ALL {
-            let fast = match_one(&db, &cand, m);
-            let naive = db.match_signature_naive(&cand, m);
-            assert_eq!(fast.similarities().len(), naive.similarities().len());
-            for (f, n) in fast.similarities().iter().zip(naive.similarities()) {
-                assert_eq!(f.0, n.0);
-                // The f32 rows round each frequency once; the f64
-                // accumulation keeps the drift within the documented
-                // tolerance of the all-f64 baseline.
-                assert!((f.1 - n.1).abs() < F32_SCORE_TOLERANCE, "{m}: {} vs {}", f.1, n.1);
-            }
+        let fast = match_one(&db, &cand);
+        let naive = db.match_signature_naive(&cand);
+        assert_eq!(fast.similarities().len(), naive.similarities().len());
+        for (f, n) in fast.similarities().iter().zip(naive.similarities()) {
+            assert_eq!(f.0, n.0);
+            // The f32 rows round each frequency once; the f64
+            // accumulation keeps the drift within the documented
+            // tolerance of the all-f64 baseline.
+            assert!((f.1 - n.1).abs() < F32_SCORE_TOLERANCE, "{} vs {}", f.1, n.1);
         }
     }
 
@@ -2024,14 +1939,11 @@ mod tests {
             sig_with(&[(FrameKind::ProbeReq, 10.0, 25)]),
         ];
         let mut scratch = MatchScratch::new();
-        for m in SimilarityMeasure::ALL {
-            let tile = db.match_tile(&candidates, m, &mut scratch);
-            assert_eq!(tile.candidate_count(), candidates.len());
-            let views: Vec<MatchOutcome> = tile.views().map(|v| v.to_outcome()).collect();
-            for (cand, got) in candidates.iter().zip(views) {
-                let want = match_one(&db, cand, m);
-                assert_eq!(got, want, "{m}");
-            }
+        let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
+        assert_eq!(tile.candidate_count(), candidates.len());
+        let views: Vec<MatchOutcome> = tile.views().map(|v| v.to_outcome()).collect();
+        for (cand, got) in candidates.iter().zip(views) {
+            assert_eq!(got, match_one(&db, cand));
         }
     }
 
@@ -2081,11 +1993,9 @@ mod tests {
                 bulk.devices().collect::<Vec<_>>()
             );
             let cand = sig_with(&[(FrameKind::Data, 249.0, 33), (FrameKind::ProbeReq, 62.0, 5)]);
-            for m in SimilarityMeasure::ALL {
-                let a = match_one(&streamed, &cand, m);
-                let b = match_one(&bulk, &cand, m);
-                assert_eq!(a.similarities(), b.similarities(), "{m} under {config:?}");
-            }
+            let a = match_one(&streamed, &cand);
+            let b = match_one(&bulk, &cand);
+            assert_eq!(a.similarities(), b.similarities(), "{config:?}");
             // Replacement detaches and re-attaches (possibly migrating
             // shards) and stays consistent too.
             let dev = streamed.devices().next().unwrap();
@@ -2095,8 +2005,8 @@ mod tests {
                 bulk.iter().map(|(d, s)| (d, s.clone())).collect();
             bulk_map.insert(dev, replacement);
             let repacked = ReferenceDb::from_signatures_with(bulk_map, config);
-            let a = match_one(&streamed, &cand, SimilarityMeasure::Cosine);
-            let b = match_one(&repacked, &cand, SimilarityMeasure::Cosine);
+            let a = match_one(&streamed, &cand);
+            let b = match_one(&repacked, &cand);
             assert_eq!(a.similarities(), b.similarities(), "{config:?}");
         }
     }
@@ -2142,10 +2052,10 @@ mod tests {
             );
             let mut scratch = MatchScratch::new();
             for probe in [sig_for(99), sig_for(3), sig_for(13)] {
-                let a = match_one(&db, &probe, SimilarityMeasure::Cosine);
-                let b = match_one(&fresh, &probe, SimilarityMeasure::Cosine);
+                let a = match_one(&db, &probe);
+                let b = match_one(&fresh, &probe);
                 assert_eq!(a.similarities(), b.similarities(), "{config:?}: dense parity");
-                let ta = topk_one(&db, &probe, 4, SimilarityMeasure::Cosine, &mut scratch);
+                let ta = topk_one(&db, &probe, 4, &mut scratch);
                 assert_eq!(ta, b.top(4), "{config:?}: pruned parity after churn");
             }
         }
@@ -2173,13 +2083,11 @@ mod tests {
                 MatchConfig::flat().with_precision(config.precision),
             );
             let sharded = ReferenceDb::from_signatures_with(sigs.iter().cloned().collect(), config);
-            for m in SimilarityMeasure::ALL {
-                let a = match_one(&sharded, &cand, m);
-                let b = match_one(&flat, &cand, m);
-                // Bit-identical, not merely within tolerance: the sweep
-                // accumulates per device in the same kind order.
-                assert_eq!(a.similarities(), b.similarities(), "{m} under {config:?}");
-            }
+            let a = match_one(&sharded, &cand);
+            let b = match_one(&flat, &cand);
+            // Bit-identical, not merely within tolerance: the sweep
+            // accumulates per device in the same kind order.
+            assert_eq!(a.similarities(), b.similarities(), "{config:?}");
         }
     }
 
@@ -2199,9 +2107,9 @@ mod tests {
         let mut scratch = MatchScratch::new();
         for probe_seed in [1u64, 7, 15] {
             let cand = sig_with(&[(FrameKind::Data, 60.0 * (probe_seed % 16) as f64, 45)]);
-            let dense = match_one(&db, &cand, SimilarityMeasure::Cosine);
+            let dense = match_one(&db, &cand);
             for k in [1usize, 3, 10, 40, 100] {
-                let pruned = topk_one(&db, &cand, k, SimilarityMeasure::Cosine, &mut scratch);
+                let pruned = topk_one(&db, &cand, k, &mut scratch);
                 assert_eq!(pruned, dense.top(k), "seed {probe_seed}, k {k}");
                 let stats = scratch.prune_stats();
                 assert!(stats.swept_shards + stats.pruned_shards > 0);
@@ -2211,9 +2119,9 @@ mod tests {
         let cands: Vec<Signature> = (1..=5u64)
             .map(|i| sig_with(&[(FrameKind::Data, 60.0 * (i % 16) as f64, 45)]))
             .collect();
-        let tiled = db.match_topk_tile(&cands, 3, SimilarityMeasure::Cosine, &mut scratch);
+        let tiled = db.match_topk_tile(&cands, 3, &mut scratch);
         for (cand, got) in cands.iter().zip(&tiled) {
-            assert_eq!(got, &match_one(&db, cand, SimilarityMeasure::Cosine).top(3));
+            assert_eq!(got, &match_one(&db, cand).top(3));
         }
     }
 
@@ -2229,8 +2137,8 @@ mod tests {
         }
         let cand = sig_with(&[(FrameKind::Data, 310.0, 60)]);
         let mut scratch = MatchScratch::new();
-        let pruned = topk_one(&db, &cand, 3, SimilarityMeasure::Cosine, &mut scratch);
-        assert_eq!(pruned, match_one(&db, &cand, SimilarityMeasure::Cosine).top(3));
+        let pruned = topk_one(&db, &cand, 3, &mut scratch);
+        assert_eq!(pruned, match_one(&db, &cand).top(3));
         let stats = scratch.prune_stats();
         assert!(
             stats.pruned_shards > 0,
@@ -2256,7 +2164,7 @@ mod tests {
             sig_with(&[(FrameKind::Data, 1210.0, 60)]),
         ];
         let mut scratch = MatchScratch::new();
-        db.match_topk_tile(&cands, 3, SimilarityMeasure::Cosine, &mut scratch);
+        db.match_topk_tile(&cands, 3, &mut scratch);
         let pruned = scratch.prune_stats();
         assert!(pruned.pruned_shards > 0, "{pruned:?}");
         assert_eq!(pruned.swept_shards + pruned.pruned_shards, 2 * occupied);
@@ -2266,28 +2174,8 @@ mod tests {
             PruneStats { swept_shards: 2 * occupied, pruned_shards: 0 }
         );
         // A sweep with nothing to rank resets it.
-        db.match_topk_tile(&cands, 0, SimilarityMeasure::Cosine, &mut scratch);
+        db.match_topk_tile(&cands, 0, &mut scratch);
         assert_eq!(scratch.prune_stats(), PruneStats::default());
-    }
-
-    #[test]
-    fn non_cosine_topk_falls_back_to_dense() {
-        // No admissible bound outside cosine: every shard is swept, and
-        // the ranking is the dense sweep's.
-        let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(4));
-        for i in 1..=10u64 {
-            db.insert(MacAddr::from_index(i), sig_with(&[(FrameKind::Data, 55.0 * i as f64, 40)]))
-                .unwrap();
-        }
-        let cand = sig_with(&[(FrameKind::Data, 165.0, 40)]);
-        let mut scratch = MatchScratch::new();
-        for m in SimilarityMeasure::ALL {
-            let top = topk_one(&db, &cand, 3, m, &mut scratch);
-            assert_eq!(top, match_one(&db, &cand, m).top(3), "{m}");
-            if m != SimilarityMeasure::Cosine {
-                assert_eq!(scratch.prune_stats().pruned_shards, 0, "{m}: no pruning claimed");
-            }
-        }
     }
 
     #[test]
@@ -2297,7 +2185,7 @@ mod tests {
             db.insert(MacAddr::from_index(i), sig_with(&[(FrameKind::Data, 55.0 * i as f64, 40)])).unwrap();
         }
         let cand = sig_with(&[(FrameKind::Data, 165.0, 40)]);
-        let outcome = match_one(&db, &cand, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &cand);
         let full: Vec<_> = {
             let mut v = outcome.similarities().to_vec();
             v.sort_by(rank_desc);
@@ -2316,11 +2204,11 @@ mod tests {
         for i in [5u64, 2, 9] {
             tied.insert(MacAddr::from_index(i), sig.clone()).unwrap();
         }
-        let top = match_one(&tied, &sig, SimilarityMeasure::Cosine).top(2);
+        let top = match_one(&tied, &sig).top(2);
         assert_eq!(top[0].0, MacAddr::from_index(2));
         assert_eq!(top[1].0, MacAddr::from_index(5));
         let mut scratch = MatchScratch::new();
-        let pruned = topk_one(&tied, &sig, 2, SimilarityMeasure::Cosine, &mut scratch);
+        let pruned = topk_one(&tied, &sig, 2, &mut scratch);
         assert_eq!(pruned, top);
     }
 
@@ -2345,9 +2233,9 @@ mod tests {
         db.insert(d_fine, build(&fine)).unwrap();
         db.insert(d_coarse, build(&coarse)).unwrap();
         for (cand_cfg, expect_dev) in [(&fine, d_fine), (&coarse, d_coarse)] {
-            let outcome = match_one(&db, &build(cand_cfg), SimilarityMeasure::Cosine);
+            let outcome = match_one(&db, &build(cand_cfg));
             assert!((outcome.similarity_to(&expect_dev).unwrap() - 1.0).abs() < F32_SCORE_TOLERANCE);
-            let naive = db.match_signature_naive(&build(cand_cfg), SimilarityMeasure::Cosine);
+            let naive = db.match_signature_naive(&build(cand_cfg));
             for (f, n) in outcome.similarities().iter().zip(naive.similarities()) {
                 assert_eq!(f.0, n.0);
                 assert!((f.1 - n.1).abs() < F32_SCORE_TOLERANCE);
@@ -2367,7 +2255,7 @@ mod tests {
         for _ in 0..50 {
             cand.record(FrameKind::Data, 100.0, &coarse);
         }
-        let outcome = match_one(&db, &cand, SimilarityMeasure::Cosine);
+        let outcome = match_one(&db, &cand);
         assert_eq!(outcome.similarities()[0].1, 0.0);
     }
 
@@ -2379,7 +2267,7 @@ mod tests {
         let sig = sig_with(&[(FrameKind::Data, 500.0, 30), (FrameKind::ProbeReq, 100.0, 10)]);
         let mut db = ReferenceDb::with_config(MatchConfig::quantized());
         db.insert(MacAddr::from_index(1), sig.clone()).unwrap();
-        let (_, score) = match_one(&db, &sig, SimilarityMeasure::Cosine).best().unwrap();
+        let (_, score) = match_one(&db, &sig).best().unwrap();
         assert!((score - 1.0).abs() < F32_SCORE_TOLERANCE, "self-cosine {score}");
     }
 
@@ -2405,7 +2293,15 @@ mod tests {
             MatchConfig::quantized(),
         );
         let (f32_bytes, u8_bytes) = (f32_db.row_bytes(), u8_db.row_bytes());
-        assert!(f32_bytes > 0 && u8_bytes > 0);
+        // Exact per-device bytes, the shared per-block envelopes set
+        // aside: two kinds of 251 bins, each row with a weight and an
+        // inverse norm (8 B) and nothing else.
+        let per_device = |db: &ReferenceDb| {
+            let blocks = db.shards.iter().flat_map(|s| &s.blocks);
+            let envelopes: usize = blocks.map(|b| 4 * b.envelope.len()).sum();
+            (db.row_bytes() - envelopes) / db.len()
+        };
+        assert_eq!((per_device(&f32_db), per_device(&u8_db)), (2 * (251 * 4 + 8), 2 * (251 + 8)));
         // The acceptance bar is "halved"; with rows dominating the
         // metadata the quantized tier actually lands near a quarter.
         assert!(
@@ -2415,28 +2311,21 @@ mod tests {
     }
 
     #[test]
-    fn quantized_non_cosine_measures_track_f32_on_concentrated_histograms() {
-        // Non-cosine measures run the dequantized fallback; on realistic
-        // (mass-concentrated) histograms the round-trip stays tight.
-        let sigs: Vec<(MacAddr, Signature)> = (1..=10u64)
-            .map(|i| (MacAddr::from_index(i), sig_with(&[(FrameKind::Data, 55.0 * i as f64, 40)])))
-            .collect();
-        let f32_db = ReferenceDb::from_signatures_with(
-            sigs.iter().cloned().collect(),
-            MatchConfig::default(),
-        );
-        let u8_db = ReferenceDb::from_signatures_with(
-            sigs.iter().cloned().collect(),
-            MatchConfig::quantized(),
-        );
-        let cand = sig_with(&[(FrameKind::Data, 165.0, 40)]);
-        for m in SimilarityMeasure::ALL {
-            let a = match_one(&f32_db, &cand, m);
-            let b = match_one(&u8_db, &cand, m);
-            for (f, q) in a.similarities().iter().zip(b.similarities()) {
-                assert_eq!(f.0, q.0);
-                assert!((f.1 - q.1).abs() < 2e-2, "{m}: {} vs {}", f.1, q.1);
-            }
+    fn u8_column_pass_peak_codes_do_not_saturate() {
+        // Equal counts in every occupied bin quantize every code to
+        // QUANT_MAX, so each quad of the column pass sums four 127²
+        // products in u16: the worst case its const-assert admits. Four to
+        // nine bins cover one and two quads with and without a remainder.
+        for occupied in 4..=9u32 {
+            let bins: Vec<_> =
+                (0..occupied).map(|i| (FrameKind::Data, 100.0 * f64::from(i), 10)).collect();
+            let sig = sig_with(&bins);
+            let codes = sig.histogram(FrameKind::Data).unwrap().frequencies_u8();
+            assert!(codes.values().iter().all(|&c| c == 0 || c == QUANT_MAX));
+            let mut db = ReferenceDb::with_config(MatchConfig::quantized());
+            db.insert(MacAddr::from_index(1), sig.clone()).unwrap();
+            let (_, score) = match_one(&db, &sig).best().unwrap();
+            assert!((score - 1.0).abs() < F32_SCORE_TOLERANCE, "{occupied} bins: {score}");
         }
     }
 
@@ -2459,10 +2348,10 @@ mod tests {
                 .map(|i| sig_with(&[(FrameKind::Data, 150.0 * (2 * i) as f64 + 10.0, 60)]))
                 .collect();
             let mut scratch = MatchScratch::new();
-            let tiled = db.match_topk_tile(&cands, 3, SimilarityMeasure::Cosine, &mut scratch);
+            let tiled = db.match_topk_tile(&cands, 3, &mut scratch);
             let stats = scratch.prune_stats();
             for (cand, got) in cands.iter().zip(&tiled) {
-                let dense = match_one(&db, cand, SimilarityMeasure::Cosine);
+                let dense = match_one(&db, cand);
                 assert_eq!(got, &dense.top(3), "{precision:?}");
             }
             assert!(
@@ -2516,8 +2405,8 @@ mod tests {
     }
 
     // f32 ↔ f64 parity: the packed-f32 engine must track the all-f64
-    // naive baseline within the documented tolerance for every measure,
-    // on arbitrary databases and candidates.
+    // naive baseline within the documented tolerance, on arbitrary
+    // databases and candidates.
     proptest! {
         #[test]
         fn f32_engine_tracks_f64_baseline(
@@ -2539,21 +2428,16 @@ mod tests {
             for &v in &cand_values {
                 cand.record(FrameKind::Data, v, &c);
             }
-            for m in SimilarityMeasure::ALL {
-                let fast = match_one(&db, &cand, m);
-                let baseline = db.match_signature_naive(&cand, m);
-                for (f, n) in fast.similarities().iter().zip(baseline.similarities()) {
-                    prop_assert_eq!(f.0, n.0);
-                    prop_assert!(
-                        (f.1 - n.1).abs() < F32_SCORE_TOLERANCE,
-                        "{}: {} vs {}", m, f.1, n.1
-                    );
-                }
+            let fast = match_one(&db, &cand);
+            let baseline = db.match_signature_naive(&cand);
+            for (f, n) in fast.similarities().iter().zip(baseline.similarities()) {
+                prop_assert_eq!(f.0, n.0);
+                prop_assert!((f.1 - n.1).abs() < F32_SCORE_TOLERANCE, "{} vs {}", f.1, n.1);
             }
         }
 
         // The acceptance property of the sharded refactor: over arbitrary
-        // enrolments, measures, shard strategies/counts and tile widths,
+        // enrolments, shard strategies/counts and tile widths,
         // the sharded pruned sweep reports the flat dense sweep's top-k —
         // same argmax, same order, scores within F32_SCORE_TOLERANCE
         // (they are in fact bit-identical) — and the sharded dense sweep
@@ -2568,7 +2452,6 @@ mod tests {
             mac_prefix in any::<bool>(),
             quantized in any::<bool>(),
             k in 1usize..8,
-            measure in prop::sample::select(SimilarityMeasure::ALL.to_vec()),
         ) {
             let c = cfg();
             let strategy = if mac_prefix {
@@ -2603,19 +2486,19 @@ mod tests {
                 .collect();
             let mut scratch = MatchScratch::new();
             // Dense tile parity: full vectors, exact.
-            let tile = sharded.match_tile(&candidates, measure, &mut scratch);
+            let tile = sharded.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
             let dense: Vec<MatchOutcome> = tile.views().map(|v| v.to_outcome()).collect();
             for (cand, got) in candidates.iter().zip(&dense) {
-                let want = match_one(&flat, cand, measure);
+                let want = match_one(&flat, cand);
                 prop_assert_eq!(got.similarities(), want.similarities());
             }
             // Pruned top-k parity: argmax and scores, per candidate and
             // for the whole tile in one sweep.
-            let tiled = sharded.match_topk_tile(&candidates, k, measure, &mut scratch);
+            let tiled = sharded.match_topk_tile(&candidates, k, &mut scratch);
             prop_assert_eq!(tiled.len(), candidates.len());
             for ((cand, want_full), got_tiled) in candidates.iter().zip(&dense).zip(&tiled) {
                 let want = want_full.top(k);
-                let got = topk_one(&sharded, cand, k, measure, &mut scratch);
+                let got = topk_one(&sharded, cand, k, &mut scratch);
                 prop_assert_eq!(&got, got_tiled);
                 prop_assert_eq!(got.len(), want.len());
                 prop_assert_eq!(
@@ -2666,8 +2549,8 @@ mod tests {
             for &v in &cand_values {
                 cand.record(FrameKind::Data, v, &c);
             }
-            let a = match_one(&f32_db, &cand, SimilarityMeasure::Cosine);
-            let b = match_one(&u8_db, &cand, SimilarityMeasure::Cosine);
+            let a = match_one(&f32_db, &cand);
+            let b = match_one(&u8_db, &cand);
             for (f, q) in a.similarities().iter().zip(b.similarities()) {
                 prop_assert_eq!(f.0, q.0);
                 prop_assert!(
@@ -2687,7 +2570,7 @@ mod tests {
             // The quantized pruned sweep agrees with the quantized dense
             // sweep (per-tier invariant, integer dots are exact).
             let mut scratch = MatchScratch::new();
-            let top = topk_one(&u8_db, &cand, 3, SimilarityMeasure::Cosine, &mut scratch);
+            let top = topk_one(&u8_db, &cand, 3, &mut scratch);
             prop_assert_eq!(top, b.top(3));
         }
 
@@ -2695,8 +2578,8 @@ mod tests {
         // inserts and shift down on removes; a bulk build packs them at
         // exact size. Any insert/replace/remove sequence — crossing
         // several doublings — must score bit for bit like a bulk build
-        // of the surviving signatures in both sweeps (cosine after every
-        // step, every measure at the end), hold the same keys and prune
+        // of the surviving signatures in both sweeps after every step,
+        // hold the same keys and prune
         // summaries, and report the same resident bytes (which count
         // slots, not capacity).
         #[test]
@@ -2727,7 +2610,7 @@ mod tests {
             let mut db = ReferenceDb::with_config(config);
             let mut mirror: BTreeMap<MacAddr, Signature> = BTreeMap::new();
             let (mut a, mut b) = (MatchScratch::new(), MatchScratch::new());
-            for (step, (op, device, values)) in ops.iter().enumerate() {
+            for (op, device, values) in &ops {
                 let device = MacAddr::from_index(device + 1);
                 if *op == 3 {
                     prop_assert_eq!(db.remove(&device).unwrap(), mirror.remove(&device));
@@ -2744,21 +2627,14 @@ mod tests {
                 prop_assert_eq!(db.row_bytes(), bulk.row_bytes());
                 prop_assert_eq!(&db.kind_keys, &bulk.kind_keys);
                 prop_assert_eq!(summaries(&db), summaries(&bulk));
-                let measures: &[SimilarityMeasure] = if step + 1 == ops.len() {
-                    &SimilarityMeasure::ALL
-                } else {
-                    &[SimilarityMeasure::Cosine]
-                };
-                for &m in measures {
-                    let got = db.match_tile(&candidates, m, &mut a);
-                    let want = bulk.match_tile(&candidates, m, &mut b);
-                    for (g, w) in got.views().zip(want.views()) {
-                        prop_assert_eq!(g.similarities(), w.similarities(), "{}", m);
-                    }
-                    let got = db.match_topk_tile(&candidates, 3, m, &mut a);
-                    let want = bulk.match_topk_tile(&candidates, 3, m, &mut b);
-                    prop_assert_eq!(got, want, "{}", m);
+                let got = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut a);
+                let want = bulk.match_tile(&candidates, SimilarityMeasure::Cosine, &mut b);
+                for (g, w) in got.views().zip(want.views()) {
+                    prop_assert_eq!(g.similarities(), w.similarities());
                 }
+                let got = db.match_topk_tile(&candidates, 3, &mut a);
+                let want = bulk.match_topk_tile(&candidates, 3, &mut b);
+                prop_assert_eq!(got, want);
             }
         }
     }

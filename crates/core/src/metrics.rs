@@ -165,7 +165,6 @@ impl EvalOutcome {
 pub fn match_candidates(
     db: &ReferenceDb,
     candidates: &[CandidateWindow],
-    measure: SimilarityMeasure,
 ) -> (Vec<MatchSet>, usize) {
     // Unknown devices carry no ground truth; drop them before tiling so
     // no sweep time is spent scoring them.
@@ -178,7 +177,7 @@ pub fn match_candidates(
         MatchScratch::new,
         |scratch, tile| {
             let sigs: Vec<&Signature> = tile.iter().map(|c| &c.signature).collect();
-            let view = db.match_tile(&sigs, measure, scratch);
+            let view = db.match_tile(&sigs, SimilarityMeasure::Cosine, scratch);
             tile.iter()
                 .enumerate()
                 .map(|(t, cand)| {
@@ -257,12 +256,11 @@ pub fn identification_points(sets: &[MatchSet], max_thresholds: usize) -> Vec<Id
 pub fn evaluate(
     db: &ReferenceDb,
     candidates: &[CandidateWindow],
-    measure: SimilarityMeasure,
 ) -> Result<EvalOutcome, CoreError> {
     if db.is_empty() {
         return Err(CoreError::EmptyDatabase);
     }
-    let (sets, unknown) = match_candidates(db, candidates, measure);
+    let (sets, unknown) = match_candidates(db, candidates);
     Ok(EvalOutcome::from_match_sets(&sets, unknown))
 }
 
@@ -477,7 +475,7 @@ mod tests {
             CandidateWindow { index: 0, device: known, signature: sig.clone() },
             CandidateWindow { index: 0, device: stranger, signature: sig },
         ];
-        let (sets, unknown) = match_candidates(&db, &candidates, SimilarityMeasure::Cosine);
+        let (sets, unknown) = match_candidates(&db, &candidates);
         assert_eq!(sets.len(), 1);
         assert_eq!(unknown, 1);
         assert!(sets[0].best_is_true);
@@ -508,7 +506,7 @@ mod tests {
             CandidateWindow { index: 0, device: d2, signature: make_sig(1500.0) },
             CandidateWindow { index: 1, device: d1, signature: make_sig(302.0) },
         ];
-        let outcome = evaluate(&db, &candidates, SimilarityMeasure::Cosine).unwrap();
+        let outcome = evaluate(&db, &candidates).unwrap();
         assert_eq!(outcome.instances, 3);
         assert_eq!(outcome.unknown_candidates, 0);
         assert!(outcome.auc() > 0.9, "auc = {}", outcome.auc());

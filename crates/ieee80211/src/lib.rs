@@ -1,8 +1,8 @@
 //! IEEE 802.11 MAC-layer model for the wifiprint suite.
 //!
 //! This crate provides the 802.11 substrate that both the discrete-event
-//! simulator ([`wifiprint-netsim`]) and the fingerprinting library
-//! ([`wifiprint-core`]) build on:
+//! simulator (`wifiprint-netsim`) and the fingerprinting library
+//! (`wifiprint-core`) build on:
 //!
 //! * [`MacAddr`] — 48-bit MAC addresses with OUI helpers,
 //! * [`FrameControl`] / [`FrameKind`] — bit-exact Frame Control codec and the

@@ -5,8 +5,9 @@
 //! sequence control and the retry bit — directly from a byte slice. No
 //! body copy is made and nothing is allocated: decoding a captured record
 //! is pure header arithmetic. The view is proven field-for-field equal to
-//! [`Frame::parse`] / [`Frame::parse_without_fcs`] on every valid frame
-//! (see the crate's property tests).
+//! [`Frame::parse`](crate::Frame::parse) /
+//! [`Frame::parse_without_fcs`](crate::Frame::parse_without_fcs) on every
+//! valid frame (see the crate's property tests).
 //!
 //! # Example
 //!

@@ -9,7 +9,7 @@
 //! [`Replay::from_slice`], which borrows each record in place and never
 //! copies (or even reads) record bodies at all. Either way the 802.11
 //! header is read through the borrowed
-//! [`WireFrame`](wifiprint_ieee80211::WireFrame) view (no body copy, no
+//! [`WireFrame`] view (no body copy, no
 //! `Frame` materialization), and `CapturedFrame` itself is a plain `Copy`
 //! struct. An allocation-counting test pins this down.
 //!

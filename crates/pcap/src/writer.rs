@@ -60,15 +60,22 @@ impl<W: Write> Writer<W> {
     ///
     /// # Errors
     ///
-    /// Any I/O error from the underlying writer.
+    /// [`PcapError::RecordExceedsSnaplen`] for a record longer than the
+    /// 65 535-byte snaplen the header declares — a reader rejects such a
+    /// record, so nothing is written — and any I/O error from the
+    /// underlying writer.
     pub fn write_record(&mut self, record: &Record) -> Result<(), PcapError> {
+        let incl_len = u32::try_from(record.data.len()).unwrap_or(u32::MAX);
+        if incl_len > DEFAULT_SNAPLEN {
+            return Err(PcapError::RecordExceedsSnaplen { incl_len, snaplen: DEFAULT_SNAPLEN });
+        }
         let ts_frac = match self.precision {
             TsPrecision::Micros => record.ts_nanos / 1000,
             TsPrecision::Nanos => record.ts_nanos,
         };
         self.inner.write_all(&record.ts_sec.to_le_bytes())?;
         self.inner.write_all(&ts_frac.to_le_bytes())?;
-        self.inner.write_all(&(record.data.len() as u32).to_le_bytes())?;
+        self.inner.write_all(&incl_len.to_le_bytes())?;
         self.inner.write_all(&record.orig_len.to_le_bytes())?;
         self.inner.write_all(&record.data)?;
         self.records_written += 1;
@@ -99,7 +106,7 @@ impl<W: Write> Writer<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Reader;
+    use crate::{Reader, SliceReader};
 
     #[test]
     fn micros_round_trip_truncates_nanos() {
@@ -139,6 +146,29 @@ mod tests {
         assert!(rec.is_truncated());
         assert_eq!(rec.orig_len, 1500);
         assert_eq!(rec.data.len(), 64);
+    }
+
+    #[test]
+    fn records_longer_than_the_snaplen_are_refused_before_any_byte() {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf, LinkType::Ieee80211).unwrap();
+        let longest = vec![7u8; DEFAULT_SNAPLEN as usize];
+        w.write_record(&Record::new(1, 0, longest.clone())).unwrap();
+        let too_long = Record::new(2, 0, vec![7u8; DEFAULT_SNAPLEN as usize + 1]);
+        match w.write_record(&too_long) {
+            Err(PcapError::RecordExceedsSnaplen { incl_len: 65_536, snaplen: 65_535 }) => {}
+            other => panic!("expected RecordExceedsSnaplen, got {other:?}"),
+        }
+        assert_eq!(w.records_written(), 1);
+        let buf = w.into_inner();
+        assert_eq!(buf.len(), 24 + 16 + longest.len(), "the refused record wrote nothing");
+
+        let mut r = Reader::new(&buf[..]).unwrap();
+        assert_eq!(r.next_record().unwrap().unwrap().data, longest);
+        assert!(r.next_record().unwrap().is_none());
+        let mut s = SliceReader::new(buf).unwrap();
+        assert_eq!(s.next_record().unwrap().unwrap().1, &longest[..]);
+        assert!(s.next_record().unwrap().is_none());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Parity property tests: the borrowed (zero-copy) replay decode is
 //! bit-identical to the owned materializing path over arbitrary traces
 //! round-tripped through the pcap writer — FCS-included and stripped,
-//! both timestamp precisions, both byte orders.
+//! both timestamp precisions, both byte orders — and the streaming and
+//! in-memory replay paths agree, without panicking, on truncated and
+//! corrupted captures.
 
 use proptest::prelude::*;
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
-use wifiprint_pcap::{LinkType, Reader, Record, Replay, TsPrecision, Writer};
+use wifiprint_pcap::{LinkType, Reader, Record, Replay, ReplayStats, TsPrecision, Writer};
 use wifiprint_radiotap::{CapturedFrame, DecodeError, RxFlags, RxInfo};
 
 /// Everything that determines one on-disk record.
@@ -159,7 +161,83 @@ fn assert_parity(file: &[u8], specs: &[PacketSpec], packets: &[Vec<u8>], prism: 
     assert_eq!(sliced.stats(), stats);
 }
 
+/// Everything one replay pass yields over a possibly corrupt capture:
+/// the frames, the statistics, and how it ended — `Ok` at a clean end of
+/// file, else the stream error (as its `Debug` text; `PcapError` wraps
+/// `io::Error`, which has no `PartialEq`).
+type ReplayRun = (Vec<CapturedFrame>, ReplayStats, Result<(), String>);
+
+fn drain<S: wifiprint_pcap::RecordSource>(mut replay: Replay<S>) -> ReplayRun {
+    let mut frames = Vec::new();
+    let end = loop {
+        match replay.next_frame() {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(format!("{e:?}")),
+        }
+    };
+    (frames, replay.stats(), end)
+}
+
 proptest! {
+    // Mutated captures: a writer-built capture, cut short and with random
+    // bytes past the global header overwritten — record length fields
+    // included — replays the same frames, statistics and terminal result
+    // through the streaming reader and the in-memory slice, and neither
+    // panics.
+    #[test]
+    fn mutated_captures_replay_identically_on_both_paths(
+        specs in prop::collection::vec(arb_spec(), 1..8),
+        keep in 0.0f64..1.0,
+        cut in any::<bool>(),
+        bytes in prop::collection::vec((any::<u32>(), any::<u8>()), 0..12),
+        lengths in prop::collection::vec((any::<u32>(), any::<u32>()), 0..3),
+    ) {
+        let packets: Vec<Vec<u8>> = specs.iter().map(radiotap_packet).collect();
+        let records: Vec<Record> = specs
+            .iter()
+            .zip(&packets)
+            .map(|(s, p)| Record::from_micros(s.ts_us, p.clone()))
+            .collect();
+        let mut file =
+            write_little_endian(LinkType::Ieee80211Radiotap, TsPrecision::Micros, &records);
+        // Where each record header's incl_len field sits, before the cut.
+        let mut len_fields = Vec::new();
+        let mut at = 24;
+        for p in &packets {
+            len_fields.push(at + 8);
+            at += 16 + p.len();
+        }
+        if cut {
+            file.truncate(24 + ((file.len() - 24) as f64 * keep) as usize);
+        }
+        let body = file.len() - 24;
+        if body > 0 {
+            for &(pos, value) in &bytes {
+                file[24 + pos as usize % body] = value;
+            }
+        }
+        for &(pick, value) in &lengths {
+            let field = len_fields[pick as usize % len_fields.len()];
+            // Lies around the real lengths, the snaplen and u32::MAX.
+            let lie = match value % 4 {
+                0 => value % 512,
+                1 => 65_535 + value % 3,
+                2 => u32::MAX - value % 3,
+                _ => value,
+            };
+            if field + 4 <= file.len() {
+                file[field..field + 4].copy_from_slice(&lie.to_le_bytes());
+            }
+        }
+        let streamed = drain(Replay::new(Reader::new(&file[..]).unwrap()).unwrap());
+        let sliced = drain(Replay::from_slice(&file).unwrap());
+        prop_assert_eq!(&streamed.0, &sliced.0);
+        prop_assert_eq!(streamed.1, sliced.1);
+        prop_assert_eq!(&streamed.2, &sliced.2);
+        prop_assert_eq!(streamed.1.decoded, streamed.0.len() as u64);
+    }
+
     // Satellite: borrowed decode ≡ owned decode over writer round-trips,
     // little-endian files, both timestamp precisions.
     #[test]

@@ -408,7 +408,7 @@ pub mod prop {
             }
         }
 
-        /// The strategy returned by [`vec`].
+        /// The strategy returned by [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

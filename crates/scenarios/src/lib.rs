@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on four traces (Table I) plus a set of controlled
 //! Faraday-cage experiments (§VI). This crate regenerates all of them on
-//! top of the [`wifiprint-netsim`] simulator and the [`wifiprint-devices`]
-//! profile library:
+//! top of the [`wifiprint-netsim`](wifiprint_netsim) simulator and the
+//! [`wifiprint-devices`](wifiprint_devices) profile library:
 //!
 //! * [`OfficeScenario`] — static WPA network (*office 1*: 7 h,
 //!   *office 2*: 1 h),

@@ -247,7 +247,7 @@ mod tests {
         for probe_idx in (0..2000).step_by(97) {
             let cand = scenario.candidate(probe_idx, 3);
             let cand = std::slice::from_ref(&cand);
-            let top = db.match_topk_tile(cand, 5, SimilarityMeasure::Cosine, &mut scratch).remove(0);
+            let top = db.match_topk_tile(cand, 5, &mut scratch).remove(0);
             let stats = scratch.prune_stats();
             pruned_total += stats.pruned_shards;
             swept_total += stats.swept_shards;
@@ -281,7 +281,7 @@ mod tests {
             let mut scratch = MatchScratch::new();
             let cands: Vec<Signature> =
                 (0..8).map(|i| scenario.candidate(i * 251, 3)).collect();
-            let tiled = db.match_topk_tile(&cands, 8, SimilarityMeasure::Cosine, &mut scratch);
+            let tiled = db.match_topk_tile(&cands, 8, &mut scratch);
             let stats = scratch.prune_stats();
             for (ci, (cand, got)) in cands.iter().zip(&tiled).enumerate() {
                 let dense =
@@ -335,7 +335,7 @@ mod tests {
         for &probe_idx in &probes {
             let cand = degraded.candidate(probe_idx, 3);
             let top = db
-                .match_topk_tile(std::slice::from_ref(&cand), 1, SimilarityMeasure::Cosine, &mut scratch)
+                .match_topk_tile(std::slice::from_ref(&cand), 1, &mut scratch)
                 .remove(0);
             if top.first().map(|&(d, _)| d) == Some(clean.device(probe_idx)) {
                 self_hits += 1;

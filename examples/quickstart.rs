@@ -13,7 +13,6 @@
 
 use wifiprint::core::{
     FusionSpec, MatchConfig, MatchScratch, MultiConfig, MultiEngine, MultiEvent,
-    SimilarityMeasure,
 };
 use wifiprint::ieee80211::Nanos;
 use wifiprint::scenarios::{MetropolisScenario, OfficeScenario};
@@ -105,7 +104,7 @@ fn main() {
     let mut scratch = MatchScratch::new();
     let probe = metropolis.candidate(1234, 3);
     let tops =
-        db.match_topk_tile(std::slice::from_ref(&probe), 3, SimilarityMeasure::Cosine, &mut scratch);
+        db.match_topk_tile(std::slice::from_ref(&probe), 3, &mut scratch);
     let stats = scratch.prune_stats();
     println!(
         "metropolis: matched one probe against {} devices sweeping {}/{} shards ({:.0}% pruned)",

@@ -15,8 +15,9 @@ use wifiprint::scenarios::export::{read_pcap, write_pcap};
 use wifiprint::scenarios::{ConferenceScenario, FaradayRig, OfficeScenario, FARADAY_DEVICE};
 
 /// The dense sweep's similarity vector for one candidate (a tile of one).
-fn match_one(db: &ReferenceDb, candidate: &Signature, measure: SimilarityMeasure) -> MatchOutcome {
-    db.match_tile(std::slice::from_ref(candidate), measure, &mut MatchScratch::new())
+fn match_one(db: &ReferenceDb, candidate: &Signature) -> MatchOutcome {
+    let cosine = SimilarityMeasure::Cosine;
+    db.match_tile(std::slice::from_ref(candidate), cosine, &mut MatchScratch::new())
         .candidate(0)
         .to_outcome()
 }
@@ -79,8 +80,8 @@ fn reference_db_persists_and_matches_identically() {
 
     // Matching any candidate against the loaded DB gives identical scores.
     let candidate = sigs.values().next().unwrap();
-    let a = match_one(&db, candidate, SimilarityMeasure::Cosine);
-    let b = match_one(&loaded, candidate, SimilarityMeasure::Cosine);
+    let a = match_one(&db, candidate);
+    let b = match_one(&loaded, candidate);
     assert_eq!(a.similarities(), b.similarities());
 }
 
@@ -124,10 +125,10 @@ fn same_device_matches_itself_across_reruns() {
     let different = sig(4, 99);
     let mut db = ReferenceDb::new();
     db.insert(FARADAY_DEVICE, reference).expect("enroll");
-    let sim_same = match_one(&db, &same_later, SimilarityMeasure::Cosine)
+    let sim_same = match_one(&db, &same_later)
         .similarity_to(&FARADAY_DEVICE)
         .unwrap();
-    let sim_diff = match_one(&db, &different, SimilarityMeasure::Cosine)
+    let sim_diff = match_one(&db, &different)
         .similarity_to(&FARADAY_DEVICE)
         .unwrap();
     assert!(
@@ -261,9 +262,8 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
         let mut known = 0usize;
         for (cand, (window, device, view)) in candidates.iter().zip(&decisions) {
             assert_eq!((cand.index, cand.device), (*window, *device), "{name}");
-            let want = db
-                .match_tile(std::slice::from_ref(&cand.signature), cfg.measure, &mut scratch)
-                .candidate(0);
+            let sig = std::slice::from_ref(&cand.signature);
+            let want = db.match_tile(sig, SimilarityMeasure::Cosine, &mut scratch).candidate(0);
             assert_eq!(
                 view.best().map(|(d, _)| d),
                 want.best().map(|(d, _)| d),
@@ -290,7 +290,6 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
             train_duration: train,
             window: cfg.window,
             min_observations: 50,
-            measure: SimilarityMeasure::Cosine,
             parameters: vec![NetworkParameter::InterArrivalTime],
             match_config: MatchConfig::default(),
             resilience: ResilienceConfig::default(),
@@ -424,7 +423,7 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
             let mut fused: BTreeMap<MacAddr, f64> =
                 enrolled.iter().map(|&d| (d, 0.0)).collect();
             for (i, sig) in sigs.iter().enumerate() {
-                let outcome = match_one(&dbs[i], sig.as_ref().expect("checked"), mcfg.measure);
+                let outcome = match_one(&dbs[i], sig.as_ref().expect("checked"));
                 for &(dev, sim) in outcome.similarities() {
                     if let Some(acc) = fused.get_mut(&dev) {
                         // Equal weights: each parameter contributes 1/5.
