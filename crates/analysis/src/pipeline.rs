@@ -341,8 +341,9 @@ fn absorb(collectors: &mut [(NetworkParameter, ParamCollector)], events: &[Multi
 }
 
 /// Aggregates each parameter's accumulated match sets into an
-/// [`EvalOutcome`] (threshold sweeps over every decision), in parallel
-/// when the feature allows it. Results keep the input order.
+/// [`EvalOutcome`] (threshold sweeps over every decision), one scoped
+/// thread per parameter when there is more than one. Results keep the
+/// input order.
 fn aggregate_parameters(
     work: Vec<(NetworkParameter, ReferenceDb, ParamCollector)>,
 ) -> Vec<(NetworkParameter, ReferenceDb, EvalOutcome)> {
@@ -350,7 +351,6 @@ fn aggregate_parameters(
         let outcome = EvalOutcome::from_match_sets(&collector.sets, collector.unknown);
         (param, db, outcome)
     };
-    #[cfg(feature = "parallel")]
     if work.len() > 1 {
         return std::thread::scope(|scope| {
             let handles: Vec<_> =

@@ -12,9 +12,9 @@
 //! * `db_insert_stream/{stream,bulk}/N` — incremental appends versus the
 //!   one-shot pack (streaming inserts are no longer quadratic);
 //! * `match_window_batch/{serial,parallel}` — `MATCH_TILE`-wide tiles on
-//!   one thread reusing a scratch versus the `parallel`-feature tile
-//!   fan-out (`batch::map_tiles_with_scratch`) over a multi-window
-//!   candidate set;
+//!   one thread reusing a scratch versus the threaded tile fan-out
+//!   (`batch::map_tiles_with_scratch`) over a multi-window candidate
+//!   set;
 //! * `sharded_sweep/{dense_full,pruned_top5}` — the sharded store's
 //!   dense full sweep versus the summary-pruned top-k sweep over a
 //!   metropolis population (the large-population hot path);

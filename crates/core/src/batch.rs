@@ -1,42 +1,16 @@
-//! Batched execution with per-worker scratch state.
+//! Tiled execution with per-worker scratch state.
 //!
-//! The evaluation pipeline scores thousands of `(window, device)`
-//! candidates against the same [`ReferenceDb`](crate::ReferenceDb); each
-//! score needs a [`MatchScratch`](crate::MatchScratch) but the candidates
-//! are independent. [`map_with_scratch`] captures that shape once: items
-//! are mapped in order, each worker owns one scratch value, and — with the
-//! `parallel` feature (on by default) — the batch is split into contiguous
-//! chunks across OS threads via `std::thread::scope`.
-//!
-//! The parallel backend is deliberately plain `std::thread`: the build
-//! environment for this workspace is offline, so `rayon` cannot be a
-//! dependency. The function signature matches what a rayon-backed
-//! implementation would expose, so swapping the backend later is local to
-//! this module.
-
-/// Maps `items` through `f` in order, giving each worker its own scratch
-/// value from `init`.
-///
-/// Serial when the `parallel` feature is disabled, when the batch is
-/// small, or when only one CPU is available; otherwise chunked across
-/// threads. The output order always matches the input order.
-pub fn map_with_scratch<T, S, U, I, F>(items: &[T], init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    #[cfg(feature = "parallel")]
-    {
-        map_with_workers(items, init, f, worker_count(items.len(), PER_ITEM_MIN_CHUNK))
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let mut scratch = init();
-        items.iter().map(|item| f(&mut scratch, item)).collect()
-    }
-}
+//! A [`MultiEngine`](crate::MultiEngine) window close runs one sweep per
+//! parameter, and offline evaluation scores thousands of candidate
+//! windows against one [`ReferenceDb`](crate::ReferenceDb). Each sweep
+//! needs a [`MatchScratch`](crate::MatchScratch), but the sweeps are
+//! independent. [`map_tiles_with_scratch`] captures that shape once: the
+//! tiles are split into contiguous chunks, each chunk runs on a
+//! `std::thread::scope` worker with its own scratch, and the outputs are
+//! joined back in input order. The width is the CPU count
+//! (`WIFIPRINT_THREADS` overrides it) capped at the number of tiles. One
+//! worker runs every tile on the calling thread and spawns nothing; that
+//! is the route 1-CPU hosts and `WIFIPRINT_THREADS=1` take.
 
 /// Maps `items` through `f` one **tile** (contiguous chunk of at most
 /// `tile` items) at a time, flattening the per-tile outputs back into
@@ -44,15 +18,12 @@ where
 ///
 /// This is the fan-out shape of the tiled matching engine
 /// ([`ReferenceDb::match_tile`](crate::ReferenceDb::match_tile)): a tile
-/// of candidate windows shares one pass over the reference rows, tiles
-/// are independent, and — with the `parallel` feature — tiles are what
-/// gets distributed across workers, each with its own scratch. Unlike the
-/// per-item map, tiles are already coarse work units (a whole reference
-/// sweep each), so they parallelize down to one tile per worker — this is
-/// what lets a `MultiEngine` window close fan its five per-parameter
-/// shard sweeps across cores. `f` must return exactly one output per
-/// input item for the flattened order to line up (all callers in this
-/// workspace do).
+/// of candidate windows shares one pass over the reference rows, and
+/// tiles are independent, so tiles are what gets spread across workers,
+/// down to one tile per worker. That is what lets a `MultiEngine` window
+/// close fan its five per-parameter shard sweeps across cores. `f` must
+/// return exactly one output per input item for the flattened order to
+/// line up (all callers in this workspace do).
 pub fn map_tiles_with_scratch<T, S, U, I, F>(
     items: &[T],
     tile: usize,
@@ -66,20 +37,16 @@ where
     F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
 {
     let tiles: Vec<&[T]> = items.chunks(tile.max(1)).collect();
-    #[cfg(feature = "parallel")]
-    let nested =
-        map_with_workers(&tiles, init, |scratch, chunk| f(scratch, chunk), worker_count(tiles.len(), 1));
-    #[cfg(not(feature = "parallel"))]
-    let nested = {
-        let mut scratch = init();
-        tiles.iter().map(|chunk| f(&mut scratch, chunk)).collect::<Vec<_>>()
-    };
-    nested.into_iter().flatten().collect()
+    let workers = worker_count(tiles.len());
+    map_with_workers(&tiles, init, |scratch, chunk| f(scratch, chunk), workers)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// [`map_with_scratch`] with an explicit worker count (tests force the
-/// threaded path regardless of the host's CPU count).
-#[cfg(feature = "parallel")]
+/// Maps `items` through `f` in order over `workers` scoped threads, each
+/// with its own scratch value from `init`; one worker (or an empty
+/// batch) runs inline on the calling thread.
 fn map_with_workers<T, S, U, I, F>(items: &[T], init: I, f: F, workers: usize) -> Vec<U>
 where
     T: Sync,
@@ -110,22 +77,15 @@ where
     })
 }
 
-/// Minimum items per worker for the **per-item** map, so tiny batches
-/// stay serial (tiled maps pass 1: each tile is already coarse).
-#[cfg(feature = "parallel")]
-const PER_ITEM_MIN_CHUNK: usize = 8;
-
-/// Worker count for a batch: bounded by the CPU count (overridable with
-/// `WIFIPRINT_THREADS`) and by a minimum per-worker chunk so batches too
-/// small to amortise the thread scope stay serial.
-#[cfg(feature = "parallel")]
-fn worker_count(items: usize, min_chunk: usize) -> usize {
+/// Worker count for `units` independent work units: the CPU count
+/// (overridable with `WIFIPRINT_THREADS`), capped at the unit count.
+fn worker_count(units: usize) -> usize {
     let cpus = std::env::var("WIFIPRINT_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    cpus.min(items / min_chunk.max(1)).max(1)
+    cpus.min(units).max(1)
 }
 
 #[cfg(test)]
@@ -134,16 +94,15 @@ mod tests {
 
     #[test]
     fn preserves_order() {
+        // Every worker width, including more workers than items.
         let items: Vec<u64> = (0..1000).collect();
-        let out = map_with_scratch(&items, || 0u64, |scratch, &x| {
-            *scratch += 1;
-            x * 2
-        });
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        for workers in [1, 2, 3, 7, 1000, 2000] {
+            let out = map_with_workers(&items, || (), |(), &x| x * 2, workers);
+            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>(), "{workers} workers");
+        }
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn threaded_path_preserves_order_even_on_one_cpu() {
         // Force multiple workers regardless of the host's CPU count so
         // the chunked join path is exercised deterministically.
@@ -154,8 +113,13 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        let out = map_with_scratch(&[] as &[u8], || (), |(), _| 1u8);
-        assert!(out.is_empty());
+        for workers in [1, 4] {
+            assert!(map_with_workers(&[] as &[u8], || (), |(), _| 1u8, workers).is_empty());
+        }
+        for tile in [1, 8] {
+            let out = map_tiles_with_scratch(&[] as &[u8], tile, || (), |(), c| vec![0u8; c.len()]);
+            assert!(out.is_empty(), "tile {tile}");
+        }
     }
 
     #[test]
@@ -175,12 +139,18 @@ mod tests {
 
     #[test]
     fn scratch_is_reused_within_a_worker() {
-        // Single small batch ⇒ serial ⇒ one scratch counts every item.
-        let items = [(); 7];
-        let out = map_with_scratch(&items, || 0usize, |scratch, ()| {
+        // One worker: one scratch counts every item.
+        let out = map_with_workers(&[(); 7], || 0usize, |scratch, ()| {
             *scratch += 1;
             *scratch
-        });
+        }, 1);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7]);
+        // Two workers over chunks of 4 and 3: each chunk starts a fresh
+        // scratch.
+        let out = map_with_workers(&[(); 7], || 0usize, |scratch, ()| {
+            *scratch += 1;
+            *scratch
+        }, 2);
+        assert_eq!(out, vec![1, 2, 3, 4, 1, 2, 3]);
     }
 }

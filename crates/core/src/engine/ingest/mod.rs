@@ -4,7 +4,7 @@
 //! [`ResilienceConfig`](super::ResilienceConfig) hardens the engine
 //! against *degraded frames*; this module hardens it against *degraded
 //! flow*. An [`IngestPipeline`] owns a [`MultiEngine`] on a supervised
-//! worker thread behind a bounded MPMC ring:
+//! worker thread behind a bounded multi-producer ring:
 //!
 //! * **Back-pressure** — the ring is bounded; an [`OverloadPolicy`]
 //!   decides what a full ring does to a submission: `Block` (lossless,
@@ -13,10 +13,11 @@
 //!   [`EngineHealth::frames_shed`] and reconciles exactly against the
 //!   conservation law ([`EngineHealth::conserves`]).
 //! * **Panic isolation** — the worker wraps the window sweep in
-//!   [`std::panic::catch_unwind`]. A frame whose sweep panics is moved
-//!   into a capped [`Quarantine`] buffer together with the panic
-//!   message, the worker restarts around the *same* engine state, and
-//!   the stream stays alive ([`EngineHealth::workers_restarted`]).
+//!   [`std::panic::catch_unwind`]. A frame whose sweep panics is
+//!   quarantined together with the panic message (the most recent 32
+//!   are retained, [`IngestPipeline::quarantined`]), the worker restarts
+//!   around the *same* engine state, and the stream stays alive
+//!   ([`EngineHealth::workers_restarted`]).
 //!   Frames the engine rejects with an [`EngineError`] (e.g. a late
 //!   frame under the strict policy) quarantine through the same path.
 //! * **Stall watchdog** — with [`IngestConfig::stall_timeout`] set, a
@@ -25,15 +26,14 @@
 //!   decision. The watchdog trades bit-exact replay determinism for
 //!   liveness; leave it `None` when events must be bit-identical to the
 //!   synchronous run.
-//! * **Ordered delivery** — every submission gets a dense sequence
-//!   number, and an [`EventSequencer`] reassembles event batches in
-//!   submission order (sheds and quarantines close their numbers as
-//!   gaps). Under `OverloadPolicy::Block` with no faults and no
-//!   watchdog, the delivered event stream is **bit-identical** to
-//!   calling `observe` synchronously — a property test pins this for
-//!   one-parameter and five-parameter specs.
-//!
-//! All queue state and policy lives in [`state`].
+//! * **Ordered delivery** — one worker pops the ring in FIFO order and
+//!   appends each frame's, tick's or finish's events to one delivery
+//!   buffer, so events arrive in the order the engine emitted them. A
+//!   shed or quarantined frame simply emits nothing. Under
+//!   `OverloadPolicy::Block` with no faults and no watchdog, the
+//!   delivered event stream is **bit-identical** to calling `observe`
+//!   synchronously — a property test pins this for one-parameter and
+//!   five-parameter specs.
 //!
 //! # Chaos probes
 //!
@@ -74,9 +74,7 @@
 //! assert!(report.is_reconciled(), "seen = delivered + dropped + shed + quarantined");
 //! ```
 
-pub mod state;
-
-pub use state::EventSequencer;
+mod state;
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -88,7 +86,7 @@ use std::time::Duration;
 
 use wifiprint_radiotap::CapturedFrame;
 
-use self::state::{PopOutcome, PushOutcome, RingState, Ticket};
+use self::state::{PopOutcome, RingState, Ticket};
 use super::resilience::EngineHealth;
 use super::{EngineError, MultiEngine, MultiEvent};
 
@@ -119,10 +117,6 @@ pub struct IngestConfig {
     pub capacity: usize,
     /// Full-ring policy (default [`OverloadPolicy::Block`]).
     pub overload: OverloadPolicy,
-    /// Maximum quarantined frames retained for inspection (default 32);
-    /// older entries are evicted first. The
-    /// [`EngineHealth::frames_quarantined`] *counter* is never capped.
-    pub quarantine_capacity: usize,
     /// Stall watchdog deadline: when the ring stays empty this long,
     /// the worker drives the engine's `tick()` so the open window still
     /// gets its decision. `None` (default) disables the watchdog —
@@ -143,7 +137,6 @@ impl Default for IngestConfig {
         IngestConfig {
             capacity: 1024,
             overload: OverloadPolicy::Block,
-            quarantine_capacity: 32,
             stall_timeout: None,
             sweep_delay: Duration::ZERO,
             panic_probe: None,
@@ -156,7 +149,6 @@ impl fmt::Debug for IngestConfig {
         f.debug_struct("IngestConfig")
             .field("capacity", &self.capacity)
             .field("overload", &self.overload)
-            .field("quarantine_capacity", &self.quarantine_capacity)
             .field("stall_timeout", &self.stall_timeout)
             .field("sweep_delay", &self.sweep_delay)
             .field("panic_probe", &self.panic_probe.map(|_| "fn"))
@@ -176,13 +168,6 @@ impl IngestConfig {
     #[must_use]
     pub fn with_overload(mut self, overload: OverloadPolicy) -> Self {
         self.overload = overload;
-        self
-    }
-
-    /// Returns a copy with a different quarantine retention cap.
-    #[must_use]
-    pub fn with_quarantine_capacity(mut self, capacity: usize) -> Self {
-        self.quarantine_capacity = capacity;
         self
     }
 
@@ -209,12 +194,10 @@ impl IngestConfig {
     }
 }
 
-/// One quarantined frame: the frame, its submission sequence number,
-/// and why it was poisoned (panic message or engine error).
+/// One quarantined frame: the frame and why it was poisoned (panic
+/// message or engine error).
 #[derive(Debug, Clone)]
 pub struct Quarantined {
-    /// Submission sequence number of the poisoned frame.
-    pub seq: u64,
     /// The frame itself, retained for offline inspection.
     pub frame: CapturedFrame,
     /// The panic payload (for an isolated panic) or the engine error's
@@ -222,41 +205,10 @@ pub struct Quarantined {
     pub reason: String,
 }
 
-/// A capped buffer of the most recent [`Quarantined`] frames. The cap
-/// bounds *retention*, not accounting: evicted entries stay counted in
-/// [`EngineHealth::frames_quarantined`].
-#[derive(Debug)]
-pub struct Quarantine {
-    capacity: usize,
-    entries: VecDeque<Quarantined>,
-    evicted: u64,
-}
-
-impl Quarantine {
-    fn new(capacity: usize) -> Self {
-        Quarantine { capacity: capacity.max(1), entries: VecDeque::new(), evicted: 0 }
-    }
-
-    fn push(&mut self, entry: Quarantined) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.evicted += 1;
-        }
-        self.entries.push_back(entry);
-    }
-
-    /// The retained entries, oldest first.
-    #[must_use]
-    pub fn entries(&self) -> &VecDeque<Quarantined> {
-        &self.entries
-    }
-
-    /// Entries evicted to respect the retention cap.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-}
+/// Quarantined frames retained for inspection; older entries are
+/// evicted first. The cap bounds *retention*, not accounting: evicted
+/// entries stay counted in [`EngineHealth::frames_quarantined`].
+const QUARANTINE_CAPACITY: usize = 32;
 
 /// A point-in-time snapshot of the pipeline-level counters, readable
 /// while the worker is still running ([`IngestPipeline::stats`]).
@@ -329,8 +281,12 @@ struct SharedStats {
 #[derive(Debug)]
 struct PipelineShared {
     ring: RingState,
-    sequencer: Mutex<EventSequencer<MultiEvent>>,
-    quarantine: Mutex<Quarantine>,
+    /// Delivered events not yet drained, in the order the engine
+    /// emitted them.
+    events: Mutex<Vec<MultiEvent>>,
+    /// The most recent [`QUARANTINE_CAPACITY`] quarantined frames,
+    /// oldest first.
+    quarantine: Mutex<VecDeque<Quarantined>>,
     stats: SharedStats,
 }
 
@@ -346,7 +302,7 @@ pub enum SubmitOutcome {
     ShedOldest,
 }
 
-/// A cloneable producer handle onto a running pipeline — the MPMC
+/// A cloneable producer handle onto a running pipeline — the ring's
 /// "sender" side. Any number of capture threads may submit through
 /// their own handle; see [`IngestPipeline::handle`].
 #[derive(Debug, Clone)]
@@ -370,25 +326,12 @@ fn submit_shared(
     shared: &PipelineShared,
     frame: &CapturedFrame,
 ) -> Result<SubmitOutcome, EngineError> {
-    match shared.ring.push(frame) {
-        PushOutcome::Enqueued => {
-            shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-            Ok(SubmitOutcome::Enqueued)
-        }
-        PushOutcome::ShedNewest { seq } => {
-            shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            shared.sequencer.lock().expect("sequencer lock").close_gap(seq);
-            Ok(SubmitOutcome::ShedNewest)
-        }
-        PushOutcome::ShedOldest { dropped } => {
-            shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            shared.sequencer.lock().expect("sequencer lock").close_gap(dropped.seq);
-            Ok(SubmitOutcome::ShedOldest)
-        }
-        PushOutcome::Closed => Err(EngineError::Finished),
+    let outcome = shared.ring.push(frame)?;
+    shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+    if outcome != SubmitOutcome::Enqueued {
+        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
     }
+    Ok(outcome)
 }
 
 /// The terminal report of a supervised session: the ordered event
@@ -396,7 +339,7 @@ fn submit_shared(
 /// health ledger, the pipeline counters, and the retained quarantine.
 #[derive(Debug)]
 pub struct IngestReport {
-    /// Every delivered event, in submission order.
+    /// Every delivered event, in the order the engine emitted it.
     pub events: Vec<MultiEvent>,
     /// The engine, already `finish()`ed by the worker.
     pub engine: MultiEngine,
@@ -406,8 +349,8 @@ pub struct IngestReport {
     pub health: EngineHealth,
     /// Final pipeline counters.
     pub stats: IngestStats,
-    /// The retained quarantined frames (capped; see
-    /// [`Quarantine::evicted`]).
+    /// The retained quarantined frames, oldest first (the most recent
+    /// 32; [`EngineHealth::frames_quarantined`] counts them all).
     pub quarantine: Vec<Quarantined>,
     /// Frames the engine core consumed, net of panic-interrupted ones.
     pub delivered: u64,
@@ -443,8 +386,8 @@ impl IngestPipeline {
     pub fn spawn(engine: MultiEngine, cfg: IngestConfig) -> Result<Self, EngineError> {
         let shared = Arc::new(PipelineShared {
             ring: RingState::new(cfg.capacity, cfg.overload),
-            sequencer: Mutex::new(EventSequencer::new()),
-            quarantine: Mutex::new(Quarantine::new(cfg.quarantine_capacity)),
+            events: Mutex::new(Vec::new()),
+            quarantine: Mutex::new(VecDeque::new()),
             stats: SharedStats::default(),
         });
         let worker_shared = Arc::clone(&shared);
@@ -469,20 +412,21 @@ impl IngestPipeline {
     }
 
     /// A cloneable producer handle, so any number of capture threads
-    /// can feed the ring (MPMC).
+    /// can feed the ring.
     #[must_use]
     pub fn handle(&self) -> IngestHandle {
         IngestHandle { shared: Arc::clone(&self.shared) }
     }
 
-    /// Takes every event delivered so far, in submission order.
+    /// Takes every event delivered so far, in the order the engine
+    /// emitted them.
     ///
     /// # Panics
     ///
-    /// If the sequencer lock is poisoned — impossible in practice, the
-    /// worker wraps every sweep in its panic isolation.
+    /// If the event lock is poisoned — impossible in practice: no code
+    /// that can panic runs while it is held.
     pub fn drain_events(&self) -> Vec<MultiEvent> {
-        self.shared.sequencer.lock().expect("sequencer lock").drain_ready()
+        std::mem::take(&mut *self.shared.events.lock().expect("events lock"))
     }
 
     /// A snapshot of the pipeline counters.
@@ -502,16 +446,16 @@ impl IngestPipeline {
         }
     }
 
-    /// The retained quarantined frames so far (clone; the worker keeps
-    /// appending).
+    /// The retained quarantined frames so far, oldest first (clone; the
+    /// worker keeps appending).
     ///
     /// # Panics
     ///
-    /// If the quarantine lock is poisoned — impossible in practice, the
-    /// worker wraps every sweep in its panic isolation.
+    /// If the quarantine lock is poisoned — impossible in practice: no
+    /// code that can panic runs while it is held.
     #[must_use]
     pub fn quarantined(&self) -> Vec<Quarantined> {
-        self.shared.quarantine.lock().expect("quarantine lock").entries.iter().cloned().collect()
+        self.shared.quarantine.lock().expect("quarantine lock").iter().cloned().collect()
     }
 
     /// Closes the ring, lets the worker drain it and `finish()` the
@@ -525,8 +469,8 @@ impl IngestPipeline {
     ///
     /// # Panics
     ///
-    /// If an internal lock is poisoned — impossible in practice, the
-    /// worker wraps every sweep in its panic isolation.
+    /// If an internal lock is poisoned — impossible in practice: no code
+    /// that can panic runs while one is held.
     pub fn finish(mut self) -> Result<IngestReport, EngineError> {
         self.shared.ring.close();
         let worker = self.worker.take().expect("finish consumes the only owner");
@@ -542,10 +486,7 @@ impl IngestPipeline {
         health.frames_shed = stats.shed;
         health.frames_quarantined = stats.quarantined;
         health.workers_restarted = stats.worker_restarts;
-        let quarantine = {
-            let q = self.shared.quarantine.lock().expect("quarantine lock");
-            q.entries.iter().cloned().collect()
-        };
+        let quarantine = self.quarantined();
         Ok(IngestReport { events, engine, health, stats, quarantine, delivered })
     }
 }
@@ -607,12 +548,19 @@ fn supervise(
 
 fn quarantine_frame(shared: &PipelineShared, ticket: Ticket, reason: String) {
     shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-    shared
-        .quarantine
-        .lock()
-        .expect("quarantine lock")
-        .push(Quarantined { seq: ticket.seq, frame: ticket.frame, reason });
-    shared.sequencer.lock().expect("sequencer lock").close_gap(ticket.seq);
+    let mut quarantine = shared.quarantine.lock().expect("quarantine lock");
+    if quarantine.len() == QUARANTINE_CAPACITY {
+        quarantine.pop_front();
+    }
+    quarantine.push_back(Quarantined { frame: ticket.frame, reason });
+}
+
+/// Appends one frame's, tick's or finish's events to the delivery
+/// buffer; an empty batch takes no lock.
+fn deliver(shared: &PipelineShared, events: Vec<MultiEvent>) {
+    if !events.is_empty() {
+        shared.events.lock().expect("events lock").extend(events);
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -625,8 +573,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker proper: pops tickets, drives the engine, feeds the
-/// sequencer. Runs until the ring is closed and drained; panics unwind
+/// The worker proper: pops tickets, drives the engine, delivers its
+/// events. Runs until the ring is closed and drained; panics unwind
 /// to [`supervise`].
 fn worker_loop(
     engine: &mut MultiEngine,
@@ -653,19 +601,10 @@ fn worker_loop(
                 shared.stats.latency_ns_sum.fetch_add(latency, Ordering::Relaxed);
                 shared.stats.latency_samples.fetch_add(1, Ordering::Relaxed);
                 shared.stats.latency_max_ns.fetch_max(latency, Ordering::Relaxed);
+                inflight.set(None);
                 match outcome {
-                    Ok(events) => {
-                        inflight.set(None);
-                        shared
-                            .sequencer
-                            .lock()
-                            .expect("sequencer lock")
-                            .insert(ticket.seq, events);
-                    }
-                    Err(e) => {
-                        inflight.set(None);
-                        quarantine_frame(shared, ticket, e.to_string());
-                    }
+                    Ok(events) => deliver(shared, events),
+                    Err(e) => quarantine_frame(shared, ticket, e.to_string()),
                 }
             }
             PopOutcome::TimedOut => {
@@ -673,25 +612,13 @@ fn worker_loop(
                 // deadline — force the open window's decision so the
                 // stream of decisions stays live.
                 shared.stats.watchdog_ticks.fetch_add(1, Ordering::Relaxed);
-                let seq = shared.ring.alloc_seq();
-                match engine.tick() {
-                    Ok(events) => shared
-                        .sequencer
-                        .lock()
-                        .expect("sequencer lock")
-                        .insert(seq, events),
-                    Err(_) => shared.sequencer.lock().expect("sequencer lock").close_gap(seq),
+                if let Ok(events) = engine.tick() {
+                    deliver(shared, events);
                 }
             }
             PopOutcome::Closed => {
-                let seq = shared.ring.alloc_seq();
-                match engine.finish() {
-                    Ok(events) => shared
-                        .sequencer
-                        .lock()
-                        .expect("sequencer lock")
-                        .insert(seq, events),
-                    Err(_) => shared.sequencer.lock().expect("sequencer lock").close_gap(seq),
+                if let Ok(events) = engine.finish() {
+                    deliver(shared, events);
                 }
                 return;
             }
@@ -938,16 +865,62 @@ mod tests {
     #[test]
     fn quarantine_retention_is_capped_but_accounting_is_not() {
         let mut frames = stream(120);
-        for f in frames.iter_mut().skip(40).take(10) {
-            f.size = 0; // 10 poison frames
+        for f in frames.iter_mut().skip(40).take(40) {
+            f.size = 0; // 40 poison frames, 8 past the retention cap
         }
-        let cfg = IngestConfig::default()
-            .with_panic_probe(Some(is_poison))
-            .with_quarantine_capacity(4);
+        let cfg = IngestConfig::default().with_panic_probe(Some(is_poison));
         let report = supervised(cfg, &frames);
-        assert_eq!(report.health.frames_quarantined, 10);
-        assert_eq!(report.quarantine.len(), 4, "retention cap");
+        assert_eq!(report.health.frames_quarantined, 40);
+        assert_eq!(report.quarantine.len(), QUARANTINE_CAPACITY, "retention cap");
+        // The oldest eight were evicted; the most recent 32 remain.
+        assert_eq!(report.quarantine[0].frame.t_end, frames[48].t_end);
+        assert_eq!(report.quarantine[31].frame.t_end, frames[79].t_end);
         assert!(report.is_reconciled(), "evictions must not lose accounting");
+    }
+
+    #[test]
+    fn producer_side_reads_survive_a_probe_panic_mid_stream() {
+        // The probe panics while the worker holds no ingest lock, so no
+        // mutex is poisoned: every producer-side reader keeps working
+        // while the restarted worker runs on.
+        let mut frames = stream(400);
+        frames[100].size = 0;
+        let clean: Vec<CapturedFrame> =
+            frames.iter().copied().filter(|f| !is_poison(f)).collect();
+        let want = synchronous(&mut engine(ResilienceConfig::default()), &clean);
+
+        let cfg = IngestConfig::default().with_panic_probe(Some(is_poison));
+        let pipeline =
+            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
+        let (head, tail) = frames.split_at(200);
+        for f in head {
+            pipeline.submit(f).expect("open");
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while (pipeline.stats().worker_restarts == 0 || pipeline.stats().quarantined == 0)
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = pipeline.stats();
+        assert_eq!((stats.worker_restarts, stats.quarantined), (1, 1));
+        let quarantined = pipeline.quarantined();
+        assert_eq!(quarantined.len(), 1);
+        assert!(quarantined[0].reason.contains("chaos probe"), "reason: {}", quarantined[0].reason);
+        let mut events = pipeline.drain_events();
+        for f in tail {
+            pipeline.submit(f).expect("open after the restart");
+        }
+        events.extend(pipeline.drain_events());
+        assert_eq!(pipeline.stats().submitted, 400);
+        assert_eq!(pipeline.quarantined().len(), 1);
+
+        let report = pipeline.finish().expect("terminates");
+        assert_eq!(report.health.frames_quarantined, 1);
+        assert_eq!(report.health.workers_restarted, 1);
+        assert!(report.is_reconciled(), "health: {:?}", report.health);
+        events.extend(report.events);
+        assert_eq!(format!("{events:?}"), format!("{want:?}"), "no event lost across drains");
     }
 
     #[test]

@@ -1,52 +1,30 @@
-//! Shared state of the bounded MPMC ingest ring.
+//! Shared state of the bounded ingest ring.
 //!
-//! All queue state (the ring, the sequence counter, the closed flag)
-//! lives behind one mutex here, and the condition variables are the only
-//! blocking primitive. Producers and the pipeline's worker call
-//! `RingState` directly.
+//! All queue state (the ring and the closed flag) lives behind one
+//! mutex here, and the condition variables are the only blocking
+//! primitive. Any number of producers share [`RingState::push`]; the
+//! pipeline's one worker pops with [`RingState::pop_timeout`] in FIFO
+//! order, so the frames it hands the engine keep the ring's order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use wifiprint_radiotap::CapturedFrame;
 
-use super::OverloadPolicy;
+use super::{EngineError, OverloadPolicy, SubmitOutcome};
 
-/// One queued frame, tagged with its submission sequence number (the
-/// sequencer's ordering key) and its enqueue instant (for latency
+/// One queued frame, tagged with its enqueue instant (for latency
 /// accounting).
 #[derive(Debug, Clone, Copy)]
-pub struct Ticket {
-    /// Submission order, assigned under the ring lock — dense across
-    /// all producers, with sheds leaving explicit gaps the sequencer is
-    /// told about.
-    pub seq: u64,
+pub(crate) struct Ticket {
     /// The submitted frame.
-    pub frame: CapturedFrame,
+    pub(crate) frame: CapturedFrame,
     /// When the frame entered the ring (queueing-latency anchor).
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
 }
 
-/// What [`RingState::push`] did with a submission.
-#[derive(Debug)]
-pub(crate) enum PushOutcome {
-    /// The frame was enqueued.
-    Enqueued,
-    /// [`OverloadPolicy::ShedNewest`]: the ring was full and the
-    /// submitted frame itself was shed; `seq` is its (never-enqueued)
-    /// sequence number, which the caller must report to the sequencer
-    /// as a gap.
-    ShedNewest { seq: u64 },
-    /// [`OverloadPolicy::ShedOldest`]: the submitted frame was enqueued
-    /// and the oldest queued ticket was shed to make room.
-    ShedOldest { dropped: Ticket },
-    /// The channel is closed (the pipeline is finishing); nothing was
-    /// enqueued.
-    Closed,
-}
-
-/// What [`RingState::pop_timeout`] returned to a consumer.
+/// What [`RingState::pop_timeout`] returned to the consumer.
 #[derive(Debug)]
 pub(crate) enum PopOutcome {
     /// The oldest queued ticket.
@@ -62,15 +40,10 @@ pub(crate) enum PopOutcome {
 #[derive(Debug)]
 struct Ring {
     queue: VecDeque<Ticket>,
-    next_seq: u64,
     closed: bool,
 }
 
-/// The bounded MPMC ring: a mutex-guarded queue with two condition
-/// variables. Producers of any count share [`RingState::push`];
-/// consumers of any count share [`RingState::pop_timeout`] — the
-/// supervised pipeline runs one consumer today, but nothing in the
-/// state assumes that.
+/// The bounded ring: a mutex-guarded queue with two condition variables.
 #[derive(Debug)]
 pub(crate) struct RingState {
     capacity: usize,
@@ -87,7 +60,7 @@ impl RingState {
         RingState {
             capacity: capacity.max(1),
             overload,
-            ring: Mutex::new(Ring { queue: VecDeque::new(), next_seq: 0, closed: false }),
+            ring: Mutex::new(Ring { queue: VecDeque::new(), closed: false }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
@@ -95,11 +68,17 @@ impl RingState {
 
     /// Submits one frame under the configured [`OverloadPolicy`].
     /// `Block` waits for room; the shed policies never wait.
-    pub(crate) fn push(&self, frame: &CapturedFrame) -> PushOutcome {
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Finished`] once the ring is closed; nothing was
+    /// enqueued.
+    pub(crate) fn push(&self, frame: &CapturedFrame) -> Result<SubmitOutcome, EngineError> {
         let mut ring = self.ring.lock().expect("ring lock");
         if ring.closed {
-            return PushOutcome::Closed;
+            return Err(EngineError::Finished);
         }
+        let mut outcome = SubmitOutcome::Enqueued;
         if ring.queue.len() >= self.capacity {
             match self.overload {
                 OverloadPolicy::Block => {
@@ -107,29 +86,19 @@ impl RingState {
                         ring = self.not_full.wait(ring).expect("ring lock");
                     }
                     if ring.closed {
-                        return PushOutcome::Closed;
+                        return Err(EngineError::Finished);
                     }
                 }
-                OverloadPolicy::ShedNewest => {
-                    let seq = ring.next_seq;
-                    ring.next_seq += 1;
-                    return PushOutcome::ShedNewest { seq };
-                }
+                OverloadPolicy::ShedNewest => return Ok(SubmitOutcome::ShedNewest),
                 OverloadPolicy::ShedOldest => {
-                    let dropped = ring.queue.pop_front().expect("len >= capacity >= 1");
-                    let seq = ring.next_seq;
-                    ring.next_seq += 1;
-                    ring.queue.push_back(Ticket { seq, frame: *frame, enqueued: Instant::now() });
-                    self.not_empty.notify_one();
-                    return PushOutcome::ShedOldest { dropped };
+                    ring.queue.pop_front();
+                    outcome = SubmitOutcome::ShedOldest;
                 }
             }
         }
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        ring.queue.push_back(Ticket { seq, frame: *frame, enqueued: Instant::now() });
+        ring.queue.push_back(Ticket { frame: *frame, enqueued: Instant::now() });
         self.not_empty.notify_one();
-        PushOutcome::Enqueued
+        Ok(outcome)
     }
 
     /// Pops the oldest ticket, waiting up to `timeout` (forever when
@@ -161,20 +130,9 @@ impl RingState {
         }
     }
 
-    /// Allocates a fresh sequence number for a non-frame emission (a
-    /// watchdog tick or the final `finish` batch), so those events slot
-    /// into the sequencer's total order after everything already
-    /// submitted.
-    pub(crate) fn alloc_seq(&self) -> u64 {
-        let mut ring = self.ring.lock().expect("ring lock");
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        seq
-    }
-
     /// Closes the channel: producers fail fast, blocked producers wake
-    /// with [`PushOutcome::Closed`], and consumers drain the remainder
-    /// then see [`PopOutcome::Closed`].
+    /// with [`EngineError::Finished`], and the consumer drains the
+    /// remainder then sees [`PopOutcome::Closed`].
     pub(crate) fn close(&self) {
         let mut ring = self.ring.lock().expect("ring lock");
         ring.closed = true;
@@ -185,82 +143,6 @@ impl RingState {
     /// Tickets currently queued.
     pub(crate) fn len(&self) -> usize {
         self.ring.lock().expect("ring lock").queue.len()
-    }
-}
-
-/// Reassembles per-ticket event batches into submission order.
-///
-/// Workers insert each processed ticket's events under its sequence
-/// number; sheds and quarantines close their sequence numbers as gaps.
-/// Events release strictly in ascending sequence order, buffering
-/// out-of-order insertions until the gap fills — with today's single
-/// supervised worker insertions already arrive in order and the
-/// sequencer is pass-through, but a future per-shard worker pool
-/// delivers through the same component unchanged.
-#[derive(Debug)]
-pub struct EventSequencer<T> {
-    next: u64,
-    /// Out-of-order batches (`None` marks a closed gap).
-    pending: BTreeMap<u64, Option<Vec<T>>>,
-    ready: VecDeque<T>,
-}
-
-impl<T> Default for EventSequencer<T> {
-    fn default() -> Self {
-        EventSequencer { next: 0, pending: BTreeMap::new(), ready: VecDeque::new() }
-    }
-}
-
-impl<T> EventSequencer<T> {
-    /// A sequencer expecting sequence numbers from 0.
-    #[must_use]
-    pub fn new() -> Self {
-        EventSequencer::default()
-    }
-
-    /// Inserts the event batch of sequence number `seq`; releases it —
-    /// and everything contiguously after it — once every earlier
-    /// sequence number has been inserted or closed.
-    pub fn insert(&mut self, seq: u64, events: Vec<T>) {
-        if seq == self.next {
-            self.ready.extend(events);
-            self.next += 1;
-            self.flush();
-        } else if seq > self.next {
-            self.pending.insert(seq, Some(events));
-        }
-        // seq < next: a duplicate of an already-released batch; ignore.
-    }
-
-    /// Marks `seq` as never coming (the ticket was shed or its frame
-    /// quarantined), so later sequence numbers can release past it.
-    pub fn close_gap(&mut self, seq: u64) {
-        if seq == self.next {
-            self.next += 1;
-            self.flush();
-        } else if seq > self.next {
-            self.pending.insert(seq, None);
-        }
-    }
-
-    fn flush(&mut self) {
-        while let Some(entry) = self.pending.remove(&self.next) {
-            if let Some(events) = entry {
-                self.ready.extend(events);
-            }
-            self.next += 1;
-        }
-    }
-
-    /// Takes every event released so far, in submission order.
-    pub fn drain_ready(&mut self) -> Vec<T> {
-        self.ready.drain(..).collect()
-    }
-
-    /// Event batches still buffered behind a gap.
-    #[must_use]
-    pub fn pending_batches(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -284,46 +166,46 @@ mod tests {
         }
     }
 
+    /// Pops one ticket (waiting at most 5 s for it) and returns its
+    /// frame's capture time in microseconds.
+    fn pop_t_us(ring: &RingState) -> u64 {
+        match ring.pop_timeout(Some(Duration::from_secs(5))) {
+            PopOutcome::Item(t) => t.frame.t_end.as_nanos() / 1_000,
+            other => panic!("expected an item, got {other:?}"),
+        }
+    }
+
     #[test]
     fn shed_newest_drops_the_submission_itself() {
         let ring = RingState::new(2, OverloadPolicy::ShedNewest);
-        assert!(matches!(ring.push(&frame(1)), PushOutcome::Enqueued));
-        assert!(matches!(ring.push(&frame(2)), PushOutcome::Enqueued));
-        assert!(matches!(ring.push(&frame(3)), PushOutcome::ShedNewest { seq: 2 }));
+        assert!(matches!(ring.push(&frame(1)), Ok(SubmitOutcome::Enqueued)));
+        assert!(matches!(ring.push(&frame(2)), Ok(SubmitOutcome::Enqueued)));
+        assert!(matches!(ring.push(&frame(3)), Ok(SubmitOutcome::ShedNewest)));
         assert_eq!(ring.len(), 2);
         // The queue still holds the two oldest frames.
-        let PopOutcome::Item(t) = ring.pop_timeout(Some(Duration::from_millis(1))) else {
-            panic!("expected an item");
-        };
-        assert_eq!(t.seq, 0);
-        assert_eq!(t.frame.t_end, Nanos::from_micros(1));
+        assert_eq!([pop_t_us(&ring), pop_t_us(&ring)], [1, 2]);
     }
 
     #[test]
     fn shed_oldest_makes_room_for_the_newest() {
         let ring = RingState::new(2, OverloadPolicy::ShedOldest);
-        ring.push(&frame(1));
-        ring.push(&frame(2));
-        let PushOutcome::ShedOldest { dropped } = ring.push(&frame(3)) else {
-            panic!("expected ShedOldest");
-        };
-        assert_eq!(dropped.seq, 0);
-        assert_eq!(dropped.frame.t_end, Nanos::from_micros(1));
-        let seqs: Vec<u64> = (0..2)
-            .map(|_| match ring.pop_timeout(Some(Duration::from_millis(1))) {
-                PopOutcome::Item(t) => t.seq,
-                other => panic!("expected an item, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(seqs, [1, 2], "the second-oldest survives, the newest is queued");
+        ring.push(&frame(1)).expect("open");
+        ring.push(&frame(2)).expect("open");
+        assert!(matches!(ring.push(&frame(3)), Ok(SubmitOutcome::ShedOldest)));
+        assert_eq!(ring.len(), 2);
+        assert_eq!(
+            [pop_t_us(&ring), pop_t_us(&ring)],
+            [2, 3],
+            "the second-oldest survives, the newest is queued"
+        );
     }
 
     #[test]
     fn close_wakes_consumers_and_fails_producers() {
         let ring = RingState::new(4, OverloadPolicy::Block);
-        ring.push(&frame(1));
+        ring.push(&frame(1)).expect("open");
         ring.close();
-        assert!(matches!(ring.push(&frame(2)), PushOutcome::Closed));
+        assert!(matches!(ring.push(&frame(2)), Err(EngineError::Finished)));
         // The queued ticket still drains before Closed.
         assert!(matches!(ring.pop_timeout(None), PopOutcome::Item(_)));
         assert!(matches!(ring.pop_timeout(None), PopOutcome::Closed));
@@ -342,7 +224,7 @@ mod tests {
     fn blocked_producer_resumes_when_a_consumer_makes_room() {
         use std::sync::Arc;
         let ring = Arc::new(RingState::new(1, OverloadPolicy::Block));
-        ring.push(&frame(1));
+        ring.push(&frame(1)).expect("open");
         let producer = {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || ring.push(&frame(2)))
@@ -356,69 +238,42 @@ mod tests {
                 PopOutcome::Closed => panic!("ring closed unexpectedly"),
             }
         }
-        assert!(matches!(producer.join().expect("producer"), PushOutcome::Enqueued));
+        assert!(matches!(producer.join().expect("producer"), Ok(SubmitOutcome::Enqueued)));
         assert_eq!(ring.len(), 1);
     }
 
     #[test]
-    fn two_producers_interleave_with_dense_sequence_numbers() {
-        use std::sync::Arc;
-        let ring = Arc::new(RingState::new(64, OverloadPolicy::Block));
-        let a = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || {
-                for t in 0..10u64 {
-                    ring.push(&frame(t));
-                }
+    fn two_producers_each_pop_in_their_own_push_order() {
+        use std::sync::{Arc, Barrier};
+        // Producer A pushes t = 0..100 µs, producer B t = 100..200 µs,
+        // released together so their pushes interleave. A ring of 8
+        // forces both to block and resume many times.
+        let ring = Arc::new(RingState::new(8, OverloadPolicy::Block));
+        let start = Arc::new(Barrier::new(3));
+        let producers: Vec<_> = [0..100u64, 100..200]
+            .into_iter()
+            .map(|range| {
+                let (ring, start) = (Arc::clone(&ring), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for t in range {
+                        ring.push(&frame(t)).expect("open");
+                    }
+                })
             })
-        };
-        for t in 10..20u64 {
-            ring.push(&frame(t));
+            .collect();
+        start.wait();
+        let popped: Vec<u64> = (0..200).map(|_| pop_t_us(&ring)).collect();
+        for p in producers {
+            p.join().expect("producer");
         }
-        a.join().expect("producer");
-        let mut seqs = Vec::new();
-        for _ in 0..20 {
-            let PopOutcome::Item(ticket) = ring.pop_timeout(Some(Duration::from_millis(50)))
-            else {
-                panic!("expected 20 tickets");
-            };
-            seqs.push(ticket.seq);
-        }
-        seqs.sort_unstable();
-        assert_eq!(seqs, (0..20u64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sequencer_releases_in_order_across_out_of_order_inserts() {
-        let mut seq = EventSequencer::new();
-        seq.insert(2, vec!["c"]);
-        seq.insert(0, vec!["a1", "a2"]);
-        assert_eq!(seq.drain_ready(), vec!["a1", "a2"]);
-        assert_eq!(seq.pending_batches(), 1, "batch 2 waits for 1");
-        seq.insert(1, vec!["b"]);
-        assert_eq!(seq.drain_ready(), vec!["b", "c"]);
-    }
-
-    #[test]
-    fn sequencer_gaps_release_what_they_were_blocking() {
-        let mut seq = EventSequencer::new();
-        seq.insert(1, vec!["b"]);
-        seq.insert(3, vec!["d"]);
-        assert!(seq.drain_ready().is_empty());
-        seq.close_gap(0); // shed ticket 0
-        assert_eq!(seq.drain_ready(), vec!["b"]);
-        seq.close_gap(2); // quarantined ticket 2
-        assert_eq!(seq.drain_ready(), vec!["d"]);
-        assert_eq!(seq.pending_batches(), 0);
-    }
-
-    #[test]
-    fn sequencer_ignores_duplicate_and_stale_batches() {
-        let mut seq = EventSequencer::new();
-        seq.insert(0, vec!["a"]);
-        seq.insert(0, vec!["stale"]);
-        seq.close_gap(0);
-        seq.insert(1, vec!["b"]);
-        assert_eq!(seq.drain_ready(), vec!["a", "b"]);
+        assert_eq!(ring.len(), 0, "nothing left behind");
+        let mut sorted = popped.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..200).collect::<Vec<_>>(), "every frame pops exactly once");
+        let a: Vec<u64> = popped.iter().copied().filter(|&t| t < 100).collect();
+        let b: Vec<u64> = popped.iter().copied().filter(|&t| t >= 100).collect();
+        assert_eq!(a, (0..100).collect::<Vec<_>>(), "producer A's frames keep its order");
+        assert_eq!(b, (100..200).collect::<Vec<_>>(), "producer B's frames keep its order");
     }
 }

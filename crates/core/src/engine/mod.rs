@@ -63,10 +63,10 @@
 //!   in [`EngineHealth`] ([`MultiEngine::health`]).
 //! * [`ingest`] — degraded *flow*. An [`IngestPipeline`] runs the engine
 //!   on a supervised worker behind a bounded ring: an [`OverloadPolicy`]
-//!   sheds bursts, a frame whose sweep panics is isolated into a
-//!   [`Quarantine`], a stall watchdog drives [`MultiEngine::tick`], and
-//!   an [`EventSequencer`] keeps events in submission order —
-//!   bit-identical to synchronous [`MultiEngine::observe`] under
+//!   sheds bursts, a frame whose sweep panics is quarantined
+//!   ([`Quarantined`]), a stall watchdog drives [`MultiEngine::tick`],
+//!   and the one worker delivers events in the order the engine emitted
+//!   them — bit-identical to synchronous [`MultiEngine::observe`] under
 //!   [`OverloadPolicy::Block`]. Everything reconciles through
 //!   [`EngineHealth::conserves`]:
 //!   `seen = delivered + dropped + shed + quarantined + pending`.
@@ -126,8 +126,8 @@ pub mod multi;
 pub mod resilience;
 
 pub use ingest::{
-    EventSequencer, IngestConfig, IngestHandle, IngestPipeline, IngestReport, IngestStats,
-    OverloadPolicy, Quarantine, Quarantined, SubmitOutcome,
+    IngestConfig, IngestHandle, IngestPipeline, IngestReport, IngestStats, OverloadPolicy,
+    Quarantined, SubmitOutcome,
 };
 pub use linker::{
     enroll_signatures, IdentityId, LinkEvent, LinkerConfig, LinkerStats, RotationLinker,

@@ -931,10 +931,10 @@ fn close_multi_window(
     // One tiled sweep per parameter over the candidates that qualified
     // for it, skipping strangers when their scoring is off. The sweeps
     // are independent by construction (each reads its own sharded reference
-    // database), so with the `parallel` feature they fan out across
-    // `batch::map_tiles_with_scratch` — one parameter per work unit, one
-    // scratch per worker; on 1-CPU hosts the map degrades to the serial
-    // loop.
+    // database), so they fan out across `batch::map_tiles_with_scratch` —
+    // one parameter per work unit, one scratch per worker; with one worker
+    // (1-CPU hosts, `WIFIPRINT_THREADS=1`) the map runs them in order on
+    // this thread.
     // Workers borrow warm scratches from the engine's pool (returned on
     // drop), so repeated window closes stay allocation-free once the
     // buffers have grown to the reference size.

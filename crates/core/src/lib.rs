@@ -23,8 +23,8 @@
 //!    dominant-histogram locality bucketing, MAC-prefix fallback) whose
 //!    bin-major columns are swept one candidate nonzero bin at a time,
 //!    scoring tiles of candidate windows per pass over the shards, with
-//!    reusable [`MatchScratch`] buffers, batched and optionally parallel
-//!    ([`batch`]). Two sweeps share one shard walk: the dense
+//!    reusable [`MatchScratch`] buffers, with independent sweeps fanned
+//!    out over scoped worker threads ([`batch`]). Two sweeps share one shard walk: the dense
 //!    [`ReferenceDb::match_tile`] returns full similarity vectors, and at
 //!    large populations the pruned [`ReferenceDb::match_topk_tile`]
 //!    returns each candidate's top-k, skipping every shard whose
@@ -138,7 +138,7 @@ pub use engine::{
     enroll_signatures, EngineError, EngineHealth, EnginePhase, IdentityId, IngestConfig,
     IngestHandle, IngestPipeline, IngestReport, IngestStats, LateFramePolicy, LinkEvent,
     LinkerConfig, LinkerStats, MultiConfig, MultiEngine, MultiEngineBuilder, MultiEvent,
-    OverloadPolicy, ParameterDecision, Quarantine, Quarantined, ResilienceConfig, RotationLinker,
+    OverloadPolicy, ParameterDecision, Quarantined, ResilienceConfig, RotationLinker,
     SubmitOutcome, MIN_PLAUSIBLE_FRAME_SIZE,
 };
 pub use error::CoreError;

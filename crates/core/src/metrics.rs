@@ -159,9 +159,9 @@ impl EvalOutcome {
 ///
 /// Candidates are scored through the tiled `f32` matrix sweep
 /// ([`ReferenceDb::match_tile`]): windows sharing a tile are scored in
-/// one pass over the reference rows, and — with the `parallel` feature
-/// (default) — tiles are fanned out across threads, one scratch per
-/// worker. Output order matches candidate order either way.
+/// one pass over the reference rows, and tiles are fanned out across
+/// worker threads, one scratch per worker. Output order matches candidate
+/// order at any worker count.
 pub fn match_candidates(
     db: &ReferenceDb,
     candidates: &[CandidateWindow],

@@ -81,16 +81,17 @@
 //! Degraded *flow* — burst overload, a stalled source, a poison frame
 //! that panics mid-sweep — is handled one layer up by the supervised
 //! ingest front ([`core::IngestPipeline`]): the engine runs on a
-//! supervised worker thread behind a bounded MPMC ring. An
+//! supervised worker thread behind a bounded multi-producer ring. An
 //! [`core::OverloadPolicy`] decides what a full ring does to a
 //! submission (`Block` back-pressure by default, or shed the
 //! newest/oldest frame, every shed counted); `catch_unwind` quarantines
-//! a frame whose sweep panics into a capped [`core::Quarantine`] buffer
-//! and restarts the worker so the stream survives; a stall watchdog
-//! drives `tick()` on a wall-clock deadline so a silent source cannot
-//! stall window decisions; and a sequence-numbered reassembler keeps
-//! delivered events in submission order — bit-identical to synchronous
-//! `observe` under `Block` with no faults (property-tested). The whole
+//! a frame whose sweep panics (the most recent 32 are kept as
+//! [`core::Quarantined`] entries) and restarts the worker so the stream
+//! survives; a stall watchdog drives `tick()` on a wall-clock deadline so
+//! a silent source cannot stall window decisions; and the one worker
+//! delivers events in the order the engine emitted them — bit-identical
+//! to synchronous `observe` under `Block` with no faults
+//! (property-tested). The whole
 //! session reconciles exactly through the [`core::EngineHealth`]
 //! conservation law
 //! (`seen = delivered + dropped + shed + quarantined + pending`), and
