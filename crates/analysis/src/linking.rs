@@ -128,7 +128,7 @@ impl LinkingSweep {
             recall.push(format!("{:.1}%", 100.0 * p.recall()));
             merges.push(format!("{:.1}%", 100.0 * p.merge_rate()));
             ambiguous.push(p.stats.ambiguous.to_string());
-            evicted.push((p.stats.evicted_ttl + p.stats.evicted_cap).to_string());
+            evicted.push(p.stats.evicted_cap.to_string());
             pruned.push(format!("{:.0}%", 100.0 * p.stats.pruned_fraction()));
         }
         render_columns(&[

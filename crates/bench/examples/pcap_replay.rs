@@ -14,7 +14,7 @@ use std::io::{BufReader, Read};
 
 use wifiprint_core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
-use wifiprint_pcap::{replay_into_multi, LinkType, Reader, Record, Replay, Writer};
+use wifiprint_pcap::{LinkType, Reader, Record, Replay, Writer};
 use wifiprint_radiotap::{RxFlags, RxInfo};
 
 /// Two stations talking to one AP with different packet cadences, so the
@@ -57,8 +57,12 @@ fn run<R: Read>(reader: Reader<R>) -> Result<(), Box<dyn std::error::Error>> {
         .train_for(Nanos::from_secs(2))
         .build()?;
 
-    let (mut events, stats) = replay_into_multi(&mut replay, &mut engine)?;
+    let mut events = Vec::new();
+    while let Some(f) = replay.next_frame()? {
+        events.extend(engine.observe(&f)?);
+    }
     events.extend(engine.finish()?);
+    let stats = replay.stats();
 
     println!(
         "records: {} decoded, {} header errors, {} frame errors",

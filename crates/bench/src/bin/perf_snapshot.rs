@@ -35,8 +35,8 @@
 //! and records the host CPU count and OS kernel so 1-CPU artifacts
 //! (`batch_speedup ≈ 1`) are self-explaining. Since PR 7 the snapshot
 //! also runs the same fused stream through the **supervised ingest
-//! front** (`ingest_pipeline_fps`: bounded ring + worker thread +
-//! ordered sequencer under `Block`, gated) and records the shed rate of
+//! front** (`ingest_pipeline_fps`: bounded ring + one FIFO worker
+//! thread under `Block`, gated) and records the shed rate of
 //! a fixed overload configuration (tiny `ShedOldest` ring against an
 //! artificially slowed worker — recorded for the trajectory, not gated,
 //! because shed counts depend on real scheduling). Since PR 8 the

@@ -277,7 +277,7 @@ struct SharedStats {
     panic_observed_adjust: AtomicU64,
 }
 
-/// Everything the producer handles and the worker share.
+/// Everything the producers and the worker share.
 #[derive(Debug)]
 struct PipelineShared {
     ring: RingState,
@@ -300,38 +300,6 @@ pub enum SubmitOutcome {
     /// [`OverloadPolicy::ShedOldest`]: the frame was enqueued and the
     /// stalest queued frame was shed to make room.
     ShedOldest,
-}
-
-/// A cloneable producer handle onto a running pipeline — the ring's
-/// "sender" side. Any number of capture threads may submit through
-/// their own handle; see [`IngestPipeline::handle`].
-#[derive(Debug, Clone)]
-pub struct IngestHandle {
-    shared: Arc<PipelineShared>,
-}
-
-impl IngestHandle {
-    /// Submits one frame under the pipeline's overload policy.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Finished`] once the pipeline is finishing (the
-    /// ring is closed).
-    pub fn submit(&self, frame: &CapturedFrame) -> Result<SubmitOutcome, EngineError> {
-        submit_shared(&self.shared, frame)
-    }
-}
-
-fn submit_shared(
-    shared: &PipelineShared,
-    frame: &CapturedFrame,
-) -> Result<SubmitOutcome, EngineError> {
-    let outcome = shared.ring.push(frame)?;
-    shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-    if outcome != SubmitOutcome::Enqueued {
-        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(outcome)
 }
 
 /// The terminal report of a supervised session: the ordered event
@@ -402,20 +370,20 @@ impl IngestPipeline {
     }
 
     /// Submits one frame under the configured overload policy (blocks
-    /// only under [`OverloadPolicy::Block`] on a full ring).
+    /// only under [`OverloadPolicy::Block`] on a full ring). Any number
+    /// of capture threads may submit at once by sharing
+    /// `&IngestPipeline`, e.g. under [`std::thread::scope`].
     ///
     /// # Errors
     ///
     /// [`EngineError::Finished`] once the pipeline is finishing.
     pub fn submit(&self, frame: &CapturedFrame) -> Result<SubmitOutcome, EngineError> {
-        submit_shared(&self.shared, frame)
-    }
-
-    /// A cloneable producer handle, so any number of capture threads
-    /// can feed the ring.
-    #[must_use]
-    pub fn handle(&self) -> IngestHandle {
-        IngestHandle { shared: Arc::clone(&self.shared) }
+        let outcome = self.shared.ring.push(frame)?;
+        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        if outcome != SubmitOutcome::Enqueued {
+            self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(outcome)
     }
 
     /// Takes every event delivered so far, in the order the engine
@@ -846,17 +814,16 @@ mod tests {
         let frames = stream(600);
         let mid = frames.len() / 2;
         let (a, b) = frames.split_at(mid);
-        let handle = pipeline.handle();
-        let b = b.to_vec();
-        let t = std::thread::spawn(move || {
-            for f in &b {
-                handle.submit(f).expect("open");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for f in b {
+                    pipeline.submit(f).expect("open");
+                }
+            });
+            for f in a {
+                pipeline.submit(f).expect("open");
             }
         });
-        for f in a {
-            pipeline.submit(f).expect("open");
-        }
-        t.join().expect("producer");
         let report = pipeline.finish().expect("terminates");
         assert_eq!(report.health.frames_seen, 600);
         assert!(report.is_reconciled(), "health: {:?}", report.health);
@@ -921,15 +888,5 @@ mod tests {
         assert!(report.is_reconciled(), "health: {:?}", report.health);
         events.extend(report.events);
         assert_eq!(format!("{events:?}"), format!("{want:?}"), "no event lost across drains");
-    }
-
-    #[test]
-    fn submitting_after_finish_fails_fast() {
-        let pipeline =
-            IngestPipeline::spawn(engine(ResilienceConfig::default()), IngestConfig::default())
-                .expect("spawn");
-        let handle = pipeline.handle();
-        pipeline.finish().expect("terminates");
-        assert!(matches!(handle.submit(&capture(0, 10, 100)), Err(EngineError::Finished)));
     }
 }

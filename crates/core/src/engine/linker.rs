@@ -28,8 +28,8 @@
 //!   undecided ([`LinkEvent::Ambiguous`], above threshold but inside the
 //!   margin), or founds a fresh identity ([`LinkEvent::NewIdentity`]).
 //!
-//! Retained identities age out under a configurable TTL and a hard
-//! gallery cap (least-recently-seen eviction), and every decision and
+//! Retained identities are bounded by a hard gallery cap
+//! (least-recently-seen eviction), and every decision and
 //! sweep cost is counted into a [`LinkerStats`] snapshot — including the
 //! pruned-shard accounting from [`MatchScratch::prune_stats`], so the
 //! linking cost is visible right next to its accuracy.
@@ -101,27 +101,10 @@ pub struct LinkerConfig {
     /// smaller stays [`LinkEvent::Ambiguous`] instead of linking —
     /// trading recall for precision exactly where false merges live.
     pub ambiguity_margin: f64,
-    /// How many fused parameters must have produced a qualifying
-    /// candidate signature before a gallery link is allowed (clamped to
-    /// `[1, spec.len()]`). Sightings below the quorum found a fresh
-    /// identity rather than risk linking on starved evidence.
-    pub link_quorum: usize,
-    /// Gallery candidates ranked per parameter sweep (the pruned
-    /// top-`k`); at least 2 so the ambiguity margin has a runner-up to
-    /// compare against.
-    pub topk: usize,
     /// Hard cap on retained identities; exceeding it evicts the
     /// least-recently-seen identity (its gallery rows and MAC bindings
     /// go with it).
     pub gallery_cap: usize,
-    /// Optional age-out: an identity not sighted for this long is
-    /// evicted on the next observation.
-    pub identity_ttl: Option<Nanos>,
-    /// When `true` (default), a universally-administered MAC (U/L bit
-    /// clear — a burned-in address that cannot rotate) bypasses the
-    /// gallery sweep entirely: the cheap pre-gate that keeps
-    /// non-randomized traffic off the hot path.
-    pub gate_universal: bool,
     /// When `true`, a gallery link merges the sighting's candidate
     /// signatures into the linked identity's gallery rows (evidence
     /// accumulation). Default `false`: galleries stay exactly the
@@ -135,18 +118,13 @@ pub struct LinkerConfig {
 
 impl Default for LinkerConfig {
     /// All five parameters equally weighted, 0.90 accept threshold,
-    /// 0.01 ambiguity margin, quorum 1, top-4 ranking, 200 000-identity
-    /// cap, no TTL, universal-MAC gate on, 32-shard galleries.
+    /// 0.01 ambiguity margin, 200 000-identity cap, 32-shard galleries.
     fn default() -> Self {
         LinkerConfig {
             spec: FusionSpec::all_equal(),
             accept_threshold: 0.90,
             ambiguity_margin: 0.01,
-            link_quorum: 1,
-            topk: 4,
             gallery_cap: 200_000,
-            identity_ttl: None,
-            gate_universal: true,
             update_on_link: false,
             match_config: MatchConfig::default().with_shards(32),
         }
@@ -175,31 +153,10 @@ impl LinkerConfig {
         self
     }
 
-    /// Returns a copy with a different link quorum.
-    #[must_use]
-    pub fn with_link_quorum(mut self, quorum: usize) -> Self {
-        self.link_quorum = quorum;
-        self
-    }
-
     /// Returns a copy with a different gallery cap.
     #[must_use]
     pub fn with_gallery_cap(mut self, cap: usize) -> Self {
         self.gallery_cap = cap;
-        self
-    }
-
-    /// Returns a copy with a different identity TTL.
-    #[must_use]
-    pub fn with_identity_ttl(mut self, ttl: Option<Nanos>) -> Self {
-        self.identity_ttl = ttl;
-        self
-    }
-
-    /// Returns a copy with the universal-MAC pre-gate on or off.
-    #[must_use]
-    pub fn with_gate_universal(mut self, gate: bool) -> Self {
-        self.gate_universal = gate;
         self
     }
 
@@ -228,11 +185,6 @@ impl LinkerConfig {
         if !self.ambiguity_margin.is_finite() || self.ambiguity_margin < 0.0 {
             return Err(CoreError::InvalidConfig {
                 reason: "linker ambiguity margin must be finite and non-negative",
-            });
-        }
-        if self.topk < 2 {
-            return Err(CoreError::InvalidConfig {
-                reason: "linker top-k must be at least 2 (the margin needs a runner-up)",
             });
         }
         if self.gallery_cap == 0 {
@@ -320,10 +272,8 @@ pub struct LinkerStats {
     /// Sightings the linker abstained on (inside the ambiguity margin).
     pub ambiguous: u64,
     /// Sightings that skipped the gallery sweep because the MAC is
-    /// universally administered ([`LinkerConfig::gate_universal`]).
+    /// universally administered (a burned-in address cannot rotate).
     pub gate_bypassed: u64,
-    /// Identities evicted by the TTL.
-    pub evicted_ttl: u64,
     /// Identities evicted by the gallery cap.
     pub evicted_cap: u64,
     /// Retained identities right now.
@@ -370,8 +320,6 @@ struct IdentityRecord {
 #[derive(Debug)]
 pub struct RotationLinker {
     cfg: LinkerConfig,
-    /// Effective link quorum (clamped to `[1, spec.len()]`).
-    quorum: usize,
     /// `(parameter, weight)` in spec order, denormalised from the spec.
     params: Vec<(NetworkParameter, f64)>,
     /// One gallery database per spec parameter (same order).
@@ -379,8 +327,8 @@ pub struct RotationLinker {
     identities: BTreeMap<u64, IdentityRecord>,
     /// Exact MAC → identity bindings (the fast path).
     bindings: BTreeMap<MacAddr, u64>,
-    /// Least-recently-seen index over the identities, for TTL and cap
-    /// eviction in `O(log n)`.
+    /// Least-recently-seen index over the identities, for cap eviction
+    /// in `O(log n)`.
     by_last_seen: BTreeSet<(Nanos, u64)>,
     next_id: u64,
     scratch: MatchScratch,
@@ -388,6 +336,11 @@ pub struct RotationLinker {
     acc: BTreeMap<u64, f64>,
     stats: LinkerStats,
 }
+
+/// Gallery candidates ranked per parameter sweep (the pruned top-`k`).
+const TOPK: usize = 4;
+// The ambiguity margin compares the best identity with a runner-up.
+const _: () = assert!(TOPK >= 2);
 
 /// The gallery databases key identities by a synthetic address derived
 /// from the identity number (identities outlive any particular MAC).
@@ -412,14 +365,12 @@ impl RotationLinker {
     ///
     /// [`CoreError::InvalidConfig`] for an invalid fusion spec, an
     /// accept threshold outside `[0, 1]`, a negative or non-finite
-    /// ambiguity margin, `topk < 2` or a zero gallery cap.
+    /// ambiguity margin or a zero gallery cap.
     pub fn new(cfg: LinkerConfig) -> Result<Self, CoreError> {
         cfg.validate()?;
         let params: Vec<(NetworkParameter, f64)> = cfg.spec.parameters.clone();
         let galleries = params.iter().map(|_| ReferenceDb::with_config(cfg.match_config)).collect();
-        let quorum = cfg.link_quorum.clamp(1, params.len());
         Ok(RotationLinker {
-            quorum,
             params,
             galleries,
             identities: BTreeMap::new(),
@@ -453,7 +404,6 @@ impl RotationLinker {
         signatures: &[(NetworkParameter, Signature)],
     ) -> LinkEvent {
         self.stats.sightings += 1;
-        self.evict_expired(at);
 
         // Fast path: an address already bound to an identity re-links
         // in one lookup — with no rotation this is every sighting after
@@ -471,40 +421,38 @@ impl RotationLinker {
         // Pre-gate: a universally-administered MAC is burned in — it
         // cannot be a rotation of anything, so it founds its own
         // identity without a sweep.
-        if self.cfg.gate_universal && mac.is_universally_administered() {
+        if mac.is_universally_administered() {
             self.stats.gate_bypassed += 1;
             return self.found(mac, at, signatures);
         }
 
-        let (scored, ranked) = self.sweep(signatures);
-        if scored >= self.quorum {
-            if let Some(&(best_id, best_score)) = ranked.first() {
-                if best_score >= self.cfg.accept_threshold {
-                    let runner = ranked.get(1).map_or(0.0, |&(_, s)| s);
-                    if best_score - runner >= self.cfg.ambiguity_margin {
-                        self.touch(best_id, at, Some(mac));
-                        if self.cfg.update_on_link {
-                            self.reinforce(best_id, signatures);
-                        }
-                        self.stats.linked += 1;
-                        self.stats.linked_by_gallery += 1;
-                        return LinkEvent::Linked {
-                            identity: IdentityId(best_id),
-                            mac,
-                            confidence: best_score,
-                        };
+        let ranked = self.sweep(signatures);
+        if let Some(&(best_id, best_score)) = ranked.first() {
+            if best_score >= self.cfg.accept_threshold {
+                let runner = ranked.get(1).map_or(0.0, |&(_, s)| s);
+                if best_score - runner >= self.cfg.ambiguity_margin {
+                    self.touch(best_id, at, Some(mac));
+                    if self.cfg.update_on_link {
+                        self.reinforce(best_id, signatures);
                     }
-                    // Above threshold but inside the margin: abstain.
-                    // The MAC stays unbound so a later, better-evidenced
-                    // sighting of it can still decide.
-                    self.stats.ambiguous += 1;
-                    let contenders = ranked
-                        .into_iter()
-                        .take_while(|&(_, s)| s >= self.cfg.accept_threshold)
-                        .map(|(id, s)| (IdentityId(id), s))
-                        .collect();
-                    return LinkEvent::Ambiguous { mac, contenders };
+                    self.stats.linked += 1;
+                    self.stats.linked_by_gallery += 1;
+                    return LinkEvent::Linked {
+                        identity: IdentityId(best_id),
+                        mac,
+                        confidence: best_score,
+                    };
                 }
+                // Above threshold but inside the margin: abstain. The
+                // MAC stays unbound so a later, better-evidenced
+                // sighting of it can still decide.
+                self.stats.ambiguous += 1;
+                let contenders = ranked
+                    .into_iter()
+                    .take_while(|&(_, s)| s >= self.cfg.accept_threshold)
+                    .map(|(id, s)| (IdentityId(id), s))
+                    .collect();
+                return LinkEvent::Ambiguous { mac, contenders };
             }
         }
         self.found(mac, at, signatures)
@@ -559,10 +507,10 @@ impl RotationLinker {
     /// top-k sweep per spec parameter with a qualifying signature,
     /// fused under the spec weights (identities missing from a
     /// parameter's top-k contribute zero for it — conservative).
-    /// Returns `(parameters scored, ranked (identity, fused score))`.
-    fn sweep(&mut self, signatures: &[(NetworkParameter, Signature)]) -> (usize, Vec<(u64, f64)>) {
+    /// Returns the ranked `(identity, fused score)` pairs, empty unless
+    /// at least one parameter with a nonzero weight was scored.
+    fn sweep(&mut self, signatures: &[(NetworkParameter, Signature)]) -> Vec<(u64, f64)> {
         self.acc.clear();
-        let mut scored = 0usize;
         let mut weight_total = 0.0f64;
         for (&(param, weight), db) in self.params.iter().zip(&self.galleries) {
             let Some(sig) = signatures
@@ -572,13 +520,12 @@ impl RotationLinker {
             else {
                 continue;
             };
-            scored += 1;
             weight_total += weight;
             if db.is_empty() {
                 continue;
             }
             let tops = db
-                .match_topk_tile(std::slice::from_ref(sig), self.cfg.topk, &mut self.scratch)
+                .match_topk_tile(std::slice::from_ref(sig), TOPK, &mut self.scratch)
                 .pop()
                 .unwrap_or_default();
             let prune = self.scratch.prune_stats();
@@ -589,15 +536,15 @@ impl RotationLinker {
             }
         }
         if weight_total <= 0.0 {
-            return (scored, Vec::new());
+            return Vec::new();
         }
         let mut ranked: Vec<(u64, f64)> =
             self.acc.iter().map(|(&id, &sum)| (id, sum / weight_total)).collect();
         ranked.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
         });
-        ranked.truncate(self.cfg.topk);
-        (scored, ranked)
+        ranked.truncate(TOPK);
+        ranked
     }
 
     /// Founds a fresh identity from a sighting: enrolls its qualifying
@@ -675,20 +622,6 @@ impl RotationLinker {
         }
     }
 
-    /// TTL sweep: evicts every identity whose last sighting is at least
-    /// one TTL behind `at`. `O(log n)` per evicted identity, nothing
-    /// when the TTL is off.
-    fn evict_expired(&mut self, at: Nanos) {
-        let Some(ttl) = self.cfg.identity_ttl else { return };
-        while let Some(&(seen, id)) = self.by_last_seen.first() {
-            if seen.saturating_add(ttl) > at {
-                break;
-            }
-            self.evict(seen, id);
-            self.stats.evicted_ttl += 1;
-        }
-    }
-
     /// Removes an identity: its LRU entry, its MAC bindings and its
     /// gallery rows.
     fn evict(&mut self, seen: Nanos, id: u64) {
@@ -700,64 +633,6 @@ impl RotationLinker {
         let key = gallery_key(id);
         for db in &mut self.galleries {
             db.remove(&key).expect("gallery databases are never frozen");
-        }
-    }
-}
-
-/// Inserts a candidate's per-parameter signatures into a map of
-/// per-parameter reference databases — the conversion a
-/// [`MultiEvent::FusedNewDevice`] consumer needs to enroll the newcomer
-/// (track-then-enroll, or a linker-style gallery) without hand-rolling
-/// it. Missing databases are created with `config`; empty signatures
-/// and parameters already enrolled for this device are skipped (the
-/// first sighting wins, matching the linker's founding semantics).
-///
-/// Returns how many `(parameter, signature)` pairs were inserted.
-///
-/// # Errors
-///
-/// [`CoreError::FrozenDatabase`] if a target database is frozen; prior
-/// insertions stick.
-pub fn enroll_signatures(
-    dbs: &mut BTreeMap<NetworkParameter, ReferenceDb>,
-    config: MatchConfig,
-    device: MacAddr,
-    signatures: &[(NetworkParameter, Signature)],
-) -> Result<usize, CoreError> {
-    let mut inserted = 0usize;
-    for (param, sig) in signatures {
-        if sig.observation_count() == 0 {
-            continue;
-        }
-        let db = dbs.entry(*param).or_insert_with(|| ReferenceDb::with_config(config));
-        if db.contains(&device) {
-            continue;
-        }
-        db.insert(device, sig.clone())?;
-        inserted += 1;
-    }
-    Ok(inserted)
-}
-
-impl MultiEvent {
-    /// Enrolls a [`MultiEvent::FusedNewDevice`]'s candidate signatures
-    /// into per-parameter reference databases via
-    /// [`enroll_signatures`]; any other event variant is a no-op.
-    /// Returns how many `(parameter, signature)` pairs were inserted.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::FrozenDatabase`] if a target database is frozen.
-    pub fn enroll_into(
-        &self,
-        dbs: &mut BTreeMap<NetworkParameter, ReferenceDb>,
-        config: MatchConfig,
-    ) -> Result<usize, CoreError> {
-        match self {
-            MultiEvent::FusedNewDevice { device, signatures, .. } => {
-                enroll_signatures(dbs, config, *device, signatures)
-            }
-            _ => Ok(0),
         }
     }
 }
@@ -798,8 +673,6 @@ mod tests {
         assert!(RotationLinker::new(LinkerConfig::default().with_accept_threshold(1.5)).is_err());
         assert!(RotationLinker::new(LinkerConfig::default().with_ambiguity_margin(-0.1)).is_err());
         assert!(RotationLinker::new(LinkerConfig::default().with_gallery_cap(0)).is_err());
-        let bad_topk = LinkerConfig { topk: 1, ..LinkerConfig::default() };
-        assert!(RotationLinker::new(bad_topk).is_err());
         let empty_spec = LinkerConfig::default().with_spec(FusionSpec { parameters: vec![] });
         assert!(RotationLinker::new(empty_spec).is_err());
         assert!(RotationLinker::new(LinkerConfig::default()).is_ok());
@@ -844,14 +717,6 @@ mod tests {
         let stats = linker.stats();
         assert_eq!(stats.gate_bypassed, 2);
         assert_eq!(stats.shards_swept + stats.shards_pruned, 0, "no sweep ran");
-
-        // Gate off: the identically-behaving twin *does* link.
-        let mut gateless =
-            RotationLinker::new(single_cfg().with_gate_universal(false)).unwrap();
-        let ea = gateless.link(a, Nanos::from_secs(1), &sighting(700.0));
-        let eb = gateless.link(b, Nanos::from_secs(2), &sighting(700.0));
-        assert!(matches!(eb, LinkEvent::Linked { .. }));
-        assert_eq!(eb.identity(), ea.identity());
     }
 
     #[test]
@@ -884,10 +749,8 @@ mod tests {
         // link into an abstention — the degenerate case that pins the
         // Ambiguous contract: no binding, counters conserve, the same
         // MAC retries on its next sighting.
-        let mut strict = RotationLinker::new(
-            single_cfg().with_gate_universal(false).with_ambiguity_margin(2.0),
-        )
-        .unwrap();
+        let mut strict =
+            RotationLinker::new(single_cfg().with_ambiguity_margin(2.0)).unwrap();
         strict.link(MacAddr::randomized(31), Nanos::from_secs(1), &sighting(900.0));
         strict.link(MacAddr::randomized(32), Nanos::from_secs(2), &sighting(1700.0));
         let e = strict.link(MacAddr::randomized(33), Nanos::from_secs(3), &sighting(900.0));
@@ -906,23 +769,15 @@ mod tests {
     }
 
     #[test]
-    fn ttl_and_cap_evict_identities_with_their_bindings() {
-        let cfg = single_cfg()
-            .with_identity_ttl(Some(Nanos::from_secs(100)))
-            .with_gallery_cap(2);
-        let mut linker = RotationLinker::new(cfg).unwrap();
+    fn cap_evicts_identities_with_their_bindings() {
+        let mut linker = RotationLinker::new(single_cfg().with_gallery_cap(2)).unwrap();
         let m1 = MacAddr::randomized(1);
         linker.link(m1, Nanos::from_secs(1), &sighting(300.0));
         linker.link(MacAddr::randomized(2), Nanos::from_secs(60), &sighting(1200.0));
-        // TTL: at t=150 the first identity (last seen t=1) ages out;
-        // the second (last seen t=60) survives.
+        // Cap: a third identity evicts the least-recently-seen one (the
+        // first, last seen t=1) together with its MAC binding.
         linker.link(MacAddr::randomized(3), Nanos::from_secs(150), &sighting(2100.0));
-        assert_eq!(linker.identity_of(&m1), None, "TTL evicted the binding");
-        let stats = linker.stats();
-        assert_eq!(stats.evicted_ttl, 1);
-        assert_eq!(stats.identities_retained, 2);
-        // Cap: a fourth identity inside the TTL evicts the LRU one.
-        linker.link(MacAddr::randomized(4), Nanos::from_secs(151), &sighting(600.0));
+        assert_eq!(linker.identity_of(&m1), None, "cap evicted the binding");
         let stats = linker.stats();
         assert_eq!(stats.evicted_cap, 1);
         assert_eq!(stats.identities_retained, 2);
@@ -953,57 +808,6 @@ mod tests {
         );
         assert!(stats.pruned_fraction() > 0.0);
         assert!(stats.conserves());
-    }
-
-    #[test]
-    fn enroll_signatures_round_trips() {
-        let sigs = vec![
-            (NetworkParameter::FrameSize, sig_at(400.0, 30)),
-            (IAT, sig_at(900.0, 40)),
-            (NetworkParameter::TransmissionRate, Signature::new()), // empty: skipped
-        ];
-        let device = MacAddr::randomized(9);
-        let mut dbs: BTreeMap<NetworkParameter, ReferenceDb> = BTreeMap::new();
-        let inserted =
-            enroll_signatures(&mut dbs, MatchConfig::default(), device, &sigs).unwrap();
-        assert_eq!(inserted, 2);
-        assert_eq!(dbs.len(), 2);
-        // Round trip: the enrolled rows are exactly the candidate
-        // signatures.
-        assert_eq!(dbs[&NetworkParameter::FrameSize].get(&device), Some(&sigs[0].1));
-        assert_eq!(dbs[&IAT].get(&device), Some(&sigs[1].1));
-        // Re-enrolling the same device is a no-op (first sighting wins).
-        let again = enroll_signatures(&mut dbs, MatchConfig::default(), device, &sigs).unwrap();
-        assert_eq!(again, 0);
-        // The MultiEvent adapter drives the same path.
-        let event = MultiEvent::FusedNewDevice {
-            window: 3,
-            device: MacAddr::randomized(10),
-            signatures: vec![(IAT, sig_at(500.0, 25))],
-            scores: Vec::new(),
-            fused: None,
-            degraded: Vec::new(),
-        };
-        assert_eq!(event.enroll_into(&mut dbs, MatchConfig::default()).unwrap(), 1);
-        assert_eq!(dbs[&IAT].len(), 2);
-        let closed = MultiEvent::WindowClosed { window: 3, candidates: 0, known: 0, unknown: 0 };
-        assert_eq!(closed.enroll_into(&mut dbs, MatchConfig::default()).unwrap(), 0);
-    }
-
-    #[test]
-    fn quorum_gates_starved_sightings() {
-        let spec = FusionSpec::equal_weights([IAT, NetworkParameter::FrameSize]);
-        let cfg = LinkerConfig::default().with_spec(spec).with_link_quorum(2);
-        let mut linker = RotationLinker::new(cfg).unwrap();
-        let full = vec![(IAT, sig_at(800.0, 40)), (NetworkParameter::FrameSize, sig_at(300.0, 40))];
-        linker.link(MacAddr::randomized(1), Nanos::from_secs(1), &full);
-        // Only one of two parameters scored: below quorum, founds.
-        let starved = vec![(IAT, sig_at(800.0, 40))];
-        let e = linker.link(MacAddr::randomized(2), Nanos::from_secs(2), &starved);
-        assert!(matches!(e, LinkEvent::NewIdentity { .. }), "{e:?}");
-        // Full evidence links.
-        let e = linker.link(MacAddr::randomized(3), Nanos::from_secs(3), &full);
-        assert!(matches!(e, LinkEvent::Linked { .. }), "{e:?}");
     }
 
     #[test]

@@ -126,12 +126,10 @@ pub mod multi;
 pub mod resilience;
 
 pub use ingest::{
-    IngestConfig, IngestHandle, IngestPipeline, IngestReport, IngestStats, OverloadPolicy,
-    Quarantined, SubmitOutcome,
+    IngestConfig, IngestPipeline, IngestReport, IngestStats, OverloadPolicy, Quarantined,
+    SubmitOutcome,
 };
-pub use linker::{
-    enroll_signatures, IdentityId, LinkEvent, LinkerConfig, LinkerStats, RotationLinker,
-};
+pub use linker::{IdentityId, LinkEvent, LinkerConfig, LinkerStats, RotationLinker};
 pub use multi::{MultiConfig, MultiEngine, MultiEngineBuilder, MultiEvent, ParameterDecision};
 pub use resilience::{
     EngineHealth, LateFramePolicy, ResilienceConfig, MIN_PLAUSIBLE_FRAME_SIZE,
@@ -161,8 +159,7 @@ pub enum EngineError {
     /// attribution, so under the default
     /// [`LateFramePolicy::Reject`] it is rejected instead.
     /// [`ResilienceConfig`] selects more tolerant policies for degraded
-    /// captures ([`LateFramePolicy::Drop`] /
-    /// [`LateFramePolicy::Reorder`]).
+    /// captures ([`LateFramePolicy::Reorder`]).
     NonMonotonicFrame {
         /// Timestamp of the previously observed frame.
         last: Nanos,

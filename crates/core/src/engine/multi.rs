@@ -269,8 +269,8 @@ impl MultiEngineBuilder {
         self
     }
 
-    /// The shared configuration (floor, measure, filter, estimator,
-    /// window). Defaults to [`MultiConfig::default`] — the paper's
+    /// The shared configuration (observation floor, filter, estimator,
+    /// window, reference shard layout). Defaults to [`MultiConfig::default`] — the paper's
     /// settings.
     #[must_use]
     pub fn config(mut self, config: MultiConfig) -> Self {
@@ -498,8 +498,8 @@ impl MultiEngine {
     /// gatekeeper: duplicates and runts are counted into
     /// [`MultiEngine::health`] and silently absorbed, and a late frame
     /// is handled per [`LateFramePolicy`](super::LateFramePolicy) —
-    /// rejected (default), dropped, or re-sequenced through the bounded
-    /// reorder buffer.
+    /// rejected (default) or re-sequenced through the bounded reorder
+    /// buffer (which drops frames behind its watermark).
     ///
     /// # Errors
     ///

@@ -9,8 +9,9 @@
 //! *explicitly*, per deployment:
 //!
 //! * a [`LateFramePolicy`] decides what happens to a frame older than
-//!   the stream's watermark — reject (default, today's behavior), drop
-//!   and count, or re-sequence through a bounded reorder buffer;
+//!   the stream's watermark — reject (default, today's behavior) or
+//!   re-sequence through a bounded reorder buffer (`max_lateness: 0`
+//!   drops and counts every late frame);
 //! * duplicate suppression drops exact re-deliveries within a recent
 //!   horizon;
 //! * a minimum-size sanity gate drops truncated (runt) captures before
@@ -49,18 +50,18 @@ pub const MIN_PLAUSIBLE_FRAME_SIZE: usize = 14;
 #[non_exhaustive]
 pub enum LateFramePolicy {
     /// Reject the frame with [`EngineError::NonMonotonicFrame`] — the
-    /// strict historical contract, and still the default.
+    /// strict historical contract, and still the default. A rejected
+    /// frame leaves the front untouched: it is not counted and does not
+    /// enter the duplicate ring.
     Reject,
-    /// Drop the frame, count it in
-    /// [`EngineHealth::frames_late_dropped`], and keep the stream alive.
-    Drop,
     /// Re-sequence through a bounded buffer: frames are delivered in
     /// timestamp order once more than `max_lateness` of them are
     /// pending, so any stream shuffled within a `max_lateness`-frame
     /// horizon is restored to capture order exactly. Frames that arrive
     /// *behind* the already-delivered watermark are dropped and counted
-    /// (like [`LateFramePolicy::Drop`]). `max_lateness: 0` behaves like
-    /// `Drop`.
+    /// in [`EngineHealth::frames_late_dropped`], and the stream stays
+    /// alive. `max_lateness: 0` buffers nothing: every late frame is
+    /// dropped and every other frame is delivered at once.
     Reorder {
         /// Maximum positional displacement the buffer absorbs (also its
         /// capacity in frames).
@@ -172,15 +173,17 @@ impl ResilienceConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EngineHealth {
-    /// Frames presented to `observe` (before any gating). On a
-    /// supervised pipeline: frames submitted to the ingest ring.
+    /// Frames presented to `observe` (before any gating), except frames
+    /// rejected under [`LateFramePolicy::Reject`], which are not
+    /// counted. On a supervised pipeline: frames submitted to the
+    /// ingest ring.
     pub frames_seen: u64,
     /// Exact duplicates dropped by the suppression ring.
     pub frames_duplicate: u64,
     /// Truncated/corrupt frames dropped by the minimum-size gate.
     pub frames_corrupt: u64,
-    /// Late frames dropped under [`LateFramePolicy::Drop`], or behind
-    /// the delivered watermark under [`LateFramePolicy::Reorder`].
+    /// Late frames dropped behind the delivered watermark under
+    /// [`LateFramePolicy::Reorder`].
     pub frames_late_dropped: u64,
     /// Frames that arrived out of timestamp order but were successfully
     /// re-sequenced by the reorder buffer.
@@ -277,12 +280,19 @@ impl IngestFront {
     /// # Errors
     ///
     /// [`EngineError::NonMonotonicFrame`] for a late frame under
-    /// [`LateFramePolicy::Reject`]; the engine state is unchanged (the
-    /// frame may be re-sent in order).
+    /// [`LateFramePolicy::Reject`] that is neither a duplicate nor a
+    /// runt; the front is unchanged (no counter, no dedup entry), so the
+    /// frame may be re-sent in order.
     pub(crate) fn admit(
         &mut self,
         frame: &CapturedFrame,
     ) -> Result<Option<CapturedFrame>, EngineError> {
+        let t = frame.t_end;
+        if let (LateFramePolicy::Reject, Some(last)) = (self.cfg.late_policy, self.floor) {
+            if t < last && !self.absorbs(frame) {
+                return Err(EngineError::NonMonotonicFrame { last, got: t });
+            }
+        }
         self.health.frames_seen += 1;
         if self.cfg.dedup_depth > 0 {
             if self.recent.contains(frame) {
@@ -298,22 +308,8 @@ impl IngestFront {
             self.health.frames_corrupt += 1;
             return Ok(None);
         }
-        let t = frame.t_end;
         match self.cfg.late_policy {
             LateFramePolicy::Reject => {
-                if let Some(last) = self.floor {
-                    if t < last {
-                        return Err(EngineError::NonMonotonicFrame { last, got: t });
-                    }
-                }
-                self.floor = Some(t);
-                Ok(Some(*frame))
-            }
-            LateFramePolicy::Drop => {
-                if self.floor.is_some_and(|last| t < last) {
-                    self.health.frames_late_dropped += 1;
-                    return Ok(None);
-                }
                 self.floor = Some(t);
                 Ok(Some(*frame))
             }
@@ -340,6 +336,13 @@ impl IngestFront {
                 Ok(None)
             }
         }
+    }
+
+    /// Whether the duplicate ring or the runt gate drops `frame` before
+    /// the late-frame policy sees it.
+    fn absorbs(&self, frame: &CapturedFrame) -> bool {
+        (self.cfg.dedup_depth > 0 && self.recent.contains(frame))
+            || frame.size < self.cfg.min_frame_size
     }
 
     /// Releases every buffered frame with `t_end <= t` (in timestamp
@@ -400,18 +403,44 @@ mod tests {
         ));
         // Equal timestamps are in order (monitor clocks can tie).
         assert_eq!(front.admit(&frame(10, 100)).unwrap(), Some(frame(10, 100)));
-        assert_eq!(front.health.frames_seen, 3);
+        // The rejected frame is not counted.
+        assert_eq!(front.health.frames_seen, 2);
         assert_eq!(front.health.frames_dropped(), 0);
     }
 
     #[test]
+    fn rejected_frame_leaves_counters_and_dedup_ring_untouched() {
+        let cfg = ResilienceConfig::default().with_dedup_depth(1);
+        let mut front = IngestFront::new(cfg);
+        let mut delivered = Vec::new();
+        // Arrivals A@1 µs, B@3, C@2 (rejected and skipped), then B@3
+        // re-delivered: the ring still holds B, so the re-delivery is a
+        // duplicate and B reaches the engine once.
+        for t in [1u64, 3, 2, 3] {
+            match front.admit(&frame(t, 100)) {
+                Ok(Some(f)) => delivered.push(f.t_end.as_nanos() / 1_000),
+                Ok(None) => {}
+                Err(EngineError::NonMonotonicFrame { .. }) => assert_eq!(t, 2),
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert_eq!(delivered, vec![1, 3], "B delivered once");
+        assert_eq!(front.health.frames_duplicate, 1);
+        assert_eq!(front.health.frames_seen, 3);
+        assert!(front.health.conserves(delivered.len() as u64, front.pending_frames() as u64));
+    }
+
+    #[test]
     fn drop_policy_counts_and_continues() {
-        let cfg = ResilienceConfig::default().with_late_policy(LateFramePolicy::Drop);
+        let cfg = ResilienceConfig::default()
+            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 0 });
         let mut front = IngestFront::new(cfg);
         assert!(front.admit(&frame(10, 100)).unwrap().is_some());
         assert!(front.admit(&frame(5, 100)).unwrap().is_none());
         assert!(front.admit(&frame(12, 100)).unwrap().is_some());
         assert_eq!(front.health.frames_late_dropped, 1);
+        assert_eq!(front.health.frames_reordered, 0);
+        assert_eq!(front.pending_frames(), 0);
     }
 
     #[test]
@@ -529,11 +558,11 @@ mod tests {
             .with_dedup_depth(8)
             .with_min_frame_size(0)
             .with_fusion_quorum(Some(3))
-            .with_late_policy(LateFramePolicy::Drop);
+            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 0 });
         assert_eq!(cfg.dedup_depth, 8);
         assert_eq!(cfg.min_frame_size, 0);
         assert_eq!(cfg.fusion_quorum, Some(3));
-        assert_eq!(cfg.late_policy, LateFramePolicy::Drop);
+        assert_eq!(cfg.late_policy, LateFramePolicy::Reorder { max_lateness: 0 });
         assert_eq!(ResilienceConfig::default().late_policy, LateFramePolicy::Reject);
     }
 }

@@ -135,26 +135,24 @@ mod windows;
 pub use config::{default_bins, EvalConfig, FrameFilter, TxTimeEstimator};
 pub use db::{load_db, load_db_with, save_db, DbCodecError};
 pub use engine::{
-    enroll_signatures, EngineError, EngineHealth, EnginePhase, IdentityId, IngestConfig,
-    IngestHandle, IngestPipeline, IngestReport, IngestStats, LateFramePolicy, LinkEvent,
-    LinkerConfig, LinkerStats, MultiConfig, MultiEngine, MultiEngineBuilder, MultiEvent,
-    OverloadPolicy, ParameterDecision, Quarantined, ResilienceConfig, RotationLinker,
-    SubmitOutcome, MIN_PLAUSIBLE_FRAME_SIZE,
+    EngineError, EngineHealth, EnginePhase, IdentityId, IngestConfig, IngestPipeline,
+    IngestReport, IngestStats, LateFramePolicy, LinkEvent, LinkerConfig, LinkerStats,
+    MultiConfig, MultiEngine, MultiEngineBuilder, MultiEvent, OverloadPolicy, ParameterDecision,
+    Quarantined, ResilienceConfig, RotationLinker, SubmitOutcome, MIN_PLAUSIBLE_FRAME_SIZE,
 };
 pub use error::CoreError;
 pub use fusion::{fuse_outcomes, FusedOutcome, FusionSpec};
 pub use histogram::{BinSpec, Histogram, QuantizedRow, QUANT_MAX};
 pub use matching::{
     MatchConfig, MatchOutcome, MatchScratch, MatchView, PruneStats, ReferenceDb, RowPrecision,
-    ShardStrategy, SimilarityVector, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE,
+    SimilarityVector, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE,
     U8_SCORE_TOLERANCE,
 };
 pub use metrics::{
     evaluate, CurvePoint, EvalOutcome, IdentOperatingPoint, MatchSet, SimilarityCurve,
 };
 pub use params::{
-    extract_all, FusedExtractor, FusedObservation, NetworkParameter, Observation,
-    ParameterExtractor,
+    FusedExtractor, FusedObservation, NetworkParameter, Observation, ParameterExtractor,
 };
 pub use signature::{Signature, SignatureBuilder};
 pub use similarity::SimilarityMeasure;

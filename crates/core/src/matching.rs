@@ -76,12 +76,10 @@
 //!
 //! One flat matrix per kind stops scaling past ~10⁵ devices: every sweep
 //! touches every row. [`ReferenceDb`] therefore buckets its rows into
-//! **shards** ([`MatchConfig`]): by default a locality-sensitive key of
-//! each device's *dominant* histogram (its centre of mass — devices whose
+//! **shards** ([`MatchConfig`]) by a locality-sensitive key of each
+//! device's *dominant* histogram (its centre of mass — devices whose
 //! heaviest histogram concentrates probability in the same region share a
-//! shard), with the MAC prefix (OUI hash) as a fallback strategy for
-//! enrolments where histogram locality is unwanted
-//! ([`ShardStrategy::MacPrefix`]). Each shard keeps its own `SoA` blocks
+//! shard). Each shard keeps its own `SoA` blocks
 //! plus a **prune summary** per block: the elementwise upper envelope of
 //! its normalised rows and the maximum reference weight. Frequencies are
 //! non-negative, so the envelope yields an *admissible* upper bound on any
@@ -261,24 +259,6 @@ const MAX_SHARDS: usize = 1024;
 /// documented score tolerance).
 const PRUNE_BOUND_SLACK: f64 = F32_SCORE_TOLERANCE;
 
-/// How devices are bucketed into shards (see [`MatchConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardStrategy {
-    /// Locality-sensitive key of the device's **dominant** (highest
-    /// weight) histogram: its centre of mass, quantised over the shard
-    /// count. Devices whose heaviest histogram concentrates probability
-    /// in the same region share a shard, which keeps each shard's upper
-    /// envelope tight and makes the pruned sweep effective.
-    #[default]
-    DominantHistogram,
-    /// A hash of the MAC address's OUI (first three octets). Not
-    /// locality-sensitive in score space — pruning bounds stay
-    /// admissible but looser — useful as a fallback when enrolment is
-    /// adversarial or signatures churn faster than shard residency
-    /// should.
-    MacPrefix,
-}
-
 /// Storage width of the packed reference rows — the **precision tier**
 /// of a [`ReferenceDb`] (see the [module docs](self#precision-tiers)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -306,15 +286,13 @@ impl RowPrecision {
     }
 }
 
-/// Configuration of the sharded reference store: how rows are bucketed,
-/// into how many shards, and at which storage precision. `shards == 1`
+/// Configuration of the sharded reference store: into how many shards
+/// rows are bucketed, and at which storage precision. `shards == 1`
 /// degenerates to the flat single-matrix layout ([`MatchConfig::flat`]),
 /// which the sharded dense sweep is property-tested bit-for-bit equal to
 /// (per precision tier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchConfig {
-    /// The shard-key strategy.
-    pub strategy: ShardStrategy,
     /// Number of shards (clamped to `1..=1024` when the database is
     /// built).
     pub shards: usize,
@@ -326,11 +304,7 @@ impl Default for MatchConfig {
     /// Dominant-histogram bucketing over [`DEFAULT_SHARDS`] shards,
     /// `f32` rows.
     fn default() -> Self {
-        MatchConfig {
-            strategy: ShardStrategy::DominantHistogram,
-            shards: DEFAULT_SHARDS,
-            precision: RowPrecision::F32,
-        }
+        MatchConfig { shards: DEFAULT_SHARDS, precision: RowPrecision::F32 }
     }
 }
 
@@ -353,13 +327,6 @@ impl MatchConfig {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Returns a copy with a different shard-key strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -663,8 +630,9 @@ struct Placement {
 }
 
 /// The sharded reference database of the learning phase (§IV-B): one
-/// signature per known device, bucketed into shards and packed into
-/// per-frame-kind `f32` matrices (see the [module docs](self)).
+/// signature per known device, bucketed into shards and packed per frame
+/// kind into bin-major columns of `f32` or `u8` rows (see the
+/// [module docs](self)).
 ///
 /// # Example
 ///
@@ -677,8 +645,8 @@ struct Placement {
 /// let mut sig = Signature::new();
 /// for _ in 0..60 { sig.record(FrameKind::Data, 1000.0, &cfg); }
 ///
-/// // Default: dominant-histogram sharding; MatchConfig selects the
-/// // strategy and shard count.
+/// // Dominant-histogram sharding; MatchConfig selects the shard count
+/// // and row precision.
 /// let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(8));
 /// let dev = MacAddr::from_index(1);
 /// db.insert(dev, sig.clone()).unwrap();
@@ -797,46 +765,32 @@ impl ReferenceDb {
         self.order.binary_search_by(|&i| self.devices[i as usize].cmp(&device))
     }
 
-    /// The shard key of a device under the configured strategy.
-    fn shard_key(&self, device: MacAddr, signature: &Signature) -> usize {
+    /// The shard key of a signature: the centre of mass of its
+    /// **dominant** (highest weight) histogram, quantised over the shard
+    /// count. Devices whose heaviest histogram concentrates probability
+    /// in the same region share a shard, which keeps each shard's upper
+    /// envelope tight and makes the pruned sweep effective.
+    fn shard_key(&self, signature: &Signature) -> usize {
         let n = self.shards.len();
         if n <= 1 {
             return 0;
         }
-        match self.config.strategy {
-            ShardStrategy::MacPrefix => {
-                // FNV-1a over the OUI: stable, cheap, spreads vendor
-                // prefixes uniformly.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in device.oui() {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
-                (h % n as u64) as usize
-            }
-            ShardStrategy::DominantHistogram => {
-                let mut dominant: Option<&Histogram> = None;
-                let mut dominant_total = 0u64;
-                for (_, hist) in signature.iter() {
-                    if hist.total() > dominant_total {
-                        dominant_total = hist.total();
-                        dominant = Some(hist);
-                    }
-                }
-                let Some(hist) = dominant else { return 0 };
-                // Centre of mass of the dominant histogram, as a
-                // fraction of its bin range: nearby distributions get
-                // nearby keys (the locality-sensitive property the
-                // pruning bound leans on).
-                let counts = hist.counts();
-                let mass: f64 = counts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| i as f64 * c as f64)
-                    .sum();
-                let com = mass / dominant_total as f64 / counts.len().max(1) as f64;
-                ((com * n as f64) as usize).min(n - 1)
+        let mut dominant: Option<&Histogram> = None;
+        let mut dominant_total = 0u64;
+        for (_, hist) in signature.iter() {
+            if hist.total() > dominant_total {
+                dominant_total = hist.total();
+                dominant = Some(hist);
             }
         }
+        let Some(hist) = dominant else { return 0 };
+        // Centre of mass of the dominant histogram, as a fraction of its
+        // bin range: nearby distributions get nearby keys (the
+        // locality-sensitive property the pruning bound leans on).
+        let counts = hist.counts();
+        let mass: f64 = counts.iter().enumerate().map(|(i, &c)| i as f64 * c as f64).sum();
+        let com = mass / dominant_total as f64 / counts.len().max(1) as f64;
+        ((com * n as f64) as usize).min(n - 1)
     }
 
     /// Inserts or replaces a device's reference signature (online
@@ -870,7 +824,7 @@ impl ReferenceDb {
                 let row = self.order[pos] as usize;
                 let previous = std::mem::replace(&mut self.signatures[row], signature);
                 self.detach_row(row);
-                let shard = self.shard_key(device, &self.signatures[row]);
+                let shard = self.shard_key(&self.signatures[row]);
                 self.attach_row(row, shard, 0);
                 Some(previous)
             }
@@ -880,7 +834,7 @@ impl ReferenceDb {
                 self.signatures.push(signature);
                 self.order.insert(pos, row as u32);
                 self.placement.push(Placement::default());
-                let shard = self.shard_key(device, &self.signatures[row]);
+                let shard = self.shard_key(&self.signatures[row]);
                 self.attach_row(row, shard, 0);
                 None
             }
@@ -1057,8 +1011,7 @@ impl ReferenceDb {
         self.kind_keys.clear();
         let shards = self.shards.len();
         self.shards = vec![Shard::default(); shards];
-        let keys: Vec<usize> =
-            (0..n).map(|row| self.shard_key(self.devices[row], &self.signatures[row])).collect();
+        let keys: Vec<usize> = self.signatures.iter().map(|sig| self.shard_key(sig)).collect();
         let mut sizes = vec![0; shards];
         for &key in &keys {
             sizes[key] += 1;
@@ -1725,15 +1678,15 @@ mod tests {
     /// Every shard configuration parity tests sweep over — both
     /// precision tiers, since the consistency invariants (streamed ≡
     /// bulk, churn ≡ fresh, sharded ≡ flat) hold per tier.
-    fn strategies() -> Vec<MatchConfig> {
+    fn layouts() -> Vec<MatchConfig> {
         vec![
             MatchConfig::flat(),
             MatchConfig::default(),
             MatchConfig::default().with_shards(3),
-            MatchConfig::default().with_strategy(ShardStrategy::MacPrefix).with_shards(5),
+            MatchConfig::default().with_shards(5),
             MatchConfig::flat().with_precision(RowPrecision::U8),
             MatchConfig::quantized(),
-            MatchConfig::quantized().with_strategy(ShardStrategy::MacPrefix).with_shards(5),
+            MatchConfig::quantized().with_shards(5),
         ]
     }
 
@@ -1970,7 +1923,7 @@ mod tests {
     fn streaming_inserts_equal_bulk_pack() {
         // The incremental append path must produce a database that scores
         // identically to the one-shot pack — per shard configuration.
-        for config in strategies() {
+        for config in layouts() {
             let sigs: Vec<(MacAddr, Signature)> = (1..=9u64)
                 .map(|i| {
                     (
@@ -2017,7 +1970,7 @@ mod tests {
         // and (re-)inserts must leave shard membership, slots and the
         // sorted address index scoring exactly like a freshly built
         // database.
-        for config in strategies() {
+        for config in layouts() {
             let sig_for = |i: u64| {
                 sig_with(&[
                     (FrameKind::Data, 190.0 * (i % 13) as f64, 25 + i),
@@ -2075,7 +2028,7 @@ mod tests {
             })
             .collect();
         let cand = sig_with(&[(FrameKind::Data, 291.0, 40), (FrameKind::Beacon, 90.0, 6)]);
-        for config in strategies() {
+        for config in layouts() {
             // The flat baseline shares the config's precision: the
             // bit-identity claim is per tier.
             let flat = ReferenceDb::from_signatures_with(
@@ -2369,7 +2322,7 @@ mod tests {
         // `kind_keys` holds every key some shard holds — and no other: a
         // device that takes the last Beacon row with it takes the key
         // too, so sweeps stop packing candidate rows nothing can score.
-        for config in strategies() {
+        for config in layouts() {
             let mut db = ReferenceDb::with_config(config);
             db.insert(MacAddr::from_index(1), sig_with(&[(FrameKind::Data, 500.0, 30)])).unwrap();
             let unique = MacAddr::from_index(2);
@@ -2437,7 +2390,7 @@ mod tests {
         }
 
         // The acceptance property of the sharded refactor: over arbitrary
-        // enrolments, shard strategies/counts and tile widths,
+        // enrolments, shard counts and tile widths,
         // the sharded pruned sweep reports the flat dense sweep's top-k —
         // same argmax, same order, scores within F32_SCORE_TOLERANCE
         // (they are in fact bit-identical) — and the sharded dense sweep
@@ -2448,19 +2401,13 @@ mod tests {
                 prop::collection::vec(0.0f64..2400.0, 1..40), 1..14),
             cand_tiles in prop::collection::vec(
                 prop::collection::vec(0.0f64..2400.0, 1..40), 1..5),
-            shards in 1usize..7,
-            mac_prefix in any::<bool>(),
+            shards in 1usize..13,
             quantized in any::<bool>(),
             k in 1usize..8,
         ) {
             let c = cfg();
-            let strategy = if mac_prefix {
-                ShardStrategy::MacPrefix
-            } else {
-                ShardStrategy::DominantHistogram
-            };
             let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
-            let config = MatchConfig { strategy, shards, precision };
+            let config = MatchConfig { shards, precision };
             let mut sharded = ReferenceDb::with_config(config);
             let mut flat = ReferenceDb::with_config(MatchConfig::flat().with_precision(precision));
             for (i, values) in per_device.iter().enumerate() {
@@ -2469,7 +2416,6 @@ mod tests {
                     let kind = if j % 5 == 0 { FrameKind::Beacon } else { FrameKind::Data };
                     sig.record(kind, v, &c);
                 }
-                // Spread addresses so OUI hashing sees distinct prefixes.
                 let addr = MacAddr::from_index((i as u64 + 1) * 0x0101_0101);
                 sharded.insert(addr, sig.clone()).unwrap();
                 flat.insert(addr, sig).unwrap();
@@ -2514,25 +2460,19 @@ mod tests {
             }
         }
 
-        // u8 ↔ f32 parity: over arbitrary enrolments, strategies and
-        // shard counts, the quantized tier's cosine scores track the f32
-        // tier within U8_SCORE_TOLERANCE, and its argmax is the f32
-        // argmax up to a genuine near-tie at that tolerance.
+        // u8 ↔ f32 parity: over arbitrary enrolments and shard counts,
+        // the quantized tier's cosine scores track the f32 tier within
+        // U8_SCORE_TOLERANCE, and its argmax is the f32 argmax up to a
+        // genuine near-tie at that tolerance.
         #[test]
         fn u8_tier_tracks_f32_tier(
             per_device in prop::collection::vec(
                 prop::collection::vec(0.0f64..2400.0, 1..40), 1..12),
             cand_values in prop::collection::vec(0.0f64..2400.0, 1..40),
-            shards in 1usize..7,
-            mac_prefix in any::<bool>(),
+            shards in 1usize..13,
         ) {
             let c = cfg();
-            let strategy = if mac_prefix {
-                ShardStrategy::MacPrefix
-            } else {
-                ShardStrategy::DominantHistogram
-            };
-            let base = MatchConfig::default().with_strategy(strategy).with_shards(shards);
+            let base = MatchConfig::default().with_shards(shards);
             let mut f32_db = ReferenceDb::with_config(base);
             let mut u8_db = ReferenceDb::with_config(base.with_precision(RowPrecision::U8));
             for (i, values) in per_device.iter().enumerate() {

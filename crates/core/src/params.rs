@@ -353,16 +353,6 @@ impl FusedExtractor {
     }
 }
 
-/// Convenience: runs an extractor over a whole capture, collecting all
-/// observations.
-pub fn extract_all<'a, I>(param: NetworkParameter, frames: I) -> Vec<Observation>
-where
-    I: IntoIterator<Item = &'a CapturedFrame>,
-{
-    let mut ex = ParameterExtractor::new(param);
-    frames.into_iter().filter_map(|f| ex.push(f)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,15 +546,5 @@ mod tests {
         assert_eq!(obs.value(NetworkParameter::InterArrivalTime), None);
         assert_eq!(obs.value(NetworkParameter::MediumAccessTime), None);
         assert!(obs.value(NetworkParameter::FrameSize).is_some());
-    }
-
-    #[test]
-    fn extract_all_convenience() {
-        let a = sta(1);
-        let frames: Vec<_> =
-            (0..5).map(|i| data_frame(a, 1000 + i * 300, 200, Rate::R24M)).collect();
-        let obs = extract_all(NetworkParameter::InterArrivalTime, &frames);
-        assert_eq!(obs.len(), 4);
-        assert!(obs.iter().all(|o| o.value == 300.0));
     }
 }

@@ -36,10 +36,16 @@ impl Signature {
     /// Records one observation into the appropriate histogram, creating it
     /// with `cfg`'s bins when first seen.
     pub fn record(&mut self, kind: FrameKind, value: f64, cfg: &EvalConfig) {
-        self.entries
-            .entry(kind)
-            .or_insert_with(|| Histogram::new(cfg.bins.clone()))
-            .add(value);
+        // A plain lookup for the per-frame case (the kind already has a
+        // histogram) keeps this hot path independent of whether the
+        // compiler inlines `Entry::or_insert_with`.
+        if let Some(hist) = self.entries.get_mut(&kind) {
+            hist.add(value);
+        } else {
+            let mut hist = Histogram::new(cfg.bins.clone());
+            hist.add(value);
+            self.entries.insert(kind, hist);
+        }
         self.total += 1;
     }
 

@@ -127,8 +127,7 @@ proptest! {
         }
         let stats = l.stats();
         prop_assert!(stats.conserves(), "{:?}", stats);
-        prop_assert_eq!(stats.identities_retained as u64, stats.new_identities
-            - stats.evicted_ttl - stats.evicted_cap);
+        prop_assert_eq!(stats.identities_retained as u64, stats.new_identities - stats.evicted_cap);
     }
 
     #[test]

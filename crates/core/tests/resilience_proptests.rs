@@ -1,6 +1,7 @@
 //! Property tests for the ingest-hardening layer: the `Reorder` policy
 //! restores any stream shuffled within a bounded horizon to bit-identical
-//! event streams, and the `Drop`/`Reject` policies never corrupt window
+//! event streams, and dropping (`Reorder { max_lateness: 0 }`) or
+//! rejecting (`Reject`) late frames never corrupts window
 //! state — the engine behaves exactly as if the late frames had never
 //! been captured. Every property runs on a one-parameter and on the
 //! five-parameter spec.
@@ -75,7 +76,8 @@ fn block_shuffle(frames: &[CapturedFrame], block: usize, seed: u64) -> Vec<Captu
     out
 }
 
-/// The subsequence a `Drop` ingest actually delivers: each frame whose
+/// The subsequence a `Reorder { max_lateness: 0 }` ingest actually
+/// delivers: each frame whose
 /// timestamp is not behind the newest already-kept one.
 fn prefix_max_subsequence(frames: &[CapturedFrame]) -> Vec<CapturedFrame> {
     let mut kept: Vec<CapturedFrame> = Vec::new();
@@ -100,13 +102,13 @@ fn arb_spec() -> impl Strategy<Value = FusionSpec> {
 
 /// Runs the engine over `frames`; `Err` from `observe` (a rejected late
 /// frame) is skipped, which must leave the engine undisturbed. Returns
-/// the Debug rendering of the full event stream plus the final health
-/// counters.
+/// the Debug rendering of the full event stream, the final health
+/// counters and the frames still buffered just before `finish`.
 fn run_multi(
     frames: &[CapturedFrame],
     spec: &FusionSpec,
     resilience: ResilienceConfig,
-) -> (String, EngineHealth) {
+) -> (String, EngineHealth, usize) {
     let cfg = MultiConfig::default()
         .with_min_observations(3)
         .with_window(Nanos::from_millis(300));
@@ -125,12 +127,13 @@ fn run_multi(
             Err(_) => rejected += 1,
         }
     }
+    let pending = engine.pending_frames();
     events.extend(engine.finish().expect("finish"));
     let mut health = engine.health();
     // Fold rejections into the late counter so both reject and drop runs
     // report drops the same way to the caller.
     health.frames_late_dropped += rejected;
-    (format!("{events:?}"), health)
+    (format!("{events:?}"), health, pending)
 }
 
 /// The tentpole property: `Reorder { max_lateness ≥ horizon }` makes a
@@ -147,8 +150,8 @@ fn check_reorder_restores_bounded_shuffle(
     let resilience = ResilienceConfig::default().with_late_policy(LateFramePolicy::Reorder {
         max_lateness: 2 * block,
     });
-    let (ordered, ordered_health) = run_multi(frames, spec, resilience.clone());
-    let (restored, restored_health) = run_multi(&shuffled, spec, resilience);
+    let (ordered, ordered_health, _) = run_multi(frames, spec, resilience.clone());
+    let (restored, restored_health, _) = run_multi(&shuffled, spec, resilience);
     prop_assert_eq!(ordered, restored);
     prop_assert_eq!(
         restored_health.frames_late_dropped,
@@ -181,21 +184,25 @@ proptest! {
         check_reorder_restores_bounded_shuffle(&frames, block, seed, &FusionSpec::all_equal());
     }
 
-    // `Drop` on a dirty stream behaves exactly like the clean stream
-    // with the late frames never captured — window state is untouched by
-    // what was dropped, and every drop is counted.
+    // `Reorder { max_lateness: 0 }` on a dirty stream behaves exactly
+    // like the clean stream with the late frames never captured —
+    // window state is untouched by what was dropped, every drop is
+    // counted, and nothing is buffered or re-sequenced.
     #[test]
     fn drop_policy_equals_the_stream_with_late_frames_removed(
         dirty in arb_dirty_stream(),
         spec in arb_spec(),
     ) {
         let clean = prefix_max_subsequence(&dirty);
-        let (want, _) = run_multi(&clean, &spec, ResilienceConfig::default());
-        let drop_cfg = ResilienceConfig::default().with_late_policy(LateFramePolicy::Drop);
-        let (got, health) = run_multi(&dirty, &spec, drop_cfg);
+        let (want, _, _) = run_multi(&clean, &spec, ResilienceConfig::default());
+        let drop_cfg = ResilienceConfig::default()
+            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 0 });
+        let (got, health, pending) = run_multi(&dirty, &spec, drop_cfg);
         prop_assert_eq!(want, got);
         prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
         prop_assert_eq!(health.frames_seen as usize, dirty.len());
+        prop_assert_eq!(health.frames_reordered, 0);
+        prop_assert_eq!(pending, 0);
     }
 
     // Default `Reject` returns an error for each late frame but leaves
@@ -208,8 +215,8 @@ proptest! {
         spec in arb_spec(),
     ) {
         let clean = prefix_max_subsequence(&dirty);
-        let (want, _) = run_multi(&clean, &spec, ResilienceConfig::default());
-        let (got, health) = run_multi(&dirty, &spec, ResilienceConfig::default());
+        let (want, _, _) = run_multi(&clean, &spec, ResilienceConfig::default());
+        let (got, health, _) = run_multi(&dirty, &spec, ResilienceConfig::default());
         prop_assert_eq!(want, got);
         prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
     }

@@ -45,12 +45,15 @@
 //! reports decode quality per file: error counts per layer and how often
 //! the monitor omitted rate/signal/TSFT so decode fell back to defaults.
 //!
-//! Driving a whole capture into the engine is one call:
+//! Driving a whole capture into the engine is a plain loop over
+//! [`Replay::next_frame`], feeding each frame to the engine's `observe`
+//! (the engine lives in `wifiprint-core`, which this crate does not
+//! depend on):
 //!
 //! ```
 //! use wifiprint_core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
 //! use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
-//! use wifiprint_pcap::{replay_into_multi, LinkType, Record, Replay, Writer};
+//! use wifiprint_pcap::{LinkType, Record, Replay, Writer};
 //! use wifiprint_radiotap::{RxFlags, RxInfo};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -84,8 +87,12 @@
 //!     .train_for(Nanos::from_secs(2))
 //!     .build()?;
 //! let mut replay = Replay::from_slice(&file)?;
-//! let (mut events, stats) = replay_into_multi(&mut replay, &mut engine)?;
+//! let mut events = Vec::new();
+//! while let Some(f) = replay.next_frame()? {
+//!     events.extend(engine.observe(&f)?);
+//! }
 //! events.extend(engine.finish()?);
+//! let stats = replay.stats();
 //!
 //! assert_eq!((stats.decoded, stats.decode_errors()), (2_000, 0));
 //! let enrolled = events
@@ -127,7 +134,7 @@ mod writer;
 
 pub use format::{LinkType, PcapError, Record, RecordMeta, TsPrecision, MAGIC_MICROS, MAGIC_NANOS};
 pub use reader::{Reader, SliceReader};
-pub use replay::{replay_into_multi, ReadSource, RecordSource, Replay, ReplayError, ReplayStats};
+pub use replay::{ReadSource, RecordSource, Replay, ReplayError, ReplayStats};
 pub use writer::Writer;
 
 use std::fs::File;

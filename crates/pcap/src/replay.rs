@@ -1,9 +1,9 @@
-//! Zero-copy replay of capture files into the fingerprinting engine.
+//! Zero-copy replay of capture files into fingerprinting-engine input.
 //!
 //! This module is the production data path the paper's method implies: raw
 //! DLT-127/119/105 bytes off a capture file (or ring) are decoded straight
-//! into [`CapturedFrame`] observations and fed to a [`MultiEngine`] —
-//! with **zero heap allocations per record** in steady state. Streaming
+//! into [`CapturedFrame`] observations, ready for the engine's `observe`
+//! — with **zero heap allocations per record** in steady state. Streaming
 //! sources reuse one internal buffer across records
 //! ([`Reader::read_record_into`]); in-memory files go further via
 //! [`Replay::from_slice`], which borrows each record in place and never
@@ -57,7 +57,6 @@
 
 use std::io::Read;
 
-use wifiprint_core::{EngineError, MultiEngine, MultiEvent};
 use wifiprint_ieee80211::{Nanos, WireFrame};
 use wifiprint_radiotap::{CapturedFrame, DecodeError, DefaultedFields};
 
@@ -97,13 +96,11 @@ impl ReplayStats {
     }
 }
 
-/// Error replaying a capture file into an engine.
+/// Error replaying a capture file.
 #[derive(Debug)]
 pub enum ReplayError {
     /// The pcap stream itself was malformed or unreadable.
     Pcap(PcapError),
-    /// The consuming engine rejected a frame.
-    Engine(EngineError),
     /// The file's link type carries no 802.11 frames we can decode.
     UnsupportedLinkType(
         /// The offending link type.
@@ -115,7 +112,6 @@ impl core::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ReplayError::Pcap(e) => write!(f, "pcap: {e}"),
-            ReplayError::Engine(e) => write!(f, "engine: {e}"),
             ReplayError::UnsupportedLinkType(lt) => {
                 write!(f, "cannot replay link type {lt}")
             }
@@ -127,7 +123,6 @@ impl std::error::Error for ReplayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReplayError::Pcap(e) => Some(e),
-            ReplayError::Engine(e) => Some(e),
             ReplayError::UnsupportedLinkType(_) => None,
         }
     }
@@ -136,12 +131,6 @@ impl std::error::Error for ReplayError {
 impl From<PcapError> for ReplayError {
     fn from(e: PcapError) -> Self {
         ReplayError::Pcap(e)
-    }
-}
-
-impl From<EngineError> for ReplayError {
-    fn from(e: EngineError) -> Self {
-        ReplayError::Engine(e)
     }
 }
 
@@ -316,28 +305,6 @@ impl<S: RecordSource> Replay<S> {
     }
 }
 
-/// Replays a whole capture into a [`MultiEngine`], returning the events
-/// it emitted and the file's decode statistics.
-///
-/// The engine is *not* [`finish`](MultiEngine::finish)ed — the caller
-/// decides whether the file ends the stream or more captures follow.
-///
-/// # Errors
-///
-/// [`ReplayError::Pcap`] for a malformed stream, [`ReplayError::Engine`]
-/// if the engine rejects a frame (e.g. out-of-order timestamps under the
-/// strict late-frame policy).
-pub fn replay_into_multi<S: RecordSource>(
-    replay: &mut Replay<S>,
-    engine: &mut MultiEngine,
-) -> Result<(Vec<MultiEvent>, ReplayStats), ReplayError> {
-    let mut events = Vec::new();
-    while let Some(frame) = replay.next_frame()? {
-        events.extend(engine.observe(&frame)?);
-    }
-    Ok((events, replay.stats()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,8 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn replay_into_multi_drives_the_engine() {
-        use wifiprint_core::{FusionSpec, MultiConfig, MultiEvent};
+    fn replayed_frames_drive_the_engine() {
+        use wifiprint_core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
 
         let mut packets = Vec::new();
         for i in 0..400u64 {
@@ -487,9 +454,12 @@ mod tests {
             .build()
             .unwrap();
         let mut replay = Replay::new(Reader::new(&file[..]).unwrap()).unwrap();
-        let (mut events, stats) = replay_into_multi(&mut replay, &mut engine).unwrap();
+        let mut events = Vec::new();
+        while let Some(f) = replay.next_frame().unwrap() {
+            events.extend(engine.observe(&f).unwrap());
+        }
         events.extend(engine.finish().unwrap());
-        assert_eq!(stats.decoded, 400);
+        assert_eq!(replay.stats().decoded, 400);
         assert!(events
             .iter()
             .any(|e| matches!(e, MultiEvent::Enrolled { device, .. } if *device == sta())));

@@ -180,27 +180,39 @@ fn drain<S: wifiprint_pcap::RecordSource>(mut replay: Replay<S>) -> ReplayRun {
 }
 
 proptest! {
-    // Mutated captures: a writer-built capture, cut short and with random
+    // Mutated captures: a writer-built capture of any replayable link
+    // type (radiotap, Prism or raw 802.11), cut short and with random
     // bytes past the global header overwritten — record length fields
     // included — replays the same frames, statistics and terminal result
     // through the streaming reader and the in-memory slice, and neither
     // panics.
     #[test]
     fn mutated_captures_replay_identically_on_both_paths(
+        link in prop::sample::select(vec![
+            LinkType::Ieee80211Radiotap,
+            LinkType::Prism,
+            LinkType::Ieee80211,
+        ]),
         specs in prop::collection::vec(arb_spec(), 1..8),
         keep in 0.0f64..1.0,
         cut in any::<bool>(),
         bytes in prop::collection::vec((any::<u32>(), any::<u8>()), 0..12),
         lengths in prop::collection::vec((any::<u32>(), any::<u32>()), 0..3),
     ) {
-        let packets: Vec<Vec<u8>> = specs.iter().map(radiotap_packet).collect();
+        let packets: Vec<Vec<u8>> = specs
+            .iter()
+            .map(|s| match link {
+                LinkType::Prism => prism_packet(s),
+                LinkType::Ieee80211 => mk_frame(s.pick, s.len).to_bytes(),
+                _ => radiotap_packet(s),
+            })
+            .collect();
         let records: Vec<Record> = specs
             .iter()
             .zip(&packets)
             .map(|(s, p)| Record::from_micros(s.ts_us, p.clone()))
             .collect();
-        let mut file =
-            write_little_endian(LinkType::Ieee80211Radiotap, TsPrecision::Micros, &records);
+        let mut file = write_little_endian(link, TsPrecision::Micros, &records);
         // Where each record header's incl_len field sits, before the cut.
         let mut len_fields = Vec::new();
         let mut at = 24;

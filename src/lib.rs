@@ -63,9 +63,10 @@
 //! pass truncated or duplicated frames. The engine therefore sits
 //! behind a configurable ingest front ([`core::ResilienceConfig`],
 //! builder method `resilience()`): a late-frame policy
-//! ([`core::LateFramePolicy`] — strict `Reject` by default, `Drop`, or
+//! ([`core::LateFramePolicy`] — strict `Reject` by default, or
 //! `Reorder` which restores any stream shuffled within a bounded
-//! horizon to capture order *bit-identically*), exact-duplicate
+//! horizon to capture order *bit-identically*, and with
+//! `max_lateness: 0` simply drops late frames), exact-duplicate
 //! suppression, and a runt-size gate. Every dropped frame is accounted
 //! for in [`core::EngineHealth`] (`health()`), and fusion degrades
 //! gracefully: with a fusion quorum set, a sparse window is
@@ -181,17 +182,17 @@
 //! record** in steady state (allocation-counter-tested), with
 //! [`pcap::Replay::from_slice`] going further for in-memory files by
 //! borrowing records in place and never touching frame bodies at all.
-//! [`pcap::replay_into_multi`] drives a whole file into the engine in
-//! one call and returns per-file
-//! [`pcap::ReplayStats`]: decode-error counts per layer, plus how often
-//! the monitor omitted rate/signal/TSFT so decode fell back to defaults
-//! — silently-defaulted fields skew derived air times, and the stats
-//! make that visible.
+//! Driving a whole file into the engine is a loop over
+//! [`pcap::Replay::next_frame`] into [`core::MultiEngine::observe`];
+//! the replay keeps per-file [`pcap::ReplayStats`]: decode-error counts
+//! per layer, plus how often the monitor omitted rate/signal/TSFT so
+//! decode fell back to defaults — silently-defaulted fields skew derived
+//! air times, and the stats make that visible.
 //!
 //! ```
 //! use wifiprint::core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
 //! use wifiprint::ieee80211::{Frame, MacAddr, Nanos, Rate};
-//! use wifiprint::pcap::{replay_into_multi, LinkType, Record, Replay, Writer};
+//! use wifiprint::pcap::{LinkType, Record, Replay, Writer};
 //! use wifiprint::radiotap::{RxFlags, RxInfo};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -225,8 +226,12 @@
 //!     .train_for(Nanos::from_secs(2))
 //!     .build()?;
 //! let mut replay = Replay::from_slice(&file)?;
-//! let (mut events, stats) = replay_into_multi(&mut replay, &mut engine)?;
+//! let mut events = Vec::new();
+//! while let Some(f) = replay.next_frame()? {
+//!     events.extend(engine.observe(&f)?);
+//! }
 //! events.extend(engine.finish()?);
+//! let stats = replay.stats();
 //!
 //! assert_eq!((stats.decoded, stats.decode_errors()), (2_000, 0));
 //! assert_eq!(

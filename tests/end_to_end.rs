@@ -7,7 +7,7 @@ use wifiprint::analysis::{evaluate_frames, PipelineConfig};
 use wifiprint::core::{
     load_db, save_db, EvalConfig, FusionSpec, MatchConfig, MatchOutcome,
     MatchScratch, MultiConfig, MultiEngine, MultiEvent, NetworkParameter, ReferenceDb,
-    ResilienceConfig, ShardStrategy, Signature, SignatureBuilder, SimilarityMeasure,
+    ResilienceConfig, Signature, SignatureBuilder, SimilarityMeasure,
     WindowedSignatures, F32_SCORE_TOLERANCE,
 };
 use wifiprint::ieee80211::{FrameKind, MacAddr, Nanos};
@@ -479,7 +479,7 @@ fn windows_shrink_when_traffic_is_sparse() {
 fn sharded_references_leave_multi_engine_decisions_unchanged() {
     // The acceptance equivalence for the sharded-store refactor: a
     // MultiEngine whose trained references use the sharded layout (any
-    // strategy) must emit exactly the decisions of one using the flat
+    // shard count) must emit exactly the decisions of one using the flat
     // single-matrix layout — same event sequence, same per-parameter and
     // fused scores — on both of the paper's trace shapes.
     let traces = [
@@ -487,8 +487,8 @@ fn sharded_references_leave_multi_engine_decisions_unchanged() {
         ("conference", ConferenceScenario::small(7, 300, 12).run_collect()),
     ];
     let layouts = [
-        ("dominant-histogram", MatchConfig::default()),
-        ("mac-prefix", MatchConfig::default().with_strategy(ShardStrategy::MacPrefix)),
+        ("default-shards", MatchConfig::default()),
+        ("3-shards", MatchConfig::default().with_shards(3)),
     ];
     for (name, trace) in traces {
         let run = |match_config: MatchConfig| {
