@@ -5,12 +5,15 @@
 //! windows against one [`ReferenceDb`](crate::ReferenceDb). Each sweep
 //! needs a [`MatchScratch`](crate::MatchScratch), but the sweeps are
 //! independent. [`map_tiles_with_scratch`] captures that shape once: the
-//! tiles are split into contiguous chunks, each chunk runs on a
-//! `std::thread::scope` worker with its own scratch, and the outputs are
-//! joined back in input order. The width is the CPU count
-//! (`WIFIPRINT_THREADS` overrides it) capped at the number of tiles. One
-//! worker runs every tile on the calling thread and spawns nothing; that
-//! is the route 1-CPU hosts and `WIFIPRINT_THREADS=1` take.
+//! tiles are split into contiguous chunks, one per worker, each with its
+//! own scratch, and the outputs are joined back in input order. The
+//! calling thread is the first worker: it runs the first chunk itself
+//! while `std::thread::scope` threads run the others, so a fan-out of
+//! `n` spawns `n − 1` threads and the caller never idles in `join` while
+//! work is left. The width is the CPU count (`WIFIPRINT_THREADS`
+//! overrides it) capped at the number of tiles. One worker runs every
+//! tile on the calling thread and spawns nothing; that is the route
+//! 1-CPU hosts and `WIFIPRINT_THREADS=1` take.
 
 /// Maps `items` through `f` one **tile** (contiguous chunk of at most
 /// `tile` items) at a time, flattening the per-tile outputs back into
@@ -44,9 +47,10 @@ where
         .collect()
 }
 
-/// Maps `items` through `f` in order over `workers` scoped threads, each
-/// with its own scratch value from `init`; one worker (or an empty
-/// batch) runs inline on the calling thread.
+/// Maps `items` through `f` in order over `workers` contiguous chunks,
+/// each with its own scratch value from `init`. The calling thread runs
+/// the first chunk and scoped threads run the rest, so one worker (or an
+/// empty batch) spawns nothing.
 fn map_with_workers<T, S, U, I, F>(items: &[T], init: I, f: F, workers: usize) -> Vec<U>
 where
     T: Sync,
@@ -54,22 +58,19 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> U + Sync,
 {
-    if workers <= 1 || items.is_empty() {
+    let run = |chunk: &[T]| {
         let mut scratch = init();
-        return items.iter().map(|item| f(&mut scratch, item)).collect();
+        chunk.iter().map(|item| f(&mut scratch, item)).collect::<Vec<U>>()
+    };
+    if workers <= 1 || items.is_empty() {
+        return run(items);
     }
-    let chunk_len = items.len().div_ceil(workers);
+    let mut chunks = items.chunks(items.len().div_ceil(workers));
+    let first = chunks.next().expect("a non-empty batch has a first chunk");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    chunk.iter().map(|item| f(&mut scratch, item)).collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
+        let handles: Vec<_> = chunks.map(|chunk| scope.spawn(|| run(chunk))).collect();
+        let mut out = run(first);
+        out.reserve(items.len() - out.len());
         for handle in handles {
             out.extend(handle.join().expect("batch worker panicked"));
         }
@@ -135,6 +136,18 @@ mod tests {
         }
         let empty = map_tiles_with_scratch(&[] as &[u8], 0, || (), |(), c| vec![0u8; c.len()]);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn the_caller_runs_the_first_chunk() {
+        // Eight items over four workers: chunks of two. The first runs on
+        // the calling thread, the other three each on a spawned one.
+        let caller = std::thread::current().id();
+        let ids = map_with_workers(&[(); 8], || (), |(), ()| std::thread::current().id(), 4);
+        assert!(ids[..2].iter().all(|&id| id == caller), "chunk 0 runs on the caller");
+        assert!(ids[2..].iter().all(|&id| id != caller), "chunks 1.. run on spawned threads");
+        let spawned: std::collections::HashSet<_> = ids[2..].iter().collect();
+        assert_eq!(spawned.len(), 3, "one spawned thread per remaining chunk");
     }
 
     #[test]

@@ -12,23 +12,35 @@
 //!   (drop the stalest queued frame). Every shed is counted in
 //!   [`EngineHealth::frames_shed`] and reconciles exactly against the
 //!   conservation law ([`EngineHealth::conserves`]).
+//!   [`IngestConfig::capacity`] bounds the *queued* frames. The worker
+//!   takes up to 64 of them at a time under one lock and holds them
+//!   until it has handed each to the engine, so at most 64 more frames
+//!   are in flight beyond the ring, where no policy sheds them
+//!   ([`IngestStats::ring_pending`] counts both).
+//! * **Wake-ups** — a submitter wakes the worker only when the worker
+//!   sleeps on an empty ring, and the worker wakes submitters only when
+//!   one is blocked on a full ring. Under `Block` with a full ring, the
+//!   blocked submitter therefore resumes once per batch the worker
+//!   takes, not once per frame.
 //! * **Panic isolation** — the worker wraps the window sweep in
 //!   [`std::panic::catch_unwind`]. A frame whose sweep panics is
 //!   quarantined together with the panic message (the most recent 32
 //!   are retained, [`IngestPipeline::quarantined`]), the worker restarts
-//!   around the *same* engine state, and the stream stays alive
-//!   ([`EngineHealth::workers_restarted`]).
+//!   around the *same* engine state and the rest of its batch, and the
+//!   stream stays alive ([`EngineHealth::workers_restarted`]).
 //!   Frames the engine rejects with an [`EngineError`] (e.g. a late
 //!   frame under the strict policy) quarantine through the same path.
 //! * **Stall watchdog** — with [`IngestConfig::stall_timeout`] set, a
 //!   ring that stays empty past the deadline drives
 //!   [`MultiEngine::tick`], so a silent source can never stall a window
-//!   decision. The watchdog trades bit-exact replay determinism for
-//!   liveness; leave it `None` when events must be bit-identical to the
-//!   synchronous run.
+//!   decision. The deadline runs while the worker waits for its next
+//!   batch, once it has handed every held frame to the engine. The
+//!   watchdog trades bit-exact replay determinism for liveness; leave it
+//!   `None` when events must be bit-identical to the synchronous run.
 //! * **Ordered delivery** — one worker pops the ring in FIFO order and
 //!   appends each frame's, tick's or finish's events to one delivery
-//!   buffer, so events arrive in the order the engine emitted them. A
+//!   buffer as soon as the engine returns them (per frame, never per
+//!   batch), so events arrive in the order the engine emitted them. A
 //!   shed or quarantined frame simply emits nothing. Under
 //!   `OverloadPolicy::Block` with no faults and no watchdog, the
 //!   delivered event stream is **bit-identical** to calling `observe`
@@ -114,6 +126,8 @@ pub enum OverloadPolicy {
 #[derive(Clone, Copy)]
 pub struct IngestConfig {
     /// Ring capacity in frames (default 1024; clamped to at least 1).
+    /// It bounds the frames *queued*; the worker holds up to 64 more
+    /// that it has taken from the ring and not yet handed to the engine.
     pub capacity: usize,
     /// Full-ring policy (default [`OverloadPolicy::Block`]).
     pub overload: OverloadPolicy,
@@ -225,7 +239,11 @@ pub struct IngestStats {
     pub worker_restarts: u64,
     /// Watchdog deadline expiries that drove a `tick`.
     pub watchdog_ticks: u64,
-    /// Frames currently queued in the ring.
+    /// Frames submitted and not yet handed to the engine: those queued
+    /// in the ring plus those the worker has popped and not yet observed
+    /// (the rest of its batch and the frame in flight). With no shed and
+    /// no panic, `submitted = latency_samples + ring_pending`, give or
+    /// take the one frame the worker is retiring at that instant.
     pub ring_pending: u64,
     /// Sum of enqueue→processed latency over all processed frames, in
     /// nanoseconds.
@@ -407,7 +425,7 @@ impl IngestPipeline {
             quarantined: s.quarantined.load(Ordering::Relaxed),
             worker_restarts: s.worker_restarts.load(Ordering::Relaxed),
             watchdog_ticks: s.watchdog_ticks.load(Ordering::Relaxed),
-            ring_pending: self.shared.ring.len() as u64,
+            ring_pending: self.shared.ring.pending() as u64,
             latency_ns_sum: s.latency_ns_sum.load(Ordering::Relaxed),
             latency_samples: s.latency_samples.load(Ordering::Relaxed),
             latency_max_ns: s.latency_max_ns.load(Ordering::Relaxed),
@@ -474,6 +492,8 @@ impl Drop for IngestPipeline {
 /// The supervision loop: runs the worker under `catch_unwind`; on a
 /// panic, quarantines the in-flight frame (with the panic message),
 /// counts a restart, and re-enters the worker around the same engine.
+/// The popped batch lives here, outside the unwind, so a restarted
+/// worker resumes at the ticket after the poisoned one.
 /// Returns the engine once the ring is closed and drained.
 fn supervise(
     mut engine: MultiEngine,
@@ -486,9 +506,18 @@ fn supervise(
     // observe — readable after an unwind, so the supervisor knows what
     // to quarantine and whether the core counted the doomed frame.
     let inflight: std::cell::Cell<Option<(Ticket, u64)>> = std::cell::Cell::new(None);
+    let mut batch = VecDeque::new();
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(&mut engine, shared, &inflight, stall_timeout, sweep_delay, probe);
+            worker_loop(
+                &mut engine,
+                shared,
+                &mut batch,
+                &inflight,
+                stall_timeout,
+                sweep_delay,
+                probe,
+            );
         }));
         match run {
             Ok(()) => return engine,
@@ -504,6 +533,7 @@ fn supervise(
                         .panic_observed_adjust
                         .fetch_add(double_counted, Ordering::Relaxed);
                     quarantine_frame(shared, ticket, reason);
+                    shared.ring.retire();
                 } else {
                     // A panic outside frame processing (tick/finish):
                     // nothing to quarantine; restart and keep going.
@@ -541,40 +571,45 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker proper: pops tickets, drives the engine, delivers its
-/// events. Runs until the ring is closed and drained; panics unwind
-/// to [`supervise`].
+/// The worker proper: hands each held ticket to the engine and
+/// delivers its events, popping the next batch once `batch` is empty.
+/// The watchdog deadline runs only while waiting for a batch. Runs
+/// until the ring is closed and drained; panics unwind to
+/// [`supervise`].
 fn worker_loop(
     engine: &mut MultiEngine,
     shared: &PipelineShared,
+    batch: &mut VecDeque<Ticket>,
     inflight: &std::cell::Cell<Option<(Ticket, u64)>>,
     stall_timeout: Option<Duration>,
     sweep_delay: Duration,
     probe: Option<fn(&CapturedFrame) -> bool>,
 ) {
     loop {
-        match shared.ring.pop_timeout(stall_timeout) {
-            PopOutcome::Item(ticket) => {
-                inflight.set(Some((ticket, engine.frames_observed())));
-                if !sweep_delay.is_zero() {
-                    std::thread::sleep(sweep_delay);
-                }
-                assert!(
-                    !probe.is_some_and(|p| p(&ticket.frame)),
-                    "chaos probe: poison frame at {} ns",
-                    ticket.frame.t_end.as_nanos()
-                );
-                let outcome = engine.observe(&ticket.frame);
-                let latency = ticket.enqueued.elapsed().as_nanos() as u64;
-                shared.stats.latency_ns_sum.fetch_add(latency, Ordering::Relaxed);
-                shared.stats.latency_samples.fetch_add(1, Ordering::Relaxed);
-                shared.stats.latency_max_ns.fetch_max(latency, Ordering::Relaxed);
-                inflight.set(None);
-                match outcome {
-                    Ok(events) => deliver(shared, events),
-                    Err(e) => quarantine_frame(shared, ticket, e.to_string()),
-                }
+        while let Some(ticket) = batch.pop_front() {
+            inflight.set(Some((ticket, engine.frames_observed())));
+            if !sweep_delay.is_zero() {
+                std::thread::sleep(sweep_delay);
             }
+            assert!(
+                !probe.is_some_and(|p| p(&ticket.frame)),
+                "chaos probe: poison frame at {} ns",
+                ticket.frame.t_end.as_nanos()
+            );
+            let outcome = engine.observe(&ticket.frame);
+            let latency = ticket.enqueued.elapsed().as_nanos() as u64;
+            shared.stats.latency_ns_sum.fetch_add(latency, Ordering::Relaxed);
+            shared.stats.latency_samples.fetch_add(1, Ordering::Relaxed);
+            shared.stats.latency_max_ns.fetch_max(latency, Ordering::Relaxed);
+            inflight.set(None);
+            shared.ring.retire();
+            match outcome {
+                Ok(events) => deliver(shared, events),
+                Err(e) => quarantine_frame(shared, ticket, e.to_string()),
+            }
+        }
+        match shared.ring.pop_batch(batch, stall_timeout) {
+            PopOutcome::Popped => {}
             PopOutcome::TimedOut => {
                 // Stall watchdog: the source went silent past the
                 // deadline — force the open window's decision so the
@@ -694,6 +729,64 @@ mod tests {
             assert_eq!(q.frame.size, 0);
         }
         assert!(report.is_reconciled());
+    }
+
+    #[test]
+    fn a_panic_mid_batch_loses_no_held_frame() {
+        // A slow first frame lets the producer fill the ring, so the
+        // worker's next pop takes a full batch with the poison frame in
+        // its middle. The frames after it in that batch are held by the
+        // worker, not queued: a restart must resume at the next one.
+        let mut frames = stream(120);
+        frames[40].size = 0;
+        let clean: Vec<CapturedFrame> =
+            frames.iter().copied().filter(|f| !is_poison(f)).collect();
+        let want = synchronous(&mut engine(ResilienceConfig::default()), &clean);
+
+        let cfg = IngestConfig::default()
+            .with_panic_probe(Some(is_poison))
+            .with_sweep_delay(Duration::from_millis(1));
+        let report = supervised(cfg, &frames);
+        assert_eq!(format!("{:?}", report.events), format!("{want:?}"));
+        assert_eq!(report.health.frames_quarantined, 1);
+        assert_eq!(report.health.workers_restarted, 1);
+        assert_eq!(report.delivered, 119);
+        assert!(report.is_reconciled(), "health: {:?}", report.health);
+    }
+
+    #[test]
+    fn ring_pending_counts_the_frames_the_worker_holds() {
+        // Each frame sleeps 100 ms in the worker, so for the first 100 ms
+        // after the first submission no frame can have reached the
+        // engine. Every snapshot taken wholly inside that span must
+        // count all four frames pending, whether the worker has popped
+        // them yet or not.
+        let cfg = IngestConfig::default().with_sweep_delay(Duration::from_millis(100));
+        let pipeline =
+            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
+        let start = std::time::Instant::now();
+        for f in stream(4) {
+            pipeline.submit(&f).expect("open");
+        }
+        let mut checked = 0;
+        while start.elapsed() < Duration::from_millis(30) {
+            let stats = pipeline.stats();
+            if start.elapsed() >= Duration::from_millis(100) {
+                break;
+            }
+            assert_eq!(stats.latency_samples, 0);
+            assert_eq!(
+                stats.ring_pending + stats.latency_samples,
+                stats.submitted,
+                "a popped, unobserved frame is still pending"
+            );
+            checked += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(checked > 0, "no snapshot fell inside the first frame's sweep delay");
+        let report = pipeline.finish().expect("terminates");
+        assert_eq!(report.stats.ring_pending, 0);
+        assert_eq!(report.stats.latency_samples, 4);
     }
 
     #[test]

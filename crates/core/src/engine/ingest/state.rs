@@ -1,18 +1,29 @@
 //! Shared state of the bounded ingest ring.
 //!
-//! All queue state (the ring and the closed flag) lives behind one
-//! mutex here, and the condition variables are the only blocking
-//! primitive. Any number of producers share [`RingState::push`]; the
-//! pipeline's one worker pops with [`RingState::pop_timeout`] in FIFO
-//! order, so the frames it hands the engine keep the ring's order.
+//! All queue state (the ring, the closed flag and who sleeps on it)
+//! lives behind one mutex here, and the condition variables are the only
+//! blocking primitive. Any number of producers share [`RingState::push`];
+//! the pipeline's one worker moves up to [`BATCH`] tickets at a time into
+//! its own buffer with [`RingState::pop_batch`], in FIFO order, so the
+//! frames it hands the engine keep the ring's order.
+//!
+//! Each side signals the other only when the other is asleep: `push`
+//! wakes the consumer only if it waits on an empty ring, and `pop_batch`
+//! wakes producers only if one is blocked on a full ring. Under `Block`
+//! a steady producer thus sleeps and wakes once per batch rather than
+//! once per frame. `close` wakes everyone.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use wifiprint_radiotap::CapturedFrame;
 
 use super::{EngineError, OverloadPolicy, SubmitOutcome};
+
+/// Most tickets one [`RingState::pop_batch`] moves to the consumer.
+const BATCH: usize = 64;
 
 /// One queued frame, tagged with its enqueue instant (for latency
 /// accounting).
@@ -24,11 +35,11 @@ pub(crate) struct Ticket {
     pub(crate) enqueued: Instant,
 }
 
-/// What [`RingState::pop_timeout`] returned to the consumer.
-#[derive(Debug)]
+/// What [`RingState::pop_batch`] returned to the consumer.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum PopOutcome {
-    /// The oldest queued ticket.
-    Item(Ticket),
+    /// At least one ticket was moved into the consumer's buffer.
+    Popped,
     /// The ring stayed empty past the deadline — the stall-watchdog
     /// signal.
     TimedOut,
@@ -41,6 +52,10 @@ pub(crate) enum PopOutcome {
 struct Ring {
     queue: VecDeque<Ticket>,
     closed: bool,
+    /// The consumer sleeps on `not_empty`.
+    consumer_waiting: bool,
+    /// Producers sleeping on `not_full`.
+    producers_blocked: usize,
 }
 
 /// The bounded ring: a mutex-guarded queue with two condition variables.
@@ -49,10 +64,14 @@ pub(crate) struct RingState {
     capacity: usize,
     overload: OverloadPolicy,
     ring: Mutex<Ring>,
-    /// Signalled on enqueue and on close.
+    /// Signalled on enqueue while the consumer waits, and on close.
     not_empty: Condvar,
-    /// Signalled on dequeue and on close (for blocked producers).
+    /// Signalled on dequeue while a producer is blocked, and on close.
     not_full: Condvar,
+    /// Tickets the consumer has popped but not yet [retired](Self::retire).
+    /// Raised under the ring lock, so [`pending`](Self::pending) never
+    /// misses a ticket in transit between the queue and the consumer.
+    held: AtomicUsize,
 }
 
 impl RingState {
@@ -60,9 +79,15 @@ impl RingState {
         RingState {
             capacity: capacity.max(1),
             overload,
-            ring: Mutex::new(Ring { queue: VecDeque::new(), closed: false }),
+            ring: Mutex::new(Ring {
+                queue: VecDeque::new(),
+                closed: false,
+                consumer_waiting: false,
+                producers_blocked: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            held: AtomicUsize::new(0),
         }
     }
 
@@ -83,7 +108,9 @@ impl RingState {
             match self.overload {
                 OverloadPolicy::Block => {
                     while ring.queue.len() >= self.capacity && !ring.closed {
+                        ring.producers_blocked += 1;
                         ring = self.not_full.wait(ring).expect("ring lock");
+                        ring.producers_blocked -= 1;
                     }
                     if ring.closed {
                         return Err(EngineError::Finished);
@@ -97,37 +124,56 @@ impl RingState {
             }
         }
         ring.queue.push_back(Ticket { frame: *frame, enqueued: Instant::now() });
-        self.not_empty.notify_one();
+        if ring.consumer_waiting {
+            self.not_empty.notify_one();
+        }
         Ok(outcome)
     }
 
-    /// Pops the oldest ticket, waiting up to `timeout` (forever when
-    /// `None`). A `TimedOut` return means the ring stayed empty for the
+    /// Moves up to [`BATCH`] of the oldest tickets to the back of
+    /// `batch`, waiting up to `timeout` (forever when `None`) for the
+    /// first. A `TimedOut` return means the ring stayed empty for the
     /// whole deadline — the watchdog's cue to force a window decision.
-    pub(crate) fn pop_timeout(&self, timeout: Option<Duration>) -> PopOutcome {
+    /// Every popped ticket counts as [pending](Self::pending) until the
+    /// consumer [retires](Self::retire) it.
+    pub(crate) fn pop_batch(
+        &self,
+        batch: &mut VecDeque<Ticket>,
+        timeout: Option<Duration>,
+    ) -> PopOutcome {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut ring = self.ring.lock().expect("ring lock");
         loop {
-            if let Some(ticket) = ring.queue.pop_front() {
-                self.not_full.notify_one();
-                return PopOutcome::Item(ticket);
+            let taken = ring.queue.len().min(BATCH);
+            if taken > 0 {
+                batch.extend(ring.queue.drain(..taken));
+                self.held.fetch_add(taken, Ordering::Relaxed);
+                // A batch may free room for every blocked producer; those
+                // that find the ring full again go back to sleep.
+                if ring.producers_blocked > 0 {
+                    self.not_full.notify_all();
+                }
+                return PopOutcome::Popped;
             }
             if ring.closed {
                 return PopOutcome::Closed;
             }
-            match deadline {
-                None => ring = self.not_empty.wait(ring).expect("ring lock"),
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return PopOutcome::TimedOut;
-                    }
-                    let (guard, _) =
-                        self.not_empty.wait_timeout(ring, remaining).expect("ring lock");
-                    ring = guard;
-                }
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if remaining.is_some_and(|r| r.is_zero()) {
+                return PopOutcome::TimedOut;
             }
+            ring.consumer_waiting = true;
+            ring = match remaining {
+                None => self.not_empty.wait(ring).expect("ring lock"),
+                Some(r) => self.not_empty.wait_timeout(ring, r).expect("ring lock").0,
+            };
+            ring.consumer_waiting = false;
         }
+    }
+
+    /// Marks one popped ticket as handed to the engine (or quarantined).
+    pub(crate) fn retire(&self) {
+        self.held.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Closes the channel: producers fail fast, blocked producers wake
@@ -140,15 +186,18 @@ impl RingState {
         self.not_full.notify_all();
     }
 
-    /// Tickets currently queued.
-    pub(crate) fn len(&self) -> usize {
-        self.ring.lock().expect("ring lock").queue.len()
+    /// Tickets queued, plus those popped and not yet retired.
+    pub(crate) fn pending(&self) -> usize {
+        let ring = self.ring.lock().expect("ring lock");
+        ring.queue.len() + self.held.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::sync::{Arc, Barrier};
     use wifiprint_ieee80211::{FrameKind, MacAddr, Nanos, Rate};
 
     fn frame(t_us: u64) -> CapturedFrame {
@@ -166,13 +215,17 @@ mod tests {
         }
     }
 
-    /// Pops one ticket (waiting at most 5 s for it) and returns its
-    /// frame's capture time in microseconds.
-    fn pop_t_us(ring: &RingState) -> u64 {
-        match ring.pop_timeout(Some(Duration::from_secs(5))) {
-            PopOutcome::Item(t) => t.frame.t_end.as_nanos() / 1_000,
-            other => panic!("expected an item, got {other:?}"),
+    /// Takes the oldest ticket, refilling `batch` from the ring (waiting
+    /// at most 5 s) when it is empty, retires it and returns its frame's
+    /// capture time in microseconds.
+    fn pop_t_us(ring: &RingState, batch: &mut VecDeque<Ticket>) -> u64 {
+        if batch.is_empty() {
+            let outcome = ring.pop_batch(batch, Some(Duration::from_secs(5)));
+            assert_eq!(outcome, PopOutcome::Popped);
         }
+        let ticket = batch.pop_front().expect("a popped batch is not empty");
+        ring.retire();
+        ticket.frame.t_end.as_nanos() / 1_000
     }
 
     #[test]
@@ -181,9 +234,10 @@ mod tests {
         assert!(matches!(ring.push(&frame(1)), Ok(SubmitOutcome::Enqueued)));
         assert!(matches!(ring.push(&frame(2)), Ok(SubmitOutcome::Enqueued)));
         assert!(matches!(ring.push(&frame(3)), Ok(SubmitOutcome::ShedNewest)));
-        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.pending(), 2);
         // The queue still holds the two oldest frames.
-        assert_eq!([pop_t_us(&ring), pop_t_us(&ring)], [1, 2]);
+        let mut batch = VecDeque::new();
+        assert_eq!([pop_t_us(&ring, &mut batch), pop_t_us(&ring, &mut batch)], [1, 2]);
     }
 
     #[test]
@@ -192,9 +246,10 @@ mod tests {
         ring.push(&frame(1)).expect("open");
         ring.push(&frame(2)).expect("open");
         assert!(matches!(ring.push(&frame(3)), Ok(SubmitOutcome::ShedOldest)));
-        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.pending(), 2);
+        let mut batch = VecDeque::new();
         assert_eq!(
-            [pop_t_us(&ring), pop_t_us(&ring)],
+            [pop_t_us(&ring, &mut batch), pop_t_us(&ring, &mut batch)],
             [2, 3],
             "the second-oldest survives, the newest is queued"
         );
@@ -207,22 +262,41 @@ mod tests {
         ring.close();
         assert!(matches!(ring.push(&frame(2)), Err(EngineError::Finished)));
         // The queued ticket still drains before Closed.
-        assert!(matches!(ring.pop_timeout(None), PopOutcome::Item(_)));
-        assert!(matches!(ring.pop_timeout(None), PopOutcome::Closed));
+        let mut batch = VecDeque::new();
+        assert_eq!(ring.pop_batch(&mut batch, None), PopOutcome::Popped);
+        assert_eq!(batch.len(), 1);
+        assert_eq!(ring.pop_batch(&mut batch, None), PopOutcome::Closed);
     }
 
     #[test]
     fn empty_ring_times_out_for_the_watchdog() {
         let ring = RingState::new(4, OverloadPolicy::Block);
-        assert!(matches!(
-            ring.pop_timeout(Some(Duration::from_millis(5))),
+        let mut batch = VecDeque::new();
+        assert_eq!(
+            ring.pop_batch(&mut batch, Some(Duration::from_millis(5))),
             PopOutcome::TimedOut
-        ));
+        );
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn a_batch_takes_at_most_batch_tickets_and_counts_them_pending() {
+        let ring = RingState::new(2 * BATCH, OverloadPolicy::Block);
+        for t in 0..(BATCH + 5) as u64 {
+            ring.push(&frame(t)).expect("open");
+        }
+        let mut batch = VecDeque::new();
+        assert_eq!(ring.pop_batch(&mut batch, None), PopOutcome::Popped);
+        assert_eq!(batch.len(), BATCH);
+        assert_eq!(ring.pending(), BATCH + 5, "held tickets stay pending");
+        ring.retire();
+        assert_eq!(ring.pending(), BATCH + 4);
+        assert_eq!(ring.pop_batch(&mut batch, None), PopOutcome::Popped);
+        assert_eq!(batch.len(), BATCH + 5, "a pop appends to what the consumer holds");
     }
 
     #[test]
     fn blocked_producer_resumes_when_a_consumer_makes_room() {
-        use std::sync::Arc;
         let ring = Arc::new(RingState::new(1, OverloadPolicy::Block));
         ring.push(&frame(1)).expect("open");
         let producer = {
@@ -231,20 +305,23 @@ mod tests {
         };
         // The producer is (about to be) blocked on a full ring; popping
         // one ticket unblocks it.
+        let mut batch = VecDeque::new();
         loop {
-            match ring.pop_timeout(Some(Duration::from_millis(50))) {
-                PopOutcome::Item(_) => break,
+            match ring.pop_batch(&mut batch, Some(Duration::from_millis(50))) {
+                PopOutcome::Popped => break,
                 PopOutcome::TimedOut => {}
                 PopOutcome::Closed => panic!("ring closed unexpectedly"),
             }
         }
+        for _ in batch.drain(..) {
+            ring.retire();
+        }
         assert!(matches!(producer.join().expect("producer"), Ok(SubmitOutcome::Enqueued)));
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.pending(), 1);
     }
 
     #[test]
     fn two_producers_each_pop_in_their_own_push_order() {
-        use std::sync::{Arc, Barrier};
         // Producer A pushes t = 0..100 µs, producer B t = 100..200 µs,
         // released together so their pushes interleave. A ring of 8
         // forces both to block and resume many times.
@@ -263,17 +340,81 @@ mod tests {
             })
             .collect();
         start.wait();
-        let popped: Vec<u64> = (0..200).map(|_| pop_t_us(&ring)).collect();
+        let mut batch = VecDeque::new();
+        let popped: Vec<u64> = (0..200).map(|_| pop_t_us(&ring, &mut batch)).collect();
         for p in producers {
             p.join().expect("producer");
         }
-        assert_eq!(ring.len(), 0, "nothing left behind");
-        let mut sorted = popped.clone();
+        assert_eq!(ring.pending(), 0, "nothing left behind");
+        assert_per_producer_order(&popped, 100);
+    }
+
+    /// Every `t` in `0..2 * per` popped exactly once, and each producer's
+    /// frames (`t < per` and `t >= per`) in its own push order.
+    fn assert_per_producer_order(popped: &[u64], per: u64) {
+        let mut sorted = popped.to_vec();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..200).collect::<Vec<_>>(), "every frame pops exactly once");
-        let a: Vec<u64> = popped.iter().copied().filter(|&t| t < 100).collect();
-        let b: Vec<u64> = popped.iter().copied().filter(|&t| t >= 100).collect();
-        assert_eq!(a, (0..100).collect::<Vec<_>>(), "producer A's frames keep its order");
-        assert_eq!(b, (100..200).collect::<Vec<_>>(), "producer B's frames keep its order");
+        assert_eq!(sorted, (0..2 * per).collect::<Vec<_>>(), "every frame pops exactly once");
+        let a: Vec<u64> = popped.iter().copied().filter(|&t| t < per).collect();
+        let b: Vec<u64> = popped.iter().copied().filter(|&t| t >= per).collect();
+        assert_eq!(a, (0..per).collect::<Vec<_>>(), "producer A's frames keep its order");
+        assert_eq!(b, (per..2 * per).collect::<Vec<_>>(), "producer B's frames keep its order");
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_between_two_producers_and_a_batch_consumer() {
+        // Tiny rings keep both sides sleeping and waking on almost every
+        // frame, the interleavings where a skipped notify would strand a
+        // sleeper. The run goes on its own thread and is joined through
+        // a channel with a deadline, so a lost wakeup fails the test
+        // instead of hanging it.
+        const PER: u64 = 5_000;
+        for capacity in [1, 2] {
+            for timeout in [None, Some(Duration::from_millis(1))] {
+                let (done, joined) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let ring = Arc::new(RingState::new(capacity, OverloadPolicy::Block));
+                    let start = Arc::new(Barrier::new(3));
+                    let producers: Vec<_> = [0..PER, PER..2 * PER]
+                        .into_iter()
+                        .map(|range| {
+                            let (ring, start) = (Arc::clone(&ring), Arc::clone(&start));
+                            std::thread::spawn(move || {
+                                start.wait();
+                                for t in range {
+                                    ring.push(&frame(t)).expect("open");
+                                }
+                            })
+                        })
+                        .collect();
+                    start.wait();
+                    let mut batch = VecDeque::new();
+                    let mut popped = Vec::with_capacity(2 * PER as usize);
+                    while popped.len() < 2 * PER as usize {
+                        match ring.pop_batch(&mut batch, timeout) {
+                            PopOutcome::Popped => {}
+                            PopOutcome::TimedOut => continue,
+                            PopOutcome::Closed => panic!("ring closed unexpectedly"),
+                        }
+                        assert!(batch.len() <= capacity, "a batch never exceeds the queue");
+                        for ticket in batch.drain(..) {
+                            ring.retire();
+                            popped.push(ticket.frame.t_end.as_nanos() / 1_000);
+                        }
+                    }
+                    for p in producers {
+                        p.join().expect("producer");
+                    }
+                    assert_eq!(ring.pending(), 0, "nothing left behind");
+                    let _ = done.send(popped);
+                });
+                let popped = joined
+                    .recv_timeout(Duration::from_mins(1))
+                    .unwrap_or_else(|e| {
+                        panic!("capacity {capacity}, timeout {timeout:?}: no result ({e})")
+                    });
+                assert_per_producer_order(&popped, PER);
+            }
+        }
     }
 }
