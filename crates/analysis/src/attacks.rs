@@ -8,8 +8,10 @@
 //! driver/chipset-level timing features. This module implements exactly
 //! that attacker and measures which parameters it fools.
 
+use std::collections::BTreeMap;
+
 use wifiprint_core::{
-    EvalConfig, MatchScratch, NetworkParameter, ReferenceDb, Signature, SignatureBuilder,
+    EngineError, FusionSpec, MatchScratch, MultiEngine, NetworkParameter, ReferenceDb, Signature,
     SimilarityMeasure,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
@@ -89,56 +91,68 @@ pub fn mimicry_frames(
     out
 }
 
+/// Every parameter's signature of `device` over `frames`: a
+/// training-only run of the fused engine, whose enrollment is the
+/// signature learning of the paper's reference phase. A parameter the
+/// device did not reach the observation floor for is absent.
+fn learn_signatures(
+    frames: &[CapturedFrame],
+    device: MacAddr,
+) -> Result<BTreeMap<NetworkParameter, Signature>, EngineError> {
+    let mut engine =
+        MultiEngine::builder().spec(FusionSpec::all_equal()).train_for(Nanos::MAX).build()?;
+    engine.observe_all(frames)?;
+    engine.finish()?;
+    Ok(engine
+        .into_references()
+        .into_iter()
+        .filter_map(|(parameter, db)| Some((parameter, db.get(&device)?.clone())))
+        .collect())
+}
+
 /// Runs the full §VII-A1 experiment: learn the victim, replay its size
 /// distribution from attacker hardware, and compare similarities per
-/// parameter.
+/// parameter. Parameters the victim or the attacker did not reach the
+/// observation floor for are left out; a victim too sparse to learn any
+/// frame-size signature yields no results.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the victim's training capture is too sparse to enroll it
-/// (the rigs in this crate always provide enough frames).
+/// [`EngineError`] when a capture is not in timestamp order.
 pub fn evaluate_mimicry(
     victim_training: &[CapturedFrame],
     victim_later: &[CapturedFrame],
     victim: MacAddr,
     bssid: MacAddr,
     seed: u64,
-) -> Vec<MimicryResult> {
+) -> Result<Vec<MimicryResult>, EngineError> {
     let attacker = MacAddr::new([0x02, 0xBA, 0xDB, 0xAD, 0, 1]);
     let mut results = Vec::new();
 
     // The attacker learns the victim's frame-size signature once.
-    let size_cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize);
-    let mut learn = SignatureBuilder::new(&size_cfg);
-    for f in victim_training {
-        learn.push(f);
-    }
-    let Some(victim_size_sig) = learn.finish().unwrap_or_default().remove(&victim) else {
-        return results;
+    let reference = learn_signatures(victim_training, victim)?;
+    let Some(victim_size_sig) = reference.get(&NetworkParameter::FrameSize) else {
+        return Ok(results);
     };
     let forged = mimicry_frames(
-        &victim_size_sig,
+        victim_size_sig,
         attacker,
         bssid,
         4000,
         Nanos::from_micros(900),
         seed,
     );
+    let genuine = learn_signatures(victim_later, victim)?;
+    let attack = learn_signatures(&forged, attacker)?;
 
     for parameter in NetworkParameter::ALL {
-        let cfg = EvalConfig::for_parameter(parameter);
-        let build = |frames: &[CapturedFrame], who: MacAddr| {
-            let mut b = SignatureBuilder::new(&cfg);
-            for f in frames {
-                b.push(f);
-            }
-            b.finish().unwrap_or_default().remove(&who)
+        let (Some(reference), Some(genuine), Some(attack)) =
+            (reference.get(&parameter), genuine.get(&parameter), attack.get(&parameter))
+        else {
+            continue;
         };
-        let Some(reference) = build(victim_training, victim) else { continue };
-        let Some(genuine) = build(victim_later, victim) else { continue };
-        let Some(attack) = build(&forged, attacker) else { continue };
         let mut db = ReferenceDb::new();
-        db.insert(victim, reference).expect("victim reference");
+        db.insert(victim, reference.clone())?;
         let mut scratch = MatchScratch::new();
         let mut sim = |sig: &Signature| {
             db.match_tile(std::slice::from_ref(sig), SimilarityMeasure::Cosine, &mut scratch)
@@ -148,11 +162,11 @@ pub fn evaluate_mimicry(
         };
         results.push(MimicryResult {
             parameter,
-            genuine_similarity: sim(&genuine),
-            attacker_similarity: sim(&attack),
+            genuine_similarity: sim(genuine),
+            attacker_similarity: sim(attack),
         });
     }
-    results
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -170,7 +184,8 @@ mod tests {
     #[test]
     fn mimicry_forges_sizes_but_not_timing() {
         let (training, later) = victim_traces();
-        let results = evaluate_mimicry(&training, &later, FARADAY_DEVICE, FARADAY_AP, 7);
+        let results =
+            evaluate_mimicry(&training, &later, FARADAY_DEVICE, FARADAY_AP, 7).expect("in order");
         assert_eq!(results.len(), 5);
         let get = |p: NetworkParameter| {
             *results.iter().find(|r| r.parameter == p).expect("result")
@@ -198,12 +213,10 @@ mod tests {
     #[test]
     fn mimicry_frames_reproduce_the_size_distribution() {
         let (training, _) = victim_traces();
-        let cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize);
-        let mut b = SignatureBuilder::new(&cfg);
-        for f in &training {
-            b.push(f);
-        }
-        let victim_sig = b.finish().expect("victim qualifies").remove(&FARADAY_DEVICE).unwrap();
+        let victim_sig = learn_signatures(&training, FARADAY_DEVICE)
+            .expect("in order")
+            .remove(&NetworkParameter::FrameSize)
+            .expect("victim qualifies");
         let attacker = MacAddr::from_index(0xBAD);
         let forged = mimicry_frames(
             &victim_sig,

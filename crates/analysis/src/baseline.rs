@@ -7,86 +7,79 @@
 //! group-addressed data frames — no per-frame-type weighting, no timing —
 //! and runs through the same detection methodology, so the comparison in
 //! the paper's §V-B2 ("we achieve comparable results") can be regenerated.
+//! It is the pipeline's own evaluator over a one-parameter engine: frame
+//! size, a broadcast-only frame filter and a lowered observation floor.
 
-use wifiprint_core::{
-    evaluate, EvalConfig, EvalOutcome, FrameFilter, NetworkParameter, ReferenceDb,
-    SignatureBuilder, WindowedSignatures,
-};
-use wifiprint_ieee80211::Nanos;
+use wifiprint_core::{EngineError, EvalOutcome, FrameFilter, NetworkParameter, ReferenceDb};
 use wifiprint_radiotap::CapturedFrame;
 
-use crate::pipeline::PipelineConfig;
-
-/// The baseline's evaluation configuration: frame sizes over
-/// group-addressed frames only.
-pub fn baseline_config(pipeline: &PipelineConfig) -> EvalConfig {
-    let mut cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize)
-        .with_filter(FrameFilter { broadcast_only: true, ..FrameFilter::default() })
-        // Broadcast traffic is sparse; Pang et al. fingerprint with far
-        // fewer samples than the paper's 50-frame floor.
-        .with_min_observations(pipeline.min_observations.min(10));
-    cfg.window = pipeline.window;
-    cfg
-}
+use crate::pipeline::{PipelineConfig, StreamingEvaluator};
 
 /// Streaming evaluator for the baseline.
 #[derive(Debug)]
-pub struct BaselineEvaluator {
-    train_duration: Nanos,
-    origin: Option<Nanos>,
-    trainer: SignatureBuilder,
-    validator: WindowedSignatures,
-}
+pub struct BaselineEvaluator(StreamingEvaluator);
 
 impl BaselineEvaluator {
-    /// A fresh baseline evaluator aligned with `pipeline`'s split.
-    pub fn new(pipeline: &PipelineConfig) -> Self {
-        let cfg = baseline_config(pipeline);
-        BaselineEvaluator {
-            train_duration: pipeline.train_duration,
-            origin: None,
-            trainer: SignatureBuilder::new(&cfg),
-            validator: WindowedSignatures::new(&cfg),
-        }
+    /// A fresh baseline evaluator aligned with `pipeline`'s split,
+    /// window, shard layout and ingest hardening.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError`] when `pipeline` cannot drive an engine
+    /// (zero-length detection window or training prefix).
+    pub fn new(pipeline: &PipelineConfig) -> Result<Self, EngineError> {
+        let cfg = PipelineConfig {
+            // Broadcast traffic is sparse; Pang et al. fingerprint with
+            // far fewer samples than the paper's 50-frame floor.
+            min_observations: pipeline.min_observations.min(10),
+            parameters: vec![NetworkParameter::FrameSize],
+            ..pipeline.clone()
+        };
+        let engine_config = cfg
+            .multi_config()
+            .with_filter(FrameFilter { broadcast_only: true, ..FrameFilter::default() });
+        StreamingEvaluator::with_engine_config(&cfg, engine_config).map(BaselineEvaluator)
     }
 
-    /// Processes one captured frame.
+    /// Processes one captured frame. Engine failures latch and surface
+    /// from [`BaselineEvaluator::finish`].
     pub fn push(&mut self, frame: &CapturedFrame) {
-        let origin = *self.origin.get_or_insert(frame.t_end);
-        if frame.t_end.saturating_sub(origin) < self.train_duration {
-            self.trainer.push(frame);
-        } else {
-            self.validator.push(frame);
-        }
+        self.0.push(frame);
     }
 
-    /// Finalises the baseline evaluation. An empty learning phase (no
-    /// device reached the observation floor on broadcast traffic alone)
-    /// degrades to the all-unknown outcome rather than erroring: the
-    /// baseline is a *comparison* curve, not a production entry point.
+    /// Finalises the baseline evaluation into its outcome and reference
+    /// database. An empty learning phase (no device reached the
+    /// observation floor on broadcast traffic alone) yields the
+    /// all-unknown outcome: the engine keeps running on the empty
+    /// database and counts every candidate as new.
+    ///
+    /// # Errors
+    ///
+    /// The first engine failure encountered during the run.
     ///
     /// # Panics
     ///
-    /// Never in practice: the only `expect` guards the non-empty
-    /// database branch it sits in.
-    pub fn finish(self) -> (EvalOutcome, ReferenceDb) {
-        let db = ReferenceDb::from_signatures(self.trainer.finish().unwrap_or_default());
-        let candidates = self.validator.finish();
-        let outcome = if db.is_empty() {
-            EvalOutcome::from_match_sets(&[], candidates.len())
-        } else {
-            evaluate(&db, &candidates).expect("non-empty database")
-        };
-        (outcome, db)
+    /// Never in practice: the engine evaluates frame size, so its
+    /// outcome and database are always present.
+    pub fn finish(self) -> Result<(EvalOutcome, ReferenceDb), EngineError> {
+        let mut eval = self.0.finish()?;
+        let size = NetworkParameter::FrameSize;
+        let outcome = eval.outcomes.remove(&size).expect("the baseline evaluates frame size");
+        let db = eval.databases.remove(&size).expect("the baseline evaluates frame size");
+        Ok((outcome, db))
     }
 }
 
 /// Convenience: runs the baseline over an in-memory frame sequence.
+///
+/// # Errors
+///
+/// [`EngineError`] from building or driving the underlying engine.
 pub fn evaluate_baseline<'a>(
     pipeline: &PipelineConfig,
     frames: impl IntoIterator<Item = &'a CapturedFrame>,
-) -> (EvalOutcome, ReferenceDb) {
-    let mut ev = BaselineEvaluator::new(pipeline);
+) -> Result<(EvalOutcome, ReferenceDb), EngineError> {
+    let mut ev = BaselineEvaluator::new(pipeline)?;
     for f in frames {
         ev.push(f);
     }
@@ -96,7 +89,9 @@ pub fn evaluate_baseline<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wifiprint_ieee80211::{Frame, MacAddr, Rate};
+    use wifiprint_core::{evaluate, EvalConfig, SignatureBuilder, WindowedSignatures};
+    use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
+    use wifiprint_scenarios::{ConferenceScenario, OfficeScenario};
 
     /// Two devices whose *broadcast* frame sizes differ; plus identical
     /// unicast chatter that the baseline must ignore.
@@ -131,10 +126,38 @@ mod tests {
         frames
     }
 
+    /// The batch recipe the baseline ran on before it moved onto the
+    /// engine: a `SignatureBuilder` over the training prefix,
+    /// `WindowedSignatures` over the rest, and `evaluate` against the
+    /// learned database — the all-unknown outcome when it is empty.
+    fn batch_baseline(pipeline: &PipelineConfig, frames: &[CapturedFrame]) -> EvalOutcome {
+        let mut cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize)
+            .with_filter(FrameFilter { broadcast_only: true, ..FrameFilter::default() })
+            .with_min_observations(pipeline.min_observations.min(10));
+        cfg.window = pipeline.window;
+        let mut trainer = SignatureBuilder::new(&cfg);
+        let mut validator = WindowedSignatures::new(&cfg);
+        let origin = frames[0].t_end;
+        for f in frames {
+            if f.t_end.saturating_sub(origin) < pipeline.train_duration {
+                trainer.push(f);
+            } else {
+                validator.push(f);
+            }
+        }
+        let db = ReferenceDb::from_signatures(trainer.finish().unwrap_or_default());
+        let candidates = validator.finish();
+        if db.is_empty() {
+            EvalOutcome::from_match_sets(&[], candidates.len())
+        } else {
+            evaluate(&db, &candidates).expect("non-empty database")
+        }
+    }
+
     #[test]
     fn baseline_separates_devices_by_broadcast_sizes() {
         let pipeline = PipelineConfig::miniature(10, 5, 5);
-        let (outcome, db) = evaluate_baseline(&pipeline, &trace());
+        let (outcome, db) = evaluate_baseline(&pipeline, &trace()).expect("baseline run");
         assert_eq!(db.len(), 2);
         assert!(outcome.instances > 0);
         assert!(outcome.auc() > 0.9, "baseline auc = {}", outcome.auc());
@@ -143,15 +166,11 @@ mod tests {
     #[test]
     fn baseline_ignores_unicast_frames() {
         let pipeline = PipelineConfig::miniature(10, 5, 5);
-        let cfg = baseline_config(&pipeline);
-        let mut builder = SignatureBuilder::new(&cfg);
-        for f in trace() {
-            builder.push(&f);
-        }
-        let sigs = builder.finish().expect("broadcast devices qualify");
+        let (_, db) = evaluate_baseline(&pipeline, &trace()).expect("baseline run");
+        assert!(!db.is_empty(), "broadcast devices qualify");
         // Only the broadcast frames contribute: every recorded size is a
         // broadcast size (128 + overheads or 428 + overheads), never 700+.
-        for sig in sigs.values() {
+        for (_, sig) in db.iter() {
             for (_, hist) in sig.iter() {
                 for (center, freq) in hist.points() {
                     if freq > 0.0 {
@@ -159,6 +178,21 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_engine_baseline_matches_the_batch_recipe() {
+        let pipeline = PipelineConfig::miniature(60, 20, 5);
+        let traces = [
+            ("office", OfficeScenario::small(42, 240, 16).run_collect().frames),
+            ("conference", ConferenceScenario::small(7, 240, 24).run_collect().frames),
+        ];
+        for (name, frames) in &traces {
+            let (engine, _) = evaluate_baseline(&pipeline, frames).expect("baseline run");
+            let batch = batch_baseline(&pipeline, frames);
+            assert!(engine.instances > 0, "{name}: no candidate instances");
+            assert_eq!(format!("{engine:?}"), format!("{batch:?}"), "{name}: engine vs batch");
         }
     }
 }

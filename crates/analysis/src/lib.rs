@@ -4,14 +4,15 @@
 //! * [`PipelineConfig`] / [`StreamingEvaluator`] — the train/validate
 //!   split, detection windows and per-parameter scoring of §V-A, driven
 //!   by one fused `MultiEngine` (a single header parse per frame feeds
-//!   every parameter),
+//!   every parameter); [`TraceEvaluation::fused`] scores the engine's
+//!   equally weighted fusion of the configured parameters (the paper's
+//!   §VIII future work),
 //! * [`tables`] — formatters regenerating Tables I, II and III,
 //! * [`plot`] — ASCII histograms and TPR/FPR curves plus CSV export
 //!   (Figs. 2–8),
 //! * [`baseline`] — the Pang-et-al-style broadcast-size identifier the
-//!   paper compares against in §V-B2,
-//! * [`fusion`] — multi-parameter combination (the paper's §VIII future
-//!   work),
+//!   paper compares against in §V-B2, the same evaluator over a
+//!   one-parameter engine,
 //! * [`attacks`] — the §VII-A mimicry attacker and its evaluation,
 //! * [`linking`] — MAC-randomization linking accuracy
 //!   (precision/recall/merge-rate vs rotation rate) against the
@@ -46,7 +47,6 @@
 
 pub mod attacks;
 pub mod baseline;
-pub mod fusion;
 pub mod linking;
 mod pipeline;
 pub mod plot;

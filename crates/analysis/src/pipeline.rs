@@ -1,24 +1,24 @@
 //! The end-to-end evaluation pipeline of §V: split a trace into training
 //! and validation portions, learn a reference database, build per-window
 //! candidate signatures, and score both tests for every network parameter
-//! in one streaming pass.
+//! — and for their fused score — in one streaming pass.
 //!
-//! Since the fused [`MultiEngine`] became the production API, this
-//! pipeline is a thin driver of **one** engine: a single fused header
-//! parse per frame feeds all configured parameters (trained online for
-//! the configured prefix), one shared window clock closes their
-//! detection windows together, and the per-parameter decisions carried
-//! by each [`MultiEvent::FusedMatch`] / [`MultiEvent::FusedNewDevice`]
-//! are accumulated into [`MatchSet`]s and aggregated into the paper's
-//! two accuracy tests at the end. The matching itself — the tiled column
-//! sweep — happens *incrementally* as each detection window closes,
-//! not in an end-of-trace sweep. (The previous design ran five
-//! single-parameter engines side by side, one worker thread each; the
-//! fused parse made that fan-out redundant — extraction and history
-//! bookkeeping now happen once per frame instead of five times.)
+//! The pipeline is a thin driver of **one** fused [`MultiEngine`]: a
+//! single header parse per frame feeds all configured parameters
+//! (trained online for the configured prefix), one shared window clock
+//! closes their detection windows together, and every window is matched
+//! the moment it closes. One private collector turns the engine's
+//! [`MultiEvent`]s into the paper's two accuracy tests: the
+//! per-parameter decisions of each [`MultiEvent::FusedMatch`] /
+//! [`MultiEvent::FusedNewDevice`] become per-parameter [`MatchSet`]s,
+//! and the fused score the engine emits becomes one more. The
+//! synchronous [`StreamingEvaluator`], the supervised
+//! [`evaluate_frames_supervised`] and the Pang-style
+//! [`baseline`](crate::baseline) all feed that collector.
 
 use std::collections::BTreeMap;
 
+use wifiprint_core::batch::map_tiles_with_scratch;
 use wifiprint_core::{
     EngineError, EngineHealth, EvalOutcome, FusionSpec, IngestConfig, IngestPipeline, IngestStats,
     MatchConfig, MatchSet, MultiConfig, MultiEngine, MultiEvent, NetworkParameter, ReferenceDb,
@@ -37,7 +37,8 @@ pub struct PipelineConfig {
     pub window: Nanos,
     /// Minimum observations per signature (50).
     pub min_observations: u64,
-    /// The parameters to evaluate (all five by default).
+    /// The parameters to evaluate (all five by default). Their
+    /// equally weighted fusion is [`TraceEvaluation::fused`].
     pub parameters: Vec<NetworkParameter>,
     /// Shard layout of the per-parameter reference databases the
     /// training prefix builds (dominant-histogram sharding by default;
@@ -117,19 +118,25 @@ impl PipelineConfig {
     }
 }
 
-/// Everything measured for one trace: per-parameter outcomes plus the
-/// Table I-style features.
+/// Everything measured for one trace: per-parameter and fused outcomes
+/// plus the Table I-style features.
 #[derive(Debug)]
 pub struct TraceEvaluation {
     /// Per-parameter test outcomes.
     pub outcomes: BTreeMap<NetworkParameter, EvalOutcome>,
+    /// Both tests over the engine's fused score: the equally weighted
+    /// average of the configured parameters' similarities (§VIII's
+    /// combined parameters). Its instances are the candidates that met
+    /// the observation floor for every parameter (or the configured
+    /// fusion quorum) and are enrolled for all of them; every candidate
+    /// not enrolled for all of them counts as unknown. With one
+    /// configured parameter it equals that parameter's outcome.
+    pub fused: EvalOutcome,
     /// Reference databases (kept for follow-up matching, e.g. examples).
     pub databases: BTreeMap<NetworkParameter, ReferenceDb>,
     /// Number of reference devices (per parameter they can differ
     /// slightly; this is the inter-arrival count the paper tabulates).
     pub ref_devices: usize,
-    /// Candidate instances evaluated per parameter.
-    pub candidate_instances: BTreeMap<NetworkParameter, usize>,
     /// Frames fed to the training phase.
     pub train_frames: u64,
     /// Frames fed to the validation phase.
@@ -150,13 +157,151 @@ impl TraceEvaluation {
     pub fn identification(&self, parameter: NetworkParameter, fpr: f64) -> f64 {
         self.outcomes[&parameter].identification_at_fpr(fpr)
     }
+
+    /// Mean AUC over the parameters that produced candidate instances
+    /// (0 when none did).
+    pub fn mean_auc(&self) -> f64 {
+        self.mean_over_scored(EvalOutcome::auc)
+    }
+
+    /// Mean identification ratio at the given FPR over the parameters
+    /// that produced candidate instances (0 when none did).
+    pub fn mean_identification(&self, fpr: f64) -> f64 {
+        self.mean_over_scored(|o| o.identification_at_fpr(fpr))
+    }
+
+    fn mean_over_scored(&self, metric: impl Fn(&EvalOutcome) -> f64) -> f64 {
+        let values: Vec<f64> =
+            self.outcomes.values().filter(|o| o.instances > 0).map(metric).collect();
+        if values.is_empty() {
+            0.0
+        } else {
+            values.iter().sum::<f64>() / values.len() as f64
+        }
+    }
 }
 
-/// Per-parameter accumulator of the engine's window decisions.
+/// The window decisions one accuracy test is computed over.
 #[derive(Debug, Default)]
-struct ParamCollector {
+struct Decisions {
+    /// One match set per enrolled candidate; enrolled devices carry
+    /// ground truth, and the accuracy tests are defined over them.
     sets: Vec<MatchSet>,
+    /// Candidates that were not enrolled.
     unknown: usize,
+}
+
+/// The one accumulator every driver feeds: it counts the
+/// train/validation split of the frames pushed and folds each
+/// [`MultiEvent`] into per-parameter and fused [`Decisions`].
+#[derive(Debug)]
+struct Collector {
+    train_duration: Nanos,
+    origin: Option<Nanos>,
+    train_frames: u64,
+    validation_frames: u64,
+    /// One entry per configured parameter, engine spec order.
+    parameters: Vec<(NetworkParameter, Decisions)>,
+    fused: Decisions,
+}
+
+impl Collector {
+    fn new(cfg: &PipelineConfig) -> Self {
+        Collector {
+            train_duration: cfg.train_duration,
+            origin: None,
+            train_frames: 0,
+            validation_frames: 0,
+            parameters: cfg.parameters.iter().map(|&p| (p, Decisions::default())).collect(),
+            fused: Decisions::default(),
+        }
+    }
+
+    /// Counts one frame into the training or the validation portion.
+    fn count(&mut self, frame: &CapturedFrame) {
+        let origin = *self.origin.get_or_insert(frame.t_end);
+        if frame.t_end.saturating_sub(origin) < self.train_duration {
+            self.train_frames += 1;
+        } else {
+            self.validation_frames += 1;
+        }
+    }
+
+    /// Folds a batch of engine events into the decisions: each event's
+    /// [`ParameterDecision`](wifiprint_core::ParameterDecision) list
+    /// carries one entry per parameter the candidate qualified for,
+    /// flagged with per-parameter enrollment, and a fused score exists
+    /// exactly for the candidates the fused test is defined over.
+    fn absorb(&mut self, events: &[MultiEvent]) {
+        for event in events {
+            let (device, scores) = match event {
+                MultiEvent::FusedMatch { device, scores, fused, .. } => {
+                    if let Some(fused) = fused {
+                        let set = MatchSet::from_similarities(*device, fused.similarities());
+                        self.fused.sets.push(set);
+                    }
+                    (device, scores)
+                }
+                MultiEvent::FusedNewDevice { device, scores, .. } => {
+                    self.fused.unknown += 1;
+                    (device, scores)
+                }
+                MultiEvent::Enrolled { .. } | MultiEvent::WindowClosed { .. } => continue,
+            };
+            for decision in scores {
+                let Some((_, decisions)) =
+                    self.parameters.iter_mut().find(|(p, _)| *p == decision.parameter)
+                else {
+                    continue;
+                };
+                if decision.known {
+                    decisions
+                        .sets
+                        .push(MatchSet::from_similarities(*device, decision.view.similarities()));
+                } else {
+                    decisions.unknown += 1;
+                }
+            }
+        }
+    }
+
+    /// Aggregates the decisions into both of the paper's tests, per
+    /// parameter and fused. The threshold sweeps are independent, so
+    /// they fan out one work unit each.
+    fn finish(
+        self,
+        databases: BTreeMap<NetworkParameter, ReferenceDb>,
+        health: EngineHealth,
+    ) -> TraceEvaluation {
+        let Collector { parameters, fused, train_frames, validation_frames, .. } = self;
+        let work: Vec<&Decisions> =
+            parameters.iter().map(|(_, decisions)| decisions).chain([&fused]).collect();
+        let mut results = map_tiles_with_scratch(
+            &work,
+            1,
+            || (),
+            |(), chunk| {
+                chunk.iter().map(|d| EvalOutcome::from_match_sets(&d.sets, d.unknown)).collect()
+            },
+        );
+        let fused = results.pop().expect("the fused test is the last work unit");
+        let outcomes = parameters.iter().map(|&(p, _)| p).zip(results).collect();
+        // The paper tabulates the inter-arrival count; fall back to the
+        // largest database when inter-arrival enrolled nobody.
+        let ref_devices = match databases.get(&NetworkParameter::InterArrivalTime) {
+            Some(db) if !db.is_empty() => db.len(),
+            _ => databases.values().map(ReferenceDb::len).max().unwrap_or(0),
+        };
+        TraceEvaluation {
+            outcomes,
+            fused,
+            databases,
+            ref_devices,
+            train_frames,
+            validation_frames,
+            health,
+        }
+    }
 }
 
 /// Streaming evaluator: push every captured frame once (in capture
@@ -166,15 +311,10 @@ struct ParamCollector {
 #[derive(Debug)]
 pub struct StreamingEvaluator {
     engine: MultiEngine,
-    /// One collector per configured parameter, engine spec order.
-    collectors: Vec<(NetworkParameter, ParamCollector)>,
+    collector: Collector,
     /// First engine failure, latched so `push` stays usable inside
     /// infallible capture sinks.
     error: Option<EngineError>,
-    origin: Option<Nanos>,
-    train_duration: Nanos,
-    train_frames: u64,
-    validation_frames: u64,
 }
 
 impl StreamingEvaluator {
@@ -183,22 +323,23 @@ impl StreamingEvaluator {
     /// # Errors
     ///
     /// [`EngineError`] when the configuration cannot drive an engine
-    /// (zero-length detection window or training prefix, a repeated
-    /// parameter).
+    /// (zero-length detection window or training prefix, an empty or
+    /// repeated parameter list).
     pub fn new(cfg: &PipelineConfig) -> Result<Self, EngineError> {
-        let engine = build_multi_engine(cfg)?;
+        Self::with_engine_config(cfg, cfg.multi_config())
+    }
+
+    /// An evaluator whose engine runs `engine_config` in place of the
+    /// one `cfg` projects (the baseline's broadcast-only filter and
+    /// lowered floor).
+    pub(crate) fn with_engine_config(
+        cfg: &PipelineConfig,
+        engine_config: MultiConfig,
+    ) -> Result<Self, EngineError> {
         Ok(StreamingEvaluator {
-            engine,
-            collectors: cfg
-                .parameters
-                .iter()
-                .map(|&p| (p, ParamCollector::default()))
-                .collect(),
+            engine: build_multi_engine(cfg, engine_config)?,
+            collector: Collector::new(cfg),
             error: None,
-            origin: None,
-            train_duration: cfg.train_duration,
-            train_frames: 0,
-            validation_frames: 0,
         })
     }
 
@@ -206,55 +347,44 @@ impl StreamingEvaluator {
     /// frames) latch and surface from [`StreamingEvaluator::finish`];
     /// subsequent frames are ignored.
     pub fn push(&mut self, frame: &CapturedFrame) {
-        let origin = *self.origin.get_or_insert(frame.t_end);
-        if frame.t_end.saturating_sub(origin) < self.train_duration {
-            self.train_frames += 1;
-        } else {
-            self.validation_frames += 1;
-        }
+        self.collector.count(frame);
         if self.error.is_some() {
             return;
         }
         match self.engine.observe(frame) {
-            Ok(events) => absorb(&mut self.collectors, &events),
+            Ok(events) => self.collector.absorb(&events),
             Err(e) => self.error = Some(e),
         }
     }
 
     /// Finalises: seals the trailing window and aggregates the
-    /// accumulated per-window decisions into both of the paper's tests
-    /// per parameter. The matching work already happened online, window
-    /// by window, as frames were pushed.
+    /// accumulated per-window decisions into both of the paper's tests,
+    /// per parameter and fused. The matching work already happened
+    /// online, window by window, as frames were pushed.
     ///
     /// # Errors
     ///
     /// The first engine failure encountered during the run.
     pub fn finish(self) -> Result<TraceEvaluation, EngineError> {
-        let StreamingEvaluator {
-            mut engine,
-            mut collectors,
-            error,
-            train_frames,
-            validation_frames,
-            ..
-        } = self;
+        let StreamingEvaluator { mut engine, mut collector, error } = self;
         if let Some(e) = error {
             return Err(e);
         }
-        let events = engine.finish()?;
-        absorb(&mut collectors, &events);
+        collector.absorb(&engine.finish()?);
         let health = engine.health();
-        let databases = engine.into_references();
-        Ok(finalize(collectors, databases, health, train_frames, validation_frames))
+        Ok(collector.finish(engine.into_references(), health))
     }
 }
 
-/// Builds the fused engine a [`PipelineConfig`] describes (shared by the
-/// synchronous and supervised paths).
-fn build_multi_engine(cfg: &PipelineConfig) -> Result<MultiEngine, EngineError> {
+/// Builds the fused engine a [`PipelineConfig`] describes over
+/// `engine_config` (shared by the synchronous and supervised paths).
+fn build_multi_engine(
+    cfg: &PipelineConfig,
+    engine_config: MultiConfig,
+) -> Result<MultiEngine, EngineError> {
     MultiEngine::builder()
         .spec(FusionSpec::equal_weights(cfg.parameters.iter().copied()))
-        .config(cfg.multi_config())
+        .config(engine_config)
         .train_for(cfg.train_duration)
         .resilience(cfg.resilience.clone())
         // The accuracy tests only *count* unknown candidates, so
@@ -262,103 +392,6 @@ fn build_multi_engine(cfg: &PipelineConfig) -> Result<MultiEngine, EngineError> 
         // never scored strangers either).
         .score_unknown(false)
         .build()
-}
-
-/// Aggregates the accumulated per-window decisions into the paper's two
-/// tests per parameter and assembles the [`TraceEvaluation`].
-fn finalize(
-    collectors: Vec<(NetworkParameter, ParamCollector)>,
-    mut databases: BTreeMap<NetworkParameter, ReferenceDb>,
-    health: EngineHealth,
-    train_frames: u64,
-    validation_frames: u64,
-) -> TraceEvaluation {
-    let work: Vec<(NetworkParameter, ReferenceDb, ParamCollector)> = collectors
-        .into_iter()
-        .map(|(param, collector)| {
-            let db = databases.remove(&param).unwrap_or_default();
-            (param, db, collector)
-        })
-        .collect();
-    let results = aggregate_parameters(work);
-
-    let mut outcomes = BTreeMap::new();
-    let mut databases = BTreeMap::new();
-    let mut candidate_instances = BTreeMap::new();
-    let mut ref_devices = 0usize;
-    for (param, db, outcome) in results {
-        if param == NetworkParameter::InterArrivalTime {
-            ref_devices = db.len();
-        }
-        candidate_instances.insert(param, outcome.instances);
-        outcomes.insert(param, outcome);
-        databases.insert(param, db);
-    }
-    // Fallback if inter-arrival was not evaluated.
-    if ref_devices == 0 {
-        ref_devices = databases.values().map(ReferenceDb::len).max().unwrap_or(0);
-    }
-    TraceEvaluation {
-        outcomes,
-        databases,
-        ref_devices,
-        candidate_instances,
-        train_frames,
-        validation_frames,
-        health,
-    }
-}
-
-/// Folds a batch of fused events into the per-parameter collectors: each
-/// event's [`ParameterDecision`](wifiprint_core::ParameterDecision) list
-/// carries one entry per parameter the candidate qualified for, flagged
-/// with per-parameter enrollment — exactly the Match/NewDevice split the
-/// five single engines used to report.
-fn absorb(collectors: &mut [(NetworkParameter, ParamCollector)], events: &[MultiEvent]) {
-    for event in events {
-        let (device, scores) = match event {
-            MultiEvent::FusedMatch { device, scores, .. }
-            | MultiEvent::FusedNewDevice { device, scores, .. } => (device, scores),
-            MultiEvent::Enrolled { .. } | MultiEvent::WindowClosed { .. } => continue,
-        };
-        for decision in scores {
-            let Some((_, collector)) =
-                collectors.iter_mut().find(|(p, _)| *p == decision.parameter)
-            else {
-                continue;
-            };
-            if decision.known {
-                // Enrolled devices carry ground truth; the accuracy
-                // tests are defined over them.
-                collector
-                    .sets
-                    .push(MatchSet::from_similarities(*device, decision.view.similarities()));
-            } else {
-                collector.unknown += 1;
-            }
-        }
-    }
-}
-
-/// Aggregates each parameter's accumulated match sets into an
-/// [`EvalOutcome`] (threshold sweeps over every decision), one scoped
-/// thread per parameter when there is more than one. Results keep the
-/// input order.
-fn aggregate_parameters(
-    work: Vec<(NetworkParameter, ReferenceDb, ParamCollector)>,
-) -> Vec<(NetworkParameter, ReferenceDb, EvalOutcome)> {
-    let run = |(param, db, collector): (NetworkParameter, ReferenceDb, ParamCollector)| {
-        let outcome = EvalOutcome::from_match_sets(&collector.sets, collector.unknown);
-        (param, db, outcome)
-    };
-    if work.len() > 1 {
-        return std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                work.into_iter().map(|item| scope.spawn(move || run(item))).collect();
-            handles.into_iter().map(|h| h.join().expect("parameter worker panicked")).collect()
-        });
-    }
-    work.into_iter().map(run).collect()
 }
 
 /// Convenience: evaluates an in-memory frame sequence. When
@@ -405,27 +438,16 @@ pub fn evaluate_frames_supervised<'a>(
     frames: impl IntoIterator<Item = &'a CapturedFrame>,
 ) -> Result<(TraceEvaluation, IngestStats), EngineError> {
     let ingest = cfg.ingest.unwrap_or_default();
-    let pipeline = IngestPipeline::spawn(build_multi_engine(cfg)?, ingest)?;
-    let mut origin: Option<Nanos> = None;
-    let mut train_frames = 0u64;
-    let mut validation_frames = 0u64;
+    let pipeline = IngestPipeline::spawn(build_multi_engine(cfg, cfg.multi_config())?, ingest)?;
+    let mut collector = Collector::new(cfg);
     for f in frames {
-        let o = *origin.get_or_insert(f.t_end);
-        if f.t_end.saturating_sub(o) < cfg.train_duration {
-            train_frames += 1;
-        } else {
-            validation_frames += 1;
-        }
+        collector.count(f);
         pipeline.submit(f)?;
     }
     let report = pipeline.finish()?;
-    let mut collectors: Vec<(NetworkParameter, ParamCollector)> =
-        cfg.parameters.iter().map(|&p| (p, ParamCollector::default())).collect();
-    absorb(&mut collectors, &report.events);
-    let stats = report.stats;
-    let health = report.health;
-    let databases = report.engine.into_references();
-    Ok((finalize(collectors, databases, health, train_frames, validation_frames), stats))
+    collector.absorb(&report.events);
+    let eval = collector.finish(report.engine.into_references(), report.health);
+    Ok((eval, report.stats))
 }
 
 #[cfg(test)]
@@ -498,7 +520,7 @@ mod tests {
         let frames = synthetic_trace(3, 40_000_000);
         let eval = evaluate_frames(&cfg, &frames).expect("pipeline run");
         // 30 s of validation in 5 s windows → 6 windows × 3 devices.
-        let n = eval.candidate_instances[&NetworkParameter::InterArrivalTime];
+        let n = eval.outcomes[&NetworkParameter::InterArrivalTime].instances;
         assert!((15..=18).contains(&n), "candidates = {n}");
     }
 
@@ -537,5 +559,93 @@ mod tests {
         // two identical devices the argmax is a coin flip.
         let ident = eval.identification(NetworkParameter::InterArrivalTime, 0.01);
         assert!(ident < 0.75, "clone identification = {ident}");
+    }
+
+    /// Devices distinguishable only by combining parameters: pairs share
+    /// inter-arrival periods, other pairs share sizes.
+    fn complementary_trace() -> Vec<CapturedFrame> {
+        let ap = MacAddr::from_index(99);
+        let mut frames = Vec::new();
+        // (period µs, payload) — no single column is unique, the pair is.
+        let spec = [(400u64, 200usize), (400, 600), (700, 200), (700, 600)];
+        for (dev, &(period, payload)) in spec.iter().enumerate() {
+            let addr = MacAddr::from_index(dev as u64 + 1);
+            let mut t = 1000 + dev as u64 * 53;
+            while t < 40_000_000 {
+                let f = Frame::data_to_ds(addr, ap, ap, payload);
+                frames.push(CapturedFrame::from_frame(
+                    &f,
+                    Rate::R54M,
+                    Nanos::from_micros(t),
+                    -50,
+                ));
+                t += period;
+            }
+        }
+        frames.sort_by_key(|f| f.t_end);
+        frames
+    }
+
+    /// A miniature pipeline over `parameters`.
+    fn miniature_over(parameters: &[NetworkParameter]) -> PipelineConfig {
+        PipelineConfig { parameters: parameters.to_vec(), ..PipelineConfig::miniature(10, 5, 30) }
+    }
+
+    /// The fused outcome of a miniature pipeline over `parameters`.
+    fn fused(parameters: &[NetworkParameter], frames: &[CapturedFrame]) -> EvalOutcome {
+        evaluate_frames(&miniature_over(parameters), frames).expect("pipeline run").fused
+    }
+
+    #[test]
+    fn fusion_beats_single_parameters_on_complementary_devices() {
+        let frames = complementary_trace();
+        let single_ia = fused(&[NetworkParameter::InterArrivalTime], &frames);
+        let single_fs = fused(&[NetworkParameter::FrameSize], &frames);
+        let fused =
+            fused(&[NetworkParameter::InterArrivalTime, NetworkParameter::FrameSize], &frames);
+        let ident = |o: &EvalOutcome| o.identification_at_fpr(0.1);
+        // Frame size alone confuses the size-clone pairs; the fusion must
+        // rescue it, and must not fall below its strongest member.
+        assert!(
+            ident(&fused) > ident(&single_fs),
+            "fusion {:.2} did not rescue frame size {:.2}",
+            ident(&fused),
+            ident(&single_fs)
+        );
+        assert!(
+            ident(&fused) + 0.05 >= ident(&single_ia),
+            "fusion {:.2} fell below inter-arrival {:.2}",
+            ident(&fused),
+            ident(&single_ia)
+        );
+        assert!(fused.auc() > 0.95, "fused auc = {}", fused.auc());
+        assert!(ident(&fused) > 0.9, "fused ident = {}", ident(&fused));
+    }
+
+    #[test]
+    fn fusion_requires_all_parameters_enrolled() {
+        let outcome = fused(&NetworkParameter::ALL, &complementary_trace());
+        // The synthetic trace has no rate variation or medium-access
+        // structure, but every candidate still passes the floor for all
+        // five parameters (same observations, different projections).
+        assert!(outcome.instances > 0);
+        assert!((0.0..=1.0).contains(&outcome.auc()));
+    }
+
+    #[test]
+    fn degenerate_specs_are_rejected_up_front() {
+        assert!(StreamingEvaluator::new(&miniature_over(&[])).is_err());
+        let dup = [NetworkParameter::FrameSize, NetworkParameter::FrameSize];
+        assert!(StreamingEvaluator::new(&miniature_over(&dup)).is_err());
+    }
+
+    #[test]
+    fn a_one_parameter_fusion_is_that_parameter() {
+        let frames = complementary_trace();
+        for p in NetworkParameter::ALL {
+            let eval = evaluate_frames(&miniature_over(&[p]), &frames).expect("pipeline run");
+            assert!(eval.fused.instances > 0, "{p:?}: no fused instances");
+            assert_eq!(format!("{:?}", eval.fused), format!("{:?}", eval.outcomes[&p]), "{p:?}");
+        }
     }
 }

@@ -28,8 +28,7 @@
 use std::time::Instant;
 
 use wifiprint_core::{
-    EngineError, EngineHealth, EvalOutcome, IngestConfig, IngestStats, LateFramePolicy,
-    OverloadPolicy, ResilienceConfig,
+    EngineError, IngestConfig, IngestStats, LateFramePolicy, OverloadPolicy, ResilienceConfig,
 };
 use wifiprint_radiotap::CapturedFrame;
 use wifiprint_scenarios::{FaultInjector, FaultLog, FaultPlan, LossModel};
@@ -52,43 +51,6 @@ pub struct RobustnessPoint {
     pub log: FaultLog,
     /// Full pipeline results on the degraded stream.
     pub eval: TraceEvaluation,
-}
-
-impl RobustnessPoint {
-    /// The engine's ingest-health counters for this point.
-    pub fn health(&self) -> EngineHealth {
-        self.eval.health
-    }
-
-    /// Mean AUC over the parameters that produced candidate instances.
-    pub fn mean_auc(&self) -> f64 {
-        mean(self.eval.outcomes.values().filter(|o| o.instances > 0).map(EvalOutcome::auc))
-    }
-
-    /// Mean identification ratio at the given FPR over the parameters
-    /// that produced candidate instances.
-    pub fn mean_identification(&self, fpr: f64) -> f64 {
-        mean(
-            self.eval
-                .outcomes
-                .values()
-                .filter(|o| o.instances > 0)
-                .map(|o| o.identification_at_fpr(fpr)),
-        )
-    }
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0f64, 0u32);
-    for v in values {
-        sum += v;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / f64::from(n)
-    }
 }
 
 /// A full accuracy-vs-fault-rate sweep over one trace.
@@ -119,8 +81,8 @@ impl RobustnessSweep {
             emitted.push(p.log.emitted.to_string());
             dropped.push(p.eval.health.frames_dropped().to_string());
             degraded.push(p.eval.health.windows_degraded.to_string());
-            auc.push(format!("{:.1}%", 100.0 * p.mean_auc()));
-            ident.push(format!("{:.1}%", 100.0 * p.mean_identification(0.1)));
+            auc.push(format!("{:.1}%", 100.0 * p.eval.mean_auc()));
+            ident.push(format!("{:.1}%", 100.0 * p.eval.mean_identification(0.1)));
         }
         render_columns(&[labels, emitted, dropped, degraded, auc, ident])
     }
@@ -171,31 +133,6 @@ pub struct OverloadPoint {
     pub eval: TraceEvaluation,
 }
 
-impl OverloadPoint {
-    /// The merged ingest-health ledger for this point (includes
-    /// `frames_shed` / `frames_quarantined` / `workers_restarted`).
-    pub fn health(&self) -> EngineHealth {
-        self.eval.health
-    }
-
-    /// Mean AUC over the parameters that produced candidate instances.
-    pub fn mean_auc(&self) -> f64 {
-        mean(self.eval.outcomes.values().filter(|o| o.instances > 0).map(EvalOutcome::auc))
-    }
-
-    /// Mean identification ratio at the given FPR over the parameters
-    /// that produced candidate instances.
-    pub fn mean_identification(&self, fpr: f64) -> f64 {
-        mean(
-            self.eval
-                .outcomes
-                .values()
-                .filter(|o| o.instances > 0)
-                .map(|o| o.identification_at_fpr(fpr)),
-        )
-    }
-}
-
 /// A full accuracy-and-latency-vs-offered-load sweep over one trace.
 #[derive(Debug)]
 pub struct OverloadSweep {
@@ -223,8 +160,8 @@ impl OverloadSweep {
             shed.push(p.stats.shed.to_string());
             shed_rate.push(format!("{:.1}%", 100.0 * p.stats.shed_rate()));
             latency.push(format!("{:.0}", p.stats.mean_latency_ns() / 1000.0));
-            auc.push(format!("{:.1}%", 100.0 * p.mean_auc()));
-            ident.push(format!("{:.1}%", 100.0 * p.mean_identification(0.1)));
+            auc.push(format!("{:.1}%", 100.0 * p.eval.mean_auc()));
+            ident.push(format!("{:.1}%", 100.0 * p.eval.mean_identification(0.1)));
         }
         render_columns(&[labels, offered, shed, shed_rate, latency, auc, ident])
     }
@@ -371,7 +308,7 @@ mod tests {
         for (param, outcome) in &plain.outcomes {
             assert_eq!(outcome.auc(), point.eval.outcomes[param].auc(), "{param:?} AUC");
         }
-        assert_eq!(point.health(), plain.health);
+        assert_eq!(point.eval.health, plain.health);
     }
 
     #[test]
@@ -385,15 +322,15 @@ mod tests {
         let sweep = evaluate_robustness("Synthetic", &cfg(), &frames, &grid, 11).expect("sweep");
         let corrupt = &sweep.points[0];
         assert!(corrupt.log.corrupted > 0, "corruption plan did nothing");
-        assert_eq!(corrupt.health().frames_corrupt, corrupt.log.corrupted);
+        assert_eq!(corrupt.eval.health.frames_corrupt, corrupt.log.corrupted);
         let reorder = &sweep.points[1];
         assert!(reorder.log.inversions > 0, "reorder plan did nothing");
-        assert_eq!(reorder.health().frames_reordered, reorder.log.inversions);
+        assert_eq!(reorder.eval.health.frames_reordered, reorder.log.inversions);
         let dup = &sweep.points[2];
         assert!(dup.log.duplicated > 0, "duplicate plan did nothing");
-        assert_eq!(dup.health().frames_duplicate, dup.log.duplicated);
+        assert_eq!(dup.eval.health.frames_duplicate, dup.log.duplicated);
         for p in &sweep.points {
-            assert_eq!(p.health().frames_seen, p.log.emitted, "{}: seen vs emitted", p.label);
+            assert_eq!(p.eval.health.frames_seen, p.log.emitted, "{}: seen vs emitted", p.label);
         }
     }
 
@@ -409,8 +346,9 @@ mod tests {
         for (param, outcome) in &plain.outcomes {
             assert_eq!(outcome.auc(), point.eval.outcomes[param].auc(), "{param:?} AUC");
         }
-        assert_eq!(point.health().frames_shed, 0);
-        assert_eq!(point.health().frames_seen, plain.health.frames_seen);
+        assert_eq!(plain.fused.auc(), point.eval.fused.auc(), "fused AUC");
+        assert_eq!(point.eval.health.frames_shed, 0);
+        assert_eq!(point.eval.health.frames_seen, plain.health.frames_seen);
     }
 
     #[test]
@@ -424,8 +362,8 @@ mod tests {
         let sweep = evaluate_overload("Synthetic", &cfg(), &frames, &grid).expect("sweep");
         let point = &sweep.points[0];
         assert!(point.stats.shed > 0, "tiny slow ring never overflowed");
-        assert_eq!(point.health().frames_shed, point.stats.shed);
-        assert_eq!(point.health().frames_seen as usize, frames.len());
+        assert_eq!(point.eval.health.frames_shed, point.stats.shed);
+        assert_eq!(point.eval.health.frames_seen as usize, frames.len());
         assert!(point.stats.shed_rate() > 0.0 && point.stats.shed_rate() < 1.0);
         let table = sweep.table();
         assert!(table.contains("shed-oldest/4"), "table:\n{table}");
@@ -440,8 +378,8 @@ mod tests {
             ("loss 25%".to_owned(), FaultPlan::clean().with_loss(LossModel::Iid { rate: 0.25 })),
         ];
         let sweep = evaluate_robustness("Synthetic", &cfg(), &frames, &grid, 42).expect("sweep");
-        let clean = sweep.points[0].mean_auc();
-        let lossy = sweep.points[1].mean_auc();
+        let clean = sweep.points[0].eval.mean_auc();
+        let lossy = sweep.points[1].eval.mean_auc();
         assert!(clean > 0.9, "clean AUC = {clean}");
         // Histogram shapes survive thinning: accuracy decays, it does
         // not collapse.

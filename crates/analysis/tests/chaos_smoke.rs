@@ -47,7 +47,7 @@ fn check_sweep(name: &str, frames: &[CapturedFrame], seed: u64) -> RobustnessSwe
     let sweep =
         evaluate_robustness(name, &cfg(), frames, &grid(), seed).expect("chaos sweep runs");
     for point in &sweep.points {
-        let health = point.health();
+        let health = point.eval.health;
         let label = format!("{name} seed {seed}: {}", point.label);
         // Exact reconciliation: every frame the injector emitted reached
         // the engine, and after `finish` none is still pending.
@@ -81,10 +81,10 @@ fn check_sweep(name: &str, frames: &[CapturedFrame], seed: u64) -> RobustnessSwe
     }
     // Graceful degradation, not collapse: the clean control is accurate
     // and every degraded replica keeps a usable mean AUC.
-    let clean_auc = sweep.points[0].mean_auc();
+    let clean_auc = sweep.points[0].eval.mean_auc();
     assert!(clean_auc > 0.80, "{name} seed {seed}: clean AUC = {clean_auc}");
     for point in &sweep.points[1..] {
-        let auc = point.mean_auc();
+        let auc = point.eval.mean_auc();
         assert!(auc > 0.60, "{name} seed {seed}: {} AUC = {auc}", point.label);
     }
     // The accuracy-vs-fault-rate table renders one row per fault model.

@@ -12,9 +12,9 @@
 use std::time::Duration;
 
 use wifiprint_analysis::robustness::evaluate_overload;
-use wifiprint_analysis::{evaluate_frames_supervised, PipelineConfig, TraceEvaluation};
+use wifiprint_analysis::{evaluate_frames_supervised, PipelineConfig};
 use wifiprint_core::{
-    EvalOutcome, FusionSpec, IngestConfig, IngestPipeline, MatchConfig, MultiConfig, MultiEngine,
+    FusionSpec, IngestConfig, IngestPipeline, MatchConfig, MultiConfig, MultiEngine,
     NetworkParameter, OverloadPolicy, ResilienceConfig,
 };
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
@@ -35,12 +35,6 @@ fn cfg() -> PipelineConfig {
         resilience: ResilienceConfig::default(),
         ingest: None,
     }
-}
-
-fn mean_auc(eval: &TraceEvaluation) -> f64 {
-    let outcomes: Vec<f64> =
-        eval.outcomes.values().filter(|o| o.instances > 0).map(EvalOutcome::auc).collect();
-    outcomes.iter().sum::<f64>() / outcomes.len() as f64
 }
 
 /// Poison frames panic the worker mid-sweep and periodic stalls starve
@@ -76,7 +70,7 @@ fn poison_and_stall_chaos_is_quarantined_with_exact_accounting() {
     );
     // Graceful degradation: a 1% poison rate plus short stalls must not
     // collapse the fused accuracy.
-    let auc = mean_auc(&eval);
+    let auc = eval.mean_auc();
     assert!(auc > 0.60, "poison+stall AUC = {auc}");
 }
 
@@ -109,8 +103,8 @@ fn overload_bursts_shed_gracefully_and_reconcile() {
 
     let block = &sweep.points[0];
     assert_eq!(block.stats.shed, 0, "Block row shed frames");
-    assert_eq!(block.health().frames_seen, log.emitted, "Block row seen vs emitted");
-    let block_auc = block.mean_auc();
+    assert_eq!(block.eval.health.frames_seen, log.emitted, "Block row seen vs emitted");
+    let block_auc = block.eval.mean_auc();
     assert!(block_auc > 0.70, "Block row AUC = {block_auc}");
 
     for point in &sweep.points[1..] {
@@ -118,7 +112,7 @@ fn overload_bursts_shed_gracefully_and_reconcile() {
         // The shed ledger is exact even though the shed *count* depends
         // on real scheduling.
         assert_eq!(
-            point.health().frames_shed,
+            point.eval.health.frames_shed,
             point.stats.shed,
             "{}: merged ledger vs stats",
             point.label

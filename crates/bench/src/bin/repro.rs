@@ -3,9 +3,9 @@
 //! (Neumann, Heen, Onno — ICDCS workshops 2012).
 //!
 //! ```text
-//! repro [--quick] [--seed N] [--out DIR] <experiment>
+//! repro [--quick] [--seed N] [--out DIR] [<experiment>...]
 //!
-//! experiments:
+//! experiments (run in the order given; none means all):
 //!   table1   evaluation trace features
 //!   table2   AUC of the similarity test
 //!   table3   identification ratios at FPR 0.01 / 0.1
@@ -20,11 +20,13 @@
 //!   baseline Pang-style broadcast-size identifier (§V-B2)
 //!   fusion   multi-parameter combination (§VIII future work)
 //!   attack   §VII-A mimicry attacker evaluation
-//!   all      everything above
+//!   all      everything above, in this order
 //! ```
 //!
-//! `--quick` shortens the two 7-hour traces to 2 hours. CSV series for
-//! every figure/table are written under `--out` (default `target/repro`).
+//! The four traces are simulated once, when any listed experiment needs
+//! them (`table1`, `table2`, `table3`, `fig3`, `baseline`). `--quick`
+//! shortens the two 7-hour traces to 2 hours. CSV series for every
+//! figure/table are written under `--out` (default `target/repro`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -35,41 +37,58 @@ use wifiprint_bench::experiments::{evaluate_scenario, TraceKind, TraceRun};
 use wifiprint_bench::figures;
 use wifiprint_core::NetworkParameter;
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 14] = [
+    "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+    "baseline", "fusion", "attack",
+];
+
+/// The experiments that read the four simulated traces.
+const TRACE_EXPERIMENTS: [&str; 5] = ["table1", "table2", "table3", "fig3", "baseline"];
+
+#[derive(Debug)]
 struct Options {
     quick: bool,
     seed: u64,
     out: PathBuf,
-    experiment: String,
+    /// Experiments to run, in order; each is one of [`EXPERIMENTS`].
+    experiments: Vec<&'static str>,
 }
 
-fn parse_args() -> Options {
-    let mut quick = false;
-    let mut seed = 1u64;
-    let mut out = PathBuf::from("target/repro");
-    let mut experiment = String::from("all");
-    let mut args = std::env::args().skip(1);
+/// Parses the command line (program name excluded). `Ok(None)` asks for
+/// the usage text; an unknown flag or experiment name is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Options>, String> {
+    let mut opts = Options {
+        quick: false,
+        seed: 1,
+        out: PathBuf::from("target/repro"),
+        experiments: Vec::new(),
+    };
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
+            "--quick" => opts.quick = true,
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
+                opts.seed =
+                    args.next().and_then(|s| s.parse().ok()).ok_or("--seed needs an integer")?;
             }
-            "--out" => {
-                out = PathBuf::from(args.next().unwrap_or_else(|| die("--out needs a path")));
+            "--out" => opts.out = PathBuf::from(args.next().ok_or("--out needs a path")?),
+            "--help" | "-h" => return Ok(None),
+            "all" => opts.experiments.extend(EXPERIMENTS),
+            other if !other.starts_with('-') => {
+                let name = EXPERIMENTS
+                    .into_iter()
+                    .find(|e| *e == other)
+                    .ok_or_else(|| format!("unknown experiment {other}; try --help"))?;
+                opts.experiments.push(name);
             }
-            "--help" | "-h" => {
-                println!("usage: repro [--quick] [--seed N] [--out DIR] <experiment>");
-                println!("experiments: table1 table2 table3 fig1..fig8 baseline all");
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') => experiment = other.to_owned(),
-            other => die(&format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    Options { quick, seed, out, experiment }
+    if opts.experiments.is_empty() {
+        opts.experiments.extend(EXPERIMENTS);
+    }
+    Ok(Some(opts))
 }
 
 fn die(msg: &str) -> ! {
@@ -78,13 +97,18 @@ fn die(msg: &str) -> ! {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            println!("usage: repro [--quick] [--seed N] [--out DIR] [<experiment>...]");
+            println!("experiments: {} all", EXPERIMENTS.join(" "));
+            return;
+        }
+        Err(msg) => die(&msg),
+    };
     fs::create_dir_all(&opts.out).unwrap_or_else(|e| die(&format!("creating out dir: {e}")));
 
-    let needs_traces = matches!(
-        opts.experiment.as_str(),
-        "table1" | "table2" | "table3" | "fig3" | "baseline" | "all"
-    );
+    let needs_traces = opts.experiments.iter().any(|e| TRACE_EXPERIMENTS.contains(e));
     let runs: Vec<TraceRun> = if needs_traces {
         TraceKind::ALL
             .into_iter()
@@ -110,20 +134,27 @@ fn main() {
         Vec::new()
     };
 
-    match opts.experiment.as_str() {
-        "table1" => print_table1(&runs, &opts),
-        "table2" => print_table2(&runs, &opts),
-        "table3" => print_table3(&runs, &opts),
+    for experiment in &opts.experiments {
+        run_experiment(experiment, &runs, &opts);
+    }
+    eprintln!("[repro] CSV outputs in {}", opts.out.display());
+}
+
+fn run_experiment(experiment: &str, runs: &[TraceRun], opts: &Options) {
+    match experiment {
+        "table1" => print_table1(runs, opts),
+        "table2" => print_table2(runs, opts),
+        "table3" => print_table3(runs, opts),
         "fig1" => print_fig1(),
-        "fig2" => print_fig2(&opts),
-        "fig3" => print_fig3(&runs, &opts),
+        "fig2" => print_fig2(opts),
+        "fig3" => print_fig3(runs, opts),
         "fig4" => print_histogram_figure(
             "fig4",
             "Fig. 4: backoff implementations (data @54 Mb/s, no retries)",
             figures::fig4_backoff(opts.seed),
             250.0,
             450.0,
-            &opts,
+            opts,
         ),
         "fig5" => print_histogram_figure(
             "fig5",
@@ -131,16 +162,16 @@ fn main() {
             figures::fig5_rts(opts.seed),
             0.0,
             2000.0,
-            &opts,
+            opts,
         ),
-        "fig6" => print_fig6(&opts),
+        "fig6" => print_fig6(opts),
         "fig7" => print_histogram_figure(
             "fig7",
             "Fig. 7: same-model netbooks, broadcast frames only",
             figures::fig7_services(opts.seed),
             0.0,
             2500.0,
-            &opts,
+            opts,
         ),
         "fig8" => print_histogram_figure(
             "fig8",
@@ -148,58 +179,13 @@ fn main() {
             figures::fig8_power_save(opts.seed),
             0.0,
             2500.0,
-            &opts,
+            opts,
         ),
-        "baseline" => print_baseline(&runs),
-        "fusion" => print_fusion(&opts),
-        "attack" => print_attack(&opts),
-        "all" => {
-            print_table1(&runs, &opts);
-            print_table2(&runs, &opts);
-            print_table3(&runs, &opts);
-            print_fig1();
-            print_fig2(&opts);
-            print_fig3(&runs, &opts);
-            print_histogram_figure(
-                "fig4",
-                "Fig. 4: backoff implementations (data @54 Mb/s, no retries)",
-                figures::fig4_backoff(opts.seed),
-                250.0,
-                450.0,
-                &opts,
-            );
-            print_histogram_figure(
-                "fig5",
-                "Fig. 5: RTS settings (same device, busy lab)",
-                figures::fig5_rts(opts.seed),
-                0.0,
-                2000.0,
-                &opts,
-            );
-            print_fig6(&opts);
-            print_histogram_figure(
-                "fig7",
-                "Fig. 7: same-model netbooks, broadcast frames only",
-                figures::fig7_services(opts.seed),
-                0.0,
-                2500.0,
-                &opts,
-            );
-            print_histogram_figure(
-                "fig8",
-                "Fig. 8: null-function (power save) frames only",
-                figures::fig8_power_save(opts.seed),
-                0.0,
-                2500.0,
-                &opts,
-            );
-            print_baseline(&runs);
-            print_fusion(&opts);
-            print_attack(&opts);
-        }
-        other => die(&format!("unknown experiment {other}; try --help")),
+        "baseline" => print_baseline(runs),
+        "fusion" => print_fusion(opts),
+        "attack" => print_attack(opts),
+        other => unreachable!("parse_args admits only known experiments, got {other}"),
     }
-    eprintln!("[repro] CSV outputs in {}", opts.out.display());
 }
 
 fn write_out(out: &Path, name: &str, content: &str) {
@@ -312,39 +298,37 @@ fn print_fig6(opts: &Options) {
 }
 
 fn print_fusion(opts: &Options) {
-    use wifiprint_analysis::fusion::{FusionEvaluator, FusionSpec};
-    use wifiprint_analysis::StreamingEvaluator;
+    use wifiprint_analysis::{PipelineConfig, StreamingEvaluator};
+    use wifiprint_core::FusionSpec;
     use wifiprint_scenarios::OfficeScenario;
 
     println!("\n== §VIII future work: combining network parameters ==");
-    let cfg = wifiprint_analysis::PipelineConfig::short_trace();
-    let mut single = StreamingEvaluator::new(&cfg).expect("valid pipeline configuration");
-    let mut trio =
-        FusionEvaluator::new(&cfg, FusionSpec::timing_trio()).expect("valid fusion spec");
-    let mut all5 =
-        FusionEvaluator::new(&cfg, FusionSpec::all_equal()).expect("valid fusion spec");
+    // Two passes over one simulation: all five parameters (their rows
+    // and the all-five fusion) and the timing trio (its fusion).
+    let all_cfg = PipelineConfig::short_trace();
+    let trio_cfg = PipelineConfig {
+        parameters: FusionSpec::timing_trio().parameters().collect(),
+        ..PipelineConfig::short_trace()
+    };
+    let mut all = StreamingEvaluator::new(&all_cfg).expect("valid pipeline configuration");
+    let mut trio = StreamingEvaluator::new(&trio_cfg).expect("valid pipeline configuration");
     OfficeScenario::office2(opts.seed).run_streaming(&mut |f| {
-        single.push(f);
+        all.push(f);
         trio.push(f);
-        all5.push(f);
     });
-    let single = single.finish().expect("engine run");
+    let all = all.finish().expect("engine run");
     let trio = trio.finish().expect("engine run");
-    let all5 = all5.finish().expect("engine run");
     let mut cols: Vec<Vec<String>> = vec![
         vec!["Matcher".into()],
         vec!["AUC".into()],
         vec!["ident @ 0.01".into()],
         vec!["ident @ 0.1".into()],
     ];
-    for p in NetworkParameter::ALL {
-        let o = &single.outcomes[&p];
-        cols[0].push(p.label().to_owned());
-        cols[1].push(format!("{:.1}%", 100.0 * o.auc()));
-        cols[2].push(format!("{:.1}%", 100.0 * o.identification_at_fpr(0.01)));
-        cols[3].push(format!("{:.1}%", 100.0 * o.identification_at_fpr(0.1)));
-    }
-    for (name, o) in [("FUSION timing trio", &trio), ("FUSION all five", &all5)] {
+    let rows = NetworkParameter::ALL
+        .iter()
+        .map(|p| (p.label(), &all.outcomes[p]))
+        .chain([("FUSION timing trio", &trio.fused), ("FUSION all five", &all.fused)]);
+    for (name, o) in rows {
         cols[0].push(name.to_owned());
         cols[1].push(format!("{:.1}%", 100.0 * o.auc()));
         cols[2].push(format!("{:.1}%", 100.0 * o.identification_at_fpr(0.01)));
@@ -372,7 +356,8 @@ fn print_attack(opts: &Options) {
         FARADAY_DEVICE,
         FARADAY_AP,
         opts.seed,
-    );
+    )
+    .expect("in-order Faraday captures");
     let mut cols: Vec<Vec<String>> = vec![
         vec!["Parameter".into()],
         vec!["genuine sim".into()],
@@ -406,4 +391,31 @@ fn print_baseline(runs: &[TraceRun]) {
     println!("{}", render_columns(&cols));
     println!("(Pang et al. report 5-23% at FPR 0.01 and 12-52% at FPR 0.1 on their traces;");
     println!(" the paper's inter-arrival method achieves comparable conference ratios.)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Options>, String> {
+        parse_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn experiments_are_kept_in_order_and_all_expands() {
+        let opts = parse(&["--quick", "fig1", "attack"]).expect("valid").expect("not help");
+        assert!(opts.quick);
+        assert_eq!(opts.experiments, ["fig1", "attack"]);
+        let all = parse(&["all"]).expect("valid").expect("not help");
+        assert_eq!(all.experiments, EXPERIMENTS);
+        let default = parse(&["--seed", "3"]).expect("valid").expect("not help");
+        assert_eq!((default.seed, default.experiments), (3, EXPERIMENTS.to_vec()));
+    }
+
+    #[test]
+    fn unknown_experiments_are_rejected() {
+        let err = parse(&["table2", "table9"]).expect_err("unknown name");
+        assert!(err.contains("table9"), "{err}");
+        assert!(parse(&["--help"]).expect("valid").is_none());
+    }
 }

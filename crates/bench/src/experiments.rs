@@ -85,7 +85,8 @@ pub fn evaluate_scenario(kind: TraceKind, quick: bool, seed: u64) -> TraceRun {
     let start = std::time::Instant::now();
     let cfg = kind.pipeline();
     let mut ev = StreamingEvaluator::new(&cfg).expect("valid pipeline configuration");
-    let mut baseline = wifiprint_analysis::baseline::BaselineEvaluator::new(&cfg);
+    let mut baseline = wifiprint_analysis::baseline::BaselineEvaluator::new(&cfg)
+        .expect("valid baseline configuration");
     let mut sink = |f: &wifiprint_radiotap::CapturedFrame| {
         ev.push(f);
         baseline.push(f);
@@ -109,7 +110,7 @@ pub fn evaluate_scenario(kind: TraceKind, quick: bool, seed: u64) -> TraceRun {
         }
         TraceKind::Office2 => OfficeScenario::office2(seed).run_streaming(&mut sink),
     };
-    let (baseline_outcome, _db) = baseline.finish();
+    let (baseline_outcome, _db) = baseline.finish().expect("engine run");
     TraceRun {
         kind,
         eval: ev.finish().expect("engine run"),

@@ -52,8 +52,11 @@
 //! assert!(events.iter().any(|e| matches!(e, MultiEvent::WindowClosed { .. })));
 //! ```
 //!
-//! The batch experiment harness ([`analysis::StreamingEvaluator`]) is a
-//! thin driver of the same fused engine, so the paper's accuracy tables
+//! The experiment harness ([`analysis::StreamingEvaluator`]) is a thin
+//! driver of the same fused engine: the per-parameter tables, the fused
+//! score ([`analysis::TraceEvaluation::fused`]) and the Pang-style
+//! baseline ([`analysis::baseline`], a one-parameter engine) all come
+//! from one collector over its events, so the paper's accuracy tables
 //! and a production deployment exercise the identical code path.
 //!
 //! # Degraded captures

@@ -297,7 +297,7 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
         };
         let eval = evaluate_frames(&pcfg, &trace.frames).expect("pipeline run");
         assert_eq!(
-            eval.candidate_instances[&NetworkParameter::InterArrivalTime], known,
+            eval.outcomes[&NetworkParameter::InterArrivalTime].instances, known,
             "{name}: pipeline instance count"
         );
         assert_eq!(eval.ref_devices, db.len(), "{name}: pipeline reference count");
@@ -470,7 +470,7 @@ fn windows_shrink_when_traffic_is_sparse() {
     let cfg = PipelineConfig::miniature(30, 15, 50);
     let eval = evaluate_frames(&cfg, &trace.frames).expect("pipeline run");
     // 90 s validation in 15 s windows = at most 6 windows × devices.
-    let n = eval.candidate_instances[&NetworkParameter::InterArrivalTime];
+    let n = eval.outcomes[&NetworkParameter::InterArrivalTime].instances;
     assert!(n <= 6 * (eval.ref_devices + 5), "implausible candidate count {n}");
     assert!(n > 0);
 }
