@@ -10,9 +10,10 @@
 //! ```
 //!
 //! Default output is `BENCH_9.json` in the current directory. With
-//! `--check`, the freshly measured `match_matrix_ns`,
-//! `multi_engine_ingest_fps`, `sharded_sweep_speedup`,
-//! `quant_tile_speedup`, `ingest_pipeline_fps`,
+//! `--check`, the baseline is read before anything is written (an
+//! output path naming the baseline itself is refused), and the freshly
+//! measured `match_matrix_ns`, `multi_engine_ingest_fps`,
+//! `sharded_sweep_speedup`, `quant_tile_speedup`, `ingest_pipeline_fps`,
 //! `linker_throughput_fps`, `replay_fps` and `replay_vs_materialized`
 //! are compared against the committed baseline snapshot and the
 //! process exits non-zero if any regressed by more than 25 % — the CI
@@ -147,6 +148,21 @@ fn main() {
             out_path = arg;
         }
     }
+    // Read the baseline before anything is written: a check against the
+    // file this run is about to overwrite would compare the new numbers
+    // with themselves and always pass.
+    let baseline = check_path.map(|baseline_path| {
+        let out = std::fs::canonicalize(&out_path).ok();
+        if out.is_some() && out == std::fs::canonicalize(&baseline_path).ok() {
+            eprintln!(
+                "perf_snapshot: output {out_path} is the --check baseline; \
+                 name a different output path"
+            );
+            std::process::exit(2);
+        }
+        std::fs::read_to_string(&baseline_path)
+            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"))
+    });
 
     let mut db = ReferenceDb::new();
     for d in 0..256u64 {
@@ -618,9 +634,7 @@ fn main() {
     println!("{json}");
     println!("wrote {out_path}");
 
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
+    if let Some(baseline) = baseline {
         let baseline_matrix = read_field(&baseline, "match_matrix_ns")
             .expect("baseline lacks match_matrix_ns");
         let limit = baseline_matrix * (1.0 + REGRESSION_BUDGET);

@@ -12,8 +12,9 @@
 //!   the stream's watermark — reject (default, today's behavior) or
 //!   re-sequence through a bounded reorder buffer (`max_lateness: 0`
 //!   drops and counts every late frame);
-//! * duplicate suppression drops exact re-deliveries within a recent
-//!   horizon;
+//! * duplicate suppression drops an exact re-delivery of any of the
+//!   last `dedup_depth` frames that passed it (duplicates are never
+//!   re-admitted; runts and late-dropped frames are);
 //! * a minimum-size sanity gate drops truncated (runt) captures before
 //!   they can poison signatures;
 //! * a fusion quorum lets the [`MultiEngine`](super::MultiEngine) fuse
@@ -31,6 +32,11 @@
 //! *exactly* by a buffer of `max_lateness ≥ K` — the engine then emits
 //! bit-identical events to the in-order stream (a property test pins
 //! this for one-parameter and five-parameter specs).
+//!
+//! Per arrival the front costs `dedup_depth` timestamp compares (a full
+//! frame comparison runs only on a timestamp hit) plus one
+//! reorder-buffer insert, which appends without a search when the
+//! frame is not older than the buffer's newest.
 
 use std::collections::VecDeque;
 
@@ -79,10 +85,14 @@ pub enum LateFramePolicy {
 pub struct ResilienceConfig {
     /// Late-frame policy (default [`LateFramePolicy::Reject`]).
     pub late_policy: LateFramePolicy,
-    /// Depth of the recently-seen ring used for exact-duplicate
-    /// suppression; `0` (default) disables it. A frame equal in every
-    /// field to one of the last `dedup_depth` arrivals is dropped and
-    /// counted in [`EngineHealth::frames_duplicate`].
+    /// Depth of the ring used for exact-duplicate suppression; `0`
+    /// (default) disables it. The ring holds the last `dedup_depth`
+    /// frames that passed the duplicate check — a dropped duplicate is
+    /// never re-admitted, while a runt or late-dropped frame is. A frame
+    /// equal in every field to one in the ring is dropped and counted in
+    /// [`EngineHealth::frames_duplicate`]: at depth 2, arrivals A, B, B,
+    /// A drop the second B *and* the second A. Costs `dedup_depth`
+    /// timestamp compares per arrival.
     pub dedup_depth: usize,
     /// Frames smaller than this many on-air bytes are dropped as
     /// truncated/corrupt captures ([`EngineHealth::frames_corrupt`]);
@@ -110,9 +120,9 @@ impl Default for ResilienceConfig {
 
 impl ResilienceConfig {
     /// A preset for degraded captures: 64-frame reorder horizon,
-    /// 64-frame duplicate suppression, runt gate at
-    /// [`MIN_PLAUSIBLE_FRAME_SIZE`], and fusion over whatever parameters
-    /// survive (quorum 1).
+    /// duplicate suppression against the last 64 frames that passed it,
+    /// runt gate at [`MIN_PLAUSIBLE_FRAME_SIZE`], and fusion over
+    /// whatever parameters survive (quorum 1).
     #[must_use]
     pub fn tolerant() -> Self {
         ResilienceConfig {
@@ -244,8 +254,8 @@ pub(crate) struct IngestFront {
     floor: Option<Nanos>,
     /// Newest *arrival* timestamp, for counting re-sequenced frames.
     arrival_max: Option<Nanos>,
-    /// Recently seen frames (newest at the back), for dedup.
-    recent: VecDeque<CapturedFrame>,
+    /// The last `dedup_depth` frames that passed dedup.
+    recent: DedupRing,
     /// Reorder buffer, sorted ascending by `t_end` (stable for ties).
     pending: VecDeque<CapturedFrame>,
     pub(crate) health: EngineHealth,
@@ -254,10 +264,10 @@ pub(crate) struct IngestFront {
 impl IngestFront {
     pub(crate) fn new(cfg: ResilienceConfig) -> Self {
         IngestFront {
+            recent: DedupRing::new(cfg.dedup_depth),
             cfg,
             floor: None,
             arrival_max: None,
-            recent: VecDeque::new(),
             pending: VecDeque::new(),
             health: EngineHealth::default(),
         }
@@ -299,10 +309,7 @@ impl IngestFront {
                 self.health.frames_duplicate += 1;
                 return Ok(None);
             }
-            if self.recent.len() == self.cfg.dedup_depth {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(*frame);
+            self.recent.push(frame);
         }
         if frame.size < self.cfg.min_frame_size {
             self.health.frames_corrupt += 1;
@@ -325,8 +332,15 @@ impl IngestFront {
                 }
                 self.arrival_max = Some(self.arrival_max.map_or(t, |m| m.max(t)));
                 // Stable insert: after all equal timestamps, preserving
-                // arrival order among ties.
-                let pos = self.pending.partition_point(|f| f.t_end <= t);
+                // arrival order among ties. Most arrivals are not older
+                // than the newest buffered frame and append without a
+                // search.
+                let pos = match self.pending.back() {
+                    Some(newest) if t < newest.t_end => {
+                        self.pending.partition_point(|f| f.t_end <= t)
+                    }
+                    _ => self.pending.len(),
+                };
                 self.pending.insert(pos, *frame);
                 if self.pending.len() > max_lateness {
                     let out = self.pending.pop_front().expect("len > max_lateness >= 0");
@@ -373,9 +387,56 @@ impl IngestFront {
     }
 }
 
+/// The duplicate-suppression ring: the last `depth` frames that passed
+/// dedup, beside a dense ring of their `t_end`s. Both rings are pushed
+/// and evicted together in [`DedupRing::push`], so index `i` of one is
+/// index `i` of the other. An arrival scans only the timestamps; the
+/// full-frame comparison runs on a timestamp hit, which is exact
+/// because equal frames have equal `t_end`.
+#[derive(Debug)]
+struct DedupRing {
+    depth: usize,
+    t_ends: VecDeque<Nanos>,
+    frames: VecDeque<CapturedFrame>,
+}
+
+impl DedupRing {
+    fn new(depth: usize) -> Self {
+        DedupRing {
+            depth,
+            t_ends: VecDeque::with_capacity(depth),
+            frames: VecDeque::with_capacity(depth),
+        }
+    }
+
+    /// Whether a frame equal to `frame` is in the ring.
+    fn contains(&self, frame: &CapturedFrame) -> bool {
+        let (older, newer) = self.t_ends.as_slices();
+        let hit = |offset: usize, t_ends: &[Nanos]| {
+            t_ends
+                .iter()
+                .enumerate()
+                .any(|(i, &t)| t == frame.t_end && self.frames[offset + i] == *frame)
+        };
+        hit(0, older) || hit(older.len(), newer)
+    }
+
+    /// Records `frame`, evicting the oldest entry when full. The front
+    /// pushes only when dedup is on (`depth >= 1`).
+    fn push(&mut self, frame: &CapturedFrame) {
+        if self.frames.len() == self.depth {
+            self.t_ends.pop_front();
+            self.frames.pop_front();
+        }
+        self.t_ends.push_back(frame.t_end);
+        self.frames.push_back(*frame);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wifiprint_ieee80211::{FrameKind, MacAddr, Rate};
 
     fn frame(t_us: u64, size: usize) -> CapturedFrame {
@@ -564,5 +625,199 @@ mod tests {
         assert_eq!(cfg.fusion_quorum, Some(3));
         assert_eq!(cfg.late_policy, LateFramePolicy::Reorder { max_lateness: 0 });
         assert_eq!(ResilienceConfig::default().late_policy, LateFramePolicy::Reject);
+    }
+
+    /// Reference model of the front, the oracle for the property below:
+    /// a full-frame `VecDeque::contains` dedup scan and a
+    /// `partition_point` reorder insert.
+    struct Model {
+        cfg: ResilienceConfig,
+        floor: Option<Nanos>,
+        arrival_max: Option<Nanos>,
+        recent: VecDeque<CapturedFrame>,
+        pending: VecDeque<CapturedFrame>,
+        health: EngineHealth,
+    }
+
+    impl Model {
+        fn new(cfg: ResilienceConfig) -> Self {
+            Model {
+                cfg,
+                floor: None,
+                arrival_max: None,
+                recent: VecDeque::new(),
+                pending: VecDeque::new(),
+                health: EngineHealth::default(),
+            }
+        }
+
+        fn absorbs(&self, frame: &CapturedFrame) -> bool {
+            (self.cfg.dedup_depth > 0 && self.recent.contains(frame))
+                || frame.size < self.cfg.min_frame_size
+        }
+
+        /// `Err(last)` stands for `NonMonotonicFrame { last, .. }`.
+        fn admit(&mut self, frame: &CapturedFrame) -> Result<Option<CapturedFrame>, Nanos> {
+            let t = frame.t_end;
+            if let (LateFramePolicy::Reject, Some(last)) = (self.cfg.late_policy, self.floor) {
+                if t < last && !self.absorbs(frame) {
+                    return Err(last);
+                }
+            }
+            self.health.frames_seen += 1;
+            if self.cfg.dedup_depth > 0 {
+                if self.recent.contains(frame) {
+                    self.health.frames_duplicate += 1;
+                    return Ok(None);
+                }
+                if self.recent.len() == self.cfg.dedup_depth {
+                    self.recent.pop_front();
+                }
+                self.recent.push_back(*frame);
+            }
+            if frame.size < self.cfg.min_frame_size {
+                self.health.frames_corrupt += 1;
+                return Ok(None);
+            }
+            match self.cfg.late_policy {
+                LateFramePolicy::Reject => {
+                    self.floor = Some(t);
+                    Ok(Some(*frame))
+                }
+                LateFramePolicy::Reorder { max_lateness } => {
+                    if self.floor.is_some_and(|last| t < last) {
+                        self.health.frames_late_dropped += 1;
+                        return Ok(None);
+                    }
+                    if self.arrival_max.is_some_and(|m| t < m) {
+                        self.health.frames_reordered += 1;
+                    }
+                    self.arrival_max = Some(self.arrival_max.map_or(t, |m| m.max(t)));
+                    let pos = self.pending.partition_point(|f| f.t_end <= t);
+                    self.pending.insert(pos, *frame);
+                    if self.pending.len() > max_lateness {
+                        let out = self.pending.pop_front().expect("len > max_lateness");
+                        self.floor = Some(out.t_end);
+                        return Ok(Some(out));
+                    }
+                    Ok(None)
+                }
+            }
+        }
+
+        fn release_until(&mut self, t: Nanos) -> Vec<CapturedFrame> {
+            let mut out = Vec::new();
+            while self.pending.front().is_some_and(|f| f.t_end <= t) {
+                out.push(self.pending.pop_front().expect("checked front"));
+            }
+            self.floor = Some(self.floor.map_or(t, |f| f.max(t)));
+            out
+        }
+
+        fn drain(&mut self) -> Vec<CapturedFrame> {
+            if let Some(last) = self.pending.back() {
+                self.floor = Some(self.floor.map_or(last.t_end, |f| f.max(last.t_end)));
+            }
+            self.pending.drain(..).collect()
+        }
+    }
+
+    enum Op {
+        Admit(CapturedFrame),
+        Release(Nanos),
+    }
+
+    /// A fresh frame whose non-timestamp fields vary with `x`.
+    fn varied(t_us: u64, size: usize, x: u64) -> CapturedFrame {
+        CapturedFrame {
+            rate: Rate::ALL_BG[(x / 3 % 12) as usize],
+            transmitter: Some(MacAddr::from_index(x % 3)),
+            retry: x % 2 == 1,
+            signal_dbm: -((x % 40) as i8),
+            ..frame(t_us, size)
+        }
+    }
+
+    /// Materialises `(kind, x, y)` specs for a ring of `depth`: fresh
+    /// frames with timestamps jittered up to `spread` µs ahead of a
+    /// slow clock (ties and reorders), runts, exact re-deliveries at
+    /// distances `0..=2 * depth` back, near-duplicates that keep
+    /// `t_end` and change one other field, and watermark advances to
+    /// the clock.
+    fn materialise(specs: &[(u8, u64, u64)], depth: usize, spread: u64) -> Vec<Op> {
+        let mut arrivals: Vec<CapturedFrame> = Vec::new();
+        let mut ops = Vec::new();
+        for (i, &(kind, x, y)) in specs.iter().enumerate() {
+            let t_us = i as u64 / 2 + x % spread;
+            let back = (x % (2 * depth as u64 + 1)) as usize;
+            let earlier = arrivals.len().checked_sub(1 + back).map(|j| arrivals[j]);
+            let size = MIN_PLAUSIBLE_FRAME_SIZE + y as usize;
+            let f = match (kind, earlier) {
+                (5, _) => varied(t_us, y as usize % MIN_PLAUSIBLE_FRAME_SIZE, x),
+                (6 | 7, Some(f)) => f,
+                (8, Some(mut f)) => {
+                    match y % 5 {
+                        0 => f.size += 1,
+                        1 => f.signal_dbm = f.signal_dbm.wrapping_sub(1),
+                        2 => f.retry = !f.retry,
+                        3 => f.transmitter = None,
+                        _ => f.air_time = Nanos::from_nanos(f.air_time.as_nanos() + 1),
+                    }
+                    f
+                }
+                (9, _) => {
+                    ops.push(Op::Release(Nanos::from_micros(i as u64 / 2)));
+                    continue;
+                }
+                _ => varied(t_us, size, x),
+            };
+            arrivals.push(f);
+            ops.push(Op::Admit(f));
+        }
+        ops
+    }
+
+    proptest! {
+        // The timestamp-indexed dedup ring and the appending reorder
+        // insert deliver, count and buffer exactly what the full-frame
+        // scan and the searched insert did, on streams long enough to
+        // wrap every ring.
+        #[test]
+        fn front_matches_the_contains_and_partition_point_model(
+            specs in prop::collection::vec((0u8..10, 0u64..1 << 20, 0u64..256), 130..400),
+            spread in prop::sample::select(vec![1u64, 4, 64, 10_000]),
+        ) {
+            let policies = [0, 1, 8, 64]
+                .map(|max_lateness| LateFramePolicy::Reorder { max_lateness });
+            for depth in [1, 2, 3, 64] {
+                let ops = materialise(&specs, depth, spread);
+                for policy in std::iter::once(LateFramePolicy::Reject).chain(policies) {
+                    let cfg = ResilienceConfig::default()
+                        .with_dedup_depth(depth)
+                        .with_min_frame_size(MIN_PLAUSIBLE_FRAME_SIZE)
+                        .with_late_policy(policy);
+                    let mut front = IngestFront::new(cfg.clone());
+                    let mut model = Model::new(cfg);
+                    for op in &ops {
+                        match op {
+                            Op::Admit(f) => {
+                                let got = front.admit(f).map_err(|e| match e {
+                                    EngineError::NonMonotonicFrame { last, .. } => last,
+                                    other => panic!("unexpected error: {other}"),
+                                });
+                                prop_assert_eq!(got, model.admit(f), "{:?} depth {}", policy, depth);
+                            }
+                            Op::Release(t) => {
+                                prop_assert_eq!(front.release_until(*t), model.release_until(*t));
+                            }
+                        }
+                        prop_assert_eq!(front.health, model.health, "{:?} depth {}", policy, depth);
+                        prop_assert_eq!(front.pending_frames(), model.pending.len());
+                    }
+                    prop_assert_eq!(front.drain(), model.drain());
+                    prop_assert_eq!(front.last_t(), model.floor);
+                }
+            }
+        }
     }
 }
