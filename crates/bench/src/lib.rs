@@ -1,6 +1,6 @@
 //! Shared experiment definitions for the reproduction harness: every
 //! table and figure of the paper, expressed as reusable functions driven
-//! by both the `repro` binary and the Criterion benchmarks.
+//! by the `repro` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -44,8 +44,9 @@
 //! products read:
 //!
 //! * **`f64`** — the naive baseline (per-device `BTreeMap`s, full
-//!   doubles). Not a packed layout; kept behind `bench-baseline` as
-//!   ground truth.
+//!   doubles). Not a packed layout; kept as the test oracle, which
+//!   `bench-baseline` exposes to the analysis crate's `f32_auc_drift`
+//!   test.
 //! * **`f32`** ([`RowPrecision::F32`], the default) — packed `f32`
 //!   columns; each cosine dot is an ascending-bin `f64` sum of exact
 //!   `f32 × f32` products, so it is the same on every host. Drift ≤
@@ -108,8 +109,9 @@
 //!   dense sweep's exactly.
 //!
 //! [`MatchScratch::prune_stats`] reports the shards the last sweep of
-//! either kind swept and pruned. `match_signature_naive` (tests and the
-//! `bench-baseline` feature) is the all-`f64` oracle both are checked
+//! either kind swept and pruned. `match_signature_naive` (tests, and
+//! behind the `bench-baseline` feature the analysis crate's
+//! `f32_auc_drift` test) is the all-`f64` oracle both are checked
 //! against.
 //!
 //! # Column passes
@@ -1308,9 +1310,9 @@ impl ReferenceDb {
 
     /// The pre-SoA matching path: per-call candidate frequency allocation,
     /// per-device frame-kind lookups, and full-`f64` arithmetic
-    /// throughout. Kept so benchmarks can quantify what the matrix layout
-    /// buys **and** as the `f64` oracle both sweeps are tested against
-    /// (equal output within [`F32_SCORE_TOLERANCE`]).
+    /// throughout. Kept as the `f64` oracle both sweeps are tested against
+    /// (equal output within [`F32_SCORE_TOLERANCE`]); the `bench-baseline`
+    /// feature exposes it to the analysis crate's `f32_auc_drift` test.
     #[cfg(any(test, feature = "bench-baseline"))]
     pub fn match_signature_naive(&self, candidate: &Signature) -> MatchOutcome {
         let cand_freqs: Vec<(FrameKind, Vec<f64>)> =

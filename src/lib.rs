@@ -117,8 +117,8 @@
 //! beat the current top-k: at 10⁵ enrolled devices
 //! (`scenarios::MetropolisScenario`, ~50 000 heterogeneous traffic
 //! mixes by default) it answers identification queries severalfold
-//! faster than the dense sweep (`BENCH_5.json`:
-//! `sharded_sweep_speedup`, with the pruned-shard fraction).
+//! faster than the dense sweep (the perf snapshot's
+//! `sharded_sweep_speedup`).
 //!
 //! # MAC randomization & linking
 //!
@@ -151,8 +151,8 @@
 //! precision/recall and identity merge rate vs rotation rate, tabled
 //! like the paper's spoofing experiments. CI pins the headline point
 //! (1 000 devices, periodic rotation, precision ≥ 0.90 at the tuned
-//! operating point) as a fixed-seed linking gate, and `BENCH_7.json`
-//! records linker sighting throughput (`linker_throughput_fps`).
+//! operating point) as a fixed-seed linking gate, and the perf snapshot
+//! gates linker sighting throughput (`linker_throughput_fps`).
 //!
 //! ```
 //! use wifiprint::analysis::linking::{evaluate_linking, metropolis_linker_config};
