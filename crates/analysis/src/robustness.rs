@@ -31,7 +31,7 @@ use wifiprint_core::{
     EngineError, IngestConfig, IngestStats, LateFramePolicy, OverloadPolicy, ResilienceConfig,
 };
 use wifiprint_radiotap::CapturedFrame;
-use wifiprint_scenarios::{FaultInjector, FaultLog, FaultPlan, LossModel};
+use wifiprint_scenarios::{FaultInjector, FaultLog, FaultPlan};
 
 use crate::pipeline::{
     evaluate_frames, evaluate_frames_supervised, PipelineConfig, TraceEvaluation,
@@ -88,33 +88,6 @@ impl RobustnessSweep {
     }
 }
 
-/// The default fault grid: i.i.d. loss from 0 to 50%, a Gilbert–Elliott
-/// burst-loss regime, two reordering depths, two corruption rates, and
-/// the kitchen-sink [`FaultPlan::noisy`] mix.
-pub fn default_fault_grid() -> Vec<(String, FaultPlan)> {
-    let iid = |rate| FaultPlan::clean().with_loss(LossModel::Iid { rate });
-    vec![
-        ("clean".to_owned(), FaultPlan::clean()),
-        ("loss 10%".to_owned(), iid(0.10)),
-        ("loss 25%".to_owned(), iid(0.25)),
-        ("loss 50%".to_owned(), iid(0.50)),
-        (
-            "burst loss".to_owned(),
-            FaultPlan::clean().with_loss(LossModel::GilbertElliott {
-                enter_bad: 0.02,
-                exit_bad: 0.25,
-                loss_good: 0.01,
-                loss_bad: 0.8,
-            }),
-        ),
-        ("reorder d4".to_owned(), FaultPlan::clean().with_reordering(4, 0.3)),
-        ("reorder d16".to_owned(), FaultPlan::clean().with_reordering(16, 0.5)),
-        ("corrupt 2%".to_owned(), FaultPlan::clean().with_corruption(0.02)),
-        ("corrupt 10%".to_owned(), FaultPlan::clean().with_corruption(0.10)),
-        ("noisy mix".to_owned(), FaultPlan::noisy()),
-    ]
-}
-
 /// One evaluated cell of an overload sweep: an ingest configuration,
 /// the pipeline's ingest statistics under it, and the accuracy results
 /// on whatever survived the ring.
@@ -165,24 +138,6 @@ impl OverloadSweep {
         }
         render_columns(&[labels, offered, shed, shed_rate, latency, auc, ident])
     }
-}
-
-/// The default overload grid: a lossless `Block` baseline on the
-/// default ring, then both shedding policies on a deliberately tiny
-/// ring with an artificial per-frame sweep delay so the submitter
-/// outruns the worker and the ring actually overflows.
-pub fn default_overload_grid() -> Vec<(String, IngestConfig)> {
-    let slow = |policy| {
-        IngestConfig::default()
-            .with_capacity(8)
-            .with_overload(policy)
-            .with_sweep_delay(std::time::Duration::from_micros(100))
-    };
-    vec![
-        ("block".to_owned(), IngestConfig::default()),
-        ("shed-newest/8".to_owned(), slow(OverloadPolicy::ShedNewest)),
-        ("shed-oldest/8".to_owned(), slow(OverloadPolicy::ShedOldest)),
-    ]
 }
 
 /// Runs the full supervised pipeline on `frames` once per ingest
@@ -265,6 +220,7 @@ mod tests {
     use super::*;
     use wifiprint_core::{MatchConfig, NetworkParameter};
     use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
+    use wifiprint_scenarios::LossModel;
 
     /// Four devices with distinct inter-arrival and size signatures.
     fn trace() -> Vec<CapturedFrame> {

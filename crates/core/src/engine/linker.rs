@@ -348,6 +348,15 @@ fn gallery_key(id: u64) -> MacAddr {
     MacAddr::from_index(id)
 }
 
+/// The sighting's signature for `param`, if it has observations: the
+/// only signatures a sweep scores and a gallery row takes.
+fn signature_for(
+    signatures: &[(NetworkParameter, Signature)],
+    param: NetworkParameter,
+) -> Option<&Signature> {
+    signatures.iter().find(|(p, s)| *p == param && s.observation_count() > 0).map(|(_, s)| s)
+}
+
 /// Inverse of [`gallery_key`].
 fn key_id(mac: MacAddr) -> u64 {
     let o = mac.octets();
@@ -513,13 +522,7 @@ impl RotationLinker {
         self.acc.clear();
         let mut weight_total = 0.0f64;
         for (&(param, weight), db) in self.params.iter().zip(&self.galleries) {
-            let Some(sig) = signatures
-                .iter()
-                .find(|(p, s)| *p == param && s.observation_count() > 0)
-                .map(|(_, s)| s)
-            else {
-                continue;
-            };
+            let Some(sig) = signature_for(signatures, param) else { continue };
             weight_total += weight;
             if db.is_empty() {
                 continue;
@@ -560,13 +563,7 @@ impl RotationLinker {
         self.next_id += 1;
         let key = gallery_key(id);
         for (&(param, _), db) in self.params.iter().zip(&mut self.galleries) {
-            let Some(sig) = signatures
-                .iter()
-                .find(|(p, s)| *p == param && s.observation_count() > 0)
-                .map(|(_, s)| s)
-            else {
-                continue;
-            };
+            let Some(sig) = signature_for(signatures, param) else { continue };
             db.insert(key, sig.clone()).expect("gallery databases are never frozen");
         }
         self.identities.insert(id, IdentityRecord { last_seen: at, sightings: 1, macs: vec![mac] });
@@ -603,13 +600,7 @@ impl RotationLinker {
     fn reinforce(&mut self, id: u64, signatures: &[(NetworkParameter, Signature)]) {
         let key = gallery_key(id);
         for (&(param, _), db) in self.params.iter().zip(&mut self.galleries) {
-            let Some(sig) = signatures
-                .iter()
-                .find(|(p, s)| *p == param && s.observation_count() > 0)
-                .map(|(_, s)| s)
-            else {
-                continue;
-            };
+            let Some(sig) = signature_for(signatures, param) else { continue };
             let merged = match db.get(&key) {
                 Some(existing) => {
                     let mut merged = existing.clone();

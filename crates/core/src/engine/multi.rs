@@ -1150,6 +1150,15 @@ mod tests {
             MultiEngine::builder().spec(empty_spec).train_for(Nanos::from_secs(5)).build(),
             Err(EngineError::Core(CoreError::InvalidConfig { .. }))
         ));
+        // References keyed by a parameter the spec does not fuse.
+        let other = BTreeMap::from([(NetworkParameter::InterArrivalTime, ReferenceDb::new())]);
+        assert!(matches!(
+            MultiEngine::builder()
+                .spec(FusionSpec::single(NetworkParameter::FrameSize))
+                .references(other)
+                .build(),
+            Err(EngineError::Core(CoreError::InvalidConfig { .. }))
+        ));
     }
 
     #[test]
@@ -1392,16 +1401,20 @@ mod tests {
             assert!(engine.observe(&frame(1, 10_000_000 + i * 30_000, 300)).unwrap().is_empty());
         }
         let tail = engine.finish().unwrap();
-        let Some(MultiEvent::FusedMatch { window: 0, device, fused: Some(fused), .. }) =
+        let Some(MultiEvent::FusedMatch { window: 0, device, scores, fused: Some(fused), .. }) =
             tail.first()
         else {
             panic!("expected a scored trailing-window decision, got {tail:?}");
         };
         assert_eq!(*device, MacAddr::from_index(1));
         assert_eq!(fused.best().unwrap().0, MacAddr::from_index(1));
+        // Score and all: every parameter's view ranks the references.
+        assert_eq!(scores.len(), NetworkParameter::COUNT);
+        assert!(scores.iter().all(|s| s.view.best().is_some()));
+        assert_eq!(tail.len(), 2, "one decision, then the terminator");
         assert!(matches!(
-            tail.last(),
-            Some(MultiEvent::WindowClosed { window: 0, candidates: 1, known: 1, unknown: 0 })
+            tail[1],
+            MultiEvent::WindowClosed { window: 0, candidates: 1, known: 1, unknown: 0 }
         ));
     }
 
@@ -1424,6 +1437,7 @@ mod tests {
             })
             .collect();
         assert_eq!(enrolled.len(), 3);
+        assert_eq!(events.len(), enrolled.len(), "a training-only session only enrolls");
         // Ascending device order; every parameter qualified; the
         // history-based parameters observe one frame fewer.
         for (i, (device, observations)) in enrolled.iter().enumerate() {
@@ -1439,13 +1453,9 @@ mod tests {
 
     #[test]
     fn finished_engine_rejects_further_use() {
-        let mut engine = MultiEngine::builder()
-            .config(cfg(10, 5))
-            .train_for(Nanos::from_secs(3600))
-            .build()
-            .unwrap();
+        let mut engine = detector(ResilienceConfig::default());
         engine.observe(&frame(1, 1_000, 300)).unwrap();
-        engine.finish().unwrap();
+        assert!(!engine.finish().unwrap().is_empty(), "first finish seals the trailing window");
         assert!(matches!(engine.observe(&frame(1, 2_000, 300)), Err(EngineError::Finished)));
         assert!(matches!(engine.advance_to(Nanos::from_secs(10)), Err(EngineError::Finished)));
         assert!(matches!(engine.tick(), Err(EngineError::Finished)));
@@ -1453,6 +1463,8 @@ mod tests {
         // window — just an empty event list.
         assert!(engine.finish().unwrap().is_empty());
         assert!(engine.finish().unwrap().is_empty());
+        // The references stay reachable after finish.
+        assert!(engine.reference(NetworkParameter::FrameSize).is_some());
     }
 
     #[test]
@@ -1463,10 +1475,9 @@ mod tests {
             .build()
             .unwrap();
         engine.observe(&frame(1, 5_000, 300)).unwrap();
-        assert!(matches!(
-            engine.observe(&frame(1, 4_000, 300)),
-            Err(EngineError::NonMonotonicFrame { .. })
-        ));
+        let err = engine.observe(&frame(1, 4_000, 300)).unwrap_err();
+        assert!(matches!(err, EngineError::NonMonotonicFrame { .. }));
+        assert!(err.to_string().contains("capture order"));
         engine.observe(&frame(1, 6_000, 300)).unwrap();
         assert_eq!(engine.frames_observed(), 2);
     }

@@ -32,11 +32,6 @@ impl InstanceRng {
         self.inner.chance(p)
     }
 
-    /// Gaussian draw.
-    pub fn gaussian(&mut self, mean: f64, std_dev: f64) -> f64 {
-        self.inner.gaussian(mean, std_dev)
-    }
-
     /// Multiplies `value` by a uniform factor in `[1-spread, 1+spread]`.
     pub fn jitter_factor(&mut self, value: f64, spread: f64) -> f64 {
         value * (1.0 - spread + 2.0 * spread * self.f64())

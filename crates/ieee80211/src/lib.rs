@@ -13,8 +13,7 @@
 //! * [`timing`] — PHY timing constants (slot, SIFS, DIFS, EIFS, contention
 //!   windows, PLCP preambles) and frame air-time computation,
 //! * [`duration`] — NAV duration-field computation including the per-card
-//!   quirk models observed by Cache (2006),
-//! * [`elements`] — the information elements needed for beacons and probes.
+//!   quirk models observed by Cache (2006).
 //!
 //! # Example
 //!
@@ -72,7 +71,6 @@
 )]
 
 pub mod duration;
-pub mod elements;
 mod fc;
 mod frame;
 mod mac;

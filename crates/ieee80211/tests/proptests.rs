@@ -1,7 +1,6 @@
 //! Property-based tests for the 802.11 codec layer.
 
 use proptest::prelude::*;
-use wifiprint_ieee80211::elements::Element;
 use wifiprint_ieee80211::timing::{air_time, estimated_tx_time_micros, PhyTx, Preamble};
 use wifiprint_ieee80211::{Frame, FrameControl, FrameKind, MacAddr, Nanos, Rate, WireFrame};
 
@@ -92,26 +91,6 @@ proptest! {
         let one = estimated_tx_time_micros(len, rate);
         let double = estimated_tx_time_micros(2 * len, rate);
         prop_assert!((double - 2.0 * one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn elements_round_trip(
-        ssid in "[a-zA-Z0-9]{0,32}",
-        channel in 1u8..14,
-        extra in prop::collection::vec(any::<u8>(), 0..40),
-    ) {
-        let elements = vec![
-            Element::Ssid(ssid),
-            Element::DsParams(channel),
-            Element::Other { id: 221, data: extra },
-        ];
-        let bytes = Element::encode_all(&elements);
-        prop_assert_eq!(Element::parse_all(&bytes), elements);
-    }
-
-    #[test]
-    fn element_parse_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Element::parse_all(&bytes);
     }
 }
 

@@ -1,8 +1,7 @@
 //! The shared wireless medium: transmission tracking, carrier sense and
 //! collision detection for one channel.
 
-use wifiprint_ieee80211::{MacAddr, Nanos, Rate};
-use wifiprint_ieee80211::FrameKind;
+use wifiprint_ieee80211::{FrameKind, MacAddr, Nanos, Rate};
 
 /// A frame in flight (or just finished) on the medium, at MAC metadata
 /// granularity — bodies are never materialised in the hot path.
@@ -57,16 +56,10 @@ pub struct ActiveTx {
 #[derive(Debug, Default)]
 pub struct Medium {
     active: Vec<ActiveTx>,
-    /// When the medium last transitioned to idle.
-    idle_since: Nanos,
     /// Whether the most recent completed frame was corrupted (EIFS rule).
     last_frame_corrupted: bool,
     collisions: u64,
     transmissions: u64,
-    /// Diagnostic: kinds of frames that initiated an overlap.
-    collision_initiators: std::collections::BTreeMap<FrameKind, u64>,
-    /// Diagnostic: cumulative air time per frame kind.
-    air_by_kind: std::collections::BTreeMap<FrameKind, Nanos>,
 }
 
 impl Medium {
@@ -78,12 +71,6 @@ impl Medium {
     /// `true` while at least one transmission is in the air.
     pub fn is_busy(&self) -> bool {
         !self.active.is_empty()
-    }
-
-    /// The instant the medium last became idle (meaningful only while
-    /// idle).
-    pub fn idle_since(&self) -> Nanos {
-        self.idle_since
     }
 
     /// `true` if the last completed frame ended corrupted — receivers must
@@ -116,7 +103,6 @@ impl Medium {
         if !was_idle {
             tx.collided = true;
             self.collisions += 1;
-            *self.collision_initiators.entry(tx.frame.kind).or_insert(0) += 1;
             let first = self
                 .active
                 .iter()
@@ -138,36 +124,20 @@ impl Medium {
         was_idle
     }
 
-    /// Diagnostic: how many collisions each frame kind *initiated* (the
-    /// overlapping transmission's kind).
-    pub fn collision_initiators(&self) -> &std::collections::BTreeMap<FrameKind, u64> {
-        &self.collision_initiators
-    }
-
-    /// Diagnostic: cumulative air time per frame kind.
-    pub fn air_by_kind(&self) -> &std::collections::BTreeMap<FrameKind, Nanos> {
-        &self.air_by_kind
-    }
-
     /// Completes a transmission; returns the record and whether the medium
-    /// transitioned to idle at `now`.
+    /// transitioned to idle.
     ///
     /// # Panics
     ///
     /// Panics if `tx_id` is not active (a simulator logic error).
-    pub fn finish_tx(&mut self, tx_id: u64, now: Nanos) -> (ActiveTx, bool) {
+    pub fn finish_tx(&mut self, tx_id: u64) -> (ActiveTx, bool) {
         let idx = self
             .active
             .iter()
             .position(|t| t.tx_id == tx_id)
             .expect("finish_tx of unknown transmission");
         let tx = self.active.swap_remove(idx);
-        *self.air_by_kind.entry(tx.frame.kind).or_insert(Nanos::ZERO) +=
-            tx.t_end.saturating_sub(tx.t_start);
         let idle_now = self.active.is_empty();
-        if idle_now {
-            self.idle_since = now;
-        }
         self.last_frame_corrupted = tx.collided;
         (tx, idle_now)
     }
@@ -212,11 +182,10 @@ mod tests {
         assert!(!m.is_busy());
         assert!(m.start_tx(tx(1, 0, 100), false));
         assert!(m.is_busy());
-        let (done, idle) = m.finish_tx(1, Nanos::from_micros(100));
+        let (done, idle) = m.finish_tx(1);
         assert!(idle);
         assert!(!done.collided);
         assert!(!m.is_busy());
-        assert_eq!(m.idle_since(), Nanos::from_micros(100));
         assert!(!m.last_frame_corrupted());
         assert_eq!(m.transmissions(), 1);
         assert_eq!(m.collisions(), 0);
@@ -227,10 +196,10 @@ mod tests {
         let mut m = Medium::new();
         assert!(m.start_tx(tx(1, 0, 100), false));
         assert!(!m.start_tx(tx(2, 50, 150), false));
-        let (a, idle_a) = m.finish_tx(1, Nanos::from_micros(100));
+        let (a, idle_a) = m.finish_tx(1);
         assert!(a.collided);
         assert!(!idle_a, "second tx still in flight");
-        let (b, idle_b) = m.finish_tx(2, Nanos::from_micros(150));
+        let (b, idle_b) = m.finish_tx(2);
         assert!(b.collided);
         assert!(idle_b);
         assert!(m.last_frame_corrupted());
@@ -244,8 +213,8 @@ mod tests {
         m.start_tx(tx(2, 10, 90), false);
         m.start_tx(tx(3, 20, 80), false);
         assert_eq!(m.collisions(), 3);
-        for (id, at) in [(3u64, 80u64), (2, 90), (1, 100)] {
-            let (t, _) = m.finish_tx(id, Nanos::from_micros(at));
+        for id in [3, 2, 1] {
+            let (t, _) = m.finish_tx(id);
             assert!(t.collided);
         }
         assert!(!m.is_busy());
@@ -255,9 +224,9 @@ mod tests {
     fn back_to_back_transmissions_do_not_collide() {
         let mut m = Medium::new();
         m.start_tx(tx(1, 0, 100), false);
-        m.finish_tx(1, Nanos::from_micros(100));
+        m.finish_tx(1);
         m.start_tx(tx(2, 110, 200), false);
-        let (b, _) = m.finish_tx(2, Nanos::from_micros(200));
+        let (b, _) = m.finish_tx(2);
         assert!(!b.collided);
         assert_eq!(m.collisions(), 0);
         assert!(!m.last_frame_corrupted());
@@ -267,6 +236,6 @@ mod tests {
     #[should_panic(expected = "unknown transmission")]
     fn finishing_unknown_tx_panics() {
         let mut m = Medium::new();
-        m.finish_tx(99, Nanos::ZERO);
+        m.finish_tx(99);
     }
 }

@@ -174,9 +174,6 @@ pub struct Simulator {
     /// Invalidates outstanding `ContentionFire` events.
     contention_gen: u64,
     events_processed: u64,
-    contender_samples: u64,
-    contender_sum: u64,
-    contender_max: usize,
 }
 
 impl Simulator {
@@ -200,9 +197,6 @@ impl Simulator {
             contenders: Vec::new(),
             contention_gen: 0,
             events_processed: 0,
-            contender_samples: 0,
-            contender_sum: 0,
-            contender_max: 0,
         }
     }
 
@@ -222,11 +216,6 @@ impl Simulator {
         idx
     }
 
-    /// Number of registered stations.
-    pub fn station_count(&self) -> usize {
-        self.stations.len()
-    }
-
     /// Attaches additional traffic sources to an existing station.
     ///
     /// Must be called before [`Simulator::run`]; sources added later are
@@ -238,23 +227,6 @@ impl Simulator {
         sources: impl IntoIterator<Item = Box<dyn crate::traffic::TrafficSource>>,
     ) {
         self.stations[station].sources.extend(sources);
-    }
-
-    /// The MAC address of station `idx`.
-    pub fn station_addr(&self, idx: usize) -> MacAddr {
-        self.stations[idx].addr
-    }
-
-    /// Read access to the medium, for post-run diagnostics.
-    pub fn medium(&self) -> &Medium {
-        &self.medium
-    }
-
-    /// Diagnostic: (average, max) contender-pool size sampled at each
-    /// contention fire.
-    pub fn contender_pool_stats(&self) -> (f64, usize) {
-        let avg = self.contender_sum as f64 / self.contender_samples.max(1) as f64;
-        (avg, self.contender_max)
     }
 
     /// Runs the simulation to completion, delivering every monitor-captured
@@ -463,9 +435,6 @@ impl Simulator {
             return;
         }
         self.prune_contenders();
-        self.contender_samples += 1;
-        self.contender_sum += self.contenders.len() as u64;
-        self.contender_max = self.contender_max.max(self.contenders.len());
         let Some(&winner) = self
             .contenders
             .iter()
@@ -673,7 +642,7 @@ impl Simulator {
     }
 
     fn handle_tx_end(&mut self, tx_id: u64, sink: &mut dyn FnMut(&CapturedFrame)) {
-        let (tx, idle_now) = self.medium.finish_tx(tx_id, self.now);
+        let (tx, idle_now) = self.medium.finish_tx(tx_id);
         let s = tx.station;
 
         // 1. The passive monitor's view.

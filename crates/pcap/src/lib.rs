@@ -136,69 +136,3 @@ pub use format::{LinkType, PcapError, Record, RecordMeta, TsPrecision, MAGIC_MIC
 pub use reader::{Reader, SliceReader};
 pub use replay::{ReadSource, RecordSource, Replay, ReplayError, ReplayStats};
 pub use writer::Writer;
-
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
-use std::path::Path;
-
-/// Reads every record of a pcap file into memory.
-///
-/// Convenience wrapper around [`Reader`] for small files; prefer streaming
-/// for multi-gigabyte captures.
-///
-/// # Errors
-///
-/// Any I/O or format error encountered while reading.
-pub fn read_file<P: AsRef<Path>>(path: P) -> Result<(LinkType, Vec<Record>), PcapError> {
-    let file = File::open(path).map_err(PcapError::Io)?;
-    let mut reader = Reader::new(BufReader::new(file))?;
-    let link = reader.link_type();
-    let mut records = Vec::new();
-    while let Some(rec) = reader.next_record()? {
-        records.push(rec);
-    }
-    Ok((link, records))
-}
-
-/// Writes a sequence of records to a pcap file with microsecond precision.
-///
-/// # Errors
-///
-/// Any I/O error encountered while writing.
-pub fn write_file<P: AsRef<Path>>(
-    path: P,
-    link: LinkType,
-    records: &[Record],
-) -> Result<(), PcapError> {
-    let file = File::create(path).map_err(PcapError::Io)?;
-    let mut writer = Writer::new(BufWriter::new(file), link)?;
-    for rec in records {
-        writer.write_record(rec)?;
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("wifiprint-pcap-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round-trip.pcap");
-        let records =
-            vec![Record::new(10, 500_000, vec![1, 2, 3]), Record::new(11, 0, vec![4, 5, 6, 7])];
-        write_file(&path, LinkType::Ieee80211, &records).unwrap();
-        let (link, back) = read_file(&path).unwrap();
-        assert_eq!(link, LinkType::Ieee80211);
-        assert_eq!(back, records);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_missing_file_is_io_error() {
-        let err = read_file("/nonexistent/definitely/not/here.pcap").unwrap_err();
-        assert!(matches!(err, PcapError::Io(_)));
-    }
-}

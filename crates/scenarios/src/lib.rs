@@ -19,8 +19,8 @@
 //!   linking experiments,
 //! * [`faults`] — a deterministic, seeded [`FaultInjector`] that wraps
 //!   any trace or scenario stream with composable capture degradations
-//!   (burst loss, duplication, bounded reordering, jitter/skew,
-//!   truncation, chaff) for resilience experiments,
+//!   (burst loss, duplication, bounded reordering, truncation, poison
+//!   frames, source stalls, overload bursts) for resilience experiments,
 //! * [`export`] — Radiotap pcap export/import so traces interoperate with
 //!   standard tooling.
 //!
@@ -66,7 +66,7 @@ pub use conference::ConferenceScenario;
 pub use faraday::{device_frames, FaradayRig, FARADAY_AP, FARADAY_DEVICE};
 pub use faults::{
     is_poison_frame, FaultInjector, FaultLog, FaultPlan, FaultedStream, LossModel,
-    CHAFF_DEVICE_BASE, POISON_DEVICE_BASE,
+    POISON_DEVICE_BASE,
 };
 pub use metropolis::MetropolisScenario;
 pub use office::OfficeScenario;

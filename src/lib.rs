@@ -75,8 +75,8 @@
 //! gracefully: with a fusion quorum set, a sparse window is
 //! fused over the parameters that survived, with the missing ones named
 //! on the event. The `scenarios::faults::FaultInjector` generates
-//! seeded, reproducible capture degradations (burst loss, reordering,
-//! jitter, corruption, chaff) and `analysis::robustness` turns them
+//! seeded, reproducible capture degradations (burst loss, duplication,
+//! reordering, truncation) and `analysis::robustness` turns them
 //! into accuracy-vs-fault-rate tables; CI runs that matrix as a chaos
 //! gate.
 //!
