@@ -336,6 +336,33 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_incomplete_or_conflicting_setups() {
+        let c = cfg(10, 1);
+        assert!(matches!(builder(&c).build(), Err(EngineError::MissingReference)));
+        assert!(matches!(
+            builder(&c).references(references(&c)).train_for(Nanos::from_secs(5)).build(),
+            Err(EngineError::ConflictingReference)
+        ));
+        assert!(matches!(
+            builder(&c).references(BTreeMap::from([(FrameSize, ReferenceDb::new())])).build(),
+            Err(EngineError::Core(CoreError::EmptyDatabase))
+        ));
+        let other = BTreeMap::from([(NetworkParameter::InterArrivalTime, ReferenceDb::new())]);
+        assert!(matches!(
+            builder(&c).references(other).build(),
+            Err(EngineError::Core(CoreError::InvalidConfig { .. }))
+        ));
+        assert!(matches!(
+            builder(&c).train_for(Nanos::ZERO).build(),
+            Err(EngineError::Core(CoreError::InvalidConfig { .. }))
+        ));
+        assert!(matches!(
+            builder(&cfg(0, 1)).train_for(Nanos::from_secs(5)).build(),
+            Err(EngineError::Core(CoreError::InvalidConfig { .. }))
+        ));
+    }
+
+    #[test]
     fn reference_mode_matches_per_window() {
         let c = cfg(1, 5);
         let mut engine = detector(&c);
@@ -437,6 +464,19 @@ mod tests {
         let tail = engine.finish().unwrap();
         assert!(matches!(&tail[0], MultiEvent::FusedNewDevice { device, scores, fused: None, .. }
             if *device == mac(1) && scores[0].view.best().is_none()));
+    }
+
+    #[test]
+    fn training_only_session_is_the_enrollment_entry_point() {
+        let mut engine = builder(&cfg(10, 5)).train_for(Nanos::from_secs(3600)).build().unwrap();
+        feed(&mut engine, 4, 1_000, 1_000, 10, 500);
+        let events = engine.finish().unwrap();
+        assert_eq!(events.len(), 1);
+        assert!(matches!(&events[0], MultiEvent::Enrolled { device, observations }
+            if *device == mac(4) && *observations == [(FrameSize, 10)]));
+        let db = engine.into_references().remove(&FrameSize).expect("reference after finish");
+        assert!(db.is_frozen());
+        assert_eq!(db.len(), 1);
     }
 
     #[test]
@@ -562,6 +602,54 @@ mod tests {
     }
 
     #[test]
+    fn finish_scores_the_trailing_partial_window() {
+        // Regression (quiet-channel fix): frames in a window that never
+        // saw a successor still produce their decision at finish(),
+        // score and all.
+        let mut engine = detector(&cfg(1, 5));
+        assert!(feed(&mut engine, 1, 1_000, 10_000, 10, 176).is_empty());
+        let tail = engine.finish().unwrap();
+        let MultiEvent::FusedMatch { window: 0, device, scores, .. } = &tail[0] else {
+            panic!("expected a scored trailing-window match, got {tail:?}");
+        };
+        assert_eq!(*device, mac(1));
+        assert_eq!(scores[0].view.best().unwrap().0, mac(1));
+        assert!(matches!(
+            tail[1],
+            MultiEvent::WindowClosed { window: 0, candidates: 1, known: 1, unknown: 0 }
+        ));
+    }
+
+    #[test]
+    fn out_of_order_frames_are_rejected_without_corrupting_state() {
+        let mut engine = detector(&cfg(1, 1));
+        engine.observe(&frame(1, 5_000, 176)).unwrap();
+        let err = engine.observe(&frame(1, 4_000, 176)).unwrap_err();
+        assert!(matches!(err, EngineError::NonMonotonicFrame { .. }));
+        assert!(err.to_string().contains("capture order"));
+        // The engine keeps running; in-order frames still work.
+        engine.observe(&frame(1, 6_000, 176)).unwrap();
+        assert_eq!(engine.frames_observed(), 2);
+    }
+
+    #[test]
+    fn finished_engine_rejects_further_use() {
+        let mut engine = detector(&cfg(1, 1));
+        engine.observe(&frame(1, 1_000, 176)).unwrap();
+        let tail = engine.finish().unwrap();
+        assert!(!tail.is_empty(), "first finish seals the trailing window");
+        assert!(matches!(engine.observe(&frame(1, 2_000, 176)), Err(EngineError::Finished)));
+        assert!(matches!(engine.advance_to(Nanos::from_secs(10)), Err(EngineError::Finished)));
+        assert!(matches!(engine.tick(), Err(EngineError::Finished)));
+        // finish() itself is idempotent: a second call has nothing left
+        // to seal and returns no events.
+        assert!(engine.finish().unwrap().is_empty());
+        assert!(engine.finish().unwrap().is_empty());
+        // The reference stays reachable after finish.
+        assert!(engine.reference(FrameSize).is_some());
+    }
+
+    #[test]
     fn engine_decisions_equal_the_batch_sweep() {
         // The streaming path must produce exactly the batch path's
         // decisions: same windows, same candidates, same scores.
@@ -598,6 +686,22 @@ mod tests {
             );
             assert_eq!(view.similarities(), tile.candidate(0).similarities());
         }
+    }
+
+    #[test]
+    fn observe_all_reports_the_failing_frame_index() {
+        let mut engine = detector(&cfg(10, 1));
+        let frames = vec![frame(1, 5_000, 176), frame(1, 6_000, 176), frame(1, 4_000, 176)];
+        let err = engine.observe_all(&frames).unwrap_err();
+        let EngineError::Batch { index, source } = err else {
+            panic!("expected a batch error, got {err:?}");
+        };
+        assert_eq!(index, 2);
+        assert!(matches!(*source, EngineError::NonMonotonicFrame { .. }));
+        // The two good frames were processed; the caller can skip past
+        // the bad frame and resume the stream.
+        assert_eq!(engine.frames_observed(), 2);
+        engine.observe(&frame(1, 7_000, 176)).unwrap();
     }
 
     #[test]
