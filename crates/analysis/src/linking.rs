@@ -168,7 +168,9 @@ pub fn metropolis_linker_config() -> LinkerConfig {
 /// The 10⁴-device metropolis operating point: the same single-parameter
 /// fusion as [`metropolis_linker_config`], re-laid-out for a gallery an
 /// order of magnitude larger. The reference store runs on the quantized
-/// `u8` tier ([`MatchConfig::quantized`]) over 64 shards, so every
+/// `u8` tier ([`MatchConfig::quantized`]), its galleries grown up to 64
+/// shards (64 from 8 192 identities; see
+/// [`LinkerConfig::match_config`]), so every
 /// gallery sweep goes through the tile-wide pruned integer kernels —
 /// at 10⁴ resident identities that is the difference between a linking
 /// replay dominated by dot products and one dominated by bookkeeping.

@@ -28,6 +28,12 @@
 //!   undecided ([`LinkEvent::Ambiguous`], above threshold but inside the
 //!   margin), or founds a fresh identity ([`LinkEvent::NewIdentity`]).
 //!
+//! Each gallery starts as one flat shard and doubles its shard count as
+//! it fills, up to the [`LinkerConfig::match_config`] ceiling: a small
+//! gallery is cheapest to sweep whole, a large one needs shards for the
+//! bound to prune. Sweeps rank the same under any layout, so growth
+//! changes no decision.
+//!
 //! Retained identities are bounded by a hard gallery cap
 //! (least-recently-seen eviction), and every decision and
 //! sweep cost is counted into a [`LinkerStats`] snapshot — including the
@@ -111,14 +117,23 @@ pub struct LinkerConfig {
     /// founding observation, which keeps decisions independent of
     /// sighting order.
     pub update_on_link: bool,
-    /// Shard layout of the per-parameter gallery databases; sharding is
-    /// what makes the pruned sweep prune.
+    /// Row precision and shard **ceiling** of the per-parameter gallery
+    /// databases. Each gallery starts flat ([`MatchConfig::flat`]: one
+    /// shard, nothing to prune), and a sweep that finds it holding
+    /// `2 · 128` rows per shard first doubles its shard count — one shard
+    /// below 256 rows, two from 256, four from 512 — up to
+    /// `match_config.shards`. Evictions never shrink it. Sharding is
+    /// what makes the pruned sweep prune on a large gallery; on a small
+    /// one, visiting many near-empty shards costs more than the bound
+    /// saves. The sweeps rank the same under any layout, so growth
+    /// changes no decision.
     pub match_config: MatchConfig,
 }
 
 impl Default for LinkerConfig {
     /// All five parameters equally weighted, 0.90 accept threshold,
-    /// 0.01 ambiguity margin, 200 000-identity cap, 32-shard galleries.
+    /// 0.01 ambiguity margin, 200 000-identity cap, galleries that start
+    /// flat and grow up to 32 shards (32 from 4 096 rows).
     fn default() -> Self {
         LinkerConfig {
             spec: FusionSpec::all_equal(),
@@ -167,7 +182,8 @@ impl LinkerConfig {
         self
     }
 
-    /// Returns a copy with a different gallery shard layout.
+    /// Returns a copy with a different gallery row precision and shard
+    /// ceiling.
     #[must_use]
     pub fn with_match_config(mut self, match_config: MatchConfig) -> Self {
         self.match_config = match_config;
@@ -337,6 +353,33 @@ pub struct RotationLinker {
     stats: LinkerStats,
 }
 
+/// Rows per shard a growing gallery keeps at least once it splits: a
+/// gallery at `s` shards re-lays out over `2s` (up to the configured
+/// ceiling) when it holds `2 · GROWTH_ROWS_PER_SHARD · s` rows.
+///
+/// Measured on e2ebench's `crowd_rotation` (512 sightings into fresh
+/// galleries per pass) and the `linking_smoke` gate: 64 makes the crowd
+/// linker 6–12% slower per sighting than 128, because it sweeps more,
+/// smaller shards. 256 makes it 6–7% faster, since its galleries then
+/// stay flat, but at 10³ identities the gate's galleries stop at two
+/// shards and prune 0.52 (periodic) and 0.37 (per-association) of them,
+/// under the gate's 0.5 floor. 128 prunes 0.69 and 0.61 there, and 0.79
+/// at 10⁴.
+const GROWTH_ROWS_PER_SHARD: usize = 128;
+
+/// Brings a gallery's shard count up to what its row count calls for:
+/// doubled while it holds `2 · GROWTH_ROWS_PER_SHARD` rows per shard, up
+/// to `ceiling`, and never shrunk. Called when the gallery is about to be
+/// swept, so rows enrolled after a gallery's last sweep cost no
+/// re-layout.
+fn grow(db: &mut ReferenceDb, ceiling: usize) {
+    let mut shards = db.shard_count();
+    while shards < ceiling && db.len() >= 2 * GROWTH_ROWS_PER_SHARD * shards {
+        shards = (2 * shards).min(ceiling);
+    }
+    db.reshard(shards);
+}
+
 /// Gallery candidates ranked per parameter sweep (the pruned top-`k`).
 const TOPK: usize = 4;
 // The ambiguity margin compares the best identity with a runner-up.
@@ -378,7 +421,8 @@ impl RotationLinker {
     pub fn new(cfg: LinkerConfig) -> Result<Self, CoreError> {
         cfg.validate()?;
         let params: Vec<(NetworkParameter, f64)> = cfg.spec.parameters.clone();
-        let galleries = params.iter().map(|_| ReferenceDb::with_config(cfg.match_config)).collect();
+        let flat = cfg.match_config.with_shards(1);
+        let galleries = params.iter().map(|_| ReferenceDb::with_config(flat)).collect();
         Ok(RotationLinker {
             params,
             galleries,
@@ -521,12 +565,14 @@ impl RotationLinker {
     fn sweep(&mut self, signatures: &[(NetworkParameter, Signature)]) -> Vec<(u64, f64)> {
         self.acc.clear();
         let mut weight_total = 0.0f64;
-        for (&(param, weight), db) in self.params.iter().zip(&self.galleries) {
+        let ceiling = self.cfg.match_config.effective_shards();
+        for (&(param, weight), db) in self.params.iter().zip(&mut self.galleries) {
             let Some(sig) = signature_for(signatures, param) else { continue };
             weight_total += weight;
             if db.is_empty() {
                 continue;
             }
+            grow(db, ceiling);
             let tops = db
                 .match_topk_tile(std::slice::from_ref(sig), TOPK, &mut self.scratch)
                 .pop()
@@ -781,16 +827,20 @@ mod tests {
         // A gallery of identities clustered at well-separated dominant
         // bins: a probe near one cluster must not sweep every shard.
         // The universal-MAC gate enrolls the population without
-        // sweeping, so the prune counters isolate the probe sweeps.
+        // sweeping, so the prune counters isolate the probe sweeps. 640
+        // rows grow the gallery past two splits (1 → 2 → 4 shards)
+        // before the first probe sweeps it.
         let mut linker = RotationLinker::new(single_cfg()).unwrap();
-        for i in 0..160u64 {
+        for i in 0..640u64 {
             let center = 150.0 * ((i % 16) as f64) + 10.0;
             linker.link(MacAddr::universal_from_index(i + 1), Nanos::from_secs(i), &sighting(center));
         }
         assert_eq!(linker.stats().shards_swept + linker.stats().shards_pruned, 0);
+        assert_eq!(linker.galleries[0].shard_count(), 1, "growth waits for a sweep");
         for j in 0..4u64 {
-            linker.link(MacAddr::randomized(j), Nanos::from_secs(200 + j), &sighting(310.0));
+            linker.link(MacAddr::randomized(j), Nanos::from_secs(700 + j), &sighting(310.0));
         }
+        assert_eq!(linker.galleries[0].shard_count(), 4);
         let stats = linker.stats();
         assert!(stats.shards_swept > 0, "gallery sweeps ran: {stats:?}");
         assert!(
@@ -799,6 +849,55 @@ mod tests {
         );
         assert!(stats.pruned_fraction() > 0.0);
         assert!(stats.conserves());
+    }
+
+    #[test]
+    fn galleries_double_their_shards_up_to_the_ceiling() {
+        // The growth rule on its own: one shard below 256 rows, two from
+        // 256, four from 512, and no further past a ceiling of 4.
+        let mut db = ReferenceDb::with_config(MatchConfig::flat());
+        for n in 1..=1200u64 {
+            db.insert(gallery_key(n), sig_at(10.0 + (n % 240) as f64 * 10.0, 8)).unwrap();
+            grow(&mut db, 4);
+            let want = match n {
+                ..256 => 1,
+                256..512 => 2,
+                _ => 4,
+            };
+            assert_eq!(db.shard_count(), want, "{n} rows");
+        }
+        // Removing rows never shrinks the layout.
+        for n in 1..=1100u64 {
+            db.remove(&gallery_key(n)).unwrap();
+            grow(&mut db, 4);
+            assert_eq!(db.shard_count(), 4);
+        }
+
+        // Through the linker: a capped gallery grows with its rows, then
+        // holds its layout while cap evictions replace identities.
+        let cfg = single_cfg()
+            .with_gallery_cap(600)
+            .with_match_config(MatchConfig::default().with_shards(8));
+        let mut linker = RotationLinker::new(cfg).unwrap();
+        for i in 0..1000u64 {
+            let center = 10.0 + (i % 240) as f64 * 10.0;
+            linker.link(MacAddr::universal_from_index(i + 1), Nanos::from_secs(i), &sighting(center));
+            if i % 50 == 49 {
+                // A randomized sighting sweeps (and first grows) the gallery.
+                let before = linker.stats();
+                linker.link(MacAddr::randomized(i), Nanos::from_secs(i), &sighting(center));
+                let want = match before.gallery_rows {
+                    ..256 => 1,
+                    256..512 => 2,
+                    _ => 4,
+                };
+                assert_eq!(linker.galleries[0].shard_count(), want, "{before:?}");
+            }
+        }
+        let stats = linker.stats();
+        assert!(stats.evicted_cap > 300, "{stats:?}");
+        assert_eq!(stats.gallery_rows, 600);
+        assert_eq!(linker.galleries[0].shard_count(), 4);
     }
 
     #[test]

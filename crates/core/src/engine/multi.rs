@@ -1081,8 +1081,9 @@ mod tests {
         CapturedFrame::from_frame(&f, Rate::R24M, Nanos::from_micros(t_us), -55)
     }
 
-    /// Two devices with complementary behaviour: same sizes but
-    /// different periods (1 vs 2), plus a third with a distinct size.
+    /// Devices 1 and 2 both send 300-byte frames every 40 ms and differ
+    /// only in phase (offsets 1 ms and 2.5 ms); device 3 sends 900-byte
+    /// frames every 25 ms.
     fn training_frames() -> Vec<CapturedFrame> {
         let mut frames = Vec::new();
         for i in 0..40u64 {

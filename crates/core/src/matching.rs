@@ -87,7 +87,9 @@
 //! resident device's score against a given candidate — one dot product
 //! per (shard, kind) instead of one per device. (A mean-centroid summary would need a radius term and is
 //! strictly looser for non-negative rows, so the envelope is the summary
-//! of choice.)
+//! of choice.) A crate-private re-layout moves the packed columns to a
+//! new shard count without repacking any row; the rotation linker grows
+//! its galleries that way.
 //!
 //! # Two sweeps
 //!
@@ -313,7 +315,9 @@ impl Default for MatchConfig {
 impl MatchConfig {
     /// The flat (unsharded) layout: one shard holding every row. The
     /// parity baseline for the sharded sweeps, and the right choice for
-    /// small (< a few hundred devices) databases.
+    /// small (< a few hundred devices) databases; every rotation-linker
+    /// gallery starts from it and grows its shards as it fills (see
+    /// [`LinkerConfig::match_config`](crate::engine::LinkerConfig::match_config)).
     pub fn flat() -> Self {
         MatchConfig::default().with_shards(1)
     }
@@ -340,7 +344,7 @@ impl MatchConfig {
     }
 
     /// The effective shard count (clamped).
-    fn effective_shards(&self) -> usize {
+    pub(crate) fn effective_shards(&self) -> usize {
         self.shards.clamp(1, MAX_SHARDS)
     }
 }
@@ -508,6 +512,54 @@ impl KindBlock {
         }
     }
 
+    /// Copies the slots `run` names of `src` (a block of the same key
+    /// and precision) into this block's absent slots from `to` on, in
+    /// order: their weights, reciprocal norms and column entries, as they
+    /// are. The prune summary is left to [`KindBlock::refresh_summary`].
+    fn gather(&mut self, to: usize, src: &KindBlock, run: &[(usize, usize)]) {
+        let end = to + run.len();
+        for ((w, inv), &(_, from)) in
+            self.weights[to..end].iter_mut().zip(&mut self.inv_norms[to..end]).zip(run)
+        {
+            (*w, *inv) = (src.weights[from], src.inv_norms[from]);
+        }
+        match (&mut self.store, &src.store) {
+            (RowStore::F32(rows), RowStore::F32(src_rows)) => {
+                gather_columns(rows, self.cap, to, src_rows, src.cap, run);
+            }
+            (RowStore::U8(rows), RowStore::U8(src_rows)) => {
+                gather_columns(rows, self.cap, to, src_rows, src.cap, run);
+            }
+            _ => unreachable!("one database holds one precision"),
+        }
+    }
+
+    /// Recomputes the prune summary over the resident slots (the envelope
+    /// column by column, and the maximum weight) and returns whether any
+    /// resident holds this kind. Maxima do not round, so the summary is
+    /// bit for bit the one a bulk build computes.
+    fn refresh_summary(&mut self) -> bool {
+        let KindBlock { cap, weights, store, inv_norms, envelope, wmax, .. } = self;
+        *wmax = weights.iter().copied().fold(0.0, f32::max);
+        if *wmax == 0.0 {
+            return false;
+        }
+        let slots = weights.len();
+        match store {
+            RowStore::F32(rows) => {
+                for (col, e) in rows.chunks_exact(*cap).zip(envelope) {
+                    *e = column_max(&col[..slots], inv_norms, |f| f);
+                }
+            }
+            RowStore::U8(rows) => {
+                for (col, e) in rows.chunks_exact(*cap).zip(envelope) {
+                    *e = column_max(&col[..slots], inv_norms, f32::from);
+                }
+            }
+        }
+        true
+    }
+
     /// Column `bin` of `rows` (this block's packed store) over the
     /// resident slots.
     fn column<'a, T>(&self, rows: &'a [T], bin: u32) -> &'a [T] {
@@ -558,6 +610,23 @@ fn relayout_columns<T: Copy + Default>(
         out[bin * cap..bin * cap + slots].copy_from_slice(&rows[bin * old..bin * old + slots]);
     }
     *rows = out;
+}
+
+/// Column by column, copies the entries of `src` (capacity `src_cap`) at
+/// the slots `run` names into slots `to..` of `rows` (capacity `cap`).
+fn gather_columns<T: Copy>(
+    rows: &mut [T],
+    cap: usize,
+    to: usize,
+    src: &[T],
+    src_cap: usize,
+    run: &[(usize, usize)],
+) {
+    for (col, src_col) in rows.chunks_exact_mut(cap).zip(src.chunks_exact(src_cap)) {
+        for (dst, &(_, from)) in col[to..to + run.len()].iter_mut().zip(run) {
+            *dst = src_col[from];
+        }
+    }
 }
 
 /// `max_slot(widen(col[slot]) · inv_norms[slot])` (0 for an empty
@@ -624,11 +693,14 @@ impl Shard {
     }
 }
 
-/// Where a global row lives: its shard and local slot.
+/// Where a global row lives, its shard and local slot, and why: the
+/// centre of mass its shard key quantises ([`centre_of_mass`]), kept so a
+/// re-layout reads no histogram.
 #[derive(Debug, Clone, Copy, Default)]
 struct Placement {
     shard: u16,
     slot: u32,
+    centre: f64,
 }
 
 /// The sharded reference database of the learning phase (§IV-B): one
@@ -671,7 +743,7 @@ pub struct ReferenceDb {
     /// Row indices sorted by ascending device address: the lookup index,
     /// and the order every public API reports devices in.
     order: Vec<u32>,
-    /// Global row → (shard, slot).
+    /// Global row → (shard, slot, centre of mass).
     placement: Vec<Placement>,
     /// Every `(kind, bins)` key any shard holds, ascending — the outer
     /// loop of the sweeps, so candidate tiles are packed once per kind,
@@ -737,12 +809,12 @@ impl ReferenceDb {
         db
     }
 
-    /// The shard configuration this database was built with.
+    /// The shard configuration this database is laid out with.
     pub fn config(&self) -> &MatchConfig {
         &self.config
     }
 
-    /// The configured shard count (occupied or not).
+    /// The shard count it is laid out with (occupied or not).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -767,32 +839,15 @@ impl ReferenceDb {
         self.order.binary_search_by(|&i| self.devices[i as usize].cmp(&device))
     }
 
-    /// The shard key of a signature: the centre of mass of its
-    /// **dominant** (highest weight) histogram, quantised over the shard
-    /// count. Devices whose heaviest histogram concentrates probability
-    /// in the same region share a shard, which keeps each shard's upper
-    /// envelope tight and makes the pruned sweep effective.
-    fn shard_key(&self, signature: &Signature) -> usize {
+    /// The shard key of global row `row`: its centre of mass
+    /// ([`centre_of_mass`]) quantised over the shard count. Devices whose
+    /// heaviest histogram concentrates probability in the same region
+    /// share a shard, which keeps each shard's upper envelope tight and
+    /// makes the pruned sweep effective. Doubling the shard count splits
+    /// key `k` into `2k` and `2k + 1` (scaling by two is exact).
+    fn shard_key(&self, row: usize) -> usize {
         let n = self.shards.len();
-        if n <= 1 {
-            return 0;
-        }
-        let mut dominant: Option<&Histogram> = None;
-        let mut dominant_total = 0u64;
-        for (_, hist) in signature.iter() {
-            if hist.total() > dominant_total {
-                dominant_total = hist.total();
-                dominant = Some(hist);
-            }
-        }
-        let Some(hist) = dominant else { return 0 };
-        // Centre of mass of the dominant histogram, as a fraction of its
-        // bin range: nearby distributions get nearby keys (the
-        // locality-sensitive property the pruning bound leans on).
-        let counts = hist.counts();
-        let mass: f64 = counts.iter().enumerate().map(|(i, &c)| i as f64 * c as f64).sum();
-        let com = mass / dominant_total as f64 / counts.len().max(1) as f64;
-        ((com * n as f64) as usize).min(n - 1)
+        ((self.placement[row].centre * n as f64) as usize).min(n - 1)
     }
 
     /// Inserts or replaces a device's reference signature (online
@@ -824,19 +879,21 @@ impl ReferenceDb {
         Ok(match self.position(device) {
             Ok(pos) => {
                 let row = self.order[pos] as usize;
+                self.placement[row].centre = centre_of_mass(&signature);
                 let previous = std::mem::replace(&mut self.signatures[row], signature);
                 self.detach_row(row);
-                let shard = self.shard_key(&self.signatures[row]);
+                let shard = self.shard_key(row);
                 self.attach_row(row, shard, 0);
                 Some(previous)
             }
             Err(pos) => {
                 let row = self.devices.len();
                 self.devices.push(device);
+                let centre = centre_of_mass(&signature);
+                self.placement.push(Placement { centre, ..Placement::default() });
                 self.signatures.push(signature);
                 self.order.insert(pos, row as u32);
-                self.placement.push(Placement::default());
-                let shard = self.shard_key(&self.signatures[row]);
+                let shard = self.shard_key(row);
                 self.attach_row(row, shard, 0);
                 None
             }
@@ -952,7 +1009,7 @@ impl ReferenceDb {
         for block in &mut shard.blocks {
             block.push_empty_slot();
         }
-        placement[row] = Placement { shard: shard_idx as u16, slot: slot as u32 };
+        (placement[row].shard, placement[row].slot) = (shard_idx as u16, slot as u32);
         let sig = &signatures[row];
         let slots = shard.rows.len();
         for (kind, hist) in sig.iter() {
@@ -981,7 +1038,7 @@ impl ReferenceDb {
     /// shard's last resident moves into it) and repairs the affected
     /// prune summaries (the envelope may shrink).
     fn detach_row(&mut self, row: usize) {
-        let Placement { shard: shard_idx, slot } = self.placement[row];
+        let Placement { shard: shard_idx, slot, .. } = self.placement[row];
         let ReferenceDb { placement, kind_keys, shards, .. } = self;
         let shard = &mut shards[shard_idx as usize];
         shard.rows.swap_remove(slot as usize);
@@ -1009,17 +1066,71 @@ impl ReferenceDb {
         let n = self.devices.len();
         self.order = (0..n as u32).collect();
         self.order.sort_by_key(|&i| self.devices[i as usize]);
-        self.placement = vec![Placement::default(); n];
+        self.placement = self
+            .signatures
+            .iter()
+            .map(|sig| Placement { centre: centre_of_mass(sig), ..Placement::default() })
+            .collect();
         self.kind_keys.clear();
         let shards = self.shards.len();
         self.shards = vec![Shard::default(); shards];
-        let keys: Vec<usize> = self.signatures.iter().map(|sig| self.shard_key(sig)).collect();
+        let keys: Vec<usize> = (0..n).map(|row| self.shard_key(row)).collect();
         let mut sizes = vec![0; shards];
         for &key in &keys {
             sizes[key] += 1;
         }
         for (row, &key) in keys.iter().enumerate() {
             self.attach_row(row, key, sizes[key]);
+        }
+    }
+
+    /// Re-lays the rows out over `shards` shards (clamped like
+    /// [`MatchConfig::shards`]) by moving their packed columns: each row
+    /// goes to its key at the new count with its column entries, weight
+    /// and reciprocal norm as they are, and no signature is read (the
+    /// keys come from the centres kept in `placement`). Going from `s` to
+    /// `2s` shards splits shard `k` into `2k` and `2k + 1`. The summaries
+    /// are maxima, which do not round, so they are bit for bit a bulk
+    /// build's at the new count, and every sweep scores as before.
+    pub(crate) fn reshard(&mut self, shards: usize) {
+        let shards = MatchConfig { shards, ..self.config }.effective_shards();
+        if shards == self.shards.len() {
+            return;
+        }
+        self.config.shards = shards;
+        let old = std::mem::replace(&mut self.shards, vec![Shard::default(); shards]);
+        // Each new shard's residents as (old shard, old slot), old shard
+        // by old shard.
+        let mut moved: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
+        for (si, shard) in old.iter().enumerate() {
+            for (slot, &row) in shard.rows.iter().enumerate() {
+                moved[self.shard_key(row as usize)].push((si, slot));
+            }
+        }
+        let precision = self.config.precision;
+        for ((dest_idx, dest), moved) in self.shards.iter_mut().enumerate().zip(&moved) {
+            if moved.is_empty() {
+                continue;
+            }
+            for (slot, &(si, from)) in moved.iter().enumerate() {
+                let row = old[si].rows[from];
+                dest.rows.push(row);
+                let placement = &mut self.placement[row as usize];
+                (placement.shard, placement.slot) = (dest_idx as u16, slot as u32);
+            }
+            for &(kind, bins) in &self.kind_keys {
+                let mut block = KindBlock::empty(kind, bins, moved.len(), 0, precision);
+                let mut to = 0;
+                for run in moved.chunk_by(|a, b| a.0 == b.0) {
+                    if let Some(src) = old[run[0].0].block(kind, bins) {
+                        block.gather(to, src, run);
+                    }
+                    to += run.len();
+                }
+                if block.refresh_summary() {
+                    dest.blocks.push(block);
+                }
+            }
         }
     }
 
@@ -1236,8 +1347,7 @@ impl ReferenceDb {
                 continue;
             }
             let bounds = &mut tile_bounds[si * kc..(si + 1) * kc];
-            for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
-                let Some(block) = shard.block(kind, bins) else { continue };
+            for (block, span) in self.blocks_with_spans(shard, kind_spans) {
                 for e in &packed[span.clone()] {
                     let dot = tile_nonzeros[e.nonzeros.clone()].iter().fold(0.0, |acc, &(bin, c)| {
                         acc + f64::from(c) * f64::from(block.envelope[bin as usize])
@@ -1255,6 +1365,24 @@ impl ReferenceDb {
         shard_bounds.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
         });
+    }
+
+    /// Pairs each of `shard`'s blocks with its key's span of packed rows,
+    /// ascending by key. The blocks and `kind_keys` are both sorted by
+    /// `(kind, bins)`, and every block's key is in `kind_keys`, so one
+    /// merge walk finds every block without a search per key.
+    fn blocks_with_spans<'a>(
+        &'a self,
+        shard: &'a Shard,
+        kind_spans: &'a [std::ops::Range<usize>],
+    ) -> impl Iterator<Item = (&'a KindBlock, &'a std::ops::Range<usize>)> {
+        let mut keys = self.kind_keys.iter().zip(kind_spans);
+        shard.blocks.iter().map(move |block| {
+            let (_, span) = keys
+                .find(|&(&key, _)| key == (block.kind, block.bins))
+                .expect("every block's key is in kind_keys");
+            (block, span)
+        })
     }
 
     /// The one shard walk behind both sweeps: scores `shard`'s resident
@@ -1282,8 +1410,7 @@ impl ReferenceDb {
         let slots = shard.rows.len();
         shard_scores.clear();
         shard_scores.resize(active.len() * slots, 0.0);
-        for (&(kind, bins), span) in self.kind_keys.iter().zip(kind_spans.iter()) {
-            let Some(block) = shard.block(kind, bins) else { continue };
+        for (block, span) in self.blocks_with_spans(shard, kind_spans) {
             let entries = packed[span.clone()].iter().filter(|e| active[e.cand]);
             match &block.store {
                 RowStore::U8(rows) => {
@@ -1330,6 +1457,25 @@ impl ReferenceDb {
         }
         MatchOutcome { sims }
     }
+}
+
+/// The centre of mass of a signature's **dominant** (most observed)
+/// histogram, as a fraction of its bin range, in `[0, 1)`: nearby
+/// distributions get nearby values (the locality-sensitive property the
+/// pruning bound leans on). 0 for a signature without observations.
+fn centre_of_mass(signature: &Signature) -> f64 {
+    let mut dominant: Option<&Histogram> = None;
+    let mut dominant_total = 0u64;
+    for (_, hist) in signature.iter() {
+        if hist.total() > dominant_total {
+            dominant_total = hist.total();
+            dominant = Some(hist);
+        }
+    }
+    let Some(hist) = dominant else { return 0.0 };
+    let counts = hist.counts();
+    let mass: f64 = counts.iter().enumerate().map(|(i, &c)| i as f64 * c as f64).sum();
+    mass / dominant_total as f64 / counts.len().max(1) as f64
 }
 
 /// One candidate's `u8` column pass: `dots[slot] += c · column_bin[slot]`
@@ -2578,6 +2724,88 @@ mod tests {
                 let want = bulk.match_topk_tile(&candidates, 3, &mut b);
                 prop_assert_eq!(got, want);
             }
+        }
+
+        // A re-layout moves packed columns instead of repacking rows.
+        // After any churn and any sequence of shard counts, the split
+        // store must hold what a bulk build at the new count holds (keys,
+        // prune summaries, resident bytes), keep its dense and top-k
+        // sweeps' bits, and take further churn like a bulk build.
+        #[test]
+        fn reshard_equals_a_bulk_build(
+            ops in prop::collection::vec(
+                (0u8..5, 0u64..40, prop::collection::vec(0.0f64..2400.0, 1..30)), 8..48),
+            path in prop::collection::vec(1usize..9, 1..4),
+            cand_tiles in prop::collection::vec(
+                prop::collection::vec(0.0f64..2400.0, 1..30), 1..4),
+            quantized in any::<bool>(),
+        ) {
+            let c = cfg();
+            // About half the devices send probes, so some shards lack a key
+            // that others hold and the shard walk must skip it.
+            let signature = |values: &[f64]| {
+                let mut sig = Signature::new();
+                let probes = values[0] < 1200.0;
+                for (j, &v) in values.iter().enumerate() {
+                    let kind = if probes && j % 3 == 0 { FrameKind::ProbeReq } else { FrameKind::Data };
+                    sig.record(kind, v, &c);
+                }
+                sig
+            };
+            let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
+            let candidates: Vec<Signature> = cand_tiles.iter().map(|v| signature(v)).collect();
+            let mut db = ReferenceDb::with_config(MatchConfig::flat().with_precision(precision));
+            let mut mirror: BTreeMap<MacAddr, Signature> = BTreeMap::new();
+            let (half, rest) = ops.split_at(ops.len() / 2);
+            let apply = |db: &mut ReferenceDb,
+                         mirror: &mut BTreeMap<MacAddr, Signature>,
+                         ops: &[(u8, u64, Vec<f64>)]| {
+                for (op, device, values) in ops {
+                    let device = MacAddr::from_index(device + 1);
+                    if *op == 4 {
+                        db.remove(&device).unwrap();
+                        mirror.remove(&device);
+                    } else {
+                        db.insert(device, signature(values)).unwrap();
+                        mirror.insert(device, signature(values));
+                    }
+                }
+            };
+            apply(&mut db, &mut mirror, half);
+            let (mut a, mut b) = (MatchScratch::new(), MatchScratch::new());
+            let dense = |db: &ReferenceDb, scratch: &mut MatchScratch| -> Vec<MatchOutcome> {
+                db.match_tile(&candidates, SimilarityMeasure::Cosine, scratch)
+                    .views()
+                    .map(|v| v.to_outcome())
+                    .collect()
+            };
+            let before = (dense(&db, &mut a), db.match_topk_tile(&candidates, 3, &mut a));
+            for &shards in &path {
+                let moved = shards != db.shard_count();
+                db.reshard(shards);
+                let config = MatchConfig { shards, precision };
+                prop_assert_eq!(db.config(), &config);
+                prop_assert_eq!(db.shard_count(), shards);
+                let bulk = ReferenceDb::from_signatures_with(mirror.clone(), config);
+                prop_assert_eq!(&db.kind_keys, &bulk.kind_keys);
+                prop_assert_eq!(summaries(&db), summaries(&bulk));
+                prop_assert_eq!(db.row_bytes(), bulk.row_bytes());
+                prop_assert!(
+                    !moved || db.shards.iter().flat_map(|s| &s.blocks).all(|b| b.cap == b.slots()),
+                    "a re-layout packs at exact size"
+                );
+                let after = (dense(&db, &mut a), db.match_topk_tile(&candidates, 3, &mut a));
+                prop_assert_eq!(&after, &before, "{:?}", config);
+            }
+            // Churn on the re-laid-out store still matches a bulk build.
+            apply(&mut db, &mut mirror, rest);
+            let bulk = ReferenceDb::from_signatures_with(mirror, *db.config());
+            prop_assert_eq!(summaries(&db), summaries(&bulk));
+            prop_assert_eq!(dense(&db, &mut a), dense(&bulk, &mut b));
+            prop_assert_eq!(
+                db.match_topk_tile(&candidates, 3, &mut a),
+                bulk.match_topk_tile(&candidates, 3, &mut b)
+            );
         }
     }
 }
