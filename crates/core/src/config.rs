@@ -1,6 +1,8 @@
 //! Evaluation configuration: bin specs, filters, estimators and the
 //! paper's default settings.
 
+use std::sync::Arc;
+
 use wifiprint_ieee80211::{FrameKind, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
 
@@ -102,8 +104,9 @@ pub fn default_bins(param: NetworkParameter) -> BinSpec {
 pub struct EvalConfig {
     /// The network parameter under evaluation.
     pub parameter: NetworkParameter,
-    /// Histogram bins for that parameter.
-    pub bins: BinSpec,
+    /// Histogram bins for that parameter, shared by every histogram
+    /// recorded with this configuration.
+    pub bins: Arc<BinSpec>,
     /// Minimum observations per signature (the paper uses 50, §V-C).
     pub min_observations: u64,
     /// Transmission-time estimator.
@@ -128,7 +131,7 @@ impl EvalConfig {
     pub fn for_parameter(parameter: NetworkParameter) -> Self {
         EvalConfig {
             parameter,
-            bins: default_bins(parameter),
+            bins: Arc::new(default_bins(parameter)),
             min_observations: 50,
             estimator: TxTimeEstimator::SizeOverRate,
             filter: FrameFilter::default(),
@@ -154,7 +157,7 @@ impl EvalConfig {
     /// Returns a copy with different histogram bins.
     #[must_use]
     pub fn with_bins(mut self, bins: BinSpec) -> Self {
-        self.bins = bins;
+        self.bins = Arc::new(bins);
         self
     }
 

@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 use wifiprint_ieee80211::{FrameKind, MacAddr};
 
@@ -102,11 +103,22 @@ pub fn save_db<W: Write>(
     for (device, sig) in db.iter() {
         writeln!(out, "device {device}")?;
         for (kind, hist) in sig.iter() {
-            let counts: Vec<String> = hist.counts().iter().map(u64::to_string).collect();
-            writeln!(out, "hist {} {}", kind.label(), counts.join(","))?;
+            writeln!(out, "hist {} {}", kind.label(), dense_counts(hist))?;
         }
     }
     Ok(())
+}
+
+/// A histogram's counts, one comma-separated entry per bin, zeros
+/// included: the format stays dense whatever the in-memory store holds.
+fn dense_counts(hist: &Histogram) -> String {
+    let mut nonzero = hist.nonzero_counts().iter().peekable();
+    let counts: Vec<String> = (0..hist.bin_count())
+        .map(|bin| {
+            nonzero.next_if(|&&(b, _)| b as usize == bin).map_or(0, |&(_, c)| c).to_string()
+        })
+        .collect();
+    counts.join(",")
 }
 
 /// Reads a database previously written with [`save_db`], packing it
@@ -160,6 +172,7 @@ pub fn load_db_with<R: BufRead>(
     let bins = parse_bins(&bins_line)
         .ok_or_else(|| DbCodecError::Parse { line: ln, message: "bad bins line".into() })?;
 
+    let shared_bins = Arc::new(bins.clone());
     let mut signatures: BTreeMap<MacAddr, Signature> = BTreeMap::new();
     let mut current: Option<(MacAddr, BTreeMap<FrameKind, Histogram>)> = None;
     let seal =
@@ -224,7 +237,7 @@ pub fn load_db_with<R: BufRead>(
             if counts.iter().try_fold(others, |sum, &c| sum.checked_add(c)).is_none() {
                 return Err(DbCodecError::Parse { line: ln, message: "counts overflow".into() });
             }
-            hists.insert(kind, Histogram::from_counts(bins.clone(), counts));
+            hists.insert(kind, Histogram::from_counts(Arc::clone(&shared_bins), counts));
         } else {
             return Err(DbCodecError::Parse {
                 line: ln,
@@ -296,7 +309,7 @@ mod tests {
             }
             db.insert(MacAddr::from_index(idx), sig).unwrap();
         }
-        (db, param, cfg.bins)
+        (db, param, (*cfg.bins).clone())
     }
 
     #[test]
@@ -315,6 +328,32 @@ mod tests {
     }
 
     #[test]
+    fn saved_text_is_pinned() {
+        // The persisted format is dense: one count per bin, zeros
+        // included, whatever the in-memory histogram stores.
+        const GOLDEN: &str = "\
+        wifiprint-db v1\n\
+        parameter inter-arrival-time\n\
+        bins uniform 0 10 10\n\
+        device 02:00:00:00:00:01\n\
+        hist probe-req 0,0,0,0,0,0,0,0,0,5,0\n\
+        hist data 0,60,0,0,0,0,0,0,0,0,0\n\
+        device 02:00:00:00:00:02\n\
+        hist probe-req 0,0,0,0,0,0,0,0,0,5,0\n\
+        hist data 0,0,60,0,0,0,0,0,0,0,0\n\
+        device 02:00:00:00:00:03\n\
+        hist probe-req 0,0,0,0,0,0,0,0,0,5,0\n\
+        hist data 0,0,0,60,0,0,0,0,0,0,0\n";
+        let (db, param, bins) = sample_db();
+        let mut buf = Vec::new();
+        save_db(&mut buf, &db, param, &bins).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), GOLDEN);
+        let (loaded, lparam, lbins) = load_db(GOLDEN.as_bytes()).unwrap();
+        assert_eq!((lparam, &lbins), (param, &bins));
+        assert_eq!(loaded.iter().collect::<Vec<_>>(), db.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn categorical_bins_round_trip() {
         let param = NetworkParameter::TransmissionRate;
         let cfg = EvalConfig::for_parameter(param);
@@ -327,7 +366,7 @@ mod tests {
         let mut buf = Vec::new();
         save_db(&mut buf, &db, param, &cfg.bins).unwrap();
         let (loaded, _, lbins) = load_db(&buf[..]).unwrap();
-        assert_eq!(lbins, cfg.bins);
+        assert_eq!(lbins, *cfg.bins);
         assert_eq!(loaded.len(), 1);
     }
 

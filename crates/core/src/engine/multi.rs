@@ -31,6 +31,7 @@
 //! [`engine`](super) module docs for the lifecycle and an example.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use wifiprint_ieee80211::{MacAddr, Nanos};
 use wifiprint_radiotap::CapturedFrame;
@@ -126,7 +127,7 @@ impl MultiConfig {
     pub fn eval_config(&self, parameter: NetworkParameter) -> EvalConfig {
         EvalConfig {
             parameter,
-            bins: default_bins(parameter),
+            bins: Arc::new(default_bins(parameter)),
             min_observations: self.min_observations,
             estimator: self.estimator,
             filter: self.filter.clone(),

@@ -52,10 +52,11 @@
 //!   `f32 × f32` products, so it is the same on every host. Drift ≤
 //!   [`F32_SCORE_TOLERANCE`] vs `f64`.
 //! * **`u8`** ([`RowPrecision::U8`]) — each row quantized once at
-//!   insert to 7-bit codes
-//!   ([`Histogram::frequencies_u8`](crate::Histogram::frequencies_u8));
-//!   cosine is scale-invariant, so the sweep dots raw codes in **exact**
-//!   `u32` arithmetic, folds the code norms in at the end, and the store
+//!   insert to 7-bit codes, straight from the histogram's nonzero bins
+//!   (the codes
+//!   [`Histogram::frequencies_u8`](crate::Histogram::frequencies_u8)
+//!   lists densely); cosine is scale-invariant, so the sweep dots raw
+//!   codes in **exact** `u32` arithmetic, folds the code norms in at the end, and the store
 //!   keeps no per-row scale. Drift ≤
 //!   [`U8_SCORE_TOLERANCE`] vs `f32`, pinned by parity proptests here and
 //!   an AUC-drift gate in the analysis crate.
@@ -148,8 +149,9 @@
 //! [`MatchView::to_outcome`] copies one out as an owned [`MatchOutcome`]
 //! when it must outlive the scratch's next sweep. After the first call
 //! warms the scratch's capacity, matching performs **no heap
-//! allocation**: candidate rows are packed from cached frequency vectors
-//! ([`Histogram::frequencies_f32`](crate::Histogram::frequencies_f32))
+//! allocation**: candidate rows are packed straight from each
+//! histogram's nonzero `(bin, count)` pairs
+//! ([`Histogram::nonzero_counts`](crate::Histogram::nonzero_counts))
 //! into reused buffers, scores accumulate into reused buffers, and the
 //! views borrow rather than copy. Use one scratch per worker thread:
 //!
@@ -360,8 +362,8 @@ impl MatchConfig {
 enum RowStore {
     /// The devices' `f32` frequencies.
     F32(Vec<f32>),
-    /// Quantized rows: the devices' 7-bit codes
-    /// ([`Histogram::frequencies_u8`]). Cosine is scale-invariant, so the
+    /// Quantized rows: the devices' 7-bit codes (the dense form is
+    /// [`Histogram::frequencies_u8`]). Cosine is scale-invariant, so the
     /// sweep works on the raw codes with `inv_norms` computed over the
     /// codes, and no per-row scale is kept.
     U8(Vec<u8>),
@@ -483,28 +485,26 @@ impl KindBlock {
     /// and absorbs it into the prune summary (the envelope only grows
     /// here; shrinking happens in [`KindBlock::remove_slot`]).
     fn set_slot(&mut self, slot: usize, hist: &Histogram, weight: f32) {
-        let KindBlock { bins, cap, weights, store, inv_norms, envelope, wmax, .. } = self;
-        let (bins, cap) = (*bins, *cap);
+        debug_assert_eq!(hist.bin_count(), self.bins);
+        let KindBlock { cap, weights, store, inv_norms, envelope, wmax, .. } = self;
+        let cap = *cap;
         weights[slot] = weight;
         *wmax = wmax.max(weight);
         match store {
             RowStore::F32(rows) => {
-                let freqs = hist.frequencies_f32();
-                debug_assert_eq!(freqs.len(), bins);
-                let inv = inv_norm(freqs);
+                let (inv, entries) = hist.packed_f32();
                 inv_norms[slot] = inv;
-                for (bin, f) in nonzero_bins(freqs.iter().copied()) {
+                for (bin, f) in entries {
                     let bin = bin as usize;
                     rows[bin * cap + slot] = f;
                     envelope[bin] = envelope[bin].max(f * inv);
                 }
             }
             RowStore::U8(rows) => {
-                let q = hist.frequencies_u8();
-                debug_assert_eq!(q.values().len(), bins);
-                let inv = q.inv_norm();
+                let (inv, codes) = hist.packed_u8();
                 inv_norms[slot] = inv;
-                for (bin, &c) in q.values().iter().enumerate().filter(|&(_, &c)| c != 0) {
+                for (bin, c) in codes {
+                    let bin = bin as usize;
                     rows[bin * cap + slot] = c;
                     envelope[bin] = envelope[bin].max(f32::from(c) * inv);
                 }
@@ -1016,7 +1016,7 @@ impl ReferenceDb {
             if hist.total() == 0 {
                 continue;
             }
-            let bins = hist.counts().len();
+            let bins = hist.bin_count();
             let idx = match shard
                 .blocks
                 .binary_search_by(|b| (b.kind, b.bins).cmp(&(kind, bins)))
@@ -1306,18 +1306,18 @@ impl ReferenceDb {
             for (cand, sig) in candidates.iter().enumerate() {
                 let Some(hist) = sig.borrow().histogram(kind) else { continue };
                 // An empty candidate histogram matches nothing.
-                if hist.total() == 0 || hist.counts().len() != bins {
+                if hist.total() == 0 || hist.bin_count() != bins {
                     continue;
                 }
                 let nonzeros_start = tile_nonzeros.len();
                 let inv = if quantized {
-                    let q = hist.frequencies_u8();
-                    tile_nonzeros.extend(nonzero_bins(q.values().iter().map(|&c| f32::from(c))));
-                    q.inv_norm()
+                    let (inv, codes) = hist.packed_u8();
+                    tile_nonzeros.extend(codes.map(|(bin, c)| (bin, f32::from(c))));
+                    inv
                 } else {
-                    let freqs = hist.frequencies_f32();
-                    tile_nonzeros.extend(nonzero_bins(freqs.iter().copied()));
-                    inv_norm(freqs)
+                    let (inv, entries) = hist.packed_f32();
+                    tile_nonzeros.extend(entries);
+                    inv
                 };
                 packed.push(PackedRow {
                     cand,
@@ -1443,14 +1443,14 @@ impl ReferenceDb {
     #[cfg(any(test, feature = "bench-baseline"))]
     pub fn match_signature_naive(&self, candidate: &Signature) -> MatchOutcome {
         let cand_freqs: Vec<(FrameKind, Vec<f64>)> =
-            candidate.iter().map(|(kind, hist)| (kind, hist.frequency_vec())).collect();
+            candidate.iter().map(|(kind, hist)| (kind, hist.frequencies())).collect();
         let mut sims = Vec::with_capacity(self.devices.len());
         for (device, sig) in self.iter() {
             let mut sim = 0.0;
             for (kind, cand_freq) in &cand_freqs {
                 if let Some(hist) = sig.histogram(*kind) {
                     sim += sig.weight(*kind)
-                        * SimilarityMeasure::Cosine.compute(cand_freq, hist.frequencies());
+                        * SimilarityMeasure::Cosine.compute(cand_freq, &hist.frequencies());
                 }
             }
             sims.push((device, sim));
@@ -1472,10 +1472,7 @@ fn centre_of_mass(signature: &Signature) -> f64 {
             dominant = Some(hist);
         }
     }
-    let Some(hist) = dominant else { return 0.0 };
-    let counts = hist.counts();
-    let mass: f64 = counts.iter().enumerate().map(|(i, &c)| i as f64 * c as f64).sum();
-    mass / dominant_total as f64 / counts.len().max(1) as f64
+    dominant.map_or(0.0, Histogram::centre_of_mass)
 }
 
 /// One candidate's `u8` column pass: `dots[slot] += c · column_bin[slot]`
@@ -1537,24 +1534,6 @@ fn accumulate_f32(dots: &mut [f64], nonzeros: &[(u32, f32)], block: &KindBlock, 
             *d += c * f64::from(x);
         }
     }
-}
-
-/// `1 / ‖row‖₂` from an ascending-bin `f64` sum of squares (each square
-/// of an `f32` is exact in `f64`, and the order is fixed, so the norm is
-/// the same on every host); 0.0 for an all-zero row.
-fn inv_norm(row: &[f32]) -> f32 {
-    let norm_sq = row.iter().fold(0.0, |acc, &x| acc + f64::from(x) * f64::from(x));
-    if norm_sq > 0.0 {
-        (1.0 / norm_sq.sqrt()) as f32
-    } else {
-        0.0
-    }
-}
-
-/// The nonzero entries of a row as `(bin, value)` pairs, bins ascending —
-/// the sparse form the cosine column passes and the envelope bound read.
-fn nonzero_bins(values: impl Iterator<Item = f32>) -> impl Iterator<Item = (u32, f32)> {
-    (0u32..).zip(values).filter(|&(_, v)| v != 0.0)
 }
 
 /// One packed candidate row of a sweep (see

@@ -1,7 +1,7 @@
 //! Property tests for histograms, the cosine similarity and metrics — the
-//! similarity properties run against the *cached* frequency path
-//! ([`Histogram::frequencies`] borrows) and the SoA matching engine, whose
-//! `f32` and `u8` sweeps are pinned to per-pair scalar oracles.
+//! similarity properties run against the dense frequency view
+//! ([`Histogram::frequencies`]) and the SoA matching engine, whose `f32`
+//! and `u8` sweeps are pinned to per-pair scalar oracles.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +16,7 @@ use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
 
 /// Two histograms over one shared spec, filled from generated samples
-/// (possibly empty), exercising the cached-frequency path.
+/// (possibly empty).
 fn histogram_pair(
     width: f64,
     a: &[f64],
@@ -157,7 +157,7 @@ proptest! {
     ) {
         let (ha, hb) = histogram_pair(width, &a, &b);
         let m = SimilarityMeasure::Cosine;
-        let s = m.compute(ha.frequencies(), hb.frequencies());
+        let s = m.compute(&ha.frequencies(), &hb.frequencies());
         prop_assert!((0.0..=1.0 + 1e-9).contains(&s), "{m}: {s}");
     }
 
@@ -169,8 +169,8 @@ proptest! {
     ) {
         let (ha, hb) = histogram_pair(width, &a, &b);
         let m = SimilarityMeasure::Cosine;
-        let ab = m.compute(ha.frequencies(), hb.frequencies());
-        let ba = m.compute(hb.frequencies(), ha.frequencies());
+        let ab = m.compute(&ha.frequencies(), &hb.frequencies());
+        let ba = m.compute(&hb.frequencies(), &ha.frequencies());
         prop_assert!((ab - ba).abs() < 1e-9, "{m}: {ab} vs {ba}");
     }
 
@@ -181,7 +181,7 @@ proptest! {
     ) {
         let (h, _) = histogram_pair(width, &values, &[]);
         let m = SimilarityMeasure::Cosine;
-        let s = m.compute(h.frequencies(), h.frequencies());
+        let s = m.compute(&h.frequencies(), &h.frequencies());
         prop_assert!((s - 1.0).abs() < 1e-9, "{m}: {s}");
     }
 
@@ -198,7 +198,7 @@ proptest! {
             hb.add(v);
         }
         let m = SimilarityMeasure::Cosine;
-        prop_assert_eq!(m.compute(ha.frequencies(), hb.frequencies()), 0.0, "{}", m);
+        prop_assert_eq!(m.compute(&ha.frequencies(), &hb.frequencies()), 0.0, "{}", m);
     }
 
     #[test]
@@ -397,10 +397,10 @@ proptest! {
                         continue;
                     }
                     let (c, r) = (ch.frequencies_f32(), rh.frequencies_f32());
-                    let dot = c.iter().zip(r).fold(0.0, |acc, (&x, &y)| {
+                    let dot = c.iter().zip(&r).fold(0.0, |acc, (&x, &y)| {
                         acc + f64::from(x) * f64::from(y)
                     });
-                    let cos = (dot * inv_norm(c) * inv_norm(r)).clamp(0.0, 1.0);
+                    let cos = (dot * inv_norm(&c) * inv_norm(&r)).clamp(0.0, 1.0);
                     want += f64::from(reference.weight(kind) as f32) * cos;
                 }
                 prop_assert_eq!(got, want, "candidate {} vs {} at width {}", ci, device, width);

@@ -42,7 +42,7 @@ mod station;
 mod traffic;
 
 pub use behavior::{Arf, BackoffQuirk, FixedRate, MacBehavior, RateController, SnrSticky};
-pub use medium::{ActiveTx, Medium, TxFrame};
+pub use medium::TxFrame;
 pub use monitor::{Monitor, MonitorStats};
 pub use phy::{frame_success_probability, rate_snr_threshold_db, LinkQuality, MobilityModel};
 pub use rng::SimRng;

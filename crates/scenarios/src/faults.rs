@@ -294,12 +294,6 @@ impl FaultInjector {
         FaultInjector { plan, seed }
     }
 
-    /// The plan this injector applies.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Wraps a frame stream, degrading it lazily with bounded buffering
     /// (at most `reorder_depth` + a handful of frames in flight). Read
     /// the [`FaultLog`] off the stream once it is exhausted.
