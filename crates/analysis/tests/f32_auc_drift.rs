@@ -83,7 +83,7 @@ fn f32_pipeline_metrics_match_f64_baseline() {
         let outcome = db.match_signature_naive(&cand.signature);
         let mut true_sim = 0.0;
         let mut wrong = Vec::new();
-        for &(device, sim) in outcome.similarities() {
+        for (device, sim) in outcome.similarities() {
             if device == cand.device {
                 true_sim = sim;
             } else {

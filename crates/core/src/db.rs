@@ -386,7 +386,7 @@ mod tests {
         let measure = crate::SimilarityMeasure::Cosine;
         let a = flat.match_tile(&cand, measure, &mut scratch).candidate(0).to_outcome();
         let b = sharded.match_tile(&cand, measure, &mut scratch).candidate(0);
-        assert_eq!(a.similarities(), b.similarities());
+        assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>());
     }
 
     #[test]

@@ -523,7 +523,7 @@ impl MultiEngine {
     }
 
     /// Feeds one gatekeeper-approved frame through training / the fused
-    /// window path (the pre-resilience `observe` body).
+    /// window path.
     fn ingest(
         &mut self,
         frame: &CapturedFrame,
@@ -1032,7 +1032,7 @@ fn close_multi_window(
             scores.push(ParameterDecision {
                 parameter: param,
                 known: state.references[p].contains(&device),
-                view: view.unwrap_or_else(MatchOutcome::empty),
+                view: view.unwrap_or_default(),
             });
             if !in_common {
                 signatures.push((param, sig));
@@ -1282,7 +1282,7 @@ mod tests {
                 continue;
             };
             assert_eq!(scores.len(), 2);
-            for &(device, got) in fused.similarities() {
+            for (device, got) in fused.similarities() {
                 let a = scores[0].view.similarity_to(&device).unwrap_or(0.0);
                 let b = scores[1].view.similarity_to(&device).unwrap_or(0.0);
                 let want = (3.0 * a + 1.0 * b) / 4.0;
@@ -1353,8 +1353,8 @@ mod tests {
                 ) => {
                     assert_eq!((wa, da), (wb, db_));
                     assert_eq!(
-                        fa.as_ref().map(FusedOutcome::similarities),
-                        fb.as_ref().map(FusedOutcome::similarities)
+                        fa.as_ref().map(|f| f.similarities().collect::<Vec<_>>()),
+                        fb.as_ref().map(|f| f.similarities().collect::<Vec<_>>())
                     );
                 }
                 (MultiEvent::WindowClosed { window: wa, .. }, MultiEvent::WindowClosed { window: wb, .. }) => {
@@ -1508,7 +1508,7 @@ mod tests {
             let MultiEvent::FusedMatch { scores, fused: Some(fused), .. } = event else {
                 continue;
             };
-            for &(device, got) in fused.similarities() {
+            for (device, got) in fused.similarities() {
                 let single = scores[0].view.similarity_to(&device).unwrap_or(0.0);
                 assert!((got - single).abs() < 1e-12);
             }

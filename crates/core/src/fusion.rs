@@ -9,12 +9,11 @@
 //! versa. [`FusionSpec`] names the parameters to combine and their
 //! weights; [`fuse_outcomes`] folds per-parameter [`MatchOutcome`]s into
 //! one [`FusedOutcome`] by weighted averaging over a common device set.
-//!
-//! This module is the *online* port of what the analysis crate's
-//! `fusion` evaluator used to do offline at end-of-trace: the
-//! [`MultiEngine`](crate::engine::MultiEngine) calls [`fuse_outcomes`]
+//! The [`MultiEngine`](crate::engine::MultiEngine) calls [`fuse_outcomes`]
 //! per candidate the moment each detection window closes, so fused
 //! decisions stream out with the same latency as single-parameter ones.
+
+use std::sync::Arc;
 
 use wifiprint_ieee80211::MacAddr;
 
@@ -81,8 +80,9 @@ impl FusionSpec {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] for an empty spec, a duplicated
-    /// parameter, a non-finite or negative weight, or an all-zero weight
-    /// vector (the fused score would be 0/0).
+    /// parameter, a non-finite or negative weight, an all-zero weight
+    /// vector (the fused score would be 0/0), or weights whose sum
+    /// overflows to infinity (every fused score would be 0).
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.parameters.is_empty() {
             return Err(CoreError::InvalidConfig { reason: "fusion spec names no parameters" });
@@ -102,6 +102,9 @@ impl FusionSpec {
         if self.parameters.iter().all(|&(_, w)| w == 0.0) {
             return Err(CoreError::InvalidConfig { reason: "fusion weights sum to zero" });
         }
+        if !self.weight_sum().is_finite() {
+            return Err(CoreError::InvalidConfig { reason: "fusion weights sum to infinity" });
+        }
         Ok(())
     }
 
@@ -116,10 +119,10 @@ impl FusionSpec {
 /// its per-parameter similarities, over the devices enrolled for *every*
 /// fused parameter.
 ///
-/// The same type as a per-parameter [`MatchOutcome`] (ascending device
-/// order, the same accessors), so downstream consumers — threshold
-/// tests, argmax identification, top-k ranking — treat fused and
-/// single-parameter scores uniformly.
+/// The same type as a per-parameter [`MatchOutcome`] (a device table,
+/// ascending, and the scores aligned with it; the same accessors), so
+/// downstream consumers — threshold tests, argmax identification, top-k
+/// ranking — treat fused and single-parameter scores uniformly.
 pub type FusedOutcome = MatchOutcome;
 
 /// Fuses per-parameter similarity vectors into one [`FusedOutcome`] over
@@ -134,10 +137,12 @@ pub type FusedOutcome = MatchOutcome;
 /// parameter — though with `devices` restricted to the common enrolled
 /// set, every device is present in every vector.
 ///
-/// Both `devices` and every outcome are in ascending address order, so
-/// each parameter is one merge walk over the two vectors rather than a
+/// Both `devices` and every outcome's table are in ascending address
+/// order, so each parameter is one merge walk over the two rather than a
 /// binary search per device. Each device's terms are added in spec order,
-/// exactly as summing them per device would.
+/// exactly as summing them per device would. The result shares the
+/// first outcome table equal to `devices` (the usual case: every
+/// parameter enrolled the same devices) and copies `devices` otherwise.
 pub fn fuse_outcomes<O: std::borrow::Borrow<MatchOutcome>>(
     spec: &FusionSpec,
     outcomes: &[O],
@@ -149,27 +154,32 @@ pub fn fuse_outcomes<O: std::borrow::Borrow<MatchOutcome>>(
     // The empty sum is the seed `Iterator::sum` folds from, so the
     // accumulated scores stay bit-identical to a per-device `sum()`.
     let seed: f64 = std::iter::empty::<f64>().sum();
-    let mut similarities: Vec<(MacAddr, f64)> = devices.iter().map(|&d| (d, seed)).collect();
+    let mut scores = vec![seed; devices.len()];
     for (&(_, w), outcome) in spec.parameters.iter().zip(outcomes) {
-        let sims = outcome.borrow().similarities();
+        let MatchOutcome { devices: table, scores: sims } = outcome.borrow();
         let mut next = 0;
-        for (device, fused) in &mut similarities {
+        for (device, fused) in devices.iter().zip(&mut scores) {
             // Equality first: when the outcome covers exactly the fused
             // devices (the common case) the ordering compare never runs.
             let sim = loop {
-                match sims.get(next) {
-                    Some(&(d, sim)) if d == *device => {
+                match table.get(next) {
+                    Some(d) if d == device => {
                         next += 1;
-                        break sim;
+                        break sims[next - 1];
                     }
-                    Some((d, _)) if d < device => next += 1,
+                    Some(d) if d < device => next += 1,
                     _ => break 0.0,
                 }
             };
             *fused += w * sim / weight_sum;
         }
     }
-    FusedOutcome { sims: similarities }
+    let table = outcomes
+        .iter()
+        .map(|outcome| &outcome.borrow().devices)
+        .find(|table| table.as_slice() == devices)
+        .map_or_else(|| Arc::new(devices.to_vec()), Arc::clone);
+    FusedOutcome { devices: table, scores }
 }
 
 #[cfg(test)]
@@ -217,6 +227,14 @@ mod tests {
             ],
         };
         assert!(zero.validate().is_err());
+        // Each weight is finite, but their sum overflows to infinity.
+        let overflowing = FusionSpec {
+            parameters: vec![
+                (NetworkParameter::FrameSize, f64::MAX),
+                (NetworkParameter::InterArrivalTime, f64::MAX),
+            ],
+        };
+        assert!(overflowing.validate().is_err());
     }
 
     /// A real outcome: one frame-size reference per `(device, size)`,
@@ -338,8 +356,9 @@ mod tests {
 
             let got = fuse_outcomes(&spec, &outcomes, &devices);
             let want = fuse_by_lookup(&spec, &outcomes, &devices);
+            prop_assert_eq!(got.devices(), &devices[..]);
             prop_assert_eq!(got.similarities().len(), want.len());
-            for (&(gd, gs), &(wd, ws)) in got.similarities().iter().zip(&want) {
+            for ((gd, gs), &(wd, ws)) in got.similarities().zip(&want) {
                 prop_assert_eq!(gd, wd);
                 prop_assert_eq!(gs.to_bits(), ws.to_bits(), "{} vs {} for {}", gs, ws, gd);
             }

@@ -137,20 +137,21 @@
 //! database. [`ReferenceDb::match_tile`] scores a tile of `K` candidates
 //! in **one** walk over the shards: each shard's columns are read for all
 //! `K` candidates while they are hot in cache, instead of once per
-//! candidate. [`MATCH_TILE`] is the tile width the batch paths (the
-//! engine's window close, `metrics::match_candidates`, and through it the
-//! analysis pipeline) use. One candidate is a tile of one; the pruned
-//! sweep takes tiles too, sharing one bound-ordered shard pass.
+//! candidate. [`MATCH_TILE`] is the tile width the engine's window close
+//! (which the analysis pipeline drives) and `metrics::match_candidates`
+//! use. One candidate is a tile of one; the pruned sweep takes tiles too,
+//! sharing one bound-ordered shard pass.
 //!
 //! # Scratch buffers: allocation-free steady state
 //!
 //! Both sweeps write into a caller-owned [`MatchScratch`]. The dense
-//! sweep returns borrowed views ([`TileView`], [`MatchView`]);
-//! [`MatchView::to_outcome`] copies one out as an owned [`MatchOutcome`]
-//! when it must outlive the scratch's next sweep. After the first call
-//! warms the scratch's capacity, matching performs **no heap
-//! allocation**: candidate rows are packed straight from each
-//! histogram's nonzero `(bin, count)` pairs
+//! sweep returns borrowed views ([`TileView`], [`MatchView`]), each the
+//! database's device table plus one candidate's scores, written in
+//! address order; [`MatchView::to_outcome`] copies the scores into an
+//! owned [`MatchOutcome`] sharing the table when it must outlive the
+//! scratch's next sweep. After the first call warms the scratch's
+//! capacity, matching performs **no heap allocation**: candidate rows
+//! are packed straight from each histogram's nonzero `(bin, count)` pairs
 //! ([`Histogram::nonzero_counts`](crate::Histogram::nonzero_counts))
 //! into reused buffers, scores accumulate into reused buffers, and the
 //! views borrow rather than copy. Use one scratch per worker thread:
@@ -184,18 +185,20 @@
 //!
 //! # Incremental growth
 //!
-//! [`ReferenceDb::insert`] appends one row to the device's shard
+//! [`ReferenceDb::insert`] appends one slot to the device's shard
 //! (amortised `O(row)`) instead of repacking, so streaming database
-//! growth is linear in the data, not quadratic. Internally rows live in
-//! insertion order with a sorted index on top; shard membership, the
-//! per-shard slots and the sorted address index stay consistent across
-//! any interleaving of [`ReferenceDb::insert`] / [`ReferenceDb::remove`]
-//! (re-inserting a changed signature migrates the device to its new
-//! shard). Every public API still reports devices in ascending address
-//! order.
+//! growth is linear in the data, not quadratic. Rows are the devices in
+//! ascending address order, the order every public API reports. An
+//! insert below the last address shifts the later rows up by one, as
+//! [`ReferenceDb::remove`] shifts them down; slots do not depend on row
+//! numbers, so a shift renumbers the shard directories and moves no
+//! column. Shard membership, slots and row order stay consistent across
+//! any interleaving of inserts and removes (re-inserting a changed
+//! signature migrates the device to its new shard).
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use wifiprint_ieee80211::{FrameKind, MacAddr};
 
@@ -236,8 +239,8 @@ pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 pub const U8_SCORE_TOLERANCE: f64 = 5e-2;
 
 /// Tile width for multi-candidate matching: how many candidate windows
-/// the engine's window close and `metrics::match_candidates` (and the
-/// analysis paths built on it) pass to one [`ReferenceDb::match_tile`].
+/// the engine's window close and `metrics::match_candidates` pass to one
+/// [`ReferenceDb::match_tile`].
 ///
 /// A tile's candidates share one walk over the shards, so each shard's
 /// columns are loaded from memory once per tile instead of once per
@@ -673,12 +676,12 @@ fn swap_remove_column_slot<T: Copy + Default>(
     }
 }
 
-/// One bucket of the sharded store: which global rows live here and
+/// One bucket of the sharded store: which database rows live here and
 /// their per-kind matrices (indexed by **slot**, the local row number).
 #[derive(Debug, Clone, Default)]
 struct Shard {
-    /// `rows[slot]` is the global (insertion-order) row of the device in
-    /// that slot.
+    /// `rows[slot]` is the database row (the device's rank in address
+    /// order) of the device in that slot.
     rows: Vec<u32>,
     /// Per-frame-kind matrices, ascending by `(kind, bins)`.
     blocks: Vec<KindBlock>,
@@ -693,7 +696,7 @@ impl Shard {
     }
 }
 
-/// Where a global row lives, its shard and local slot, and why: the
+/// Where a database row lives, its shard and local slot, and why: the
 /// centre of mass its shard key quantises ([`centre_of_mass`]), kept so a
 /// re-layout reads no histogram.
 #[derive(Debug, Clone, Copy, Default)]
@@ -735,15 +738,13 @@ struct Placement {
 pub struct ReferenceDb {
     /// The (normalised) shard configuration.
     config: MatchConfig,
-    /// Reference devices in **insertion order**; `signatures` and
-    /// `placement` are parallel to this, so inserts append instead of
-    /// repacking.
-    devices: Vec<MacAddr>,
+    /// Reference devices in ascending address order: row `i` is
+    /// `devices[i]`. Every similarity vector the dense sweep returns
+    /// shares this table; a mutation while one is alive copies it first.
+    devices: DeviceTable,
+    /// Per row: the device's signature.
     signatures: Vec<Signature>,
-    /// Row indices sorted by ascending device address: the lookup index,
-    /// and the order every public API reports devices in.
-    order: Vec<u32>,
-    /// Global row → (shard, slot, centre of mass).
+    /// Per row: (shard, slot, centre of mass).
     placement: Vec<Placement>,
     /// Every `(kind, bins)` key any shard holds, ascending — the outer
     /// loop of the sweeps, so candidate tiles are packed once per kind,
@@ -775,9 +776,8 @@ impl ReferenceDb {
         let shards = config.effective_shards();
         ReferenceDb {
             config: MatchConfig { shards, ..config },
-            devices: Vec::new(),
+            devices: DeviceTable::default(),
             signatures: Vec::new(),
-            order: Vec::new(),
             placement: Vec::new(),
             kind_keys: Vec::new(),
             shards: vec![Shard::default(); shards],
@@ -799,12 +799,13 @@ impl ReferenceDb {
         signatures: BTreeMap<MacAddr, Signature>,
         config: MatchConfig,
     ) -> Self {
-        let mut db = ReferenceDb::with_config(config);
-        for (device, sig) in signatures {
-            // Entries arrive in ascending order, so each lands at the end.
-            db.devices.push(device);
-            db.signatures.push(sig);
-        }
+        // A `BTreeMap` yields its entries in ascending address order.
+        let (devices, signatures): (Vec<_>, _) = signatures.into_iter().unzip();
+        let mut db = ReferenceDb {
+            devices: Arc::new(devices),
+            signatures,
+            ..ReferenceDb::with_config(config)
+        };
         db.rebuild();
         db
     }
@@ -834,12 +835,12 @@ impl ReferenceDb {
             .sum()
     }
 
-    /// Position of `device` in the sorted `order` index.
+    /// The row of `device`, or the row it would be inserted at.
     fn position(&self, device: MacAddr) -> Result<usize, usize> {
-        self.order.binary_search_by(|&i| self.devices[i as usize].cmp(&device))
+        self.devices.binary_search(&device)
     }
 
-    /// The shard key of global row `row`: its centre of mass
+    /// The shard key of row `row`: its centre of mass
     /// ([`centre_of_mass`]) quantised over the shard count. Devices whose
     /// heaviest histogram concentrates probability in the same region
     /// share a shard, which keeps each shard's upper envelope tight and
@@ -855,9 +856,9 @@ impl ReferenceDb {
     ///
     /// Returns the previous signature if the device was already present.
     /// Inserting a new device **appends** one slot to its shard
-    /// (amortised `O(row width)`), so building a database by streaming
-    /// inserts is linear overall; replacing detaches the old row and
-    /// re-attaches the new one, migrating the device to a different
+    /// (amortised `O(row width)`), so streaming inserts in address order
+    /// build a database in linear time; replacing detaches the old row
+    /// and re-attaches the new one, migrating the device to a different
     /// shard when its dominant histogram moved.
     ///
     /// # Errors
@@ -877,8 +878,7 @@ impl ReferenceDb {
             return Err(CoreError::EmptySignature { device });
         }
         Ok(match self.position(device) {
-            Ok(pos) => {
-                let row = self.order[pos] as usize;
+            Ok(row) => {
                 self.placement[row].centre = centre_of_mass(&signature);
                 let previous = std::mem::replace(&mut self.signatures[row], signature);
                 self.detach_row(row);
@@ -886,13 +886,14 @@ impl ReferenceDb {
                 self.attach_row(row, shard, 0);
                 Some(previous)
             }
-            Err(pos) => {
-                let row = self.devices.len();
-                self.devices.push(device);
+            Err(row) => {
+                if row < self.devices.len() {
+                    self.renumber_rows(|r| if r >= row { r + 1 } else { r });
+                }
+                Arc::make_mut(&mut self.devices).insert(row, device);
                 let centre = centre_of_mass(&signature);
-                self.placement.push(Placement { centre, ..Placement::default() });
-                self.signatures.push(signature);
-                self.order.insert(pos, row as u32);
+                self.placement.insert(row, Placement { centre, ..Placement::default() });
+                self.signatures.insert(row, signature);
                 let shard = self.shard_key(row);
                 self.attach_row(row, shard, 0);
                 None
@@ -902,7 +903,7 @@ impl ReferenceDb {
 
     /// Removes a device, returning its signature (`Ok(None)` when the
     /// device was not enrolled). Shard membership, per-shard slots and
-    /// the sorted address index all stay consistent, so a later
+    /// the address-ordered rows all stay consistent, so a later
     /// [`ReferenceDb::insert`] of the same or another device scores
     /// identically to a freshly built database.
     ///
@@ -913,29 +914,23 @@ impl ReferenceDb {
         if self.frozen {
             return Err(CoreError::FrozenDatabase { device: Some(*device) });
         }
-        let Ok(pos) = self.position(*device) else {
+        let Ok(row) = self.position(*device) else {
             return Ok(None);
         };
-        let row = self.order.remove(pos) as usize;
         self.detach_row(row);
-        self.devices.remove(row);
+        Arc::make_mut(&mut self.devices).remove(row);
         let sig = self.signatures.remove(row);
         self.placement.remove(row);
-        for idx in &mut self.order {
-            if *idx as usize > row {
-                *idx -= 1;
-            }
-        }
-        // Global rows above the removed one shifted down by one; the
-        // shard directories index by global row and must follow.
-        for shard in &mut self.shards {
-            for r in &mut shard.rows {
-                if *r as usize > row {
-                    *r -= 1;
-                }
-            }
-        }
+        self.renumber_rows(|r| if r > row { r - 1 } else { r });
         Ok(Some(sig))
+    }
+
+    /// Applies a row shift to the shard directories, which name each
+    /// slot's device by its row.
+    fn renumber_rows(&mut self, shift: impl Fn(usize) -> usize) {
+        for r in self.shards.iter_mut().flat_map(|shard| &mut shard.rows) {
+            *r = shift(*r as usize) as u32;
+        }
     }
 
     /// Ends the enrollment phase: every subsequent [`ReferenceDb::insert`]
@@ -967,7 +962,7 @@ impl ReferenceDb {
 
     /// The signature of a device, if present.
     pub fn get(&self, device: &MacAddr) -> Option<&Signature> {
-        self.position(*device).ok().map(|pos| &self.signatures[self.order[pos] as usize])
+        self.position(*device).ok().map(|row| &self.signatures[row])
     }
 
     /// `true` if the device has a reference signature.
@@ -987,15 +982,15 @@ impl ReferenceDb {
 
     /// Iterates `(device, signature)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (MacAddr, &Signature)> {
-        self.order.iter().map(|&i| (self.devices[i as usize], &self.signatures[i as usize]))
+        self.devices.iter().copied().zip(&self.signatures)
     }
 
     /// The devices in the database, in address order.
     pub fn devices(&self) -> impl Iterator<Item = MacAddr> + '_ {
-        self.order.iter().map(|&i| self.devices[i as usize])
+        self.devices.iter().copied()
     }
 
-    /// Attaches global row `row` to shard `shard_idx`: appends a slot and
+    /// Attaches row `row` to shard `shard_idx`: appends a slot and
     /// writes the device's per-kind vectors, creating blocks for
     /// `(kind, bins)` pairs the shard sees for the first time with
     /// columns of at least `cap` slots (a bulk build passes the shard's
@@ -1034,7 +1029,7 @@ impl ReferenceDb {
         }
     }
 
-    /// Detaches global row `row` from its shard: drops its slot (the
+    /// Detaches row `row` from its shard: drops its slot (the
     /// shard's last resident moves into it) and repairs the affected
     /// prune summaries (the envelope may shrink).
     fn detach_row(&mut self, row: usize) {
@@ -1058,14 +1053,12 @@ impl ReferenceDb {
         }
     }
 
-    /// Repacks the index, the shard directory and the per-kind matrices
-    /// from the current signatures (bulk construction). Every block's
-    /// columns are sized to their shard's final slot count up front, so
-    /// they end packed at exact size.
+    /// Repacks the shard directory and the per-kind matrices from the
+    /// current signatures (bulk construction). Every block's columns are
+    /// sized to their shard's final slot count up front, so they end
+    /// packed at exact size.
     fn rebuild(&mut self) {
         let n = self.devices.len();
-        self.order = (0..n as u32).collect();
-        self.order.sort_by_key(|&i| self.devices[i as usize]);
         self.placement = self
             .signatures
             .iter()
@@ -1148,15 +1141,15 @@ impl ReferenceDb {
     /// loaded once and dotted against all of them while hot in cache.
     /// Every occupied shard is visited, and the result is bit-for-bit the
     /// flat (`shards == 1`) layout's. The returned [`TileView`] borrows
-    /// `scratch` and exposes one [`MatchView`] per candidate, in input
-    /// order. One candidate is a tile of one
+    /// `scratch` and the database and exposes one [`MatchView`] per
+    /// candidate, in input order. One candidate is a tile of one
     /// (`std::slice::from_ref(&candidate)`); callers batching many
     /// windows chunk them by [`MATCH_TILE`].
     ///
     /// `measure` has one value, [`SimilarityMeasure::Cosine`]; the
     /// argument is kept for the benchmark harness.
     pub fn match_tile<'s, C: Borrow<Signature>>(
-        &self,
+        &'s self,
         candidates: &[C],
         _measure: SimilarityMeasure,
         scratch: &'s mut MatchScratch,
@@ -1172,7 +1165,7 @@ impl ReferenceDb {
         for shard in self.shards.iter().filter(|s| !s.rows.is_empty()) {
             self.sweep_shard(shard, scratch);
             swept += k;
-            // Scatter the shard's slots to their global rows.
+            // Scatter the shard's slots to their rows, in address order.
             let slots = shard.rows.len();
             for (c, shard_scores) in scratch.shard_scores.chunks_exact(slots).enumerate() {
                 let scores = &mut scratch.scores[c * n..(c + 1) * n];
@@ -1182,17 +1175,7 @@ impl ReferenceDb {
             }
         }
         scratch.prune = PruneStats { swept_shards: swept, pruned_shards: 0 };
-        // Emit (device, score) pairs: candidate-major, address order
-        // within each candidate (the order every view API documents).
-        scratch.pairs.clear();
-        scratch.pairs.reserve(k * n);
-        for c in 0..k {
-            let scores = &scratch.scores[c * n..(c + 1) * n];
-            scratch
-                .pairs
-                .extend(self.order.iter().map(|&i| (self.devices[i as usize], scores[i as usize])));
-        }
-        TileView { pairs: &scratch.pairs, n, k }
+        TileView { devices: &self.devices, scores: &scratch.scores, k }
     }
 
     /// Algorithm 1, the **pruned** sweep: the `k` most similar references
@@ -1435,7 +1418,7 @@ impl ReferenceDb {
         }
     }
 
-    /// The pre-SoA matching path: per-call candidate frequency allocation,
+    /// Algorithm 1 per device: per-call candidate frequency allocation,
     /// per-device frame-kind lookups, and full-`f64` arithmetic
     /// throughout. Kept as the `f64` oracle both sweeps are tested against
     /// (equal output within [`F32_SCORE_TOLERANCE`]); the `bench-baseline`
@@ -1444,8 +1427,8 @@ impl ReferenceDb {
     pub fn match_signature_naive(&self, candidate: &Signature) -> MatchOutcome {
         let cand_freqs: Vec<(FrameKind, Vec<f64>)> =
             candidate.iter().map(|(kind, hist)| (kind, hist.frequencies())).collect();
-        let mut sims = Vec::with_capacity(self.devices.len());
-        for (device, sig) in self.iter() {
+        let mut scores = Vec::with_capacity(self.devices.len());
+        for sig in &self.signatures {
             let mut sim = 0.0;
             for (kind, cand_freq) in &cand_freqs {
                 if let Some(hist) = sig.histogram(*kind) {
@@ -1453,9 +1436,9 @@ impl ReferenceDb {
                         * SimilarityMeasure::Cosine.compute(cand_freq, &hist.frequencies());
                 }
             }
-            sims.push((device, sim));
+            scores.push(sim);
         }
-        MatchOutcome { sims }
+        MatchOutcome { devices: Arc::clone(&self.devices), scores }
     }
 }
 
@@ -1580,12 +1563,9 @@ impl PruneStats {
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
     /// Dense sweep: per-(candidate, device) scores, candidate-major,
-    /// indexed like `ReferenceDb::devices` (insertion order) within a
-    /// candidate.
+    /// in the database's address order within a candidate: what the
+    /// returned views expose.
     scores: Vec<f64>,
-    /// Dense sweep: the `(device, similarity)` pairs the returned views
-    /// expose — candidate-major, address order within each candidate.
-    pairs: Vec<(MacAddr, f64)>,
     /// Every packed row's nonzero `(bin, value)` entries, bins ascending
     /// (see `PackedRow::nonzeros`).
     tile_nonzeros: Vec<(u32, f32)>,
@@ -1629,39 +1609,53 @@ impl MatchScratch {
     }
 }
 
+/// A database's devices in ascending address order, shared between the
+/// database and the similarity vectors its dense sweep returns.
+type DeviceTable = Arc<Vec<MacAddr>>;
+
 /// The similarity vector `<sim₁, …, sim_N>` returned by Algorithm 1: one
-/// `(reference device, similarity)` pair per reference, in ascending
-/// address order, over borrowed ([`MatchView`]) or owned
-/// ([`MatchOutcome`]) storage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimilarityVector<S> {
-    pub(crate) sims: S,
+/// similarity per reference device, in ascending address order. It is a
+/// device table shared with the database plus the scores aligned with it,
+/// borrowed from a [`MatchScratch`] ([`MatchView`]) or owned
+/// ([`MatchOutcome`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SimilarityVector<D, S> {
+    pub(crate) devices: D,
+    pub(crate) scores: S,
 }
 
-/// A similarity vector borrowed from a [`MatchScratch`]: one candidate
-/// of a [`TileView`], valid until the scratch's next sweep.
-pub type MatchView<'a> = SimilarityVector<&'a [(MacAddr, f64)]>;
+/// A similarity vector borrowed from a [`MatchScratch`] and its
+/// database: one candidate of a [`TileView`], valid until the scratch's
+/// next sweep.
+pub type MatchView<'a> = SimilarityVector<&'a Arc<Vec<MacAddr>>, &'a [f64]>;
 
-/// An owned similarity vector ([`MatchView::to_outcome`]).
-pub type MatchOutcome = SimilarityVector<Vec<(MacAddr, f64)>>;
+/// An owned similarity vector ([`MatchView::to_outcome`]); the default
+/// is the empty vector.
+pub type MatchOutcome = SimilarityVector<Arc<Vec<MacAddr>>, Vec<f64>>;
 
-impl<S: AsRef<[(MacAddr, f64)]>> SimilarityVector<S> {
-    /// All `(reference device, similarity)` pairs, in database order.
-    pub fn similarities(&self) -> &[(MacAddr, f64)] {
-        self.sims.as_ref()
+impl<D: Borrow<DeviceTable>, S: AsRef<[f64]>> SimilarityVector<D, S> {
+    /// The reference devices, in ascending address order.
+    pub fn devices(&self) -> &[MacAddr] {
+        let table: &DeviceTable = self.devices.borrow();
+        table
+    }
+
+    /// All `(reference device, similarity)` pairs, in ascending address
+    /// order.
+    pub fn similarities(&self) -> impl ExactSizeIterator<Item = (MacAddr, f64)> + '_ {
+        self.devices().iter().copied().zip(self.scores.as_ref().iter().copied())
     }
 
     /// The similarity to one specific reference device.
     pub fn similarity_to(&self, device: &MacAddr) -> Option<f64> {
-        // The vector is in ascending device order (database order).
-        let sims = self.similarities();
-        sims.binary_search_by(|(d, _)| d.cmp(device)).ok().map(|i| sims[i].1)
+        let row = self.devices().binary_search(device).ok()?;
+        Some(self.scores.as_ref()[row])
     }
 
     /// The similarity test (§IV-B): references whose similarity is at
     /// least `threshold`.
     pub fn above_threshold(&self, threshold: f64) -> impl Iterator<Item = (MacAddr, f64)> + '_ {
-        self.similarities().iter().copied().filter(move |&(_, s)| s >= threshold)
+        self.similarities().filter(move |&(_, s)| s >= threshold)
     }
 
     /// The identification test (§IV-B): the single closest reference.
@@ -1676,15 +1670,14 @@ impl<S: AsRef<[(MacAddr, f64)]>> SimilarityVector<S> {
     /// lower MAC address; `top(1)` agrees with
     /// [`SimilarityVector::best`].
     pub fn top(&self, k: usize) -> Vec<(MacAddr, f64)> {
-        let sims = self.similarities();
-        if k == 0 || sims.is_empty() {
+        if k == 0 || self.devices().is_empty() {
             return Vec::new();
         }
         if k == 1 {
             // Single scan, no copy of the similarity vector.
-            return best_of(sims).into_iter().collect();
+            return self.best().into_iter().collect();
         }
-        let mut ranked = sims.to_vec();
+        let mut ranked: Vec<(MacAddr, f64)> = self.similarities().collect();
         let k = k.min(ranked.len());
         if k < ranked.len() {
             // Partial select: everything before index k ranks at least as
@@ -1698,17 +1691,9 @@ impl<S: AsRef<[(MacAddr, f64)]>> SimilarityVector<S> {
 }
 
 impl MatchView<'_> {
-    /// An owned copy of this view.
+    /// An owned copy of this view's scores, sharing its device table.
     pub fn to_outcome(&self) -> MatchOutcome {
-        MatchOutcome { sims: self.sims.to_vec() }
-    }
-}
-
-impl MatchOutcome {
-    /// The no-references outcome (used by the engine when scoring of
-    /// unknown devices is disabled).
-    pub(crate) fn empty() -> MatchOutcome {
-        MatchOutcome { sims: Vec::new() }
+        MatchOutcome { devices: Arc::clone(self.devices), scores: self.scores.to_vec() }
     }
 }
 
@@ -1716,11 +1701,11 @@ impl MatchOutcome {
 /// similarity vectors over the same reference set, one per candidate.
 #[derive(Debug, Clone, Copy)]
 pub struct TileView<'a> {
-    /// Candidate-major `(device, similarity)` pairs; each candidate's
-    /// segment is in ascending address order.
-    pairs: &'a [(MacAddr, f64)],
-    /// References per candidate (the database size at match time).
-    n: usize,
+    /// The database's device table, shared by every candidate's view.
+    devices: &'a DeviceTable,
+    /// Candidate-major scores; each candidate's segment is aligned with
+    /// `devices`.
+    scores: &'a [f64],
     /// Candidates in the tile (kept separately so an empty database
     /// still yields one — empty — view per candidate).
     k: usize,
@@ -1741,7 +1726,8 @@ impl<'a> TileView<'a> {
     /// Panics if `index >= candidate_count()`.
     pub fn candidate(&self, index: usize) -> MatchView<'a> {
         assert!(index < self.k, "candidate {index} out of range for tile of {}", self.k);
-        MatchView { sims: &self.pairs[index * self.n..(index + 1) * self.n] }
+        let n = self.devices.len();
+        MatchView { devices: self.devices, scores: &self.scores[index * n..(index + 1) * n] }
     }
 
     /// Iterates the per-candidate views in input order (exactly
@@ -1757,8 +1743,8 @@ fn rank_desc(a: &(MacAddr, f64), b: &(MacAddr, f64)) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
 }
 
-pub(crate) fn best_of(sims: &[(MacAddr, f64)]) -> Option<(MacAddr, f64)> {
-    sims.iter().copied().min_by(rank_desc)
+pub(crate) fn best_of(sims: impl Iterator<Item = (MacAddr, f64)>) -> Option<(MacAddr, f64)> {
+    sims.min_by(rank_desc)
 }
 
 #[cfg(test)]
@@ -1845,7 +1831,7 @@ mod tests {
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), r).unwrap();
         let outcome = match_one(&db, &c);
-        assert_eq!(outcome.similarities()[0].1, 0.0);
+        assert_eq!(outcome.similarities().next().unwrap().1, 0.0);
     }
 
     #[test]
@@ -1858,7 +1844,7 @@ mod tests {
         db.insert(MacAddr::from_index(1), r).unwrap();
         let outcome = match_one(&db, &c);
         // Score = weight_ref(ProbeReq) × 1.0 = 0.1.
-        assert!((outcome.similarities()[0].1 - 0.1).abs() < F32_SCORE_TOLERANCE);
+        assert!((outcome.similarities().next().unwrap().1 - 0.1).abs() < F32_SCORE_TOLERANCE);
     }
 
     #[test]
@@ -1958,7 +1944,7 @@ mod tests {
         let db = ReferenceDb::new();
         let outcome = match_one(&db, &sig_with(&[(FrameKind::Data, 1.0, 5)]));
         assert!(outcome.best().is_none());
-        assert!(outcome.similarities().is_empty());
+        assert_eq!(outcome.similarities().len(), 0);
         let mut scratch = MatchScratch::new();
         let cand = sig_with(&[(FrameKind::Data, 1.0, 5)]);
         assert!(topk_one(&db, &cand, 3, &mut scratch).is_empty());
@@ -1990,7 +1976,7 @@ mod tests {
         let fast = match_one(&db, &cand);
         let naive = db.match_signature_naive(&cand);
         assert_eq!(fast.similarities().len(), naive.similarities().len());
-        for (f, n) in fast.similarities().iter().zip(naive.similarities()) {
+        for (f, n) in fast.similarities().zip(naive.similarities()) {
             assert_eq!(f.0, n.0);
             // The f32 rows round each frequency once; the f64
             // accumulation keeps the drift within the documented
@@ -2040,7 +2026,7 @@ mod tests {
         assert_eq!(tile.views().count(), 2);
         for i in 0..2 {
             let view = tile.candidate(i);
-            assert!(view.similarities().is_empty());
+            assert_eq!(view.similarities().len(), 0);
             assert!(view.best().is_none());
             assert!(view.top(3).is_empty());
         }
@@ -2054,7 +2040,7 @@ mod tests {
             let sigs: Vec<(MacAddr, Signature)> = (1..=9u64)
                 .map(|i| {
                     (
-                        // Out-of-order addresses exercise the sorted index.
+                        // Out-of-order addresses exercise the row shift.
                         MacAddr::from_index((i * 7) % 9 + 1),
                         sig_with(&[
                             (FrameKind::Data, 83.0 * i as f64, 20 + i),
@@ -2075,7 +2061,7 @@ mod tests {
             let cand = sig_with(&[(FrameKind::Data, 249.0, 33), (FrameKind::ProbeReq, 62.0, 5)]);
             let a = match_one(&streamed, &cand);
             let b = match_one(&bulk, &cand);
-            assert_eq!(a.similarities(), b.similarities(), "{config:?}");
+            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}");
             // Replacement detaches and re-attaches (possibly migrating
             // shards) and stays consistent too.
             let dev = streamed.devices().next().unwrap();
@@ -2087,7 +2073,7 @@ mod tests {
             let repacked = ReferenceDb::from_signatures_with(bulk_map, config);
             let a = match_one(&streamed, &cand);
             let b = match_one(&repacked, &cand);
-            assert_eq!(a.similarities(), b.similarities(), "{config:?}");
+            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}");
         }
     }
 
@@ -2095,7 +2081,7 @@ mod tests {
     fn remove_then_insert_keeps_shards_and_index_consistent() {
         // Regression for the sharded store: any interleaving of removes
         // and (re-)inserts must leave shard membership, slots and the
-        // sorted address index scoring exactly like a freshly built
+        // address-ordered rows scoring exactly like a freshly built
         // database.
         for config in layouts() {
             let sig_for = |i: u64| {
@@ -2134,7 +2120,7 @@ mod tests {
             for probe in [sig_for(99), sig_for(3), sig_for(13)] {
                 let a = match_one(&db, &probe);
                 let b = match_one(&fresh, &probe);
-                assert_eq!(a.similarities(), b.similarities(), "{config:?}: dense parity");
+                assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}: dense parity");
                 let ta = topk_one(&db, &probe, 4, &mut scratch);
                 assert_eq!(ta, b.top(4), "{config:?}: pruned parity after churn");
             }
@@ -2167,7 +2153,7 @@ mod tests {
             let b = match_one(&flat, &cand);
             // Bit-identical, not merely within tolerance: the sweep
             // accumulates per device in the same kind order.
-            assert_eq!(a.similarities(), b.similarities(), "{config:?}");
+            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}");
         }
     }
 
@@ -2267,7 +2253,7 @@ mod tests {
         let cand = sig_with(&[(FrameKind::Data, 165.0, 40)]);
         let outcome = match_one(&db, &cand);
         let full: Vec<_> = {
-            let mut v = outcome.similarities().to_vec();
+            let mut v = outcome.similarities().collect::<Vec<_>>();
             v.sort_by(rank_desc);
             v
         };
@@ -2316,7 +2302,7 @@ mod tests {
             let outcome = match_one(&db, &build(cand_cfg));
             assert!((outcome.similarity_to(&expect_dev).unwrap() - 1.0).abs() < F32_SCORE_TOLERANCE);
             let naive = db.match_signature_naive(&build(cand_cfg));
-            for (f, n) in outcome.similarities().iter().zip(naive.similarities()) {
+            for (f, n) in outcome.similarities().zip(naive.similarities()) {
                 assert_eq!(f.0, n.0);
                 assert!((f.1 - n.1).abs() < F32_SCORE_TOLERANCE);
             }
@@ -2336,7 +2322,7 @@ mod tests {
             cand.record(FrameKind::Data, 100.0, &coarse);
         }
         let outcome = match_one(&db, &cand);
-        assert_eq!(outcome.similarities()[0].1, 0.0);
+        assert_eq!(outcome.similarities().next().unwrap().1, 0.0);
     }
 
     #[test]
@@ -2510,7 +2496,7 @@ mod tests {
             }
             let fast = match_one(&db, &cand);
             let baseline = db.match_signature_naive(&cand);
-            for (f, n) in fast.similarities().iter().zip(baseline.similarities()) {
+            for (f, n) in fast.similarities().zip(baseline.similarities()) {
                 prop_assert_eq!(f.0, n.0);
                 prop_assert!((f.1 - n.1).abs() < F32_SCORE_TOLERANCE, "{} vs {}", f.1, n.1);
             }
@@ -2563,7 +2549,7 @@ mod tests {
             let dense: Vec<MatchOutcome> = tile.views().map(|v| v.to_outcome()).collect();
             for (cand, got) in candidates.iter().zip(&dense) {
                 let want = match_one(&flat, cand);
-                prop_assert_eq!(got.similarities(), want.similarities());
+                prop_assert_eq!(got.similarities().collect::<Vec<_>>(), want.similarities().collect::<Vec<_>>());
             }
             // Pruned top-k parity: argmax and scores, per candidate and
             // for the whole tile in one sweep.
@@ -2618,7 +2604,7 @@ mod tests {
             }
             let a = match_one(&f32_db, &cand);
             let b = match_one(&u8_db, &cand);
-            for (f, q) in a.similarities().iter().zip(b.similarities()) {
+            for (f, q) in a.similarities().zip(b.similarities()) {
                 prop_assert_eq!(f.0, q.0);
                 prop_assert!(
                     (f.1 - q.1).abs() < U8_SCORE_TOLERANCE,
@@ -2648,7 +2634,9 @@ mod tests {
         // of the surviving signatures in both sweeps after every step,
         // hold the same keys and prune
         // summaries, and report the same resident bytes (which count
-        // slots, not capacity).
+        // slots, not capacity). Device ids land below and above the last
+        // address, so the rows and every view's device table must stay
+        // in address order through inserts that shift later rows.
         #[test]
         fn incremental_columns_equal_a_bulk_build(
             ops in prop::collection::vec(
@@ -2686,6 +2674,10 @@ mod tests {
                     db.insert(device, sig.clone()).unwrap();
                     mirror.insert(device, sig);
                 }
+                // Rows stay in address order whichever side of the last
+                // address the device landed.
+                let devices: Vec<MacAddr> = mirror.keys().copied().collect();
+                prop_assert_eq!(db.devices().collect::<Vec<_>>(), devices.clone());
                 let bulk = ReferenceDb::from_signatures_with(mirror.clone(), config);
                 prop_assert!(
                     bulk.shards.iter().flat_map(|s| &s.blocks).all(|b| b.cap == b.slots()),
@@ -2697,7 +2689,9 @@ mod tests {
                 let got = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut a);
                 let want = bulk.match_tile(&candidates, SimilarityMeasure::Cosine, &mut b);
                 for (g, w) in got.views().zip(want.views()) {
-                    prop_assert_eq!(g.similarities(), w.similarities());
+                    prop_assert_eq!(g.devices(), &devices[..]);
+                    prop_assert_eq!(w.devices(), &devices[..]);
+                    prop_assert_eq!(g.similarities().collect::<Vec<_>>(), w.similarities().collect::<Vec<_>>());
                 }
                 let got = db.match_topk_tile(&candidates, 3, &mut a);
                 let want = bulk.match_topk_tile(&candidates, 3, &mut b);

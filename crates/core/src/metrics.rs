@@ -58,17 +58,20 @@ impl MatchSet {
     /// matching [`MatchView::best`](crate::MatchView::best). An empty
     /// vector (no references at all) yields `best_is_true: false` — with
     /// nothing to match against, nothing was identified correctly.
-    pub fn from_similarities(true_device: MacAddr, sims: &[(MacAddr, f64)]) -> MatchSet {
+    pub fn from_similarities(
+        true_device: MacAddr,
+        sims: impl IntoIterator<Item = (MacAddr, f64)>,
+    ) -> MatchSet {
+        let sims = sims.into_iter();
         let mut true_sim = 0.0;
-        let mut wrong = Vec::with_capacity(sims.len().saturating_sub(1));
-        for &(device, sim) in sims {
+        let mut wrong = Vec::with_capacity(sims.size_hint().0.saturating_sub(1));
+        let best = best_of(sims.inspect(|&(device, sim)| {
             if device == true_device {
                 true_sim = sim;
             } else {
                 wrong.push(sim);
             }
-        }
-        let best = best_of(sims);
+        }));
         MatchSet {
             true_device,
             true_sim,
@@ -157,11 +160,11 @@ impl EvalOutcome {
 /// whose device is known (the paper's accuracy metrics are defined over
 /// those).
 ///
-/// Candidates are scored through the tiled `f32` matrix sweep
-/// ([`ReferenceDb::match_tile`]): windows sharing a tile are scored in
-/// one pass over the reference rows, and tiles are fanned out across
-/// worker threads, one scratch per worker. Output order matches candidate
-/// order at any worker count.
+/// Candidates are scored through the tiled dense sweep
+/// ([`ReferenceDb::match_tile`]) at the database's precision tier:
+/// windows sharing a tile are scored in one pass over the reference
+/// rows, and tiles are fanned out across worker threads, one scratch per
+/// worker. Output order matches candidate order at any worker count.
 pub fn match_candidates(
     db: &ReferenceDb,
     candidates: &[CandidateWindow],
@@ -337,19 +340,19 @@ mod tests {
     fn from_similarities_handles_empty_and_missing_true_device() {
         let dev = MacAddr::from_index(1);
         // No references at all: nothing was identified, correctly or not.
-        let empty = MatchSet::from_similarities(dev, &[]);
+        let empty = MatchSet::from_similarities(dev, []);
         assert!(!empty.best_is_true);
         assert_eq!((empty.true_sim, empty.best_sim), (0.0, 0.0));
         assert!(empty.wrong_sims.is_empty());
         // True device absent from the vector: its similarity is 0.
         let other = MacAddr::from_index(2);
-        let set = MatchSet::from_similarities(dev, &[(other, 0.4)]);
+        let set = MatchSet::from_similarities(dev, [(other, 0.4)]);
         assert!(!set.best_is_true);
         assert_eq!(set.true_sim, 0.0);
         assert_eq!(set.best_sim, 0.4);
         assert_eq!(set.wrong_sims, vec![0.4]);
         // Argmax ties break toward the lower address, like best().
-        let set = MatchSet::from_similarities(dev, &[(dev, 0.7), (other, 0.7)]);
+        let set = MatchSet::from_similarities(dev, [(dev, 0.7), (other, 0.7)]);
         assert!(set.best_is_true);
     }
 

@@ -224,7 +224,7 @@ proptest! {
         let mut scratch = MatchScratch::new();
         let m = SimilarityMeasure::Cosine;
         let tile = db.match_tile(std::slice::from_ref(&cand), m, &mut scratch);
-        for &(_, s) in tile.candidate(0).similarities() {
+        for (_, s) in tile.candidate(0).similarities() {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&s), "{m}: {s}");
         }
     }
@@ -266,10 +266,10 @@ proptest! {
         let tile = db.match_tile(&candidates, m, &mut tile_scratch);
         prop_assert_eq!(tile.candidate_count(), candidates.len());
         let tiled: Vec<Vec<(MacAddr, f64)>> =
-            tile.views().map(|v| v.similarities().to_vec()).collect();
+            tile.views().map(|v| v.similarities().collect()).collect();
         for (cand, got) in candidates.iter().zip(tiled) {
             let want = db.match_tile(std::slice::from_ref(cand), m, &mut single_scratch);
-            prop_assert_eq!(&got[..], want.candidate(0).similarities(), "{}", m);
+            prop_assert_eq!(got, want.candidate(0).similarities().collect::<Vec<_>>(), "{}", m);
         }
     }
 
@@ -307,7 +307,7 @@ proptest! {
         let mut scratch = MatchScratch::new();
         let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
         for (ci, cand) in candidates.iter().enumerate() {
-            for &(device, got) in tile.candidate(ci).similarities() {
+            for (device, got) in tile.candidate(ci).similarities() {
                 let reference = &references[&device];
                 let mut want = 0.0f64;
                 for (kind, rh) in reference.iter() {
@@ -388,7 +388,7 @@ proptest! {
         let mut scratch = MatchScratch::new();
         let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
         for (ci, cand) in candidates.iter().enumerate() {
-            for &(device, got) in tile.candidate(ci).similarities() {
+            for (device, got) in tile.candidate(ci).similarities() {
                 let reference = &references[&device];
                 let mut want = 0.0f64;
                 for (kind, rh) in reference.iter() {

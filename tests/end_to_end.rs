@@ -82,7 +82,7 @@ fn reference_db_persists_and_matches_identically() {
     let candidate = sigs.values().next().unwrap();
     let a = match_one(&db, candidate);
     let b = match_one(&loaded, candidate);
-    assert_eq!(a.similarities(), b.similarities());
+    assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>());
 }
 
 #[test]
@@ -270,7 +270,7 @@ fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
                 "{name}: argmax for {device} in window {window}"
             );
             assert_eq!(view.similarities().len(), want.similarities().len(), "{name}");
-            for (got, expect) in view.similarities().iter().zip(want.similarities()) {
+            for (got, expect) in view.similarities().zip(want.similarities()) {
                 assert_eq!(got.0, expect.0, "{name}: device order");
                 assert!(
                     (got.1 - expect.1).abs() < F32_SCORE_TOLERANCE,
@@ -424,7 +424,7 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
                 enrolled.iter().map(|&d| (d, 0.0)).collect();
             for (i, sig) in sigs.iter().enumerate() {
                 let outcome = match_one(&dbs[i], sig.as_ref().expect("checked"));
-                for &(dev, sim) in outcome.similarities() {
+                for (dev, sim) in outcome.similarities() {
                     if let Some(acc) = fused.get_mut(&dev) {
                         // Equal weights: each parameter contributes 1/5.
                         *acc += sim / n_params as f64;
@@ -445,7 +445,7 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
                 .remove(&(*window, *device))
                 .unwrap_or_else(|| panic!("{name}: no offline fusion for {device} in {window}"));
             assert_eq!(fused.similarities().len(), want.len(), "{name}: fused domain");
-            for &(dev, got) in fused.similarities() {
+            for (dev, got) in fused.similarities() {
                 let expect = want[&dev];
                 assert!(
                     (got - expect).abs() < F32_SCORE_TOLERANCE,
@@ -543,15 +543,15 @@ fn sharded_references_leave_multi_engine_decisions_unchanged() {
                             // The sharded dense sweep is bit-identical to
                             // the flat one — exact equality, no tolerance.
                             assert_eq!(
-                                pa.view.similarities(),
-                                pb.view.similarities(),
+                                pa.view.similarities().collect::<Vec<_>>(),
+                                pb.view.similarities().collect::<Vec<_>>(),
                                 "{name}/{layout}/{}: per-parameter scores",
                                 pa.parameter
                             );
                         }
                         assert_eq!(
-                            fa.as_ref().map(wifiprint::core::FusedOutcome::similarities),
-                            fb.as_ref().map(wifiprint::core::FusedOutcome::similarities),
+                            fa.as_ref().map(|f| f.similarities().collect::<Vec<_>>()),
+                            fb.as_ref().map(|f| f.similarities().collect::<Vec<_>>()),
                             "{name}/{layout}: fused scores"
                         );
                         decisions += 1;
