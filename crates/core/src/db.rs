@@ -126,7 +126,8 @@ fn dense_counts(hist: &Histogram) -> String {
 ///
 /// # Errors
 ///
-/// I/O errors, or [`DbCodecError::Parse`] for malformed content.
+/// I/O errors, or [`DbCodecError::Parse`] for malformed content,
+/// including a device block without observations.
 pub fn load_db<R: BufRead>(
     input: R,
 ) -> Result<(ReferenceDb, NetworkParameter, BinSpec), DbCodecError> {
@@ -139,7 +140,8 @@ pub fn load_db<R: BufRead>(
 ///
 /// # Errors
 ///
-/// I/O errors, or [`DbCodecError::Parse`] for malformed content.
+/// I/O errors, or [`DbCodecError::Parse`] for malformed content,
+/// including a device block without observations.
 pub fn load_db_with<R: BufRead>(
     input: R,
     config: MatchConfig,
@@ -174,14 +176,7 @@ pub fn load_db_with<R: BufRead>(
 
     let shared_bins = Arc::new(bins.clone());
     let mut signatures: BTreeMap<MacAddr, Signature> = BTreeMap::new();
-    let mut current: Option<(MacAddr, BTreeMap<FrameKind, Histogram>)> = None;
-    let seal =
-        |cur: &mut Option<(MacAddr, BTreeMap<FrameKind, Histogram>)>,
-         sigs: &mut BTreeMap<MacAddr, Signature>| {
-            if let Some((device, hists)) = cur.take() {
-                sigs.insert(device, Signature::from_histograms(hists));
-            }
-        };
+    let mut current: Option<DeviceBlock> = None;
 
     for (i, line) in lines {
         let ln = i + 1;
@@ -198,8 +193,8 @@ pub fn load_db_with<R: BufRead>(
                 line: ln,
                 message: format!("bad device address {rest:?}"),
             })?;
-            seal(&mut current, &mut signatures);
-            current = Some((device, BTreeMap::new()));
+            seal(current.take(), &mut signatures)?;
+            current = Some((ln, device, BTreeMap::new()));
         } else if let Some(rest) = line.strip_prefix("hist ") {
             let (label, counts_str) =
                 rest.split_once(' ').ok_or_else(|| DbCodecError::Parse {
@@ -226,7 +221,7 @@ pub fn load_db_with<R: BufRead>(
                     ),
                 });
             }
-            let (_, hists) = current.as_mut().ok_or_else(|| DbCodecError::Parse {
+            let (_, _, hists) = current.as_mut().ok_or_else(|| DbCodecError::Parse {
                 line: ln,
                 message: "hist line before any device line".into(),
             })?;
@@ -245,8 +240,31 @@ pub fn load_db_with<R: BufRead>(
             });
         }
     }
-    seal(&mut current, &mut signatures);
+    seal(current, &mut signatures)?;
     Ok((ReferenceDb::from_signatures_with(signatures, config), parameter, bins))
+}
+
+/// A device block being read: its line number, address and histograms.
+type DeviceBlock = (usize, MacAddr, BTreeMap<FrameKind, Histogram>);
+
+/// Adds a finished device block to `signatures`. A device without
+/// observations is rejected at its line, as [`ReferenceDb::insert`]
+/// rejects its empty signature.
+fn seal(
+    block: Option<DeviceBlock>,
+    signatures: &mut BTreeMap<MacAddr, Signature>,
+) -> Result<(), DbCodecError> {
+    if let Some((line, device, hists)) = block {
+        let sig = Signature::from_histograms(hists);
+        if sig.observation_count() == 0 {
+            return Err(DbCodecError::Parse {
+                line,
+                message: format!("device {device} has no observations"),
+            });
+        }
+        signatures.insert(device, sig);
+    }
+    Ok(())
 }
 
 fn parse_bins(line: &str) -> Option<BinSpec> {
@@ -491,6 +509,28 @@ mod tests {
                     Ok(_) | Err(DbCodecError::Parse { .. }) => {}
                     Err(e) => panic!("cut at byte {cut}: {e}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_device_without_observations() {
+        // No hist line, or only all-zero counts: either way the device
+        // has an empty signature, which the store would never match.
+        let head = "wifiprint-db v1\nparameter frame-size\nbins uniform 0 1 2\n";
+        let ok = "device 02:00:00:00:00:01\nhist data 1,0,0\n";
+        for (body, line) in [
+            (format!("{ok}device 02:00:00:00:00:02\ndevice 02:00:00:00:00:03\nhist data 1,0,0"), 6),
+            (format!("{ok}device 02:00:00:00:00:02\nhist data 0,0,0\nhist beacon 0,0,0"), 6),
+            (format!("{ok}device 02:00:00:00:00:02"), 6),
+        ] {
+            let input = format!("{head}{body}");
+            match load_db_with(input.as_bytes(), MatchConfig::flat()) {
+                Err(DbCodecError::Parse { line: l, message }) => {
+                    assert_eq!(l, line, "{input:?}");
+                    assert!(message.contains("no observations"), "{message:?}");
+                }
+                other => panic!("{input:?}: got {other:?}"),
             }
         }
     }

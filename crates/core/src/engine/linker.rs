@@ -122,11 +122,12 @@ pub struct LinkerConfig {
     /// shard, nothing to prune), and a sweep that finds it holding
     /// `2 · 128` rows per shard first doubles its shard count — one shard
     /// below 256 rows, two from 256, four from 512 — up to
-    /// `match_config.shards`. Evictions never shrink it. Sharding is
-    /// what makes the pruned sweep prune on a large gallery; on a small
-    /// one, visiting many near-empty shards costs more than the bound
-    /// saves. The sweeps rank the same under any layout, so growth
-    /// changes no decision.
+    /// `match_config.shards`. Each doubling rebuilds the gallery from its
+    /// signatures, as a bulk build lays it out. Evictions never shrink
+    /// it. Sharding is what makes the pruned sweep prune on a large
+    /// gallery; on a small one, visiting many near-empty shards costs
+    /// more than the bound saves. The sweeps rank the same under any
+    /// layout, so growth changes no decision.
     pub match_config: MatchConfig,
 }
 
@@ -369,9 +370,11 @@ const GROWTH_ROWS_PER_SHARD: usize = 128;
 
 /// Brings a gallery's shard count up to what its row count calls for:
 /// doubled while it holds `2 · GROWTH_ROWS_PER_SHARD` rows per shard, up
-/// to `ceiling`, and never shrunk. Called when the gallery is about to be
-/// swept, so rows enrolled after a gallery's last sweep cost no
-/// re-layout.
+/// to `ceiling`, and never shrunk. A re-layout is a bulk build of the
+/// gallery at the new count: it repacks every row from its signature.
+/// Shard counts double, so that cost stays amortised `O(row width)` per
+/// enrolled row. Called when the gallery is about to be swept, so rows
+/// enrolled after a gallery's last sweep cost no re-layout.
 fn grow(db: &mut ReferenceDb, ceiling: usize) {
     let mut shards = db.shard_count();
     while shards < ceiling && db.len() >= 2 * GROWTH_ROWS_PER_SHARD * shards {

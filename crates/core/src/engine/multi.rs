@@ -517,18 +517,14 @@ impl MultiEngine {
         let mut events = Vec::new();
         let delivered = self.front.admit(frame)?;
         if let Some(frame) = delivered {
-            self.ingest(&frame, &mut events)?;
+            self.ingest(&frame, &mut events);
         }
         Ok(events)
     }
 
     /// Feeds one gatekeeper-approved frame through training / the fused
     /// window path.
-    fn ingest(
-        &mut self,
-        frame: &CapturedFrame,
-        events: &mut Vec<MultiEvent>,
-    ) -> Result<(), EngineError> {
+    fn ingest(&mut self, frame: &CapturedFrame, events: &mut Vec<MultiEvent>) {
         let origin = *self.origin.get_or_insert(frame.t_end);
         self.frames += 1;
 
@@ -543,12 +539,12 @@ impl MultiEngine {
                 if let Some(obs) = obs {
                     record_fused(devices, &obs, &self.settings);
                 }
-                return Ok(());
+                return;
             }
             // First frame past the boundary: enroll, freeze, switch to
             // detection (resetting the shared timing history), then
             // treat this frame as the first detection frame below.
-            self.end_training(events)?;
+            self.end_training(events);
         }
 
         // One fused parse per frame — this is the whole point.
@@ -570,7 +566,6 @@ impl MultiEngine {
         if let Some(obs) = obs {
             record_fused(&mut state.current, &obs, &self.settings);
         }
-        Ok(())
     }
 
     /// [`MultiEngine::observe`] over a frame sequence, concatenating the
@@ -617,8 +612,8 @@ impl MultiEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Finished`] after [`MultiEngine::finish`], or
-    /// [`EngineError::Core`] from ending the training phase.
+    /// [`EngineError::Finished`] after [`MultiEngine::finish`]; ending
+    /// the training phase cannot fail.
     pub fn advance_to(&mut self, t: Nanos) -> Result<Vec<MultiEvent>, EngineError> {
         if matches!(self.phase, MultiPhase::Finished { .. }) {
             return Err(EngineError::Finished);
@@ -632,14 +627,14 @@ impl MultiEngine {
         // delivered watermark, so a window can never seal ahead of a
         // frame still waiting in the buffer.
         for frame in self.front.release_until(t) {
-            self.ingest(&frame, &mut events)?;
+            self.ingest(&frame, &mut events);
         }
         if let MultiPhase::Training { duration, .. } = &self.phase {
             let Some(origin) = self.origin else { return Ok(events) };
             if t.saturating_sub(origin) < *duration {
                 return Ok(events);
             }
-            self.end_training(&mut events)?;
+            self.end_training(&mut events);
         }
         let MultiPhase::Detecting(state) = &mut self.phase else {
             unreachable!("advance_to handled Training and Finished above");
@@ -695,7 +690,8 @@ impl MultiEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Core`] if sealing the references fails.
+    /// None: ending training cannot fail, and a second call returns
+    /// `Ok` with no events.
     pub fn finish(&mut self) -> Result<Vec<MultiEvent>, EngineError> {
         let mut events = Vec::new();
         if matches!(self.phase, MultiPhase::Finished { .. }) {
@@ -704,10 +700,10 @@ impl MultiEngine {
         // Everything the reorder buffer still holds is delivered now, in
         // timestamp order, before the trailing window seals.
         for frame in self.front.drain() {
-            self.ingest(&frame, &mut events)?;
+            self.ingest(&frame, &mut events);
         }
         if matches!(self.phase, MultiPhase::Training { .. }) {
-            self.end_training(&mut events)?;
+            self.end_training(&mut events);
         }
         let MultiPhase::Detecting(mut state) =
             std::mem::replace(&mut self.phase, MultiPhase::Finished { references: Vec::new() })
@@ -815,11 +811,13 @@ impl MultiEngine {
         self.front.pending_frames()
     }
 
-    /// Training → detection: per parameter, enroll the devices that met
-    /// the floor, freeze, emit [`MultiEvent::Enrolled`]s. A parameter
-    /// that enrolled nobody degrades to an empty (frozen) database: the
-    /// engine keeps running and flags its candidates as new.
-    fn end_training(&mut self, events: &mut Vec<MultiEvent>) -> Result<(), EngineError> {
+    /// Training → detection: per parameter, bulk-build a frozen
+    /// reference database from the devices that met the floor
+    /// ([`ReferenceDb::from_signatures_with`]) and emit
+    /// [`MultiEvent::Enrolled`]s. A parameter that enrolled nobody
+    /// degrades to an empty (frozen) database: the engine keeps running
+    /// and flags its candidates as new. Ending training cannot fail.
+    fn end_training(&mut self, events: &mut Vec<MultiEvent>) {
         let MultiPhase::Training { devices, .. } =
             std::mem::replace(&mut self.phase, MultiPhase::Finished { references: Vec::new() })
         else {
@@ -828,34 +826,35 @@ impl MultiEngine {
         // `max(1)`: a parameter a device never produced an observation
         // for has an empty signature in the fused per-device vector;
         // the batch SignatureBuilder never tracks such a device at all,
-        // and the reference database rejects empty rows.
+        // and an empty row could never match anything.
         let Settings { spec, cfg, .. } = &self.settings;
         let min = cfg.min_observations.max(1);
-        let mut references: Vec<ReferenceDb> =
-            (0..spec.len()).map(|_| ReferenceDb::with_config(cfg.match_config)).collect();
+        let mut enrolled: Vec<BTreeMap<MacAddr, Signature>> = vec![BTreeMap::new(); spec.len()];
         for (device, sigs) in devices {
             let mut observations = Vec::new();
-            for ((i, sig), param) in sigs.into_iter().enumerate().zip(spec.parameters()) {
+            for ((sig, param), set) in sigs.into_iter().zip(spec.parameters()).zip(&mut enrolled) {
                 if sig.observation_count() >= min {
                     observations.push((param, sig.observation_count()));
-                    // A failed insert leaves the engine poisoned: the
-                    // phase is already `Finished`.
-                    references[i].insert(device, sig)?;
+                    set.insert(device, sig);
                 }
             }
             if !observations.is_empty() {
                 events.push(MultiEvent::Enrolled { device, observations });
             }
         }
-        for db in &mut references {
-            db.freeze();
-        }
+        let references = enrolled
+            .into_iter()
+            .map(|signatures| {
+                let mut db = ReferenceDb::from_signatures_with(signatures, cfg.match_config);
+                db.freeze();
+                db
+            })
+            .collect();
         // Detection starts with a fresh timing history (none across the
         // split), like the batch flow's separate validation windows, so
         // decisions stay bit-identical to it.
         self.extractor.reset_history();
         self.phase = MultiPhase::Detecting(DetectState::new(references, cfg.window));
-        Ok(())
     }
 }
 

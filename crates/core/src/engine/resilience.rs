@@ -401,12 +401,10 @@ struct DedupRing {
 }
 
 impl DedupRing {
+    /// An empty ring; it grows as frames arrive, so a large `depth`
+    /// reserves nothing up front.
     fn new(depth: usize) -> Self {
-        DedupRing {
-            depth,
-            t_ends: VecDeque::with_capacity(depth),
-            frames: VecDeque::with_capacity(depth),
-        }
+        DedupRing { depth, t_ends: VecDeque::new(), frames: VecDeque::new() }
     }
 
     /// Whether a frame equal to `frame` is in the ring.
@@ -571,6 +569,20 @@ mod tests {
         assert!(front.admit(&frame(10, 102)).unwrap().is_some());
         assert!(front.admit(&f).unwrap().is_some());
         assert_eq!(front.health.frames_duplicate, 1);
+    }
+
+    #[test]
+    fn unbounded_dedup_depth_reserves_nothing_up_front() {
+        let cfg = ResilienceConfig::default().with_dedup_depth(usize::MAX);
+        let mut engine = crate::engine::MultiEngine::builder()
+            .train_for(Nanos::from_secs(1))
+            .resilience(cfg)
+            .build()
+            .unwrap();
+        let f = frame(10, 100);
+        engine.observe(&f).unwrap();
+        engine.observe(&f).unwrap();
+        assert_eq!(engine.health().frames_duplicate, 1);
     }
 
     #[test]

@@ -88,9 +88,10 @@
 //! resident device's score against a given candidate — one dot product
 //! per (shard, kind) instead of one per device. (A mean-centroid summary would need a radius term and is
 //! strictly looser for non-negative rows, so the envelope is the summary
-//! of choice.) A crate-private re-layout moves the packed columns to a
-//! new shard count without repacking any row; the rotation linker grows
-//! its galleries that way.
+//! of choice.) A crate-private re-layout to a new shard count is a bulk
+//! build at that count: every row is repacked from its signature, as
+//! [`ReferenceDb::from_signatures_with`] packs it. The rotation linker
+//! grows its galleries that way.
 //!
 //! # Two sweeps
 //!
@@ -194,7 +195,9 @@
 //! numbers, so a shift renumbers the shard directories and moves no
 //! column. Shard membership, slots and row order stay consistent across
 //! any interleaving of inserts and removes (re-inserting a changed
-//! signature migrates the device to its new shard).
+//! signature migrates the device to its new shard). Only a change of
+//! shard count is not incremental: it rebuilds the whole store, so there
+//! is one way to lay rows out in bulk.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -515,54 +518,6 @@ impl KindBlock {
         }
     }
 
-    /// Copies the slots `run` names of `src` (a block of the same key
-    /// and precision) into this block's absent slots from `to` on, in
-    /// order: their weights, reciprocal norms and column entries, as they
-    /// are. The prune summary is left to [`KindBlock::refresh_summary`].
-    fn gather(&mut self, to: usize, src: &KindBlock, run: &[(usize, usize)]) {
-        let end = to + run.len();
-        for ((w, inv), &(_, from)) in
-            self.weights[to..end].iter_mut().zip(&mut self.inv_norms[to..end]).zip(run)
-        {
-            (*w, *inv) = (src.weights[from], src.inv_norms[from]);
-        }
-        match (&mut self.store, &src.store) {
-            (RowStore::F32(rows), RowStore::F32(src_rows)) => {
-                gather_columns(rows, self.cap, to, src_rows, src.cap, run);
-            }
-            (RowStore::U8(rows), RowStore::U8(src_rows)) => {
-                gather_columns(rows, self.cap, to, src_rows, src.cap, run);
-            }
-            _ => unreachable!("one database holds one precision"),
-        }
-    }
-
-    /// Recomputes the prune summary over the resident slots (the envelope
-    /// column by column, and the maximum weight) and returns whether any
-    /// resident holds this kind. Maxima do not round, so the summary is
-    /// bit for bit the one a bulk build computes.
-    fn refresh_summary(&mut self) -> bool {
-        let KindBlock { cap, weights, store, inv_norms, envelope, wmax, .. } = self;
-        *wmax = weights.iter().copied().fold(0.0, f32::max);
-        if *wmax == 0.0 {
-            return false;
-        }
-        let slots = weights.len();
-        match store {
-            RowStore::F32(rows) => {
-                for (col, e) in rows.chunks_exact(*cap).zip(envelope) {
-                    *e = column_max(&col[..slots], inv_norms, |f| f);
-                }
-            }
-            RowStore::U8(rows) => {
-                for (col, e) in rows.chunks_exact(*cap).zip(envelope) {
-                    *e = column_max(&col[..slots], inv_norms, f32::from);
-                }
-            }
-        }
-        true
-    }
-
     /// Column `bin` of `rows` (this block's packed store) over the
     /// resident slots.
     fn column<'a, T>(&self, rows: &'a [T], bin: u32) -> &'a [T] {
@@ -613,23 +568,6 @@ fn relayout_columns<T: Copy + Default>(
         out[bin * cap..bin * cap + slots].copy_from_slice(&rows[bin * old..bin * old + slots]);
     }
     *rows = out;
-}
-
-/// Column by column, copies the entries of `src` (capacity `src_cap`) at
-/// the slots `run` names into slots `to..` of `rows` (capacity `cap`).
-fn gather_columns<T: Copy>(
-    rows: &mut [T],
-    cap: usize,
-    to: usize,
-    src: &[T],
-    src_cap: usize,
-    run: &[(usize, usize)],
-) {
-    for (col, src_col) in rows.chunks_exact_mut(cap).zip(src.chunks_exact(src_cap)) {
-        for (dst, &(_, from)) in col[to..to + run.len()].iter_mut().zip(run) {
-            *dst = src_col[from];
-        }
-    }
 }
 
 /// `max_slot(widen(col[slot]) · inv_norms[slot])` (0 for an empty
@@ -696,14 +634,11 @@ impl Shard {
     }
 }
 
-/// Where a database row lives, its shard and local slot, and why: the
-/// centre of mass its shard key quantises ([`centre_of_mass`]), kept so a
-/// re-layout reads no histogram.
+/// Where a database row lives: its shard and local slot.
 #[derive(Debug, Clone, Copy, Default)]
 struct Placement {
     shard: u16,
     slot: u32,
-    centre: f64,
 }
 
 /// The sharded reference database of the learning phase (§IV-B): one
@@ -744,7 +679,7 @@ pub struct ReferenceDb {
     devices: DeviceTable,
     /// Per row: the device's signature.
     signatures: Vec<Signature>,
-    /// Per row: (shard, slot, centre of mass).
+    /// Per row: (shard, slot).
     placement: Vec<Placement>,
     /// Every `(kind, bins)` key any shard holds, ascending — the outer
     /// loop of the sweeps, so candidate tiles are packed once per kind,
@@ -840,7 +775,7 @@ impl ReferenceDb {
         self.devices.binary_search(&device)
     }
 
-    /// The shard key of row `row`: its centre of mass
+    /// The shard key of row `row`: its signature's centre of mass
     /// ([`centre_of_mass`]) quantised over the shard count. Devices whose
     /// heaviest histogram concentrates probability in the same region
     /// share a shard, which keeps each shard's upper envelope tight and
@@ -848,7 +783,7 @@ impl ReferenceDb {
     /// key `k` into `2k` and `2k + 1` (scaling by two is exact).
     fn shard_key(&self, row: usize) -> usize {
         let n = self.shards.len();
-        ((self.placement[row].centre * n as f64) as usize).min(n - 1)
+        ((centre_of_mass(&self.signatures[row]) * n as f64) as usize).min(n - 1)
     }
 
     /// Inserts or replaces a device's reference signature (online
@@ -879,7 +814,6 @@ impl ReferenceDb {
         }
         Ok(match self.position(device) {
             Ok(row) => {
-                self.placement[row].centre = centre_of_mass(&signature);
                 let previous = std::mem::replace(&mut self.signatures[row], signature);
                 self.detach_row(row);
                 let shard = self.shard_key(row);
@@ -891,8 +825,7 @@ impl ReferenceDb {
                     self.renumber_rows(|r| if r >= row { r + 1 } else { r });
                 }
                 Arc::make_mut(&mut self.devices).insert(row, device);
-                let centre = centre_of_mass(&signature);
-                self.placement.insert(row, Placement { centre, ..Placement::default() });
+                self.placement.insert(row, Placement::default());
                 self.signatures.insert(row, signature);
                 let shard = self.shard_key(row);
                 self.attach_row(row, shard, 0);
@@ -1054,18 +987,14 @@ impl ReferenceDb {
     }
 
     /// Repacks the shard directory and the per-kind matrices from the
-    /// current signatures (bulk construction). Every block's columns are
-    /// sized to their shard's final slot count up front, so they end
-    /// packed at exact size.
+    /// current signatures over `config.shards` shards (bulk
+    /// construction). Every block's columns are sized to their shard's
+    /// final slot count up front, so they end packed at exact size.
     fn rebuild(&mut self) {
         let n = self.devices.len();
-        self.placement = self
-            .signatures
-            .iter()
-            .map(|sig| Placement { centre: centre_of_mass(sig), ..Placement::default() })
-            .collect();
+        self.placement = vec![Placement::default(); n];
         self.kind_keys.clear();
-        let shards = self.shards.len();
+        let shards = self.config.shards;
         self.shards = vec![Shard::default(); shards];
         let keys: Vec<usize> = (0..n).map(|row| self.shard_key(row)).collect();
         let mut sizes = vec![0; shards];
@@ -1078,52 +1007,15 @@ impl ReferenceDb {
     }
 
     /// Re-lays the rows out over `shards` shards (clamped like
-    /// [`MatchConfig::shards`]) by moving their packed columns: each row
-    /// goes to its key at the new count with its column entries, weight
-    /// and reciprocal norm as they are, and no signature is read (the
-    /// keys come from the centres kept in `placement`). Going from `s` to
-    /// `2s` shards splits shard `k` into `2k` and `2k + 1`. The summaries
-    /// are maxima, which do not round, so they are bit for bit a bulk
-    /// build's at the new count, and every sweep scores as before.
+    /// [`MatchConfig::shards`]): a bulk build at the new count, which
+    /// repacks every row from its signature. Going from `s` to `2s`
+    /// shards splits shard `k` into `2k` and `2k + 1`. No score depends
+    /// on the layout, so every sweep scores as before.
     pub(crate) fn reshard(&mut self, shards: usize) {
         let shards = MatchConfig { shards, ..self.config }.effective_shards();
-        if shards == self.shards.len() {
-            return;
-        }
-        self.config.shards = shards;
-        let old = std::mem::replace(&mut self.shards, vec![Shard::default(); shards]);
-        // Each new shard's residents as (old shard, old slot), old shard
-        // by old shard.
-        let mut moved: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
-        for (si, shard) in old.iter().enumerate() {
-            for (slot, &row) in shard.rows.iter().enumerate() {
-                moved[self.shard_key(row as usize)].push((si, slot));
-            }
-        }
-        let precision = self.config.precision;
-        for ((dest_idx, dest), moved) in self.shards.iter_mut().enumerate().zip(&moved) {
-            if moved.is_empty() {
-                continue;
-            }
-            for (slot, &(si, from)) in moved.iter().enumerate() {
-                let row = old[si].rows[from];
-                dest.rows.push(row);
-                let placement = &mut self.placement[row as usize];
-                (placement.shard, placement.slot) = (dest_idx as u16, slot as u32);
-            }
-            for &(kind, bins) in &self.kind_keys {
-                let mut block = KindBlock::empty(kind, bins, moved.len(), 0, precision);
-                let mut to = 0;
-                for run in moved.chunk_by(|a, b| a.0 == b.0) {
-                    if let Some(src) = old[run[0].0].block(kind, bins) {
-                        block.gather(to, src, run);
-                    }
-                    to += run.len();
-                }
-                if block.refresh_summary() {
-                    dest.blocks.push(block);
-                }
-            }
+        if shards != self.shards.len() {
+            self.config.shards = shards;
+            self.rebuild();
         }
     }
 
@@ -2699,7 +2591,7 @@ mod tests {
             }
         }
 
-        // A re-layout moves packed columns instead of repacking rows.
+        // A re-layout is a bulk build at the new shard count.
         // After any churn and any sequence of shard counts, the split
         // store must hold what a bulk build at the new count holds (keys,
         // prune summaries, resident bytes), keep its dense and top-k
