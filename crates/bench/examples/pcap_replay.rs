@@ -1,20 +1,17 @@
 //! Replays a pcap capture through the zero-copy ingest path into a
 //! fused [`MultiEngine`] and prints the per-file decode statistics.
 //!
-//! With a path argument it opens that file; without one it synthesises
-//! a small two-device radiotap capture in memory so the example runs
-//! self-contained:
+//! With a path argument it reads that file whole; without one it
+//! synthesises a small two-device radiotap capture in memory so the
+//! example runs self-contained:
 //!
 //! ```text
 //! cargo run --release -p wifiprint-bench --example pcap_replay [capture.pcap]
 //! ```
 
-use std::fs::File;
-use std::io::{BufReader, Read};
-
 use wifiprint_core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
-use wifiprint_pcap::{LinkType, Reader, Record, Replay, Writer};
+use wifiprint_pcap::{LinkType, Record, Replay, Writer};
 use wifiprint_radiotap::{RxFlags, RxInfo};
 
 /// Two stations talking to one AP with different packet cadences, so the
@@ -45,8 +42,8 @@ fn synthetic_capture() -> Vec<u8> {
     file
 }
 
-fn run<R: Read>(reader: Reader<R>) -> Result<(), Box<dyn std::error::Error>> {
-    let mut replay = Replay::new(reader)?;
+fn run(file: &[u8]) -> Result<(), Box<dyn std::error::Error>> {
+    let mut replay = Replay::from_slice(file)?;
     println!("link type: {:?}", replay.link_type());
 
     let mut cfg = MultiConfig::default().with_min_observations(20);
@@ -87,15 +84,15 @@ fn run<R: Read>(reader: Reader<R>) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    match std::env::args().nth(1) {
+    let file = match std::env::args().nth(1) {
         Some(path) => {
             println!("replaying {path}");
-            run(Reader::new(BufReader::new(File::open(path)?))?)
+            std::fs::read(path)?
         }
         None => {
             println!("no capture given; replaying a synthetic two-station trace");
-            let file = synthetic_capture();
-            run(Reader::new(&file[..])?)
+            synthetic_capture()
         }
-    }
+    };
+    run(&file)
 }

@@ -58,7 +58,7 @@ use wifiprint_core::{
     MultiEngine, NetworkParameter, ReferenceDb, Signature, SimilarityMeasure,
 };
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
-use wifiprint_pcap::{LinkType, Reader, Record, Replay, Writer};
+use wifiprint_pcap::{LinkType, Record, Replay, SliceReader, Writer};
 use wifiprint_radiotap::{CapturedFrame, RxFlags, RxInfo};
 use wifiprint_scenarios::{MetropolisScenario, RotationPolicy, RotationScenario};
 
@@ -460,18 +460,22 @@ fn measure_gates() -> (Vec<Gate>, f64) {
         }
         assert_eq!(decoded, replay_records);
     }) / replay_records as f64;
+    // The owned baseline: every record copied into a fresh zeroed buffer,
+    // then decoded into an owned `RxInfo` and `Frame`.
     let materialized_ns = measure(15, 1, || {
-        let mut reader = Reader::new(&capture[..]).expect("readable capture");
+        let mut reader = SliceReader::new(&capture).expect("readable capture");
         let mut decoded = 0u64;
-        while let Some(rec) = reader.next_record().expect("well-formed stream") {
-            let (info, hdr_len) = RxInfo::from_radiotap(&rec.data).expect("valid header");
-            let frame = Frame::parse(&rec.data[hdr_len..]).expect("valid frame");
+        while let Some((meta, bytes)) = reader.next_record().expect("well-formed stream") {
+            let mut data = vec![0u8; bytes.len()];
+            data.copy_from_slice(bytes);
+            let (info, hdr_len) = RxInfo::from_radiotap(&data).expect("valid header");
+            let frame = Frame::parse(&data[hdr_len..]).expect("valid frame");
             let cap = CapturedFrame::from_frame(
                 &frame,
                 info.rate.unwrap_or(Rate::R1M),
                 info.tsft_us
                     .map(Nanos::from_micros)
-                    .unwrap_or(Nanos::from_nanos(rec.timestamp_nanos())),
+                    .unwrap_or(Nanos::from_nanos(meta.timestamp_nanos())),
                 info.signal_dbm.unwrap_or(-70),
             );
             decoded += 1;

@@ -724,6 +724,10 @@ impl ReferenceDb {
     /// [`SignatureBuilder::finish`](crate::SignatureBuilder::finish)),
     /// packing the reference matrix once, with the default
     /// [`MatchConfig`].
+    ///
+    /// It enrols exactly what [`ReferenceDb::insert`] accepts: a
+    /// signature with zero observations (which
+    /// [`CoreError::EmptySignature`] refuses there) is skipped.
     pub fn from_signatures(signatures: BTreeMap<MacAddr, Signature>) -> Self {
         ReferenceDb::from_signatures_with(signatures, MatchConfig::default())
     }
@@ -735,7 +739,8 @@ impl ReferenceDb {
         config: MatchConfig,
     ) -> Self {
         // A `BTreeMap` yields its entries in ascending address order.
-        let (devices, signatures): (Vec<_>, _) = signatures.into_iter().unzip();
+        let (devices, signatures): (Vec<_>, _) =
+            signatures.into_iter().filter(|(_, sig)| sig.observation_count() > 0).unzip();
         let mut db = ReferenceDb {
             devices: Arc::new(devices),
             signatures,
@@ -1794,6 +1799,21 @@ mod tests {
             other => panic!("expected EmptySignature, got {other:?}"),
         }
         assert!(db.is_empty());
+    }
+
+    #[test]
+    fn bulk_build_skips_empty_signatures_like_insert() {
+        let empty = MacAddr::from_index(1);
+        let full = MacAddr::from_index(2);
+        let sig = sig_with(&[(FrameKind::Data, 1.0, 5)]);
+        let map = BTreeMap::from([(empty, Signature::new()), (full, sig.clone())]);
+        let bulk = ReferenceDb::from_signatures_with(map, MatchConfig::flat());
+        assert!(!bulk.contains(&empty));
+        assert_eq!(bulk.len(), 1);
+        let mut one_by_one = ReferenceDb::with_config(MatchConfig::flat());
+        assert!(one_by_one.insert(empty, Signature::new()).is_err());
+        one_by_one.insert(full, sig).unwrap();
+        assert_eq!(bulk.devices().collect::<Vec<_>>(), one_by_one.devices().collect::<Vec<_>>());
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl Record {
     }
 }
 
-/// Header fields of one record, as returned by the buffer-reusing
-/// [`Reader::read_record_into`](crate::Reader::read_record_into) —
+/// Header fields of one record, as returned by the borrowing
+/// [`SliceReader::next_record`](crate::SliceReader::next_record) —
 /// everything a [`Record`] carries except the owned payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordMeta {

@@ -8,26 +8,26 @@
 //! * both magics — microsecond (`0xa1b2c3d4`) and nanosecond
 //!   (`0xa1b23c4d`) timestamp precision,
 //! * both byte orders (files written on foreign-endian machines),
-//! * streaming [`Reader`] / [`Writer`] over any [`std::io::Read`] /
-//!   [`std::io::Write`],
+//! * a borrowing [`SliceReader`] over an in-memory file and a streaming
+//!   [`Writer`] over any [`std::io::Write`],
 //! * snaplen-truncated records (`incl_len < orig_len`),
 //! * the link types relevant to 802.11 monitoring ([`LinkType`]).
 //!
 //! # Example
 //!
 //! ```
-//! use wifiprint_pcap::{LinkType, Reader, Record, Writer};
+//! use wifiprint_pcap::{LinkType, Record, SliceReader, Writer};
 //!
 //! # fn main() -> Result<(), wifiprint_pcap::PcapError> {
 //! let mut file = Vec::new();
 //! let mut writer = Writer::new(&mut file, LinkType::Ieee80211Radiotap)?;
 //! writer.write_record(&Record::new(1_700_000_000, 123_456_000, b"frame-bytes".to_vec()))?;
 //!
-//! let mut reader = Reader::new(&file[..])?;
+//! let mut reader = SliceReader::new(&file)?;
 //! assert_eq!(reader.link_type(), LinkType::Ieee80211Radiotap);
-//! let rec = reader.next_record()?.expect("one record");
-//! assert_eq!(rec.data, b"frame-bytes");
-//! assert_eq!(rec.timestamp_micros(), 1_700_000_000_123_456);
+//! let (meta, data) = reader.next_record()?.expect("one record");
+//! assert_eq!(data, b"frame-bytes");
+//! assert_eq!(meta.timestamp_micros(), 1_700_000_000_123_456);
 //! # Ok(())
 //! # }
 //! ```
@@ -38,10 +38,10 @@
 //! input without materializing a single owned frame: [`Replay`] decodes
 //! each record through the borrowed
 //! [`WireFrame`](wifiprint_ieee80211::WireFrame) view with **zero heap
-//! allocations per record** in steady state. Streaming readers reuse one
-//! internal buffer ([`Reader::read_record_into`]); for an in-memory file,
-//! [`Replay::from_slice`] borrows every record in place ([`SliceReader`])
-//! and never copies — or even reads — record bodies. [`ReplayStats`]
+//! allocations**: [`Replay::from_slice`] borrows every record of an
+//! in-memory file in place ([`SliceReader`]) and never copies — or even
+//! reads — record bodies. A file on disk is read whole first
+//! (`std::fs::read`). [`ReplayStats`]
 //! reports decode quality per file: error counts per layer and how often
 //! the monitor omitted rate/signal/TSFT so decode fell back to defaults.
 //!
@@ -133,6 +133,6 @@ pub mod replay;
 mod writer;
 
 pub use format::{LinkType, PcapError, Record, RecordMeta, TsPrecision, MAGIC_MICROS, MAGIC_NANOS};
-pub use reader::{Reader, SliceReader};
-pub use replay::{ReadSource, RecordSource, Replay, ReplayError, ReplayStats};
+pub use reader::SliceReader;
+pub use replay::{Replay, ReplayError, ReplayStats};
 pub use writer::Writer;

@@ -3,15 +3,13 @@
 //! This module is the production data path the paper's method implies: raw
 //! DLT-127/119/105 bytes off a capture file (or ring) are decoded straight
 //! into [`CapturedFrame`] observations, ready for the engine's `observe`
-//! — with **zero heap allocations per record** in steady state. Streaming
-//! sources reuse one internal buffer across records
-//! ([`Reader::read_record_into`]); in-memory files go further via
-//! [`Replay::from_slice`], which borrows each record in place and never
-//! copies (or even reads) record bodies at all. Either way the 802.11
-//! header is read through the borrowed
-//! [`WireFrame`] view (no body copy, no
-//! `Frame` materialization), and `CapturedFrame` itself is a plain `Copy`
-//! struct. An allocation-counting test pins this down.
+//! — with **zero heap allocations** for the whole pass. The capture is
+//! held in memory (read whole with `std::fs::read`, or memory-mapped) and
+//! [`Replay::from_slice`] borrows each record in place through
+//! [`SliceReader`], never copying (or even reading) record bodies. The
+//! 802.11 header is read through the borrowed [`WireFrame`] view (no body
+//! copy, no `Frame` materialization), and `CapturedFrame` itself is a
+//! plain `Copy` struct. An allocation-counting test pins this down.
 //!
 //! Alongside the frames, a [`ReplayStats`] tallies capture quality: how
 //! many records decoded, how many failed (and at which layer), and how
@@ -23,7 +21,7 @@
 //!
 //! ```
 //! use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
-//! use wifiprint_pcap::{replay::Replay, LinkType, Reader, Record, Writer};
+//! use wifiprint_pcap::{replay::Replay, LinkType, Record, Writer};
 //! use wifiprint_radiotap::{RxFlags, RxInfo};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +41,7 @@
 //! w.write_record(&Record::from_micros(1_000, packet))?;
 //!
 //! // …and replay it.
-//! let mut replay = Replay::new(Reader::new(&file[..])?)?;
+//! let mut replay = Replay::from_slice(&file)?;
 //! let frame = replay.next_frame()?.expect("one frame");
 //! assert_eq!(frame.transmitter, Some(sta));
 //! assert_eq!(frame.rate, Rate::R11M);
@@ -55,12 +53,10 @@
 //! # }
 //! ```
 
-use std::io::Read;
-
 use wifiprint_ieee80211::{Nanos, WireFrame};
 use wifiprint_radiotap::{CapturedFrame, DecodeError, DefaultedFields};
 
-use crate::{LinkType, PcapError, Reader, RecordMeta, SliceReader};
+use crate::{LinkType, PcapError, SliceReader};
 
 /// Per-file decode statistics accumulated by [`Replay`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,116 +130,34 @@ impl From<PcapError> for ReplayError {
     }
 }
 
-/// Anything that can hand [`Replay`] one record's bytes at a time.
+/// An allocation-free stream of [`CapturedFrame`]s over an in-memory
+/// pcap file.
 ///
-/// Two implementations ship with the crate: [`ReadSource`] copies each
-/// record from a generic [`Read`] stream into one reused buffer (zero
-/// allocations in steady state), and [`SliceReader`] borrows records
-/// straight out of an in-memory file (zero copies, zero allocations —
-/// record bodies are never even touched, since the borrowed decoders read
-/// only header bytes).
-pub trait RecordSource {
-    /// The source's data-link type.
-    fn link_type(&self) -> LinkType;
-
-    /// Returns the next record's header fields and bytes, or `Ok(None)`
-    /// at a clean end of stream.
-    ///
-    /// # Errors
-    ///
-    /// [`PcapError`] for a malformed or unreadable stream.
-    fn next(&mut self) -> Result<Option<(RecordMeta, &[u8])>, PcapError>;
-}
-
-impl RecordSource for SliceReader<'_> {
-    fn link_type(&self) -> LinkType {
-        SliceReader::link_type(self)
-    }
-
-    fn next(&mut self) -> Result<Option<(RecordMeta, &[u8])>, PcapError> {
-        self.next_record()
-    }
-}
-
-/// A [`RecordSource`] over any [`Read`] stream: each record is copied into
-/// one internal buffer that is reused across records
-/// ([`Reader::read_record_into`]), so steady-state replay performs zero
-/// heap allocations.
-#[derive(Debug)]
-pub struct ReadSource<R> {
-    reader: Reader<R>,
-    buf: Vec<u8>,
-}
-
-impl<R: Read> ReadSource<R> {
-    /// Wraps a pcap reader.
-    pub fn new(reader: Reader<R>) -> Self {
-        ReadSource { reader, buf: Vec::new() }
-    }
-}
-
-impl<R: Read> RecordSource for ReadSource<R> {
-    fn link_type(&self) -> LinkType {
-        self.reader.link_type()
-    }
-
-    fn next(&mut self) -> Result<Option<(RecordMeta, &[u8])>, PcapError> {
-        Ok(self.reader.read_record_into(&mut self.buf)?.map(|meta| (meta, &self.buf[..])))
-    }
-}
-
-/// An allocation-free stream of [`CapturedFrame`]s over a pcap file.
-///
-/// Wraps a [`RecordSource`] with the borrowed decode path; corrupt
+/// Wraps a [`SliceReader`] with the borrowed decode path; corrupt
 /// records are counted into [`ReplayStats`] and skipped rather than
 /// aborting the pass, because real monitor captures contain them.
-/// Build one with [`Replay::new`] (streaming, one reused buffer) or
-/// [`Replay::from_slice`] (in-memory file, no copies at all).
 #[derive(Debug)]
-pub struct Replay<S> {
-    source: S,
-    link: LinkType,
+pub struct Replay<'a> {
+    source: SliceReader<'a>,
     stats: ReplayStats,
 }
 
-impl<R: Read> Replay<ReadSource<R>> {
-    /// Wraps a pcap reader whose link type is one of the 802.11 monitor
-    /// formats (DLT 127 Radiotap, DLT 119 Prism, DLT 105 raw).
-    ///
-    /// # Errors
-    ///
-    /// [`ReplayError::UnsupportedLinkType`] for anything else.
-    pub fn new(reader: Reader<R>) -> Result<Self, ReplayError> {
-        Self::with_source(ReadSource::new(reader))
-    }
-}
-
-impl<'a> Replay<SliceReader<'a>> {
+impl<'a> Replay<'a> {
     /// Replays a whole capture file already in memory, borrowing record
-    /// bytes in place — the fastest path, since nothing is copied and
-    /// the borrowed decoders only ever read each record's header bytes.
+    /// bytes in place: nothing is copied, and the borrowed decoders only
+    /// ever read each record's header bytes. The file's link type must
+    /// be one of the 802.11 monitor formats (DLT 127 Radiotap, DLT 119
+    /// Prism, DLT 105 raw).
     ///
     /// # Errors
     ///
     /// [`ReplayError::Pcap`] for a malformed global header,
     /// [`ReplayError::UnsupportedLinkType`] for a non-802.11 file.
     pub fn from_slice(file: &'a [u8]) -> Result<Self, ReplayError> {
-        Self::with_source(SliceReader::new(file)?)
-    }
-}
-
-impl<S: RecordSource> Replay<S> {
-    /// Wraps any [`RecordSource`] whose link type is one of the 802.11
-    /// monitor formats (DLT 127 Radiotap, DLT 119 Prism, DLT 105 raw).
-    ///
-    /// # Errors
-    ///
-    /// [`ReplayError::UnsupportedLinkType`] for anything else.
-    pub fn with_source(source: S) -> Result<Self, ReplayError> {
-        let link = source.link_type();
-        match link {
+        let source = SliceReader::new(file)?;
+        match source.link_type() {
             LinkType::Ieee80211Radiotap | LinkType::Prism | LinkType::Ieee80211 => {
-                Ok(Replay { source, link, stats: ReplayStats::default() })
+                Ok(Replay { source, stats: ReplayStats::default() })
             }
             other => Err(ReplayError::UnsupportedLinkType(other)),
         }
@@ -251,7 +165,7 @@ impl<S: RecordSource> Replay<S> {
 
     /// The file's link type.
     pub fn link_type(&self) -> LinkType {
-        self.link
+        self.source.link_type()
     }
 
     /// Statistics over everything read so far.
@@ -264,17 +178,17 @@ impl<S: RecordSource> Replay<S> {
     ///
     /// # Errors
     ///
-    /// [`PcapError`] only for a malformed *stream* (truncated record,
-    /// oversized length, I/O failure) — per-record decode failures are
-    /// not errors here.
+    /// [`PcapError`] only for a malformed *file* (truncated record,
+    /// oversized length) — per-record decode failures are not errors
+    /// here.
     pub fn next_frame(&mut self) -> Result<Option<CapturedFrame>, PcapError> {
         loop {
-            let Some((meta, bytes)) = self.source.next()? else {
+            let Some((meta, bytes)) = self.source.next_record()? else {
                 return Ok(None);
             };
             self.stats.records += 1;
             let fallback = Nanos::from_nanos(meta.timestamp_nanos());
-            let decoded = match self.link {
+            let decoded = match self.source.link_type() {
                 LinkType::Ieee80211Radiotap => {
                     CapturedFrame::from_radiotap_packet_counted(bytes, fallback)
                 }
@@ -358,7 +272,7 @@ mod tests {
                 }),
             ],
         );
-        let mut replay = Replay::new(Reader::new(&file[..]).unwrap()).unwrap();
+        let mut replay = Replay::from_slice(&file).unwrap();
         let first = replay.next_frame().unwrap().unwrap();
         assert_eq!(first.rate, Rate::R11M);
         assert_eq!(first.t_end, Nanos::from_micros(1_000));
@@ -383,7 +297,7 @@ mod tests {
     fn replays_raw_80211_with_everything_defaulted() {
         let frame = Frame::data_to_ds(sta(), ap(), ap(), 64);
         let file = capture(LinkType::Ieee80211, &[(500, frame.to_bytes())]);
-        let mut replay = Replay::new(Reader::new(&file[..]).unwrap()).unwrap();
+        let mut replay = Replay::from_slice(&file).unwrap();
         let cap = replay.next_frame().unwrap().unwrap();
         assert_eq!(cap.rate, Rate::R1M);
         assert_eq!(cap.t_end, Nanos::from_micros(500));
@@ -397,7 +311,7 @@ mod tests {
     #[test]
     fn rejects_unsupported_link_type() {
         let file = capture(LinkType::Ethernet, &[]);
-        let err = Replay::new(Reader::new(&file[..]).unwrap()).unwrap_err();
+        let err = Replay::from_slice(&file).unwrap_err();
         assert!(matches!(err, ReplayError::UnsupportedLinkType(LinkType::Ethernet)));
         assert!(err.to_string().contains("EN10MB"));
     }
@@ -406,31 +320,10 @@ mod tests {
     fn header_errors_are_counted() {
         // DLT 127 records too short to hold a radiotap header.
         let file = capture(LinkType::Ieee80211Radiotap, &[(1, vec![0u8; 2])]);
-        let mut replay = Replay::new(Reader::new(&file[..]).unwrap()).unwrap();
+        let mut replay = Replay::from_slice(&file).unwrap();
         assert!(replay.next_frame().unwrap().is_none());
         assert_eq!(replay.stats().header_errors, 1);
         assert_eq!(replay.stats().decoded, 0);
-    }
-
-    #[test]
-    fn slice_replay_matches_streaming_replay() {
-        let mut packets = Vec::new();
-        for i in 0..64u64 {
-            let frame = Frame::data_to_ds(sta(), ap(), ap(), 100 + (i as usize % 5) * 50);
-            let ts = 1_000 * (i + 1);
-            packets.push((ts, radiotap_packet(&frame, Some(Rate::R54M), Some(ts))));
-        }
-        let file = capture(LinkType::Ieee80211Radiotap, &packets);
-
-        let mut streaming = Replay::new(Reader::new(&file[..]).unwrap()).unwrap();
-        let mut sliced = Replay::from_slice(&file).unwrap();
-        assert_eq!(sliced.link_type(), LinkType::Ieee80211Radiotap);
-        while let Some(expected) = streaming.next_frame().unwrap() {
-            assert_eq!(sliced.next_frame().unwrap(), Some(expected));
-        }
-        assert!(sliced.next_frame().unwrap().is_none());
-        assert_eq!(sliced.stats(), streaming.stats());
-        assert_eq!(sliced.stats().decoded, 64);
     }
 
     #[test]
@@ -453,7 +346,7 @@ mod tests {
             .train_for(Nanos::from_secs(2))
             .build()
             .unwrap();
-        let mut replay = Replay::new(Reader::new(&file[..]).unwrap()).unwrap();
+        let mut replay = Replay::from_slice(&file).unwrap();
         let mut events = Vec::new();
         while let Some(f) = replay.next_frame().unwrap() {
             events.extend(engine.observe(&f).unwrap());

@@ -1,7 +1,7 @@
 //! Property tests: pcap files round-trip arbitrary record sequences.
 
 use proptest::prelude::*;
-use wifiprint_pcap::{LinkType, Reader, Record, TsPrecision, Writer};
+use wifiprint_pcap::{LinkType, PcapError, Record, SliceReader, TsPrecision, Writer};
 
 fn arb_record() -> impl Strategy<Value = Record> {
     (
@@ -12,6 +12,16 @@ fn arb_record() -> impl Strategy<Value = Record> {
         .prop_map(|(sec, micros, data)| Record::new(sec, micros * 1000, data))
 }
 
+/// Every record of `file`, owned, up to the end of file or the first error.
+fn read_all(file: &[u8]) -> Result<Vec<Record>, PcapError> {
+    let mut reader = SliceReader::new(file)?;
+    let mut records = Vec::new();
+    while let Some((meta, data)) = reader.next_record()? {
+        records.push(Record::truncated(meta.ts_sec, meta.ts_nanos, meta.orig_len, data.to_vec()));
+    }
+    Ok(records)
+}
+
 proptest! {
     #[test]
     fn round_trip_many_records(records in prop::collection::vec(arb_record(), 0..50)) {
@@ -20,9 +30,7 @@ proptest! {
         for r in &records {
             w.write_record(r).unwrap();
         }
-        let r = Reader::new(&buf[..]).unwrap();
-        let back: Result<Vec<_>, _> = r.collect();
-        prop_assert_eq!(back.unwrap(), records);
+        prop_assert_eq!(read_all(&buf).unwrap(), records);
     }
 
     #[test]
@@ -31,19 +39,12 @@ proptest! {
         let mut buf = Vec::new();
         let mut w = Writer::with_precision(&mut buf, LinkType::Ieee80211, TsPrecision::Nanos).unwrap();
         w.write_record(&rec).unwrap();
-        let mut r = Reader::new(&buf[..]).unwrap();
-        prop_assert_eq!(r.next_record().unwrap().unwrap(), rec);
+        prop_assert_eq!(read_all(&buf).unwrap(), vec![rec]);
     }
 
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        if let Ok(reader) = Reader::new(&bytes[..]) {
-            for rec in reader {
-                if rec.is_err() {
-                    break;
-                }
-            }
-        }
+        let _ = read_all(&bytes);
     }
 
     #[test]
@@ -54,12 +55,10 @@ proptest! {
             w.write_record(r).unwrap();
         }
         let cut = 24 + ((buf.len() - 24) as f64 * cut_fraction) as usize;
-        let reader = Reader::new(&buf[..cut]).unwrap();
         // Must either produce whole records or a clean error; never panic.
-        for rec in reader {
-            if rec.is_err() {
-                break;
-            }
+        match read_all(&buf[..cut]) {
+            Ok(read) => prop_assert_eq!(&read[..], &records[..read.len()]),
+            Err(e) => prop_assert!(matches!(e, PcapError::TruncatedFile), "{:?}", e),
         }
     }
 }

@@ -8,8 +8,8 @@
 
 use std::path::Path;
 
-use wifiprint_ieee80211::{Frame, FrameControl, FrameKind, MacAddr, Nanos};
-use wifiprint_pcap::{LinkType, PcapError, Reader, Record, Writer};
+use wifiprint_ieee80211::{Frame, FrameControl, FrameKind, MacAddr};
+use wifiprint_pcap::{LinkType, PcapError, Record, Replay, ReplayError, Writer};
 use wifiprint_radiotap::{CapturedFrame, RxFlags, RxInfo};
 
 /// Reconstructs a wire-format frame from capture metadata.
@@ -82,28 +82,28 @@ pub fn write_pcap<P: AsRef<Path>>(path: P, frames: &[CapturedFrame]) -> Result<(
     writer.flush()
 }
 
-/// Reads a Radiotap pcap file back into captured frames.
+/// Reads a pcap file of 802.11 frames back into captured frames.
 ///
-/// Records that fail to decode (foreign link types, corrupt frames) are
-/// skipped; the second return value counts them.
+/// The file is read whole and decoded by [`Replay::from_slice`], so it
+/// takes every link type replay takes (Radiotap, Prism, raw 802.11), and
+/// a record without a TSFT keeps its pcap timestamp to the nanosecond.
+/// Records that fail to decode are skipped; the second return value
+/// counts them ([`ReplayStats::decode_errors`](wifiprint_pcap::ReplayStats::decode_errors)).
 ///
 /// # Errors
 ///
-/// I/O or pcap-format errors. Decoding errors of individual packets are
-/// not fatal.
-pub fn read_pcap<P: AsRef<Path>>(path: P) -> Result<(Vec<CapturedFrame>, usize), PcapError> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = Reader::new(std::io::BufReader::new(file))?;
+/// [`ReplayError::Pcap`] for an unreadable file ([`PcapError::Io`]) or a
+/// malformed one, [`ReplayError::UnsupportedLinkType`] for a link type
+/// that carries no 802.11 frames. Decoding errors of individual packets
+/// are not fatal.
+pub fn read_pcap<P: AsRef<Path>>(path: P) -> Result<(Vec<CapturedFrame>, u64), ReplayError> {
+    let file = std::fs::read(path).map_err(PcapError::Io)?;
+    let mut replay = Replay::from_slice(&file)?;
     let mut frames = Vec::new();
-    let mut skipped = 0usize;
-    while let Some(record) = reader.next_record()? {
-        let fallback = Nanos::from_micros(record.timestamp_micros());
-        match CapturedFrame::from_radiotap_packet(&record.data, fallback) {
-            Ok(cf) => frames.push(cf),
-            Err(_) => skipped += 1,
-        }
+    while let Some(frame) = replay.next_frame()? {
+        frames.push(frame);
     }
-    Ok((frames, skipped))
+    Ok((frames, replay.stats().decode_errors()))
 }
 
 #[cfg(test)]
@@ -112,6 +112,73 @@ mod tests {
     use crate::conference::ConferenceScenario;
     use crate::office::OfficeScenario;
     use proptest::prelude::*;
+    use wifiprint_ieee80211::Nanos;
+    use wifiprint_pcap::TsPrecision;
+
+    /// `read_pcap` of `file` written to disk, next to `Replay::from_slice`
+    /// of the same bytes.
+    fn read_both(name: &str, file: &[u8]) -> (Vec<CapturedFrame>, u64, Vec<CapturedFrame>, u64) {
+        let dir = std::env::temp_dir().join("wifiprint-scenarios-read");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, file).unwrap();
+        let (read, skipped) = read_pcap(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut replay = Replay::from_slice(file).unwrap();
+        let mut replayed = Vec::new();
+        while let Some(frame) = replay.next_frame().unwrap() {
+            replayed.push(frame);
+        }
+        (read, skipped, replayed, replay.stats().decode_errors())
+    }
+
+    #[test]
+    fn read_pcap_decodes_like_replay_for_every_link_type_and_precision() {
+        let trace = OfficeScenario::small(19, 5, 3).run_collect();
+        let info = |tsft_us| RxInfo {
+            tsft_us,
+            rate: Some(wifiprint_ieee80211::Rate::R11M),
+            signal_dbm: Some(-52),
+            ..RxInfo::default()
+        };
+
+        // Prism (DLT 119): three records, each decodes.
+        let mut prism = Vec::new();
+        let mut writer = Writer::new(&mut prism, LinkType::Prism).unwrap();
+        for cf in &trace.frames[..3] {
+            let bytes = reconstruct_frame(cf).to_bytes();
+            let body = &bytes[..bytes.len() - 4];
+            let mut packet = info(Some(cf.t_end.as_micros())).to_prism(body.len() as u32);
+            packet.extend_from_slice(body);
+            writer.write_record(&Record::from_micros(cf.t_end.as_micros(), packet)).unwrap();
+        }
+        let (read, skipped, replayed, errors) = read_both("prism.pcap", &prism);
+        assert_eq!((read.len(), skipped), (3, 0));
+        assert_eq!((&read, skipped), (&replayed, errors));
+
+        // Nanosecond radiotap without TSFT: the record timestamp is the
+        // frame's end time, to the nanosecond.
+        let mut nanos = Vec::new();
+        let mut writer =
+            Writer::with_precision(&mut nanos, LinkType::Ieee80211Radiotap, TsPrecision::Nanos)
+                .unwrap();
+        let mut packet = RxInfo { flags: RxFlags::FCS_INCLUDED, ..info(None) }.to_radiotap();
+        packet.extend_from_slice(&reconstruct_frame(&trace.frames[0]).to_bytes());
+        writer.write_record(&Record::new(5, 123_456_789, packet)).unwrap();
+        let (read, skipped, replayed, errors) = read_both("nanos.pcap", &nanos);
+        assert_eq!(read.len(), 1);
+        assert_eq!(read[0].t_end, Nanos::from_nanos(5_123_456_789));
+        assert_eq!((&read, skipped), (&replayed, errors));
+
+        // A link type with no 802.11 frames is refused, not skipped.
+        let mut ethernet = Vec::new();
+        Writer::new(&mut ethernet, LinkType::Ethernet).unwrap();
+        let path = std::env::temp_dir().join("wifiprint-scenarios-read").join("ethernet.pcap");
+        std::fs::write(&path, &ethernet).unwrap();
+        let err = read_pcap(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, ReplayError::UnsupportedLinkType(LinkType::Ethernet)), "{err}");
+    }
 
     #[test]
     fn pcap_round_trip_preserves_observables() {

@@ -181,10 +181,10 @@
 //! from a capture file. [`pcap::Replay`] is the zero-copy bridge: raw
 //! DLT-127/119/105 pcap bytes are decoded straight into
 //! [`radiotap::CapturedFrame`] observations through the borrowed
-//! [`ieee80211::WireFrame`] header view — **zero heap allocations per
-//! record** in steady state (allocation-counter-tested), with
-//! [`pcap::Replay::from_slice`] going further for in-memory files by
-//! borrowing records in place and never touching frame bodies at all.
+//! [`ieee80211::WireFrame`] header view — **zero heap allocations**
+//! (allocation-counter-tested): [`pcap::Replay::from_slice`] borrows the
+//! records of an in-memory file (read whole, or memory-mapped) in place
+//! and never touches frame bodies at all.
 //! Driving a whole file into the engine is a loop over
 //! [`pcap::Replay::next_frame`] into [`core::MultiEngine::observe`];
 //! the replay keeps per-file [`pcap::ReplayStats`]: decode-error counts
