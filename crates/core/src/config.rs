@@ -116,12 +116,13 @@ pub struct EvalConfig {
     /// Detection window length (the paper uses 5 minutes, §I/§V-A).
     pub window: Nanos,
     /// Shard layout **and precision tier** of reference databases built
-    /// from this configuration (the engine's online-trained references;
-    /// see [`MatchConfig`] and
+    /// from this configuration (see [`MatchConfig`] and
     /// [`RowPrecision`](crate::matching::RowPrecision)). Defaults to
     /// dominant-histogram sharding over `f32` rows; pass
     /// `MatchConfig::quantized()` here to run an engine on the `u8`
-    /// integer tier.
+    /// integer tier. The engine takes only the precision: it keeps its
+    /// references flat (one shard), because it runs only dense sweeps,
+    /// and shards serve pruned top-k sweeps.
     pub match_config: MatchConfig,
 }
 

@@ -14,9 +14,12 @@
 //!   decisions are always aligned;
 //! * **online score fusion** — as each window closes, every candidate is
 //!   swept against each parameter's [`ReferenceDb`] (the tiled column
-//!   sweep, [`ReferenceDb::match_tile`]) and the per-parameter
-//!   similarity vectors are combined into one weighted-average
-//!   [`FusedOutcome`] per [`fusion`](crate::fusion) spec.
+//!   sweep, [`ReferenceDb::match_tile`], over references the engine keeps
+//!   flat) and the per-parameter similarity vectors are combined into one
+//!   weighted-average [`FusedOutcome`] per [`fusion`](crate::fusion)
+//!   spec: an aligned add, since how each reference's device table lines
+//!   up with the commonly enrolled set is decided once, when detection
+//!   starts.
 //!
 //! [`MultiEvent::FusedMatch`] / [`MultiEvent::FusedNewDevice`] carry one
 //! [`ParameterDecision`] per parameter the candidate qualified for (its
@@ -38,8 +41,10 @@ use wifiprint_radiotap::CapturedFrame;
 
 use crate::config::{default_bins, EvalConfig, FrameFilter, TxTimeEstimator};
 use crate::error::CoreError;
-use crate::fusion::{fuse_outcomes, FusedOutcome, FusionSpec};
-use crate::matching::{MatchConfig, MatchOutcome, MatchScratch, ReferenceDb, MATCH_TILE};
+use crate::fusion::{fuse_aligned, Alignment, FusedOutcome, FusionSpec, Term};
+use crate::matching::{
+    DeviceTable, MatchConfig, MatchOutcome, MatchScratch, ReferenceDb, MATCH_TILE,
+};
 use crate::params::{FusedExtractor, NetworkParameter};
 use crate::signature::Signature;
 use crate::similarity::SimilarityMeasure;
@@ -69,8 +74,11 @@ pub struct MultiConfig {
     pub filter: FrameFilter,
     /// Detection window length (the paper uses 5 minutes, §I/§V-A).
     pub window: Nanos,
-    /// Shard layout of the per-parameter reference databases the
-    /// training phase builds (see [`MatchConfig`]).
+    /// Row precision of the per-parameter reference databases the
+    /// training phase builds (see [`MatchConfig`]). The engine keeps its
+    /// frozen references flat (one shard) whatever `shards` says: it
+    /// runs only dense sweeps, which score every row in any layout, and
+    /// shards pay off only in pruned top-k sweeps.
     pub match_config: MatchConfig,
 }
 
@@ -112,7 +120,9 @@ impl MultiConfig {
         self
     }
 
-    /// Returns a copy with a different reference-store shard layout.
+    /// Returns a copy with a different reference-store configuration.
+    /// Only its row precision reaches the engine's references, which the
+    /// engine keeps flat (see [`MultiConfig::match_config`]).
     #[must_use]
     pub fn with_match_config(mut self, match_config: MatchConfig) -> Self {
         self.match_config = match_config;
@@ -271,8 +281,8 @@ impl MultiEngineBuilder {
     }
 
     /// The shared configuration (observation floor, filter, estimator,
-    /// window, reference shard layout). Defaults to [`MultiConfig::default`] — the paper's
-    /// settings.
+    /// window, reference row precision). Defaults to
+    /// [`MultiConfig::default`] — the paper's settings.
     #[must_use]
     pub fn config(mut self, config: MultiConfig) -> Self {
         self.config = Some(config);
@@ -280,9 +290,10 @@ impl MultiEngineBuilder {
     }
 
     /// Starts the engine directly in the detection phase against
-    /// pre-learned per-parameter reference databases (frozen on entry;
-    /// one non-empty database per fused parameter). Mutually exclusive
-    /// with [`MultiEngineBuilder::train_for`].
+    /// pre-learned per-parameter reference databases (frozen on entry,
+    /// and re-laid out flat — one shard — when they arrive sharded; one
+    /// non-empty database per fused parameter). Mutually exclusive with
+    /// [`MultiEngineBuilder::train_for`].
     #[must_use]
     pub fn references(mut self, dbs: BTreeMap<NetworkParameter, ReferenceDb>) -> Self {
         self.references = Some(dbs);
@@ -356,6 +367,7 @@ impl MultiEngineBuilder {
                     if db.is_empty() {
                         return Err(CoreError::EmptyDatabase.into());
                     }
+                    db.reshard(1);
                     db.freeze();
                     references.push(db);
                 }
@@ -393,11 +405,15 @@ impl MultiEngineBuilder {
 /// one shared window clock.
 #[derive(Debug)]
 struct DetectState {
-    /// One frozen reference database per fused parameter (spec order).
+    /// One frozen, flat reference database per fused parameter (spec
+    /// order).
     references: Vec<ReferenceDb>,
     /// Devices enrolled in **every** parameter's database, ascending —
-    /// the domain of the fused score.
-    common: Vec<MacAddr>,
+    /// the domain of the fused score, shared by every fused vector.
+    common: DeviceTable,
+    /// Per reference (spec order): how its device table lines up with
+    /// `common`, decided once so fusion is an aligned add.
+    alignments: Vec<Alignment>,
     /// The one shared window clock.
     clock: WindowClock,
     /// Per device: one in-progress candidate signature per parameter
@@ -407,14 +423,22 @@ struct DetectState {
 
 impl DetectState {
     fn new(references: Vec<ReferenceDb>, window: Nanos) -> Self {
-        let common = match references.first() {
+        let common: DeviceTable = Arc::new(match references.first() {
             Some(first) => first
                 .devices()
                 .filter(|d| references.iter().all(|db| db.contains(d)))
                 .collect(),
             None => Vec::new(),
-        };
-        DetectState { references, common, clock: WindowClock::new(window), current: BTreeMap::new() }
+        });
+        let alignments =
+            references.iter().map(|db| Alignment::between(db.device_table(), &common)).collect();
+        DetectState {
+            references,
+            common,
+            alignments,
+            clock: WindowClock::new(window),
+            current: BTreeMap::new(),
+        }
     }
 }
 
@@ -811,7 +835,7 @@ impl MultiEngine {
         self.front.pending_frames()
     }
 
-    /// Training → detection: per parameter, bulk-build a frozen
+    /// Training → detection: per parameter, bulk-build a frozen, flat
     /// reference database from the devices that met the floor
     /// ([`ReferenceDb::from_signatures_with`]) and emit
     /// [`MultiEvent::Enrolled`]s. A parameter that enrolled nobody
@@ -842,10 +866,11 @@ impl MultiEngine {
                 events.push(MultiEvent::Enrolled { device, observations });
             }
         }
+        let flat = cfg.match_config.with_shards(1);
         let references = enrolled
             .into_iter()
             .map(|signatures| {
-                let mut db = ReferenceDb::from_signatures_with(signatures, cfg.match_config);
+                let mut db = ReferenceDb::from_signatures_with(signatures, flat);
                 db.freeze();
                 db
             })
@@ -883,7 +908,8 @@ impl Drop for PooledScratch<'_> {
 /// of scored parameters gets a fused score over the survivors, with the
 /// missing parameters listed in the event's `degraded` marker;
 /// `health.windows_degraded` counts windows emitting at least one such
-/// event.
+/// event. Survivors whose weights are all zero get no fused score, as
+/// when the quorum is unmet.
 #[allow(clippy::too_many_lines)] // qualify → fan-out sweep → fuse, one linear pass
 fn close_multi_window(
     settings: &Settings,
@@ -930,7 +956,7 @@ fn close_multi_window(
 
     // One tiled sweep per parameter over the candidates that qualified
     // for it, skipping strangers when their scoring is off. The sweeps
-    // are independent by construction (each reads its own sharded reference
+    // are independent by construction (each reads its own flat reference
     // database), so they fan out across `batch::map_tiles_with_scratch` —
     // one parameter per work unit, one scratch per worker; with one worker
     // (1-CPU hosts, `WIFIPRINT_THREADS=1`) the map runs them in order on
@@ -994,36 +1020,33 @@ fn close_multi_window(
         // The fused score wants a scored view for every parameter, but a
         // degraded capture may starve some of them below the floor: fuse
         // over the survivors when at least `quorum` parameters scored,
-        // naming the missing ones in `degraded`. The views are borrowed
-        // here and handed over to the per-parameter decisions below, no
-        // clones. Strangers get no fused score when their scoring is off.
-        let survivors: Vec<&MatchOutcome> = views.iter().flatten().collect();
+        // renormalising their weights and naming the missing ones in
+        // `degraded`. Survivors whose weights are all zero carry no
+        // evidence, so they get no fused score either. The views are
+        // borrowed here and handed over to the per-parameter decisions
+        // below, no clones. Strangers get no fused score when their
+        // scoring is off.
+        let terms: Vec<Term<'_>> = spec
+            .parameters
+            .iter()
+            .zip(&views)
+            .zip(&state.alignments)
+            .filter_map(|((&(_, w), view), alignment)| Some((w, view.as_ref()?, alignment)))
+            .collect();
         let unscored = !in_common && !score_unknown;
-        let (fused, degraded) = if unscored || state.common.is_empty() || survivors.len() < quorum
-        {
-            (None, Vec::new())
-        } else if survivors.len() == n_params {
-            (Some(fuse_outcomes(spec, &survivors, &state.common)), Vec::new())
-        } else {
-            // Renormalise over the surviving parameters: a sub-spec of
-            // the scored (parameter, weight) pairs, weights re-scaled by
-            // `fuse_outcomes` itself (it divides by the weight sum).
-            let sub = FusionSpec {
-                parameters: spec
-                    .parameters
-                    .iter()
+        let weighted = terms.iter().any(|&(w, ..)| w > 0.0);
+        let (fused, degraded) =
+            if unscored || state.common.is_empty() || terms.len() < quorum || !weighted {
+                (None, Vec::new())
+            } else {
+                let missing: Vec<NetworkParameter> = spec
+                    .parameters()
                     .zip(&views)
-                    .filter_map(|(&pw, v)| v.is_some().then_some(pw))
-                    .collect(),
+                    .filter(|(_, v)| v.is_none())
+                    .map(|(p, _)| p)
+                    .collect();
+                (Some(fuse_aligned(&terms, Arc::clone(&state.common))), missing)
             };
-            let missing: Vec<NetworkParameter> = spec
-                .parameters()
-                .zip(&views)
-                .filter(|(_, v)| v.is_none())
-                .map(|(p, _)| p)
-                .collect();
-            (Some(fuse_outcomes(&sub, &survivors, &state.common)), missing)
-        };
         let mut scores = Vec::with_capacity(n_params);
         let mut signatures = Vec::new();
         for (p, ((param, sig), view)) in spec.parameters().zip(sigs).zip(views).enumerate() {
@@ -1185,6 +1208,35 @@ mod tests {
             MultiEngine::builder().config(cfg(10, 5)).references(dbs).build(),
             Err(EngineError::Core(CoreError::EmptyDatabase))
         ));
+    }
+
+    #[test]
+    fn given_references_are_laid_out_flat_and_decide_as_before() {
+        let laid_out = |shards: usize| -> BTreeMap<NetworkParameter, ReferenceDb> {
+            trained_references()
+                .into_iter()
+                .map(|(p, db)| {
+                    let sigs = db.iter().map(|(m, s)| (m, s.clone())).collect();
+                    let config = MatchConfig::default().with_shards(shards);
+                    (p, ReferenceDb::from_signatures_with(sigs, config))
+                })
+                .collect()
+        };
+        let run = |references: BTreeMap<NetworkParameter, ReferenceDb>| {
+            let mut engine =
+                MultiEngine::builder().config(cfg(1, 5)).references(references).build().unwrap();
+            for i in 0..30u64 {
+                engine.observe(&frame(1 + i % 3, 10_000_000 + i * 30_000, 300)).unwrap();
+            }
+            let events = engine.finish().unwrap();
+            for p in NetworkParameter::ALL {
+                assert_eq!(engine.reference(p).unwrap().shard_count(), 1, "{p}");
+            }
+            format!("{events:?}")
+        };
+        let sharded = laid_out(4);
+        assert!(sharded.values().all(|db| db.shard_count() == 4));
+        assert_eq!(run(sharded), run(laid_out(1)));
     }
 
     #[test]
@@ -1562,6 +1614,43 @@ mod tests {
         };
         assert!(fused.is_none(), "3 surviving views < quorum 4");
         assert!(degraded.is_empty());
+    }
+
+    #[test]
+    fn zero_weight_survivors_get_no_fused_score() {
+        // Only the history-based parameters carry weight, and a sparse
+        // window starves exactly those: the three survivors weigh
+        // nothing, so a quorum of one must not turn them into a fused
+        // vector of zeros whose argmax names the lowest address.
+        let spec = FusionSpec {
+            parameters: vec![
+                (NetworkParameter::InterArrivalTime, 1.0),
+                (NetworkParameter::MediumAccessTime, 1.0),
+                (NetworkParameter::FrameSize, 0.0),
+                (NetworkParameter::TransmissionRate, 0.0),
+                (NetworkParameter::TransmissionTime, 0.0),
+            ],
+        };
+        let mut engine = MultiEngine::builder()
+            .spec(spec)
+            .config(cfg(1, 5))
+            .references(trained_references())
+            .resilience(ResilienceConfig::default().with_fusion_quorum(Some(1)))
+            .build()
+            .unwrap();
+        for i in 0..5u64 {
+            engine.observe(&frame(3, 10_000_000 + i * 30_000, 900)).unwrap();
+        }
+        let events = engine.finish().unwrap();
+        let Some(MultiEvent::FusedMatch { device, scores, fused, degraded, .. }) = events.first()
+        else {
+            panic!("expected a trailing-window decision, got {events:?}");
+        };
+        assert_eq!(*device, MacAddr::from_index(3));
+        assert_eq!(scores.len(), 3, "the three per-frame parameters scored");
+        assert!(fused.is_none(), "zero-weight survivors fused into {fused:?}");
+        assert!(degraded.is_empty());
+        assert_eq!(engine.health().windows_degraded, 0);
     }
 
     #[test]

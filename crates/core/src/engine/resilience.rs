@@ -103,7 +103,8 @@ pub struct ResilienceConfig {
     /// fused score. `None` (default) requires **all** fused parameters —
     /// the historical behavior. `Some(q)` fuses over the surviving
     /// subset (weights renormalised) when at least `q` parameters
-    /// scored, marking the event as degraded.
+    /// scored and their weights do not sum to zero, marking the event
+    /// as degraded.
     pub fusion_quorum: Option<usize>,
 }
 

@@ -9,16 +9,23 @@
 //! versa. [`FusionSpec`] names the parameters to combine and their
 //! weights; [`fuse_outcomes`] folds per-parameter [`MatchOutcome`]s into
 //! one [`FusedOutcome`] by weighted averaging over a common device set.
-//! The [`MultiEngine`](crate::engine::MultiEngine) calls [`fuse_outcomes`]
-//! per candidate the moment each detection window closes, so fused
-//! decisions stream out with the same latency as single-parameter ones.
+//!
+//! Fusion is an aligned add: each parameter's device table is lined up
+//! with the common set (the identity when the two are equal, otherwise
+//! an index map from one merge walk), and the weighted scores are then
+//! added per device in spec order. [`fuse_outcomes`] lines the tables up
+//! on every call. The [`MultiEngine`](crate::engine::MultiEngine) lines
+//! its frozen references up once, when detection starts, and runs the
+//! same accumulation per candidate the moment each detection window
+//! closes, so fused decisions stream out with the same latency as
+//! single-parameter ones.
 
 use std::sync::Arc;
 
 use wifiprint_ieee80211::MacAddr;
 
 use crate::error::CoreError;
-use crate::matching::MatchOutcome;
+use crate::matching::{DeviceTable, MatchOutcome};
 use crate::params::NetworkParameter;
 
 /// A weighted set of network parameters to fuse.
@@ -111,7 +118,7 @@ impl FusionSpec {
     /// Sum of the weights, floored away from zero so normalisation is
     /// always defined.
     pub(crate) fn weight_sum(&self) -> f64 {
-        self.parameters.iter().map(|&(_, w)| w).sum::<f64>().max(f64::MIN_POSITIVE)
+        floored_sum(self.parameters.iter().map(|&(_, w)| w))
     }
 }
 
@@ -137,49 +144,107 @@ pub type FusedOutcome = MatchOutcome;
 /// parameter — though with `devices` restricted to the common enrolled
 /// set, every device is present in every vector.
 ///
-/// Both `devices` and every outcome's table are in ascending address
-/// order, so each parameter is one merge walk over the two rather than a
-/// binary search per device. Each device's terms are added in spec order,
-/// exactly as summing them per device would. The result shares the
-/// first outcome table equal to `devices` (the usual case: every
-/// parameter enrolled the same devices) and copies `devices` otherwise.
+/// Fusion is an aligned add. Each outcome's table is lined up with
+/// `devices` once per call: the identity when the two are equal (the
+/// usual case: every parameter enrolled the same devices), otherwise an
+/// index map built by one merge walk (both are in ascending address
+/// order). The scores are then added per device in spec order, exactly
+/// as summing them per device would. The result shares the first
+/// outcome table equal to `devices` and copies `devices` otherwise. The
+/// [`MultiEngine`](crate::engine::MultiEngine) runs the same
+/// accumulation with alignments it decides once, when detection starts.
 pub fn fuse_outcomes<O: std::borrow::Borrow<MatchOutcome>>(
     spec: &FusionSpec,
     outcomes: &[O],
     devices: &[MacAddr],
 ) -> FusedOutcome {
     debug_assert_eq!(spec.parameters.len(), outcomes.len(), "one outcome per fused parameter");
-    debug_assert!(devices.windows(2).all(|w| w[0] < w[1]), "devices in ascending order");
-    let weight_sum = spec.weight_sum();
+    let alignments: Vec<Alignment> =
+        outcomes.iter().map(|o| Alignment::between(o.borrow().devices(), devices)).collect();
+    let table = outcomes
+        .iter()
+        .zip(&alignments)
+        .find(|(_, a)| matches!(a, Alignment::Identity))
+        .map_or_else(|| Arc::new(devices.to_vec()), |(o, _)| Arc::clone(&o.borrow().devices));
+    let terms: Vec<Term<'_>> = spec
+        .parameters
+        .iter()
+        .zip(outcomes)
+        .zip(&alignments)
+        .map(|((&(_, w), o), a)| (w, o.borrow(), a))
+        .collect();
+    fuse_aligned(&terms, table)
+}
+
+/// How one similarity vector's device table lines up with a fused
+/// device set.
+#[derive(Debug)]
+pub(crate) enum Alignment {
+    /// The table is the fused set: fused device `i` is row `i`.
+    Identity,
+    /// Per fused device, its row in the table (`None` when absent).
+    Rows(Vec<Option<usize>>),
+}
+
+impl Alignment {
+    /// Lines `table` up with `devices` (both ascending): the identity
+    /// when they are equal, otherwise one merge walk over the two.
+    pub(crate) fn between(table: &[MacAddr], devices: &[MacAddr]) -> Self {
+        debug_assert!(devices.windows(2).all(|w| w[0] < w[1]), "devices in ascending order");
+        if table == devices {
+            return Alignment::Identity;
+        }
+        let mut next = 0;
+        let rows = devices
+            .iter()
+            .map(|device| {
+                while table.get(next).is_some_and(|d| d < device) {
+                    next += 1;
+                }
+                (table.get(next) == Some(device)).then_some(next)
+            })
+            .collect();
+        Alignment::Rows(rows)
+    }
+}
+
+/// One fused term: a weight, a similarity vector and how that vector
+/// lines up with the fused device set.
+pub(crate) type Term<'a> = (f64, &'a MatchOutcome, &'a Alignment);
+
+/// The one fusion accumulation: per device of `table`, adds
+/// `w · sim / Σw` for each term in order (0 for a device the term's
+/// vector lacks). The scores share `table`.
+pub(crate) fn fuse_aligned(terms: &[Term<'_>], table: DeviceTable) -> FusedOutcome {
+    let weight_sum = floored_sum(terms.iter().map(|&(w, ..)| w));
     // The empty sum is the seed `Iterator::sum` folds from, so the
     // accumulated scores stay bit-identical to a per-device `sum()`.
     let seed: f64 = std::iter::empty::<f64>().sum();
-    let mut scores = vec![seed; devices.len()];
-    for (&(_, w), outcome) in spec.parameters.iter().zip(outcomes) {
-        let MatchOutcome { devices: table, scores: sims } = outcome.borrow();
-        let mut next = 0;
-        for (device, fused) in devices.iter().zip(&mut scores) {
-            // Equality first: when the outcome covers exactly the fused
-            // devices (the common case) the ordering compare never runs.
-            let sim = loop {
-                match table.get(next) {
-                    Some(d) if d == device => {
-                        next += 1;
-                        break sims[next - 1];
-                    }
-                    Some(d) if d < device => next += 1,
-                    _ => break 0.0,
+    let mut scores = vec![seed; table.len()];
+    for &(w, outcome, alignment) in terms {
+        let sims = &outcome.scores;
+        match alignment {
+            Alignment::Identity => {
+                debug_assert_eq!(sims.len(), scores.len(), "identity alignment");
+                for (fused, &sim) in scores.iter_mut().zip(sims) {
+                    *fused += w * sim / weight_sum;
                 }
-            };
-            *fused += w * sim / weight_sum;
+            }
+            Alignment::Rows(rows) => {
+                for (fused, row) in scores.iter_mut().zip(rows) {
+                    let sim = row.map_or(0.0, |r| sims[r]);
+                    *fused += w * sim / weight_sum;
+                }
+            }
         }
     }
-    let table = outcomes
-        .iter()
-        .map(|outcome| &outcome.borrow().devices)
-        .find(|table| table.as_slice() == devices)
-        .map_or_else(|| Arc::new(devices.to_vec()), Arc::clone);
     FusedOutcome { devices: table, scores }
+}
+
+/// The weights' sum, floored away from zero so normalisation is always
+/// defined.
+fn floored_sum(weights: impl Iterator<Item = f64>) -> f64 {
+    weights.sum::<f64>().max(f64::MIN_POSITIVE)
 }
 
 #[cfg(test)]
@@ -284,8 +349,8 @@ mod tests {
         assert_eq!(fused.similarity_to(&MacAddr::from_index(9)), None);
     }
 
-    /// The per-device lookup formula the merge walk replaced: one binary
-    /// search per (device, parameter), summed per device.
+    /// The per-device lookup formula the aligned add must equal: one
+    /// binary search per (device, parameter), summed per device.
     fn fuse_by_lookup(
         spec: &FusionSpec,
         outcomes: &[MatchOutcome],
@@ -309,17 +374,24 @@ mod tests {
     }
 
     proptest! {
-        // Per parameter, a reference database over a random subset of
-        // eight devices; the fused set is another random subset, so
-        // devices go missing from some outcomes and the fused set is a
-        // strict subset (or superset) of each outcome's. Dropping
-        // parameters from the spec gives the degraded sub-spec shape.
+        // Per parameter, a reference database over a subset of eight
+        // devices, shaped against the fused set: a random subset, an
+        // equal copy of the fused set, a subset of it or a superset of
+        // it, so devices go missing from some outcomes and the fused set
+        // is a strict subset (or superset) of others. With `share` set,
+        // the first outcome's table *is* the fused set (the same `Arc`).
+        // Dropping parameters from the spec gives the degraded sub-spec
+        // shape. Both entries — `fuse_outcomes`, which lines the tables
+        // up per call, and the engine's alignments decided once — must
+        // equal the per-device lookup bit for bit.
         #[test]
         fn merge_walk_fusion_is_bit_identical_to_per_device_lookup(
             masks in prop::collection::vec(any::<u8>(), 1..6),
+            shapes in prop::collection::vec(0u8..4, 5),
             weights in prop::collection::vec(0u32..8, 5),
             fused_mask in any::<u8>(),
             probe in 0u64..8,
+            share in any::<bool>(),
         ) {
             let cfg = EvalConfig::for_parameter(NetworkParameter::FrameSize);
             let signature = |seed: u64| {
@@ -331,8 +403,16 @@ mod tests {
             };
             let outcomes: Vec<MatchOutcome> = masks
                 .iter()
+                .zip(&shapes)
                 .enumerate()
-                .map(|(p, &mask)| {
+                .map(|(p, (&mask, &shape))| {
+                    let mask = match shape {
+                        _ if share && p == 0 => fused_mask,
+                        0 => mask,
+                        1 => fused_mask,
+                        2 => mask & fused_mask,
+                        _ => mask | fused_mask,
+                    };
                     let mut db = ReferenceDb::new();
                     for d in (0..8u64).filter(|d| mask >> d & 1 == 1) {
                         db.insert(MacAddr::from_index(d), signature(d + p as u64)).unwrap();
@@ -351,16 +431,40 @@ mod tests {
                 .collect();
             parameters[0].1 += 0.5; // never an all-zero weight vector
             let spec = FusionSpec { parameters };
-            let devices: Vec<MacAddr> =
-                (0..8u64).filter(|d| fused_mask >> d & 1 == 1).map(MacAddr::from_index).collect();
-
-            let got = fuse_outcomes(&spec, &outcomes, &devices);
+            let devices: DeviceTable = if share {
+                Arc::clone(&outcomes[0].devices)
+            } else {
+                Arc::new(
+                    (0..8u64)
+                        .filter(|d| fused_mask >> d & 1 == 1)
+                        .map(MacAddr::from_index)
+                        .collect(),
+                )
+            };
             let want = fuse_by_lookup(&spec, &outcomes, &devices);
-            prop_assert_eq!(got.devices(), &devices[..]);
-            prop_assert_eq!(got.similarities().len(), want.len());
-            for ((gd, gs), &(wd, ws)) in got.similarities().zip(&want) {
-                prop_assert_eq!(gd, wd);
-                prop_assert_eq!(gs.to_bits(), ws.to_bits(), "{} vs {} for {}", gs, ws, gd);
+
+            let per_call = fuse_outcomes(&spec, &outcomes, &devices);
+            let alignments: Vec<Alignment> =
+                outcomes.iter().map(|o| Alignment::between(o.devices(), &devices)).collect();
+            let terms: Vec<Term<'_>> = spec
+                .parameters
+                .iter()
+                .zip(&outcomes)
+                .zip(&alignments)
+                .map(|((&(_, w), o), a)| (w, o, a))
+                .collect();
+            let decided_once = fuse_aligned(&terms, Arc::clone(&devices));
+            prop_assert!(Arc::ptr_eq(&decided_once.devices, &devices));
+            if share {
+                prop_assert!(Arc::ptr_eq(&per_call.devices, &devices));
+            }
+            for got in [per_call, decided_once] {
+                prop_assert_eq!(got.devices(), &devices[..]);
+                prop_assert_eq!(got.similarities().len(), want.len());
+                for ((gd, gs), &(wd, ws)) in got.similarities().zip(&want) {
+                    prop_assert_eq!(gd, wd);
+                    prop_assert_eq!(gs.to_bits(), ws.to_bits(), "{} vs {} for {}", gs, ws, gd);
+                }
             }
         }
     }

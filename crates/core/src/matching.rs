@@ -93,6 +93,13 @@
 //! [`ReferenceDb::from_signatures_with`] packs it. The rotation linker
 //! grows its galleries that way.
 //!
+//! Shards pay off only in the pruned sweep below. The dense sweep scores
+//! every row whatever the layout, and each occupied shard costs it one
+//! more short column pass, cosine epilogue and scatter per (candidate,
+//! kind). So the [`MultiEngine`](crate::engine::MultiEngine), which runs
+//! only dense sweeps, keeps its frozen references flat (one shard) and
+//! re-lays out sharded references it is given.
+//!
 //! # Two sweeps
 //!
 //! Algorithm 1 has two consumers (§IV-B), so the store has two sweeps,
@@ -247,7 +254,8 @@ pub const U8_SCORE_TOLERANCE: f64 = 5e-2;
 ///
 /// A tile's candidates share one walk over the shards, so each shard's
 /// columns are loaded from memory once per tile instead of once per
-/// candidate.
+/// candidate. The engine keeps its references flat, so each of its tiles
+/// reads one shard's columns per frame kind.
 pub const MATCH_TILE: usize = 8;
 
 /// Default shard count of a [`MatchConfig`]. Sixteen shards keep the
@@ -928,6 +936,12 @@ impl ReferenceDb {
         self.devices.iter().copied()
     }
 
+    /// The devices in the database as a slice, in address order: the
+    /// table every similarity vector of the dense sweep carries.
+    pub(crate) fn device_table(&self) -> &[MacAddr] {
+        &self.devices
+    }
+
     /// Attaches row `row` to shard `shard_idx`: appends a slot and
     /// writes the device's per-kind vectors, creating blocks for
     /// `(kind, bins)` pairs the shard sees for the first time with
@@ -1508,7 +1522,7 @@ impl MatchScratch {
 
 /// A database's devices in ascending address order, shared between the
 /// database and the similarity vectors its dense sweep returns.
-type DeviceTable = Arc<Vec<MacAddr>>;
+pub(crate) type DeviceTable = Arc<Vec<MacAddr>>;
 
 /// The similarity vector `<sim₁, …, sim_N>` returned by Algorithm 1: one
 /// similarity per reference device, in ascending address order. It is a

@@ -106,24 +106,6 @@ impl Record {
     pub fn from_micros(ts_micros: u64, data: Vec<u8>) -> Self {
         Record::new((ts_micros / 1_000_000) as u32, ((ts_micros % 1_000_000) * 1000) as u32, data)
     }
-
-    /// Absolute timestamp in microseconds since the epoch.
-    #[must_use] 
-    pub fn timestamp_micros(&self) -> u64 {
-        u64::from(self.ts_sec) * 1_000_000 + u64::from(self.ts_nanos / 1000)
-    }
-
-    /// Absolute timestamp in nanoseconds since the epoch.
-    #[must_use] 
-    pub fn timestamp_nanos(&self) -> u64 {
-        u64::from(self.ts_sec) * 1_000_000_000 + u64::from(self.ts_nanos)
-    }
-
-    /// `true` if snaplen truncated this record.
-    #[must_use] 
-    pub fn is_truncated(&self) -> bool {
-        (self.data.len() as u32) < self.orig_len
-    }
 }
 
 /// Header fields of one record, as returned by the borrowing
@@ -236,16 +218,6 @@ mod tests {
         let r = Record::from_micros(1_234_567_890_654_321, vec![1]);
         assert_eq!(r.ts_sec, 1_234_567_890);
         assert_eq!(r.ts_nanos, 654_321_000);
-        assert_eq!(r.timestamp_micros(), 1_234_567_890_654_321);
-        assert_eq!(r.timestamp_nanos(), 1_234_567_890_654_321_000);
-    }
-
-    #[test]
-    fn truncation_flag() {
-        let full = Record::new(0, 0, vec![0; 10]);
-        assert!(!full.is_truncated());
-        let cut = Record::truncated(0, 0, 100, vec![0; 10]);
-        assert!(cut.is_truncated());
     }
 
     #[test]

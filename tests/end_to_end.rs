@@ -504,6 +504,13 @@ fn sharded_references_leave_multi_engine_decisions_unchanged() {
                 .expect("valid engine configuration");
             let mut events = engine.observe_all(&trace.frames).expect("in-order frames");
             events.extend(engine.finish().expect("first finish"));
+            assert!(
+                engine
+                    .spec()
+                    .parameters()
+                    .all(|p| engine.reference(p).is_some_and(|db| db.shard_count() == 1)),
+                "{name}: the engine keeps its references flat whatever the configured shards"
+            );
             events
         };
         let flat = run(MatchConfig::flat());
