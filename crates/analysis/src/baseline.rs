@@ -21,7 +21,7 @@ pub struct BaselineEvaluator(StreamingEvaluator);
 
 impl BaselineEvaluator {
     /// A fresh baseline evaluator aligned with `pipeline`'s split,
-    /// window, shard layout and ingest hardening.
+    /// window, row precision and ingest hardening.
     ///
     /// # Errors
     ///

@@ -166,10 +166,10 @@ pub fn metropolis_linker_config() -> LinkerConfig {
 }
 
 /// The 10⁴-device metropolis operating point: the same single-parameter
-/// fusion as [`metropolis_linker_config`], re-laid-out for a gallery an
-/// order of magnitude larger. The reference store runs on the quantized
-/// `u8` tier ([`MatchConfig::quantized`]), its galleries grown up to 64
-/// shards (64 from 8 192 identities; see
+/// fusion as [`metropolis_linker_config`], for a gallery an order of
+/// magnitude larger. The reference store runs on the quantized `u8` tier
+/// ([`MatchConfig::quantized`]); its galleries grow their shards from
+/// their row count, reaching 64 from 8 192 identities (see
 /// [`LinkerConfig::match_config`]), so every
 /// gallery sweep goes through the tile-wide pruned integer kernels —
 /// at 10⁴ resident identities that is the difference between a linking
@@ -181,7 +181,7 @@ pub fn metropolis_linker_config() -> LinkerConfig {
 /// threshold (precision degrades gracefully; see `linking_smoke` for
 /// the pinned floors at this point).
 pub fn metropolis_linker_config_10k() -> LinkerConfig {
-    metropolis_linker_config().with_match_config(MatchConfig::quantized().with_shards(64))
+    metropolis_linker_config().with_match_config(MatchConfig::quantized())
 }
 
 /// Scores one generated trail: reconciles its ledger exactly, replays

@@ -40,9 +40,9 @@ pub struct PipelineConfig {
     /// The parameters to evaluate (all five by default). Their
     /// equally weighted fusion is [`TraceEvaluation::fused`].
     pub parameters: Vec<NetworkParameter>,
-    /// Shard layout of the per-parameter reference databases the
-    /// training prefix builds (dominant-histogram sharding by default;
-    /// see [`MatchConfig`]).
+    /// Row precision of the per-parameter reference databases the
+    /// training prefix builds (`f32` by default; see [`MatchConfig`]).
+    /// They stay flat: the engine runs only dense sweeps.
     pub match_config: MatchConfig,
     /// Ingest hardening for the underlying engine (late-frame policy,
     /// duplicate suppression, runt gate, degraded-fusion quorum). The

@@ -69,11 +69,11 @@ fn linking_gate_holds_pinned_floors() {
     );
 
     // The gallery must run through the pruned sweep, not a dense one.
-    // The galleries start flat and grow to four shards from 512
-    // identities (32 is the default's ceiling); at 1 000 spread devices
-    // most (candidate, shard) pairs must still be pruned: 0.69 periodic,
-    // 0.61 per-association at the pinned seed (0.86 when the galleries
-    // held 32 shards from their first row).
+    // The galleries start flat and the pruned sweep grows them from
+    // their row count, to four shards from 512 identities; at 1 000
+    // spread devices most (candidate, shard) pairs must still be
+    // pruned: 0.69 periodic, 0.61 per-association at the pinned seed
+    // (0.86 when the galleries held 32 shards from their first row).
     for p in &sweep.points {
         assert!(p.stats.shards_swept > 0, "{}: no sweeps ran", p.label);
         assert!(
@@ -171,8 +171,8 @@ fn linker_never_merges_distinct_archetype_devices_on_clean_traces() {
 
 /// The 10⁴-device operating point (ISSUE 9): the same metropolis
 /// population scaled 10×, replayed through the quantized (`u8`) gallery
-/// tier, its galleries grown up to 64 shards (64 from 8 192 identities),
-/// so every sweep runs the tile-wide pruned integer kernels at
+/// tier, its galleries grown from their row count (64 shards from 8 192
+/// identities), so every sweep runs the tile-wide pruned integer kernels at
 /// metropolis scale. Release-only: the point of this gate is
 /// the tuned operating numbers, and CI runs this file with `--release`;
 /// a debug replay of 4×10⁴ sightings would dominate `cargo test`.
@@ -230,7 +230,7 @@ fn linking_gate_holds_at_ten_thousand_devices() {
     for p in &sweep.points {
         assert_eq!(p.devices, DEVICES_10K);
         assert!(p.merge_rate() <= 0.06, "{}: merge rate blew up: {:.3}", p.label, p.merge_rate());
-        // The whole point of the quantized 64-shard layout: the sweeps
+        // The whole point of the quantized, grown layout: the sweeps
         // must stay overwhelmingly pruned at 10⁴ resident identities.
         assert!(p.stats.shards_swept > 0, "{}: no sweeps ran", p.label);
         assert!(

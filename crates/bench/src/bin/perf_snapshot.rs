@@ -357,12 +357,20 @@ fn measure_gates() -> (Vec<Gate>, f64) {
 
     // Sharded sweeps at metropolis scale (10⁵ devices, 64 shards): the
     // dense full sweep (every shard, full similarity vector) versus the
-    // pruned top-5 sweep, per candidate.
+    // pruned top-5 sweep, per candidate. A store grows its own shards in
+    // its first pruned sweep, so each store is grown by one before any
+    // timing, and every gate times the 64-shard layout.
     let devices = 100_000usize;
     let scenario = MetropolisScenario::with_devices(17, devices);
-    let f32_db = scenario.reference_db(MatchConfig::default().with_shards(64));
     let probes: Vec<Signature> =
         (0..8usize).map(|i| scenario.candidate((i * 997) % devices, 2)).collect();
+    let grown = |config: MatchConfig, scratch: &mut MatchScratch| {
+        let mut db = scenario.reference_db(config);
+        db.match_topk_tile(&probes, 1, scratch);
+        assert_eq!(db.shard_count(), 64, "10⁵ rows grow to 64 shards");
+        db
+    };
+    let mut f32_db = grown(MatchConfig::default(), &mut scratch);
     let sharded_dense_ns = measure(7, 1, || {
         for cand in &probes {
             let tile = f32_db.match_tile(
@@ -387,7 +395,7 @@ fn measure_gates() -> (Vec<Gate>, f64) {
     // sweep versus the u8 tile-wide pruned top-8 sweep, both per tile
     // of 8 candidates, so the ratio folds storage (4× smaller rows),
     // integer column passes and tile-wide pruning into one number.
-    let u8_db = scenario.reference_db(MatchConfig::quantized().with_shards(64));
+    let mut u8_db = grown(MatchConfig::quantized(), &mut scratch);
     let bytes_per_device_f32 = f32_db.row_bytes() as f64 / devices as f64;
     let bytes_per_device_u8 = u8_db.row_bytes() as f64 / devices as f64;
     assert!(

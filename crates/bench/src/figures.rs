@@ -3,10 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use wifiprint_core::{
-    EvalConfig, FrameFilter, NetworkParameter, ParameterExtractor, SignatureBuilder,
-    TxTimeEstimator,
-};
+use wifiprint_core::{FrameFilter, NetworkParameter, ParameterExtractor, TxTimeEstimator};
 use wifiprint_core::{BinSpec, Histogram};
 use wifiprint_devices::{profile_catalog, AppProfile, DeviceProfile, InstanceRng};
 use wifiprint_ieee80211::{FrameKind, MacAddr, Nanos, Rate};
@@ -268,21 +265,6 @@ pub fn fig1_worked_example() -> Vec<String> {
         }
     }
     lines
-}
-
-/// Helper for tests and the repro binary: builds per-device signatures
-/// from a trace for one parameter.
-pub fn signatures_for(
-    trace: &Trace,
-    parameter: NetworkParameter,
-    min_obs: u64,
-) -> BTreeMap<MacAddr, wifiprint_core::Signature> {
-    let cfg = EvalConfig::for_parameter(parameter).with_min_observations(min_obs);
-    let mut builder = SignatureBuilder::new(&cfg);
-    for f in &trace.frames {
-        builder.push(f);
-    }
-    builder.finish().unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@ use wifiprint_radiotap::CapturedFrame;
 
 use crate::error::CoreError;
 use crate::histogram::BinSpec;
-use crate::matching::MatchConfig;
 use crate::params::NetworkParameter;
 
 /// How the transmission time `ttᵢ` is obtained.
@@ -115,15 +114,6 @@ pub struct EvalConfig {
     pub filter: FrameFilter,
     /// Detection window length (the paper uses 5 minutes, §I/§V-A).
     pub window: Nanos,
-    /// Shard layout **and precision tier** of reference databases built
-    /// from this configuration (see [`MatchConfig`] and
-    /// [`RowPrecision`](crate::matching::RowPrecision)). Defaults to
-    /// dominant-histogram sharding over `f32` rows; pass
-    /// `MatchConfig::quantized()` here to run an engine on the `u8`
-    /// integer tier. The engine takes only the precision: it keeps its
-    /// references flat (one shard), because it runs only dense sweeps,
-    /// and shards serve pruned top-k sweeps.
-    pub match_config: MatchConfig,
 }
 
 impl EvalConfig {
@@ -137,7 +127,6 @@ impl EvalConfig {
             estimator: TxTimeEstimator::SizeOverRate,
             filter: FrameFilter::default(),
             window: Nanos::from_secs(300),
-            match_config: MatchConfig::default(),
         }
     }
 
@@ -159,14 +148,6 @@ impl EvalConfig {
     #[must_use]
     pub fn with_bins(mut self, bins: BinSpec) -> Self {
         self.bins = Arc::new(bins);
-        self
-    }
-
-    /// Returns a copy with a different reference-store layout (shard
-    /// strategy, shard count, precision tier).
-    #[must_use]
-    pub fn with_match_config(mut self, match_config: MatchConfig) -> Self {
-        self.match_config = match_config;
         self
     }
 

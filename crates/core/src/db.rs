@@ -3,12 +3,11 @@
 //! (the paper's learning/detection phase split).
 //!
 //! The format stores *signatures*, not layout: the shard directory of
-//! the in-memory store ([`MatchConfig`]) is runtime configuration, so a
-//! database saved from any layout reloads into whichever layout the
-//! reader asks for ([`load_db`] uses the default dominant-histogram
-//! sharding; [`load_db_with`] takes an explicit [`MatchConfig`]) and
-//! scores identically either way. The same holds for the precision
-//! tier: counts are persisted exactly (integers), so a database saved
+//! the in-memory store is runtime state, grown from the row count by
+//! pruned sweeps, so a database saved from any layout reloads flat (a
+//! bulk build) and scores identically. The same holds for the precision
+//! tier ([`load_db`] packs `f32` rows; [`load_db_with`] takes the
+//! [`MatchConfig`] precision): counts are persisted exactly (integers), so a database saved
 //! from a quantized (`u8`) store reloads losslessly — quantization is a
 //! pack-time layout choice
 //! ([`RowPrecision`](crate::matching::RowPrecision)), never a
@@ -122,7 +121,7 @@ fn dense_counts(hist: &Histogram) -> String {
 }
 
 /// Reads a database previously written with [`save_db`], packing it
-/// into the default shard layout ([`MatchConfig::default`]).
+/// flat at the default precision ([`MatchConfig::default`]).
 ///
 /// # Errors
 ///
@@ -134,9 +133,9 @@ pub fn load_db<R: BufRead>(
     load_db_with(input, MatchConfig::default())
 }
 
-/// [`load_db`] with an explicit shard layout for the reloaded store —
-/// e.g. [`MatchConfig::flat`] for a small deployment, or a higher shard
-/// count for a metropolis-scale one.
+/// [`load_db`] at an explicit row precision for the reloaded store —
+/// e.g. [`MatchConfig::quantized`] for a metropolis-scale deployment.
+/// Its shards grow from the row count once a pruned sweep runs.
 ///
 /// # Errors
 ///
@@ -390,16 +389,16 @@ mod tests {
 
     #[test]
     fn layouts_reload_and_score_identically() {
-        // The persisted format carries no layout; any MatchConfig
-        // reloads the same signatures and scores identically.
-        let (db, param, bins) = sample_db();
+        // The persisted format carries no layout: a sharded store
+        // reloads flat and scores identically.
+        let (mut sharded, param, bins) = sample_db();
+        sharded.reshard(7);
         let mut buf = Vec::new();
-        save_db(&mut buf, &db, param, &bins).unwrap();
-        let (flat, _, _) = load_db_with(&buf[..], MatchConfig::flat()).unwrap();
-        let (sharded, _, _) =
-            load_db_with(&buf[..], MatchConfig::default().with_shards(7)).unwrap();
+        save_db(&mut buf, &sharded, param, &bins).unwrap();
+        let (flat, _, _) = load_db(&buf[..]).unwrap();
+        assert_eq!(flat.shard_count(), 1);
         assert_eq!(flat.len(), sharded.len());
-        let cand = [db.iter().next().unwrap().1.clone()];
+        let cand = [sharded.iter().next().unwrap().1.clone()];
         let mut scratch = crate::MatchScratch::new();
         let measure = crate::SimilarityMeasure::Cosine;
         let a = flat.match_tile(&cand, measure, &mut scratch).candidate(0).to_outcome();
@@ -525,7 +524,7 @@ mod tests {
             (format!("{ok}device 02:00:00:00:00:02"), 6),
         ] {
             let input = format!("{head}{body}");
-            match load_db_with(input.as_bytes(), MatchConfig::flat()) {
+            match load_db_with(input.as_bytes(), MatchConfig::default()) {
                 Err(DbCodecError::Parse { line: l, message }) => {
                     assert_eq!(l, line, "{input:?}");
                     assert!(message.contains("no observations"), "{message:?}");

@@ -28,11 +28,11 @@
 //!   undecided ([`LinkEvent::Ambiguous`], above threshold but inside the
 //!   margin), or founds a fresh identity ([`LinkEvent::NewIdentity`]).
 //!
-//! Each gallery starts as one flat shard and doubles its shard count as
-//! it fills, up to the [`LinkerConfig::match_config`] ceiling: a small
-//! gallery is cheapest to sweep whole, a large one needs shards for the
-//! bound to prune. Sweeps rank the same under any layout, so growth
-//! changes no decision.
+//! Each gallery starts as one flat shard, and the pruned sweep grows its
+//! shard count from its row count as it fills (see
+//! [`ReferenceDb::match_topk_tile`]): a small gallery is cheapest to
+//! sweep whole, a large one needs shards for the bound to prune. Sweeps
+//! rank the same under any layout, so growth changes no decision.
 //!
 //! Retained identities are bounded by a hard gallery cap
 //! (least-recently-seen eviction), and every decision and
@@ -117,24 +117,21 @@ pub struct LinkerConfig {
     /// founding observation, which keeps decisions independent of
     /// sighting order.
     pub update_on_link: bool,
-    /// Row precision and shard **ceiling** of the per-parameter gallery
-    /// databases. Each gallery starts flat ([`MatchConfig::flat`]: one
-    /// shard, nothing to prune), and a sweep that finds it holding
-    /// `2 · 128` rows per shard first doubles its shard count — one shard
-    /// below 256 rows, two from 256, four from 512 — up to
-    /// `match_config.shards`. Each doubling rebuilds the gallery from its
-    /// signatures, as a bulk build lays it out. Evictions never shrink
-    /// it. Sharding is what makes the pruned sweep prune on a large
-    /// gallery; on a small one, visiting many near-empty shards costs
-    /// more than the bound saves. The sweeps rank the same under any
-    /// layout, so growth changes no decision.
+    /// Row precision of the per-parameter gallery databases. The
+    /// shard count is not an option: each gallery starts flat (one
+    /// shard, nothing to prune), and its pruned sweep grows the shard
+    /// count from the row count — one shard below 256 rows, two from 256,
+    /// four from 512, up to 64 from 8 192 — and evictions never shrink it
+    /// (see [`ReferenceDb::match_topk_tile`]). Sharding is what makes the
+    /// pruned sweep prune on a large gallery; on a small one, visiting
+    /// many near-empty shards costs more than the bound saves. The sweeps
+    /// rank the same under any layout, so growth changes no decision.
     pub match_config: MatchConfig,
 }
 
 impl Default for LinkerConfig {
     /// All five parameters equally weighted, 0.90 accept threshold,
-    /// 0.01 ambiguity margin, 200 000-identity cap, galleries that start
-    /// flat and grow up to 32 shards (32 from 4 096 rows).
+    /// 0.01 ambiguity margin, 200 000-identity cap, `f32` gallery rows.
     fn default() -> Self {
         LinkerConfig {
             spec: FusionSpec::all_equal(),
@@ -142,7 +139,7 @@ impl Default for LinkerConfig {
             ambiguity_margin: 0.01,
             gallery_cap: 200_000,
             update_on_link: false,
-            match_config: MatchConfig::default().with_shards(32),
+            match_config: MatchConfig::default(),
         }
     }
 }
@@ -183,8 +180,7 @@ impl LinkerConfig {
         self
     }
 
-    /// Returns a copy with a different gallery row precision and shard
-    /// ceiling.
+    /// Returns a copy with a different gallery row precision.
     #[must_use]
     pub fn with_match_config(mut self, match_config: MatchConfig) -> Self {
         self.match_config = match_config;
@@ -354,35 +350,6 @@ pub struct RotationLinker {
     stats: LinkerStats,
 }
 
-/// Rows per shard a growing gallery keeps at least once it splits: a
-/// gallery at `s` shards re-lays out over `2s` (up to the configured
-/// ceiling) when it holds `2 · GROWTH_ROWS_PER_SHARD · s` rows.
-///
-/// Measured on e2ebench's `crowd_rotation` (512 sightings into fresh
-/// galleries per pass) and the `linking_smoke` gate: 64 makes the crowd
-/// linker 6–12% slower per sighting than 128, because it sweeps more,
-/// smaller shards. 256 makes it 6–7% faster, since its galleries then
-/// stay flat, but at 10³ identities the gate's galleries stop at two
-/// shards and prune 0.52 (periodic) and 0.37 (per-association) of them,
-/// under the gate's 0.5 floor. 128 prunes 0.69 and 0.61 there, and 0.79
-/// at 10⁴.
-const GROWTH_ROWS_PER_SHARD: usize = 128;
-
-/// Brings a gallery's shard count up to what its row count calls for:
-/// doubled while it holds `2 · GROWTH_ROWS_PER_SHARD` rows per shard, up
-/// to `ceiling`, and never shrunk. A re-layout is a bulk build of the
-/// gallery at the new count: it repacks every row from its signature.
-/// Shard counts double, so that cost stays amortised `O(row width)` per
-/// enrolled row. Called when the gallery is about to be swept, so rows
-/// enrolled after a gallery's last sweep cost no re-layout.
-fn grow(db: &mut ReferenceDb, ceiling: usize) {
-    let mut shards = db.shard_count();
-    while shards < ceiling && db.len() >= 2 * GROWTH_ROWS_PER_SHARD * shards {
-        shards = (2 * shards).min(ceiling);
-    }
-    db.reshard(shards);
-}
-
 /// Gallery candidates ranked per parameter sweep (the pruned top-`k`).
 const TOPK: usize = 4;
 // The ambiguity margin compares the best identity with a runner-up.
@@ -424,8 +391,7 @@ impl RotationLinker {
     pub fn new(cfg: LinkerConfig) -> Result<Self, CoreError> {
         cfg.validate()?;
         let params: Vec<(NetworkParameter, f64)> = cfg.spec.parameters.clone();
-        let flat = cfg.match_config.with_shards(1);
-        let galleries = params.iter().map(|_| ReferenceDb::with_config(flat)).collect();
+        let galleries = params.iter().map(|_| ReferenceDb::with_config(cfg.match_config)).collect();
         Ok(RotationLinker {
             params,
             galleries,
@@ -539,11 +505,6 @@ impl RotationLinker {
         self.bindings.get(mac).map(|&id| IdentityId(id))
     }
 
-    /// Retained identities right now.
-    pub fn identity_count(&self) -> usize {
-        self.identities.len()
-    }
-
     /// The MAC addresses bound to an identity, binding order (first is
     /// the founding address). `None` for an unknown or evicted identity.
     pub fn macs_of(&self, identity: IdentityId) -> Option<&[MacAddr]> {
@@ -568,14 +529,12 @@ impl RotationLinker {
     fn sweep(&mut self, signatures: &[(NetworkParameter, Signature)]) -> Vec<(u64, f64)> {
         self.acc.clear();
         let mut weight_total = 0.0f64;
-        let ceiling = self.cfg.match_config.effective_shards();
         for (&(param, weight), db) in self.params.iter().zip(&mut self.galleries) {
             let Some(sig) = signature_for(signatures, param) else { continue };
             weight_total += weight;
             if db.is_empty() {
                 continue;
             }
-            grow(db, ceiling);
             let tops = db
                 .match_topk_tile(std::slice::from_ref(sig), TOPK, &mut self.scratch)
                 .pop()
@@ -681,6 +640,7 @@ impl RotationLinker {
 mod tests {
     use super::*;
     use crate::config::EvalConfig;
+    use proptest::prelude::*;
     use wifiprint_ieee80211::FrameKind;
 
     const IAT: NetworkParameter = NetworkParameter::InterArrivalTime;
@@ -855,55 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn galleries_double_their_shards_up_to_the_ceiling() {
-        // The growth rule on its own: one shard below 256 rows, two from
-        // 256, four from 512, and no further past a ceiling of 4.
-        let mut db = ReferenceDb::with_config(MatchConfig::flat());
-        for n in 1..=1200u64 {
-            db.insert(gallery_key(n), sig_at(10.0 + (n % 240) as f64 * 10.0, 8)).unwrap();
-            grow(&mut db, 4);
-            let want = match n {
-                ..256 => 1,
-                256..512 => 2,
-                _ => 4,
-            };
-            assert_eq!(db.shard_count(), want, "{n} rows");
-        }
-        // Removing rows never shrinks the layout.
-        for n in 1..=1100u64 {
-            db.remove(&gallery_key(n)).unwrap();
-            grow(&mut db, 4);
-            assert_eq!(db.shard_count(), 4);
-        }
-
-        // Through the linker: a capped gallery grows with its rows, then
-        // holds its layout while cap evictions replace identities.
-        let cfg = single_cfg()
-            .with_gallery_cap(600)
-            .with_match_config(MatchConfig::default().with_shards(8));
-        let mut linker = RotationLinker::new(cfg).unwrap();
-        for i in 0..1000u64 {
-            let center = 10.0 + (i % 240) as f64 * 10.0;
-            linker.link(MacAddr::universal_from_index(i + 1), Nanos::from_secs(i), &sighting(center));
-            if i % 50 == 49 {
-                // A randomized sighting sweeps (and first grows) the gallery.
-                let before = linker.stats();
-                linker.link(MacAddr::randomized(i), Nanos::from_secs(i), &sighting(center));
-                let want = match before.gallery_rows {
-                    ..256 => 1,
-                    256..512 => 2,
-                    _ => 4,
-                };
-                assert_eq!(linker.galleries[0].shard_count(), want, "{before:?}");
-            }
-        }
-        let stats = linker.stats();
-        assert!(stats.evicted_cap > 300, "{stats:?}");
-        assert_eq!(stats.gallery_rows, 600);
-        assert_eq!(linker.galleries[0].shard_count(), 4);
-    }
-
-    #[test]
     fn update_on_link_merges_gallery_evidence() {
         let cfg = single_cfg().with_update_on_link(true);
         let mut linker = RotationLinker::new(cfg).unwrap();
@@ -919,6 +830,107 @@ mod tests {
     fn gallery_key_round_trips() {
         for id in [0u64, 1, 255, 1 << 20, (1 << 40) - 1] {
             assert_eq!(key_id(gallery_key(id)), id);
+        }
+    }
+
+    /// A deterministic signature for device `device` on sighting `round`:
+    /// a stable per-device timing peak plus per-round noise.
+    fn device_signature(device: u64, round: u64) -> Signature {
+        let eval = EvalConfig::for_parameter(IAT);
+        let mut sig = Signature::new();
+        let center = 40.0 + ((device.wrapping_mul(0x9E37_79B9) >> 8) % 2200) as f64;
+        for i in 0..50u64 {
+            let jitter = (((device ^ round.wrapping_mul(31)).wrapping_add(i) % 7) as f64) - 3.0;
+            sig.record(FrameKind::Data, (center + jitter).clamp(1.0, 2400.0), &eval);
+        }
+        sig
+    }
+
+    /// A growing-gallery stream: `devices` burned-in devices enrol in turn
+    /// (founding without a sweep), and after every `every`-th enrolment a
+    /// randomized re-sighting of an enrolled device sweeps the gallery, so
+    /// the gallery is swept as it crosses each growth step.
+    fn growth_stream(devices: u64, every: u64) -> Vec<(MacAddr, Nanos, u64, u64)> {
+        let mut out = Vec::new();
+        for device in 0..devices {
+            let tick = Nanos::from_millis(2 * device);
+            out.push((MacAddr::universal_from_index(device + 1), tick, device, 0));
+            if device % every == every - 1 {
+                let target = (device * 7) % (device + 1);
+                let mac = MacAddr::randomized(device.wrapping_mul(0x9E37_79B9) + 1);
+                out.push((mac, tick + Nanos::from_millis(1), target, 1 + device % 3));
+            }
+        }
+        out
+    }
+
+    /// The counters a decision stream determines (the shard counters
+    /// depend on the layout by design).
+    fn decisions(s: &LinkerStats) -> [u64; 10] {
+        [
+            s.sightings,
+            s.linked,
+            s.linked_by_mac,
+            s.linked_by_gallery,
+            s.new_identities,
+            s.ambiguous,
+            s.gate_bypassed,
+            s.evicted_cap,
+            s.identities_retained as u64,
+            s.gallery_rows as u64,
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn gallery_growth_changes_no_decision(
+            devices in 520u64..640,
+            every in 4u64..9,
+            update_on_link in any::<bool>(),
+            cap in prop::option::of(512usize..520),
+        ) {
+            // The shipped linker, whose galleries grow with their rows,
+            // against one whose galleries are re-laid out to 64 shards
+            // before every sighting (growth never shrinks, so they sweep
+            // 64 shards throughout): the same events bit for bit
+            // (confidences included) and the same decision counters,
+            // with evidence merging on or off and with or without cap
+            // evictions.
+            let stream = growth_stream(devices, every);
+            let run = |relaid: bool| {
+                let cfg = single_cfg()
+                    .with_update_on_link(update_on_link)
+                    .with_gallery_cap(cap.unwrap_or(200_000));
+                let mut l = RotationLinker::new(cfg).expect("valid config");
+                let mut events = Vec::with_capacity(stream.len());
+                let mut last_sweep = 0;
+                for &(mac, at, device, round) in &stream {
+                    if relaid {
+                        l.galleries[0].reshard(64);
+                    }
+                    let before = l.stats();
+                    events.push(l.link(mac, at, &[(IAT, device_signature(device, round))]));
+                    let after = l.stats();
+                    let shards = after.shards_swept + after.shards_pruned;
+                    if shards > before.shards_swept + before.shards_pruned {
+                        last_sweep = shards - before.shards_swept - before.shards_pruned;
+                    }
+                }
+                (events, l.stats(), last_sweep, l.galleries[0].shard_count())
+            };
+            let (grown, grown_stats, grown_last, grown_shards) = run(false);
+            let (relaid, relaid_stats, _, relaid_shards) = run(true);
+            prop_assert_eq!(&grown, &relaid);
+            prop_assert_eq!(decisions(&grown_stats), decisions(&relaid_stats));
+            prop_assert!(grown_stats.conserves());
+            prop_assert_eq!(
+                cap.is_some(), grown_stats.evicted_cap > 0, "{:?}", grown_stats
+            );
+            prop_assert_eq!(relaid_shards, 64);
+            // The last sweep saw at least three occupied shards, so the
+            // grown gallery crossed at least two growth steps (1 → 2 → 4).
+            prop_assert_eq!(grown_shards, 4);
+            prop_assert!(grown_last >= 3, "{} shards in the last sweep", grown_last);
         }
     }
 }

@@ -37,10 +37,11 @@
 //!   detector rather than killing a live capture session.
 //! * **Detecting** — entered directly with
 //!   [`MultiEngineBuilder::references`] (the databases are frozen on
-//!   entry), or from training. Either way the engine's references are
-//!   flat (one shard): it runs only dense sweeps, which score every row
-//!   in any layout, while shards serve the pruned top-k sweeps of the
-//!   [`linker`] and of metropolis-scale stores. Frames build per-device
+//!   entry), or from training. The engine runs only dense sweeps, which
+//!   score every row bit for bit alike in any layout, so it takes its
+//!   references as they are laid out; stores grow shards only for the
+//!   pruned top-k sweeps of the [`linker`] and of metropolis-scale
+//!   stores, so trained references stay flat. Frames build per-device
 //!   candidate signatures inside sliding detection windows; when a frame
 //!   lands past the current window's end, the window seals and every
 //!   qualifying candidate is matched against the references:

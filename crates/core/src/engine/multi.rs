@@ -75,10 +75,9 @@ pub struct MultiConfig {
     /// Detection window length (the paper uses 5 minutes, §I/§V-A).
     pub window: Nanos,
     /// Row precision of the per-parameter reference databases the
-    /// training phase builds (see [`MatchConfig`]). The engine keeps its
-    /// frozen references flat (one shard) whatever `shards` says: it
-    /// runs only dense sweeps, which score every row in any layout, and
-    /// shards pay off only in pruned top-k sweeps.
+    /// training phase builds (see [`MatchConfig`]). Those references stay
+    /// flat: the engine runs only dense sweeps, and a store grows shards
+    /// only for pruned top-k sweeps.
     pub match_config: MatchConfig,
 }
 
@@ -120,9 +119,8 @@ impl MultiConfig {
         self
     }
 
-    /// Returns a copy with a different reference-store configuration.
-    /// Only its row precision reaches the engine's references, which the
-    /// engine keeps flat (see [`MultiConfig::match_config`]).
+    /// Returns a copy with a different reference-store row precision
+    /// (see [`MultiConfig::match_config`]).
     #[must_use]
     pub fn with_match_config(mut self, match_config: MatchConfig) -> Self {
         self.match_config = match_config;
@@ -142,7 +140,6 @@ impl MultiConfig {
             estimator: self.estimator,
             filter: self.filter.clone(),
             window: self.window,
-            match_config: self.match_config,
         }
     }
 }
@@ -367,7 +364,6 @@ impl MultiEngineBuilder {
                     if db.is_empty() {
                         return Err(CoreError::EmptyDatabase.into());
                     }
-                    db.reshard(1);
                     db.freeze();
                     references.push(db);
                 }
@@ -866,11 +862,10 @@ impl MultiEngine {
                 events.push(MultiEvent::Enrolled { device, observations });
             }
         }
-        let flat = cfg.match_config.with_shards(1);
         let references = enrolled
             .into_iter()
             .map(|signatures| {
-                let mut db = ReferenceDb::from_signatures_with(signatures, flat);
+                let mut db = ReferenceDb::from_signatures_with(signatures, cfg.match_config);
                 db.freeze();
                 db
             })
@@ -1211,18 +1206,22 @@ mod tests {
     }
 
     #[test]
-    fn given_references_are_laid_out_flat_and_decide_as_before() {
+    fn given_sharded_references_decide_as_flat() {
+        // The engine takes its references as laid out; its dense sweeps
+        // score a sharded store bit for bit like a flat one.
         let laid_out = |shards: usize| -> BTreeMap<NetworkParameter, ReferenceDb> {
             trained_references()
                 .into_iter()
                 .map(|(p, db)| {
-                    let sigs = db.iter().map(|(m, s)| (m, s.clone())).collect();
-                    let config = MatchConfig::default().with_shards(shards);
-                    (p, ReferenceDb::from_signatures_with(sigs, config))
+                    let mut db = db.snapshot();
+                    db.reshard(shards);
+                    (p, db)
                 })
                 .collect()
         };
-        let run = |references: BTreeMap<NetworkParameter, ReferenceDb>| {
+        let run = |shards: usize| {
+            let references = laid_out(shards);
+            assert!(references.values().all(|db| db.shard_count() == shards));
             let mut engine =
                 MultiEngine::builder().config(cfg(1, 5)).references(references).build().unwrap();
             for i in 0..30u64 {
@@ -1230,13 +1229,11 @@ mod tests {
             }
             let events = engine.finish().unwrap();
             for p in NetworkParameter::ALL {
-                assert_eq!(engine.reference(p).unwrap().shard_count(), 1, "{p}");
+                assert_eq!(engine.reference(p).unwrap().shard_count(), shards, "{p}");
             }
             format!("{events:?}")
         };
-        let sharded = laid_out(4);
-        assert!(sharded.values().all(|db| db.shard_count() == 4));
-        assert_eq!(run(sharded), run(laid_out(1)));
+        assert_eq!(run(4), run(1));
     }
 
     #[test]

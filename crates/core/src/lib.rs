@@ -19,8 +19,9 @@
 //!    weighted histograms is the device's **signature** ([`Signature`]).
 //! 3. A candidate signature is matched against a [`ReferenceDb`] with the
 //!    weighted **cosine similarity** of Algorithm 1 ([`matching`]) — a
-//!    **sharded** structure-of-arrays `f32` store ([`MatchConfig`]:
-//!    dominant-histogram locality bucketing, MAC-prefix fallback) whose
+//!    **sharded** structure-of-arrays `f32` or `u8` store ([`MatchConfig`]
+//!    picks the precision; shards bucket rows by a dominant-histogram
+//!    locality key and grow with the row count for pruned sweeps) whose
 //!    bin-major columns are swept one candidate nonzero bin at a time,
 //!    scoring tiles of candidate windows per pass over the shards, with
 //!    reusable [`MatchScratch`] buffers, with independent sweeps fanned
@@ -145,8 +146,7 @@ pub use fusion::{fuse_outcomes, FusedOutcome, FusionSpec};
 pub use histogram::{BinSpec, Histogram, QuantizedRow, QUANT_MAX};
 pub use matching::{
     MatchConfig, MatchOutcome, MatchScratch, MatchView, PruneStats, ReferenceDb, RowPrecision,
-    SimilarityVector, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE,
-    U8_SCORE_TOLERANCE,
+    SimilarityVector, TileView, F32_SCORE_TOLERANCE, MATCH_TILE, U8_SCORE_TOLERANCE,
 };
 pub use metrics::{
     evaluate, CurvePoint, EvalOutcome, IdentOperatingPoint, MatchSet, SimilarityCurve,

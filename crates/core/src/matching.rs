@@ -78,7 +78,7 @@
 //!
 //! One flat matrix per kind stops scaling past ~10⁵ devices: every sweep
 //! touches every row. [`ReferenceDb`] therefore buckets its rows into
-//! **shards** ([`MatchConfig`]) by a locality-sensitive key of each
+//! **shards** by a locality-sensitive key of each
 //! device's *dominant* histogram (its centre of mass — devices whose
 //! heaviest histogram concentrates probability in the same region share a
 //! shard). Each shard keeps its own `SoA` blocks
@@ -88,17 +88,21 @@
 //! resident device's score against a given candidate — one dot product
 //! per (shard, kind) instead of one per device. (A mean-centroid summary would need a radius term and is
 //! strictly looser for non-negative rows, so the envelope is the summary
-//! of choice.) A crate-private re-layout to a new shard count is a bulk
-//! build at that count: every row is repacked from its signature, as
-//! [`ReferenceDb::from_signatures_with`] packs it. The rotation linker
-//! grows its galleries that way.
+//! of choice.)
 //!
-//! Shards pay off only in the pruned sweep below. The dense sweep scores
-//! every row whatever the layout, and each occupied shard costs it one
-//! more short column pass, cosine epilogue and scatter per (candidate,
-//! kind). So the [`MultiEngine`](crate::engine::MultiEngine), which runs
-//! only dense sweeps, keeps its frozen references flat (one shard) and
-//! re-lays out sharded references it is given.
+//! The shard count is not an option: the store works it out from its own
+//! row count, for the pruned sweep below, the only one shards pay off
+//! in. The dense sweep scores every row whatever the layout, and each
+//! occupied shard costs it one more short column pass, cosine epilogue
+//! and scatter per (candidate, kind). So every store starts flat (one
+//! shard), and only [`ReferenceDb::match_topk_tile`] grows it: it doubles
+//! the shard count while the store holds at least 256 rows per shard, up
+//! to 64 shards, and never shrinks it (see its `# Growth` section). A
+//! store that only runs dense sweeps — the
+//! [`MultiEngine`](crate::engine::MultiEngine)'s references,
+//! `metrics::match_candidates` — stays flat by construction, while the
+//! rotation linker's galleries grow as they fill. A re-layout is a bulk
+//! build at the new count: every row is repacked from its signature.
 //!
 //! # Two sweeps
 //!
@@ -110,7 +114,7 @@
 //!   thresholds. It visits every occupied shard and is *bit-for-bit* the
 //!   flat sweep: per device the same per-pair arithmetic accumulates in
 //!   the same (ascending frame kind) order, property-tested equal to a
-//!   flat (`shards == 1`) database;
+//!   flat (one-shard) layout;
 //! * the **pruned** sweep ([`ReferenceDb::match_topk_tile`]) returns each
 //!   candidate's top-`k` — what the identification test ranks. It visits
 //!   shards in descending bound order and skips, per candidate, every
@@ -202,9 +206,11 @@
 //! numbers, so a shift renumbers the shard directories and moves no
 //! column. Shard membership, slots and row order stay consistent across
 //! any interleaving of inserts and removes (re-inserting a changed
-//! signature migrates the device to its new shard). Only a change of
-//! shard count is not incremental: it rebuilds the whole store, so there
-//! is one way to lay rows out in bulk.
+//! signature migrates the device to its new shard). Inserts never change
+//! the shard count: only the pruned sweep's growth step does, and it
+//! rebuilds the whole store, so there is one way to lay rows out in bulk
+//! and rows enrolled after a store's last pruned sweep cost no
+//! re-layout.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -254,19 +260,30 @@ pub const U8_SCORE_TOLERANCE: f64 = 5e-2;
 ///
 /// A tile's candidates share one walk over the shards, so each shard's
 /// columns are loaded from memory once per tile instead of once per
-/// candidate. The engine keeps its references flat, so each of its tiles
-/// reads one shard's columns per frame kind.
+/// candidate. The engine's references only run dense sweeps, so they stay
+/// flat, and each of its tiles reads one shard's columns per frame kind.
 pub const MATCH_TILE: usize = 8;
 
-/// Default shard count of a [`MatchConfig`]. Sixteen shards keep the
-/// per-sweep summary overhead negligible at conference scale while
-/// already pruning most of the matrix at 10⁴–10⁵ devices; large
-/// deployments raise it via [`MatchConfig::with_shards`].
-pub const DEFAULT_SHARDS: usize = 16;
+/// Rows per shard a growing store keeps at least once it splits: a store
+/// at `s` shards re-lays out over `2s` (up to [`MAX_SHARDS`]) when it
+/// holds `2 · GROWTH_ROWS_PER_SHARD · s` rows.
+///
+/// Measured on e2ebench's `crowd_rotation` (512 sightings into fresh
+/// linker galleries per pass) and the `linking_smoke` gate: 64 makes the
+/// crowd linker 6–12% slower per sighting than 128, because it sweeps
+/// more, smaller shards. 256 makes it 6–7% faster, since its galleries
+/// then stay flat, but at 10³ identities the gate's galleries stop at two
+/// shards and prune 0.52 (periodic) and 0.37 (per-association) of them,
+/// under the gate's 0.5 floor. 128 prunes 0.69 and 0.61 there, and 0.79
+/// at 10⁴.
+const GROWTH_ROWS_PER_SHARD: usize = 128;
 
-/// Hard ceiling on the configured shard count (the shard directory is
-/// allocated eagerly).
-const MAX_SHARDS: usize = 1024;
+/// The most shards a store grows to (from 8 192 rows), and the largest
+/// count a re-layout takes. Uncapped, the growth rule would lay 10⁵ rows
+/// out over 512 shards, where the pruned sweeps slow down: the top-5
+/// sweep costs 295 µs there against 184 µs at 64 shards, and the `u8`
+/// 8-wide top-8 sweep 4.11 ms against 3.18 ms.
+const MAX_SHARDS: usize = 64;
 
 /// Safety slack added to every shard's score upper bound before the
 /// prune test. The bound dots the candidate against the `f32` envelope
@@ -306,50 +323,23 @@ impl RowPrecision {
     }
 }
 
-/// Configuration of the sharded reference store: into how many shards
-/// rows are bucketed, and at which storage precision. `shards == 1`
-/// degenerates to the flat single-matrix layout ([`MatchConfig::flat`]),
-/// which the sharded dense sweep is property-tested bit-for-bit equal to
-/// (per precision tier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration of the reference store: the storage precision of its
+/// rows. The shard count is not an option: the store grows it from its row
+/// count for the pruned sweep (see the
+/// [module docs](self#the-sharded-store)), and every layout's dense sweep
+/// is property-tested bit-for-bit equal to the flat one's (per precision
+/// tier).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MatchConfig {
-    /// Number of shards (clamped to `1..=1024` when the database is
-    /// built).
-    pub shards: usize,
     /// Storage width of the packed rows (see [`RowPrecision`]).
     pub precision: RowPrecision,
 }
 
-impl Default for MatchConfig {
-    /// Dominant-histogram bucketing over [`DEFAULT_SHARDS`] shards,
-    /// `f32` rows.
-    fn default() -> Self {
-        MatchConfig { shards: DEFAULT_SHARDS, precision: RowPrecision::F32 }
-    }
-}
-
 impl MatchConfig {
-    /// The flat (unsharded) layout: one shard holding every row. The
-    /// parity baseline for the sharded sweeps, and the right choice for
-    /// small (< a few hundred devices) databases; every rotation-linker
-    /// gallery starts from it and grows its shards as it fills (see
-    /// [`LinkerConfig::match_config`](crate::engine::LinkerConfig::match_config)).
-    pub fn flat() -> Self {
-        MatchConfig::default().with_shards(1)
-    }
-
-    /// The quantized tier at the default shard layout: `u8` rows swept
-    /// in exact integer arithmetic — what a metropolis-scale (≥ 10⁵ devices)
-    /// deployment runs.
+    /// The quantized tier: `u8` rows swept in exact integer arithmetic —
+    /// what a metropolis-scale (≥ 10⁵ devices) deployment runs.
     pub fn quantized() -> Self {
         MatchConfig::default().with_precision(RowPrecision::U8)
-    }
-
-    /// Returns a copy with a different shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Returns a copy with a different row precision.
@@ -357,11 +347,6 @@ impl MatchConfig {
     pub fn with_precision(mut self, precision: RowPrecision) -> Self {
         self.precision = precision;
         self
-    }
-
-    /// The effective shard count (clamped).
-    pub(crate) fn effective_shards(&self) -> usize {
-        self.shards.clamp(1, MAX_SHARDS)
     }
 }
 
@@ -665,9 +650,9 @@ struct Placement {
 /// let mut sig = Signature::new();
 /// for _ in 0..60 { sig.record(FrameKind::Data, 1000.0, &cfg); }
 ///
-/// // Dominant-histogram sharding; MatchConfig selects the shard count
-/// // and row precision.
-/// let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(8));
+/// // MatchConfig selects the row precision; the store grows its own
+/// // shards when a pruned sweep finds it large.
+/// let mut db = ReferenceDb::with_config(MatchConfig::quantized());
 /// let dev = MacAddr::from_index(1);
 /// db.insert(dev, sig.clone()).unwrap();
 ///
@@ -679,7 +664,7 @@ struct Placement {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReferenceDb {
-    /// The (normalised) shard configuration.
+    /// The row precision.
     config: MatchConfig,
     /// Reference devices in ascending address order: row `i` is
     /// `devices[i]`. Every similarity vector the dense sweep returns
@@ -693,7 +678,8 @@ pub struct ReferenceDb {
     /// loop of the sweeps, so candidate tiles are packed once per kind,
     /// not once per (shard, kind).
     kind_keys: Vec<(FrameKind, usize)>,
-    /// The shard directory (`config.effective_shards()` entries).
+    /// The shard directory: one entry until the pruned sweep grows it
+    /// (see [`ReferenceDb::match_topk_tile`]).
     shards: Vec<Shard>,
     /// `true` once the enrollment phase ended ([`ReferenceDb::freeze`]):
     /// mutations are rejected so the detection phase matches against a
@@ -708,22 +694,20 @@ impl Default for ReferenceDb {
 }
 
 impl ReferenceDb {
-    /// An empty database with the default [`MatchConfig`]
-    /// (dominant-histogram sharding, [`DEFAULT_SHARDS`] shards).
+    /// An empty database with the default [`MatchConfig`] (`f32` rows).
     pub fn new() -> Self {
         ReferenceDb::default()
     }
 
-    /// An empty database with an explicit shard configuration.
+    /// An empty, flat database at an explicit row precision.
     pub fn with_config(config: MatchConfig) -> Self {
-        let shards = config.effective_shards();
         ReferenceDb {
-            config: MatchConfig { shards, ..config },
+            config,
             devices: DeviceTable::default(),
             signatures: Vec::new(),
             placement: Vec::new(),
             kind_keys: Vec::new(),
-            shards: vec![Shard::default(); shards],
+            shards: vec![Shard::default()],
             frozen: false,
         }
     }
@@ -740,8 +724,8 @@ impl ReferenceDb {
         ReferenceDb::from_signatures_with(signatures, MatchConfig::default())
     }
 
-    /// [`ReferenceDb::from_signatures`] with an explicit shard
-    /// configuration.
+    /// [`ReferenceDb::from_signatures`] at an explicit row precision. The
+    /// build is flat.
     pub fn from_signatures_with(
         signatures: BTreeMap<MacAddr, Signature>,
         config: MatchConfig,
@@ -749,16 +733,19 @@ impl ReferenceDb {
         // A `BTreeMap` yields its entries in ascending address order.
         let (devices, signatures): (Vec<_>, _) =
             signatures.into_iter().filter(|(_, sig)| sig.observation_count() > 0).unzip();
-        let mut db = ReferenceDb {
-            devices: Arc::new(devices),
-            signatures,
-            ..ReferenceDb::with_config(config)
-        };
-        db.rebuild();
+        ReferenceDb::packed(Arc::new(devices), signatures, config)
+    }
+
+    /// The bulk build behind [`ReferenceDb::from_signatures_with`] and
+    /// [`ReferenceDb::snapshot`]: a flat store of address-ordered rows,
+    /// packed at exact size.
+    fn packed(devices: DeviceTable, signatures: Vec<Signature>, config: MatchConfig) -> Self {
+        let mut db = ReferenceDb { devices, signatures, ..ReferenceDb::with_config(config) };
+        db.rebuild(1);
         db
     }
 
-    /// The shard configuration this database is laid out with.
+    /// The configuration (row precision) of this database.
     pub fn config(&self) -> &MatchConfig {
         &self.config
     }
@@ -898,10 +885,17 @@ impl ReferenceDb {
         self.frozen
     }
 
-    /// A frozen copy of the current state: the detection-phase view of a
-    /// database that keeps enrolling. The original stays mutable.
+    /// A frozen copy of the current signatures: the detection-phase view
+    /// of a database that keeps enrolling. The original stays mutable.
+    ///
+    /// The copy is a flat bulk build: it scores bit for bit like the
+    /// original, but its columns are packed at exact size (an
+    /// insert-built store's columns double as they fill and keep that
+    /// slack), and a store that serves dense sweeps is cheapest flat. A
+    /// pruned sweep of the copy grows it again.
     pub fn snapshot(&self) -> ReferenceDb {
-        let mut copy = self.clone();
+        let mut copy =
+            ReferenceDb::packed(Arc::clone(&self.devices), self.signatures.clone(), self.config);
         copy.frozen = true;
         copy
     }
@@ -1006,14 +1000,13 @@ impl ReferenceDb {
     }
 
     /// Repacks the shard directory and the per-kind matrices from the
-    /// current signatures over `config.shards` shards (bulk
-    /// construction). Every block's columns are sized to their shard's
-    /// final slot count up front, so they end packed at exact size.
-    fn rebuild(&mut self) {
+    /// current signatures over `shards` shards (bulk construction).
+    /// Every block's columns are sized to their shard's final slot count
+    /// up front, so they end packed at exact size.
+    fn rebuild(&mut self, shards: usize) {
         let n = self.devices.len();
         self.placement = vec![Placement::default(); n];
         self.kind_keys.clear();
-        let shards = self.config.shards;
         self.shards = vec![Shard::default(); shards];
         let keys: Vec<usize> = (0..n).map(|row| self.shard_key(row)).collect();
         let mut sizes = vec![0; shards];
@@ -1025,17 +1018,28 @@ impl ReferenceDb {
         }
     }
 
-    /// Re-lays the rows out over `shards` shards (clamped like
-    /// [`MatchConfig::shards`]): a bulk build at the new count, which
-    /// repacks every row from its signature. Going from `s` to `2s`
-    /// shards splits shard `k` into `2k` and `2k + 1`. No score depends
-    /// on the layout, so every sweep scores as before.
+    /// Re-lays the rows out over `shards` shards (clamped to
+    /// `1..=MAX_SHARDS`): a bulk build at the new count, which repacks
+    /// every row from its signature. Going from `s` to `2s` shards splits
+    /// shard `k` into `2k` and `2k + 1`. No score depends on the layout,
+    /// so every sweep scores as before.
     pub(crate) fn reshard(&mut self, shards: usize) {
-        let shards = MatchConfig { shards, ..self.config }.effective_shards();
+        let shards = shards.clamp(1, MAX_SHARDS);
         if shards != self.shards.len() {
-            self.config.shards = shards;
-            self.rebuild();
+            self.rebuild(shards);
         }
+    }
+
+    /// Brings the shard count up to what the row count calls for:
+    /// doubled while the store holds `2 · GROWTH_ROWS_PER_SHARD` rows per
+    /// shard, up to [`MAX_SHARDS`], and never shrunk. Shard counts
+    /// double, so the re-layouts cost amortised `O(row width)` per row.
+    fn grow(&mut self) {
+        let mut shards = self.shards.len();
+        while shards < MAX_SHARDS && self.len() >= 2 * GROWTH_ROWS_PER_SHARD * shards {
+            shards = (2 * shards).min(MAX_SHARDS);
+        }
+        self.reshard(shards);
     }
 
     /// Algorithm 1, the **dense** sweep: every reference's score against
@@ -1051,7 +1055,8 @@ impl ReferenceDb {
     /// (matrix–matrix instead of `K` matrix–vector sweeps): each row is
     /// loaded once and dotted against all of them while hot in cache.
     /// Every occupied shard is visited, and the result is bit-for-bit the
-    /// flat (`shards == 1`) layout's. The returned [`TileView`] borrows
+    /// flat layout's. The dense sweep never changes the layout. The
+    /// returned [`TileView`] borrows
     /// `scratch` and the database and exposes one [`MatchView`] per
     /// candidate, in input order. One candidate is a tile of one
     /// (`std::slice::from_ref(&candidate)`); callers batching many
@@ -1108,8 +1113,20 @@ impl ReferenceDb {
     ///
     /// [`MatchScratch::prune_stats`] counts the (candidate, shard)
     /// decisions, aggregated over the tile.
+    ///
+    /// # Growth
+    ///
+    /// The bound prunes only when there are shards to skip, so before it
+    /// ranks anything the sweep grows the layout to what the row count
+    /// calls for: it doubles the shard count while the store holds at
+    /// least 256 rows per shard — one shard below 256 rows, two from 256,
+    /// four from 512 — up to 64 shards from 8 192 rows, and never shrinks
+    /// it (removals leave the layout as it is). Each doubling is a bulk
+    /// build at the new count; a frozen store grows too, since no score
+    /// depends on the layout. A sweep with nothing to rank (`k == 0`, no
+    /// candidates or no rows) leaves the layout alone.
     pub fn match_topk_tile<C: Borrow<Signature>>(
-        &self,
+        &mut self,
         candidates: &[C],
         k: usize,
         scratch: &mut MatchScratch,
@@ -1119,6 +1136,7 @@ impl ReferenceDb {
         if k == 0 || self.devices.is_empty() || kc == 0 {
             return vec![Vec::new(); kc];
         }
+        self.grow();
         self.pack_candidates(candidates, scratch);
         self.bound_shards(kc, scratch);
         let mut tops: Vec<Vec<(MacAddr, f64)>> = vec![Vec::new(); kc];
@@ -1662,6 +1680,7 @@ pub(crate) fn best_of(sims: impl Iterator<Item = (MacAddr, f64)>) -> Option<(Mac
 mod tests {
     use super::*;
     use crate::config::EvalConfig;
+    use crate::histogram::BinSpec;
     use crate::params::NetworkParameter;
     use proptest::prelude::*;
 
@@ -1691,7 +1710,7 @@ mod tests {
 
     /// The pruned sweep's ranking for one candidate (a tile of one).
     fn topk_one(
-        db: &ReferenceDb,
+        db: &mut ReferenceDb,
         cand: &Signature,
         k: usize,
         scratch: &mut MatchScratch,
@@ -1699,19 +1718,38 @@ mod tests {
         db.match_topk_tile(std::slice::from_ref(cand), k, scratch).remove(0)
     }
 
-    /// Every shard configuration parity tests sweep over — both
-    /// precision tiers, since the consistency invariants (streamed ≡
+    /// Every (precision, shard count) layout parity tests sweep over —
+    /// both precision tiers, since the consistency invariants (streamed ≡
     /// bulk, churn ≡ fresh, sharded ≡ flat) hold per tier.
-    fn layouts() -> Vec<MatchConfig> {
+    fn layouts() -> Vec<(MatchConfig, usize)> {
+        let (f32_tier, u8_tier) = (MatchConfig::default(), MatchConfig::quantized());
         vec![
-            MatchConfig::flat(),
-            MatchConfig::default(),
-            MatchConfig::default().with_shards(3),
-            MatchConfig::default().with_shards(5),
-            MatchConfig::flat().with_precision(RowPrecision::U8),
-            MatchConfig::quantized(),
-            MatchConfig::quantized().with_shards(5),
+            (f32_tier, 1),
+            (f32_tier, 16),
+            (f32_tier, 3),
+            (f32_tier, 5),
+            (u8_tier, 1),
+            (u8_tier, 16),
+            (u8_tier, 5),
         ]
+    }
+
+    /// An empty store at `config`'s precision, laid out over `shards`.
+    fn empty_at(config: MatchConfig, shards: usize) -> ReferenceDb {
+        let mut db = ReferenceDb::with_config(config);
+        db.reshard(shards);
+        db
+    }
+
+    /// A bulk build of `signatures`, re-laid out over `shards`.
+    fn bulk_at(
+        signatures: BTreeMap<MacAddr, Signature>,
+        config: MatchConfig,
+        shards: usize,
+    ) -> ReferenceDb {
+        let mut db = ReferenceDb::from_signatures_with(signatures, config);
+        db.reshard(shards);
+        db
     }
 
     #[test]
@@ -1821,10 +1859,10 @@ mod tests {
         let full = MacAddr::from_index(2);
         let sig = sig_with(&[(FrameKind::Data, 1.0, 5)]);
         let map = BTreeMap::from([(empty, Signature::new()), (full, sig.clone())]);
-        let bulk = ReferenceDb::from_signatures_with(map, MatchConfig::flat());
+        let bulk = ReferenceDb::from_signatures(map);
         assert!(!bulk.contains(&empty));
         assert_eq!(bulk.len(), 1);
-        let mut one_by_one = ReferenceDb::with_config(MatchConfig::flat());
+        let mut one_by_one = ReferenceDb::new();
         assert!(one_by_one.insert(empty, Signature::new()).is_err());
         one_by_one.insert(full, sig).unwrap();
         assert_eq!(bulk.devices().collect::<Vec<_>>(), one_by_one.devices().collect::<Vec<_>>());
@@ -1863,17 +1901,96 @@ mod tests {
         db.freeze();
         assert!(db.is_frozen());
         assert!(matches!(db.insert(d1, sig), Err(CoreError::FrozenDatabase { .. })));
+
+        // A snapshot of a grown store is a flat bulk build: packed at
+        // exact size, scoring bit for bit like the grown original. A
+        // pruned sweep grows the frozen copy again.
+        let sigs: BTreeMap<MacAddr, Signature> = (1..=600u64)
+            .map(|i| (MacAddr::from_index(i), sig_with(&[(FrameKind::Data, 10.0 * (i % 240) as f64, 8)])))
+            .collect();
+        let mut grown = ReferenceDb::new();
+        for (&dev, sig) in &sigs {
+            grown.insert(dev, sig.clone()).unwrap();
+        }
+        let cands = vec![sig_with(&[(FrameKind::Data, 300.0, 8)]), sig_with(&[(FrameKind::Data, 1210.0, 8)])];
+        let mut scratch = MatchScratch::new();
+        let grown_top = grown.match_topk_tile(&cands, 3, &mut scratch);
+        assert_eq!(grown.shard_count(), 4);
+        let mut snap = grown.snapshot();
+        assert!(snap.is_frozen());
+        assert_eq!(snap.shard_count(), 1);
+        let bulk = ReferenceDb::from_signatures(sigs);
+        assert!(snap.shards.iter().flat_map(|s| &s.blocks).all(|b| b.cap == b.slots()));
+        assert_eq!(summaries(&snap), summaries(&bulk));
+        assert_eq!(snap.row_bytes(), bulk.row_bytes());
+        let dense = |db: &ReferenceDb| -> Vec<MatchOutcome> {
+            db.match_tile(&cands, SimilarityMeasure::Cosine, &mut MatchScratch::new())
+                .views()
+                .map(|v| v.to_outcome())
+                .collect()
+        };
+        assert_eq!(dense(&snap), dense(&grown));
+        assert_eq!(dense(&snap), dense(&bulk));
+        assert_eq!(snap.match_topk_tile(&cands, 3, &mut scratch), grown_top);
+        assert_eq!(snap.shard_count(), 4);
+    }
+
+    #[test]
+    fn the_pruned_sweep_grows_shards_from_the_row_count() {
+        let sig_for = |n: u64| sig_with(&[(FrameKind::Data, 10.0 + 10.0 * (n % 240) as f64, 8)]);
+        let probe = [sig_for(31)];
+        let mut scratch = MatchScratch::new();
+        // A dense sweep never grows a store, however large.
+        let sigs: BTreeMap<MacAddr, Signature> =
+            (1..=9000u64).map(|n| (MacAddr::from_index(n), sig_for(n))).collect();
+        let large = ReferenceDb::from_signatures(sigs);
+        large.match_tile(&probe, SimilarityMeasure::Cosine, &mut scratch);
+        assert_eq!(large.shard_count(), 1);
+        // The pruned sweep doubles the shard count while the store holds
+        // 256 rows per shard, up to 64; inserts never grow it.
+        let mut db = ReferenceDb::new();
+        let mut rows = 0u64;
+        for (target, want) in [
+            (1u64, 1usize),
+            (255, 1),
+            (256, 2),
+            (511, 2),
+            (512, 4),
+            (1024, 8),
+            (2047, 8),
+            (2048, 16),
+            (4096, 32),
+            (8191, 32),
+            (8192, 64),
+            (9000, 64),
+        ] {
+            let before = db.shard_count();
+            while rows < target {
+                rows += 1;
+                db.insert(MacAddr::from_index(rows), sig_for(rows)).unwrap();
+            }
+            db.match_tile(&probe, SimilarityMeasure::Cosine, &mut scratch);
+            assert_eq!(db.shard_count(), before, "{target} rows: only the pruned sweep grows");
+            db.match_topk_tile(&probe, 3, &mut scratch);
+            assert_eq!(db.shard_count(), want, "{target} rows");
+        }
+        // Removals never shrink the layout.
+        for n in 1..=8900u64 {
+            db.remove(&MacAddr::from_index(n)).unwrap();
+        }
+        db.match_topk_tile(&probe, 3, &mut scratch);
+        assert_eq!(db.shard_count(), 64);
     }
 
     #[test]
     fn empty_db_matches_nothing() {
-        let db = ReferenceDb::new();
+        let mut db = ReferenceDb::new();
         let outcome = match_one(&db, &sig_with(&[(FrameKind::Data, 1.0, 5)]));
         assert!(outcome.best().is_none());
         assert_eq!(outcome.similarities().len(), 0);
         let mut scratch = MatchScratch::new();
         let cand = sig_with(&[(FrameKind::Data, 1.0, 5)]);
-        assert!(topk_one(&db, &cand, 3, &mut scratch).is_empty());
+        assert!(topk_one(&mut db, &cand, 3, &mut scratch).is_empty());
     }
 
     #[test]
@@ -1962,7 +2079,7 @@ mod tests {
     fn streaming_inserts_equal_bulk_pack() {
         // The incremental append path must produce a database that scores
         // identically to the one-shot pack — per shard configuration.
-        for config in layouts() {
+        for (config, shards) in layouts() {
             let sigs: Vec<(MacAddr, Signature)> = (1..=9u64)
                 .map(|i| {
                     (
@@ -1975,11 +2092,11 @@ mod tests {
                     )
                 })
                 .collect();
-            let mut streamed = ReferenceDb::with_config(config);
+            let mut streamed = empty_at(config, shards);
             for (dev, sig) in &sigs {
                 streamed.insert(*dev, sig.clone()).unwrap();
             }
-            let bulk = ReferenceDb::from_signatures_with(sigs.into_iter().collect(), config);
+            let bulk = bulk_at(sigs.into_iter().collect(), config, shards);
             assert_eq!(
                 streamed.devices().collect::<Vec<_>>(),
                 bulk.devices().collect::<Vec<_>>()
@@ -1987,7 +2104,7 @@ mod tests {
             let cand = sig_with(&[(FrameKind::Data, 249.0, 33), (FrameKind::ProbeReq, 62.0, 5)]);
             let a = match_one(&streamed, &cand);
             let b = match_one(&bulk, &cand);
-            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}");
+            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}/{shards}");
             // Replacement detaches and re-attaches (possibly migrating
             // shards) and stays consistent too.
             let dev = streamed.devices().next().unwrap();
@@ -1996,10 +2113,10 @@ mod tests {
             let mut bulk_map: BTreeMap<MacAddr, Signature> =
                 bulk.iter().map(|(d, s)| (d, s.clone())).collect();
             bulk_map.insert(dev, replacement);
-            let repacked = ReferenceDb::from_signatures_with(bulk_map, config);
+            let repacked = bulk_at(bulk_map, config, shards);
             let a = match_one(&streamed, &cand);
             let b = match_one(&repacked, &cand);
-            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}");
+            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}/{shards}");
         }
     }
 
@@ -2009,14 +2126,14 @@ mod tests {
         // and (re-)inserts must leave shard membership, slots and the
         // address-ordered rows scoring exactly like a freshly built
         // database.
-        for config in layouts() {
+        for (config, shards) in layouts() {
             let sig_for = |i: u64| {
                 sig_with(&[
                     (FrameKind::Data, 190.0 * (i % 13) as f64, 25 + i),
                     (FrameKind::ProbeReq, 60.0 * (i % 5) as f64, 4 + i % 3),
                 ])
             };
-            let mut db = ReferenceDb::with_config(config);
+            let mut db = empty_at(config, shards);
             for i in 1..=12u64 {
                 db.insert(MacAddr::from_index(i), sig_for(i)).unwrap();
             }
@@ -2024,7 +2141,7 @@ mod tests {
             // global-row shift), then re-insert one with a *different*
             // signature so it may migrate shards.
             for i in [6u64, 1, 12] {
-                assert!(db.remove(&MacAddr::from_index(i)).unwrap().is_some(), "{config:?}");
+                assert!(db.remove(&MacAddr::from_index(i)).unwrap().is_some(), "{config:?}/{shards}");
             }
             db.insert(MacAddr::from_index(6), sig_for(99)).unwrap();
             db.insert(MacAddr::from_index(13), sig_for(13)).unwrap();
@@ -2035,20 +2152,20 @@ mod tests {
             }
             fresh_map.insert(MacAddr::from_index(6), sig_for(99));
             fresh_map.insert(MacAddr::from_index(13), sig_for(13));
-            let fresh = ReferenceDb::from_signatures_with(fresh_map, config);
+            let fresh = bulk_at(fresh_map, config, shards);
 
             assert_eq!(
                 db.devices().collect::<Vec<_>>(),
                 fresh.devices().collect::<Vec<_>>(),
-                "{config:?}: address index"
+                "{config:?}/{shards}: address index"
             );
             let mut scratch = MatchScratch::new();
             for probe in [sig_for(99), sig_for(3), sig_for(13)] {
                 let a = match_one(&db, &probe);
                 let b = match_one(&fresh, &probe);
-                assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}: dense parity");
-                let ta = topk_one(&db, &probe, 4, &mut scratch);
-                assert_eq!(ta, b.top(4), "{config:?}: pruned parity after churn");
+                assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}/{shards}: dense parity");
+                let ta = topk_one(&mut db, &probe, 4, &mut scratch);
+                assert_eq!(ta, b.top(4), "{config:?}/{shards}: pruned parity after churn");
             }
         }
     }
@@ -2067,25 +2184,22 @@ mod tests {
             })
             .collect();
         let cand = sig_with(&[(FrameKind::Data, 291.0, 40), (FrameKind::Beacon, 90.0, 6)]);
-        for config in layouts() {
+        for (config, shards) in layouts() {
             // The flat baseline shares the config's precision: the
             // bit-identity claim is per tier.
-            let flat = ReferenceDb::from_signatures_with(
-                sigs.iter().cloned().collect(),
-                MatchConfig::flat().with_precision(config.precision),
-            );
-            let sharded = ReferenceDb::from_signatures_with(sigs.iter().cloned().collect(), config);
+            let flat = ReferenceDb::from_signatures_with(sigs.iter().cloned().collect(), config);
+            let sharded = bulk_at(sigs.iter().cloned().collect(), config, shards);
             let a = match_one(&sharded, &cand);
             let b = match_one(&flat, &cand);
             // Bit-identical, not merely within tolerance: the sweep
             // accumulates per device in the same kind order.
-            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}");
+            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}/{shards}");
         }
     }
 
     #[test]
     fn pruned_topk_equals_dense_topk() {
-        let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(8));
+        let mut db = empty_at(MatchConfig::default(), 8);
         for i in 1..=40u64 {
             db.insert(
                 MacAddr::from_index(i),
@@ -2101,7 +2215,7 @@ mod tests {
             let cand = sig_with(&[(FrameKind::Data, 60.0 * (probe_seed % 16) as f64, 45)]);
             let dense = match_one(&db, &cand);
             for k in [1usize, 3, 10, 40, 100] {
-                let pruned = topk_one(&db, &cand, k, &mut scratch);
+                let pruned = topk_one(&mut db, &cand, k, &mut scratch);
                 assert_eq!(pruned, dense.top(k), "seed {probe_seed}, k {k}");
                 let stats = scratch.prune_stats();
                 assert!(stats.swept_shards + stats.pruned_shards > 0);
@@ -2121,7 +2235,7 @@ mod tests {
     fn pruned_topk_actually_prunes_separated_populations() {
         // Devices concentrated at well-separated dominant bins: a probe
         // near one cluster must not sweep every shard.
-        let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(16));
+        let mut db = empty_at(MatchConfig::default(), 16);
         for i in 0..160u64 {
             let center = 150.0 * (i % 16) as f64 + 10.0;
             db.insert(MacAddr::from_index(i + 1), sig_with(&[(FrameKind::Data, center, 60)]))
@@ -2129,7 +2243,7 @@ mod tests {
         }
         let cand = sig_with(&[(FrameKind::Data, 310.0, 60)]);
         let mut scratch = MatchScratch::new();
-        let pruned = topk_one(&db, &cand, 3, &mut scratch);
+        let pruned = topk_one(&mut db, &cand, 3, &mut scratch);
         assert_eq!(pruned, match_one(&db, &cand).top(3));
         let stats = scratch.prune_stats();
         assert!(
@@ -2143,7 +2257,7 @@ mod tests {
     fn every_sweep_sets_prune_stats() {
         // A pruned sweep followed by a dense one through the same scratch:
         // the dense sweep reports its own accounting, not the last top-k's.
-        let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(16));
+        let mut db = empty_at(MatchConfig::default(), 16);
         for i in 0..160u64 {
             let center = 150.0 * (i % 16) as f64 + 10.0;
             db.insert(MacAddr::from_index(i + 1), sig_with(&[(FrameKind::Data, center, 60)]))
@@ -2200,7 +2314,7 @@ mod tests {
         assert_eq!(top[0].0, MacAddr::from_index(2));
         assert_eq!(top[1].0, MacAddr::from_index(5));
         let mut scratch = MatchScratch::new();
-        let pruned = topk_one(&tied, &sig, 2, &mut scratch);
+        let pruned = topk_one(&mut tied, &sig, 2, &mut scratch);
         assert_eq!(pruned, top);
     }
 
@@ -2211,7 +2325,7 @@ mod tests {
         // blocks keyed on (kind, bins)).
         let fine = cfg(); // 10 µs bins
         let coarse = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_bins(crate::histogram::BinSpec::uniform_to(2500.0, 50.0));
+            .with_bins(BinSpec::uniform_to(2500.0, 50.0));
         let build = |c: &EvalConfig| {
             let mut s = Signature::new();
             for _ in 0..50 {
@@ -2242,7 +2356,7 @@ mod tests {
         let mut db = ReferenceDb::new();
         db.insert(MacAddr::from_index(1), sig_with(&[(FrameKind::Data, 100.0, 50)])).unwrap();
         let coarse = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_bins(crate::histogram::BinSpec::uniform_to(2500.0, 100.0));
+            .with_bins(BinSpec::uniform_to(2500.0, 100.0));
         let mut cand = Signature::new();
         for _ in 0..50 {
             cand.record(FrameKind::Data, 100.0, &coarse);
@@ -2328,9 +2442,7 @@ mod tests {
         // dense ranking while the tile as a whole skips shards — in both
         // precision tiers.
         for precision in [RowPrecision::F32, RowPrecision::U8] {
-            let config =
-                MatchConfig::default().with_shards(16).with_precision(precision);
-            let mut db = ReferenceDb::with_config(config);
+            let mut db = empty_at(MatchConfig::default().with_precision(precision), 16);
             for i in 0..160u64 {
                 let center = 150.0 * (i % 16) as f64 + 10.0;
                 db.insert(MacAddr::from_index(i + 1), sig_with(&[(FrameKind::Data, center, 60)]))
@@ -2361,8 +2473,8 @@ mod tests {
         // `kind_keys` holds every key some shard holds — and no other: a
         // device that takes the last Beacon row with it takes the key
         // too, so sweeps stop packing candidate rows nothing can score.
-        for config in layouts() {
-            let mut db = ReferenceDb::with_config(config);
+        for (config, shards) in layouts() {
+            let mut db = empty_at(config, shards);
             db.insert(MacAddr::from_index(1), sig_with(&[(FrameKind::Data, 500.0, 30)])).unwrap();
             let unique = MacAddr::from_index(2);
             let with_beacon = sig_with(&[(FrameKind::Data, 300.0, 20), (FrameKind::Beacon, 100.0, 5)]);
@@ -2370,14 +2482,14 @@ mod tests {
             let bins = cfg().bins.bin_count();
             assert_eq!(db.kind_keys, vec![(FrameKind::Beacon, bins), (FrameKind::Data, bins)]);
             db.remove(&unique).unwrap();
-            assert_eq!(db.kind_keys, vec![(FrameKind::Data, bins)], "{config:?}");
+            assert_eq!(db.kind_keys, vec![(FrameKind::Data, bins)], "{config:?}/{shards}");
             let mut scratch = MatchScratch::new();
             db.match_tile(std::slice::from_ref(&with_beacon), SimilarityMeasure::Cosine, &mut scratch);
-            assert_eq!(scratch.kind_spans.len(), 1, "{config:?}: only the Data key is packed");
+            assert_eq!(scratch.kind_spans.len(), 1, "{config:?}/{shards}: only the Data key is packed");
             // The replace path drops a key the same way.
             db.insert(unique, with_beacon).unwrap();
             db.insert(unique, sig_with(&[(FrameKind::Data, 700.0, 10)])).unwrap();
-            assert_eq!(db.kind_keys, vec![(FrameKind::Data, bins)], "{config:?}: replace");
+            assert_eq!(db.kind_keys, vec![(FrameKind::Data, bins)], "{config:?}/{shards}: replace");
         }
     }
 
@@ -2394,6 +2506,24 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    /// Exact integer dot of two equal-length code rows: eight independent
+    /// `u32` partial sums over widened `u8` products, then the remainder.
+    fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
+        assert_eq!(a.len(), b.len());
+        let mut acc = [0u32; 8];
+        let chunks = a.len() / 8 * 8;
+        for (ca, cb) in a[..chunks].chunks_exact(8).zip(b[..chunks].chunks_exact(8)) {
+            for lane in 0..8 {
+                acc[lane] += u32::from(ca[lane]) * u32::from(cb[lane]);
+            }
+        }
+        let mut total: u32 = acc.iter().sum();
+        for (&x, &y) in a[chunks..].iter().zip(&b[chunks..]) {
+            total += u32::from(x) * u32::from(y);
+        }
+        total
     }
 
     // f32 ↔ f64 parity: the packed-f32 engine must track the all-f64
@@ -2446,9 +2576,9 @@ mod tests {
         ) {
             let c = cfg();
             let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
-            let config = MatchConfig { shards, precision };
-            let mut sharded = ReferenceDb::with_config(config);
-            let mut flat = ReferenceDb::with_config(MatchConfig::flat().with_precision(precision));
+            let config = MatchConfig { precision };
+            let mut sharded = empty_at(config, shards);
+            let mut flat = ReferenceDb::with_config(config);
             for (i, values) in per_device.iter().enumerate() {
                 let mut sig = Signature::new();
                 for (j, &v) in values.iter().enumerate() {
@@ -2483,18 +2613,18 @@ mod tests {
             prop_assert_eq!(tiled.len(), candidates.len());
             for ((cand, want_full), got_tiled) in candidates.iter().zip(&dense).zip(&tiled) {
                 let want = want_full.top(k);
-                let got = topk_one(&sharded, cand, k, &mut scratch);
+                let got = topk_one(&mut sharded, cand, k, &mut scratch);
                 prop_assert_eq!(&got, got_tiled);
                 prop_assert_eq!(got.len(), want.len());
                 prop_assert_eq!(
                     got.first().map(|&(d, _)| d),
                     want_full.best().map(|(d, _)| d),
-                    "argmax diverged under {:?}", config
+                    "argmax diverged under {:?} over {} shards", config, shards
                 );
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert_eq!(g.0, w.0);
                     prop_assert!((g.1 - w.1).abs() < F32_SCORE_TOLERANCE,
-                        "{} vs {} under {:?}", g.1, w.1, config);
+                        "{} vs {} under {:?} over {} shards", g.1, w.1, config, shards);
                 }
             }
         }
@@ -2511,9 +2641,8 @@ mod tests {
             shards in 1usize..13,
         ) {
             let c = cfg();
-            let base = MatchConfig::default().with_shards(shards);
-            let mut f32_db = ReferenceDb::with_config(base);
-            let mut u8_db = ReferenceDb::with_config(base.with_precision(RowPrecision::U8));
+            let mut f32_db = empty_at(MatchConfig::default(), shards);
+            let mut u8_db = empty_at(MatchConfig::quantized(), shards);
             for (i, values) in per_device.iter().enumerate() {
                 let mut sig = Signature::new();
                 for (j, &v) in values.iter().enumerate() {
@@ -2549,7 +2678,7 @@ mod tests {
             // The quantized pruned sweep agrees with the quantized dense
             // sweep (per-tier invariant, integer dots are exact).
             let mut scratch = MatchScratch::new();
-            let top = topk_one(&u8_db, &cand, 3, &mut scratch);
+            let top = topk_one(&mut u8_db, &cand, 3, &mut scratch);
             prop_assert_eq!(top, b.top(3));
         }
 
@@ -2586,9 +2715,9 @@ mod tests {
                 sig
             };
             let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
-            let config = MatchConfig::default().with_shards(shards).with_precision(precision);
+            let config = MatchConfig { precision };
             let candidates: Vec<Signature> = cand_tiles.iter().map(|v| signature(v)).collect();
-            let mut db = ReferenceDb::with_config(config);
+            let mut db = empty_at(config, shards);
             let mut mirror: BTreeMap<MacAddr, Signature> = BTreeMap::new();
             let (mut a, mut b) = (MatchScratch::new(), MatchScratch::new());
             for (op, device, values) in &ops {
@@ -2604,7 +2733,7 @@ mod tests {
                 // address the device landed.
                 let devices: Vec<MacAddr> = mirror.keys().copied().collect();
                 prop_assert_eq!(db.devices().collect::<Vec<_>>(), devices.clone());
-                let bulk = ReferenceDb::from_signatures_with(mirror.clone(), config);
+                let mut bulk = bulk_at(mirror.clone(), config, shards);
                 prop_assert!(
                     bulk.shards.iter().flat_map(|s| &s.blocks).all(|b| b.cap == b.slots()),
                     "a bulk build packs at exact size"
@@ -2653,7 +2782,8 @@ mod tests {
             };
             let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
             let candidates: Vec<Signature> = cand_tiles.iter().map(|v| signature(v)).collect();
-            let mut db = ReferenceDb::with_config(MatchConfig::flat().with_precision(precision));
+            let config = MatchConfig { precision };
+            let mut db = ReferenceDb::with_config(config);
             let mut mirror: BTreeMap<MacAddr, Signature> = BTreeMap::new();
             let (half, rest) = ops.split_at(ops.len() / 2);
             let apply = |db: &mut ReferenceDb,
@@ -2682,10 +2812,9 @@ mod tests {
             for &shards in &path {
                 let moved = shards != db.shard_count();
                 db.reshard(shards);
-                let config = MatchConfig { shards, precision };
                 prop_assert_eq!(db.config(), &config);
                 prop_assert_eq!(db.shard_count(), shards);
-                let bulk = ReferenceDb::from_signatures_with(mirror.clone(), config);
+                let bulk = bulk_at(mirror.clone(), config, shards);
                 prop_assert_eq!(&db.kind_keys, &bulk.kind_keys);
                 prop_assert_eq!(summaries(&db), summaries(&bulk));
                 prop_assert_eq!(db.row_bytes(), bulk.row_bytes());
@@ -2694,11 +2823,11 @@ mod tests {
                     "a re-layout packs at exact size"
                 );
                 let after = (dense(&db, &mut a), db.match_topk_tile(&candidates, 3, &mut a));
-                prop_assert_eq!(&after, &before, "{:?}", config);
+                prop_assert_eq!(&after, &before, "{:?} over {} shards", config, shards);
             }
             // Churn on the re-laid-out store still matches a bulk build.
             apply(&mut db, &mut mirror, rest);
-            let bulk = ReferenceDb::from_signatures_with(mirror, *db.config());
+            let mut bulk = bulk_at(mirror, config, db.shard_count());
             prop_assert_eq!(summaries(&db), summaries(&bulk));
             prop_assert_eq!(dense(&db, &mut a), dense(&bulk, &mut b));
             prop_assert_eq!(
@@ -2706,5 +2835,140 @@ mod tests {
                 bulk.match_topk_tile(&candidates, 3, &mut b)
             );
         }
+
+    // The u8 cosine sweep's scores are exact integer dots folded by one
+    // f64 epilogue, so they equal, with `==`, a per-pair oracle built on
+    // a dense scalar `u32` dot: per reference, ascending frame kind, the
+    // stored f32 weight times the clamped cosine of the two code rows.
+    #[test]
+    fn u8_match_tile_equals_a_per_pair_dot_u8_oracle(
+        per_device in prop::collection::vec(
+            prop::collection::vec(0.0f64..2400.0, 1..60), 1..12),
+        per_candidate in prop::collection::vec(
+            prop::collection::vec(0.0f64..2400.0, 0..60), 1..10),
+        shards in 1usize..5,
+    ) {
+        let cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime);
+        let signature = |values: &[f64]| {
+            let mut sig = Signature::new();
+            for (j, &v) in values.iter().enumerate() {
+                let kind = if j % 3 == 0 { FrameKind::ProbeReq } else { FrameKind::Data };
+                sig.record(kind, v, &cfg);
+            }
+            sig
+        };
+        let references: BTreeMap<MacAddr, Signature> = per_device
+            .iter()
+            .enumerate()
+            .map(|(i, values)| (MacAddr::from_index(i as u64 + 1), signature(values)))
+            .collect();
+        let mut db = empty_at(MatchConfig::quantized(), shards);
+        for (&device, sig) in &references {
+            db.insert(device, sig.clone()).unwrap();
+        }
+        let candidates: Vec<Signature> = per_candidate.iter().map(|v| signature(v)).collect();
+        let mut scratch = MatchScratch::new();
+        let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
+        for (ci, cand) in candidates.iter().enumerate() {
+            for (device, got) in tile.candidate(ci).similarities() {
+                let reference = &references[&device];
+                let mut want = 0.0f64;
+                for (kind, rh) in reference.iter() {
+                    let Some(ch) = cand.histogram(kind) else { continue };
+                    if ch.total() == 0 {
+                        continue;
+                    }
+                    let (cq, rq) = (ch.frequencies_u8(), rh.frequencies_u8());
+                    let dot = f64::from(dot_u8(cq.values(), rq.values()));
+                    let cos = (dot * f64::from(cq.inv_norm()) * f64::from(rq.inv_norm()))
+                        .clamp(0.0, 1.0);
+                    want += f64::from(reference.weight(kind) as f32) * cos;
+                }
+                prop_assert_eq!(got, want, "candidate {} vs {}", ci, device);
+            }
+        }
+    }
+
+    // The f32 cosine sweep is a column pass of ascending-bin f64 sums
+    // over a candidate's nonzero bins, with norms from fixed-order f64
+    // sums of squares. Every f32 × f32 product is exact in f64 and a zero
+    // bin adds exactly +0, so its scores equal, with `==`, a per-pair
+    // scalar oracle that walks every bin in order — on every host.
+    // Sparse, dense and all-zero candidates, at
+    // widths around the 32-lane boundary and the default 251 bins.
+    #[test]
+    fn f32_match_tile_equals_an_ascending_bin_f64_oracle(
+        per_device in prop::collection::vec(prop::collection::vec(0u64..4, 502), 1..12),
+        per_candidate in prop::collection::vec(
+            (prop::collection::vec(0u64..4, 502), 0u8..3), 1..10),
+        width in prop::sample::select(vec![1usize, 31, 32, 33, 251]),
+        shards in 1usize..5,
+    ) {
+        let spec = BinSpec::Uniform { min: 0.0, width: 1.0, count: width - 1 };
+        // Data reads the first half of `raw`, ProbeReq the second.
+        let signature = |raw: &[u64]| {
+            let mut entries = BTreeMap::new();
+            for (kind, counts) in
+                [(FrameKind::Data, &raw[..width]), (FrameKind::ProbeReq, &raw[251..251 + width])]
+            {
+                entries.insert(kind, Histogram::from_counts(spec.clone(), counts.to_vec()));
+            }
+            Signature::from_histograms(entries)
+        };
+        let references: BTreeMap<MacAddr, Signature> = per_device
+            .iter()
+            .enumerate()
+            .map(|(i, raw)| {
+                let mut raw = raw.clone();
+                raw[0] = raw[0].max(1); // never an empty signature
+                (MacAddr::from_index(i as u64 + 1), signature(&raw))
+            })
+            .collect();
+        let mut db = empty_at(MatchConfig::default(), shards);
+        for (&device, sig) in &references {
+            db.insert(device, sig.clone()).unwrap();
+        }
+        // Density 0 is an all-zero candidate, 1 a fully dense one (no
+        // zero bin), 2 a sparse one keeping about one bin in four.
+        let candidates: Vec<Signature> = per_candidate
+            .iter()
+            .map(|(raw, density)| {
+                let raw: Vec<u64> = raw
+                    .iter()
+                    .map(|&c| match density {
+                        0 => 0,
+                        1 => c.max(1),
+                        _ => u64::from(c == 3),
+                    })
+                    .collect();
+                signature(&raw)
+            })
+            .collect();
+        let inv_norm = |row: &[f32]| {
+            let norm_sq = row.iter().fold(0.0, |acc, &x| acc + f64::from(x) * f64::from(x));
+            if norm_sq > 0.0 { f64::from((1.0 / norm_sq.sqrt()) as f32) } else { 0.0 }
+        };
+        let mut scratch = MatchScratch::new();
+        let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
+        for (ci, cand) in candidates.iter().enumerate() {
+            for (device, got) in tile.candidate(ci).similarities() {
+                let reference = &references[&device];
+                let mut want = 0.0f64;
+                for (kind, rh) in reference.iter() {
+                    let Some(ch) = cand.histogram(kind) else { continue };
+                    if ch.total() == 0 || rh.total() == 0 {
+                        continue;
+                    }
+                    let (c, r) = (ch.frequencies_f32(), rh.frequencies_f32());
+                    let dot = c.iter().zip(&r).fold(0.0, |acc, (&x, &y)| {
+                        acc + f64::from(x) * f64::from(y)
+                    });
+                    let cos = (dot * inv_norm(&c) * inv_norm(&r)).clamp(0.0, 1.0);
+                    want += f64::from(reference.weight(kind) as f32) * cos;
+                }
+                prop_assert_eq!(got, want, "candidate {} vs {} at width {}", ci, device, width);
+            }
+        }
+    }
     }
 }

@@ -71,14 +71,6 @@ impl NetworkParameter {
             NetworkParameter::InterArrivalTime => "inter-arrival-time",
         }
     }
-
-    /// `true` for the parameters that need the previous frame's timestamp.
-    pub const fn needs_history(self) -> bool {
-        matches!(
-            self,
-            NetworkParameter::MediumAccessTime | NetworkParameter::InterArrivalTime
-        )
-    }
 }
 
 impl fmt::Display for NetworkParameter {

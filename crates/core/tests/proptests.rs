@@ -1,14 +1,13 @@
 //! Property tests for histograms, the cosine similarity and metrics — the
 //! similarity properties run against the dense frequency view
-//! ([`Histogram::frequencies`]) and the SoA matching engine, whose `f32`
-//! and `u8` sweeps are pinned to per-pair scalar oracles.
-
-use std::collections::BTreeMap;
+//! ([`Histogram::frequencies`]) and the SoA matching engine's tile
+//! sweep. The per-pair scalar oracles of its `f32` and `u8` sweeps run
+//! in the `matching` unit tests, over every shard layout.
 
 use proptest::prelude::*;
 use wifiprint_core::metrics::{identification_points, similarity_curve, MatchSet};
 use wifiprint_core::{
-    BinSpec, EvalConfig, FrameFilter, FusedExtractor, Histogram, MatchConfig,
+    BinSpec, EvalConfig, FrameFilter, FusedExtractor, Histogram,
     MatchScratch, NetworkParameter, ParameterExtractor, ReferenceDb, Signature,
     SimilarityMeasure, TxTimeEstimator,
 };
@@ -56,24 +55,6 @@ fn arb_match_set() -> impl Strategy<Value = MatchSet> {
             wrong_sims: wrong,
         }
     })
-}
-
-/// Exact integer dot of two equal-length code rows: eight independent
-/// `u32` partial sums over widened `u8` products, then the remainder.
-fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
-    assert_eq!(a.len(), b.len());
-    let mut acc = [0u32; 8];
-    let chunks = a.len() / 8 * 8;
-    for (ca, cb) in a[..chunks].chunks_exact(8).zip(b[..chunks].chunks_exact(8)) {
-        for lane in 0..8 {
-            acc[lane] += u32::from(ca[lane]) * u32::from(cb[lane]);
-        }
-    }
-    let mut total: u32 = acc.iter().sum();
-    for (&x, &y) in a[chunks..].iter().zip(&b[chunks..]) {
-        total += u32::from(x) * u32::from(y);
-    }
-    total
 }
 
 proptest! {
@@ -270,141 +251,6 @@ proptest! {
         for (cand, got) in candidates.iter().zip(tiled) {
             let want = db.match_tile(std::slice::from_ref(cand), m, &mut single_scratch);
             prop_assert_eq!(got, want.candidate(0).similarities().collect::<Vec<_>>(), "{}", m);
-        }
-    }
-
-    // The u8 cosine sweep's scores are exact integer dots folded by one
-    // f64 epilogue, so they equal, with `==`, a per-pair oracle built on
-    // a dense scalar `u32` dot: per reference, ascending frame kind, the
-    // stored f32 weight times the clamped cosine of the two code rows.
-    #[test]
-    fn u8_match_tile_equals_a_per_pair_dot_u8_oracle(
-        per_device in prop::collection::vec(
-            prop::collection::vec(0.0f64..2400.0, 1..60), 1..12),
-        per_candidate in prop::collection::vec(
-            prop::collection::vec(0.0f64..2400.0, 0..60), 1..10),
-        shards in 1usize..5,
-    ) {
-        let cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime);
-        let signature = |values: &[f64]| {
-            let mut sig = Signature::new();
-            for (j, &v) in values.iter().enumerate() {
-                let kind = if j % 3 == 0 { FrameKind::ProbeReq } else { FrameKind::Data };
-                sig.record(kind, v, &cfg);
-            }
-            sig
-        };
-        let references: BTreeMap<MacAddr, Signature> = per_device
-            .iter()
-            .enumerate()
-            .map(|(i, values)| (MacAddr::from_index(i as u64 + 1), signature(values)))
-            .collect();
-        let mut db = ReferenceDb::with_config(MatchConfig::quantized().with_shards(shards));
-        for (&device, sig) in &references {
-            db.insert(device, sig.clone()).unwrap();
-        }
-        let candidates: Vec<Signature> = per_candidate.iter().map(|v| signature(v)).collect();
-        let mut scratch = MatchScratch::new();
-        let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
-        for (ci, cand) in candidates.iter().enumerate() {
-            for (device, got) in tile.candidate(ci).similarities() {
-                let reference = &references[&device];
-                let mut want = 0.0f64;
-                for (kind, rh) in reference.iter() {
-                    let Some(ch) = cand.histogram(kind) else { continue };
-                    if ch.total() == 0 {
-                        continue;
-                    }
-                    let (cq, rq) = (ch.frequencies_u8(), rh.frequencies_u8());
-                    let dot = f64::from(dot_u8(cq.values(), rq.values()));
-                    let cos = (dot * f64::from(cq.inv_norm()) * f64::from(rq.inv_norm()))
-                        .clamp(0.0, 1.0);
-                    want += f64::from(reference.weight(kind) as f32) * cos;
-                }
-                prop_assert_eq!(got, want, "candidate {} vs {}", ci, device);
-            }
-        }
-    }
-
-    // The f32 cosine sweep is a column pass of ascending-bin f64 sums
-    // over a candidate's nonzero bins, with norms from fixed-order f64
-    // sums of squares. Every f32 × f32 product is exact in f64 and a zero
-    // bin adds exactly +0, so its scores equal, with `==`, a per-pair
-    // scalar oracle that walks every bin in order — on every host.
-    // Sparse, dense and all-zero candidates, at
-    // widths around the 32-lane boundary and the default 251 bins.
-    #[test]
-    fn f32_match_tile_equals_an_ascending_bin_f64_oracle(
-        per_device in prop::collection::vec(prop::collection::vec(0u64..4, 502), 1..12),
-        per_candidate in prop::collection::vec(
-            (prop::collection::vec(0u64..4, 502), 0u8..3), 1..10),
-        width in prop::sample::select(vec![1usize, 31, 32, 33, 251]),
-        shards in 1usize..5,
-    ) {
-        let spec = BinSpec::Uniform { min: 0.0, width: 1.0, count: width - 1 };
-        // Data reads the first half of `raw`, ProbeReq the second.
-        let signature = |raw: &[u64]| {
-            let mut entries = BTreeMap::new();
-            for (kind, counts) in
-                [(FrameKind::Data, &raw[..width]), (FrameKind::ProbeReq, &raw[251..251 + width])]
-            {
-                entries.insert(kind, Histogram::from_counts(spec.clone(), counts.to_vec()));
-            }
-            Signature::from_histograms(entries)
-        };
-        let references: BTreeMap<MacAddr, Signature> = per_device
-            .iter()
-            .enumerate()
-            .map(|(i, raw)| {
-                let mut raw = raw.clone();
-                raw[0] = raw[0].max(1); // never an empty signature
-                (MacAddr::from_index(i as u64 + 1), signature(&raw))
-            })
-            .collect();
-        let mut db = ReferenceDb::with_config(MatchConfig::default().with_shards(shards));
-        for (&device, sig) in &references {
-            db.insert(device, sig.clone()).unwrap();
-        }
-        // Density 0 is an all-zero candidate, 1 a fully dense one (no
-        // zero bin), 2 a sparse one keeping about one bin in four.
-        let candidates: Vec<Signature> = per_candidate
-            .iter()
-            .map(|(raw, density)| {
-                let raw: Vec<u64> = raw
-                    .iter()
-                    .map(|&c| match density {
-                        0 => 0,
-                        1 => c.max(1),
-                        _ => u64::from(c == 3),
-                    })
-                    .collect();
-                signature(&raw)
-            })
-            .collect();
-        let inv_norm = |row: &[f32]| {
-            let norm_sq = row.iter().fold(0.0, |acc, &x| acc + f64::from(x) * f64::from(x));
-            if norm_sq > 0.0 { f64::from((1.0 / norm_sq.sqrt()) as f32) } else { 0.0 }
-        };
-        let mut scratch = MatchScratch::new();
-        let tile = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut scratch);
-        for (ci, cand) in candidates.iter().enumerate() {
-            for (device, got) in tile.candidate(ci).similarities() {
-                let reference = &references[&device];
-                let mut want = 0.0f64;
-                for (kind, rh) in reference.iter() {
-                    let Some(ch) = cand.histogram(kind) else { continue };
-                    if ch.total() == 0 || rh.total() == 0 {
-                        continue;
-                    }
-                    let (c, r) = (ch.frequencies_f32(), rh.frequencies_f32());
-                    let dot = c.iter().zip(&r).fold(0.0, |acc, (&x, &y)| {
-                        acc + f64::from(x) * f64::from(y)
-                    });
-                    let cos = (dot * inv_norm(&c) * inv_norm(&r)).clamp(0.0, 1.0);
-                    want += f64::from(reference.weight(kind) as f32) * cos;
-                }
-                prop_assert_eq!(got, want, "candidate {} vs {} at width {}", ci, device, width);
-            }
         }
     }
 

@@ -24,18 +24,6 @@ impl FrameType {
             FrameType::Data => 2,
         }
     }
-
-    /// Decodes the two-bit type field; `3` is reserved and yields `None`.
-    #[inline]
-    #[must_use] 
-    pub const fn from_bits(bits: u8) -> Option<FrameType> {
-        match bits & 0b11 {
-            0 => Some(FrameType::Management),
-            1 => Some(FrameType::Control),
-            2 => Some(FrameType::Data),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for FrameType {

@@ -318,13 +318,6 @@ impl Frame {
         self
     }
 
-    /// Replaces the body bytes and returns `self`.
-    #[must_use] 
-    pub fn with_body(mut self, body: Vec<u8>) -> Self {
-        self.body = body;
-        self
-    }
-
     // ----- accessors -------------------------------------------------------
 
     /// The frame control field.

@@ -113,13 +113,6 @@ impl Rate {
         f64::from(self.0) / 2.0
     }
 
-    /// The rate in bits per microsecond (equals Mb/s numerically).
-    #[inline]
-    #[must_use] 
-    pub fn bits_per_micro(self) -> f64 {
-        self.mbps()
-    }
-
     /// Which modulation family this rate uses.
     ///
     /// Note 11 Mb/s (raw 22) is CCK while 12 Mb/s (raw 24) is OFDM.
@@ -143,12 +136,6 @@ impl Rate {
             Modulation::Dsss => 0,
             Modulation::Ofdm => self.0 as u32 * 2,
         }
-    }
-
-    /// `true` if this is one of the twelve standard 802.11b/g rates.
-    #[must_use] 
-    pub fn is_standard_bg(self) -> bool {
-        Rate::ALL_BG.contains(&self)
     }
 
     /// The highest standard rate less than or equal to `self` in the given

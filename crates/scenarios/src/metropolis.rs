@@ -107,9 +107,10 @@ impl MetropolisScenario {
         self.observe(idx, day.wrapping_add(1))
     }
 
-    /// Builds the enrolled reference database under a given shard
-    /// layout. Insertion streams device by device (the store's amortised
-    /// append path), exactly like online enrollment would.
+    /// Builds the enrolled reference database at a given row precision.
+    /// Insertion streams device by device (the store's amortised append
+    /// path), exactly like online enrollment would; the store grows its
+    /// shards in its first pruned sweep.
     ///
     /// # Panics
     ///
@@ -234,11 +235,12 @@ mod tests {
     /// The CI smoke test for the sharded store at (scaled-down)
     /// metropolis scale: pruned top-k decisions equal the dense sweep's
     /// on every probe, most shards are actually pruned, and
-    /// re-observation still identifies the right device.
+    /// re-observation still identifies the right device. The first
+    /// pruned sweep grows the store to 8 shards (2 000 rows).
     #[test]
     fn metropolis_pruned_sweep_matches_dense_and_prunes() {
         let scenario = MetropolisScenario::with_devices(11, 2000);
-        let db = scenario.reference_db(MatchConfig::default().with_shards(32));
+        let mut db = scenario.reference_db(MatchConfig::default());
         assert_eq!(db.len(), 2000);
         let mut scratch = MatchScratch::new();
         let mut pruned_total = 0usize;
@@ -257,6 +259,7 @@ mod tests {
                 self_hits += 1;
             }
         }
+        assert_eq!(db.shard_count(), 8);
         assert!(
             pruned_total > swept_total,
             "expected most shards pruned at metropolis scale: {pruned_total} pruned vs {swept_total} swept"
@@ -275,9 +278,8 @@ mod tests {
     fn metropolis_tile_sweep_prunes_half_at_k8() {
         let scenario = MetropolisScenario::with_devices(11, 2000);
         for precision in [RowPrecision::F32, RowPrecision::U8] {
-            let db = scenario.reference_db(
-                MatchConfig::default().with_shards(32).with_precision(precision),
-            );
+            let mut db =
+                scenario.reference_db(MatchConfig::default().with_precision(precision));
             let mut scratch = MatchScratch::new();
             let cands: Vec<Signature> =
                 (0..8).map(|i| scenario.candidate(i * 251, 3)).collect();
@@ -328,7 +330,7 @@ mod tests {
         // Loss 0 is bit-identical to the pristine scenario.
         assert_eq!(clean.clone().with_capture_loss(0.0).signature(7), clean.signature(7));
 
-        let db = clean.reference_db(MatchConfig::default().with_shards(16));
+        let mut db = clean.reference_db(MatchConfig::default());
         let mut scratch = MatchScratch::new();
         let mut self_hits = 0usize;
         let probes: Vec<usize> = (0..1000).step_by(97).collect();

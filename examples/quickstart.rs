@@ -94,13 +94,14 @@ fn main() {
         println!("no detection window produced a qualifying candidate; try a longer capture");
     }
 
-    // 5. Beyond the paper: the reference store is sharded
-    //    (dominant-histogram locality buckets, MatchConfig), so a
+    // 5. Beyond the paper: the pruned top-k sweep shards the reference
+    //    store by dominant-histogram locality, growing the shard count
+    //    with the row count (32 shards for 5 000 devices), so a
     //    metropolis-scale population answers "who is this?" without
     //    sweeping every enrolled row — shards whose summary cannot beat
     //    the current top-k are pruned before any column is swept.
     let metropolis = MetropolisScenario::with_devices(7, 5_000);
-    let db = metropolis.reference_db(MatchConfig::default().with_shards(64));
+    let mut db = metropolis.reference_db(MatchConfig::default());
     let mut scratch = MatchScratch::new();
     let probe = metropolis.candidate(1234, 3);
     let tops =

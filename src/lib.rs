@@ -106,12 +106,13 @@
 //!
 //! Underneath every engine sits a **sharded** [`core::ReferenceDb`]:
 //! rows are bucketed by a locality-sensitive key of each device's
-//! dominant histogram (MAC-prefix hashing as the fallback strategy),
-//! selectable via [`core::MatchConfig`] and threaded through every
-//! configuration layer ([`core::EvalConfig`], [`core::MultiConfig`],
-//! [`analysis::PipelineConfig`]). The dense sweeps the engine runs are
-//! bit-for-bit the flat single-matrix sweep — sharding never changes a
-//! decision — while the pruned [`core::ReferenceDb::match_topk_tile`] sweep
+//! dominant histogram. The store sizes its own shards: it starts flat,
+//! and the pruned sweep grows the shard count from the row count (up to
+//! 64). [`core::MatchConfig`] picks only the row precision, threaded
+//! through [`core::MultiConfig`] and [`analysis::PipelineConfig`]. The
+//! dense sweeps the engine runs are bit-for-bit the flat single-matrix
+//! sweep — sharding never changes a decision — while the pruned
+//! [`core::ReferenceDb::match_topk_tile`] sweep
 //! uses per-shard summaries (upper envelope of the normalised rows +
 //! max weight) to skip every shard whose best possible score cannot
 //! beat the current top-k: at 10⁵ enrolled devices

@@ -475,104 +475,3 @@ fn windows_shrink_when_traffic_is_sparse() {
     assert!(n > 0);
 }
 
-#[test]
-fn sharded_references_leave_multi_engine_decisions_unchanged() {
-    // The acceptance equivalence for the sharded-store refactor: a
-    // MultiEngine whose trained references use the sharded layout (any
-    // shard count) must emit exactly the decisions of one using the flat
-    // single-matrix layout — same event sequence, same per-parameter and
-    // fused scores — on both of the paper's trace shapes.
-    let traces = [
-        ("office", OfficeScenario::small(5, 300, 10).run_collect()),
-        ("conference", ConferenceScenario::small(7, 300, 12).run_collect()),
-    ];
-    let layouts = [
-        ("default-shards", MatchConfig::default()),
-        ("3-shards", MatchConfig::default().with_shards(3)),
-    ];
-    for (name, trace) in traces {
-        let run = |match_config: MatchConfig| {
-            let mcfg = MultiConfig::default()
-                .with_min_observations(50)
-                .with_window(Nanos::from_secs(50))
-                .with_match_config(match_config);
-            let mut engine = MultiEngine::builder()
-                .spec(FusionSpec::all_equal())
-                .config(mcfg)
-                .train_for(Nanos::from_secs(100))
-                .build()
-                .expect("valid engine configuration");
-            let mut events = engine.observe_all(&trace.frames).expect("in-order frames");
-            events.extend(engine.finish().expect("first finish"));
-            assert!(
-                engine
-                    .spec()
-                    .parameters()
-                    .all(|p| engine.reference(p).is_some_and(|db| db.shard_count() == 1)),
-                "{name}: the engine keeps its references flat whatever the configured shards"
-            );
-            events
-        };
-        let flat = run(MatchConfig::flat());
-        for (layout, config) in layouts {
-            let sharded = run(config);
-            assert_eq!(flat.len(), sharded.len(), "{name}/{layout}: event count");
-            let mut decisions = 0usize;
-            for (a, b) in flat.iter().zip(&sharded) {
-                match (a, b) {
-                    (
-                        MultiEvent::Enrolled { device: da, observations: oa },
-                        MultiEvent::Enrolled { device: db_, observations: ob },
-                    ) => {
-                        assert_eq!((da, oa), (db_, ob), "{name}/{layout}: enrollment");
-                    }
-                    (
-                        MultiEvent::FusedMatch {
-                            window: wa, device: da, scores: sa, fused: fa, ..
-                        },
-                        MultiEvent::FusedMatch {
-                            window: wb, device: db_, scores: sb, fused: fb, ..
-                        },
-                    )
-                    | (
-                        MultiEvent::FusedNewDevice {
-                            window: wa, device: da, scores: sa, fused: fa, ..
-                        },
-                        MultiEvent::FusedNewDevice {
-                            window: wb, device: db_, scores: sb, fused: fb, ..
-                        },
-                    ) => {
-                        assert_eq!((wa, da), (wb, db_), "{name}/{layout}: decision identity");
-                        assert_eq!(sa.len(), sb.len(), "{name}/{layout}: parameter count");
-                        for (pa, pb) in sa.iter().zip(sb) {
-                            assert_eq!(pa.parameter, pb.parameter, "{name}/{layout}");
-                            assert_eq!(pa.known, pb.known, "{name}/{layout}");
-                            // The sharded dense sweep is bit-identical to
-                            // the flat one — exact equality, no tolerance.
-                            assert_eq!(
-                                pa.view.similarities().collect::<Vec<_>>(),
-                                pb.view.similarities().collect::<Vec<_>>(),
-                                "{name}/{layout}/{}: per-parameter scores",
-                                pa.parameter
-                            );
-                        }
-                        assert_eq!(
-                            fa.as_ref().map(|f| f.similarities().collect::<Vec<_>>()),
-                            fb.as_ref().map(|f| f.similarities().collect::<Vec<_>>()),
-                            "{name}/{layout}: fused scores"
-                        );
-                        decisions += 1;
-                    }
-                    (
-                        MultiEvent::WindowClosed { window: wa, candidates: ca, .. },
-                        MultiEvent::WindowClosed { window: wb, candidates: cb, .. },
-                    ) => {
-                        assert_eq!((wa, ca), (wb, cb), "{name}/{layout}: window terminator");
-                    }
-                    other => panic!("{name}/{layout}: event sequences diverged: {other:?}"),
-                }
-            }
-            assert!(decisions > 0, "{name}/{layout}: equivalence must cover real decisions");
-        }
-    }
-}
