@@ -6,10 +6,10 @@
 //! signatures over in [`MultiEvent::FusedNewDevice`] events, and this
 //! module is the consumer that closes the loop. A
 //! [`RotationLinker`] maintains a **gallery** of retained identities —
-//! one internal sharded [`ReferenceDb`] per fused parameter, so the hot
-//! path reuses the summary-pruned [`ReferenceDb::match_topk_tile`] sweep —
-//! and decides, per sighting of an unknown MAC, whether the behaviour
-//! behind it is an identity it already knows:
+//! one internal [`ReferenceDb`] per fused parameter, so the hot path
+//! reuses the store's own sweeps — and decides, per sighting of an
+//! unknown MAC, whether the behaviour behind it is an identity it
+//! already knows:
 //!
 //! * **MAC binding fast path** — an address the linker has already bound
 //!   re-links in one map lookup, no gallery sweep;
@@ -18,27 +18,35 @@
 //!   ([`MacAddr::is_locally_administered`]), so it founds (or re-links)
 //!   its own identity without paying for a sweep; only
 //!   randomized-looking addresses reach the gallery;
-//! * **pruned gallery sweep** — each qualifying per-parameter candidate
-//!   signature is ranked against that parameter's gallery via
-//!   [`ReferenceDb::match_topk_tile`] and the per-parameter scores are
-//!   combined under the configured [`FusionSpec`] weights; the fused
-//!   best either links ([`LinkEvent::Linked`], at or above
+//! * **exact fused gallery sweep** — every retained identity is ranked by
+//!   its [`FusionSpec`] weighted average `Σ w·sim / Σ w` over the
+//!   parameters the sighting has a qualifying signature for (an identity
+//!   with no gallery row for a parameter scores 0 there). A
+//!   multi-parameter spec runs one dense [`ReferenceDb::match_tile`] per
+//!   such parameter and adds its view into one fused score per identity
+//!   with the engine's own fusion arithmetic (same seed, spec order and
+//!   per-term division), then takes the best few in one pass. A
+//!   one-parameter spec's fused score is its one term, so it keeps the
+//!   pruned [`ReferenceDb::match_topk_tile`] over its gallery's rows.
+//!   The fused best either links ([`LinkEvent::Linked`], at or above
 //!   [`LinkerConfig::accept_threshold`] with a clear
 //!   [`LinkerConfig::ambiguity_margin`] over the runner-up), stays
 //!   undecided ([`LinkEvent::Ambiguous`], above threshold but inside the
 //!   margin), or founds a fresh identity ([`LinkEvent::NewIdentity`]).
 //!
-//! Each gallery starts as one flat shard, and the pruned sweep grows its
-//! shard count from its row count as it fills (see
-//! [`ReferenceDb::match_topk_tile`]): a small gallery is cheapest to
-//! sweep whole, a large one needs shards for the bound to prune. Sweeps
-//! rank the same under any layout, so growth changes no decision.
+//! Each gallery starts as one flat shard. A dense sweep scores every row
+//! in any layout and never changes it, so multi-parameter galleries stay
+//! flat. The pruned sweep grows a one-parameter gallery's shard count
+//! from its row count as it fills (see [`ReferenceDb::match_topk_tile`]):
+//! a small gallery is cheapest to sweep whole, a large one needs shards
+//! for the bound to prune. Sweeps rank the same under any layout, so
+//! growth changes no decision.
 //!
 //! Retained identities are bounded by a hard gallery cap
 //! (least-recently-seen eviction), and every decision and
 //! sweep cost is counted into a [`LinkerStats`] snapshot — including the
-//! pruned-shard accounting from [`MatchScratch::prune_stats`], so the
-//! linking cost is visible right next to its accuracy.
+//! shard accounting from [`MatchScratch::prune_stats`], so the linking
+//! cost is visible right next to its accuracy.
 //!
 //! # Example
 //!
@@ -73,10 +81,11 @@ use std::collections::BTreeSet;
 use wifiprint_ieee80211::{MacAddr, Nanos};
 
 use crate::error::CoreError;
-use crate::fusion::FusionSpec;
-use crate::matching::{MatchConfig, MatchScratch, ReferenceDb};
+use crate::fusion::{add_term, floored_sum, fused_seed, FusionSpec};
+use crate::matching::{MatchConfig, MatchScratch, PruneStats, ReferenceDb};
 use crate::params::NetworkParameter;
 use crate::signature::Signature;
+use crate::similarity::SimilarityMeasure;
 
 use super::multi::MultiEvent;
 
@@ -98,6 +107,10 @@ pub struct LinkerConfig {
     /// per-parameter gallery scores fuse). Defaults to
     /// [`FusionSpec::all_equal`] — the [`MultiEngine`](super::MultiEngine)
     /// shape; single-parameter deployments use [`FusionSpec::single`].
+    /// A multi-parameter spec ranks every retained identity by its exact
+    /// fused score, one dense sweep per parameter, so its cost grows
+    /// linearly with the retained identities; a one-parameter spec runs
+    /// the pruned sweep.
     pub spec: FusionSpec,
     /// Minimum fused gallery score to link a sighting to a retained
     /// identity (cosine-weighted, in `[0, 1]`).
@@ -119,13 +132,16 @@ pub struct LinkerConfig {
     pub update_on_link: bool,
     /// Row precision of the per-parameter gallery databases. The
     /// shard count is not an option: each gallery starts flat (one
-    /// shard, nothing to prune), and its pruned sweep grows the shard
-    /// count from the row count — one shard below 256 rows, two from 256,
-    /// four from 512, up to 64 from 8 192 — and evictions never shrink it
-    /// (see [`ReferenceDb::match_topk_tile`]). Sharding is what makes the
+    /// shard, nothing to prune). Only a one-parameter spec's gallery
+    /// grows shards: its pruned sweep doubles the shard count from the
+    /// row count — one shard below 256 rows, two from 256, four from 512,
+    /// up to 64 from 8 192 — and evictions never shrink it (see
+    /// [`ReferenceDb::match_topk_tile`]). Sharding is what makes the
     /// pruned sweep prune on a large gallery; on a small one, visiting
-    /// many near-empty shards costs more than the bound saves. The sweeps
-    /// rank the same under any layout, so growth changes no decision.
+    /// many near-empty shards costs more than the bound saves. A
+    /// multi-parameter spec's dense sweeps score every row in any layout,
+    /// so its galleries stay flat. The sweeps rank the same under any
+    /// layout, so growth changes no decision.
     pub match_config: MatchConfig,
 }
 
@@ -269,7 +285,7 @@ impl LinkEvent {
 }
 
 /// Counter snapshot of a [`RotationLinker`]'s work: every decision,
-/// eviction and pruned-sweep cost since construction.
+/// eviction and gallery-sweep cost since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkerStats {
     /// Sightings observed.
@@ -295,14 +311,18 @@ pub struct LinkerStats {
     /// databases).
     pub gallery_rows: usize,
     /// Gallery shards actually scored across all sweeps
-    /// ([`MatchScratch::prune_stats`], accumulated).
+    /// ([`MatchScratch::prune_stats`], accumulated): every occupied shard
+    /// of a multi-parameter spec's dense sweeps, and the shards a
+    /// one-parameter spec's pruned sweeps did not skip.
     pub shards_swept: u64,
-    /// Gallery shards skipped by the admissible score bound.
+    /// Gallery shards a one-parameter spec's pruned sweeps skipped by the
+    /// admissible score bound (a dense sweep skips none).
     pub shards_pruned: u64,
 }
 
 impl LinkerStats {
-    /// Fraction of gallery shards the pruned sweeps skipped.
+    /// Fraction of gallery shards the sweeps skipped: 0 for a
+    /// multi-parameter spec, whose sweeps are dense.
     pub fn pruned_fraction(&self) -> f64 {
         let total = self.shards_swept + self.shards_pruned;
         if total == 0 {
@@ -338,6 +358,9 @@ pub struct RotationLinker {
     /// One gallery database per spec parameter (same order).
     galleries: Vec<ReferenceDb>,
     identities: BTreeMap<u64, IdentityRecord>,
+    /// The retained identities' gallery keys, ascending (in step with
+    /// `identities`): the identity universe a dense sweep fuses over.
+    identity_keys: Vec<MacAddr>,
     /// Exact MAC → identity bindings (the fast path).
     bindings: BTreeMap<MacAddr, u64>,
     /// Least-recently-seen index over the identities, for cap eviction
@@ -345,12 +368,12 @@ pub struct RotationLinker {
     by_last_seen: BTreeSet<(Nanos, u64)>,
     next_id: u64,
     scratch: MatchScratch,
-    /// Reused fused-score accumulator (identity → weighted score sum).
-    acc: BTreeMap<u64, f64>,
+    /// Reused fused scores, one per entry of `identity_keys`.
+    fused: Vec<f64>,
     stats: LinkerStats,
 }
 
-/// Gallery candidates ranked per parameter sweep (the pruned top-`k`).
+/// Identities a sweep ranks (the best `TOPK` by fused score).
 const TOPK: usize = 4;
 // The ambiguity margin compares the best identity with a runner-up.
 const _: () = assert!(TOPK >= 2);
@@ -396,11 +419,12 @@ impl RotationLinker {
             params,
             galleries,
             identities: BTreeMap::new(),
+            identity_keys: Vec::new(),
             bindings: BTreeMap::new(),
             by_last_seen: BTreeSet::new(),
             next_id: 0,
             scratch: MatchScratch::new(),
-            acc: BTreeMap::new(),
+            fused: Vec::new(),
             stats: LinkerStats::default(),
             cfg,
         })
@@ -512,7 +536,7 @@ impl RotationLinker {
     }
 
     /// The counter snapshot: decisions, evictions, resident gallery
-    /// size and the accumulated pruned-sweep accounting.
+    /// size and the accumulated sweep accounting.
     pub fn stats(&self) -> LinkerStats {
         let mut stats = self.stats;
         stats.identities_retained = self.identities.len();
@@ -520,41 +544,79 @@ impl RotationLinker {
         stats
     }
 
-    /// Ranks the gallery against the sighting's signatures: one pruned
-    /// top-k sweep per spec parameter with a qualifying signature,
-    /// fused under the spec weights (identities missing from a
-    /// parameter's top-k contribute zero for it — conservative).
-    /// Returns the ranked `(identity, fused score)` pairs, empty unless
-    /// at least one parameter with a nonzero weight was scored.
+    /// Ranks the retained identities against the sighting's signatures
+    /// by their exact fused score: per spec parameter with a qualifying
+    /// signature, `w · sim / Σw` in spec order, where `Σw` sums those
+    /// parameters' weights and an identity without a row in a parameter's
+    /// gallery scores 0 there. Returns the best [`TOPK`] `(identity,
+    /// fused score)` pairs by descending score, ties toward the lower
+    /// identity; empty unless at least one parameter with a nonzero
+    /// weight was scored.
+    ///
+    /// A multi-parameter spec ranks every retained identity: one dense
+    /// sweep per parameter, added into the fused scores as it finishes.
+    /// A one-parameter spec's fused score is its one term, so its pruned
+    /// sweep ranks the identities its gallery holds (one without a row
+    /// would score 0 and is not listed).
     fn sweep(&mut self, signatures: &[(NetworkParameter, Signature)]) -> Vec<(u64, f64)> {
-        self.acc.clear();
-        let mut weight_total = 0.0f64;
-        for (&(param, weight), db) in self.params.iter().zip(&mut self.galleries) {
-            let Some(sig) = signature_for(signatures, param) else { continue };
-            weight_total += weight;
-            if db.is_empty() {
-                continue;
-            }
-            let tops = db
-                .match_topk_tile(std::slice::from_ref(sig), TOPK, &mut self.scratch)
-                .pop()
-                .unwrap_or_default();
-            let prune = self.scratch.prune_stats();
-            self.stats.shards_swept += prune.swept_shards as u64;
-            self.stats.shards_pruned += prune.pruned_shards as u64;
-            for (key, score) in tops {
-                *self.acc.entry(key_id(key)).or_insert(0.0) += weight * score;
-            }
-        }
-        if weight_total <= 0.0 {
+        let RotationLinker { params, galleries, identity_keys, scratch, fused, stats, .. } = self;
+        // `(gallery index, signature, weight)` per parameter with a qualifying
+        // signature, in spec order.
+        let present = || {
+            params
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &(p, w))| Some((i, signature_for(signatures, p)?, w)))
+        };
+        if !present().any(|(.., w)| w > 0.0) {
             return Vec::new();
         }
-        let mut ranked: Vec<(u64, f64)> =
-            self.acc.iter().map(|(&id, &sum)| (id, sum / weight_total)).collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
-        });
-        ranked.truncate(TOPK);
+        let weight_sum = floored_sum(present().map(|(.., w)| w));
+        let mut count = |prune: PruneStats| {
+            stats.shards_swept += prune.swept_shards as u64;
+            stats.shards_pruned += prune.pruned_shards as u64;
+        };
+        if params.len() == 1 {
+            let (_, sig, w) = present().next().expect("the one parameter is present");
+            let tops = galleries[0].match_topk_tile(std::slice::from_ref(sig), TOPK, scratch);
+            count(scratch.prune_stats());
+            return tops
+                .into_iter()
+                .flatten()
+                .map(|(key, sim)| (key_id(key), fused_seed() + w * sim / weight_sum))
+                .collect();
+        }
+        fused.clear();
+        fused.resize(identity_keys.len(), fused_seed());
+        for (i, sig, w) in present() {
+            let candidate = std::slice::from_ref(sig);
+            let tile = galleries[i].match_tile(candidate, SimilarityMeasure::Cosine, scratch);
+            let view = tile.candidate(0);
+            if view.devices().len() == identity_keys.len() {
+                // Every gallery key is a retained identity's, so a gallery
+                // as long as the universe is the universe.
+                add_term(fused, w, weight_sum, view.scores.iter().copied());
+            } else {
+                let mut rows = view.similarities().peekable();
+                let aligned = identity_keys.iter().map(|key| {
+                    rows.next_if(|(device, _)| device == key).map_or(0.0, |(_, sim)| sim)
+                });
+                add_term(fused, w, weight_sum, aligned);
+                debug_assert!(rows.next().is_none(), "gallery keys are retained identities");
+            }
+            count(scratch.prune_stats());
+        }
+        // One pass, ascending identity: a later identity outranks a kept
+        // one only with a strictly higher score.
+        let mut ranked: Vec<(u64, f64)> = Vec::with_capacity(TOPK + 1);
+        for (key, &score) in identity_keys.iter().zip(fused.iter()) {
+            if ranked.len() == TOPK && score <= ranked[TOPK - 1].1 {
+                continue;
+            }
+            let at = ranked.partition_point(|&(_, s)| s >= score);
+            ranked.insert(at, (key_id(*key), score));
+            ranked.truncate(TOPK);
+        }
         ranked
     }
 
@@ -575,6 +637,10 @@ impl RotationLinker {
             db.insert(key, sig.clone()).expect("gallery databases are never frozen");
         }
         self.identities.insert(id, IdentityRecord { last_seen: at, sightings: 1, macs: vec![mac] });
+        // Identities are numbered in founding order, so the newest key
+        // is the largest.
+        debug_assert!(self.identity_keys.last().is_none_or(|&last| last < key));
+        self.identity_keys.push(key);
         self.bindings.insert(mac, id);
         self.by_last_seen.insert((at, id));
         self.stats.new_identities += 1;
@@ -630,6 +696,9 @@ impl RotationLinker {
             self.bindings.remove(mac);
         }
         let key = gallery_key(id);
+        if let Ok(at) = self.identity_keys.binary_search(&key) {
+            self.identity_keys.remove(at);
+        }
         for db in &mut self.galleries {
             db.remove(&key).expect("gallery databases are never frozen");
         }
@@ -640,6 +709,8 @@ impl RotationLinker {
 mod tests {
     use super::*;
     use crate::config::EvalConfig;
+    use crate::fusion::fuse_outcomes;
+    use crate::matching::MatchOutcome;
     use proptest::prelude::*;
     use wifiprint_ieee80211::FrameKind;
 
@@ -814,6 +885,54 @@ mod tests {
         assert!(stats.conserves());
     }
 
+    /// A data-frame signature for `param`: `frames` observations at each
+    /// of `values`.
+    fn sig_of(param: NetworkParameter, values: &[f64], frames: u64) -> Signature {
+        let eval = EvalConfig::for_parameter(param);
+        let mut sig = Signature::new();
+        for &value in values {
+            for _ in 0..frames {
+                sig.record(FrameKind::Data, value, &eval);
+            }
+        }
+        sig
+    }
+
+    #[test]
+    fn exact_fused_best_can_lie_outside_every_parameter_top4() {
+        // Two equally weighted parameters. Four decoys match the probe
+        // exactly on frame size and not at all on inter-arrival time
+        // (fused 0.5), four the other way round (fused 0.5). The device
+        // behind the probe half-matches on both (cosine 0.707 each, fused
+        // 0.707), so it is fifth in each parameter's own ranking, yet its
+        // fused score is the best by a clear margin.
+        const FS: NetworkParameter = NetworkParameter::FrameSize;
+        let cfg = LinkerConfig::default()
+            .with_spec(FusionSpec::equal_weights([FS, IAT]))
+            .with_accept_threshold(0.6)
+            .with_ambiguity_margin(0.05);
+        let mut linker = RotationLinker::new(cfg).unwrap();
+        let both = |fs: &[f64], iat: &[f64]| {
+            vec![(FS, sig_of(FS, fs, 30)), (IAT, sig_of(IAT, iat, 30))]
+        };
+        let universal = MacAddr::universal_from_index;
+        let half = [400.0, 1200.0];
+        let founded = linker.link(universal(1), Nanos::from_secs(1), &both(&half, &half));
+        let device = founded.identity().expect("founds");
+        for i in 0..4 {
+            let at = Nanos::from_secs(2 + i);
+            linker.link(universal(10 + i), at, &both(&[400.0], &[2000.0]));
+            linker.link(universal(20 + i), at, &both(&[2000.0], &[400.0]));
+        }
+        let probe =
+            linker.link(MacAddr::randomized(1), Nanos::from_secs(9), &both(&[400.0], &[400.0]));
+        let LinkEvent::Linked { identity, confidence, .. } = probe else {
+            panic!("the exact fused best links: {probe:?}");
+        };
+        assert_eq!(identity, device);
+        assert!((confidence - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-6, "{confidence}");
+    }
+
     #[test]
     fn update_on_link_merges_gallery_evidence() {
         let cfg = single_cfg().with_update_on_link(true);
@@ -881,7 +1000,137 @@ mod tests {
         ]
     }
 
+    /// The 802.11b/g rates, the categorical bins of the rate parameter.
+    const RATES: [f64; 8] = [1.0, 2.0, 5.5, 6.0, 9.0, 11.0, 12.0, 18.0];
+
+    /// Device `device`'s behaviour for `param` on sighting `round`: five
+    /// behaviour classes (devices in one class score alike, so ranks tie)
+    /// spread over three adjacent bins that shift with the round, two
+    /// frame kinds.
+    fn behaviour(param: NetworkParameter, device: u64, round: u64) -> Signature {
+        let eval = EvalConfig::for_parameter(param);
+        let mut sig = Signature::new();
+        for i in 0..24u64 {
+            let bin = (device % 5 + (i + round) % 3) as usize;
+            let value = match param {
+                NetworkParameter::TransmissionRate => RATES[bin],
+                _ => 100.0 + 40.0 * bin as f64,
+            };
+            let kind =
+                if (i + device).is_multiple_of(5) { FrameKind::NullFunction } else { FrameKind::Data };
+            sig.record(kind, value, &eval);
+        }
+        sig
+    }
+
+    /// The brute-force fused ranking: `fuse_outcomes` over the present
+    /// sub-spec of each gallery's dense view (an empty outcome for an
+    /// empty gallery), over every retained identity (a one-parameter
+    /// spec: over its gallery's identities), sorted in full by descending
+    /// score then ascending identity and truncated to [`TOPK`]. Empty
+    /// unless a present parameter has a nonzero weight.
+    fn brute_force_ranking(
+        linker: &RotationLinker,
+        signatures: &[(NetworkParameter, Signature)],
+    ) -> Vec<(u64, f64)> {
+        let present: Vec<(usize, &Signature)> = linker
+            .params
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(p, _))| Some((i, signature_for(signatures, p)?)))
+            .collect();
+        if present.iter().all(|&(i, _)| linker.params[i].1 == 0.0) {
+            return Vec::new();
+        }
+        let mut scratch = MatchScratch::new();
+        let outcomes: Vec<MatchOutcome> = present
+            .iter()
+            .map(|&(i, sig)| {
+                let db = &linker.galleries[i];
+                if db.is_empty() {
+                    return MatchOutcome::default();
+                }
+                let candidate = std::slice::from_ref(sig);
+                db.match_tile(candidate, SimilarityMeasure::Cosine, &mut scratch)
+                    .candidate(0)
+                    .to_outcome()
+            })
+            .collect();
+        let sub_spec =
+            FusionSpec { parameters: present.iter().map(|&(i, _)| linker.params[i]).collect() };
+        let universe: Vec<MacAddr> = if linker.params.len() == 1 {
+            outcomes[0].devices().to_vec()
+        } else {
+            linker.identities.keys().map(|&id| gallery_key(id)).collect()
+        };
+        let fused = fuse_outcomes(&sub_spec, &outcomes, &universe);
+        let mut ranked: Vec<(u64, f64)> =
+            fused.similarities().map(|(key, score)| (key_id(key), score)).collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores").then(a.0.cmp(&b.0)));
+        ranked.truncate(TOPK);
+        ranked
+    }
+
     proptest! {
+        #[test]
+        fn sweep_ranks_by_the_exact_fused_score(
+            params in 1usize..=5,
+            rotate in 0usize..5,
+            weights in prop::collection::vec(0u32..5, 5),
+            sightings in prop::collection::vec(
+                (0u64..12, 0u64..3, any::<u8>(), any::<bool>()),
+                1..60,
+            ),
+            threshold in 0u32..10,
+            update_on_link in any::<bool>(),
+            cap in prop::option::of(3usize..10),
+        ) {
+            // Before every sighting, the shipped sweep against the brute
+            // force over the linker's current galleries, bit for bit:
+            // 1–5 parameters in any spec order, weights including zeros,
+            // sightings lacking any parameters (the spec's or others),
+            // tied behaviours, links with and without evidence merging,
+            // and cap evictions.
+            let mut parameters: Vec<(NetworkParameter, f64)> = (0..params)
+                .map(|i| (NetworkParameter::ALL[(i + rotate) % 5], f64::from(weights[i]) / 2.0))
+                .collect();
+            if parameters.iter().all(|&(_, w)| w == 0.0) {
+                parameters[0].1 = 1.0;
+            }
+            let cfg = LinkerConfig::default()
+                .with_spec(FusionSpec { parameters })
+                .with_accept_threshold(f64::from(threshold) / 10.0)
+                .with_update_on_link(update_on_link)
+                .with_gallery_cap(cap.unwrap_or(200_000));
+            let mut linker = RotationLinker::new(cfg).expect("valid config");
+            for (tick, &(device, round, mask, randomized)) in sightings.iter().enumerate() {
+                let mac = if randomized {
+                    MacAddr::randomized(device * 8 + round)
+                } else {
+                    MacAddr::universal_from_index(device + 1)
+                };
+                let signatures: Vec<(NetworkParameter, Signature)> = NetworkParameter::ALL
+                    .iter()
+                    .enumerate()
+                    .filter(|&(bit, _)| mask >> bit & 1 == 1)
+                    .map(|(_, &p)| (p, behaviour(p, device, round)))
+                    .collect();
+                let want = brute_force_ranking(&linker, &signatures);
+                let got = linker.sweep(&signatures);
+                prop_assert_eq!(got.len(), want.len(), "{:?} vs {:?}", got, want);
+                for (&(gid, gs), &(wid, ws)) in got.iter().zip(&want) {
+                    prop_assert_eq!(gid, wid, "{:?} vs {:?}", got, want);
+                    prop_assert_eq!(gs.to_bits(), ws.to_bits(), "{:?} vs {:?}", got, want);
+                }
+                linker.link(mac, Nanos::from_millis(tick as u64), &signatures);
+            }
+            let stats = linker.stats();
+            prop_assert!(stats.conserves());
+            if let Some(cap) = cap {
+                prop_assert!(stats.identities_retained <= cap);
+            }
+        }
+
         #[test]
         fn gallery_growth_changes_no_decision(
             devices in 520u64..640,

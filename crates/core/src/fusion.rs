@@ -18,7 +18,12 @@
 //! its frozen references up once, when detection starts, and runs the
 //! same accumulation per candidate the moment each detection window
 //! closes, so fused decisions stream out with the same latency as
-//! single-parameter ones.
+//! single-parameter ones. The
+//! [`RotationLinker`](crate::engine::linker::RotationLinker) shares the
+//! per-term step too: a multi-parameter gallery sweep adds each
+//! parameter's dense view into one fused score per retained identity,
+//! with the same seed, term order and division, so its ranking is the
+//! one [`fuse_outcomes`] would give over the same views.
 
 use std::sync::Arc;
 
@@ -217,33 +222,50 @@ pub(crate) type Term<'a> = (f64, &'a MatchOutcome, &'a Alignment);
 /// vector lacks). The scores share `table`.
 pub(crate) fn fuse_aligned(terms: &[Term<'_>], table: DeviceTable) -> FusedOutcome {
     let weight_sum = floored_sum(terms.iter().map(|&(w, ..)| w));
-    // The empty sum is the seed `Iterator::sum` folds from, so the
-    // accumulated scores stay bit-identical to a per-device `sum()`.
-    let seed: f64 = std::iter::empty::<f64>().sum();
-    let mut scores = vec![seed; table.len()];
+    let mut scores = vec![fused_seed(); table.len()];
     for &(w, outcome, alignment) in terms {
         let sims = &outcome.scores;
         match alignment {
             Alignment::Identity => {
                 debug_assert_eq!(sims.len(), scores.len(), "identity alignment");
-                for (fused, &sim) in scores.iter_mut().zip(sims) {
-                    *fused += w * sim / weight_sum;
-                }
+                add_term(&mut scores, w, weight_sum, sims.iter().copied());
             }
             Alignment::Rows(rows) => {
-                for (fused, row) in scores.iter_mut().zip(rows) {
-                    let sim = row.map_or(0.0, |r| sims[r]);
-                    *fused += w * sim / weight_sum;
-                }
+                let aligned = rows.iter().map(|row| row.map_or(0.0, |r| sims[r]));
+                add_term(&mut scores, w, weight_sum, aligned);
             }
         }
     }
     FusedOutcome { devices: table, scores }
 }
 
+/// The score every fused accumulation starts from: the empty sum, the
+/// seed `Iterator::sum` folds from, so the accumulated scores stay
+/// bit-identical to a per-device `sum()`.
+pub(crate) fn fused_seed() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// One term of the fusion accumulation: adds `w · sim / Σw` to each fused
+/// score, `sims` lined up with `fused` (0 for a device the term's vector
+/// lacks). [`fuse_aligned`] and the
+/// [`RotationLinker`](crate::engine::linker::RotationLinker)'s gallery
+/// sweep both add their terms through it, from [`fused_seed`], in spec
+/// order.
+pub(crate) fn add_term(
+    fused: &mut [f64],
+    weight: f64,
+    weight_sum: f64,
+    sims: impl Iterator<Item = f64>,
+) {
+    for (score, sim) in fused.iter_mut().zip(sims) {
+        *score += weight * sim / weight_sum;
+    }
+}
+
 /// The weights' sum, floored away from zero so normalisation is always
 /// defined.
-fn floored_sum(weights: impl Iterator<Item = f64>) -> f64 {
+pub(crate) fn floored_sum(weights: impl Iterator<Item = f64>) -> f64 {
     weights.sum::<f64>().max(f64::MIN_POSITIVE)
 }
 

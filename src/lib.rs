@@ -131,9 +131,11 @@
 //! per-parameter signatures observed under it) is first resolved
 //! through its MAC binding (a universally-administered address *is* an
 //! identity), and otherwise swept against per-parameter identity
-//! galleries — internal sharded [`core::ReferenceDb`]s queried through
-//! the pruned [`core::ReferenceDb::match_topk_tile`] sweep — fusing the
-//! per-parameter scores under a [`core::FusionSpec`] and emitting a
+//! galleries — internal [`core::ReferenceDb`]s — ranking every retained
+//! identity by its exact [`core::FusionSpec`] weighted score (one dense
+//! sweep per parameter, added with the engine's fusion arithmetic; a
+//! one-parameter spec runs the pruned
+//! [`core::ReferenceDb::match_topk_tile`] sweep) and emitting a
 //! typed [`core::LinkEvent`]: `Linked` (with confidence), `NewIdentity`
 //! or `Ambiguous` (abstention under a configurable margin). TTL and
 //! capacity eviction bound the gallery; every decision is accounted for
