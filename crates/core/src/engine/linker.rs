@@ -606,18 +606,25 @@ impl RotationLinker {
             }
             count(scratch.prune_stats());
         }
-        // One pass, ascending identity: a later identity outranks a kept
-        // one only with a strictly higher score.
-        let mut ranked: Vec<(u64, f64)> = Vec::with_capacity(TOPK + 1);
-        for (key, &score) in identity_keys.iter().zip(fused.iter()) {
-            if ranked.len() == TOPK && score <= ranked[TOPK - 1].1 {
+        // One pass, ascending identity, into a fixed best-first array
+        // whose empty entries score -∞: a later identity outranks a kept
+        // one only with a strictly higher score, so most identities cost
+        // one comparison with the last entry.
+        let mut top = [(0usize, f64::NEG_INFINITY); TOPK];
+        let mut kept = 0;
+        for (row, &score) in fused.iter().enumerate() {
+            if score <= top[TOPK - 1].1 {
                 continue;
             }
-            let at = ranked.partition_point(|&(_, s)| s >= score);
-            ranked.insert(at, (key_id(*key), score));
-            ranked.truncate(TOPK);
+            let mut at = TOPK - 1;
+            while at > 0 && top[at - 1].1 < score {
+                top[at] = top[at - 1];
+                at -= 1;
+            }
+            top[at] = (row, score);
+            kept = TOPK.min(kept + 1);
         }
-        ranked
+        top[..kept].iter().map(|&(row, score)| (key_id(identity_keys[row]), score)).collect()
     }
 
     /// Founds a fresh identity from a sighting: enrolls its qualifying
