@@ -1,19 +1,20 @@
 //! Tiled execution with per-worker scratch state.
 //!
-//! A [`MultiEngine`](crate::MultiEngine) window close runs one sweep per
-//! parameter, and offline evaluation scores thousands of candidate
-//! windows against one [`ReferenceDb`](crate::ReferenceDb). Each sweep
-//! needs a [`MatchScratch`](crate::MatchScratch), but the sweeps are
-//! independent. [`map_tiles_with_scratch`] captures that shape once: the
-//! tiles are split into contiguous chunks, one per worker, each with its
-//! own scratch, and the outputs are joined back in input order. The
-//! calling thread is the first worker: it runs the first chunk itself
-//! while `std::thread::scope` threads run the others, so a fan-out of
-//! `n` spawns `n − 1` threads and the caller never idles in `join` while
-//! work is left. The width is the CPU count (`WIFIPRINT_THREADS`
-//! overrides it) capped at the number of tiles. One worker runs every
-//! tile on the calling thread and spawns nothing; that is the route
-//! 1-CPU hosts and `WIFIPRINT_THREADS=1` take.
+//! A [`MultiEngine`](crate::MultiEngine) window close scores its
+//! candidates in tiles, each tile against every parameter's reference,
+//! and offline evaluation scores thousands of candidate windows against
+//! one [`ReferenceDb`](crate::ReferenceDb). Each sweep needs a
+//! [`MatchScratch`](crate::MatchScratch), but the tiles are independent.
+//! [`map_tiles_with_scratch`] captures that shape once: the tiles are
+//! split into contiguous chunks, one per worker, each with its own
+//! scratch, and the outputs are joined back in input order. The calling
+//! thread is the first worker: it runs the first chunk itself while
+//! `std::thread::scope` threads run the others, so a fan-out of `n`
+//! spawns `n − 1` threads and the caller never idles in `join` while work
+//! is left. The width is the CPU count (`WIFIPRINT_THREADS` overrides it)
+//! capped at the number of tiles. One worker runs every tile on the
+//! calling thread and spawns nothing; that is the route 1-CPU hosts and
+//! `WIFIPRINT_THREADS=1` take.
 
 /// Maps `items` through `f` one **tile** (contiguous chunk of at most
 /// `tile` items) at a time, flattening the per-tile outputs back into
@@ -23,10 +24,11 @@
 /// ([`ReferenceDb::match_tile`](crate::ReferenceDb::match_tile)): a tile
 /// of candidate windows shares one pass over the reference rows, and
 /// tiles are independent, so tiles are what gets spread across workers,
-/// down to one tile per worker. That is what lets a `MultiEngine` window
-/// close fan its five per-parameter shard sweeps across cores. `f` must
-/// return exactly one output per input item for the flattened order to
-/// line up (all callers in this workspace do).
+/// down to one tile per worker. A `MultiEngine` window close hands it
+/// tiles of [`MATCH_TILE`](crate::MATCH_TILE) candidates, and each worker
+/// sweeps and fuses its tiles across every parameter. `f` must return
+/// exactly one output per input item for the flattened order to line up
+/// (all callers in this workspace do).
 pub fn map_tiles_with_scratch<T, S, U, I, F>(
     items: &[T],
     tile: usize,

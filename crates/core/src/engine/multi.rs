@@ -12,11 +12,12 @@
 //! * **one shared window clock** — a single [`WindowClock`] decides when
 //!   detection windows seal for every parameter, so per-parameter
 //!   decisions are always aligned;
-//! * **online score fusion** — as each window closes, every candidate is
-//!   swept against each parameter's [`ReferenceDb`] (the tiled column
-//!   sweep, [`ReferenceDb::match_tile`], over references the engine keeps
-//!   flat) and the per-parameter similarity vectors are combined into one
-//!   weighted-average [`FusedOutcome`] per [`fusion`](crate::fusion)
+//! * **online score fusion** — as each window closes, its candidates fan
+//!   out in tiles across workers; each worker sweeps a tile against every
+//!   parameter's [`ReferenceDb`] (the tiled column sweep behind
+//!   [`ReferenceDb::match_tile`], over references the engine keeps flat)
+//!   and combines each candidate's per-parameter similarity vectors into
+//!   one weighted-average [`FusedOutcome`] per [`fusion`](crate::fusion)
 //!   spec: an aligned add, since how each reference's device table lines
 //!   up with the commonly enrolled set is decided once, when detection
 //!   starts.
@@ -287,10 +288,10 @@ impl MultiEngineBuilder {
     }
 
     /// Starts the engine directly in the detection phase against
-    /// pre-learned per-parameter reference databases (frozen on entry,
-    /// and re-laid out flat — one shard — when they arrive sharded; one
-    /// non-empty database per fused parameter). Mutually exclusive with
-    /// [`MultiEngineBuilder::train_for`].
+    /// pre-learned per-parameter reference databases (frozen on entry and
+    /// taken as laid out: a sharded store scores bit for bit like a flat
+    /// one; one non-empty database per fused parameter). Mutually
+    /// exclusive with [`MultiEngineBuilder::train_for`].
     #[must_use]
     pub fn references(mut self, dbs: BTreeMap<NetworkParameter, ReferenceDb>) -> Self {
         self.references = Some(dbs);
@@ -491,9 +492,9 @@ pub struct MultiEngine {
     /// The single shared extractor: one parse, one timing history.
     extractor: FusedExtractor,
     phase: MultiPhase,
-    /// Warm [`MatchScratch`]es reused across window closes: the
-    /// per-parameter fan-out checks one out per worker and returns it,
-    /// keeping the steady state allocation-free.
+    /// Warm [`MatchScratch`]es reused across window closes: the tiled
+    /// fan-out checks one out per worker and returns it, so the sweep
+    /// buffers stay grown to the reference size.
     scratches: Vec<MatchScratch>,
     origin: Option<Nanos>,
     /// The resilience gatekeeper every arrival passes through (dedup →
@@ -895,17 +896,21 @@ impl Drop for PooledScratch<'_> {
 }
 
 /// Scores sealed window `window` from the detection state's open
-/// candidate map: per parameter, sweep the qualifying candidates
-/// against that parameter's reference matrix in
-/// [`MATCH_TILE`]-wide tiles, then fuse each candidate's per-parameter
-/// vectors into the combined score, and emit the fused events (ascending
-/// device address) plus the terminator. A candidate with only a quorum
-/// of scored parameters gets a fused score over the survivors, with the
-/// missing parameters listed in the event's `degraded` marker;
-/// `health.windows_degraded` counts windows emitting at least one such
-/// event. Survivors whose weights are all zero get no fused score, as
-/// when the quorum is unmet.
-#[allow(clippy::too_many_lines)] // qualify → fan-out sweep → fuse, one linear pass
+/// candidate map and emits the fused events (ascending device address)
+/// plus the terminator.
+///
+/// The qualifying candidates fan out in [`MATCH_TILE`]-wide tiles across
+/// `batch::map_tiles_with_scratch`, one scratch per worker. A worker sweeps
+/// each tile against every parameter's reference matrix, over the tile's
+/// candidates that qualified for it, into owned similarity vectors, then
+/// fuses each candidate's vectors while they are still in cache. The
+/// closing thread only moves signatures and vectors into events.
+///
+/// A candidate with only a quorum of scored parameters gets a fused score
+/// over the survivors, with the missing parameters listed in the event's
+/// `degraded` marker; `health.windows_degraded` counts windows emitting at
+/// least one such event. Survivors whose weights are all zero get no fused
+/// score, as when the quorum is unmet.
 fn close_multi_window(
     settings: &Settings,
     state: &mut DetectState,
@@ -914,137 +919,48 @@ fn close_multi_window(
     window: usize,
     events: &mut Vec<MultiEvent>,
 ) {
-    // One qualifying candidate: per device, which parameters met the
-    // floor and (further down) their similarity views.
-    struct Candidate {
-        device: MacAddr,
-        /// Per spec parameter: the qualifying signature, if any.
-        sigs: Vec<Option<Signature>>,
-        /// Per spec parameter: the similarity view (filled below).
-        views: Vec<Option<MatchOutcome>>,
-    }
-
-    let Settings { ref spec, ref cfg, score_unknown, quorum, .. } = *settings;
     let candidates = std::mem::take(&mut state.current);
-    // Shared from here on: the per-parameter sweeps fan out to workers.
-    let state = &*state;
     // `max(1)`: parameters with zero observations stay out, exactly as
     // they never enter a batch window's candidate map.
-    let min = cfg.min_observations.max(1);
-    let n_params = spec.len();
+    let min = settings.cfg.min_observations.max(1);
 
-    // Qualifying candidates, in the map's ascending-address order.
-    let mut qualified: Vec<Candidate> = candidates
+    // Qualifying candidates, in the map's ascending-address order: per
+    // spec parameter, the signature if it met the floor.
+    let qualified: Vec<(MacAddr, Vec<Option<Signature>>)> = candidates
         .into_iter()
         .filter_map(|(device, sigs)| {
             let sigs: Vec<Option<Signature>> = sigs
                 .into_iter()
                 .map(|s| (s.observation_count() >= min).then_some(s))
                 .collect();
-            sigs.iter().any(Option::is_some).then(|| Candidate {
-                device,
-                views: vec![None; n_params],
-                sigs,
-            })
+            sigs.iter().any(Option::is_some).then_some((device, sigs))
         })
         .collect();
 
-    // One tiled sweep per parameter over the candidates that qualified
-    // for it, skipping strangers when their scoring is off. The sweeps
-    // are independent by construction (each reads its own flat reference
-    // database), so they fan out across `batch::map_tiles_with_scratch` —
-    // one parameter per work unit, one scratch per worker; with one worker
-    // (1-CPU hosts, `WIFIPRINT_THREADS=1`) the map runs them in order on
-    // this thread.
     // Workers borrow warm scratches from the engine's pool (returned on
-    // drop), so repeated window closes stay allocation-free once the
-    // buffers have grown to the reference size.
+    // drop), so repeated window closes stay allocation-free in the sweep
+    // buffers once they have grown to the reference size. With one worker
+    // (1-CPU hosts, `WIFIPRINT_THREADS=1`) every tile runs on this thread.
     let pool = std::sync::Mutex::new(std::mem::take(scratches));
     let checkout = || PooledScratch {
         pool: &pool,
         inner: pool.lock().map_or_else(|_| MatchScratch::new(), |mut p| p.pop().unwrap_or_default()),
     };
-    let params: Vec<usize> = (0..n_params).collect();
-    let per_param: Vec<Vec<(usize, MatchOutcome)>> = crate::batch::map_tiles_with_scratch(
-        &params,
-        1,
-        checkout,
-        |pooled, chunk| {
-            let scratch = &mut pooled.inner;
-            chunk
-                .iter()
-                .map(|&p| {
-                    let db = &state.references[p];
-                    let to_score: Vec<usize> = qualified
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| {
-                            c.sigs[p].is_some() && (score_unknown || db.contains(&c.device))
-                        })
-                        .map(|(i, _)| i)
-                        .collect();
-                    let mut outcomes = Vec::with_capacity(to_score.len());
-                    for tile_ids in to_score.chunks(MATCH_TILE) {
-                        let sigs: Vec<&Signature> = tile_ids
-                            .iter()
-                            .map(|&i| qualified[i].sigs[p].as_ref().expect("qualified"))
-                            .collect();
-                        let tile = db.match_tile(&sigs, SimilarityMeasure::Cosine, scratch);
-                        outcomes.extend(
-                            tile_ids.iter().zip(tile.views()).map(|(&i, v)| (i, v.to_outcome())),
-                        );
-                    }
-                    outcomes
-                })
-                .collect()
-        },
-    );
+    let state = &*state;
+    let results: Vec<Scored> =
+        crate::batch::map_tiles_with_scratch(&qualified, MATCH_TILE, checkout, |pooled, tile| {
+            score_tile(settings, state, &mut pooled.inner, tile)
+        });
     *scratches = pool.into_inner().unwrap_or_default();
-    for (p, outcomes) in per_param.into_iter().enumerate() {
-        for (i, outcome) in outcomes {
-            qualified[i].views[p] = Some(outcome);
-        }
-    }
 
     let total = qualified.len();
     let mut known = 0usize;
     let mut any_degraded = false;
-    for candidate in qualified {
-        let Candidate { device, sigs, views } = candidate;
+    for ((device, sigs), Scored { views, fused, degraded }) in qualified.into_iter().zip(results) {
         let in_common = state.common.binary_search(&device).is_ok();
-        // The fused score wants a scored view for every parameter, but a
-        // degraded capture may starve some of them below the floor: fuse
-        // over the survivors when at least `quorum` parameters scored,
-        // renormalising their weights and naming the missing ones in
-        // `degraded`. Survivors whose weights are all zero carry no
-        // evidence, so they get no fused score either. The views are
-        // borrowed here and handed over to the per-parameter decisions
-        // below, no clones. Strangers get no fused score when their
-        // scoring is off.
-        let terms: Vec<Term<'_>> = spec
-            .parameters
-            .iter()
-            .zip(&views)
-            .zip(&state.alignments)
-            .filter_map(|((&(_, w), view), alignment)| Some((w, view.as_ref()?, alignment)))
-            .collect();
-        let unscored = !in_common && !score_unknown;
-        let weighted = terms.iter().any(|&(w, ..)| w > 0.0);
-        let (fused, degraded) =
-            if unscored || state.common.is_empty() || terms.len() < quorum || !weighted {
-                (None, Vec::new())
-            } else {
-                let missing: Vec<NetworkParameter> = spec
-                    .parameters()
-                    .zip(&views)
-                    .filter(|(_, v)| v.is_none())
-                    .map(|(p, _)| p)
-                    .collect();
-                (Some(fuse_aligned(&terms, Arc::clone(&state.common))), missing)
-            };
-        let mut scores = Vec::with_capacity(n_params);
+        let mut scores = Vec::with_capacity(sigs.len());
         let mut signatures = Vec::new();
-        for (p, ((param, sig), view)) in spec.parameters().zip(sigs).zip(views).enumerate() {
+        for (p, ((param, sig), view)) in settings.spec.parameters().zip(sigs).zip(views).enumerate() {
             let Some(sig) = sig else { continue };
             scores.push(ParameterDecision {
                 parameter: param,
@@ -1081,10 +997,86 @@ fn close_multi_window(
     });
 }
 
+/// One candidate's scores from a window close: per spec parameter its
+/// similarity vector (`None` when it did not qualify, or is an unscored
+/// stranger), and its fused score with the parameters missing from it.
+struct Scored {
+    views: Vec<Option<MatchOutcome>>,
+    fused: Option<FusedOutcome>,
+    degraded: Vec<NetworkParameter>,
+}
+
+/// Scores one tile of qualifying candidates: per parameter, one dense
+/// sweep over the tile's candidates that qualified for it (strangers only
+/// when their scoring is on), then each candidate's fused score.
+fn score_tile(
+    settings: &Settings,
+    state: &DetectState,
+    scratch: &mut MatchScratch,
+    tile: &[(MacAddr, Vec<Option<Signature>>)],
+) -> Vec<Scored> {
+    let Settings { ref spec, score_unknown, quorum, .. } = *settings;
+    let mut views: Vec<Vec<Option<MatchOutcome>>> = vec![vec![None; spec.len()]; tile.len()];
+    let mut ids = Vec::with_capacity(tile.len());
+    let mut sigs = Vec::with_capacity(tile.len());
+    for (p, db) in state.references.iter().enumerate() {
+        ids.clear();
+        sigs.clear();
+        for (i, (device, candidate_sigs)) in tile.iter().enumerate() {
+            if let Some(sig) = &candidate_sigs[p] {
+                if score_unknown || db.contains(device) {
+                    ids.push(i);
+                    sigs.push(sig);
+                }
+            }
+        }
+        for (&i, outcome) in ids.iter().zip(db.match_tile_owned(&sigs, scratch)) {
+            views[i][p] = Some(outcome);
+        }
+    }
+    tile.iter()
+        .zip(views)
+        .map(|((device, _), views)| {
+            let in_common = state.common.binary_search(device).is_ok();
+            // The fused score wants a scored view for every parameter, but
+            // a degraded capture may starve some of them below the floor:
+            // fuse over the survivors when at least `quorum` parameters
+            // scored, renormalising their weights and naming the missing
+            // ones in `degraded`. Survivors whose weights are all zero
+            // carry no evidence, so they get no fused score either.
+            // Strangers get no fused score when their scoring is off.
+            let terms: Vec<Term<'_>> = spec
+                .parameters
+                .iter()
+                .zip(&views)
+                .zip(&state.alignments)
+                .filter_map(|((&(_, w), view), alignment)| Some((w, view.as_ref()?, alignment)))
+                .collect();
+            let unscored = !in_common && !score_unknown;
+            let weighted = terms.iter().any(|&(w, ..)| w > 0.0);
+            let (fused, degraded) =
+                if unscored || state.common.is_empty() || terms.len() < quorum || !weighted {
+                    (None, Vec::new())
+                } else {
+                    let missing = spec
+                        .parameters()
+                        .zip(&views)
+                        .filter(|(_, v)| v.is_none())
+                        .map(|(p, _)| p)
+                        .collect();
+                    (Some(fuse_aligned(&terms, Arc::clone(&state.common))), missing)
+                };
+            Scored { views, fused, degraded }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wifiprint_ieee80211::{Frame, Rate};
+    use crate::fusion::fuse_outcomes;
+    use proptest::prelude::*;
+    use wifiprint_ieee80211::{Frame, FrameKind, Rate};
 
     fn cfg(window_secs: u64, min_obs: u64) -> MultiConfig {
         MultiConfig::default()
@@ -1745,5 +1737,210 @@ mod tests {
         assert_eq!(engine.frames_observed(), 5);
         assert_eq!(engine.pending_frames(), 0);
         assert_eq!(engine.health().frames_late_dropped, 0);
+    }
+
+    /// Per outcome: its device table and its scores' bits.
+    fn bits(outcome: &MatchOutcome) -> (Vec<MacAddr>, Vec<u64>) {
+        (outcome.devices().to_vec(), outcome.scores.iter().map(|s| s.to_bits()).collect())
+    }
+
+    /// A signature for `parameter` of `n` observations drawn around
+    /// `centre`, over two frame kinds.
+    fn random_signature(
+        rng: &mut proptest::TestRng,
+        cfg: &EvalConfig,
+        centre: f64,
+        n: u64,
+    ) -> Signature {
+        let mut sig = Signature::new();
+        for _ in 0..n {
+            let kind = if rng.below(4) == 0 { FrameKind::ProbeReq } else { FrameKind::Data };
+            sig.record(kind, centre * (0.5 + rng.f64()), cfg);
+        }
+        sig
+    }
+
+    proptest! {
+        // The window close's tiled fan-out — every parameter swept per
+        // tile and each candidate fused in the worker — emits, for every
+        // qualifying candidate, the views and fused vector a per-parameter
+        // `match_tile` + `to_outcome` and `fuse_outcomes` over the scored
+        // parameters give, bit for bit, with the same events around them.
+        // Candidate counts straddle the tile width, references come flat,
+        // sharded or with slots out of row order, and specs carry zero
+        // weights, quorums and parameters starved below the floor.
+        #[test]
+        fn close_equals_per_parameter_sweeps_and_fuse_outcomes(
+            seed in any::<u64>(),
+            count in prop::sample::select(vec![0usize, 1, 7, 8, 9, 17, 33]),
+            width in 1usize..=5,
+            weights in prop::collection::vec(0u8..3, 5),
+            layout in 0u8..3,
+            quantized in any::<bool>(),
+            score_unknown in any::<bool>(),
+            quorum in 1usize..=5,
+        ) {
+            let mut rng = proptest::TestRng::seed_from_u64(seed);
+            // A spec of `width` parameters in a shuffled order; weights
+            // may be zero, but not all of them.
+            let mut params = NetworkParameter::ALL.to_vec();
+            for i in (1..params.len()).rev() {
+                params.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut parameters: Vec<(NetworkParameter, f64)> =
+                params[..width].iter().zip(&weights).map(|(&p, &w)| (p, f64::from(w))).collect();
+            if parameters.iter().all(|&(_, w)| w == 0.0) {
+                parameters[0].1 = 1.0;
+            }
+            let spec = FusionSpec { parameters };
+            let min = 5;
+            let mcfg = cfg(1, min).with_match_config(if quantized {
+                MatchConfig::quantized()
+            } else {
+                MatchConfig::default()
+            });
+            let configs: Vec<EvalConfig> = spec.parameters().map(|p| mcfg.eval_config(p)).collect();
+            let centre = |device: u64| 40.0 + 97.0 * (device % 13) as f64;
+            // Per parameter: about four in five of 16 devices enrolled, so
+            // the common set lines up with the tables by identity or by
+            // row maps (and may be empty).
+            let references: Vec<ReferenceDb> = configs
+                .iter()
+                .map(|c| {
+                    let mut enrolled = BTreeMap::new();
+                    for d in 1..=16u64 {
+                        if rng.below(5) != 0 {
+                            let sig = random_signature(&mut rng, c, centre(d), 30);
+                            enrolled.insert(MacAddr::from_index(d), sig);
+                        }
+                    }
+                    match layout {
+                        0 => ReferenceDb::from_signatures_with(enrolled, mcfg.match_config),
+                        1 => {
+                            let mut db = ReferenceDb::from_signatures_with(enrolled, mcfg.match_config);
+                            db.reshard(3);
+                            db
+                        }
+                        _ => {
+                            // Slots out of row order: the lowest address
+                            // inserted last, below the others, and one
+                            // extra device removed.
+                            let mut db = ReferenceDb::with_config(mcfg.match_config);
+                            let extra = MacAddr::from_index(999);
+                            db.insert(extra, random_signature(&mut rng, c, 500.0, 30)).unwrap();
+                            for (&d, sig) in enrolled.iter().rev() {
+                                db.insert(d, sig.clone()).unwrap();
+                            }
+                            db.remove(&extra).unwrap();
+                            db
+                        }
+                    }
+                })
+                .collect();
+            // Candidates: enrolled devices and strangers, each parameter's
+            // signature empty, starved below the floor or qualifying.
+            let mut current: BTreeMap<MacAddr, Vec<Signature>> = BTreeMap::new();
+            while current.len() < count {
+                let d = if rng.below(2) == 0 { 1 + rng.below(16) } else { 100 + rng.below(1000) };
+                let sigs = configs
+                    .iter()
+                    .map(|c| {
+                        let n = [0, min - 1, min, 12][rng.below(4) as usize];
+                        random_signature(&mut rng, c, centre(d), n)
+                    })
+                    .collect();
+                current.insert(MacAddr::from_index(d), sigs);
+            }
+            let settings = Settings {
+                spec: spec.clone(),
+                cfg: mcfg,
+                configs,
+                score_unknown,
+                quorum: quorum.min(width),
+            };
+            let mut state = DetectState::new(references, settings.cfg.window);
+            state.current = current.clone();
+            let (mut scratches, mut health, mut events) = (Vec::new(), EngineHealth::default(), Vec::new());
+            close_multi_window(&settings, &mut state, &mut scratches, &mut health, 3, &mut events);
+
+            // The oracle, one candidate at a time.
+            let mut want_events = 0;
+            let (mut known, mut degraded_windows) = (0, false);
+            let mut scratch = MatchScratch::new();
+            let mut got = events.iter();
+            for (device, sigs) in &current {
+                let qualifies = |sig: &Signature| sig.observation_count() >= min;
+                if !sigs.iter().any(qualifies) {
+                    continue;
+                }
+                want_events += 1;
+                let in_common = state.common.binary_search(device).is_ok();
+                let views: Vec<Option<MatchOutcome>> = sigs
+                    .iter()
+                    .zip(&state.references)
+                    .map(|(sig, db)| {
+                        (qualifies(sig) && (score_unknown || db.contains(device))).then(|| {
+                            db.match_tile(std::slice::from_ref(sig), SimilarityMeasure::Cosine, &mut scratch)
+                                .candidate(0)
+                                .to_outcome()
+                        })
+                    })
+                    .collect();
+                let scored: Vec<((NetworkParameter, f64), &MatchOutcome)> =
+                    spec.parameters.iter().zip(&views).filter_map(|(&pw, v)| Some((pw, v.as_ref()?))).collect();
+                let fuses = (in_common || score_unknown)
+                    && !state.common.is_empty()
+                    && scored.len() >= settings.quorum
+                    && scored.iter().any(|&((_, w), _)| w > 0.0);
+                let want_fused = fuses.then(|| {
+                    let sub_spec = FusionSpec { parameters: scored.iter().map(|&(pw, _)| pw).collect() };
+                    let outcomes: Vec<&MatchOutcome> = scored.iter().map(|&(_, o)| o).collect();
+                    fuse_outcomes(&sub_spec, &outcomes, &state.common)
+                });
+                let want_degraded: Vec<NetworkParameter> = if fuses {
+                    spec.parameters().zip(&views).filter(|(_, v)| v.is_none()).map(|(p, _)| p).collect()
+                } else {
+                    Vec::new()
+                };
+                degraded_windows |= !want_degraded.is_empty();
+                let (got_device, got_scores, got_fused, got_degraded, got_signatures) = match got.next() {
+                    Some(MultiEvent::FusedMatch { window: 3, device, scores, fused, degraded }) => {
+                        (device, scores, fused, degraded, None)
+                    }
+                    Some(MultiEvent::FusedNewDevice { window: 3, device, signatures, scores, fused, degraded }) => {
+                        (device, scores, fused, degraded, Some(signatures))
+                    }
+                    other => panic!("expected a decision for {device}, got {other:?}"),
+                };
+                prop_assert_eq!(got_device, device);
+                prop_assert_eq!(got_signatures.is_none(), in_common);
+                known += usize::from(in_common);
+                let mut want_scores = Vec::new();
+                let mut want_signatures = Vec::new();
+                for (p, ((param, sig), view)) in spec.parameters().zip(sigs).zip(&views).enumerate() {
+                    if qualifies(sig) {
+                        let view = view.clone().unwrap_or_default();
+                        want_scores.push((param, state.references[p].contains(device), bits(&view)));
+                        want_signatures.push((param, sig.clone()));
+                    }
+                }
+                let got_scores: Vec<_> =
+                    got_scores.iter().map(|d| (d.parameter, d.known, bits(&d.view))).collect();
+                prop_assert_eq!(got_scores, want_scores);
+                if let Some(signatures) = got_signatures {
+                    prop_assert_eq!(signatures, &want_signatures);
+                }
+                prop_assert_eq!(got_fused.as_ref().map(bits), want_fused.as_ref().map(bits));
+                prop_assert_eq!(got_degraded, &want_degraded);
+            }
+            match got.next() {
+                Some(&MultiEvent::WindowClosed { window: 3, candidates, known: k, unknown }) => {
+                    prop_assert_eq!((candidates, k, unknown), (want_events, known, want_events - known));
+                }
+                other => panic!("expected the terminator, got {other:?}"),
+            }
+            prop_assert!(got.next().is_none());
+            prop_assert_eq!(health.windows_degraded, u64::from(degraded_windows));
+        }
     }
 }

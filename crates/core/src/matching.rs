@@ -102,7 +102,9 @@
 //! [`MultiEngine`](crate::engine::MultiEngine)'s references,
 //! `metrics::match_candidates` — stays flat by construction, while the
 //! rotation linker's galleries grow as they fill. A re-layout is a bulk
-//! build at the new count: every row is repacked from its signature.
+//! build at the new count: every row is repacked from its signature,
+//! into columns with room for as many rows again, since a growing store
+//! is still enrolling.
 //!
 //! # Two sweeps
 //!
@@ -149,21 +151,29 @@
 //! database. [`ReferenceDb::match_tile`] scores a tile of `K` candidates
 //! in **one** walk over the shards: each shard's columns are read for all
 //! `K` candidates while they are hot in cache, instead of once per
-//! candidate. [`MATCH_TILE`] is the tile width the engine's window close
-//! (which the analysis pipeline drives) and `metrics::match_candidates`
-//! use. One candidate is a tile of one; the pruned sweep takes tiles too,
-//! sharing one bound-ordered shard pass.
+//! candidate. [`MATCH_TILE`] is the tile width `metrics::match_candidates`
+//! uses, and the unit of work of the engine's window close (which the
+//! analysis pipeline drives): each worker sweeps a tile against every
+//! parameter's reference and fuses its candidates before it takes the
+//! next. One candidate is a tile of one; the pruned sweep takes tiles
+//! too, sharing one bound-ordered shard pass.
 //!
 //! # Scratch buffers: allocation-free steady state
 //!
 //! Both sweeps write into a caller-owned [`MatchScratch`]. The dense
 //! sweep returns borrowed views ([`TileView`], [`MatchView`]), each the
-//! database's device table plus one candidate's scores, written in
-//! address order; [`MatchView::to_outcome`] copies the scores into an
-//! owned [`MatchOutcome`] sharing the table when it must outlive the
-//! scratch's next sweep. After the first call warms the scratch's
-//! capacity, matching performs **no heap allocation**: candidate rows
-//! are packed straight from each histogram's nonzero `(bin, count)` pairs
+//! database's device table plus one candidate's scores in address order;
+//! [`MatchView::to_outcome`] copies the scores into an owned
+//! [`MatchOutcome`] sharing the table when it must outlive the scratch's
+//! next sweep. A shard whose slots hold its rows in order — every shard
+//! of a flat bulk build, and of a flat store only appended to in address
+//! order — adds its cosine terms straight into those address-ordered
+//! scores; any other shard is scored into a staging buffer and scattered
+//! to its rows. The engine's window close runs the same sweep into
+//! vectors it owns and hands them on as its events' outcomes, with no
+//! copy. After the first call warms the scratch's capacity, matching
+//! performs **no heap allocation**: candidate rows are packed straight
+//! from each histogram's nonzero `(bin, count)` pairs
 //! ([`Histogram::nonzero_counts`](crate::Histogram::nonzero_counts))
 //! into reused buffers, scores accumulate into reused buffers, and the
 //! views borrow rather than copy. Use one scratch per worker thread:
@@ -208,9 +218,10 @@
 //! any interleaving of inserts and removes (re-inserting a changed
 //! signature migrates the device to its new shard). Inserts never change
 //! the shard count: only the pruned sweep's growth step does, and it
-//! rebuilds the whole store, so there is one way to lay rows out in bulk
-//! and rows enrolled after a store's last pruned sweep cost no
-//! re-layout.
+//! rebuilds the whole store, so there is one way to lay rows out in bulk.
+//! The growth step leaves every shard's columns room for as many rows
+//! again, so the inserts that follow it move no column until a shard has
+//! doubled.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -255,13 +266,16 @@ pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 pub const U8_SCORE_TOLERANCE: f64 = 5e-2;
 
 /// Tile width for multi-candidate matching: how many candidate windows
-/// the engine's window close and `metrics::match_candidates` pass to one
-/// [`ReferenceDb::match_tile`].
+/// `metrics::match_candidates` passes to one [`ReferenceDb::match_tile`],
+/// and the unit of work the engine's window close hands each worker.
 ///
 /// A tile's candidates share one walk over the shards, so each shard's
 /// columns are loaded from memory once per tile instead of once per
-/// candidate. The engine's references only run dense sweeps, so they stay
-/// flat, and each of its tiles reads one shard's columns per frame kind.
+/// candidate. At window close a worker sweeps its tile against every
+/// parameter's reference in turn, then fuses the tile's candidates while
+/// their vectors are in cache. The engine's references only run dense
+/// sweeps, so they stay flat, and each of its tiles reads one shard's
+/// columns per frame kind.
 pub const MATCH_TILE: usize = 8;
 
 /// Rows per shard a growing store keeps at least once it splits: a store
@@ -625,6 +639,14 @@ impl Shard {
             .ok()
             .map(|i| &self.blocks[i])
     }
+
+    /// The first row when the slots hold consecutive rows in slot order
+    /// (`rows[slot] == first + slot`): the dense sweep then writes the
+    /// shard's scores in place.
+    fn first_row_in_order(&self) -> Option<usize> {
+        let first = *self.rows.first()?;
+        self.rows.iter().zip(first..).all(|(&r, want)| r == want).then_some(first as usize)
+    }
 }
 
 /// Where a database row lives: its shard and local slot.
@@ -741,7 +763,7 @@ impl ReferenceDb {
     /// packed at exact size.
     fn packed(devices: DeviceTable, signatures: Vec<Signature>, config: MatchConfig) -> Self {
         let mut db = ReferenceDb { devices, signatures, ..ReferenceDb::with_config(config) };
-        db.rebuild(1);
+        db.rebuild(1, 1);
         db
     }
 
@@ -1001,9 +1023,11 @@ impl ReferenceDb {
 
     /// Repacks the shard directory and the per-kind matrices from the
     /// current signatures over `shards` shards (bulk construction).
-    /// Every block's columns are sized to their shard's final slot count
-    /// up front, so they end packed at exact size.
-    fn rebuild(&mut self, shards: usize) {
+    /// Every block's columns are sized up front to `headroom` times their
+    /// shard's final slot count: 1 packs them at exact size; 2 leaves a
+    /// growth re-layout room for as many inserts again before a column
+    /// moves.
+    fn rebuild(&mut self, shards: usize, headroom: usize) {
         let n = self.devices.len();
         self.placement = vec![Placement::default(); n];
         self.kind_keys.clear();
@@ -1014,19 +1038,20 @@ impl ReferenceDb {
             sizes[key] += 1;
         }
         for (row, &key) in keys.iter().enumerate() {
-            self.attach_row(row, key, sizes[key]);
+            self.attach_row(row, key, headroom * sizes[key]);
         }
     }
 
     /// Re-lays the rows out over `shards` shards (clamped to
-    /// `1..=MAX_SHARDS`): a bulk build at the new count, which repacks
-    /// every row from its signature. Going from `s` to `2s` shards splits
-    /// shard `k` into `2k` and `2k + 1`. No score depends on the layout,
-    /// so every sweep scores as before.
+    /// `1..=MAX_SHARDS`) at exact size: a bulk build at the new count.
+    /// Going from `s` to `2s` shards splits shard `k` into `2k` and
+    /// `2k + 1`. No score depends on the layout, so every sweep scores as
+    /// before.
+    #[cfg(test)]
     pub(crate) fn reshard(&mut self, shards: usize) {
         let shards = shards.clamp(1, MAX_SHARDS);
         if shards != self.shards.len() {
-            self.rebuild(shards);
+            self.rebuild(shards, 1);
         }
     }
 
@@ -1034,12 +1059,17 @@ impl ReferenceDb {
     /// doubled while the store holds `2 · GROWTH_ROWS_PER_SHARD` rows per
     /// shard, up to [`MAX_SHARDS`], and never shrunk. Shard counts
     /// double, so the re-layouts cost amortised `O(row width)` per row.
+    /// A re-layout leaves each shard's columns room for as many rows
+    /// again: a store that grows is still enrolling, and at exact size
+    /// the first insert into each shard would move every column there.
     fn grow(&mut self) {
         let mut shards = self.shards.len();
         while shards < MAX_SHARDS && self.len() >= 2 * GROWTH_ROWS_PER_SHARD * shards {
             shards = (2 * shards).min(MAX_SHARDS);
         }
-        self.reshard(shards);
+        if shards != self.shards.len() {
+            self.rebuild(shards, 2);
+        }
     }
 
     /// Algorithm 1, the **dense** sweep: every reference's score against
@@ -1070,28 +1100,72 @@ impl ReferenceDb {
         _measure: SimilarityMeasure,
         scratch: &'s mut MatchScratch,
     ) -> TileView<'s> {
-        let n = self.devices.len();
         let k = candidates.len();
+        let mut scores = std::mem::take(&mut scratch.scores);
+        if scores.len() < k {
+            scores.resize_with(k, Vec::new);
+        }
+        self.sweep_dense(candidates, &mut scores[..k], scratch);
+        scratch.scores = scores;
+        TileView { devices: &self.devices, scores: &scratch.scores[..k] }
+    }
+
+    /// [`ReferenceDb::match_tile`] into owned similarity vectors, one per
+    /// candidate in input order: the sweep writes each candidate's scores
+    /// into the vector it returns, so nothing is copied out of a scratch.
+    pub(crate) fn match_tile_owned<C: Borrow<Signature>>(
+        &self,
+        candidates: &[C],
+        scratch: &mut MatchScratch,
+    ) -> Vec<MatchOutcome> {
+        let mut scores = vec![Vec::new(); candidates.len()];
+        self.sweep_dense(candidates, &mut scores, scratch);
+        let devices = &self.devices;
+        scores.into_iter().map(|scores| MatchOutcome { devices: Arc::clone(devices), scores }).collect()
+    }
+
+    /// The dense sweep behind [`ReferenceDb::match_tile`]: writes
+    /// candidate `c`'s similarity vector, in address order, into `outs[c]`
+    /// (resized to the row count).
+    ///
+    /// A shard whose slots hold consecutive rows in order — every shard
+    /// of a flat bulk build, and of a flat store only ever appended to in
+    /// address order — adds its cosine terms straight into the output
+    /// vectors at its first row. Any other shard is scored into the
+    /// staging vectors and scattered to its rows. Both routes run the same
+    /// column kernel and add each row's kind terms in ascending kind order
+    /// from `+0.0`, so they give the same bits.
+    fn sweep_dense<C: Borrow<Signature>>(
+        &self,
+        candidates: &[C],
+        outs: &mut [Vec<f64>],
+        scratch: &mut MatchScratch,
+    ) {
+        debug_assert_eq!(candidates.len(), outs.len(), "one output per candidate");
+        let n = self.devices.len();
+        for out in outs.iter_mut() {
+            out.clear();
+            out.resize(n, 0.0);
+        }
         self.pack_candidates(candidates, scratch);
         scratch.active.clear();
-        scratch.active.resize(k, true);
-        scratch.scores.clear();
-        scratch.scores.resize(k * n, 0.0);
+        scratch.active.resize(candidates.len(), true);
         let mut swept = 0;
         for shard in self.shards.iter().filter(|s| !s.rows.is_empty()) {
-            self.sweep_shard(shard, scratch);
-            swept += k;
+            swept += candidates.len();
+            if let Some(first) = shard.first_row_in_order() {
+                self.sweep_shard(shard, scratch, Some((&mut *outs, first)));
+                continue;
+            }
+            self.sweep_shard(shard, scratch, None);
             // Scatter the shard's slots to their rows, in address order.
-            let slots = shard.rows.len();
-            for (c, shard_scores) in scratch.shard_scores.chunks_exact(slots).enumerate() {
-                let scores = &mut scratch.scores[c * n..(c + 1) * n];
+            for (out, shard_scores) in outs.iter_mut().zip(&scratch.shard_scores) {
                 for (&r, &s) in shard.rows.iter().zip(shard_scores) {
-                    scores[r as usize] = s;
+                    out[r as usize] = s;
                 }
             }
         }
         scratch.prune = PruneStats { swept_shards: swept, pruned_shards: 0 };
-        TileView { devices: &self.devices, scores: &scratch.scores, k }
     }
 
     /// Algorithm 1, the **pruned** sweep: the `k` most similar references
@@ -1122,8 +1196,9 @@ impl ReferenceDb {
     /// least 256 rows per shard — one shard below 256 rows, two from 256,
     /// four from 512 — up to 64 shards from 8 192 rows, and never shrinks
     /// it (removals leave the layout as it is). Each doubling is a bulk
-    /// build at the new count; a frozen store grows too, since no score
-    /// depends on the layout. A sweep with nothing to rank (`k == 0`, no
+    /// build at the new count whose columns leave room for as many rows
+    /// again; a frozen store grows too, since no score depends on the
+    /// layout. A sweep with nothing to rank (`k == 0`, no
     /// candidates or no rows) leaves the layout alone.
     pub fn match_topk_tile<C: Borrow<Signature>>(
         &mut self,
@@ -1158,7 +1233,7 @@ impl ReferenceDb {
             if live == 0 {
                 continue;
             }
-            self.sweep_shard(shard, scratch);
+            self.sweep_shard(shard, scratch, None);
             // Merge the shard into each active candidate's running
             // top-k, kept sorted by rank at all times: entries that
             // cannot outrank the current k-th best are dropped,
@@ -1170,7 +1245,7 @@ impl ReferenceDb {
                 if !scratch.active[ci] {
                     continue;
                 }
-                let shard_scores = &scratch.shard_scores[ci * slots..(ci + 1) * slots];
+                let shard_scores = &scratch.shard_scores[ci][..slots];
                 // A score strictly below the k-th best cannot outrank it,
                 // so most slots cost one comparison; only a tie needs the
                 // address.
@@ -1299,9 +1374,11 @@ impl ReferenceDb {
 
     /// The one shard walk behind both sweeps: scores `shard`'s resident
     /// rows against every active candidate (`scratch.active`) in either
-    /// precision tier, into `scratch.shard_scores` (candidate-major,
-    /// `candidate * slots + slot`; zero for inactive candidates and absent
-    /// rows).
+    /// precision tier. With `in_place = Some((outs, first))` it adds
+    /// candidate `c`'s terms to `outs[c][first..first + slots]` (a shard
+    /// whose slots are rows `first..`, in order); with `None` it writes
+    /// them to `scratch.shard_scores[c][..slots]`, zeroed first (zero for
+    /// inactive candidates and absent rows).
     ///
     /// Both tiers run as **column passes**: per packed candidate row, the
     /// dots against every slot accumulate at once, `dot[slot] += c ·
@@ -1315,13 +1392,28 @@ impl ReferenceDb {
     /// adds its per-kind terms in the flat layout's order, and no term
     /// depends on where its slot sits: every sweep over every shard
     /// layout is bit-identical to the flat dense sweep.
-    fn sweep_shard(&self, shard: &Shard, scratch: &mut MatchScratch) {
+    fn sweep_shard(
+        &self,
+        shard: &Shard,
+        scratch: &mut MatchScratch,
+        in_place: Option<(&mut [Vec<f64>], usize)>,
+    ) {
         let MatchScratch {
             tile_nonzeros, packed, kind_spans, active, dots_u32, dots_f64, shard_scores, ..
         } = scratch;
         let slots = shard.rows.len();
-        shard_scores.clear();
-        shard_scores.resize(active.len() * slots, 0.0);
+        let (outs, first) = if let Some(target) = in_place {
+            target
+        } else {
+            if shard_scores.len() < active.len() {
+                shard_scores.resize_with(active.len(), Vec::new);
+            }
+            for scores in &mut shard_scores[..active.len()] {
+                scores.clear();
+                scores.resize(slots, 0.0);
+            }
+            (&mut shard_scores[..], 0)
+        };
         for (block, span) in self.blocks_with_spans(shard, kind_spans) {
             let entries = packed[span.clone()].iter().filter(|e| active[e.cand]);
             match &block.store {
@@ -1330,7 +1422,7 @@ impl ReferenceDb {
                         dots_u32.clear();
                         dots_u32.resize(slots, 0);
                         accumulate_u8(dots_u32, &tile_nonzeros[e.nonzeros.clone()], block, rows);
-                        let scores = &mut shard_scores[e.cand * slots..(e.cand + 1) * slots];
+                        let scores = &mut outs[e.cand][first..first + slots];
                         block.add_cosines(scores, dots_u32.iter().map(|&d| f64::from(d)), e.inv_norm);
                     }
                 }
@@ -1339,7 +1431,7 @@ impl ReferenceDb {
                         dots_f64.clear();
                         dots_f64.resize(slots, 0.0);
                         accumulate_f32(dots_f64, &tile_nonzeros[e.nonzeros.clone()], block, rows);
-                        let scores = &mut shard_scores[e.cand * slots..(e.cand + 1) * slots];
+                        let scores = &mut outs[e.cand][first..first + slots];
                         block.add_cosines(scores, dots_f64.iter().copied(), e.inv_norm);
                     }
                 }
@@ -1491,10 +1583,9 @@ impl PruneStats {
 /// and is retained afterwards, making the steady state allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
-    /// Dense sweep: per-(candidate, device) scores, candidate-major,
-    /// in the database's address order within a candidate: what the
-    /// returned views expose.
-    scores: Vec<f64>,
+    /// Dense sweep: per candidate, its scores in the database's address
+    /// order: what the returned views expose.
+    scores: Vec<Vec<f64>>,
     /// Every packed row's nonzero `(bin, value)` entries, bins ascending
     /// (see `PackedRow::nonzeros`).
     tile_nonzeros: Vec<(u32, f32)>,
@@ -1509,9 +1600,9 @@ pub struct MatchScratch {
     dots_u32: Vec<u32>,
     /// One candidate's per-slot dots (`f32` column pass).
     dots_f64: Vec<f64>,
-    /// Per-(candidate, slot) scores of the shard being swept,
-    /// candidate-major.
-    shard_scores: Vec<f64>,
+    /// Per candidate, the per-slot scores of the shard being swept when
+    /// they cannot be written in place (see `ReferenceDb::sweep_dense`).
+    shard_scores: Vec<Vec<f64>>,
     /// Pruned sweep: per-(shard, candidate) score upper bounds, indexed
     /// `shard * tile + candidate`.
     tile_bounds: Vec<f64>,
@@ -1632,19 +1723,16 @@ impl MatchView<'_> {
 pub struct TileView<'a> {
     /// The database's device table, shared by every candidate's view.
     devices: &'a DeviceTable,
-    /// Candidate-major scores; each candidate's segment is aligned with
-    /// `devices`.
-    scores: &'a [f64],
-    /// Candidates in the tile (kept separately so an empty database
-    /// still yields one — empty — view per candidate).
-    k: usize,
+    /// Per candidate (input order), its scores aligned with `devices`;
+    /// one (empty, against an empty database) per candidate.
+    scores: &'a [Vec<f64>],
 }
 
 impl<'a> TileView<'a> {
     /// Number of candidates in the tile (the input length, even when the
     /// database was empty).
     pub fn candidate_count(&self) -> usize {
-        self.k
+        self.scores.len()
     }
 
     /// The similarity vector of candidate `index` (input order); empty
@@ -1654,15 +1742,15 @@ impl<'a> TileView<'a> {
     ///
     /// Panics if `index >= candidate_count()`.
     pub fn candidate(&self, index: usize) -> MatchView<'a> {
-        assert!(index < self.k, "candidate {index} out of range for tile of {}", self.k);
-        let n = self.devices.len();
-        MatchView { devices: self.devices, scores: &self.scores[index * n..(index + 1) * n] }
+        let k = self.scores.len();
+        assert!(index < k, "candidate {index} out of range for tile of {k}");
+        MatchView { devices: self.devices, scores: &self.scores[index] }
     }
 
     /// Iterates the per-candidate views in input order (exactly
     /// [`TileView::candidate_count`] of them).
     pub fn views(&self) -> impl Iterator<Item = MatchView<'a>> + '_ {
-        (0..self.k).map(|index| self.candidate(index))
+        (0..self.scores.len()).map(|index| self.candidate(index))
     }
 }
 
@@ -1983,6 +2071,42 @@ mod tests {
     }
 
     #[test]
+    fn a_growth_relayout_leaves_every_shard_room_for_inserts() {
+        // Bulk builds pack at exact size; a growth re-layout sizes each
+        // shard's columns for twice its rows, so the first insert into
+        // each shard after the pruned sweep grew the store moves no
+        // column.
+        let sig_for = |n: u64| sig_with(&[(FrameKind::Data, 10.0 + 10.0 * (n % 240) as f64, 8)]);
+        for config in [MatchConfig::default(), MatchConfig::quantized()] {
+            let sigs: BTreeMap<MacAddr, Signature> =
+                (1..=600u64).map(|n| (MacAddr::from_index(n), sig_for(n))).collect();
+            let mut db = ReferenceDb::from_signatures_with(sigs, config);
+            assert!(db.shards.iter().flat_map(|s| &s.blocks).all(|b| b.cap == b.slots()));
+            db.match_topk_tile(&[sig_for(7)], 3, &mut MatchScratch::new());
+            assert_eq!(db.shard_count(), 4, "{config:?}");
+            let caps = |db: &ReferenceDb| -> Vec<Vec<usize>> {
+                db.shards.iter().map(|s| s.blocks.iter().map(|b| b.cap).collect()).collect()
+            };
+            let grown = caps(&db);
+            for shard in &db.shards {
+                assert!(shard.blocks.iter().all(|b| b.cap == 2 * b.slots()), "{config:?}");
+            }
+            // One new device per shard: each lands where a grown device
+            // with the same signature lives.
+            let mut inserted = vec![false; db.shard_count()];
+            for n in 1..=600u64 {
+                let shard = db.placement[n as usize - 1].shard as usize;
+                if !inserted[shard] {
+                    inserted[shard] = true;
+                    db.insert(MacAddr::from_index(1000 + n), sig_for(n)).unwrap();
+                }
+            }
+            assert!(inserted.iter().all(|&i| i), "{config:?}: every shard took an insert");
+            assert_eq!(caps(&db), grown, "{config:?}: an insert re-laid out a shard's columns");
+        }
+    }
+
+    #[test]
     fn empty_db_matches_nothing() {
         let mut db = ReferenceDb::new();
         let outcome = match_one(&db, &sig_with(&[(FrameKind::Data, 1.0, 5)]));
@@ -2184,16 +2308,42 @@ mod tests {
             })
             .collect();
         let cand = sig_with(&[(FrameKind::Data, 291.0, 40), (FrameKind::Beacon, 90.0, 6)]);
+        let bits = |db: &ReferenceDb| -> Vec<(MacAddr, u64)> {
+            match_one(db, &cand).similarities().map(|(d, s)| (d, s.to_bits())).collect()
+        };
         for (config, shards) in layouts() {
             // The flat baseline shares the config's precision: the
-            // bit-identity claim is per tier.
+            // bit-identity claim is per tier. Its one shard holds its rows
+            // in slot order, so the sweep writes its scores in place.
             let flat = ReferenceDb::from_signatures_with(sigs.iter().cloned().collect(), config);
+            assert_eq!(flat.shards[0].first_row_in_order(), Some(0));
             let sharded = bulk_at(sigs.iter().cloned().collect(), config, shards);
-            let a = match_one(&sharded, &cand);
-            let b = match_one(&flat, &cand);
             // Bit-identical, not merely within tolerance: the sweep
             // accumulates per device in the same kind order.
-            assert_eq!(a.similarities().collect::<Vec<_>>(), b.similarities().collect::<Vec<_>>(), "{config:?}/{shards}");
+            assert_eq!(bits(&sharded), bits(&flat), "{config:?}/{shards}");
+        }
+        // Flat stores whose slots left row order take the staged route
+        // and still score bit for bit like the in-place one, per tier: an
+        // insert below the last address, and a removal that moves the
+        // last slot into the gap.
+        for config in [MatchConfig::default(), MatchConfig::quantized()] {
+            let flat = ReferenceDb::from_signatures_with(sigs.iter().cloned().collect(), config);
+            let mut inserted_below = ReferenceDb::with_config(config);
+            for (dev, sig) in sigs.iter().skip(1).chain(&sigs[..1]) {
+                inserted_below.insert(*dev, sig.clone()).unwrap();
+            }
+            let mut removed = ReferenceDb::with_config(config);
+            let gone = MacAddr::from_index(12 * 0x100);
+            removed.insert(gone, sigs[3].1.clone()).unwrap();
+            for (dev, sig) in &sigs {
+                removed.insert(*dev, sig.clone()).unwrap();
+            }
+            removed.remove(&gone).unwrap();
+            for (name, db) in [("insert below", &inserted_below), ("removal", &removed)] {
+                assert_eq!(db.shard_count(), 1);
+                assert_eq!(db.shards[0].first_row_in_order(), None, "{name}: slots out of row order");
+                assert_eq!(bits(db), bits(&flat), "{config:?}: {name}");
+            }
         }
     }
 

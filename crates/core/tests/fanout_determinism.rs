@@ -1,5 +1,5 @@
 //! Serial ≡ threaded fan-out: a five-parameter `MultiEngine`, whose
-//! window close spreads its per-parameter sweeps over
+//! window close spreads its `MATCH_TILE`-wide candidate tiles over
 //! `batch::map_tiles_with_scratch`, and the tiled
 //! `metrics::match_candidates` give the same events and the same match
 //! sets with one worker (`WIFIPRINT_THREADS=1`, the route a 1-CPU host
@@ -19,9 +19,9 @@ use wifiprint_core::{
 use wifiprint_ieee80211::{Frame, FrameKind, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
 
-const DEVICES: u64 = 6;
+const DEVICES: u64 = 20;
 
-/// A fixed 3 s stream from six devices, each with its own payload sizes,
+/// A fixed 3 s stream from twenty devices, each with its own payload sizes,
 /// rates and pacing, so every parameter's signatures differ per device.
 /// With 600 ms of training and 300 ms windows it closes eight detection
 /// windows.
@@ -118,6 +118,14 @@ fn one_worker_and_five_workers_give_identical_events_and_match_sets() {
     assert_eq!(enrolled, DEVICES as usize);
     assert!(fused.len() >= 4 * DEVICES as usize, "{} fused matches", fused.len());
     assert!(fused.iter().max() > fused.iter().min(), "decisions from more than one window");
+    let widest = serial_events
+        .iter()
+        .filter_map(|e| match e {
+            MultiEvent::WindowClosed { candidates, .. } => Some(*candidates),
+            _ => None,
+        })
+        .max();
+    assert!(widest > Some(2 * MATCH_TILE), "windows of several tiles: {widest:?} candidates");
     assert_eq!(format!("{serial_events:?}"), format!("{threaded_events:?}"));
 
     let (sets, unknown) = &serial_sets;

@@ -3,12 +3,16 @@
 //! bit-flipped and given lying record lengths, then replayed through
 //! `Replay::from_slice`. Replay must never panic, must stop only on a
 //! typed framing error, and must account for every record it read as
-//! either decoded or a decode error.
+//! either decoded or a decode error. A second walk over the same bytes
+//! with `SliceReader` decodes each record itself and checks that every
+//! decode error is typed consistently and counted at its layer.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use wifiprint_pcap::{LinkType, PcapError, Replay, ReplayError, Writer};
+use wifiprint_ieee80211::{FrameError, Nanos};
+use wifiprint_pcap::{LinkType, PcapError, Replay, ReplayError, ReplayStats, SliceReader, Writer};
+use wifiprint_radiotap::{CapturedFrame, DecodeError, HeaderError};
 use wifiprint_scenarios::export::to_pcap_record;
 use wifiprint_scenarios::OfficeScenario;
 
@@ -29,6 +33,35 @@ fn capture() -> &'static (Vec<u8>, Vec<usize>) {
         }
         (file, offsets)
     })
+}
+
+/// Walks `file` record by record, as the replay does, and decodes each
+/// record itself: every `Truncated { needed, available }` error must
+/// need more bytes than it had, and the header and frame failures must
+/// be the ones `stats` counted.
+fn check_decode_errors(file: &[u8], stats: &ReplayStats) {
+    let mut reader = SliceReader::new(file).expect("the replay read this header");
+    let (mut header_errors, mut frame_errors) = (0u64, 0u64);
+    while let Ok(Some((meta, bytes))) = reader.next_record() {
+        let fallback = Nanos::from_nanos(meta.timestamp_nanos());
+        match CapturedFrame::from_radiotap_packet(bytes, fallback) {
+            Ok(_) => {}
+            Err(DecodeError::Header(e)) => {
+                if let HeaderError::Truncated { needed, available } = e {
+                    assert!(needed > available, "{e:?}");
+                }
+                header_errors += 1;
+            }
+            Err(DecodeError::Frame(e)) => {
+                if let FrameError::Truncated { needed, available } = e {
+                    assert!(needed > available, "{e:?}");
+                }
+                frame_errors += 1;
+            }
+        }
+    }
+    assert_eq!(header_errors, stats.header_errors);
+    assert_eq!(frame_errors, stats.frame_errors);
 }
 
 /// The errors a corrupt record stream may end a replay with.
@@ -103,5 +136,6 @@ proptest! {
         let stats = replay.stats();
         prop_assert_eq!(stats.decoded, frames);
         prop_assert_eq!(stats.records, stats.decoded + stats.decode_errors());
+        check_decode_errors(&file, &stats);
     }
 }
