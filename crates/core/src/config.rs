@@ -234,6 +234,8 @@ mod tests {
         let c = CapturedFrame::from_frame(&f, Rate::R11M, Nanos::from_micros(5000), -50);
         let paper = TxTimeEstimator::SizeOverRate.tx_time_micros(&c);
         let real = TxTimeEstimator::MeasuredAirTime.tx_time_micros(&c);
+        // The paper's ttᵢ = sizeᵢ / rateᵢ: bits over Mb/s gives µs.
+        assert_eq!(paper, 8.0 * 1028.0 / 11.0);
         assert!((real - paper - 192.0).abs() < 1.0, "long DSSS preamble is 192 µs");
     }
 

@@ -900,6 +900,63 @@ mod tests {
     }
 
     #[test]
+    fn watchdog_ticks_between_slow_batches_keep_the_ledger_and_window_order() {
+        // Each frame sleeps 100 µs in the worker, so a 64-frame batch
+        // takes longer than the 2 ms stall timeout: the deadline must run
+        // only while the worker waits for a batch. The source pauses
+        // after every chunk until the watchdog has fired, often in the
+        // middle of a detection window, so later frames of a window it
+        // sealed arrive late and are quarantined.
+        let cfg = IngestConfig::default()
+            .with_stall_timeout(Some(Duration::from_millis(2)))
+            .with_sweep_delay(Duration::from_micros(100));
+        let pipeline =
+            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
+        let frames = stream(1_200);
+        let chunks = frames.chunks(150);
+        let pauses = chunks.len() as u64;
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        for chunk in chunks {
+            for f in chunk {
+                pipeline.submit(f).expect("open");
+            }
+            let ticks = pipeline.stats().watchdog_ticks;
+            while pipeline.stats().watchdog_ticks == ticks && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let report = pipeline.finish().expect("terminates");
+        assert!(report.is_reconciled(), "health: {:?}", report.health);
+        assert!(report.stats.watchdog_ticks >= pauses, "stats: {:?}", report.stats);
+
+        // Window indices never decrease, and a window's candidate events
+        // all precede its `WindowClosed`, which counts them.
+        let (mut last_window, mut last_closed, mut pending) = (0, None, 0);
+        let mut closed = 0;
+        for event in &report.events {
+            match *event {
+                MultiEvent::FusedMatch { window, .. } | MultiEvent::FusedNewDevice { window, .. } => {
+                    assert!(window >= last_window, "window {window} after {last_window}");
+                    assert!(last_closed < Some(window), "window {window} after its close");
+                    last_window = window;
+                    pending += 1;
+                }
+                MultiEvent::WindowClosed { window, known, unknown, .. } => {
+                    assert!(window >= last_window, "close of {window} after {last_window}");
+                    assert!(last_closed < Some(window), "window {window} closed twice");
+                    assert_eq!(known + unknown, pending, "window {window}'s candidates");
+                    (last_window, last_closed, pending) = (window, Some(window), 0);
+                    closed += 1;
+                }
+                MultiEvent::Enrolled { .. } => {}
+            }
+        }
+        assert_eq!(pending, 0, "candidate events after the last close");
+        assert!(closed >= 2, "the stream must close several windows: {closed}");
+    }
+
+    #[test]
     fn mpmc_handles_submit_from_several_threads() {
         let pipeline =
             IngestPipeline::spawn(engine(ResilienceConfig::tolerant()), IngestConfig::default())

@@ -91,18 +91,6 @@ impl DurationModel {
     }
 }
 
-impl PhyTx {
-    /// Chooses ERP-OFDM or long-preamble DSSS timing automatically from the
-    /// rate's modulation family — the common case for control responses.
-    #[must_use] 
-    pub const fn erp_or_dsss(rate: Rate) -> PhyTx {
-        match rate.modulation() {
-            crate::rate::Modulation::Ofdm => PhyTx::erp_ofdm(rate),
-            crate::rate::Modulation::Dsss => PhyTx::dsss_long(rate),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::fc::{FrameControl, FrameKind};
+use crate::fc::{FrameControl, FrameKind, FrameType};
 use crate::mac::MacAddr;
 
 /// Number of FCS (CRC-32) bytes at the end of every frame.
@@ -11,9 +11,9 @@ pub const FCS_LEN: usize = 4;
 /// A parsed or constructed 802.11 MAC frame.
 ///
 /// The struct stores the fields that actually appear on air for the frame's
-/// kind; accessors expose the logical addresses (transmitter, receiver,
-/// source, destination, BSSID) derived from the ToDS/FromDS rules of IEEE
-/// 802.11-2007 §7.2.
+/// kind; accessors expose the addresses the fingerprinting pipeline reads
+/// (transmitter, receiver and the logical destination derived from the
+/// ToDS/FromDS rules of IEEE 802.11-2007 §7.2).
 ///
 /// # Example
 ///
@@ -26,8 +26,8 @@ pub const FCS_LEN: usize = 4;
 /// // An uplink data frame (ToDS=1): addr1=BSSID, addr2=SA, addr3=DA.
 /// let f = Frame::data_to_ds(sta, ap, MacAddr::BROADCAST, 100);
 /// assert_eq!(f.transmitter(), Some(sta));
+/// assert_eq!(f.receiver(), ap);
 /// assert_eq!(f.destination(), Some(MacAddr::BROADCAST));
-/// assert_eq!(f.bssid(), Some(ap));
 ///
 /// // ACKs carry no transmitter address.
 /// let ack = Frame::ack(sta);
@@ -92,7 +92,7 @@ impl Frame {
             addr2: None,
             addr3: None,
             addr4: None,
-            seq_ctrl: if fc.kind().frame_type() == crate::fc::FrameType::Control {
+            seq_ctrl: if fc.kind().frame_type() == FrameType::Control {
                 None
             } else {
                 Some(0)
@@ -178,7 +178,7 @@ impl Frame {
     /// A management frame: addr1=DA, addr2=SA, addr3=BSSID.
     #[must_use] 
     pub fn management(kind: FrameKind, da: MacAddr, sa: MacAddr, bssid: MacAddr, body: Vec<u8>) -> Self {
-        debug_assert_eq!(kind.frame_type(), crate::fc::FrameType::Management);
+        debug_assert_eq!(kind.frame_type(), FrameType::Management);
         Frame {
             fc: FrameControl::new(kind),
             duration: 0,
@@ -332,12 +332,6 @@ impl Frame {
         self.fc.kind()
     }
 
-    /// The raw duration/ID field.
-    #[must_use] 
-    pub fn duration(&self) -> u16 {
-        self.duration
-    }
-
     /// Receiver address (addr1), present on every frame.
     #[must_use] 
     pub fn receiver(&self) -> MacAddr {
@@ -353,101 +347,16 @@ impl Frame {
         self.addr2
     }
 
-    /// The third address, when the kind carries one.
-    #[must_use] 
-    pub fn addr3(&self) -> Option<MacAddr> {
-        self.addr3
-    }
-
     /// Logical destination address per the ToDS/FromDS rules.
     #[must_use] 
     pub fn destination(&self) -> Option<MacAddr> {
-        match self.kind().frame_type() {
-            crate::fc::FrameType::Management => Some(self.addr1),
-            crate::fc::FrameType::Control => Some(self.addr1),
-            crate::fc::FrameType::Data => match (self.fc.to_ds(), self.fc.from_ds()) {
-                (false, _) => Some(self.addr1),
-                (true, false) => self.addr3,
-                (true, true) => self.addr3,
-            },
-        }
-    }
-
-    /// Logical source address per the ToDS/FromDS rules.
-    #[must_use] 
-    pub fn source(&self) -> Option<MacAddr> {
-        match self.kind().frame_type() {
-            crate::fc::FrameType::Management => self.addr2,
-            crate::fc::FrameType::Control => self.addr2,
-            crate::fc::FrameType::Data => match (self.fc.to_ds(), self.fc.from_ds()) {
-                (false, false) => self.addr2,
-                (true, false) => self.addr2,
-                (false, true) => self.addr3,
-                (true, true) => self.addr4,
-            },
-        }
-    }
-
-    /// BSSID per the ToDS/FromDS rules, when determinable.
-    #[must_use] 
-    pub fn bssid(&self) -> Option<MacAddr> {
-        match self.kind().frame_type() {
-            crate::fc::FrameType::Management => self.addr3,
-            crate::fc::FrameType::Control => match self.kind() {
-                FrameKind::PsPoll => Some(self.addr1),
-                _ => None,
-            },
-            crate::fc::FrameType::Data => match (self.fc.to_ds(), self.fc.from_ds()) {
-                (false, false) => self.addr3,
-                (true, false) => Some(self.addr1),
-                (false, true) => self.addr2,
-                (true, true) => None,
-            },
-        }
-    }
-
-    /// Sequence number (0..=4095) when the frame carries one.
-    #[must_use] 
-    pub fn sequence(&self) -> Option<u16> {
-        self.seq_ctrl.map(|sc| sc >> 4)
-    }
-
-    /// `QoS` control field for `QoS` subtypes.
-    #[must_use] 
-    pub fn qos_control(&self) -> Option<u16> {
-        self.qos_ctrl
-    }
-
-    /// Frame body (payload after the MAC header, before the FCS).
-    #[must_use] 
-    pub fn body(&self) -> &[u8] {
-        &self.body
-    }
-
-    /// Header length in bytes for this frame's kind and flags (no FCS).
-    #[must_use] 
-    pub fn header_len(&self) -> usize {
-        match self.kind() {
-            FrameKind::Cts | FrameKind::Ack => 10,
-            FrameKind::Rts | FrameKind::PsPoll | FrameKind::CfEnd | FrameKind::CfEndCfAck => 16,
-            FrameKind::BlockAckReq | FrameKind::BlockAck => 16,
-            kind => {
-                let mut len = 24; // fc + dur + 3 addresses + seq
-                if self.fc.to_ds() && self.fc.from_ds() {
-                    len += 6;
-                }
-                if kind.has_qos_control() {
-                    len += 2;
-                }
-                len
-            }
-        }
+        destination(self.fc, self.addr1, self.addr3)
     }
 
     /// Total on-air length in bytes, including the 4-byte FCS.
     #[must_use] 
     pub fn wire_len(&self) -> usize {
-        self.header_len() + self.body.len() + FCS_LEN
+        header_len(self.fc) + self.body.len() + FCS_LEN
     }
 
     // ----- codec ------------------------------------------------------------
@@ -460,26 +369,18 @@ impl Frame {
         out.extend_from_slice(&self.fc.to_raw().to_le_bytes());
         out.extend_from_slice(&self.duration.to_le_bytes());
         out.extend_from_slice(&self.addr1.octets());
-        match self.kind() {
-            FrameKind::Cts | FrameKind::Ack => {}
-            FrameKind::Rts
-            | FrameKind::PsPoll
-            | FrameKind::CfEnd
-            | FrameKind::CfEndCfAck
-            | FrameKind::BlockAckReq
-            | FrameKind::BlockAck => {
-                out.extend_from_slice(&self.addr2.unwrap_or(MacAddr::ZERO).octets());
+        let header_len = header_len(self.fc);
+        if header_len >= 16 {
+            out.extend_from_slice(&self.addr2.unwrap_or(MacAddr::ZERO).octets());
+        }
+        if header_len >= 24 {
+            out.extend_from_slice(&self.addr3.unwrap_or(MacAddr::ZERO).octets());
+            out.extend_from_slice(&self.seq_ctrl.unwrap_or(0).to_le_bytes());
+            if self.fc.to_ds() && self.fc.from_ds() {
+                out.extend_from_slice(&self.addr4.unwrap_or(MacAddr::ZERO).octets());
             }
-            kind => {
-                out.extend_from_slice(&self.addr2.unwrap_or(MacAddr::ZERO).octets());
-                out.extend_from_slice(&self.addr3.unwrap_or(MacAddr::ZERO).octets());
-                out.extend_from_slice(&self.seq_ctrl.unwrap_or(0).to_le_bytes());
-                if self.fc.to_ds() && self.fc.from_ds() {
-                    out.extend_from_slice(&self.addr4.unwrap_or(MacAddr::ZERO).octets());
-                }
-                if kind.has_qos_control() {
-                    out.extend_from_slice(&self.qos_ctrl.unwrap_or(0).to_le_bytes());
-                }
+            if self.kind().has_qos_control() {
+                out.extend_from_slice(&self.qos_ctrl.unwrap_or(0).to_le_bytes());
             }
         }
         out.extend_from_slice(&self.body);
@@ -599,6 +500,39 @@ impl Frame {
     }
 }
 
+/// MAC header length in bytes (no FCS) for a frame with this Frame Control
+/// field: the one layout rule the encoder and the borrowed decoder share.
+/// [`Frame::parse`] keeps its own copy, so it stays an independent oracle.
+#[inline]
+pub(crate) fn header_len(fc: FrameControl) -> usize {
+    match fc.kind() {
+        FrameKind::Cts | FrameKind::Ack => 10,
+        FrameKind::Rts | FrameKind::PsPoll | FrameKind::CfEnd | FrameKind::CfEndCfAck => 16,
+        FrameKind::BlockAckReq | FrameKind::BlockAck => 16,
+        kind => {
+            let mut len = 24; // fc + dur + 3 addresses + seq
+            if fc.to_ds() && fc.from_ds() {
+                len += 6;
+            }
+            if kind.has_qos_control() {
+                len += 2;
+            }
+            len
+        }
+    }
+}
+
+/// Logical destination address per the ToDS/FromDS rules: addr3 for a data
+/// frame sent to the distribution system, addr1 for every other frame.
+#[inline]
+pub(crate) fn destination(fc: FrameControl, addr1: MacAddr, addr3: Option<MacAddr>) -> Option<MacAddr> {
+    if fc.to_ds() && fc.kind().frame_type() == FrameType::Data {
+        addr3
+    } else {
+        Some(addr1)
+    }
+}
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected) as used for the 802.11 FCS.
 pub fn crc32(data: &[u8]) -> u32 {
     const POLY: u32 = 0xEDB8_8320;
@@ -616,7 +550,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fc::FrameType;
 
     fn sta() -> MacAddr {
         MacAddr::from_index(0x11)
@@ -644,22 +577,21 @@ mod tests {
         let parsed = Frame::parse(&bytes).unwrap();
         assert_eq!(parsed, f);
         assert_eq!(parsed.transmitter(), Some(sta()));
+        assert_eq!(parsed.receiver(), ap()); // the BSSID
         assert_eq!(parsed.destination(), Some(peer()));
-        assert_eq!(parsed.source(), Some(sta()));
-        assert_eq!(parsed.bssid(), Some(ap()));
-        assert_eq!(parsed.sequence(), Some(1234));
+        assert_eq!(bytes[16..22], peer().octets());
+        assert_eq!(bytes[22..24], (1234u16 << 4).to_le_bytes());
     }
 
     #[test]
     fn data_from_ds_addressing() {
         let f = Frame::data_from_ds(sta(), ap(), peer(), 10);
         assert_eq!(f.receiver(), sta());
-        assert_eq!(f.transmitter(), Some(ap()));
-        assert_eq!(f.source(), Some(peer()));
+        assert_eq!(f.transmitter(), Some(ap())); // the BSSID
         assert_eq!(f.destination(), Some(sta()));
-        assert_eq!(f.bssid(), Some(ap()));
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        assert_eq!(parsed, f);
+        let bytes = f.to_bytes();
+        assert_eq!(bytes[16..22], peer().octets()); // the source
+        assert_eq!(Frame::parse(&bytes).unwrap(), f);
     }
 
     #[test]
@@ -667,10 +599,10 @@ mod tests {
         let rts = Frame::rts(ap(), sta(), 314);
         let bytes = rts.to_bytes();
         assert_eq!(bytes.len(), crate::timing::RTS_LEN);
+        assert_eq!(bytes[2..4], 314u16.to_le_bytes());
         let parsed = Frame::parse(&bytes).unwrap();
         assert_eq!(parsed, rts);
         assert_eq!(parsed.transmitter(), Some(sta()));
-        assert_eq!(parsed.duration(), 314);
 
         let cts = Frame::cts(sta(), 200);
         let bytes = cts.to_bytes();
@@ -687,10 +619,11 @@ mod tests {
     fn qos_upgrade_adds_field_and_subtype() {
         let f = Frame::data_to_ds(sta(), ap(), peer(), 99).with_qos(6);
         assert_eq!(f.kind(), FrameKind::QosData);
-        assert_eq!(f.header_len(), 26);
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        assert_eq!(parsed.qos_control(), Some(6));
-        assert_eq!(parsed.body().len(), 99);
+        assert_eq!(header_len(f.frame_control()), 26);
+        let bytes = f.to_bytes();
+        assert_eq!(bytes.len(), 26 + 99 + FCS_LEN);
+        assert_eq!(bytes[24..26], 6u16.to_le_bytes());
+        assert_eq!(Frame::parse(&bytes).unwrap(), f);
     }
 
     #[test]
@@ -698,7 +631,7 @@ mod tests {
         let f = Frame::null_function(sta(), ap(), true);
         assert!(f.frame_control().power_management());
         assert!(f.kind().is_null_function());
-        assert_eq!(f.body().len(), 0);
+        assert_eq!(f.wire_len(), 24 + FCS_LEN); // no body
         let parsed = Frame::parse(&f.to_bytes()).unwrap();
         assert_eq!(parsed, f);
     }
@@ -708,7 +641,7 @@ mod tests {
         let b = Frame::beacon(ap(), vec![1, 2, 3]);
         assert_eq!(b.kind().frame_type(), FrameType::Management);
         assert_eq!(b.destination(), Some(MacAddr::BROADCAST));
-        assert_eq!(b.bssid(), Some(ap()));
+        assert_eq!(b.to_bytes()[16..22], ap().octets()); // the BSSID
         let p = Frame::probe_req(sta(), vec![]);
         assert_eq!(p.transmitter(), Some(sta()));
         assert_eq!(p.receiver(), MacAddr::BROADCAST);
@@ -717,10 +650,10 @@ mod tests {
     #[test]
     fn ps_poll_carries_aid() {
         let f = Frame::ps_poll(ap(), sta(), 5);
-        assert_eq!(f.duration() & 0x3fff, 5);
-        assert_eq!(f.bssid(), Some(ap()));
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        assert_eq!(parsed, f);
+        let bytes = f.to_bytes();
+        assert_eq!(u16::from_le_bytes([bytes[2], bytes[3]]) & 0x3fff, 5);
+        assert_eq!(f.receiver(), ap()); // the BSSID
+        assert_eq!(Frame::parse(&bytes).unwrap(), f);
     }
 
     #[test]
@@ -731,11 +664,11 @@ mod tests {
         f.addr3 = Some(peer());
         f.addr4 = Some(MacAddr::from_index(0x44));
         f.body = vec![9; 20];
-        assert_eq!(f.header_len(), 30);
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        assert_eq!(parsed, f);
-        assert_eq!(parsed.source(), Some(MacAddr::from_index(0x44)));
-        assert_eq!(parsed.bssid(), None);
+        assert_eq!(header_len(fc), 30);
+        let bytes = f.to_bytes();
+        assert_eq!(bytes[24..30], MacAddr::from_index(0x44).octets()); // the source
+        assert_eq!(Frame::parse(&bytes).unwrap(), f);
+        assert_eq!(f.destination(), Some(peer()));
     }
 
     #[test]
@@ -762,7 +695,7 @@ mod tests {
         let mut bytes = f.to_bytes();
         bytes.truncate(bytes.len() - FCS_LEN); // strip FCS
         let parsed = Frame::parse_without_fcs(&bytes).unwrap();
-        assert_eq!(parsed.body().len(), 8);
+        assert_eq!(parsed, f);
     }
 
     #[test]
@@ -779,16 +712,16 @@ mod tests {
         let f = Frame::data_to_ds(sta(), ap(), peer(), 1)
             .with_duration(44)
             .with_fc(FrameControl::new(FrameKind::Data).with_to_ds(true).with_retry(true));
-        assert_eq!(f.duration(), 44);
+        assert_eq!(f.to_bytes()[2..4], 44u16.to_le_bytes());
         assert!(f.frame_control().retry());
     }
 
     #[test]
     fn sequence_is_masked_to_12_bits() {
         let f = Frame::data_to_ds(sta(), ap(), peer(), 0).with_sequence(5000);
-        assert_eq!(f.sequence(), Some(0x0388)); // 5000 mod 4096
+        // 5000 mod 4096, above the 4 fragment-number bits.
+        assert_eq!(f.to_bytes()[22..24], (0x0388u16 << 4).to_le_bytes());
         // Control frames silently ignore sequence numbers.
-        let ack = Frame::ack(sta()).with_sequence(7);
-        assert_eq!(ack.sequence(), None);
+        assert_eq!(Frame::ack(sta()).with_sequence(7), Frame::ack(sta()));
     }
 }

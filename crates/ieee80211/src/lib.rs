@@ -9,6 +9,9 @@
 //!   full management/control/data subtype table,
 //! * [`Frame`] — wire-format serialisation and parsing of MAC frames with
 //!   the ToDS/FromDS addressing rules,
+//! * [`WireFrame`] — a borrowed, allocation-free view that reads only the
+//!   header fields a passive monitor uses (kind, retry bit, transmitter,
+//!   receiver, destination, on-air size) and agrees with [`Frame::parse`],
 //! * [`Rate`] — DSSS/CCK and ERP-OFDM rates in 500 kb/s units,
 //! * [`timing`] — PHY timing constants (slot, SIFS, DIFS, EIFS, contention
 //!   windows, PLCP preambles) and frame air-time computation,

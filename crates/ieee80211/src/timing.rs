@@ -126,6 +126,16 @@ impl PhyTx {
     pub const fn dsss_short(rate: Rate) -> Self {
         PhyTx { rate, preamble: Preamble::Short, signal_extension: false }
     }
+
+    /// Chooses ERP-OFDM or long-preamble DSSS timing automatically from the
+    /// rate's modulation family — the common case for control responses.
+    #[must_use] 
+    pub const fn erp_or_dsss(rate: Rate) -> PhyTx {
+        match rate.modulation() {
+            Modulation::Ofdm => PhyTx::erp_ofdm(rate),
+            Modulation::Dsss => PhyTx::dsss_long(rate),
+        }
+    }
 }
 
 /// Computes the time a frame of `len` bytes (including FCS) occupies the
@@ -191,18 +201,6 @@ pub fn air_time(tx: PhyTx, len: usize) -> Nanos {
             OFDM_PLCP + OFDM_SYMBOL * symbols + ext
         }
     }
-}
-
-/// The paper's *estimated* transmission time `ttᵢ = sizeᵢ / rateᵢ`
-/// (§IV-A), in microseconds.
-///
-/// This deliberately ignores PLCP overhead — it is what a passive monitor
-/// computes from Radiotap's size and rate fields alone, and is the quantity
-/// the "transmission time" fingerprint histograms bin.
-#[inline]
-#[must_use] 
-pub fn estimated_tx_time_micros(len: usize, rate: Rate) -> f64 {
-    8.0 * len as f64 / rate.mbps()
 }
 
 #[cfg(test)]
@@ -275,12 +273,5 @@ mod tests {
         assert!(e > difs(SlotTime::Long));
         // SIFS + DIFS + 304 µs ACK = 10 + 50 + 304 = 364 µs.
         assert_eq!(e.as_micros(), 364);
-    }
-
-    #[test]
-    fn estimated_tx_time_matches_paper_definition() {
-        // size/rate with size in bits and rate in Mb/s gives µs.
-        assert_eq!(estimated_tx_time_micros(1500, Rate::R54M), 8.0 * 1500.0 / 54.0);
-        assert_eq!(estimated_tx_time_micros(100, Rate::R1M), 800.0);
     }
 }

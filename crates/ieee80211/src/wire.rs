@@ -1,13 +1,15 @@
 //! Borrowed, zero-copy view over an on-air 802.11 MAC frame.
 //!
-//! [`WireFrame`] parses exactly the header fields passive fingerprinting
-//! needs — Frame Control, duration, addr1–3 (plus addr4 for WDS frames),
-//! sequence control and the retry bit — directly from a byte slice. No
-//! body copy is made and nothing is allocated: decoding a captured record
-//! is pure header arithmetic. The view is proven field-for-field equal to
+//! [`WireFrame`] reads exactly the header fields passive fingerprinting
+//! needs — the frame kind, the retry bit, the receiver, transmitter and
+//! logical destination addresses, and the on-air size — directly from a
+//! byte slice. No body copy is made and nothing is allocated: decoding a
+//! captured record is pure header arithmetic. Every accessor is proven
+//! equal to its [`Frame`](crate::Frame) counterpart after
 //! [`Frame::parse`](crate::Frame::parse) /
 //! [`Frame::parse_without_fcs`](crate::Frame::parse_without_fcs) on every
-//! valid frame (see the crate's property tests).
+//! valid frame, and both parsers reject the same buffers with the same
+//! errors (see the crate's property tests).
 //!
 //! # Example
 //!
@@ -19,14 +21,14 @@
 //! let bytes = Frame::data_to_ds(sta, ap, ap, 100).to_bytes();
 //!
 //! // Borrow the on-air bytes; no allocation, no body copy.
-//! let view = WireFrame::try_from(&bytes[..]).unwrap();
+//! let view = WireFrame::parse(&bytes).unwrap();
 //! assert_eq!(view.transmitter(), Some(sta));
 //! assert_eq!(view.receiver(), ap);
 //! assert_eq!(view.wire_len(), bytes.len());
 //! ```
 
-use crate::fc::{FrameControl, FrameKind, FrameType};
-use crate::frame::{FrameError, FCS_LEN};
+use crate::fc::{FrameControl, FrameKind};
+use crate::frame::{self, FrameError, FCS_LEN};
 use crate::mac::MacAddr;
 
 /// A borrowed typed view over one on-air 802.11 MAC frame.
@@ -79,55 +81,16 @@ impl<'a> WireFrame<'a> {
             return Err(FrameError::ReservedType(3));
         }
         let fc = FrameControl::from_raw(raw_fc);
-        let header_len = match fc.kind() {
-            FrameKind::Cts | FrameKind::Ack => 10,
-            FrameKind::Rts
-            | FrameKind::PsPoll
-            | FrameKind::CfEnd
-            | FrameKind::CfEndCfAck
-            | FrameKind::BlockAckReq
-            | FrameKind::BlockAck => {
-                if buf.len() < 16 {
-                    return Err(err(16));
-                }
-                16
-            }
-            kind => {
-                let mut need = 24;
-                if fc.to_ds() && fc.from_ds() {
-                    need += 6;
-                }
-                if kind.has_qos_control() {
-                    need += 2;
-                }
-                if buf.len() < need {
-                    return Err(err(need));
-                }
-                need
-            }
-        };
+        let header_len = frame::header_len(fc);
+        if buf.len() < header_len {
+            return Err(err(header_len));
+        }
         Ok(WireFrame { buf, fc, header_len, has_fcs })
     }
 
     #[inline]
     fn addr_at(&self, off: usize) -> MacAddr {
         MacAddr::from_slice(&self.buf[off..]).expect("validated header length")
-    }
-
-    // ----- accessors (mirroring `Frame`) -----------------------------------
-
-    /// The underlying captured bytes the view borrows.
-    #[inline]
-    #[must_use] 
-    pub fn as_bytes(&self) -> &'a [u8] {
-        self.buf
-    }
-
-    /// The frame control field.
-    #[inline]
-    #[must_use] 
-    pub fn frame_control(&self) -> FrameControl {
-        self.fc
     }
 
     /// The frame kind (type + subtype).
@@ -144,13 +107,6 @@ impl<'a> WireFrame<'a> {
         self.fc.retry()
     }
 
-    /// The raw duration/ID field.
-    #[inline]
-    #[must_use] 
-    pub fn duration(&self) -> u16 {
-        u16::from_le_bytes([self.buf[2], self.buf[3]])
-    }
-
     /// Receiver address (addr1), present on every frame.
     #[inline]
     #[must_use] 
@@ -165,129 +121,20 @@ impl<'a> WireFrame<'a> {
     #[inline]
     #[must_use] 
     pub fn transmitter(&self) -> Option<MacAddr> {
-        if self.header_len >= 16 {
-            Some(self.addr_at(10))
-        } else {
-            None
-        }
+        (self.header_len >= 16).then(|| self.addr_at(10))
     }
 
     /// The third address, when the kind carries one.
     #[inline]
-    #[must_use] 
-    pub fn addr3(&self) -> Option<MacAddr> {
-        if self.header_len >= 24 {
-            Some(self.addr_at(16))
-        } else {
-            None
-        }
-    }
-
-    /// The fourth address (WDS frames with both `ToDS` and `FromDS` set).
-    #[inline]
-    #[must_use] 
-    pub fn addr4(&self) -> Option<MacAddr> {
-        if self.header_len >= 24 && self.fc.to_ds() && self.fc.from_ds() {
-            Some(self.addr_at(24))
-        } else {
-            None
-        }
-    }
-
-    /// Raw sequence-control field, when the frame carries one.
-    #[inline]
-    #[must_use] 
-    pub fn sequence_control(&self) -> Option<u16> {
-        if self.header_len >= 24 {
-            Some(u16::from_le_bytes([self.buf[22], self.buf[23]]))
-        } else {
-            None
-        }
-    }
-
-    /// Sequence number (0..=4095) when the frame carries one.
-    #[inline]
-    #[must_use] 
-    pub fn sequence(&self) -> Option<u16> {
-        self.sequence_control().map(|sc| sc >> 4)
-    }
-
-    /// `QoS` control field for `QoS` subtypes.
-    #[inline]
-    #[must_use] 
-    pub fn qos_control(&self) -> Option<u16> {
-        if self.fc.kind().has_qos_control() {
-            let off = self.header_len - 2;
-            Some(u16::from_le_bytes([self.buf[off], self.buf[off + 1]]))
-        } else {
-            None
-        }
+    fn addr3(&self) -> Option<MacAddr> {
+        (self.header_len >= 24).then(|| self.addr_at(16))
     }
 
     /// Logical destination address per the ToDS/FromDS rules.
+    #[inline]
     #[must_use] 
     pub fn destination(&self) -> Option<MacAddr> {
-        match self.kind().frame_type() {
-            FrameType::Management | FrameType::Control => Some(self.receiver()),
-            FrameType::Data => {
-                if self.fc.to_ds() {
-                    self.addr3()
-                } else {
-                    Some(self.receiver())
-                }
-            }
-        }
-    }
-
-    /// Logical source address per the ToDS/FromDS rules.
-    #[must_use] 
-    pub fn source(&self) -> Option<MacAddr> {
-        match self.kind().frame_type() {
-            FrameType::Management | FrameType::Control => self.transmitter(),
-            FrameType::Data => match (self.fc.to_ds(), self.fc.from_ds()) {
-                (false | true, false) => self.transmitter(),
-                (false, true) => self.addr3(),
-                (true, true) => self.addr4(),
-            },
-        }
-    }
-
-    /// BSSID per the ToDS/FromDS rules, when determinable.
-    #[must_use] 
-    pub fn bssid(&self) -> Option<MacAddr> {
-        match self.kind().frame_type() {
-            FrameType::Management => self.addr3(),
-            FrameType::Control => match self.kind() {
-                FrameKind::PsPoll => Some(self.receiver()),
-                _ => None,
-            },
-            FrameType::Data => match (self.fc.to_ds(), self.fc.from_ds()) {
-                (false, false) => self.addr3(),
-                (true, false) => Some(self.receiver()),
-                (false, true) => self.transmitter(),
-                (true, true) => None,
-            },
-        }
-    }
-
-    /// Frame body (payload after the MAC header, before the FCS), borrowed.
-    #[inline]
-    #[must_use] 
-    pub fn body(&self) -> &'a [u8] {
-        &self.buf[self.header_len..self.body_end()]
-    }
-
-    #[inline]
-    fn body_end(&self) -> usize {
-        let tail = if self.has_fcs { FCS_LEN } else { 0 };
-        self.buf.len().saturating_sub(tail).max(self.header_len)
-    }
-
-    /// Header length in bytes for this frame's kind and flags (no FCS).
-    #[inline]
-    #[must_use] 
-    pub fn header_len(&self) -> usize {
-        self.header_len
+        frame::destination(self.fc, self.receiver(), self.addr3())
     }
 
     /// Total on-air length in bytes, including the 4-byte FCS — the
@@ -295,17 +142,8 @@ impl<'a> WireFrame<'a> {
     #[inline]
     #[must_use] 
     pub fn wire_len(&self) -> usize {
-        self.body_end() + FCS_LEN
-    }
-}
-
-/// The SNIPPETS-idiom entry point: a monitor capture's on-air bytes
-/// (FCS included) viewed in place.
-impl<'a> TryFrom<&'a [u8]> for WireFrame<'a> {
-    type Error = FrameError;
-
-    fn try_from(buf: &'a [u8]) -> Result<Self, Self::Error> {
-        WireFrame::parse(buf)
+        let tail = if self.has_fcs { FCS_LEN } else { 0 };
+        self.buf.len().saturating_sub(tail).max(self.header_len) + FCS_LEN
     }
 }
 
@@ -334,21 +172,12 @@ mod tests {
                 Frame::parse_without_fcs(bytes).unwrap(),
             )
         };
-        assert_eq!(view.frame_control(), frame.frame_control());
         assert_eq!(view.kind(), frame.kind());
-        assert_eq!(view.duration(), frame.duration());
+        assert_eq!(view.retry(), frame.frame_control().retry());
         assert_eq!(view.receiver(), frame.receiver());
         assert_eq!(view.transmitter(), frame.transmitter());
-        assert_eq!(view.addr3(), frame.addr3());
-        assert_eq!(view.sequence(), frame.sequence());
-        assert_eq!(view.qos_control(), frame.qos_control());
         assert_eq!(view.destination(), frame.destination());
-        assert_eq!(view.source(), frame.source());
-        assert_eq!(view.bssid(), frame.bssid());
-        assert_eq!(view.body(), frame.body());
-        assert_eq!(view.header_len(), frame.header_len());
         assert_eq!(view.wire_len(), frame.wire_len());
-        assert_eq!(view.retry(), frame.frame_control().retry());
     }
 
     #[test]
@@ -389,10 +218,12 @@ mod tests {
         bytes.extend_from_slice(&[9; 20]);
         bytes.extend_from_slice(&[0; FCS_LEN]);
         let view = WireFrame::parse(&bytes).unwrap();
-        assert_eq!(view.addr4(), Some(MacAddr::from_index(0x44)));
-        assert_eq!(view.source(), Some(MacAddr::from_index(0x44)));
-        assert_eq!(view.bssid(), None);
-        assert_eq!(view.sequence(), Some(55));
+        assert_eq!(view.header_len, 30);
+        assert_eq!(view.receiver(), ap());
+        assert_eq!(view.transmitter(), Some(sta()));
+        // ToDS: the destination is addr3, not the receiver.
+        assert_eq!(view.destination(), Some(peer()));
+        assert_eq!(view.wire_len(), 30 + 20 + FCS_LEN);
         assert_matches_frame(&bytes, true);
     }
 
@@ -425,20 +256,22 @@ mod tests {
     }
 
     #[test]
-    fn try_from_assumes_fcs() {
+    fn parse_assumes_fcs() {
         let bytes = Frame::ack(sta()).to_bytes();
-        let view = WireFrame::try_from(&bytes[..]).unwrap();
+        let view = WireFrame::parse(&bytes).unwrap();
         assert_eq!(view.wire_len(), bytes.len());
         assert_eq!(view.transmitter(), None);
-        assert!(view.body().is_empty());
+        // Without the FCS the same bytes are four bytes of body longer.
+        let bare = WireFrame::parse_without_fcs(&bytes).unwrap();
+        assert_eq!(bare.wire_len(), bytes.len() + FCS_LEN);
     }
 
     #[test]
     fn borrows_without_copying() {
         let bytes = Frame::data_to_ds(sta(), ap(), peer(), 16).to_bytes();
         let view = WireFrame::parse(&bytes).unwrap();
-        // The body view points into the original buffer.
-        assert_eq!(view.body().as_ptr(), bytes[24..].as_ptr());
-        assert_eq!(view.as_bytes().as_ptr(), bytes.as_ptr());
+        // The view holds the captured buffer itself, not a copy.
+        assert_eq!(view.buf.as_ptr(), bytes.as_ptr());
+        assert_eq!(view.buf.len(), bytes.len());
     }
 }

@@ -7,9 +7,15 @@
 //! held in memory (read whole with `std::fs::read`, or memory-mapped) and
 //! [`Replay::from_slice`] borrows each record in place through
 //! [`SliceReader`], never copying (or even reading) record bodies. The
-//! 802.11 header is read through the borrowed [`WireFrame`] view (no body
-//! copy, no `Frame` materialization), and `CapturedFrame` itself is a
-//! plain `Copy` struct. An allocation-counting test pins this down.
+//! 802.11 header is read through the borrowed
+//! [`WireFrame`](wifiprint_ieee80211::WireFrame) view (no body copy, no
+//! `Frame` materialization), and `CapturedFrame` itself is a plain `Copy`
+//! struct. An allocation-counting test pins this down.
+//!
+//! Every link type decodes through `wifiprint-radiotap`: DLT 127 and 119
+//! records through their capture header, and raw DLT 105 records through
+//! [`CapturedFrame::from_decoded`] with an empty header (FCS included), so
+//! the defaults for missing metadata live in that one decoder.
 //!
 //! Alongside the frames, a [`ReplayStats`] tallies capture quality: how
 //! many records decoded, how many failed (and at which layer), and how
@@ -53,8 +59,8 @@
 //! # }
 //! ```
 
-use wifiprint_ieee80211::{Nanos, WireFrame};
-use wifiprint_radiotap::{CapturedFrame, DecodeError, DefaultedFields};
+use wifiprint_ieee80211::Nanos;
+use wifiprint_radiotap::{CapturedFrame, DecodeError, DefaultedFields, RxFlags, RxInfo};
 
 use crate::{LinkType, PcapError, SliceReader};
 
@@ -195,17 +201,10 @@ impl<'a> Replay<'a> {
                 LinkType::Prism => CapturedFrame::from_prism_packet_counted(bytes, fallback),
                 // Raw 802.11: no capture header at all, so every
                 // metadata field is a fallback by construction.
-                _ => WireFrame::parse(bytes)
-                    .map(|view| {
-                        let cap = CapturedFrame::from_wire(
-                            &view,
-                            wifiprint_ieee80211::Rate::R1M,
-                            fallback,
-                            -70,
-                        );
-                        (cap, DefaultedFields { rate: true, signal: true, timestamp: true })
-                    })
-                    .map_err(DecodeError::Frame),
+                _ => {
+                    let info = RxInfo { flags: RxFlags::FCS_INCLUDED, ..RxInfo::default() };
+                    CapturedFrame::from_decoded(&info, bytes, fallback)
+                }
             };
             match decoded {
                 Ok((frame, defaulted)) => {
@@ -224,7 +223,6 @@ mod tests {
     use super::*;
     use crate::{Record, Writer};
     use wifiprint_ieee80211::{Frame, MacAddr, Rate};
-    use wifiprint_radiotap::{RxFlags, RxInfo};
 
     fn radiotap_packet(frame: &Frame, rate: Option<Rate>, tsft_us: Option<u64>) -> Vec<u8> {
         let info = RxInfo {
@@ -295,17 +293,45 @@ mod tests {
 
     #[test]
     fn replays_raw_80211_with_everything_defaulted() {
-        let frame = Frame::data_to_ds(sta(), ap(), ap(), 64);
-        let file = capture(LinkType::Ieee80211, &[(500, frame.to_bytes())]);
+        use wifiprint_ieee80211::{FrameControl, FrameKind};
+
+        // DLT 105 records are bare on-air frames, FCS included, one per
+        // address layout; a garbage record in the middle is a frame error.
+        let retried = FrameControl::new(FrameKind::Data).with_from_ds(true).with_retry(true);
+        let frames = [
+            Frame::data_to_ds(sta(), ap(), MacAddr::BROADCAST, 64).with_sequence(9),
+            Frame::data_from_ds(sta(), ap(), MacAddr::from_index(3), 32).with_fc(retried),
+            Frame::data_to_ds(sta(), ap(), ap(), 100).with_qos(5),
+            Frame::beacon(ap(), vec![7; 20]),
+            Frame::rts(ap(), sta(), 300),
+            Frame::ack(sta()),
+        ];
+        let mut packets: Vec<(u64, Vec<u8>)> =
+            frames.iter().zip(1..).map(|(f, i)| (500 * i, f.to_bytes())).collect();
+        packets.insert(2, (750, vec![1, 2, 3]));
+        let file = capture(LinkType::Ieee80211, &packets);
+
         let mut replay = Replay::from_slice(&file).unwrap();
-        let cap = replay.next_frame().unwrap().unwrap();
-        assert_eq!(cap.rate, Rate::R1M);
-        assert_eq!(cap.t_end, Nanos::from_micros(500));
-        assert_eq!(cap.signal_dbm, -70);
-        let stats = replay.stats();
-        assert_eq!(stats.defaulted_rate, 1);
-        assert_eq!(stats.defaulted_signal, 1);
-        assert_eq!(stats.defaulted_timestamp, 1);
+        for (frame, i) in frames.iter().zip(1..) {
+            let cap = replay.next_frame().unwrap().unwrap();
+            let expected = CapturedFrame::from_frame(frame, Rate::R1M, Nanos::from_micros(500 * i), -70);
+            assert_eq!(cap, expected, "record {i}");
+        }
+        assert!(replay.next_frame().unwrap().is_none());
+
+        let n = frames.len() as u64;
+        assert_eq!(
+            replay.stats(),
+            ReplayStats {
+                records: n + 1,
+                decoded: n,
+                header_errors: 0,
+                frame_errors: 1,
+                defaulted_rate: n,
+                defaulted_signal: n,
+                defaulted_timestamp: n,
+            }
+        );
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! metadata (timestamp, rate, size) plus the MAC header summary (type,
 //! addresses, retry flag) — and nothing else.
 
-use wifiprint_ieee80211::timing::{air_time, PhyTx, Preamble};
-use wifiprint_ieee80211::{
-    Frame, FrameError, FrameKind, MacAddr, Modulation, Nanos, Rate, WireFrame,
-};
+use wifiprint_ieee80211::timing::{air_time, PhyTx};
+use wifiprint_ieee80211::{Frame, FrameError, FrameKind, MacAddr, Nanos, Rate, WireFrame};
 
-use crate::{HeaderError, RxInfo};
+use crate::{HeaderError, RxFlags, RxInfo};
 
 /// One frame as seen by a passive monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,48 +40,92 @@ pub struct CapturedFrame {
     pub signal_dbm: i8,
 }
 
+/// The MAC header fields a capture keeps, read alike from an owned
+/// [`Frame`] and a borrowed [`WireFrame`].
+trait MacHeader {
+    fn wire_len(&self) -> usize;
+    fn kind(&self) -> FrameKind;
+    fn retry(&self) -> bool;
+    fn transmitter(&self) -> Option<MacAddr>;
+    fn receiver(&self) -> MacAddr;
+    fn destination(&self) -> Option<MacAddr>;
+}
+
+impl MacHeader for Frame {
+    fn wire_len(&self) -> usize {
+        Frame::wire_len(self)
+    }
+    fn kind(&self) -> FrameKind {
+        Frame::kind(self)
+    }
+    fn retry(&self) -> bool {
+        self.frame_control().retry()
+    }
+    fn transmitter(&self) -> Option<MacAddr> {
+        Frame::transmitter(self)
+    }
+    fn receiver(&self) -> MacAddr {
+        Frame::receiver(self)
+    }
+    fn destination(&self) -> Option<MacAddr> {
+        Frame::destination(self)
+    }
+}
+
+impl MacHeader for WireFrame<'_> {
+    #[inline]
+    fn wire_len(&self) -> usize {
+        WireFrame::wire_len(self)
+    }
+    #[inline]
+    fn kind(&self) -> FrameKind {
+        WireFrame::kind(self)
+    }
+    #[inline]
+    fn retry(&self) -> bool {
+        WireFrame::retry(self)
+    }
+    #[inline]
+    fn transmitter(&self) -> Option<MacAddr> {
+        WireFrame::transmitter(self)
+    }
+    #[inline]
+    fn receiver(&self) -> MacAddr {
+        WireFrame::receiver(self)
+    }
+    #[inline]
+    fn destination(&self) -> Option<MacAddr> {
+        WireFrame::destination(self)
+    }
+}
+
 impl CapturedFrame {
     /// Assembles a captured frame from a parsed MAC frame plus reception
     /// metadata, deriving air time from size and rate.
     pub fn from_frame(frame: &Frame, rate: Rate, t_end: Nanos, signal_dbm: i8) -> Self {
-        let size = frame.wire_len();
-        let tx = match rate.modulation() {
-            Modulation::Ofdm => PhyTx::erp_ofdm(rate),
-            Modulation::Dsss => PhyTx::new(rate, Preamble::Long),
-        };
-        CapturedFrame {
-            t_end,
-            air_time: air_time(tx, size),
-            rate,
-            size,
-            kind: frame.kind(),
-            transmitter: frame.transmitter(),
-            receiver: frame.receiver(),
-            dest_group: frame.destination().is_some_and(MacAddr::is_multicast),
-            retry: frame.frame_control().retry(),
-            signal_dbm,
-        }
+        Self::from_header(frame, rate, t_end, signal_dbm)
     }
 
     /// Assembles a captured frame from a borrowed wire view plus reception
     /// metadata — the zero-copy analogue of [`CapturedFrame::from_frame`].
     #[inline]
     pub fn from_wire(view: &WireFrame<'_>, rate: Rate, t_end: Nanos, signal_dbm: i8) -> Self {
-        let size = view.wire_len();
-        let tx = match rate.modulation() {
-            Modulation::Ofdm => PhyTx::erp_ofdm(rate),
-            Modulation::Dsss => PhyTx::new(rate, Preamble::Long),
-        };
+        Self::from_header(view, rate, t_end, signal_dbm)
+    }
+
+    #[inline]
+    fn from_header(header: &impl MacHeader, rate: Rate, t_end: Nanos, signal_dbm: i8) -> Self {
+        let size = header.wire_len();
         CapturedFrame {
             t_end,
-            air_time: air_time(tx, size),
+            air_time: air_time(PhyTx::erp_or_dsss(rate), size),
             rate,
             size,
-            kind: view.kind(),
-            transmitter: view.transmitter(),
-            receiver: view.receiver(),
-            dest_group: view.destination().is_some_and(MacAddr::is_multicast),
-            retry: view.retry(),
+            kind: header.kind(),
+            transmitter: header.transmitter(),
+            receiver: header.receiver(),
+            dest_group: header.destination().is_some_and(MacAddr::is_multicast),
+            retry: header.retry(),
             signal_dbm,
         }
     }
@@ -92,10 +134,9 @@ impl CapturedFrame {
     /// record) into a captured frame.
     ///
     /// `fallback_t_end` is used when the header lacks a TSFT field — pcap
-    /// record timestamps are the usual source. `fcs_in_size` controls
-    /// whether the captured bytes include the FCS (Radiotap flag 0x10);
-    /// when absent the size is adjusted so `sizeᵢ` is always the on-air
-    /// length.
+    /// record timestamps are the usual source. The size is always the
+    /// on-air length, whether or not the capture kept the FCS (Radiotap
+    /// flag 0x10).
     ///
     /// # Errors
     ///
@@ -125,22 +166,8 @@ impl CapturedFrame {
         Self::from_decoded(&info, &bytes[hdr_len..], fallback_t_end)
     }
 
-    /// Decodes a Prism-prefixed packet (DLT 119 pcap record).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] when either the capture header or the MAC
-    /// frame cannot be parsed.
-    #[inline]
-    pub fn from_prism_packet(
-        bytes: &[u8],
-        fallback_t_end: Nanos,
-    ) -> Result<CapturedFrame, DecodeError> {
-        Self::from_prism_packet_counted(bytes, fallback_t_end).map(|(cap, _)| cap)
-    }
-
-    /// Like [`CapturedFrame::from_prism_packet`], but also reports which
-    /// capture-metadata fields were absent and had to be defaulted.
+    /// Decodes a Prism-prefixed packet (DLT 119 pcap record) and reports
+    /// which capture-metadata fields were absent and had to be defaulted.
     ///
     /// # Errors
     ///
@@ -155,16 +182,25 @@ impl CapturedFrame {
         Self::from_decoded(&info, &bytes[hdr_len..], fallback_t_end)
     }
 
+    /// Decodes the 802.11 frame that follows an already-parsed capture
+    /// header, filling each metadata field the header lacks with its
+    /// default: 1 Mb/s for the rate, −70 dBm for the signal, and
+    /// `fallback_t_end` for the timestamp. A raw 802.11 record (DLT 105)
+    /// has no header at all: decode it with an `RxInfo` that holds only
+    /// its FCS flag.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Frame`] when the MAC frame cannot be parsed.
     #[inline]
-    fn from_decoded(
+    pub fn from_decoded(
         info: &RxInfo,
         frame_bytes: &[u8],
         fallback_t_end: Nanos,
     ) -> Result<(CapturedFrame, DefaultedFields), DecodeError> {
-        let fcs_included = info.flags.contains(crate::RxFlags::FCS_INCLUDED);
         // Borrowed view: no body copy, no `Frame` materialization. The
-        // parity proptests pin this to `Frame::parse` field for field.
-        let view = if fcs_included {
+        // parity proptests pin this to `Frame::parse` accessor for accessor.
+        let view = if info.flags.contains(RxFlags::FCS_INCLUDED) {
             WireFrame::parse(frame_bytes)?
         } else {
             WireFrame::parse_without_fcs(frame_bytes)?
@@ -275,7 +311,6 @@ impl From<FrameError> for DecodeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RxFlags;
 
     fn sta() -> MacAddr {
         MacAddr::from_index(1)
@@ -352,7 +387,7 @@ mod tests {
         let mut packet = info.to_prism(frame_bytes.len() as u32);
         packet.extend_from_slice(&frame_bytes);
         // Prism captures traditionally include the FCS.
-        let cap = CapturedFrame::from_prism_packet(&packet, Nanos::ZERO).unwrap();
+        let (cap, _) = CapturedFrame::from_prism_packet_counted(&packet, Nanos::ZERO).unwrap();
         assert_eq!(cap.kind, FrameKind::NullFunction);
         assert_eq!(cap.rate, Rate::R2M);
         assert_eq!(cap.t_end, Nanos::from_micros(42));

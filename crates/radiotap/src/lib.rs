@@ -6,12 +6,14 @@
 //! channel. Two header formats were in common use at the time and both are
 //! supported here:
 //!
-//! * **Radiotap** ([`radiotap`]) — the de-facto standard, a TLV-ish format
-//!   with a presence bitmap and naturally-aligned fields,
-//! * **Prism** ([`prism`]) — the older fixed-size 144-byte wlan-ng header.
+//! * **Radiotap** — the de-facto standard, a TLV-ish format with a
+//!   presence bitmap and naturally-aligned fields,
+//! * **Prism** — the older fixed-size 144-byte wlan-ng header.
 //!
-//! The unified [`RxInfo`] type carries the monitor-side metadata and
-//! converts to/from both formats.
+//! The unified [`RxInfo`] type carries the monitor-side metadata, and its
+//! [`to_radiotap`](RxInfo::to_radiotap) / [`from_radiotap`](RxInfo::from_radiotap)
+//! and [`to_prism`](RxInfo::to_prism) / [`from_prism`](RxInfo::from_prism)
+//! methods are the one public name of each header codec operation.
 //!
 //! # Example
 //!
@@ -39,17 +41,18 @@
 //!
 //! [`CapturedFrame`] is the interchange type between raw capture bytes and
 //! the fingerprinting engines, and its packet decoders are the zero-copy
-//! hot path of that pipeline: [`CapturedFrame::from_radiotap_packet`] /
-//! [`CapturedFrame::from_prism_packet`] read a whole monitor-mode packet
-//! (capture header + 802.11 frame) through the borrowed
+//! hot path of that pipeline: [`CapturedFrame::from_radiotap_packet`] and
+//! the `_counted` decoders read a whole monitor-mode packet (capture
+//! header + 802.11 frame) through the borrowed
 //! [`WireFrame`](wifiprint_ieee80211::WireFrame) view — pure header
 //! arithmetic over the input slice, no frame body copy, no heap
-//! allocation. Missing metadata (rate, signal, TSFT) falls back to
-//! defaults, and the `_counted` variants report which fields were
-//! defaulted ([`DefaultedFields`]) so a replay can account for capture
-//! quality. The `wifiprint-pcap` crate's `Replay` drives whole capture
-//! files through these decoders into an engine; see its "Real-capture
-//! replay" docs for the end-to-end example.
+//! allocation. Every decoder ends in [`CapturedFrame::from_decoded`], the
+//! one place where missing metadata (rate, signal, TSFT) falls back to
+//! defaults; the `_counted` variants report which fields were defaulted
+//! ([`DefaultedFields`]) so a replay can account for capture quality. The
+//! `wifiprint-pcap` crate's `Replay` drives whole capture files through
+//! these decoders into an engine; see its "Real-capture replay" docs for
+//! the end-to-end example.
 //!
 //! ```
 //! use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
@@ -101,9 +104,9 @@
     clippy::doc_markdown
 )]
 
-pub mod captured;
-pub mod prism;
-pub mod radiotap;
+mod captured;
+mod prism;
+mod radiotap;
 
 use core::fmt;
 

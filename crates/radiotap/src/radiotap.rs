@@ -29,18 +29,10 @@ pub mod bit {
     pub const RATE: u32 = 2;
     /// Channel: u16 frequency (MHz) + u16 flags (alignment 2).
     pub const CHANNEL: u32 = 3;
-    /// FHSS: u16.
-    pub const FHSS: u32 = 4;
     /// Antenna signal: i8 dBm.
     pub const ANT_SIGNAL: u32 = 5;
     /// Antenna noise: i8 dBm.
     pub const ANT_NOISE: u32 = 6;
-    /// Lock quality: u16.
-    pub const LOCK_QUALITY: u32 = 7;
-    /// TX attenuation: u16.
-    pub const TX_ATTENUATION: u32 = 8;
-    /// TX attenuation in dB: u16.
-    pub const DB_TX_ATTENUATION: u32 = 9;
     /// TX power: i8 dBm.
     pub const DBM_TX_POWER: u32 = 10;
     /// Antenna index: u8.
@@ -236,7 +228,8 @@ pub fn parse(buf: &[u8]) -> Result<(RxInfo, usize), HeaderError> {
                 }
             }
             _ => {
-                // FHSS, lock quality, TX attenuations, RX flags: u16 @ 2.
+                // FHSS (bit 4), lock quality (7), TX attenuations (8, 9)
+                // and RX flags (14): u16 @ 2.
                 if take(&mut off, 2, 2).is_none() {
                     break;
                 }
@@ -359,7 +352,7 @@ mod tests {
         // Hand-build a header with FHSS (bit 4, 2 bytes) we don't expose +
         // antenna signal after it; the parser must skip FHSS correctly.
         let mut buf = vec![0u8, 0, 0, 0];
-        let present: u32 = (1 << bit::FHSS) | (1 << bit::ANT_SIGNAL);
+        let present: u32 = (1 << 4) | (1 << bit::ANT_SIGNAL);
         buf.extend_from_slice(&present.to_le_bytes());
         buf.extend_from_slice(&[0xAA, 0xBB]); // FHSS @8..10
         buf.push((-55i8) as u8); // signal @10

@@ -82,6 +82,10 @@ fn mk_frame(pick: usize, len: usize) -> Frame {
     }
 }
 
+fn prism_packet(bytes: &[u8]) -> Result<CapturedFrame, DecodeError> {
+    CapturedFrame::from_prism_packet_counted(bytes, Nanos::ZERO).map(|(cap, _)| cap)
+}
+
 /// Exhaustively matching the error proves every decode failure surfaces
 /// as a typed [`DecodeError`] — and the call itself proves no panic.
 fn assert_total(result: Result<CapturedFrame, DecodeError>) {
@@ -91,7 +95,7 @@ fn assert_total(result: Result<CapturedFrame, DecodeError>) {
 }
 
 proptest! {
-    // Satellite: arbitrary truncations of valid radiotap packets never
+    // Arbitrary truncations of valid radiotap packets never
     // panic anywhere in the WireFrame/RxInfo/CapturedFrame decode stack.
     #[test]
     fn truncated_radiotap_packets_never_panic(
@@ -106,7 +110,7 @@ proptest! {
         assert_total(CapturedFrame::from_radiotap_packet(&packet[..cut], Nanos::ZERO));
     }
 
-    // Satellite: arbitrary single-byte mutations never panic either —
+    // Arbitrary single-byte mutations never panic either —
     // a flipped presence bitmap or frame-control word is survivable.
     #[test]
     fn mutated_radiotap_packets_never_panic(
@@ -136,7 +140,7 @@ proptest! {
         let mut packet = info.to_prism(frame_bytes.len() as u32);
         packet.extend_from_slice(&frame_bytes);
         let cut = (cut_seed as usize) % (packet.len() + 1);
-        assert_total(CapturedFrame::from_prism_packet(&packet[..cut], Nanos::ZERO));
+        assert_total(prism_packet(&packet[..cut]));
     }
 
     #[test]
@@ -152,15 +156,13 @@ proptest! {
         packet.extend_from_slice(&frame_bytes);
         let idx = (idx_seed as usize) % packet.len();
         packet[idx] ^= xor;
-        assert_total(CapturedFrame::from_prism_packet(&packet, Nanos::ZERO));
-        let counted = CapturedFrame::from_prism_packet_counted(&packet, Nanos::ZERO);
-        assert_total(counted.map(|(cap, _)| cap));
+        assert_total(prism_packet(&packet));
     }
 
     // Pure garbage front to back.
     #[test]
     fn garbage_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         assert_total(CapturedFrame::from_radiotap_packet(&bytes, Nanos::ZERO));
-        assert_total(CapturedFrame::from_prism_packet(&bytes, Nanos::ZERO));
+        assert_total(prism_packet(&bytes));
     }
 }

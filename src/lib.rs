@@ -187,13 +187,17 @@
 //! [`ieee80211::WireFrame`] header view — **zero heap allocations**
 //! (allocation-counter-tested): [`pcap::Replay::from_slice`] borrows the
 //! records of an in-memory file (read whole, or memory-mapped) in place
-//! and never touches frame bodies at all.
+//! and never touches frame bodies at all. The view reads only what the
+//! paper's method may use: the frame kind, retry bit, transmitter,
+//! receiver, logical destination and on-air size.
 //! Driving a whole file into the engine is a loop over
 //! [`pcap::Replay::next_frame`] into [`core::MultiEngine::observe`];
 //! the replay keeps per-file [`pcap::ReplayStats`]: decode-error counts
 //! per layer, plus how often the monitor omitted rate/signal/TSFT so
 //! decode fell back to defaults — silently-defaulted fields skew derived
-//! air times, and the stats make that visible.
+//! air times, and the stats make that visible. Every link type, raw
+//! 802.11 included, takes those defaults from one decoder,
+//! [`radiotap::CapturedFrame::from_decoded`].
 //!
 //! ```
 //! use wifiprint::core::{FusionSpec, MultiConfig, MultiEngine, MultiEvent};
