@@ -18,16 +18,22 @@
 //!   ([`MacAddr::is_locally_administered`]), so it founds (or re-links)
 //!   its own identity without paying for a sweep; only
 //!   randomized-looking addresses reach the gallery;
-//! * **exact fused gallery sweep** — every retained identity is ranked by
-//!   its [`FusionSpec`] weighted average `Σ w·sim / Σ w` over the
-//!   parameters the sighting has a qualifying signature for (an identity
-//!   with no gallery row for a parameter scores 0 there). A
-//!   multi-parameter spec runs one dense [`ReferenceDb::match_tile`] per
-//!   such parameter and adds its view into one fused score per identity
-//!   with the engine's own fusion arithmetic (same seed, spec order and
-//!   per-term division), then takes the best few in one pass. A
-//!   one-parameter spec's fused score is its one term, so it keeps the
-//!   pruned [`ReferenceDb::match_topk_tile`] over its gallery's rows.
+//! * **exact fused gallery sweep** — the retained identities that can
+//!   still decide the sighting are ranked by their [`FusionSpec`]
+//!   weighted average `Σ w·sim / Σ w` over the parameters the sighting
+//!   has a qualifying signature for (an identity with no gallery row for
+//!   a parameter scores 0 there), with the engine's own fusion
+//!   arithmetic (same seed, spec order and per-term division). Only an
+//!   identity scoring at least `accept_threshold − ambiguity_margin` can
+//!   change a decision, so a multi-parameter spec runs a threshold
+//!   query: one dense [`ReferenceDb::match_tile`] on the first such
+//!   parameter, then, per later parameter, random access
+//!   (`ReferenceDb::score_row`) for each identity whose partial score
+//!   plus the most the remaining parameters can add still reaches that
+//!   cut (a dense sweep again while many survive), then takes the best
+//!   few survivors in one pass. A one-parameter spec's fused score is
+//!   its one term, so it keeps the pruned
+//!   [`ReferenceDb::match_topk_tile`] over its gallery's rows.
 //!   The fused best either links ([`LinkEvent::Linked`], at or above
 //!   [`LinkerConfig::accept_threshold`] with a clear
 //!   [`LinkerConfig::ambiguity_margin`] over the runner-up), stays
@@ -81,8 +87,8 @@ use std::collections::BTreeSet;
 use wifiprint_ieee80211::{MacAddr, Nanos};
 
 use crate::error::CoreError;
-use crate::fusion::{add_term, floored_sum, fused_seed, FusionSpec};
-use crate::matching::{MatchConfig, MatchScratch, PruneStats, ReferenceDb};
+use crate::fusion::{add_term, floored_sum, fused_seed, term, FusionSpec};
+use crate::matching::{MatchConfig, MatchScratch, PruneStats, ReferenceDb, PRUNE_BOUND_SLACK};
 use crate::params::NetworkParameter;
 use crate::signature::Signature;
 use crate::similarity::SimilarityMeasure;
@@ -107,10 +113,14 @@ pub struct LinkerConfig {
     /// per-parameter gallery scores fuse). Defaults to
     /// [`FusionSpec::all_equal`] — the [`MultiEngine`](super::MultiEngine)
     /// shape; single-parameter deployments use [`FusionSpec::single`].
-    /// A multi-parameter spec ranks every retained identity by its exact
-    /// fused score, one dense sweep per parameter, so its cost grows
-    /// linearly with the retained identities; a one-parameter spec runs
-    /// the pruned sweep.
+    /// A multi-parameter spec scores the retained identities by their
+    /// exact fused score as a threshold query: one dense sweep over every
+    /// identity for the first parameter, then only the identities that
+    /// can still reach `accept_threshold − ambiguity_margin`, so the cost
+    /// past the first parameter follows the survivors, not the gallery
+    /// (a margin at or above the threshold prunes nothing, and every
+    /// parameter is swept densely). A one-parameter spec runs the pruned
+    /// sweep.
     pub spec: FusionSpec,
     /// Minimum fused gallery score to link a sighting to a retained
     /// identity (cosine-weighted, in `[0, 1]`).
@@ -313,7 +323,9 @@ pub struct LinkerStats {
     /// Gallery shards actually scored across all sweeps
     /// ([`MatchScratch::prune_stats`], accumulated): every occupied shard
     /// of a multi-parameter spec's dense sweeps, and the shards a
-    /// one-parameter spec's pruned sweeps did not skip.
+    /// one-parameter spec's pruned sweeps did not skip. Only dense and
+    /// pruned sweeps count: a multi-parameter spec's random access to the
+    /// survivors of its threshold query scores rows, not shards.
     pub shards_swept: u64,
     /// Gallery shards a one-parameter spec's pruned sweeps skipped by the
     /// admissible score bound (a dense sweep skips none).
@@ -370,11 +382,24 @@ pub struct RotationLinker {
     scratch: MatchScratch,
     /// Reused fused scores, one per entry of `identity_keys`.
     fused: Vec<f64>,
+    /// Reused indices into `identity_keys`, ascending: the identities a
+    /// sweep still scores.
+    survivors: Vec<usize>,
     stats: LinkerStats,
 }
 
 /// Identities a sweep ranks (the best `TOPK` by fused score).
 const TOPK: usize = 4;
+
+/// Share of a gallery's rows above which a threshold sweep scores a
+/// parameter with one dense sweep instead of random access per survivor.
+///
+/// Measured on e2ebench's `crowd_rotation` (seed 1, 277-row galleries,
+/// 2 vCPUs), timing both routes on every later parameter of every
+/// sighting: a dense sweep costs about 416 ns + 5.4 ns per row, random
+/// access about 380 ns + 24.8 ns per survivor, so they break even near
+/// 0.22 of the rows.
+const DENSE_SHARE: f64 = 0.2;
 // The ambiguity margin compares the best identity with a runner-up.
 const _: () = assert!(TOPK >= 2);
 
@@ -425,6 +450,7 @@ impl RotationLinker {
             next_id: 0,
             scratch: MatchScratch::new(),
             fused: Vec::new(),
+            survivors: Vec::new(),
             stats: LinkerStats::default(),
             cfg,
         })
@@ -544,22 +570,38 @@ impl RotationLinker {
         stats
     }
 
-    /// Ranks the retained identities against the sighting's signatures
+    /// Ranks the retained identities that can still decide the sighting
     /// by their exact fused score: per spec parameter with a qualifying
     /// signature, `w · sim / Σw` in spec order, where `Σw` sums those
     /// parameters' weights and an identity without a row in a parameter's
     /// gallery scores 0 there. Returns the best [`TOPK`] `(identity,
     /// fused score)` pairs by descending score, ties toward the lower
-    /// identity; empty unless at least one parameter with a nonzero
-    /// weight was scored.
+    /// identity, among those scoring at least the cut `accept_threshold −
+    /// ambiguity_margin − PRUNE_BOUND_SLACK`; empty unless at least one
+    /// parameter with a nonzero weight was scored.
     ///
-    /// A multi-parameter spec ranks every retained identity: one dense
-    /// sweep per parameter, added into the fused scores as it finishes.
+    /// The cut changes no decision of [`RotationLinker::link`]: a dropped
+    /// identity scores below `accept_threshold − ambiguity_margin`, so
+    /// either the best is below the threshold too, or it leads the dropped
+    /// runner-up by more than the margin — and an ambiguous sighting
+    /// lists only contenders at or above the threshold.
+    ///
+    /// A multi-parameter spec runs a threshold query. The first present
+    /// parameter is one dense sweep over every identity; after each
+    /// parameter an identity survives only while its partial score plus
+    /// the most the parameters still to come can add (`w / Σw` each)
+    /// reaches the cut. A later parameter scores each survivor by random
+    /// access ([`ReferenceDb::score_row`]), or sweeps densely when more
+    /// than [`DENSE_SHARE`] of its gallery's rows survive. A survivor gets
+    /// every term in spec order from the seed, through the fusion's own
+    /// arithmetic, so its score is bit for bit the brute-force one.
     /// A one-parameter spec's fused score is its one term, so its pruned
     /// sweep ranks the identities its gallery holds (one without a row
     /// would score 0 and is not listed).
     fn sweep(&mut self, signatures: &[(NetworkParameter, Signature)]) -> Vec<(u64, f64)> {
-        let RotationLinker { params, galleries, identity_keys, scratch, fused, stats, .. } = self;
+        let RotationLinker {
+            cfg, params, galleries, identity_keys, scratch, fused, survivors, stats, ..
+        } = self;
         // `(gallery index, signature, weight)` per parameter with a qualifying
         // signature, in spec order.
         let present = || {
@@ -572,6 +614,7 @@ impl RotationLinker {
             return Vec::new();
         }
         let weight_sum = floored_sum(present().map(|(.., w)| w));
+        let cut = cfg.accept_threshold - cfg.ambiguity_margin - PRUNE_BOUND_SLACK;
         let mut count = |prune: PruneStats| {
             stats.shards_swept += prune.swept_shards as u64;
             stats.shards_pruned += prune.pruned_shards as u64;
@@ -583,36 +626,67 @@ impl RotationLinker {
             return tops
                 .into_iter()
                 .flatten()
-                .map(|(key, sim)| (key_id(key), fused_seed() + w * sim / weight_sum))
+                .map(|(key, sim)| (key_id(key), fused_seed() + term(w, sim, weight_sum)))
+                .filter(|&(_, score)| score >= cut)
                 .collect();
         }
+        let n = identity_keys.len();
         fused.clear();
-        fused.resize(identity_keys.len(), fused_seed());
-        for (i, sig, w) in present() {
-            let candidate = std::slice::from_ref(sig);
-            let tile = galleries[i].match_tile(candidate, SimilarityMeasure::Cosine, scratch);
-            let view = tile.candidate(0);
-            if view.devices().len() == identity_keys.len() {
-                // Every gallery key is a retained identity's, so a gallery
-                // as long as the universe is the universe.
-                add_term(fused, w, weight_sum, view.scores.iter().copied());
+        fused.resize(n, fused_seed());
+        survivors.clear();
+        survivors.extend(0..n);
+        for (step, (i, sig, w)) in present().enumerate() {
+            let db = &galleries[i];
+            // Sorted access while more than `DENSE_SHARE` of the gallery's
+            // rows survive (the first parameter, and every one when the cut
+            // prunes nothing): one dense sweep. Otherwise random access per
+            // survivor; both give the survivors the same bits.
+            if survivors.len() as f64 > DENSE_SHARE * db.len() as f64 {
+                let tile = db.match_tile(std::slice::from_ref(sig), SimilarityMeasure::Cosine, scratch);
+                let view = tile.candidate(0);
+                if view.devices().len() == n {
+                    // Every gallery key is a retained identity's, so a
+                    // gallery as long as the universe is the universe.
+                    add_term(fused, w, weight_sum, view.scores.iter().copied());
+                } else {
+                    let mut rows = view.similarities().peekable();
+                    let aligned = identity_keys.iter().map(|key| {
+                        rows.next_if(|(device, _)| device == key).map_or(0.0, |(_, sim)| sim)
+                    });
+                    add_term(fused, w, weight_sum, aligned);
+                    debug_assert!(rows.next().is_none(), "gallery keys are retained identities");
+                }
+                count(scratch.prune_stats());
             } else {
-                let mut rows = view.similarities().peekable();
-                let aligned = identity_keys.iter().map(|key| {
-                    rows.next_if(|(device, _)| device == key).map_or(0.0, |(_, sim)| sim)
-                });
-                add_term(fused, w, weight_sum, aligned);
-                debug_assert!(rows.next().is_none(), "gallery keys are retained identities");
+                db.pack_candidates(std::slice::from_ref(sig), scratch);
+                let table = db.device_table();
+                for &ident in survivors.iter() {
+                    let row = if table.len() == n {
+                        Ok(ident)
+                    } else {
+                        table.binary_search(&identity_keys[ident])
+                    };
+                    let sim = row.map_or(0.0, |row| db.score_row(row, scratch));
+                    fused[ident] += term(w, sim, weight_sum);
+                }
             }
-            count(scratch.prune_stats());
+            // The most the parameters still to come can add.
+            let rest: f64 = present().skip(step + 1).map(|(.., w)| term(w, 1.0, weight_sum)).sum();
+            if cut > 0.0 {
+                survivors.retain(|&ident| fused[ident] + rest >= cut);
+            }
+            if survivors.is_empty() {
+                break;
+            }
         }
-        // One pass, ascending identity, into a fixed best-first array
-        // whose empty entries score -∞: a later identity outranks a kept
-        // one only with a strictly higher score, so most identities cost
-        // one comparison with the last entry.
+        // One pass over the survivors, ascending identity, into a fixed
+        // best-first array whose empty entries score -∞: a later identity
+        // outranks a kept one only with a strictly higher score, so most
+        // identities cost one comparison with the last entry.
         let mut top = [(0usize, f64::NEG_INFINITY); TOPK];
         let mut kept = 0;
-        for (row, &score) in fused.iter().enumerate() {
+        for &ident in survivors.iter() {
+            let score = fused[ident];
             if score <= top[TOPK - 1].1 {
                 continue;
             }
@@ -621,10 +695,10 @@ impl RotationLinker {
                 top[at] = top[at - 1];
                 at -= 1;
             }
-            top[at] = (row, score);
+            top[at] = (ident, score);
             kept = TOPK.min(kept + 1);
         }
-        top[..kept].iter().map(|&(row, score)| (key_id(identity_keys[row]), score)).collect()
+        top[..kept].iter().map(|&(ident, score)| (key_id(identity_keys[ident]), score)).collect()
     }
 
     /// Founds a fresh identity from a sighting: enrolls its qualifying
@@ -1010,18 +1084,20 @@ mod tests {
     /// The 802.11b/g rates, the categorical bins of the rate parameter.
     const RATES: [f64; 8] = [1.0, 2.0, 5.5, 6.0, 9.0, 11.0, 12.0, 18.0];
 
-    /// Device `device`'s behaviour for `param` on sighting `round`: five
+    /// Device `device`'s behaviour for `param` on sighting `round`:
     /// behaviour classes (devices in one class score alike, so ranks tie)
     /// spread over three adjacent bins that shift with the round, two
-    /// frame kinds.
+    /// frame kinds. The rate has five overlapping classes, as few rates
+    /// are in use; every other parameter has ten disjoint ones, so a
+    /// threshold sweep prunes most identities after such a parameter.
     fn behaviour(param: NetworkParameter, device: u64, round: u64) -> Signature {
         let eval = EvalConfig::for_parameter(param);
         let mut sig = Signature::new();
         for i in 0..24u64 {
-            let bin = (device % 5 + (i + round) % 3) as usize;
+            let shift = (i + round) % 3;
             let value = match param {
-                NetworkParameter::TransmissionRate => RATES[bin],
-                _ => 100.0 + 40.0 * bin as f64,
+                NetworkParameter::TransmissionRate => RATES[(device % 5 + shift) as usize],
+                _ => 100.0 + 40.0 * (3 * (device % 10) + shift) as f64,
             };
             let kind =
                 if (i + device).is_multiple_of(5) { FrameKind::NullFunction } else { FrameKind::Data };
@@ -1078,6 +1154,155 @@ mod tests {
         ranked
     }
 
+    /// The decision rule of [`RotationLinker::link`] applied to the full
+    /// brute-force ranking, from the linker's state before the sighting:
+    /// a bound MAC re-links, a universal MAC founds, and otherwise the
+    /// best of [`brute_force_ranking`] links at or above the threshold
+    /// with the margin over the runner-up (0 without one), abstains with
+    /// the contenders at or above the threshold inside the margin, or
+    /// founds below the threshold.
+    fn full_ranking_decision(
+        linker: &RotationLinker,
+        mac: MacAddr,
+        signatures: &[(NetworkParameter, Signature)],
+    ) -> LinkEvent {
+        if let Some(&id) = linker.bindings.get(&mac) {
+            return LinkEvent::Linked { identity: IdentityId(id), mac, confidence: 1.0 };
+        }
+        let fresh = LinkEvent::NewIdentity { identity: IdentityId(linker.next_id), mac };
+        if mac.is_universally_administered() {
+            return fresh;
+        }
+        let (threshold, margin) = (linker.cfg.accept_threshold, linker.cfg.ambiguity_margin);
+        let ranked = brute_force_ranking(linker, signatures);
+        match ranked.first() {
+            Some(&(best, score)) if score >= threshold => {
+                let runner = ranked.get(1).map_or(0.0, |&(_, s)| s);
+                if score - runner >= margin {
+                    LinkEvent::Linked { identity: IdentityId(best), mac, confidence: score }
+                } else {
+                    let contenders = ranked
+                        .iter()
+                        .filter(|&&(_, s)| s >= threshold)
+                        .map(|&(id, s)| (IdentityId(id), s))
+                        .collect();
+                    LinkEvent::Ambiguous { mac, contenders }
+                }
+            }
+            _ => fresh,
+        }
+    }
+
+    /// The sightings a linker proptest streams: `(device, round, mask,
+    /// randomized)` draws become a MAC (randomized or burned in) and the
+    /// [`behaviour`] signatures of the parameters `mask` selects.
+    fn sighting_of(
+        device: u64,
+        round: u64,
+        mask: u8,
+        randomized: bool,
+    ) -> (MacAddr, Vec<(NetworkParameter, Signature)>) {
+        let mac = if randomized {
+            MacAddr::randomized(device * 8 + round)
+        } else {
+            MacAddr::universal_from_index(device + 1)
+        };
+        let signatures = NetworkParameter::ALL
+            .iter()
+            .enumerate()
+            .filter(|&(bit, _)| mask >> bit & 1 == 1)
+            .map(|(_, &p)| (p, behaviour(p, device, round)))
+            .collect();
+        (mac, signatures)
+    }
+
+    /// A spec of `params` parameters from `rotate` on, weighted
+    /// `weights[i] / 2` (zeros included, never all zero).
+    fn drawn_spec(params: usize, rotate: usize, weights: &[u32]) -> FusionSpec {
+        let mut parameters: Vec<(NetworkParameter, f64)> = (0..params)
+            .map(|i| (NetworkParameter::ALL[(i + rotate) % 5], f64::from(weights[i]) / 2.0))
+            .collect();
+        if parameters.iter().all(|&(_, w)| w == 0.0) {
+            parameters[0].1 = 1.0;
+        }
+        FusionSpec { parameters }
+    }
+
+    #[test]
+    fn a_runner_up_inside_the_margin_below_the_threshold_keeps_the_link_ambiguous() {
+        // Two equally weighted parameters, threshold 0.9, margin 0.2. One
+        // identity matches the probe exactly (1.0); the runner-up matches
+        // frame size exactly and inter-arrival time at cosine 0.707 (fused
+        // 0.854): below the threshold, but inside the margin of the best.
+        // A sweep that dropped identities below the threshold alone would
+        // see no runner-up and link.
+        const FS: NetworkParameter = NetworkParameter::FrameSize;
+        let cfg = LinkerConfig::default()
+            .with_spec(FusionSpec::equal_weights([FS, IAT]))
+            .with_accept_threshold(0.9)
+            .with_ambiguity_margin(0.2);
+        let mut linker = RotationLinker::new(cfg).unwrap();
+        let both = |fs: &[f64], iat: &[f64]| {
+            vec![(FS, sig_of(FS, fs, 30)), (IAT, sig_of(IAT, iat, 30))]
+        };
+        let universal = MacAddr::universal_from_index;
+        let exact = linker.link(universal(1), Nanos::from_secs(1), &both(&[400.0], &[400.0]));
+        linker.link(universal(2), Nanos::from_secs(2), &both(&[400.0], &[400.0, 1200.0]));
+        let probe = both(&[400.0], &[400.0]);
+        let ranked = linker.sweep(&probe);
+        assert_eq!(ranked.len(), 2, "the runner-up clears the cut: {ranked:?}");
+        assert!(ranked[1].1 > 0.7 && ranked[1].1 < 0.9, "{ranked:?}");
+        let event = linker.link(MacAddr::randomized(1), Nanos::from_secs(3), &probe);
+        let LinkEvent::Ambiguous { contenders, .. } = event else {
+            panic!("the runner-up sits inside the margin: {event:?}");
+        };
+        assert_eq!(contenders, vec![(exact.identity().unwrap(), ranked[0].1)]);
+        assert_eq!(contenders[0].1, 1.0);
+    }
+
+    #[test]
+    fn threshold_sweep_scores_survivors_by_random_access() {
+        // Three equally weighted parameters over 60 identities in ten
+        // disjoint behaviour classes, every third without an inter-arrival
+        // row. After the first, dense sweep only the probe's class can
+        // still reach the cut, so the other two parameters are scored by
+        // random access (one dense sweep is counted, not three), the
+        // inter-arrival gallery through its own rows. The ranking is still
+        // the brute force's, restricted to the cut, bit for bit.
+        const SPEC: [NetworkParameter; 3] =
+            [NetworkParameter::FrameSize, IAT, NetworkParameter::MediumAccessTime];
+        let mut linker =
+            RotationLinker::new(LinkerConfig::default().with_spec(FusionSpec::equal_weights(SPEC)))
+                .unwrap();
+        let observed = |device: u64, skip: Option<NetworkParameter>| -> Vec<_> {
+            SPEC.iter()
+                .filter(|&&p| Some(p) != skip)
+                .map(|&p| (p, behaviour(p, device, 0)))
+                .collect()
+        };
+        for device in 0..60u64 {
+            let skip = device.is_multiple_of(3).then_some(IAT);
+            let at = Nanos::from_secs(device);
+            linker.link(MacAddr::universal_from_index(device + 1), at, &observed(device, skip));
+        }
+        assert!(linker.galleries[1].len() < linker.identity_keys.len());
+        let probe = observed(4, None);
+        let swept = linker.stats().shards_swept;
+        let got = linker.sweep(&probe);
+        assert_eq!(linker.stats().shards_swept - swept, 1, "one dense sweep");
+        let cfg = linker.config();
+        let cut = cfg.accept_threshold - cfg.ambiguity_margin - PRUNE_BOUND_SLACK;
+        let mut want = brute_force_ranking(&linker, &probe);
+        want.retain(|&(_, score)| score >= cut);
+        // Devices 4, 14, 34 and 44 match on all three parameters; 24 and 54
+        // lack the inter-arrival row and fall below the cut.
+        assert_eq!(got.iter().map(|&(id, _)| id).collect::<Vec<_>>(), [4, 14, 34, 44]);
+        let bits = |ranked: &[(u64, f64)]| -> Vec<(u64, u64)> {
+            ranked.iter().map(|&(id, score)| (id, score.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+    }
+
     proptest! {
         #[test]
         fn sweep_ranks_by_the_exact_fused_score(
@@ -1085,44 +1310,31 @@ mod tests {
             rotate in 0usize..5,
             weights in prop::collection::vec(0u32..5, 5),
             sightings in prop::collection::vec(
-                (0u64..12, 0u64..3, any::<u8>(), any::<bool>()),
-                1..60,
+                (0u64..40, 0u64..3, any::<u8>(), any::<bool>()),
+                1..80,
             ),
             threshold in 0u32..10,
             update_on_link in any::<bool>(),
             cap in prop::option::of(3usize..10),
         ) {
             // Before every sighting, the shipped sweep against the brute
-            // force over the linker's current galleries, bit for bit:
-            // 1–5 parameters in any spec order, weights including zeros,
-            // sightings lacking any parameters (the spec's or others),
-            // tied behaviours, links with and without evidence merging,
-            // and cap evictions.
-            let mut parameters: Vec<(NetworkParameter, f64)> = (0..params)
-                .map(|i| (NetworkParameter::ALL[(i + rotate) % 5], f64::from(weights[i]) / 2.0))
-                .collect();
-            if parameters.iter().all(|&(_, w)| w == 0.0) {
-                parameters[0].1 = 1.0;
-            }
+            // force over the linker's current galleries, restricted to the
+            // scores at or above the cut, bit for bit: 1–5 parameters in
+            // any spec order, weights including zeros, sightings lacking
+            // any parameters (the spec's or others), tied behaviours, links
+            // with and without evidence merging, and cap evictions. At
+            // threshold 0 the cut is negative and nothing is filtered.
             let cfg = LinkerConfig::default()
-                .with_spec(FusionSpec { parameters })
+                .with_spec(drawn_spec(params, rotate, &weights))
                 .with_accept_threshold(f64::from(threshold) / 10.0)
                 .with_update_on_link(update_on_link)
                 .with_gallery_cap(cap.unwrap_or(200_000));
+            let cut = cfg.accept_threshold - cfg.ambiguity_margin - PRUNE_BOUND_SLACK;
             let mut linker = RotationLinker::new(cfg).expect("valid config");
             for (tick, &(device, round, mask, randomized)) in sightings.iter().enumerate() {
-                let mac = if randomized {
-                    MacAddr::randomized(device * 8 + round)
-                } else {
-                    MacAddr::universal_from_index(device + 1)
-                };
-                let signatures: Vec<(NetworkParameter, Signature)> = NetworkParameter::ALL
-                    .iter()
-                    .enumerate()
-                    .filter(|&(bit, _)| mask >> bit & 1 == 1)
-                    .map(|(_, &p)| (p, behaviour(p, device, round)))
-                    .collect();
-                let want = brute_force_ranking(&linker, &signatures);
+                let (mac, signatures) = sighting_of(device, round, mask, randomized);
+                let mut want = brute_force_ranking(&linker, &signatures);
+                want.retain(|&(_, score)| score >= cut);
                 let got = linker.sweep(&signatures);
                 prop_assert_eq!(got.len(), want.len(), "{:?} vs {:?}", got, want);
                 for (&(gid, gs), &(wid, ws)) in got.iter().zip(&want) {
@@ -1130,6 +1342,47 @@ mod tests {
                     prop_assert_eq!(gs.to_bits(), ws.to_bits(), "{:?} vs {:?}", got, want);
                 }
                 linker.link(mac, Nanos::from_millis(tick as u64), &signatures);
+            }
+            let stats = linker.stats();
+            prop_assert!(stats.conserves());
+            if let Some(cap) = cap {
+                prop_assert!(stats.identities_retained <= cap);
+            }
+        }
+
+        #[test]
+        fn link_events_equal_the_full_ranking_decision(
+            params in 1usize..=5,
+            rotate in 0usize..5,
+            weights in prop::collection::vec(0u32..5, 5),
+            sightings in prop::collection::vec(
+                (0u64..40, 0u64..3, any::<u8>(), any::<bool>()),
+                1..80,
+            ),
+            threshold in 0.0f64..=1.0,
+            margin_share in 0.0f64..1.5,
+            update_on_link in any::<bool>(),
+            cap in prop::option::of(3usize..10),
+        ) {
+            // Every event, confidences and contender scores to the bit,
+            // equals the decision rule applied to the full brute-force
+            // ranking: thresholds over [0, 1], margins from 0 to above the
+            // threshold (where the cut prunes nothing), 1–5 parameters with
+            // zero weights, evidence merging and cap evictions. `{:?}`
+            // prints a float's shortest round-trip digits, so equal debug
+            // strings are equal bits.
+            let cfg = LinkerConfig::default()
+                .with_spec(drawn_spec(params, rotate, &weights))
+                .with_accept_threshold(threshold)
+                .with_ambiguity_margin(margin_share * threshold)
+                .with_update_on_link(update_on_link)
+                .with_gallery_cap(cap.unwrap_or(200_000));
+            let mut linker = RotationLinker::new(cfg).expect("valid config");
+            for (tick, &(device, round, mask, randomized)) in sightings.iter().enumerate() {
+                let (mac, signatures) = sighting_of(device, round, mask, randomized);
+                let want = full_ranking_decision(&linker, mac, &signatures);
+                let got = linker.link(mac, Nanos::from_millis(tick as u64), &signatures);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
             }
             let stats = linker.stats();
             prop_assert!(stats.conserves());

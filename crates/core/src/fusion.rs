@@ -250,8 +250,8 @@ pub(crate) fn fused_seed() -> f64 {
 /// score, `sims` lined up with `fused` (0 for a device the term's vector
 /// lacks). [`fuse_aligned`] and the
 /// [`RotationLinker`](crate::engine::linker::RotationLinker)'s gallery
-/// sweep both add their terms through it, from [`fused_seed`], in spec
-/// order.
+/// sweep both add their terms through it (or, one score at a time,
+/// through [`term`]), from [`fused_seed`], in spec order.
 pub(crate) fn add_term(
     fused: &mut [f64],
     weight: f64,
@@ -259,8 +259,13 @@ pub(crate) fn add_term(
     sims: impl Iterator<Item = f64>,
 ) {
     for (score, sim) in fused.iter_mut().zip(sims) {
-        *score += weight * sim / weight_sum;
+        *score += term(weight, sim, weight_sum);
     }
+}
+
+/// The value one parameter adds to a fused score: `w · sim / Σw`.
+pub(crate) fn term(weight: f64, sim: f64, weight_sum: f64) -> f64 {
+    weight * sim / weight_sum
 }
 
 /// The weights' sum, floored away from zero so normalisation is always

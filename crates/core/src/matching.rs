@@ -308,7 +308,7 @@ const MAX_SHARDS: usize = 64;
 /// admissible under rounding (a shard is only pruned when its best
 /// possible score is below the current `k`-th best by more than the
 /// documented score tolerance).
-const PRUNE_BOUND_SLACK: f64 = F32_SCORE_TOLERANCE;
+pub(crate) const PRUNE_BOUND_SLACK: f64 = F32_SCORE_TOLERANCE;
 
 /// Storage width of the packed reference rows — the **precision tier**
 /// of a [`ReferenceDb`] (see the [module docs](self#precision-tiers)).
@@ -540,7 +540,7 @@ impl KindBlock {
         for (((s, dot), &weight), &inv_r) in
             scores.iter_mut().zip(dots).zip(&self.weights).zip(&self.inv_norms)
         {
-            *s += f64::from(weight) * (dot * inv_c * f64::from(inv_r)).clamp(0.0, 1.0);
+            *s += cosine_term(weight, dot, inv_c, inv_r);
         }
     }
 
@@ -559,6 +559,12 @@ impl KindBlock {
             + std::mem::size_of_val(self.inv_norms.as_slice())
             + std::mem::size_of_val(self.envelope.as_slice())
     }
+}
+
+/// One slot's term of a kind's cosine epilogue: `weight · clamp(dot ·
+/// inv_c · inv_r)`.
+fn cosine_term(weight: f32, dot: f64, inv_c: f64, inv_r: f32) -> f64 {
+    f64::from(weight) * (dot * inv_c * f64::from(inv_r)).clamp(0.0, 1.0)
 }
 
 /// Copies the first `slots` entries of every column from capacity `old`
@@ -1282,7 +1288,11 @@ impl ReferenceDb {
     /// own `u8` codes widened exactly to `f32` (the per-row scales cancel
     /// out of cosine). A window's histogram has at most one nonzero bin
     /// per observation, so that list is short.
-    fn pack_candidates<C: Borrow<Signature>>(&self, candidates: &[C], scratch: &mut MatchScratch) {
+    pub(crate) fn pack_candidates<C: Borrow<Signature>>(
+        &self,
+        candidates: &[C],
+        scratch: &mut MatchScratch,
+    ) {
         let quantized = self.config.precision == RowPrecision::U8;
         let MatchScratch { tile_nonzeros, packed, kind_spans, .. } = scratch;
         tile_nonzeros.clear();
@@ -1314,6 +1324,41 @@ impl ReferenceDb {
             }
             kind_spans.push(start..packed.len());
         }
+    }
+
+    /// Random access into the dense sweep: row `row`'s score against the
+    /// one candidate `scratch` holds packed for this store
+    /// ([`ReferenceDb::pack_candidates`] on a tile of one), bit for bit
+    /// the entry [`ReferenceDb::match_tile`] gives the row. It reads the
+    /// row's placement, then for each block of its shard whose kind the
+    /// candidate carries, ascending by key, dots the candidate's nonzero
+    /// bins against the row's slot in the column pass's order — an exact
+    /// `u32` sum over `u8` codes, an ascending-bin `f64` sum over `f32`
+    /// rows — and adds the block's cosine term to a score that starts at
+    /// `+0.0`. The cost is the candidate's nonzero bins, not the row count.
+    pub(crate) fn score_row(&self, row: usize, scratch: &MatchScratch) -> f64 {
+        let MatchScratch { tile_nonzeros, packed, kind_spans, .. } = scratch;
+        debug_assert_eq!(kind_spans.len(), self.kind_keys.len(), "packed for this store");
+        debug_assert!(packed.iter().all(|e| e.cand == 0), "a tile of one");
+        let Placement { shard, slot } = self.placement[row];
+        let slot = slot as usize;
+        let mut score = 0.0;
+        for (block, span) in self.blocks_with_spans(&self.shards[shard as usize], kind_spans) {
+            let Some(e) = packed[span.clone()].first() else { continue };
+            let nonzeros = &tile_nonzeros[e.nonzeros.clone()];
+            let at = |bin: u32| bin as usize * block.cap + slot;
+            let dot = match &block.store {
+                // Codes are integers ≤ QUANT_MAX, so the casts are exact.
+                RowStore::U8(rows) => f64::from(
+                    nonzeros.iter().map(|&(bin, c)| c as u32 * u32::from(rows[at(bin)])).sum::<u32>(),
+                ),
+                RowStore::F32(rows) => nonzeros
+                    .iter()
+                    .fold(0.0, |dot, &(bin, c)| dot + f64::from(c) * f64::from(rows[at(bin)])),
+            };
+            score += cosine_term(block.weights[slot], dot, e.inv_norm, block.inv_norms[slot]);
+        }
+        score
     }
 
     /// Orders the occupied shards for the pruned sweep. Fills
@@ -2984,6 +3029,70 @@ mod tests {
                 db.match_topk_tile(&candidates, 3, &mut a),
                 bulk.match_topk_tile(&candidates, 3, &mut b)
             );
+        }
+
+        // Random access is the dense sweep, one row at a time: after every
+        // insert, replace or remove — device ids landing below and above
+        // the last address, so slots fall out of row order — and after a
+        // re-layout, score_row equals match_tile bit for bit on every row,
+        // in both tiers. References and candidates bin some kinds coarsely
+        // (sibling blocks, and candidate rows whose bins match no block),
+        // and candidates lack kinds or carry none at all.
+        #[test]
+        fn score_row_equals_the_dense_sweep(
+            ops in prop::collection::vec(
+                (0u8..4, 0u64..24, 0u8..8, prop::collection::vec(0.0f64..2400.0, 1..30)), 8..40),
+            cand_tiles in prop::collection::vec(
+                (prop::collection::vec(0.0f64..2400.0, 0..30), 0u8..8), 1..4),
+            shards in 1usize..6,
+            relayout in 1usize..9,
+            quantized in any::<bool>(),
+        ) {
+            let fine = cfg();
+            let coarse = cfg().with_bins(BinSpec::uniform_to(2500.0, 50.0));
+            // Bit k of `mask` drops kind k; bit 2 bins probes coarsely.
+            let signature = |values: &[f64], mask: u8| {
+                let mut sig = Signature::new();
+                for (j, &v) in values.iter().enumerate() {
+                    let (kind, bit) = match j % 3 {
+                        2 => (FrameKind::ProbeReq, 0),
+                        _ => (FrameKind::Data, 1),
+                    };
+                    if mask >> bit & 1 == 0 {
+                        let bins = if kind == FrameKind::ProbeReq && mask & 4 != 0 { &coarse } else { &fine };
+                        sig.record(kind, v, bins);
+                    }
+                }
+                sig
+            };
+            let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
+            let mut db = empty_at(MatchConfig { precision }, shards);
+            let candidates: Vec<Signature> =
+                cand_tiles.iter().map(|(values, mask)| signature(values, *mask)).collect();
+            let (mut dense, mut random) = (MatchScratch::new(), MatchScratch::new());
+            let mut check = |db: &ReferenceDb| {
+                for cand in &candidates {
+                    let one = std::slice::from_ref(cand);
+                    let want = db.match_tile(one, SimilarityMeasure::Cosine, &mut dense);
+                    db.pack_candidates(one, &mut random);
+                    for (row, &score) in want.candidate(0).scores.iter().enumerate() {
+                        prop_assert_eq!(db.score_row(row, &random).to_bits(), score.to_bits(), "row {}", row);
+                    }
+                }
+            };
+            for (op, device, mask, values) in &ops {
+                let device = MacAddr::from_index(device + 1);
+                if *op == 3 {
+                    db.remove(&device).unwrap();
+                } else {
+                    // Never empty: the first value is a data frame, and a
+                    // reference keeps its data frames.
+                    db.insert(device, signature(values, mask & !2)).unwrap();
+                }
+                check(&db);
+            }
+            db.reshard(relayout);
+            check(&db);
         }
 
     // The u8 cosine sweep's scores are exact integer dots folded by one
