@@ -274,12 +274,12 @@ impl Collector {
         health: EngineHealth,
     ) -> TraceEvaluation {
         let Collector { parameters, fused, train_frames, validation_frames, .. } = self;
-        let work: Vec<&Decisions> =
+        let mut work: Vec<&Decisions> =
             parameters.iter().map(|(_, decisions)| decisions).chain([&fused]).collect();
         let mut results = map_tiles_with_scratch(
-            &work,
+            &mut work,
             1,
-            || (),
+            &mut Vec::<()>::new(),
             |(), chunk| {
                 chunk.iter().map(|d| EvalOutcome::from_match_sets(&d.sets, d.unknown)).collect()
             },

@@ -20,11 +20,12 @@
 //!   baseline Pang-style broadcast-size identifier (§V-B2)
 //!   fusion   multi-parameter combination (§VIII future work)
 //!   attack   §VII-A mimicry attacker evaluation
+//!   claims   the paper's findings as orderings, each held or broken
 //!   all      everything above, in this order
 //! ```
 //!
 //! The four traces are simulated once, when any listed experiment needs
-//! them (`table1`, `table2`, `table3`, `fig3`, `baseline`). `--quick`
+//! them (`table1`, `table2`, `table3`, `fig3`, `baseline`, `claims`). `--quick`
 //! shortens the two 7-hour traces to 2 hours. CSV series for every
 //! figure/table are written under `--out` (default `target/repro`).
 
@@ -35,16 +36,16 @@ use wifiprint_analysis::plot::{curve_csv, curve_plot, histogram_bars, histogram_
 use wifiprint_analysis::tables::{render_columns, table1, table2, table3, TraceFeatures};
 use wifiprint_bench::experiments::{evaluate_scenario, TraceKind, TraceRun};
 use wifiprint_bench::figures;
-use wifiprint_core::NetworkParameter;
+use wifiprint_core::{EvalOutcome, Histogram, NetworkParameter, SimilarityMeasure};
 
 /// Every experiment, in the order `all` runs them.
-const EXPERIMENTS: [&str; 14] = [
+const EXPERIMENTS: [&str; 15] = [
     "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-    "baseline", "fusion", "attack",
+    "baseline", "fusion", "attack", "claims",
 ];
 
 /// The experiments that read the four simulated traces.
-const TRACE_EXPERIMENTS: [&str; 5] = ["table1", "table2", "table3", "fig3", "baseline"];
+const TRACE_EXPERIMENTS: [&str; 6] = ["table1", "table2", "table3", "fig3", "baseline", "claims"];
 
 #[derive(Debug)]
 struct Options {
@@ -184,6 +185,7 @@ fn run_experiment(experiment: &str, runs: &[TraceRun], opts: &Options) {
         "baseline" => print_baseline(runs),
         "fusion" => print_fusion(opts),
         "attack" => print_attack(opts),
+        "claims" => print_claims(runs, opts),
         other => unreachable!("parse_args admits only known experiments, got {other}"),
     }
 }
@@ -389,8 +391,115 @@ fn print_baseline(runs: &[TraceRun]) {
         cols[3].push(run.baseline.instances.to_string());
     }
     println!("{}", render_columns(&cols));
-    println!("(Pang et al. report 5-23% at FPR 0.01 and 12-52% at FPR 0.1 on their traces;");
-    println!(" the paper's inter-arrival method achieves comparable conference ratios.)");
+    println!("(broadcast frame sizes only; `repro claims` checks the paper's orderings)");
+}
+
+/// Prints each of the paper's findings as held or broken, with the
+/// numbers behind it. A claim is an ordering between parameters, traces
+/// or settings, never a paper number: the traces are simulated, so only
+/// their shape can be compared. A claim holds when every line under it
+/// does.
+fn print_claims(runs: &[TraceRun], opts: &Options) {
+    println!("\n== Paper claims: the findings as orderings over these traces ==");
+    let verdict = |held: bool| if held { "held" } else { "broken" };
+    let report = |claim: &str, lines: Vec<(bool, String)>| {
+        println!("\n[{}] {claim}", verdict(lines.iter().all(|&(held, _)| held)));
+        for (held, line) in lines {
+            println!("  {:<6} {line}", verdict(held));
+        }
+    };
+    let pct = |x: f64| format!("{:.1}%", 100.0 * x);
+    /// A table's measure: its name and how to read it off an outcome.
+    type Measure = (&'static str, fn(&EvalOutcome) -> f64);
+    let measures: [Measure; 2] =
+        [("AUC", EvalOutcome::auc), ("ident @ FPR 0.1", |o| o.identification_at_fpr(0.1))];
+    let score = |run: &TraceRun, p: NetworkParameter, measure: fn(&EvalOutcome) -> f64| {
+        measure(&run.eval.outcomes[&p])
+    };
+
+    // Transmission time and inter-arrival time lead (abstract, §V-B).
+    let leaders = [NetworkParameter::TransmissionTime, NetworkParameter::InterArrivalTime];
+    let mut lines = Vec::new();
+    for run in runs {
+        for (name, measure) in measures {
+            let mut ranked: Vec<_> =
+                NetworkParameter::ALL.iter().map(|&p| (p, score(run, p, measure))).collect();
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let order: Vec<String> =
+                ranked.iter().map(|&(p, v)| format!("{} {}", p.label(), pct(v))).collect();
+            lines.push((
+                ranked[..2].iter().all(|(p, _)| leaders.contains(p)),
+                format!("{:<8} by {name}: {}", run.kind.name(), order.join(" > ")),
+            ));
+        }
+    }
+    report("transmission time and inter-arrival time rank first and second", lines);
+
+    // Office traces score above conference traces, and transmission rate
+    // falls with mobility (§V-B): every office trace above every
+    // conference trace.
+    let (office, conference): (Vec<&TraceRun>, Vec<&TraceRun>) = runs
+        .iter()
+        .partition(|run| matches!(run.kind, TraceKind::Office1 | TraceKind::Office2));
+    let range = |runs: &[&TraceRun], p, measure| {
+        let scores = runs.iter().map(|run| score(run, p, measure));
+        let low = scores.clone().fold(f64::INFINITY, f64::min);
+        (low, scores.fold(f64::NEG_INFINITY, f64::max))
+    };
+    let office_above = |p, (name, measure)| {
+        let ((office_low, office_high), (conf_low, conf_high)) =
+            (range(&office, p, measure), range(&conference, p, measure));
+        let line = format!(
+            "{:<18} {name}: office {}-{} vs conference {}-{}",
+            p.label(),
+            pct(office_low),
+            pct(office_high),
+            pct(conf_low),
+            pct(conf_high),
+        );
+        (office_low > conf_high, line)
+    };
+    let lines = NetworkParameter::ALL
+        .into_iter()
+        .flat_map(|p| measures.map(|measure| office_above(p, measure)))
+        .collect();
+    report("office traces score above conference traces", lines);
+    report(
+        "transmission rate's AUC falls from office to conference",
+        vec![office_above(NetworkParameter::TransmissionRate, measures[0])],
+    );
+
+    // Inter-arrival time depends on the §VI factors: in each of Figs. 4-8
+    // the factor moves the histogram further than re-running a setting
+    // under the next seed does.
+    let figures = |seed| -> [(&str, Vec<(String, Histogram)>); 5] {
+        let fig6 = figures::fig6_rates(seed).into_iter().map(|(label, hist, _)| (label, hist));
+        [
+            ("fig4 backoff", figures::fig4_backoff(seed)),
+            ("fig5 RTS", figures::fig5_rts(seed)),
+            ("fig6 rate adaptation", fig6.collect()),
+            ("fig7 service stacks", figures::fig7_services(seed)),
+            ("fig8 power save", figures::fig8_power_save(seed)),
+        ]
+    };
+    let cosine = |a: &Histogram, b: &Histogram| {
+        SimilarityMeasure::Cosine.compute(&a.frequencies(), &b.frequencies())
+    };
+    let lines = figures(opts.seed)
+        .into_iter()
+        .zip(figures(opts.seed + 1))
+        .map(|((name, first), (_, rerun))| {
+            let across = cosine(&first[0].1, &first[1].1);
+            let again =
+                first.iter().zip(&rerun).map(|(a, b)| cosine(&a.1, &b.1)).fold(1.0, f64::min);
+            let line = format!(
+                "{name:<20} similarity across settings {across:.3} \
+                 vs same setting re-run >= {again:.3}"
+            );
+            (across < again, line)
+        })
+        .collect();
+    report("inter-arrival time shows the §VI dependencies", lines);
 }
 
 #[cfg(test)]

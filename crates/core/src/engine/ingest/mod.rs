@@ -132,9 +132,15 @@ pub struct IngestConfig {
     /// Full-ring policy (default [`OverloadPolicy::Block`]).
     pub overload: OverloadPolicy,
     /// Stall watchdog deadline: when the ring stays empty this long,
-    /// the worker drives the engine's `tick()` so the open window still
-    /// gets its decision. `None` (default) disables the watchdog —
-    /// required for bit-exact equivalence with synchronous `observe`.
+    /// the worker drives the engine's [`MultiEngine::tick`] —
+    /// `advance_to(open window's end)` — so the open window still gets
+    /// its decision. Its later frames are late frames under the engine's
+    /// [`LateFramePolicy`](super::LateFramePolicy): quarantined with their
+    /// engine error under `Reject`, counted in
+    /// [`EngineHealth::frames_late_dropped`] under `Reorder`, which a
+    /// bursty or replayed source wants. `None` (default) disables the
+    /// watchdog — required for bit-exact equivalence with synchronous
+    /// `observe`.
     pub stall_timeout: Option<Duration>,
     /// Chaos knob: a per-frame artificial sweep cost, so overload
     /// behaviour is testable at small scale. `Duration::ZERO` (default)
@@ -899,19 +905,17 @@ mod tests {
         assert!(report.is_reconciled());
     }
 
-    #[test]
-    fn watchdog_ticks_between_slow_batches_keep_the_ledger_and_window_order() {
-        // Each frame sleeps 100 µs in the worker, so a 64-frame batch
-        // takes longer than the 2 ms stall timeout: the deadline must run
-        // only while the worker waits for a batch. The source pauses
-        // after every chunk until the watchdog has fired, often in the
-        // middle of a detection window, so later frames of a window it
-        // sealed arrive late and are quarantined.
+    /// A paused source behind a watchdog: 1,200 frames in chunks of 150,
+    /// each frame sleeping 100 µs in the worker, so a 64-frame batch takes
+    /// longer than the 2 ms stall timeout. The source pauses after every
+    /// chunk until the watchdog has fired, often in the middle of a
+    /// detection window, so later frames of a window it sealed arrive
+    /// late. Returns the report and the number of pauses.
+    fn paused_source(resilience: ResilienceConfig) -> (IngestReport, u64) {
         let cfg = IngestConfig::default()
             .with_stall_timeout(Some(Duration::from_millis(2)))
             .with_sweep_delay(Duration::from_micros(100));
-        let pipeline =
-            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
+        let pipeline = IngestPipeline::spawn(engine(resilience), cfg).expect("spawn");
         let frames = stream(1_200);
         let chunks = frames.chunks(150);
         let pauses = chunks.len() as u64;
@@ -926,7 +930,15 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let report = pipeline.finish().expect("terminates");
+        (pipeline.finish().expect("terminates"), pauses)
+    }
+
+    #[test]
+    fn watchdog_ticks_between_slow_batches_keep_the_ledger_and_window_order() {
+        // The deadline must run only while the worker waits for a batch.
+        // Under the default policy the frames a tick strands are
+        // quarantined.
+        let (report, pauses) = paused_source(ResilienceConfig::default());
         assert!(report.is_reconciled(), "health: {:?}", report.health);
         assert!(report.stats.watchdog_ticks >= pauses, "stats: {:?}", report.stats);
 
@@ -954,6 +966,30 @@ mod tests {
         }
         assert_eq!(pending, 0, "candidate events after the last close");
         assert!(closed >= 2, "the stream must close several windows: {closed}");
+    }
+
+    #[test]
+    fn frames_a_watchdog_tick_strands_are_late_frames_under_either_policy() {
+        // A tick is `advance_to(open window's end)`: the rest of that
+        // window's frames arrive behind the watermark. `Reject` refuses
+        // them and the pipeline quarantines them with their engine error;
+        // `Reorder` drops them as late. Either way the ledger balances.
+        let (strict, _) = paused_source(ResilienceConfig::default());
+        assert!(strict.is_reconciled(), "health: {:?}", strict.health);
+        assert!(strict.health.frames_quarantined > 0, "health: {:?}", strict.health);
+        assert_eq!(strict.health.frames_late_dropped, 0);
+        assert_eq!(strict.health.workers_restarted, 0, "a rejection is not a panic");
+        for q in &strict.quarantine {
+            assert!(q.reason.contains("capture order"), "reason: {}", q.reason);
+        }
+
+        let reorder = ResilienceConfig::default()
+            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 8 });
+        let (tolerant, _) = paused_source(reorder);
+        assert!(tolerant.is_reconciled(), "health: {:?}", tolerant.health);
+        assert!(tolerant.health.frames_late_dropped > 0, "health: {:?}", tolerant.health);
+        assert_eq!(tolerant.health.frames_quarantined, 0);
+        assert!(tolerant.quarantine.is_empty());
     }
 
     #[test]

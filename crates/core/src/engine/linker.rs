@@ -355,7 +355,6 @@ impl LinkerStats {
 #[derive(Debug, Clone)]
 struct IdentityRecord {
     last_seen: Nanos,
-    sightings: u64,
     /// Every MAC bound to this identity, binding order (first is the
     /// founding address). Needed to clear the bindings on eviction.
     macs: Vec<MacAddr>,
@@ -717,7 +716,7 @@ impl RotationLinker {
             let Some(sig) = signature_for(signatures, param) else { continue };
             db.insert(key, sig.clone()).expect("gallery databases are never frozen");
         }
-        self.identities.insert(id, IdentityRecord { last_seen: at, sightings: 1, macs: vec![mac] });
+        self.identities.insert(id, IdentityRecord { last_seen: at, macs: vec![mac] });
         // Identities are numbered in founding order, so the newest key
         // is the largest.
         debug_assert!(self.identity_keys.last().is_none_or(|&last| last < key));
@@ -742,7 +741,6 @@ impl RotationLinker {
         let Some(record) = self.identities.get_mut(&id) else { return };
         self.by_last_seen.remove(&(record.last_seen, id));
         record.last_seen = record.last_seen.max(at);
-        record.sightings += 1;
         if let Some(mac) = fresh_mac {
             record.macs.push(mac);
             self.bindings.insert(mac, id);

@@ -13,14 +13,15 @@
 //!   detection windows seal for every parameter, so per-parameter
 //!   decisions are always aligned;
 //! * **online score fusion** — as each window closes, its candidates fan
-//!   out in tiles across workers; each worker sweeps a tile against every
+//!   out in tiles across workers, each on its own [`MatchScratch`] that the
+//!   engine keeps (no pool); each worker sweeps a tile against every
 //!   parameter's [`ReferenceDb`] (the tiled column sweep behind
-//!   [`ReferenceDb::match_tile`], over references the engine keeps flat)
-//!   and combines each candidate's per-parameter similarity vectors into
-//!   one weighted-average [`FusedOutcome`] per [`fusion`](crate::fusion)
-//!   spec: an aligned add, since how each reference's device table lines
-//!   up with the commonly enrolled set is decided once, when detection
-//!   starts.
+//!   [`ReferenceDb::match_tile`], over references the engine keeps flat),
+//!   combines each candidate's per-parameter similarity vectors into one
+//!   weighted-average [`FusedOutcome`] per [`fusion`](crate::fusion) spec
+//!   (an aligned add: how each reference's device table lines up with the
+//!   commonly enrolled set is decided once, when detection starts) and
+//!   emits the candidate's event.
 //!
 //! [`MultiEvent::FusedMatch`] / [`MultiEvent::FusedNewDevice`] carry one
 //! [`ParameterDecision`] per parameter the candidate qualified for (its
@@ -492,9 +493,8 @@ pub struct MultiEngine {
     /// The single shared extractor: one parse, one timing history.
     extractor: FusedExtractor,
     phase: MultiPhase,
-    /// Warm [`MatchScratch`]es reused across window closes: the tiled
-    /// fan-out checks one out per worker and returns it, so the sweep
-    /// buffers stay grown to the reference size.
+    /// One [`MatchScratch`] per window-close worker, lent to the fan-out on
+    /// every close, so the sweep buffers stay grown to the reference size.
     scratches: Vec<MatchScratch>,
     origin: Option<Nanos>,
     /// The resilience gatekeeper every arrival passes through (dedup →
@@ -570,22 +570,35 @@ impl MultiEngine {
 
         // One fused parse per frame — this is the whole point.
         let obs = self.extractor.push(frame);
+        self.seal(|clock| clock.observe(frame.t_end), events);
+        if let Some(obs) = obs {
+            let MultiPhase::Detecting(state) = &mut self.phase else {
+                unreachable!("ingest handled Training, callers handle Finished");
+            };
+            record_fused(&mut state.current, &obs, &self.settings);
+        }
+    }
+
+    /// Steps the detection clock with `step`; a window that seals is scored
+    /// into `events` and counted. Frames, ticks and `finish` all seal here.
+    fn seal(
+        &mut self,
+        step: impl FnOnce(&mut WindowClock) -> Option<usize>,
+        events: &mut Vec<MultiEvent>,
+    ) {
         let MultiPhase::Detecting(state) = &mut self.phase else {
-            unreachable!("ingest handled Training, callers handle Finished");
+            unreachable!("only a detecting engine seals windows");
         };
-        if let Some(sealed) = state.clock.observe(frame.t_end) {
+        if let Some(window) = step(&mut state.clock) {
             close_multi_window(
                 &self.settings,
                 state,
                 &mut self.scratches,
                 &mut self.front.health,
-                sealed,
+                window,
                 events,
             );
             self.windows_closed += 1;
-        }
-        if let Some(obs) = obs {
-            record_fused(&mut state.current, &obs, &self.settings);
         }
     }
 
@@ -657,29 +670,22 @@ impl MultiEngine {
             }
             self.end_training(&mut events);
         }
-        let MultiPhase::Detecting(state) = &mut self.phase else {
-            unreachable!("advance_to handled Training and Finished above");
-        };
-        if let Some(sealed) = state.clock.advance_to(t) {
-            close_multi_window(
-                &self.settings,
-                state,
-                &mut self.scratches,
-                &mut self.front.health,
-                sealed,
-                &mut events,
-            );
-            self.windows_closed += 1;
-        }
+        self.seal(|clock| clock.advance_to(t), &mut events);
         Ok(events)
     }
 
-    /// Forces a decision on the still-open detection window *now*:
-    /// advances the clock to the window's own end (see
-    /// [`MultiEngine::advance_to`]), sealing and scoring it immediately.
-    /// A no-op while training (the training boundary needs a wall-clock
-    /// timestamp, which a bare tick does not carry) or when no window is
-    /// open.
+    /// Forces a decision on the still-open detection window *now*: a tick
+    /// is `advance_to(open window's end)` (see [`MultiEngine::advance_to`]),
+    /// however little capture time has passed. A no-op while training (the
+    /// training boundary needs a wall-clock timestamp, which a bare tick
+    /// does not carry) or when no window is open.
+    ///
+    /// Later frames of the sealed window are late frames under the
+    /// engine's [`LateFramePolicy`](super::LateFramePolicy): `Reject`
+    /// refuses each with [`EngineError::NonMonotonicFrame`] (an
+    /// [`IngestPipeline`](super::ingest::IngestPipeline) quarantines it),
+    /// `Reorder` counts it in [`EngineHealth::frames_late_dropped`]. A
+    /// bursty or replayed source behind a watchdog wants `Reorder`.
     ///
     /// # Errors
     ///
@@ -726,23 +732,11 @@ impl MultiEngine {
         if matches!(self.phase, MultiPhase::Training { .. }) {
             self.end_training(&mut events);
         }
-        let MultiPhase::Detecting(mut state) =
-            std::mem::replace(&mut self.phase, MultiPhase::Finished { references: Vec::new() })
-        else {
+        self.seal(WindowClock::finish, &mut events);
+        let MultiPhase::Detecting(state) = &mut self.phase else {
             unreachable!("finish handled Training and Finished above");
         };
-        if let Some(sealed) = state.clock.finish() {
-            close_multi_window(
-                &self.settings,
-                &mut state,
-                &mut self.scratches,
-                &mut self.front.health,
-                sealed,
-                &mut events,
-            );
-            self.windows_closed += 1;
-        }
-        self.phase = MultiPhase::Finished { references: state.references };
+        self.phase = MultiPhase::Finished { references: std::mem::take(&mut state.references) };
         Ok(events)
     }
 
@@ -879,32 +873,17 @@ impl MultiEngine {
     }
 }
 
-/// A [`MatchScratch`] checked out of the engine's warm pool for one
-/// fan-out worker; returning it on drop keeps the buffers (grown to the
-/// reference size) alive across window closes.
-struct PooledScratch<'a> {
-    pool: &'a std::sync::Mutex<Vec<MatchScratch>>,
-    inner: MatchScratch,
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut pool) = self.pool.lock() {
-            pool.push(std::mem::take(&mut self.inner));
-        }
-    }
-}
-
 /// Scores sealed window `window` from the detection state's open
 /// candidate map and emits the fused events (ascending device address)
 /// plus the terminator.
 ///
 /// The qualifying candidates fan out in [`MATCH_TILE`]-wide tiles across
-/// `batch::map_tiles_with_scratch`, one scratch per worker. A worker sweeps
-/// each tile against every parameter's reference matrix, over the tile's
-/// candidates that qualified for it, into owned similarity vectors, then
-/// fuses each candidate's vectors while they are still in cache. The
-/// closing thread only moves signatures and vectors into events.
+/// `batch::map_tiles_with_scratch`, each worker on its own of `scratches`.
+/// A worker sweeps each tile against every parameter's reference matrix,
+/// over the tile's candidates that qualified for it, fuses each
+/// candidate's vectors while they are still in cache and emits its event.
+/// This thread only appends the events, counts them and adds the
+/// terminator.
 ///
 /// A candidate with only a quorum of scored parameters gets a fused score
 /// over the survivors, with the missing parameters listed in the event's
@@ -926,7 +905,7 @@ fn close_multi_window(
 
     // Qualifying candidates, in the map's ascending-address order: per
     // spec parameter, the signature if it met the floor.
-    let qualified: Vec<(MacAddr, Vec<Option<Signature>>)> = candidates
+    let mut qualified: Vec<(MacAddr, Vec<Option<Signature>>)> = candidates
         .into_iter()
         .filter_map(|(device, sigs)| {
             let sigs: Vec<Option<Signature>> = sigs
@@ -937,107 +916,73 @@ fn close_multi_window(
         })
         .collect();
 
-    // Workers borrow warm scratches from the engine's pool (returned on
-    // drop), so repeated window closes stay allocation-free in the sweep
-    // buffers once they have grown to the reference size. With one worker
-    // (1-CPU hosts, `WIFIPRINT_THREADS=1`) every tile runs on this thread.
-    let pool = std::sync::Mutex::new(std::mem::take(scratches));
-    let checkout = || PooledScratch {
-        pool: &pool,
-        inner: pool.lock().map_or_else(|_| MatchScratch::new(), |mut p| p.pop().unwrap_or_default()),
-    };
     let state = &*state;
-    let results: Vec<Scored> =
-        crate::batch::map_tiles_with_scratch(&qualified, MATCH_TILE, checkout, |pooled, tile| {
-            score_tile(settings, state, &mut pooled.inner, tile)
-        });
-    *scratches = pool.into_inner().unwrap_or_default();
-
-    let total = qualified.len();
-    let mut known = 0usize;
-    let mut any_degraded = false;
-    for ((device, sigs), Scored { views, fused, degraded }) in qualified.into_iter().zip(results) {
-        let in_common = state.common.binary_search(&device).is_ok();
-        let mut scores = Vec::with_capacity(sigs.len());
-        let mut signatures = Vec::new();
-        for (p, ((param, sig), view)) in settings.spec.parameters().zip(sigs).zip(views).enumerate() {
-            let Some(sig) = sig else { continue };
-            scores.push(ParameterDecision {
-                parameter: param,
-                known: state.references[p].contains(&device),
-                view: view.unwrap_or_default(),
-            });
-            if !in_common {
-                signatures.push((param, sig));
-            }
-        }
-        any_degraded |= !degraded.is_empty();
-        if in_common {
-            known += 1;
-            events.push(MultiEvent::FusedMatch { window, device, scores, fused, degraded });
-        } else {
-            events.push(MultiEvent::FusedNewDevice {
-                window,
-                device,
-                signatures,
-                scores,
-                fused,
-                degraded,
-            });
-        }
-    }
-    if any_degraded {
-        health.windows_degraded += 1;
-    }
-    events.push(MultiEvent::WindowClosed {
-        window,
-        candidates: total,
-        known,
-        unknown: total - known,
-    });
+    let decided = crate::batch::map_tiles_with_scratch(
+        &mut qualified,
+        MATCH_TILE,
+        scratches,
+        |scratch, tile| score_tile(settings, state, scratch, window, tile),
+    );
+    let candidates = decided.len();
+    let known = decided.iter().filter(|e| matches!(e, MultiEvent::FusedMatch { .. })).count();
+    let degraded = |e: &MultiEvent| {
+        matches!(e, MultiEvent::FusedMatch { degraded, .. }
+            | MultiEvent::FusedNewDevice { degraded, .. } if !degraded.is_empty())
+    };
+    health.windows_degraded += u64::from(decided.iter().any(degraded));
+    events.extend(decided);
+    let unknown = candidates - known;
+    events.push(MultiEvent::WindowClosed { window, candidates, known, unknown });
 }
 
-/// One candidate's scores from a window close: per spec parameter its
-/// similarity vector (`None` when it did not qualify, or is an unscored
-/// stranger), and its fused score with the parameters missing from it.
-struct Scored {
-    views: Vec<Option<MatchOutcome>>,
-    fused: Option<FusedOutcome>,
-    degraded: Vec<NetworkParameter>,
-}
-
-/// Scores one tile of qualifying candidates: per parameter, one dense
-/// sweep over the tile's candidates that qualified for it (strangers only
-/// when their scoring is on), then each candidate's fused score.
+/// Scores one tile of qualifying candidates into their `window` events:
+/// per parameter, one dense sweep over the tile's candidates that
+/// qualified for it (strangers only when their scoring is on), then each
+/// candidate's fused score and event, strangers' signatures moved in.
 fn score_tile(
     settings: &Settings,
     state: &DetectState,
     scratch: &mut MatchScratch,
-    tile: &[(MacAddr, Vec<Option<Signature>>)],
-) -> Vec<Scored> {
+    window: usize,
+    tile: &mut [(MacAddr, Vec<Option<Signature>>)],
+) -> Vec<MultiEvent> {
     let Settings { ref spec, score_unknown, quorum, .. } = *settings;
-    let mut views: Vec<Vec<Option<MatchOutcome>>> = vec![vec![None; spec.len()]; tile.len()];
+    // Per candidate: whether every reference enrolls it and, per spec
+    // parameter it qualified for, whether that reference does
+    // (`ParameterDecision::known`) and its similarity vector once swept.
+    let mut slots: Vec<(bool, Vec<_>)> = tile
+        .iter()
+        .map(|(device, sigs)| {
+            let in_common = state.common.binary_search(device).is_ok();
+            let slot = |(sig, db): (&Option<_>, &ReferenceDb)| {
+                sig.as_ref().map(|_| (in_common || db.contains(device), None::<MatchOutcome>))
+            };
+            (in_common, sigs.iter().zip(&state.references).map(slot).collect())
+        })
+        .collect();
     let mut ids = Vec::with_capacity(tile.len());
     let mut sigs = Vec::with_capacity(tile.len());
     for (p, db) in state.references.iter().enumerate() {
         ids.clear();
         sigs.clear();
-        for (i, (device, candidate_sigs)) in tile.iter().enumerate() {
-            if let Some(sig) = &candidate_sigs[p] {
-                if score_unknown || db.contains(device) {
+        for (i, ((_, candidate_sigs), (_, per_parameter))) in tile.iter().zip(&slots).enumerate() {
+            if let (Some(sig), Some((known, _))) = (&candidate_sigs[p], &per_parameter[p]) {
+                if score_unknown || *known {
                     ids.push(i);
                     sigs.push(sig);
                 }
             }
         }
         for (&i, outcome) in ids.iter().zip(db.match_tile_owned(&sigs, scratch)) {
-            views[i][p] = Some(outcome);
+            if let Some((_, view)) = &mut slots[i].1[p] {
+                *view = Some(outcome);
+            }
         }
     }
-    tile.iter()
-        .zip(views)
-        .map(|((device, _), views)| {
-            let in_common = state.common.binary_search(device).is_ok();
+    tile.iter_mut()
+        .zip(slots)
+        .map(|((device, candidate_sigs), (in_common, per_parameter))| {
+            let device = *device;
             // The fused score wants a scored view for every parameter, but
             // a degraded capture may starve some of them below the floor:
             // fuse over the survivors when at least `quorum` parameters
@@ -1048,9 +993,11 @@ fn score_tile(
             let terms: Vec<Term<'_>> = spec
                 .parameters
                 .iter()
-                .zip(&views)
+                .zip(&per_parameter)
                 .zip(&state.alignments)
-                .filter_map(|((&(_, w), view), alignment)| Some((w, view.as_ref()?, alignment)))
+                .filter_map(|((&(_, w), slot), alignment)| {
+                    Some((w, slot.as_ref()?.1.as_ref()?, alignment))
+                })
                 .collect();
             let unscored = !in_common && !score_unknown;
             let weighted = terms.iter().any(|&(w, ..)| w > 0.0);
@@ -1060,13 +1007,30 @@ fn score_tile(
                 } else {
                     let missing = spec
                         .parameters()
-                        .zip(&views)
-                        .filter(|(_, v)| v.is_none())
+                        .zip(&per_parameter)
+                        .filter(|(_, slot)| !matches!(slot, Some((_, Some(_)))))
                         .map(|(p, _)| p)
                         .collect();
                     (Some(fuse_aligned(&terms, Arc::clone(&state.common))), missing)
                 };
-            Scored { views, fused, degraded }
+            let scores = spec
+                .parameters()
+                .zip(per_parameter)
+                .filter_map(|(parameter, slot)| {
+                    let (known, view) = slot?;
+                    Some(ParameterDecision { parameter, known, view: view.unwrap_or_default() })
+                })
+                .collect();
+            if in_common {
+                MultiEvent::FusedMatch { window, device, scores, fused, degraded }
+            } else {
+                let signatures = spec
+                    .parameters()
+                    .zip(candidate_sigs.iter_mut())
+                    .filter_map(|(p, sig)| Some((p, sig.take()?)))
+                    .collect();
+                MultiEvent::FusedNewDevice { window, device, signatures, scores, fused, degraded }
+            }
         })
         .collect()
 }

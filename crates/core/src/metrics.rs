@@ -171,13 +171,13 @@ pub fn match_candidates(
 ) -> (Vec<MatchSet>, usize) {
     // Unknown devices carry no ground truth; drop them before tiling so
     // no sweep time is spent scoring them.
-    let known: Vec<&CandidateWindow> =
+    let mut known: Vec<&CandidateWindow> =
         candidates.iter().filter(|c| db.contains(&c.device)).collect();
     let unknown = candidates.len() - known.len();
     let sets = crate::batch::map_tiles_with_scratch(
-        &known,
+        &mut known,
         MATCH_TILE,
-        MatchScratch::new,
+        &mut Vec::<MatchScratch>::new(),
         |scratch, tile| {
             let sigs: Vec<&Signature> = tile.iter().map(|c| &c.signature).collect();
             let view = db.match_tile(&sigs, SimilarityMeasure::Cosine, scratch);

@@ -5,8 +5,8 @@
 //! The decisive difference from the office: devices **move**, so their SNR
 //! — and with it the rate-adaptation choice and loss pattern — drifts over
 //! the capture. That is what collapses the transmission-rate fingerprint
-//! (Table II: AUC 4.0 % on conference 1) while the inter-arrival
-//! fingerprint survives.
+//! while the inter-arrival fingerprint survives; `repro claims` prints
+//! whether that ordering holds on the simulated traces.
 
 use std::collections::BTreeMap;
 

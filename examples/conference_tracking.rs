@@ -101,7 +101,7 @@ fn main() {
         println!("=> re-identified despite the MAC rotation: address randomisation");
         println!("   alone does not defeat passive fingerprinting (paper §VII).");
     } else {
-        println!("=> not re-identified this time; the paper reports 20-57% success");
-        println!("   rates in conference settings, so misses are expected too.");
+        println!("=> not re-identified this time: in a crowded conference a rotated");
+        println!("   address is often closer to another device's fingerprint.");
     }
 }
